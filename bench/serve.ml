@@ -84,27 +84,14 @@ let run_cell ~label ~hit_tenths ~faults =
   (* appraise every cache-hit bundle through the full Verifier chain.
      Under fault injection a platform may have crashed after serving a
      hit: that bundle must now fail as stale — never as bad crypto. *)
-  let hits_verified = ref 0 and hits_stale = ref 0 and hits_bad = ref 0 in
-  List.iter
-    (fun ((req : Request.t), disposition) ->
-      match disposition with
-      | Request.Completed c when c.Request.batch = 0 -> (
-          match Serve.bundle_for t req.Request.id with
-          | None -> incr hits_bad
-          | Some b -> (
-              match Serve.verify_bundle t b with
-              | Ok () -> incr hits_verified
-              | Error (Serve.Stale _) -> incr hits_stale
-              | Error _ -> incr hits_bad))
-      | _ -> ())
-    (Fleet.dispositions fleet);
-  (t, Fleet.summary fleet, !hits_verified, !hits_stale, !hits_bad)
+  let hits = Serve.appraise_hits t in
+  (t, Fleet.summary fleet, hits)
 
 let tier_slice (s : Fleet.summary) tier =
   List.find (fun ts -> ts.Fleet.tier = tier) s.Fleet.by_tier
 
-let emit_cell ~label ~hit_tenths ~faults (t, (s : Fleet.summary), ok, stale, bad)
-    =
+let emit_cell ~label ~hit_tenths ~faults
+    (t, (s : Fleet.summary), { Serve.ok; stale; bad }) =
   let m = Serve.metrics t in
   let ap = Appraise.stats (Serve.appraiser t) in
   let ti = tier_slice s Request.Interactive in

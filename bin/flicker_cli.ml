@@ -800,6 +800,43 @@ let stats_cmd =
 
 (* --- fleet --- *)
 
+(* The load that [fleet] and [chaos] share: build the fleet for the
+   chosen workload, then submit every client's open-loop requests (CA
+   clients each bring their own key to sign CSRs with). Echo payloads
+   are named [prefix-client-seq]. *)
+let fleet_with_load ~config ~workload ~clients ~per_client ~mean_gap ~deadline
+    ~prefix =
+  let module Fleet = Flicker_service.Fleet in
+  let module Workload = Flicker_service.Workload in
+  let seed = config.Fleet.seed in
+  let is_ca = workload = `Ca in
+  let wl =
+    if is_ca then
+      Workload.ca
+        { Flicker_apps.Cert_authority.allowed_suffixes = [ ".example.com" ];
+          denied_subjects = []; max_certificates = 10_000 }
+    else Workload.echo ()
+  in
+  let fleet = Fleet.create ~config wl in
+  let keys =
+    if is_ca then
+      Array.init clients (fun c ->
+          (Rsa.generate (Prng.create ~seed:(Printf.sprintf "%s/client-%d" seed c))
+             ~bits:512)
+            .Rsa.pub)
+    else [||]
+  in
+  Fleet.submit_open_loop fleet ~clients ~per_client ~mean_gap_ms:mean_gap
+    ?deadline_ms:deadline
+    ~payload:(fun ~client ~seq ->
+      if is_ca then
+        Workload.ca_csr_payload
+          ~subject:(Printf.sprintf "host-%d-%d.example.com" client seq)
+          ~subject_key:keys.(client)
+      else Printf.sprintf "%s-%d-%d" prefix client seq)
+    ();
+  fleet
+
 let fleet_run seed tpm platforms batch queue_depth policy workload clients
     per_client mean_gap deadline shards domains verbose =
   setup_logging verbose;
@@ -819,35 +856,12 @@ let fleet_run seed tpm platforms batch queue_depth policy workload clients
       domains;
     }
   in
-  let is_ca = workload = `Ca in
-  let wl =
-    if is_ca then
-      Workload.ca
-        { CA.allowed_suffixes = [ ".example.com" ]; denied_subjects = [];
-          max_certificates = 10_000 }
-    else Workload.echo ()
+  let fleet =
+    fleet_with_load ~config ~workload ~clients ~per_client ~mean_gap ~deadline
+      ~prefix:"ping"
   in
-  let fleet = Fleet.create ~config wl in
-  let keys =
-    (* the clients' own keypairs, only needed to build CSRs *)
-    if is_ca then
-      Array.init clients (fun c ->
-          (Rsa.generate (Prng.create ~seed:(Printf.sprintf "%s/client-%d" seed c))
-             ~bits:512)
-            .Rsa.pub)
-    else [||]
-  in
-  Fleet.submit_open_loop fleet ~clients ~per_client ~mean_gap_ms:mean_gap
-    ?deadline_ms:deadline
-    ~payload:(fun ~client ~seq ->
-      if is_ca then
-        Workload.ca_csr_payload
-          ~subject:(Printf.sprintf "host-%d-%d.example.com" client seq)
-          ~subject_key:keys.(client)
-      else Printf.sprintf "ping-%d-%d" client seq)
-    ();
   Fleet.run fleet;
-  if is_ca then begin
+  if workload = `Ca then begin
     let verified = ref 0 and bad = ref 0 in
     List.iter
       (fun (_, disposition) ->
@@ -940,9 +954,7 @@ let chaos_run seed tpm platforms batch queue_depth policy workload clients
     breaker_cooldown shards domains verbose =
   setup_logging verbose;
   let module Fleet = Flicker_service.Fleet in
-  let module Workload = Flicker_service.Workload in
   let module Injector = Flicker_fault.Injector in
-  let module CA = Flicker_apps.Cert_authority in
   if rate < 0.0 || rate > 1.0 then begin
     prerr_endline "--rate must be within [0, 1]";
     exit 2
@@ -964,32 +976,10 @@ let chaos_run seed tpm platforms batch queue_depth policy workload clients
       domains;
     }
   in
-  let is_ca = workload = `Ca in
-  let wl =
-    if is_ca then
-      Workload.ca
-        { CA.allowed_suffixes = [ ".example.com" ]; denied_subjects = [];
-          max_certificates = 10_000 }
-    else Workload.echo ()
+  let fleet =
+    fleet_with_load ~config ~workload ~clients ~per_client ~mean_gap ~deadline
+      ~prefix:"chaos"
   in
-  let fleet = Fleet.create ~config wl in
-  let keys =
-    if is_ca then
-      Array.init clients (fun c ->
-          (Rsa.generate (Prng.create ~seed:(Printf.sprintf "%s/client-%d" seed c))
-             ~bits:512)
-            .Rsa.pub)
-    else [||]
-  in
-  Fleet.submit_open_loop fleet ~clients ~per_client ~mean_gap_ms:mean_gap
-    ?deadline_ms:deadline
-    ~payload:(fun ~client ~seq ->
-      if is_ca then
-        Workload.ca_csr_payload
-          ~subject:(Printf.sprintf "host-%d-%d.example.com" client seq)
-          ~subject_key:keys.(client)
-      else Printf.sprintf "chaos-%d-%d" client seq)
-    ();
   Fleet.run fleet;
   Format.printf "%a@." Fleet.pp_summary (Fleet.summary fleet);
   0
@@ -1093,23 +1083,10 @@ let serve_run seed tpm platforms batch queue_depth clients interactive
     ();
   Fleet.run fleet;
   (* every cache-served result must still carry a verifiable bundle *)
-  let ok = ref 0 and stale = ref 0 and bad = ref 0 in
-  List.iter
-    (fun ((req : Flicker_service.Request.t), disposition) ->
-      match disposition with
-      | Request.Completed c when c.Request.batch = 0 -> (
-          match Serve.bundle_for t req.Request.id with
-          | None -> incr bad
-          | Some b -> (
-              match Serve.verify_bundle t b with
-              | Ok () -> incr ok
-              | Error (Serve.Stale _) -> incr stale
-              | Error _ -> incr bad))
-      | _ -> ())
-    (Fleet.dispositions fleet);
+  let hits = Serve.appraise_hits t in
   Format.printf "%a@." Fleet.pp_summary (Fleet.summary fleet);
-  Printf.printf "cache-hit bundles appraised: %d ok, %d stale, %d bad\n" !ok
-    !stale !bad;
+  Printf.printf "cache-hit bundles appraised: %d ok, %d stale, %d bad\n"
+    hits.Serve.ok hits.Serve.stale hits.Serve.bad;
   let metrics = Serve.metrics t in
   let text =
     if as_json then
@@ -1123,7 +1100,7 @@ let serve_run seed tpm platforms batch queue_depth clients interactive
       output_string oc text;
       close_out oc;
       Printf.printf "serve stats written to %s\n" path);
-  if !bad > 0 then 1 else 0
+  if hits.Serve.bad > 0 then 1 else 0
 
 let hit_pct_arg =
   Arg.(value & opt int 50

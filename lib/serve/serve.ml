@@ -354,6 +354,24 @@ let fleet t = t.fleet
 let config t = t.cfg
 let appraiser t = t.appraiser
 let bundle_for t id = Hashtbl.find_opt t.bundles id
+
+type hit_appraisal = { ok : int; stale : int; bad : int }
+
+(* every cache hit so far, in request-id order; a hit whose bundle is
+   missing counts as bad *)
+let appraise_hits t =
+  List.fold_left
+    (fun acc ((req : Request.t), disposition) ->
+      match disposition with
+      | Request.Completed c when c.Request.batch = 0 -> (
+          match Option.map (verify_bundle t) (bundle_for t req.Request.id) with
+          | Some (Ok ()) -> { acc with ok = acc.ok + 1 }
+          | Some (Error (Stale _)) -> { acc with stale = acc.stale + 1 }
+          | Some (Error _) | None -> { acc with bad = acc.bad + 1 })
+      | _ -> acc)
+    { ok = 0; stale = 0; bad = 0 }
+    (Fleet.dispositions t.fleet)
+
 let cached t payload =
   match
     Cache.find t.cache ~now_ms:(Fleet.now_ms t.fleet) (cache_key t payload)

@@ -44,7 +44,10 @@ val create : ?config:config -> ?warm:string list -> unit -> t
     round-robin across platforms — during provisioning (before the
     fleet's clock starts and before fault injectors are installed), so
     their results are cached and verifiable from the first request on.
-    @raise Failure if warming fails. *)
+    @raise Failure if warming fails.
+    @raise Invalid_argument when [config.fleet.shards > 1]: the cache is
+    the fleet's interceptor and crash hook, which run inline and only on
+    a one-shard fleet. *)
 
 val fleet : t -> Flicker_service.Fleet.t
 (** The fleet underneath: submit with
@@ -92,6 +95,15 @@ val verify_bundle : t -> bundle -> (unit, verify_failure) result
     claimed I/O. [Ok ()] means exactly what a fresh attestation would:
     this output was produced from this payload by the expected PAL under
     Flicker protection. *)
+
+type hit_appraisal = { ok : int; stale : int; bad : int }
+
+val appraise_hits : t -> hit_appraisal
+(** Appraise every cache hit the fleet has finalized so far — each
+    [Completed] disposition with [batch = 0] — in request-id order:
+    {!bundle_for}, then {!verify_bundle}. A hit counts as [stale] when
+    its platform's trust state changed after the quote, and as [bad]
+    when it has no bundle or fails any other check. *)
 
 val advance_nv : t -> int -> unit
 (** Model platform [i] advancing its TPM NV counter (e.g. a replay-

@@ -54,21 +54,14 @@ type t = {
      creation must be visible inside [Shard.drain] *)
   interceptor : (Request.t -> string option) option ref;
   crash_hooks : (int -> unit) list ref;
-  (* which shard takes the next unconstrained request; untouched in a
-     single-shard fleet so the legacy path is byte-identical *)
+  (* which shard takes the next unconstrained request *)
   route_cursor : int ref;
-  mutable now : float;
   mutable next_id : int;
   mutable submitted : int;
   submitted_by_tier : int array;  (* indexed by [tier_index] *)
   (* static-analysis admission gate consulted at submit time: [Some
      reason] refuses the request before it ever reaches the network *)
   mutable admission_gate : (Request.t -> string option) option;
-  (* fleet-level series (today: [fleet.analysis_rejected]); everything
-     on the serving path lives in the shard registries *)
-  metrics0 : Metrics.t;
-  (* requests finalized before reaching any shard (gate refusals) *)
-  finalized0 : (int, Request.t * Request.disposition) Hashtbl.t;
 }
 
 (* Platforms are split into [shards] contiguous windows, as balanced as
@@ -105,7 +98,7 @@ let create ?(config = default_config) workload =
   (* platforms are built and prepared in global order, on one domain,
      regardless of the shard/domain split — construction is provisioning,
      and keeping it sequential keeps every seed derivation identical to
-     the unsharded fleet's *)
+     the one-shard fleet's *)
   let platforms =
     Array.init config.platforms (fun i ->
         let platform =
@@ -155,8 +148,7 @@ let create ?(config = default_config) workload =
           shard_bounds ~platforms:config.platforms ~shards:config.shards s
         in
         Shard.create ~params ~sid:s ~gstart ~workload ~interceptor ~crash_hooks
-          ~defer_effects:(config.shards > 1) ~now
-          (Array.sub platforms gstart count))
+          ~now (Array.sub platforms gstart count))
   in
   {
     cfg = config;
@@ -167,13 +159,10 @@ let create ?(config = default_config) workload =
     interceptor;
     crash_hooks;
     route_cursor = ref 0;
-    now;
     next_id = 1;
     submitted = 0;
     submitted_by_tier = Array.make n_tiers 0;
     admission_gate = None;
-    metrics0 = Metrics.create ();
-    finalized0 = Hashtbl.create 16;
   }
 
 let config t = t.cfg
@@ -181,13 +170,26 @@ let workload_name t = t.workload.Workload.name
 let verifier_key t = t.ca_key
 
 (* Live even mid-run: an interceptor's TTL check during a drain must see
-   the advancing virtual clock (with one shard, exactly the legacy
-   event-loop [now]). [t.now] is only the creation-time floor. *)
-let now_ms t =
-  Array.fold_left (fun acc s -> max acc (Shard.now s)) t.now t.shards
-let set_interceptor t f = t.interceptor := Some f
+   the advancing virtual clock. Every shard starts at the fleet's
+   creation time, so the latest shard clock is the fleet's. *)
+let now_ms t = Array.fold_left (fun acc s -> max acc (Shard.now s)) 0.0 t.shards
+
+(* Interceptors and crash hooks run inline on the draining domain, so
+   they are only accepted on a one-shard fleet: a hook can never be
+   called from two domains at once. *)
+let one_shard_only t ~who =
+  if t.cfg.shards > 1 then
+    invalid_arg (Printf.sprintf "Fleet.%s: needs a one-shard fleet" who)
+
+let set_interceptor t f =
+  one_shard_only t ~who:"set_interceptor";
+  t.interceptor := Some f
+
 let set_admission_gate t f = t.admission_gate <- Some f
-let add_crash_hook t f = t.crash_hooks := !(t.crash_hooks) @ [ f ]
+
+let add_crash_hook t f =
+  one_shard_only t ~who:"add_crash_hook";
+  t.crash_hooks := !(t.crash_hooks) @ [ f ]
 
 let owning_shard t g =
   t.shards.(shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards g)
@@ -207,38 +209,30 @@ let platform_up t g =
 let past_deadline = Shard.past_deadline
 let transit_ms t ~bytes = Timing.network_ms t.cfg.timing ~bytes
 
-(* merged view over the fleet-level registry plus every shard's, in
-   shard order — a snapshot (Metrics.merge_into is order-independent,
-   so the result does not depend on which domain ran which shard) *)
+(* merged view over every shard's registry, in shard order — a snapshot
+   (Metrics.merge_into is order-independent, so the result does not
+   depend on which domain ran which shard) *)
 let metrics t =
   let m = Metrics.create () in
-  Metrics.merge_into t.metrics0 ~into:m;
   Array.iter (fun s -> Metrics.merge_into (Shard.metrics s) ~into:m) t.shards;
   m
 
 (* Which shard receives an arriving request. Placement that must be
    fleet-global happens here, before any shard sees the request: homes
    go to their owner, sealed-affinity targets to the shard owning the
-   hash, and the unconstrained rest rotates round-robin over shards.
-   With one shard this always answers 0 without touching the cursor. *)
+   hash, and the unconstrained rest rotates round-robin over shards. *)
 let route t (req : Request.t) =
-  let ns = Array.length t.shards in
-  if ns = 1 then 0
-  else
-    match req.Request.home with
-    | Some h -> shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards h
-    | None -> (
-        match (t.cfg.policy, req.Request.client) with
-        | Dispatch.Sealed_affinity, Some c ->
-            shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards
-              (Dispatch.affinity_target ~client:c ~total:t.cfg.platforms)
-        | _ ->
-            let s = !(t.route_cursor) in
-            t.route_cursor := (s + 1) mod ns;
-            s)
-
-let finalize0 t req disposition =
-  Hashtbl.replace t.finalized0 req.Request.id (req, disposition)
+  match req.Request.home with
+  | Some h -> shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards h
+  | None -> (
+      match (t.cfg.policy, req.Request.client) with
+      | Dispatch.Sealed_affinity, Some c ->
+          shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards
+            (Dispatch.affinity_target ~client:c ~total:t.cfg.platforms)
+      | _ ->
+          let s = !(t.route_cursor) in
+          t.route_cursor := (s + 1) mod t.cfg.shards;
+          s)
 
 let submit t ?client ?home ?(tier = Request.Batch) ?deadline_ms ?sent_ms payload =
   (match home with
@@ -274,10 +268,13 @@ let submit t ?client ?home ?(tier = Request.Batch) ?deadline_ms ?sent_ms payload
   (match t.admission_gate with
   | Some gate when gate req <> None ->
       (* the PAL behind this workload failed static analysis: refuse at
-         the front door, before any network or queue resources *)
-      Metrics.incr t.metrics0 "fleet.analysis_rejected";
-      finalize0 t req
-        (Request.Rejected { at_ms = sent; platform = -1; queue_depth = 0 })
+         the front door, before any network or queue resources. Submits
+         run on the coordinator between drains, so shard 0's table and
+         registry are free to take the refusal. *)
+      let s0 = t.shards.(0) in
+      Metrics.incr (Shard.metrics s0) "fleet.analysis_rejected";
+      Hashtbl.replace (Shard.finalized s0) req.Request.id
+        (req, Request.Rejected { at_ms = sent; platform = -1; queue_depth = 0 })
   | _ -> Shard.push_arrival t.shards.(route t req) ~at_ms:arrival req);
   req.Request.id
 
@@ -303,46 +300,24 @@ let submit_open_loop t ~clients ~per_client ~mean_gap_ms ?tier ?deadline_ms ~pay
     done
   done
 
-(* Run any crash hooks the shards logged, in canonical (crash time,
-   platform) order — one domain, outside any drain. Inline-mode shards
-   (single-shard fleets) never log, so this is a no-op there. *)
-let flush_crash_logs t =
-  let logged =
-    Array.fold_left (fun acc s -> acc @ Shard.take_crash_log s) [] t.shards
-  in
-  let logged = List.sort compare logged in
-  List.iter
-    (fun (_, g) -> List.iter (fun hook -> hook g) !(t.crash_hooks))
-    logged
-
 let crash_platform t g =
   check_platform_index t ~who:"crash_platform" g;
-  Shard.crash_platform (owning_shard t g) g;
-  (* a manual crash happens from coordinator context (between runs or
-     epochs), so deferred hooks can run immediately *)
-  flush_crash_logs t
+  Shard.crash_platform (owning_shard t g) g
 
-let sync_now t =
-  t.now <-
-    Array.fold_left (fun acc s -> max acc (Shard.now s)) t.now t.shards
+(* The epoch loop, which every fleet runs. Each round picks the earliest
+   pending event time fleet-wide, lets every shard drain independently
+   up to [tmin + epoch_ms) (a window no cross-shard message can cut
+   into: barrier deliveries always land exactly at the window's end),
+   then delivers the shards' forwarded requests, sorted by (emission
+   time, request id), each to the ring successor of its emitting shard
+   at exactly the window end. A one-shard fleet never forwards, so its
+   windows only split one timeline that drains in the same order.
 
-(* The epoch loop. Each round picks the earliest pending event time
-   fleet-wide, lets every shard drain independently up to [tmin +
-   epoch_ms) (a window no cross-shard message can cut into: barrier
-   deliveries always land exactly at the window's end), then merges the
-   shards' externalized effects in canonical order:
-
-   1. deferred crash hooks, sorted by (crash time, platform) — cache
-      invalidation before any re-dispatched request can be served;
-   2. forwarded requests, sorted by (emission time, request id), each
-      delivered to the ring successor of its emitting shard at exactly
-      the window end.
-
-   Both merges are pure functions of shard-local histories, and each
+   The merge is a pure function of shard-local histories, and each
    shard's history is a pure function of its inputs, so the whole run is
    a pure function of the config — the domain count only decides which
    OS thread executes which shard. *)
-let run_epochs ?until_ms t =
+let run ?until_ms t =
   let ns = Array.length t.shards in
   let pool = Domain_pool.create (max 1 (min t.cfg.domains ns)) in
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
@@ -364,7 +339,6 @@ let run_epochs ?until_ms t =
           Array.iteri
             (fun i s -> if i mod nd = w then Shard.drain ?until_ms ~stop_before:stop s)
             t.shards);
-      flush_crash_logs t;
       let forwarded =
         Array.to_list t.shards
         |> List.concat_map (fun s ->
@@ -381,34 +355,21 @@ let run_epochs ?until_ms t =
   in
   loop ()
 
-let run ?until_ms t =
-  if Array.length t.shards = 1 then
-    (* the unsharded fast path: one timeline drained to exhaustion on
-       the calling domain, byte-identical to the pre-shard fleet *)
-    Shard.drain ?until_ms ~stop_before:infinity t.shards.(0)
-  else run_epochs ?until_ms t;
-  sync_now t
-
 let dispositions t =
-  let acc = Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.finalized0 [] in
-  let acc =
-    Array.fold_left
-      (fun acc s ->
-        Hashtbl.fold (fun id e acc -> (id, e) :: acc) (Shard.finalized s) acc)
-      acc t.shards
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) acc |> List.map snd
+  Array.fold_left
+    (fun acc s ->
+      Hashtbl.fold (fun id e acc -> (id, e) :: acc) (Shard.finalized s) acc)
+    [] t.shards
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 let disposition_of t id =
-  match Hashtbl.find_opt t.finalized0 id with
-  | Some (_, d) -> Some d
-  | None ->
-      Array.fold_left
-        (fun acc s ->
-          match acc with
-          | Some _ -> acc
-          | None -> Option.map snd (Hashtbl.find_opt (Shard.finalized s) id))
-        None t.shards
+  Array.fold_left
+    (fun acc s ->
+      match acc with
+      | Some _ -> acc
+      | None -> Option.map snd (Hashtbl.find_opt (Shard.finalized s) id))
+    None t.shards
 
 type tier_summary = {
   tier : Request.tier;
@@ -464,82 +425,93 @@ let percentile sorted p =
     sorted.(rank - 1)
   end
 
-let summary t =
-  let all = dispositions t in
-  let m = metrics t in
+(* Outcome counts and nearest-rank latency percentiles over one slice
+   of the dispositions: the whole run, or one tier. *)
+type tally = {
+  completions : Request.completion list;
+  latencies : float array;  (* ascending *)
+  n_rejected : int;
+  n_expired : int;
+  n_failed : int;
+  n_missed : int;
+  p50 : float;
+  p95 : float;
+}
+
+let tally dispositions =
+  let count p = List.length (List.filter (fun (_, d) -> p d) dispositions) in
   let completions =
     List.filter_map
       (fun (_, d) -> match d with Request.Completed c -> Some c | _ -> None)
-      all
+      dispositions
   in
-  let count f = List.length (List.filter f all) in
   let latencies =
     Array.of_list (List.map (fun c -> c.Request.latency_ms) completions)
   in
   Array.sort compare latencies;
+  {
+    completions;
+    latencies;
+    n_rejected = count (function Request.Rejected _ -> true | _ -> false);
+    n_expired = count (function Request.Expired _ -> true | _ -> false);
+    n_failed = count (function Request.Failed _ -> true | _ -> false);
+    n_missed =
+      List.length (List.filter (fun c -> c.Request.missed_deadline) completions);
+    p50 = percentile latencies 50.0;
+    p95 = percentile latencies 95.0;
+  }
+
+let summary t =
+  let all = dispositions t in
+  let m = metrics t in
+  let g = tally all in
+  let n_completed = Array.length g.latencies in
   let first_sent =
     List.fold_left (fun acc (r, _) -> min acc r.Request.sent_ms) infinity all
   in
   let last_finish =
     List.fold_left
       (fun acc c -> max acc c.Request.finished_ms)
-      neg_infinity completions
+      neg_infinity g.completions
   in
   let makespan =
-    if completions = [] then 0.0 else max 0.0 (last_finish -. first_sent)
+    if n_completed = 0 then 0.0 else max 0.0 (last_finish -. first_sent)
   in
-  let n_completed = List.length completions in
-  let sum = Array.fold_left ( +. ) 0.0 latencies in
+  let sum = Array.fold_left ( +. ) 0.0 g.latencies in
   let machine_counter name =
     Array.fold_left (fun acc s -> acc + Shard.machine_counter s name) 0 t.shards
   in
   let tier_summary tier =
-    let of_tier =
-      List.filter (fun ((r : Request.t), _) -> r.Request.tier = tier) all
+    let x =
+      tally (List.filter (fun ((r : Request.t), _) -> r.Request.tier = tier) all)
     in
-    let tcount f = List.length (List.filter f of_tier) in
-    let tcompletions =
-      List.filter_map
-        (fun (_, d) -> match d with Request.Completed c -> Some c | _ -> None)
-        of_tier
-    in
-    let tlat =
-      Array.of_list (List.map (fun c -> c.Request.latency_ms) tcompletions)
-    in
-    Array.sort compare tlat;
     {
       tier;
       t_submitted = t.submitted_by_tier.(tier_index tier);
-      t_completed = List.length tcompletions;
-      t_rejected =
-        tcount (fun (_, d) -> match d with Request.Rejected _ -> true | _ -> false);
-      t_expired =
-        tcount (fun (_, d) -> match d with Request.Expired _ -> true | _ -> false);
-      t_failed =
-        tcount (fun (_, d) -> match d with Request.Failed _ -> true | _ -> false);
-      t_deadline_misses =
-        List.length
-          (List.filter (fun c -> c.Request.missed_deadline) tcompletions);
-      t_p50_ms = percentile tlat 50.0;
-      t_p95_ms = percentile tlat 95.0;
+      t_completed = Array.length x.latencies;
+      t_rejected = x.n_rejected;
+      t_expired = x.n_expired;
+      t_failed = x.n_failed;
+      t_deadline_misses = x.n_missed;
+      t_p50_ms = x.p50;
+      t_p95_ms = x.p95;
     }
   in
   {
     submitted = t.submitted;
     completed = n_completed;
-    rejected = count (fun (_, d) -> match d with Request.Rejected _ -> true | _ -> false);
-    expired = count (fun (_, d) -> match d with Request.Expired _ -> true | _ -> false);
-    failed = count (fun (_, d) -> match d with Request.Failed _ -> true | _ -> false);
-    deadline_misses =
-      List.length (List.filter (fun c -> c.Request.missed_deadline) completions);
+    rejected = g.n_rejected;
+    expired = g.n_expired;
+    failed = g.n_failed;
+    deadline_misses = g.n_missed;
     makespan_ms = makespan;
     throughput_rps =
       (if makespan > 0.0 then float_of_int n_completed /. (makespan /. 1000.0)
        else 0.0);
     latency_mean_ms = (if n_completed = 0 then 0.0 else sum /. float_of_int n_completed);
-    latency_p50_ms = percentile latencies 50.0;
-    latency_p95_ms = percentile latencies 95.0;
-    latency_max_ms = (if n_completed = 0 then 0.0 else latencies.(n_completed - 1));
+    latency_p50_ms = g.p50;
+    latency_p95_ms = g.p95;
+    latency_max_ms = (if n_completed = 0 then 0.0 else g.latencies.(n_completed - 1));
     sessions = Array.fold_left (fun acc s -> acc + Shard.sessions s) 0 t.shards;
     busy_retries = machine_counter "session.busy_retries";
     per_platform =

@@ -28,8 +28,7 @@
     [shards] contiguous windows, each owned by a {!Shard} with its own
     event queue, metrics registry, and round-robin cursor. Shards
     synchronize only at virtual-time {e epoch barriers}: each drains its
-    own timeline up to the epoch boundary, then the coordinator replays
-    deferred crash hooks in (time, platform) order and delivers
+    own timeline up to the epoch boundary, then the coordinator delivers
     cross-shard forwarded requests in (emission time, id) order to the
     next shard around the ring, landing exactly at the boundary.
 
@@ -37,9 +36,10 @@
     pure function of the config. [domains] only chooses how many OCaml 5
     [Domain]s execute the fixed set of shards, so the same seed yields
     byte-identical results (dispositions, metrics, summaries) at any
-    domain count. With [shards = 1] (the default) the fleet takes the
-    original single-timeline path unchanged: no epochs, no forwarding,
-    crash hooks inline. *)
+    domain count. Every fleet runs this one epoch loop; [shards = 1]
+    (the default) is its simplest case, with no forwarding and results
+    independent of [epoch_ms]. Crash hooks and the interceptor run
+    inline, and only a one-shard fleet accepts them. *)
 
 type config = {
   platforms : int;
@@ -69,15 +69,16 @@ type config = {
       (** how many contiguous platform windows the fleet is split into
           (within [1, platforms]). Determines the simulation: routing at
           submit, epoch barriers, cross-shard forwarding. 1 — the
-          default — is the original single-timeline fleet. *)
+          default — is one timeline that never forwards. *)
   domains : int;
       (** how many OCaml 5 domains execute the shards (clamped to
           [shards] at run time). Pure execution placement: any value
           produces byte-identical simulated results. *)
   epoch_ms : float;
-      (** virtual-time width of a drain window between barriers in a
-          multi-shard fleet: longer epochs mean fewer synchronizations
-          but later cross-shard forwarding. Ignored when [shards = 1]. *)
+      (** virtual-time width of a drain window between barriers: longer
+          epochs mean fewer synchronizations but later cross-shard
+          forwarding. With [shards = 1] nothing is forwarded, so the
+          width changes how often the loop stops, not the results. *)
 }
 
 val default_config : config
@@ -167,10 +168,9 @@ val set_interceptor : t -> (Request.t -> string option) -> unit
     [batch = 0], and the [fleet.cache_served] counter is bumped —
     without touching any platform queue or session. Returning [None]
     falls through to normal dispatch. The serving tier's result cache
-    ({!Flicker_serve}) is the intended interceptor. In a fleet running
-    on [domains > 1], the closure is called concurrently from several
-    domains and must be safe for that — the serving tier keeps its
-    fleets on one shard. *)
+    ({!Flicker_serve}) is the intended interceptor. The closure runs
+    inline on the one domain that drains the fleet.
+    @raise Invalid_argument on a fleet with more than one shard. *)
 
 val set_admission_gate : t -> (Request.t -> string option) -> unit
 (** Install a static-analysis admission gate consulted once per
@@ -186,19 +186,16 @@ val add_crash_hook : t -> (int -> unit) -> unit
     (injected, drawn, or manual), after the platform's
     {!Flicker_core.Platform.power_cycle} but before its queued victims
     re-enter admission — so a result cache can invalidate the crashed
-    platform's entries ahead of any re-dispatch. Hooks run in
-    registration order. In a multi-shard fleet, hooks are deferred to
-    the next epoch barrier and replayed from one domain in (crash time,
-    platform) order — after the victims' re-dispatch within their own
-    shard, but before any cross-shard delivery. *)
+    platform's entries ahead of any re-dispatch. Hooks run inline at the
+    crash, in registration order.
+    @raise Invalid_argument on a fleet with more than one shard. *)
 
 val run : ?until_ms:float -> t -> unit
 (** Drive the event loop until every queue is drained (or past
     [until_ms]). Re-entrant: more work can be submitted and run again,
-    virtual time keeps accumulating. A multi-shard fleet runs the epoch
-    loop on up to [config.domains] domains (spun up per call, joined
-    before returning); a single-shard fleet drains its one timeline on
-    the calling domain. *)
+    virtual time keeps accumulating. Every fleet runs the epoch loop on
+    up to [min config.domains config.shards] domains (spun up per call,
+    joined before returning); one domain is the calling one. *)
 
 val dispositions : t -> (Request.t * Request.disposition) list
 (** Every finalized request, in id order. Requests still queued or in
@@ -206,8 +203,8 @@ val dispositions : t -> (Request.t * Request.disposition) list
 
 val disposition_of : t -> int -> Request.disposition option
 val metrics : t -> Flicker_obs.Metrics.t
-(** Snapshot of the fleet-level series merged with every shard's
-    registry, in shard order: [fleet.admitted], [fleet.rejected],
+(** Snapshot of every shard's registry merged, in shard order (shard
+    0's also counts gate refusals): [fleet.admitted], [fleet.rejected],
     [fleet.expired], [fleet.completed], [fleet.failed],
     [fleet.deadline_misses], [fleet.batches], [fleet.forwarded] counters;
     [fleet.latency_ms], [fleet.service_ms], [fleet.batch_fill],

@@ -50,21 +50,14 @@ type t = {
   finalized : (int, Request.t * Request.disposition) Hashtbl.t;
   mutable now : float;
   (* shared with the fleet so [Fleet.set_interceptor] after creation is
-     seen by every shard; under [domains > 1] the installed closure must
-     tolerate concurrent calls from several domains *)
+     seen here; the fleet only installs either on a one-shard fleet *)
   interceptor : (Request.t -> string option) option ref;
   crash_hooks : (int -> unit) list ref;
-  (* a single-shard fleet runs crash hooks inline, exactly the
-     pre-shard behavior; a sharded fleet only logs the crash here and
-     the coordinator runs the hooks at the next epoch barrier, in
-     canonical (time, platform) order, from one domain *)
-  defer_effects : bool;
-  mutable crash_log : (float * int) list;  (* reversed accumulation *)
   mutable outbox : (float * Request.t) list;  (* reversed accumulation *)
 }
 
-let create ~params ~sid ~gstart ~workload ~interceptor ~crash_hooks
-    ~defer_effects ~now platforms =
+let create ~params ~sid ~gstart ~workload ~interceptor ~crash_hooks ~now
+    platforms =
   {
     params;
     sid;
@@ -92,18 +85,13 @@ let create ~params ~sid ~gstart ~workload ~interceptor ~crash_hooks
     now;
     interceptor;
     crash_hooks;
-    defer_effects;
-    crash_log = [];
     outbox = [];
   }
 
 let sid t = t.sid
-let gstart t = t.gstart
-let count t = Array.length t.members
 let now t = t.now
 let metrics t = t.metrics
 let finalized t = t.finalized
-let owns t g = g >= t.gstart && g < t.gstart + Array.length t.members
 let member t g = t.members.(g - t.gstart)
 let platform t g = (member t g).platform
 let next_event_ms t = Event_queue.peek_ms t.events
@@ -113,11 +101,6 @@ let take_outbox t =
   let o = List.rev t.outbox in
   t.outbox <- [];
   o
-
-let take_crash_log t =
-  let c = List.rev t.crash_log in
-  t.crash_log <- [];
-  c
 
 let completed_counts t = Array.map (fun (m : pstate) -> m.completed) t.members
 
@@ -332,12 +315,8 @@ and crash t g ~victims =
   (* volatile state is gone; TPM NV/keys survive (Platform.power_cycle) *)
   Platform.power_cycle m.platform;
   (* crash observers run before victims re-enter [admit], so a result
-     cache invalidates this platform's entries ahead of any re-dispatch —
-     inline only in a single-shard fleet; a sharded fleet defers them to
-     the barrier, where the coordinator replays all shards' crashes in
-     (time, platform) order from one domain *)
-  if t.defer_effects then t.crash_log <- (t.now, g) :: t.crash_log
-  else List.iter (fun hook -> hook g) !(t.crash_hooks);
+     cache invalidates this platform's entries ahead of any re-dispatch *)
+  List.iter (fun hook -> hook g) !(t.crash_hooks);
   m.up <- false;
   m.busy <- false;
   m.down_until <- t.now +. reboot_ms;
@@ -403,13 +382,13 @@ and dispatch t req =
                      h;
                })
       | None ->
-          if t.params.n_shards > 1 && req.Request.forwards < t.params.n_shards - 1
-          then begin
+          if req.Request.forwards < t.params.n_shards - 1 then begin
             (* another shard may still have capacity: hand the request to
                the next shard around the ring at the epoch barrier. The
-               hop budget guarantees a full circuit before giving up, so
-               a request is only rejected once every shard has seen it —
-               the sharded analogue of scanning the whole fleet. *)
+               hop budget (none with one shard) guarantees a full circuit
+               before giving up, so a request is only rejected once every
+               shard has seen it — the sharded analogue of scanning the
+               whole fleet. *)
             Metrics.incr t.metrics "fleet.forwarded";
             t.outbox <-
               (t.now, { req with Request.forwards = req.Request.forwards + 1 })

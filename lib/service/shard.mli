@@ -11,11 +11,11 @@
     sequentially on one domain or in parallel on many.
 
     Cross-shard effects never happen mid-epoch. A shard that cannot
-    place a request locally appends it to its {e outbox}; a crash in a
-    multi-shard fleet is appended to the {e crash log} instead of
-    running the fleet's hooks inline. The coordinator collects both at
-    the barrier and replays them in canonical order — see
-    {!Fleet.run}. *)
+    place a request locally appends it to its {e outbox}; the
+    coordinator collects every outbox at the barrier and delivers the
+    requests in canonical order — see {!Fleet.run}. A crash runs the
+    fleet's crash hooks inline, and the fleet installs hooks only while
+    it has one shard, so no hook ever runs on a second domain. *)
 
 type params = {
   queue_depth : int;
@@ -45,35 +45,27 @@ val create :
   workload:Workload.t ->
   interceptor:(Request.t -> string option) option ref ->
   crash_hooks:(int -> unit) list ref ->
-  defer_effects:bool ->
   now:float ->
   Flicker_core.Platform.t array ->
   t
 (** Wrap platforms [gstart, gstart + length) (already prepared by the
     fleet) as shard [sid]. [interceptor] and [crash_hooks] are shared
     refs so hooks installed on the fleet after creation are seen here.
-    With [defer_effects] (any multi-shard fleet) crashes are logged for
-    the coordinator instead of running [crash_hooks] inline. [now] is
-    the fleet's starting virtual time. *)
+    [now] is the fleet's starting virtual time. *)
 
 val sid : t -> int
-val gstart : t -> int
-val count : t -> int
 val now : t -> float
 (** Shard-local virtual time: the latest event this shard processed. *)
 
-val owns : t -> int -> bool
-(** Whether global platform index [g] lies in this shard's window. *)
-
 val platform : t -> int -> Flicker_core.Platform.t
-(** By global index; the caller routes via [owns]. *)
+(** By global index; the caller routes to the owning shard. *)
 
 val platform_up : t -> int -> bool
 val crash_platform : t -> int -> unit
 (** Crash global platform [g] now (no-op when already down): volatile
     state lost, queued requests re-dispatched within their retry budget,
-    recovery scheduled. In a deferred-effects shard the fleet's crash
-    hooks are only logged — {!take_crash_log}. *)
+    recovery scheduled. The fleet's crash hooks run at the crash, before
+    the victims re-enter admission. *)
 
 val next_event_ms : t -> float option
 (** Timestamp of this shard's earliest pending event. *)
@@ -86,23 +78,22 @@ val drain : ?until_ms:float -> stop_before:float -> t -> unit
 (** Process events strictly before [stop_before] (and at most
     [until_ms], inclusive — the fleet's run bound). Touches only
     shard-owned state, so concurrent drains of distinct shards are
-    race-free; [stop_before = infinity] drains to exhaustion, the
-    single-shard fast path. *)
+    race-free. *)
 
 val take_outbox : t -> (float * Request.t) list
 (** Requests this shard could not place locally, as [(emit_ms, req)] in
     emission order; clears the outbox. The coordinator delivers them to
     the next shard at the epoch boundary. *)
 
-val take_crash_log : t -> (float * int) list
-(** Deferred crash notifications [(crash_ms, global_platform)] in
-    occurrence order; clears the log. *)
-
 val metrics : t -> Flicker_obs.Metrics.t
 (** The shard's own registry (the [fleet.*] series for its share of the
     traffic); the fleet merges these in shard order. *)
 
 val finalized : t -> (int, Request.t * Request.disposition) Hashtbl.t
+(** Finalized requests by id. The fleet also writes its admission-gate
+    refusals into shard 0's table (and counts them in shard 0's
+    registry), from the coordinator between drains. *)
+
 val completed_counts : t -> int array
 (** Per-member completion counts, in window order. *)
 
@@ -111,10 +102,6 @@ val sessions : t -> int
 
 val machine_counter : t -> string -> int
 (** Sum of a per-machine counter over this shard's platforms. *)
-
-val service_estimate : t -> float
-(** Mean observed service time (ms), 200.0 before any observation —
-    where the injector's mid-session crash point lands. *)
 
 val past_deadline : deadline_ms:float option -> at_ms:float -> bool
 (** The one deadline-boundary convention (exactly at the deadline is on
