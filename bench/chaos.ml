@@ -41,17 +41,17 @@ let run_config ~platforms ~rate =
   Fleet.summary fleet
 
 (* One sharded cell: the fault machinery (injected crashes, re-dispatch,
-   breakers) running across shard boundaries, on however many domains
-   the harness was given — the emitted fields are all simulated, so the
-   row is byte-identical at any domain count. *)
-let run_sharded () =
+   breakers) running across shard boundaries, on [domains] domains — the
+   emitted fields are all simulated, so the row is byte-identical at any
+   domain count. *)
+let run_sharded ~domains =
   let platforms = 64 and shards = 8 and rate = 0.2 in
   let config =
     {
       Fleet.default_config with
       platforms;
       shards;
-      domains = !Opts.domains;
+      domains;
       batch_size = 2;
       queue_depth = 32;
       policy = Dispatch.Least_loaded;
@@ -93,7 +93,7 @@ let run_sharded () =
       ("makespan_ms", J.Float s.makespan_ms);
     ]
 
-let run () =
+let run ~domains =
   Printf.printf "\n=== Chaos: fleet degradation vs fault rate ===\n";
   Printf.printf
     "(%d clients x %d echo requests, retry budget 2, breaker after 3 failures)\n"
@@ -130,4 +130,4 @@ let run () =
             ])
         fault_rates)
     platform_counts;
-  run_sharded ()
+  run_sharded ~domains

@@ -7,6 +7,7 @@
    percent fail too. This is the gate CI runs against the committed
    BENCH_*.json baselines. *)
 
+open Cmdliner
 module J = Flicker_obs.Json
 module Bench_diff = Flicker_obs.Bench_diff
 
@@ -21,40 +22,41 @@ let read_json path =
   | exception Sys_error msg -> Error msg
   | raw -> Result.map_error (fun e -> path ^ ": " ^ e) (J.of_string raw)
 
-let usage () =
-  prerr_endline "usage: bench diff OLD.json NEW.json [--threshold PCT]";
-  2
-
-let main args =
-  let rec parse paths threshold = function
-    | [] -> Ok (List.rev paths, threshold)
-    | "--threshold" :: pct :: rest -> (
-        match float_of_string_opt pct with
-        | Some v when v >= 0.0 -> parse paths (Some v) rest
-        | _ -> Error (Printf.sprintf "--threshold: bad percentage %S" pct))
-    | [ "--threshold" ] -> Error "--threshold requires a percentage argument"
-    | arg :: rest -> parse (arg :: paths) threshold rest
-  in
-  match parse [] None args with
-  | Error msg ->
-      prerr_endline msg;
-      usage ()
-  | Ok ([ old_path; new_path ], threshold) -> (
-      match (read_json old_path, read_json new_path) with
-      | Error msg, _ | _, Error msg ->
+let run old_path new_path threshold =
+  match (read_json old_path, read_json new_path) with
+  | Error msg, _ | _, Error msg ->
+      prerr_endline ("bench diff: " ^ msg);
+      2
+  | Ok baseline, Ok current -> (
+      let strict_wall = threshold <> None in
+      match
+        Bench_diff.compare ?wall_tolerance_pct:threshold ~baseline ~current ()
+      with
+      | Error msg ->
           prerr_endline ("bench diff: " ^ msg);
           2
-      | Ok baseline, Ok current -> (
-          let strict_wall = threshold <> None in
-          match
-            Bench_diff.compare ?wall_tolerance_pct:threshold ~baseline ~current
-              ()
-          with
-          | Error msg ->
-              prerr_endline ("bench diff: " ^ msg);
-              2
-          | Ok report ->
-              Printf.printf "bench diff %s %s\n" old_path new_path;
-              print_string (Bench_diff.render ~strict_wall report);
-              if Bench_diff.clean ~strict_wall report then 0 else 1))
-  | Ok _ -> usage ()
+      | Ok report ->
+          Printf.printf "bench diff %s %s\n" old_path new_path;
+          print_string (Bench_diff.render ~strict_wall report);
+          if Bench_diff.clean ~strict_wall report then 0 else 1)
+
+let cmd =
+  let artifact n docv = Arg.(required & pos n (some string) None & info [] ~docv) in
+  let percentage =
+    let parse s =
+      match float_of_string_opt s with
+      | Some v when v >= 0.0 -> Ok v
+      | _ -> Error (Printf.sprintf "bad percentage %S" s)
+    in
+    Arg.conv' (parse, Format.pp_print_float)
+  in
+  let threshold =
+    Arg.(value & opt (some percentage) None
+         & info [ "threshold" ] ~docv:"PCT"
+             ~doc:"Fail, not just warn, on wall-clock drift beyond $(docv) \
+                   percent.")
+  in
+  Cmd.v
+    (Cmd.info "diff"
+       ~doc:"Compare two bench JSON artifacts; exit nonzero on regression")
+    Term.(const run $ artifact 0 "OLD.json" $ artifact 1 "NEW.json" $ threshold)

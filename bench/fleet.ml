@@ -63,7 +63,7 @@ let run_config ~platforms ~batch =
 
 (* Sharded sweep: one fleet large enough that a single timeline is the
    bottleneck, split across shards and run twice — serially on one
-   domain, then on [!Opts.domains] — to (a) cross-check that the domain
+   domain, then on [domains] — to (a) cross-check that the domain
    count is invisible in the simulated results and (b) record the
    wall-clock cost of both placements. Echo keeps the session cost flat
    so the measured wall is dominated by the event loops themselves. *)
@@ -95,17 +95,16 @@ let run_sharded ~domains =
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   (Fleet.summary fleet, Fleet.dispositions fleet, wall_ms)
 
-let run_sharded_sweep () =
+let run_sharded_sweep ~domains =
   Printf.printf "\n=== Fleet: sharded, %d platforms x %d shards ===\n"
     sharded_platforms sharded_shards;
   Printf.printf "(%d clients x %d echo requests; domain count must not change the simulation)\n"
     sharded_clients sharded_per_client;
   let s1, d1, wall_serial = run_sharded ~domains:1 in
-  let sn, dn, wall_parallel = run_sharded ~domains:!Opts.domains in
+  let sn, dn, wall_parallel = run_sharded ~domains in
   if d1 <> dn || s1 <> sn then (
     Printf.eprintf
-      "fleet bench: sharded sweep diverged between 1 and %d domains\n"
-      !Opts.domains;
+      "fleet bench: sharded sweep diverged between 1 and %d domains\n" domains;
     exit 1);
   let speedup = if wall_parallel > 0.0 then wall_serial /. wall_parallel else 0.0 in
   Printf.printf "%-10s %7s %10s %9s %10s %12s %10s %10s\n" "platforms"
@@ -116,7 +115,7 @@ let run_sharded_sweep () =
     sn.forwarded sn.throughput_rps sn.latency_p50_ms sn.latency_p95_ms;
   Printf.printf
     "wall: %.1f ms on 1 domain, %.1f ms on %d domains (%.2fx)\n" wall_serial
-    wall_parallel !Opts.domains speedup;
+    wall_parallel domains speedup;
   Paper.emit ~artifact:"fleet"
     ~label:(Printf.sprintf "p%d s%d" sharded_platforms sharded_shards)
     [
@@ -139,13 +138,13 @@ let run_sharded_sweep () =
     [
       ("platforms", J.Int sharded_platforms);
       ("shards", J.Int sharded_shards);
-      ("wall_domains", J.Int (if !Opts.no_wall then 0 else !Opts.domains));
-      ("wall_ms_serial", J.Float (Opts.wall wall_serial));
-      ("wall_ms_parallel", J.Float (Opts.wall wall_parallel));
-      ("wall_speedup", J.Float (Opts.wall speedup));
+      ("wall_domains", J.Int domains);
+      ("wall_ms_serial", J.Float wall_serial);
+      ("wall_ms_parallel", J.Float wall_parallel);
+      ("wall_speedup", J.Float speedup);
     ]
 
-let run () =
+let run ~domains =
   Printf.printf "\n=== Fleet: CA throughput vs fleet size and batch size ===\n";
   Printf.printf "(%d clients x %d CSRs each, open-loop, least-loaded routing)\n"
     clients per_client;
@@ -177,4 +176,4 @@ let run () =
             ])
         batch_sizes)
     platform_counts;
-  run_sharded_sweep ()
+  run_sharded_sweep ~domains

@@ -1,6 +1,6 @@
 (* Benchmark harness entry point.
 
-   With no arguments, regenerates every table and figure from the paper's
+   With no targets, regenerates every table and figure from the paper's
    evaluation (Section 7) on the simulated platform, then runs the
    Bechamel microbenchmarks. Individual artifacts:
 
@@ -12,47 +12,52 @@
 
    With --json <path>, every table/figure row is also written to <path>
    as a JSON array of records ({"artifact", "label", ...fields}).
+   --domains N (default 4) sets how many domains the sharded fleet and
+   chaos cells run on; their simulated fields do not depend on it, so
+   `diff` of the artifacts from two domain counts is clean.
 
    `diff OLD.json NEW.json [--threshold PCT]` compares two such
    artifacts record-by-record and exits nonzero on regression: simulated
    metrics must be identical, wall-clock fields warn (or fail, with
    --threshold) beyond a relative tolerance band. *)
 
+open Cmdliner
 module Timing = Flicker_hw.Timing
+
+(* a target that does not shard ignores the domain count *)
+let plain f ~domains:_ = f ()
 
 let known =
   [
-    ("table1", fun () -> Paper.table1 ());
-    ("table2", Paper.table2);
-    ("table3", Paper.table3);
-    ("table4", fun () -> Paper.table4 ());
-    ("figure6", Paper.figure6);
-    ("figure8", fun () -> Paper.figure8 ());
-    ("figure9", fun () -> Paper.figure9 ());
-    ("ca", fun () -> Paper.ca_bench ());
-    ("impact", Paper.impact);
-    ("ablation", Paper.ablation);
-    ("keygen", Paper.keygen_ablation);
-    ("burden", Paper.burden);
-    ("txt", Paper.txt);
+    ("table1", plain (fun () -> Paper.table1 ()));
+    ("table2", plain Paper.table2);
+    ("table3", plain Paper.table3);
+    ("table4", plain (fun () -> Paper.table4 ()));
+    ("figure6", plain Paper.figure6);
+    ("figure8", plain (fun () -> Paper.figure8 ()));
+    ("figure9", plain (fun () -> Paper.figure9 ()));
+    ("ca", plain (fun () -> Paper.ca_bench ()));
+    ("impact", plain Paper.impact);
+    ("ablation", plain Paper.ablation);
+    ("keygen", plain Paper.keygen_ablation);
+    ("burden", plain Paper.burden);
+    ("txt", plain Paper.txt);
     ( "infineon",
-      fun () ->
-        let timing = Timing.with_tpm Timing.infineon Timing.default in
-        Paper.table1 ~timing ();
-        Paper.table4 ~timing ();
-        Paper.figure9 ~timing () );
+      plain (fun () ->
+          let timing = Timing.with_tpm Timing.infineon Timing.default in
+          Paper.table1 ~timing ();
+          Paper.table4 ~timing ();
+          Paper.figure9 ~timing ()) );
     ("fleet", Fleet.run);
     ("chaos", Chaos.run);
-    ("serve", Serve.run);
-    ("analyze", Analysis.run);
-    ("verify", Verify.run);
-    ("micro", Micro.run);
+    ("serve", plain Serve.run);
+    ("analyze", plain Analysis.run);
+    ("verify", plain Verify.run);
+    ("micro", plain Micro.run);
   ]
 
-let all_in_order =
-  [ "table1"; "table2"; "table3"; "table4"; "figure6"; "figure8"; "figure9";
-    "ca"; "impact"; "ablation"; "keygen"; "burden"; "txt"; "fleet"; "chaos";
-    "serve"; "analyze"; "verify"; "micro" ]
+(* a run with no target regenerates every target but infineon *)
+let all_in_order = List.filter (( <> ) "infineon") (List.map fst known)
 
 (* "paper" regenerates every Section 7 table/figure artifact in one run —
    the unit the committed BENCH_paper.json baseline covers (the other
@@ -61,71 +66,53 @@ let paper_targets =
   [ "table1"; "table2"; "table3"; "table4"; "figure6"; "figure8"; "figure9";
     "ca"; "impact"; "ablation"; "keygen"; "burden"; "txt" ]
 
-let rec extract_json = function
-  | [] -> (None, [])
-  | "--json" :: path :: rest ->
-      let _, targets = extract_json rest in
-      (Some path, targets)
-  | [ "--json" ] ->
-      prerr_endline "--json requires a path argument";
-      exit 1
-  | arg :: rest ->
-      let path, targets = extract_json rest in
-      (path, arg :: targets)
-
-(* harness-wide flags, peeled off before target dispatch: `--domains N`
-   sets how many domains the sharded fleet sweeps run on (simulated
-   output is invariant to it), `--no-wall` zeroes wall-clock fields so
-   two runs can be compared with a plain cmp *)
-let rec extract_flags = function
-  | [] -> []
-  | "--domains" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some d when d >= 1 -> Opts.domains := d
-      | _ ->
-          prerr_endline "--domains requires a positive integer";
-          exit 1);
-      extract_flags rest
-  | [ "--domains" ] ->
-      prerr_endline "--domains requires a positive integer";
-      exit 1
-  | "--no-wall" :: rest ->
-      Opts.no_wall := true;
-      extract_flags rest
-  | arg :: rest -> arg :: extract_flags rest
-
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (match args with
-  | "diff" :: rest -> exit (Diff.main rest)
-  | _ -> ());
-  let args = extract_flags args in
-  let json_path, targets = extract_json args in
-  let targets = if targets = [] then all_in_order else targets in
-  let targets =
-    List.concat_map
-      (fun t -> if t = "paper" then paper_targets else [ t ])
-      targets
-  in
-  if json_path <> None then Paper.start_collecting ();
+let run targets json domains =
+  let targets = if targets = [] then all_in_order else List.concat targets in
   print_endline "Flicker reproduction benchmark harness";
   print_endline "(timings below are simulated platform latencies calibrated to Section 7;";
   print_endline " the 'micro' section reports the real cost of the simulator itself)";
-  List.iter
-    (fun name ->
-      match List.assoc_opt name known with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown benchmark %S; known: %s\n" name
-            (String.concat ", " (List.map fst known));
-          exit 1)
-    targets;
-  match json_path with
-  | None -> ()
+  List.iter (fun name -> (List.assoc name known) ~domains) targets;
+  match json with
+  | None -> 0
   | Some path ->
       let rows = Paper.collected_rows () in
-      let oc = open_out path in
-      output_string oc (Flicker_obs.Json.to_string (Paper.json_of_rows rows));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "\nwrote %d records to %s\n" (List.length rows) path
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Flicker_obs.Json.to_string (Paper.json_of_rows rows));
+          output_char oc '\n');
+      Printf.printf "\nwrote %d records to %s\n" (List.length rows) path;
+      0
+
+let targets =
+  Arg.(value
+       & pos_all
+           (enum (("paper", paper_targets) :: List.map (fun (n, _) -> (n, [ n ])) known))
+           []
+       & info [] ~docv:"TARGET"
+           ~doc:"Artifacts to regenerate; all but $(b,infineon) when omitted.")
+
+let json =
+  Arg.(value & opt (some string) None
+       & info [ "json" ] ~docv:"PATH" ~doc:"Also write every row to $(docv) as JSON.")
+
+let domains =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some d when d >= 1 -> Ok d
+      | _ -> Error (Printf.sprintf "%S is not a positive integer" s)
+    in
+    Arg.conv' (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt positive 4
+       & info [ "domains" ] ~docv:"N"
+           ~doc:"Domains the sharded fleet and chaos cells run on.")
+
+(* cmdliner would read a first target such as "table1" as an unknown
+   subcommand, so the one subcommand, diff, is picked before parsing *)
+let () =
+  let info = Cmd.info "bench" ~doc:"Flicker reproduction benchmark harness" in
+  exit
+    (Cmd.eval'
+       (if Array.length Sys.argv > 1 && Sys.argv.(1) = "diff" then
+          Cmd.group info [ Diff.cmd ]
+        else Cmd.v info Term.(const run $ targets $ json $ domains)))

@@ -35,24 +35,16 @@ let row3 a b c = Printf.printf "%-34s %14s %14s\n" a b c
 let ms v = Printf.sprintf "%.1f" v
 
 (* Machine-readable output.  Each printed table/figure row is also
-   recorded here when collection is on; the harness dumps the records as
-   JSON when invoked with --json <path>. *)
+   recorded here; the harness dumps the records as JSON when invoked
+   with --json <path>. *)
 
 module J = Flicker_obs.Json
 
 type row = { artifact : string; label : string; fields : (string * J.t) list }
 
 let sink : row list ref = ref []
-let collecting = ref false
-
-let start_collecting () =
-  collecting := true;
-  sink := []
-
 let collected_rows () = List.rev !sink
-
-let emit ~artifact ~label fields =
-  if !collecting then sink := { artifact; label; fields } :: !sink
+let emit ~artifact ~label fields = sink := { artifact; label; fields } :: !sink
 
 let json_of_rows rows =
   J.List

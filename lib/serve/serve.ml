@@ -3,8 +3,6 @@ module Session = Flicker_core.Session
 module Attestation = Flicker_core.Attestation
 module Verifier = Flicker_core.Verifier
 module Measurement = Flicker_core.Measurement
-module Pal = Flicker_slb.Pal
-module Pal_env = Flicker_slb.Pal_env
 module Builder = Flicker_slb.Builder
 module Layout = Flicker_slb.Layout
 module Tpm = Flicker_tpm.Tpm
@@ -19,8 +17,6 @@ type config = {
   fleet : Fleet.config;
   cache_capacity : int;
   cache_ttl_ms : float option;
-  cache_homed : bool;
-  work_ms : float;
 }
 
 let default_config =
@@ -28,8 +24,6 @@ let default_config =
     fleet = Fleet.default_config;
     cache_capacity = 1024;
     cache_ttl_ms = None;
-    cache_homed = false;
-    work_ms = 1.0;
   }
 
 type bundle = {
@@ -58,22 +52,6 @@ let verify_failure_to_string = function
 let pp_verify_failure fmt f =
   Format.pp_print_string fmt (verify_failure_to_string f)
 
-(* the serving tier's own attested PAL: same batched-echo semantics as
-   the fleet workload, but every session runs under a verifier nonce and
-   is quoted, so each result ships with reusable evidence *)
-let serve_pal =
-  lazy
-    (Pal.define ~name:"serve-echo" (fun env ->
-         match Util.decode_fields env.Pal_env.inputs with
-         | Ok (work :: items) when items <> [] ->
-             (match float_of_string_opt work with
-             | Some ms when ms > 0.0 ->
-                 Pal_env.compute env ~ms:(ms *. float_of_int (List.length items))
-             | _ -> ());
-             Pal_env.set_output env
-               (Util.encode_fields (List.map (fun s -> "echo:" ^ s) items))
-         | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed serve batch"))
-
 type t = {
   cfg : config;
   fleet : Fleet.t;
@@ -85,7 +63,7 @@ type t = {
   (* request id -> the bundle that served it (hit) or was minted for it
      (miss); requests that failed or were rejected are absent *)
   bundles : (int, bundle) Hashtbl.t;
-  code_id : string ref;  (* hex PCR-17 launch composite of [serve_pal] *)
+  code_id : string ref;  (* hex PCR-17 launch composite of the echo PAL *)
   indices : (Platform.t * int) list ref;  (* physical platform -> index *)
 }
 
@@ -100,40 +78,14 @@ let cache_key t payload = key_of_payload ~code_id:!(t.code_id) payload
 
 (* --- attested execution ---------------------------------------------- *)
 
-(* split items greedily so each chunk's encoded inputs and outputs fit
-   their 4 KB pages (same arithmetic as Workload.echo) *)
-let chunk_by ~payload items =
-  let page = Layout.io_page_size in
-  let base = 4 + String.length (Printf.sprintf "%.3f" 1.0) + 16 in
-  let cost item = 4 + String.length (payload item) + 9 in
-  let rec take used acc = function
-    | [] -> (List.rev acc, [])
-    | item :: rest ->
-        let c = cost item in
-        if acc <> [] && used + c > page then (List.rev acc, item :: rest)
-        else take (used + c) (item :: acc) rest
-  in
-  let rec split = function
-    | [] -> []
-    | items ->
-        let chunk, rest = take base [] items in
-        chunk :: split rest
-  in
-  split items
-
-let chunk_payloads payloads = chunk_by ~payload:Fun.id payloads
-let chunk_requests requests =
-  chunk_by ~payload:(fun r -> r.Request.payload) requests
-
-(* run one page-sized chunk in a single attested session: execute under a
-   fresh verifier nonce, quote PCR 17 once for the whole chunk, and mint
-   one verifiable bundle per payload, all sharing that quote *)
-let run_chunk ~work_ms ~boots ~nvs platform index payloads :
+(* run one page-sized chunk of the fleet's echo PAL (1 ms of work per
+   payload) in a single attested session: execute under a fresh verifier
+   nonce, quote PCR 17 once for the whole chunk, and mint one verifiable
+   bundle per payload, all sharing that quote *)
+let run_chunk ~boots ~nvs platform index payloads :
     ((string * bundle) list, string) result =
-  let pal = Lazy.force serve_pal in
-  let inputs =
-    Util.encode_fields (Printf.sprintf "%.3f" work_ms :: payloads)
-  in
+  let pal = Lazy.force Workload.echo_pal in
+  let inputs = Workload.echo_inputs ~work_ms:1.0 payloads in
   if String.length inputs > Layout.io_page_size then
     Error "payload exceeds the 4 KB input page"
   else begin
@@ -191,7 +143,7 @@ let fresh t (b : bundle) =
 let intercept t (req : Request.t) =
   (* sealed-affinity homing: a homed request must reach its platform's
      sealed state — a cached result would silently skip it *)
-  if req.Request.home <> None && not t.cfg.cache_homed then None
+  if req.Request.home <> None then None
   else begin
     let key = cache_key t req.Request.payload in
     match Cache.find t.cache ~now_ms:(Fleet.now_ms t.fleet) key with
@@ -243,7 +195,7 @@ let create ?(config = default_config) ?(warm = []) () =
   let indices = ref [] in
   let ensure_code_id platform =
     if !code_id = "" then begin
-      let image = Builder.build (Lazy.force serve_pal) in
+      let image = Builder.build (Lazy.force Workload.echo_pal) in
       code_id :=
         Util.to_hex
           (Measurement.after_launch image
@@ -270,19 +222,17 @@ let create ?(config = default_config) ?(warm = []) () =
     in
     List.iter
       (fun chunk ->
-        match
-          run_chunk ~work_ms:config.work_ms ~boots ~nvs platform i chunk
-        with
+        match run_chunk ~boots ~nvs platform i chunk with
         | Ok results -> record_chunk platform results
         | Error e -> failwith ("Serve: warming failed: " ^ e))
-      (chunk_payloads mine)
+      (Workload.echo_chunks ~payload:Fun.id mine)
   in
   let run_batch platform (requests : Request.t list) =
     let i = index_of indices platform in
     List.concat_map
       (fun (chunk : Request.t list) ->
         let payloads = List.map (fun r -> r.Request.payload) chunk in
-        match run_chunk ~work_ms:config.work_ms ~boots ~nvs platform i payloads with
+        match run_chunk ~boots ~nvs platform i payloads with
         | Error e -> List.map (fun _ -> Error e) chunk
         | Ok results ->
             record_chunk platform results;
@@ -291,7 +241,7 @@ let create ?(config = default_config) ?(warm = []) () =
                 Hashtbl.replace bundles r.Request.id b;
                 Ok output)
               chunk results)
-      (chunk_requests requests)
+      (Workload.echo_chunks ~payload:(fun r -> r.Request.payload) requests)
   in
   let workload = { Workload.name = "attested-echo"; prepare; run_batch } in
   let fleet = Fleet.create ~config:config.fleet workload in
@@ -339,7 +289,7 @@ let verify_bundle t (b : bundle) =
             b.platform))
   else begin
     let expectation =
-      Verifier.expect ~pal:(Lazy.force serve_pal)
+      Verifier.expect ~pal:(Lazy.force Workload.echo_pal)
         ~slb_base:(Fleet.platform t.fleet b.platform).Platform.slb_base
         ~nonce:b.nonce ()
     in

@@ -25,16 +25,11 @@ type config = {
   fleet : Flicker_service.Fleet.config;
   cache_capacity : int;
   cache_ttl_ms : float option;  (** [None]: entries never expire *)
-  cache_homed : bool;
-      (** serve homed (sealed-affinity) requests from the cache too;
-          [false] — the default — routes them to their home platform so
-          its sealed state stays authoritative *)
-  work_ms : float;  (** simulated PAL work per request in a batch *)
 }
 
 val default_config : config
 (** {!Flicker_service.Fleet.default_config} underneath; capacity 1024,
-    no TTL, homed requests bypass the cache, 1 ms of work. *)
+    no TTL. *)
 
 type t
 
@@ -54,7 +49,9 @@ val fleet : t -> Flicker_service.Fleet.t
     {!Flicker_service.Fleet.submit} / [submit_open_loop] and drive with
     [run] as usual. The tier is installed as the fleet's interceptor, so
     cacheable requests complete with [platform = -1] and [batch = 0] in
-    their disposition. *)
+    their disposition. A request with a home platform is never
+    cacheable: it always reaches its home, whose sealed state stays
+    authoritative. *)
 
 val config : t -> config
 

@@ -12,7 +12,6 @@ type config = {
   batch_size : int;
   policy : Dispatch.policy;
   seed : string;
-  key_bits : int;
   timing : Timing.t;
   faults : Injector.config option;
   retry_budget : int;
@@ -30,7 +29,6 @@ let default_config =
     batch_size = 4;
     policy = Dispatch.Least_loaded;
     seed = "fleet";
-    key_bits = 512;
     timing = Timing.default;
     faults = None;
     retry_budget = 0;
@@ -80,6 +78,9 @@ let shard_of_platform ~platforms ~shards g =
   let boundary = extra * (base + 1) in
   if g < boundary then g / (base + 1) else extra + ((g - boundary) / base)
 
+(* TPM key size of every platform and of the fleet's privacy CA *)
+let key_bits = 512
+
 let create ?(config = default_config) workload =
   if config.platforms < 1 then invalid_arg "Fleet.create: need at least one platform";
   if config.queue_depth < 1 then invalid_arg "Fleet.create: queue_depth must be >= 1";
@@ -93,7 +94,7 @@ let create ?(config = default_config) workload =
   let privacy_ca =
     Privacy_ca.create
       (Prng.create ~seed:(config.seed ^ "/privacy-ca"))
-      ~name:"FleetPrivacyCA" ~key_bits:config.key_bits
+      ~name:"FleetPrivacyCA" ~key_bits
   in
   (* platforms are built and prepared in global order, on one domain,
      regardless of the shard/domain split — construction is provisioning,
@@ -104,7 +105,7 @@ let create ?(config = default_config) workload =
         let platform =
           Platform.create
             ~seed:(Printf.sprintf "%s/platform-%d" config.seed i)
-            ~timing:config.timing ~key_bits:config.key_bits ~ca:privacy_ca ()
+            ~timing:config.timing ~key_bits ~ca:privacy_ca ()
         in
         workload.Workload.prepare platform i;
         platform)

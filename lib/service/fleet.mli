@@ -47,7 +47,6 @@ type config = {
   batch_size : int;  (** max requests per dispatched batch *)
   policy : Dispatch.policy;
   seed : string;
-  key_bits : int;  (** TPM key hierarchy size for each platform *)
   timing : Flicker_hw.Timing.t;
   faults : Flicker_fault.Injector.config option;
       (** when present, each platform gets a deterministic fault injector
@@ -83,15 +82,15 @@ type config = {
 
 val default_config : config
 (** 2 platforms, queue depth 32, batch size 4, least-loaded routing,
-    seed ["fleet"], 512-bit keys, the paper's Broadcom timing profile; no
+    seed ["fleet"], the paper's Broadcom timing profile; no
     fault injection, no retries, breaker disabled; 1 shard on 1 domain
     (epoch 250 ms). *)
 
 type t
 
 val create : ?config:config -> Workload.t -> t
-(** Build the platforms (deterministically from [config.seed], all AIKs
-    certified by one fleet privacy CA) and run the workload's [prepare]
+(** Build the platforms (deterministically from [config.seed], with
+    512-bit TPM keys, all AIKs certified by one fleet privacy CA) and run the workload's [prepare]
     on each. @raise Invalid_argument on a non-positive [platforms],
     [queue_depth], or [batch_size]. *)
 

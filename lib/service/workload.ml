@@ -1,6 +1,5 @@
 module Platform = Flicker_core.Platform
 module Session = Flicker_core.Session
-module Attestation = Flicker_core.Attestation
 module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
 module Layout = Flicker_slb.Layout
@@ -30,34 +29,35 @@ let echo_pal =
                (Util.encode_fields (List.map (fun s -> "echo:" ^ s) items))
          | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed echo batch"))
 
-(* split [requests] greedily so each chunk's encoded inputs and outputs
+(* split [items] greedily so each chunk's encoded inputs and outputs
    fit their 4 KB pages *)
-let echo_chunks requests =
+let echo_chunks ~payload items =
   let page = Layout.io_page_size in
   let base = 4 + String.length (Printf.sprintf "%.3f" 1.0) + 16 in
-  let cost r = 4 + String.length r.Request.payload + 9 (* "echo:" + framing *) in
+  let cost item = 4 + String.length (payload item) + 9 (* "echo:" + framing *) in
   let rec take used acc = function
     | [] -> (List.rev acc, [])
-    | r :: rest ->
-        let c = cost r in
-        if acc <> [] && used + c > page then (List.rev acc, r :: rest)
-        else take (used + c) (r :: acc) rest
+    | item :: rest ->
+        let c = cost item in
+        if acc <> [] && used + c > page then (List.rev acc, item :: rest)
+        else take (used + c) (item :: acc) rest
   in
   let rec split = function
     | [] -> []
-    | rs ->
-        let chunk, rest = take base [] rs in
+    | items ->
+        let chunk, rest = take base [] items in
         chunk :: split rest
   in
-  split requests
+  split items
+
+let echo_inputs ~work_ms payloads =
+  Util.encode_fields (Printf.sprintf "%.3f" work_ms :: payloads)
 
 let echo ?(work_ms = 1.0) () =
   let pal = Lazy.force echo_pal in
   let run_chunk platform requests =
     let inputs =
-      Util.encode_fields
-        (Printf.sprintf "%.3f" work_ms
-        :: List.map (fun r -> r.Request.payload) requests)
+      echo_inputs ~work_ms (List.map (fun r -> r.Request.payload) requests)
     in
     if String.length inputs > Layout.io_page_size then
       List.map (fun _ -> Error "payload exceeds the 4 KB input page") requests
@@ -79,7 +79,8 @@ let echo ?(work_ms = 1.0) () =
     prepare = (fun _ _ -> ());
     run_batch =
       (fun platform requests ->
-        List.concat_map (run_chunk platform) (echo_chunks requests));
+        List.concat_map (run_chunk platform)
+          (echo_chunks ~payload:(fun r -> r.Request.payload) requests));
   }
 
 (* --- certificate authority ------------------------------------------- *)
@@ -107,8 +108,7 @@ let decode_ca_output out =
           | exception Invalid_argument m -> Error ("issuer key: " ^ m)))
   | Ok _ | Error _ -> Error "malformed CA output"
 
-let ca ?(key_bits = 512) ?(issuer = "Flicker Fleet CA") ?(attest_batches = false)
-    policy =
+let ca ?(key_bits = 512) ?(issuer = "Flicker Fleet CA") policy =
   (* per-platform CA replicas, found by physical platform identity *)
   let servers : (Platform.t * CA.server) list ref = ref [] in
   let server_for platform =
@@ -139,29 +139,21 @@ let ca ?(key_bits = 512) ?(issuer = "Flicker Fleet CA") ?(attest_batches = false
     let decoded = List.map (fun r -> decode_csr r.Request.payload) requests in
     let csrs = List.filter_map Result.to_option decoded in
     let signed = ref (CA.sign_batch server csrs) in
-    let results =
-      List.map
-        (fun d ->
-          match d with
-          | Error m -> Error m
-          | Ok _ -> (
-              match !signed with
-              | [] -> Error "batch result arity mismatch"
-              | r :: rest ->
-                  signed := rest;
-                  (match r with
-                  | Ok cert ->
-                      Ok
-                        (Util.encode_fields
-                           [ "cert"; CA.encode_certificate cert; pub_raw ])
-                  | Error m -> Error m)))
-        decoded
-    in
-    if attest_batches && csrs <> [] then
-      (* one quote vouches for the whole batch's sessions *)
-      ignore
-        (Attestation.generate platform ~nonce:(Platform.fresh_nonce platform)
-           ~inputs:"" ~outputs:"");
-    results
+    List.map
+      (fun d ->
+        match d with
+        | Error m -> Error m
+        | Ok _ -> (
+            match !signed with
+            | [] -> Error "batch result arity mismatch"
+            | r :: rest ->
+                signed := rest;
+                (match r with
+                | Ok cert ->
+                    Ok
+                      (Util.encode_fields
+                         [ "cert"; CA.encode_certificate cert; pub_raw ])
+                | Error m -> Error m)))
+      decoded
   in
   { name = "certificate-authority"; prepare; run_batch }

@@ -28,10 +28,22 @@ val echo : ?work_ms:float -> unit -> t
     its cost model is transparent, so queueing and batching effects can
     be predicted exactly. *)
 
+val echo_pal : Flicker_slb.Pal.t Lazy.t
+(** The PAL behind {!echo}. Its inputs are {!echo_inputs}; its output
+    encodes ["echo:" ^ payload] for each payload, in order. *)
+
+val echo_inputs : work_ms:float -> string list -> string
+(** [echo_inputs ~work_ms payloads] is the input page of one
+    {!echo_pal} session that echoes [payloads] at [work_ms] each. *)
+
+val echo_chunks : payload:('a -> string) -> 'a list -> 'a list list
+(** Split [items], in order, into chunks whose {!echo_inputs} and
+    outputs each fit a 4 KB I/O page; [payload] reads an item's
+    payload. *)
+
 val ca :
   ?key_bits:int ->
   ?issuer:string ->
-  ?attest_batches:bool ->
   Flicker_apps.Cert_authority.policy ->
   t
 (** The paper's certificate authority (Section 6.3.2) as a fleet
@@ -40,11 +52,8 @@ val ca :
     TPM. Request payloads are {!ca_csr_payload}-encoded CSRs; a batch is
     signed by {!Flicker_apps.Cert_authority.sign_batch}, so the dominant
     ~898 ms unseal is paid once per session instead of once per CSR.
-    With [attest_batches] (default [false]) each batch additionally
-    produces one TPM quote — one attestation covering the whole batch
-    instead of one per certificate. [key_bits] defaults to 512 (tests and
-    benches; the simulated latencies follow the calibrated model either
-    way). *)
+    [key_bits] defaults to 512 (tests and benches; the simulated
+    latencies follow the calibrated model either way). *)
 
 val ca_csr_payload :
   subject:string -> subject_key:Flicker_crypto.Rsa.public -> string

@@ -372,14 +372,14 @@ let test_serve_epoch_width_invisible () =
       Alcotest.(check bool) "same serve metrics" true (m = m'))
     (List.tl runs)
 
+(* every case runs at 1, 2 and 4 shards, each on 1, 2 and 4 domains *)
 let prop_domain_count_invisible =
   QCheck.Test.make ~name:"random workload x seed x {1,2,4} domains agree"
-    ~count:6
+    ~count:2
     QCheck.(int_bound 100_000)
     (fun n ->
       let rng = Prng.create ~seed:(Printf.sprintf "mc-prop-%d" n) in
-      let platforms = 2 + Prng.int_below rng 4 in
-      let shards = 1 + Prng.int_below rng platforms in
+      let platforms = 4 + Prng.int_below rng 2 in
       let batch = 1 + Prng.int_below rng 3 in
       let policy =
         match Prng.int_below rng 3 with
@@ -399,22 +399,30 @@ let prop_domain_count_invisible =
         if Prng.int_below rng 3 = 0 then Some 500.0 else None
       in
       let seed = Printf.sprintf "mc-case-%d" n in
-      let case ~domains =
-        run_echo_case ~domains ~platforms ~shards ~batch ~policy ~faults
-          ~retry_budget ~breaker_failures ~epoch_ms ~clients ~per_client
-          ~work_ms ~deadline ~seed
-      in
-      let d1, s1 = case ~domains:1 in
-      let d2, s2 = case ~domains:2 in
-      let d4, s4 = case ~domains:4 in
-      let m1 = strip_outputs d1 and m2 = strip_outputs d2
-      and m4 = strip_outputs d4 in
-      if m1 <> m2 || m1 <> m4 then
-        QCheck.Test.fail_report "finalized multisets differ across domain counts";
-      if d1 <> d2 || d1 <> d4 then
-        QCheck.Test.fail_report "full dispositions differ across domain counts";
-      if s1 <> s2 || s1 <> s4 then
-        QCheck.Test.fail_report "summaries differ across domain counts";
+      List.iter
+        (fun shards ->
+          let case domains =
+            run_echo_case ~domains ~platforms ~shards ~batch ~policy ~faults
+              ~retry_budget ~breaker_failures ~epoch_ms ~clients ~per_client
+              ~work_ms ~deadline ~seed
+          in
+          let d1, s1 = case 1 in
+          List.iter
+            (fun domains ->
+              let d, s = case domains in
+              if strip_outputs d <> strip_outputs d1 then
+                QCheck.Test.fail_reportf
+                  "finalized multisets differ at %d shards, %d domains" shards
+                  domains;
+              if d <> d1 then
+                QCheck.Test.fail_reportf
+                  "full dispositions differ at %d shards, %d domains" shards
+                  domains;
+              if s <> s1 then
+                QCheck.Test.fail_reportf
+                  "summaries differ at %d shards, %d domains" shards domains)
+            [ 2; 4 ])
+        [ 1; 2; 4 ];
       true)
 
 let () =

@@ -82,7 +82,6 @@ let test_cache_remove_if () =
 
 let quick_config ?(ttl = None) ?(capacity = 64) () =
   {
-    Serve.default_config with
     Serve.fleet = { Fleet.default_config with Fleet.seed = "test-serve" };
     cache_ttl_ms = ttl;
     cache_capacity = capacity;
