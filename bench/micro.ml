@@ -25,8 +25,7 @@ module CA = Flicker_apps.Cert_authority
 (* staged state, built once *)
 let platform = lazy (Platform.create ~seed:"micro" ~key_bits:512 ())
 
-let hello_pal =
-  lazy (Pal.define ~name:"micro-hello" (fun env -> Pal_env.set_output env "hi"))
+let hello_pal = Pal.define ~name:"micro-hello" (fun env -> Pal_env.set_output env "hi")
 
 let skinit_machine =
   lazy
@@ -83,7 +82,7 @@ let tests =
     Test.make ~name:"table1:rootkit-style session (64KB hash PAL)"
       (Staged.stage (fun () ->
            let p = Lazy.force platform in
-           match Session.execute p ~pal:(Lazy.force hello_pal) () with
+           match Session.execute p ~pal:hello_pal () with
            | Ok _ -> ()
            | Error e -> Format.kasprintf failwith "%a" Session.pp_error e));
     Test.make ~name:"table2:skinit instruction"

@@ -85,14 +85,13 @@ let make_platform ~seed ~tpm ?(kernel_text_size = 256 * 1024) () =
 (* --- hello --- *)
 
 let hello_pal =
-  lazy (Pal.define ~name:"cli-hello" (fun env -> Pal_env.set_output env "Hello, world"))
+  Pal.define ~name:"cli-hello" (fun env -> Pal_env.set_output env "Hello, world")
 
 let hello seed tpm verbose =
   setup_logging verbose;
   let p, ca_key = make_platform ~seed ~tpm () in
-  let pal = Lazy.force hello_pal in
   let nonce = Platform.fresh_nonce p in
-  match Session.execute p ~pal ~nonce () with
+  match Session.execute p ~pal:hello_pal ~nonce () with
   | Error e -> Format.printf "session failed: %a@." Session.pp_error e; 1
   | Ok outcome ->
       Printf.printf "output: %s\n" outcome.Session.outputs;
@@ -103,7 +102,9 @@ let hello seed tpm verbose =
       let evidence =
         Attestation.generate p ~nonce ~inputs:"" ~outputs:outcome.Session.outputs
       in
-      let expectation = Verifier.expect ~pal ~slb_base:p.Platform.slb_base ~nonce () in
+      let expectation =
+        Verifier.expect ~pal:hello_pal ~slb_base:p.Platform.slb_base ~nonce ()
+      in
       (match Verifier.verify ~ca_key expectation evidence with
       | Ok () -> print_endline "attestation: verified"; 0
       | Error f -> Printf.printf "attestation: %s\n" (Verifier.failure_to_string f); 1)
@@ -344,7 +345,7 @@ let workload_arg =
 
 let run_workload p ca_key ~seed = function
   | `Hello -> (
-      match Session.execute p ~pal:(Lazy.force hello_pal) () with
+      match Session.execute p ~pal:hello_pal () with
       | Ok o -> Ok (Some o)
       | Error e -> Error (Format.asprintf "%a" Session.pp_error e))
   | `Rootkit -> (

@@ -21,7 +21,7 @@ let () =
 
   (* The PAL from Figure 5: ignore the inputs, write "Hello, world" to
      PAL_OUT. In the real system this is C linked against the SLB Core;
-     here it is a behaviour registered under deterministic code bytes. *)
+     here it is a behaviour paired with deterministic code bytes. *)
   let hello =
     Pal.define ~name:"hello-world" (fun env -> Pal_env.set_output env "Hello, world")
   in

@@ -3,7 +3,7 @@ module Pal_env = Flicker_slb.Pal_env
 module Extract = Flicker_extract.Extract
 
 (* Extraction-IR models of the code each shipped PAL runs, paired with
-   the registered Pal.t. The paper's extraction tool works on C via CIL;
+   the Pal.t it builds. The paper's extraction tool works on C via CIL;
    the simulator has no C parser, so these are the structured programs
    CIL would have produced — entry function, statement bodies, types,
    LOC. The analyzer verifies the invariants over them: module lists
@@ -37,11 +37,11 @@ let ty tname type_depends =
   { Extract.tname; type_depends; definition = Printf.sprintf "struct %s {...};" tname }
 
 let hello_pal =
-  lazy (Pal.define ~name:"hello-world" (fun env -> Pal_env.set_output env "Hello, world"))
+  Pal.define ~name:"hello-world" (fun env -> Pal_env.set_output env "Hello, world")
 
 let hello () =
   {
-    Rules.pal = Lazy.force hello_pal;
+    Rules.pal = hello_pal;
     program =
       {
         Extract.functions =
@@ -284,14 +284,14 @@ let cert_authority () =
 (* harness, and the CI planted-defect gate.                            *)
 (* ------------------------------------------------------------------ *)
 
-let stack_hog_pal = lazy (Pal.define ~name:"planted-stack-hog" (fun _ -> ()))
+let stack_hog_pal = Pal.define ~name:"planted-stack-hog" (fun _ -> ())
 
 (* every frame fits, but the chain pal_main -> compress_block ->
    huffman_emit sums past the 4 KB PAL stack; the old 128-bytes/frame
    depth heuristic stays silent at depth 3 *)
 let stack_hog () =
   {
-    Rules.pal = Lazy.force stack_hog_pal;
+    Rules.pal = stack_hog_pal;
     program =
       {
         Extract.functions =
@@ -328,18 +328,15 @@ let stack_hog () =
     effects = [];
   }
 
-let secret_branch_pal =
-  lazy
-    (Pal.define ~name:"planted-secret-branch"
-       ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
-       (fun _ -> ()))
-
 (* the unsealed PIN steers a branch in auth_main and indexes the sbox
    in pin_compare: two classic timing side channels. The seal/zeroize
    discipline is respected, so only the constant-time lint objects. *)
 let secret_branch () =
   {
-    Rules.pal = Lazy.force secret_branch_pal;
+    Rules.pal =
+      Pal.define ~name:"planted-secret-branch"
+        ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
+        (fun _ -> ());
     program =
       {
         Extract.functions =

@@ -1,7 +1,7 @@
 (** Analysis targets for the five shipped paper PALs: rootkit detector,
     distributed computing (BOINC factoring), SSH password auth,
     certificate authority, and the hello-world quickstart. Each pairs
-    the registered {!Flicker_slb.Pal.t} with the extraction-IR program
+    the {!Flicker_slb.Pal.t} it builds with the extraction-IR program
     modeling its code (entry, statement bodies, types, LOC) and a
     declared TCB budget.
 

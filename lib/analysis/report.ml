@@ -35,7 +35,7 @@ let to_text ?index ~key (target : Rules.target) findings =
   add "modules:  %s\n" (module_names pal);
   add "tcb:      %d LOC of %d budget; linked code %d of %d bytes\n" (Pal.total_loc pal)
     target.Rules.budget_loc
-    (String.length (Pal.linked_code pal))
+    (String.length pal.Pal.code)
     (slb_limit ());
   (match Extract.extract ?index target.Rules.program ~target:target.Rules.entry with
   | Ok e ->
@@ -149,7 +149,7 @@ let sarif results =
                          ("entry", J.String target.Rules.entry);
                          ("tcb_loc", J.Int (Pal.total_loc pal));
                          ("budget_loc", J.Int target.Rules.budget_loc);
-                         ("slb_bytes", J.Int (String.length (Pal.linked_code pal)));
+                         ("slb_bytes", J.Int (String.length pal.Pal.code));
                          ("slb_limit_bytes", J.Int (slb_limit ()));
                          ("errors", J.Int (Rules.errors findings));
                          ("warnings", J.Int (Rules.count Rules.Warning findings));

@@ -194,7 +194,7 @@ let slb_region_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let size = String.length (Pal.linked_code ctx.target.pal) in
+        let size = String.length ctx.target.pal.Pal.code in
         let limit = Layout.max_pal_code ~slb_core_size:Slb_core.core_size in
         if size > limit then
           [

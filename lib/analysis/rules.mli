@@ -1,6 +1,6 @@
 (** The PAL verifier's rule registry and driver.
 
-    A [target] pairs a registered {!Flicker_slb.Pal.t} with the
+    A [target] pairs a {!Flicker_slb.Pal.t} with the
     extraction-IR program modeling its code, the entry function, a
     declared TCB budget, and per-PAL effects annotations. [run] slices
     the program, builds the call graph, and evaluates every rule,

@@ -5,6 +5,7 @@ module Builder = Flicker_slb.Builder
 
 type t = {
   ca_key : Rsa.public;
+  pal : Flicker_slb.Pal.t;
   number : int;
   mutable pending : Distcomp.work_unit list;
   mutable outstanding : (int * Distcomp.work_unit) list; (* unit_id keyed *)
@@ -25,6 +26,7 @@ let create ~ca_key ~number ~lo ~hi ~unit_size =
   in
   {
     ca_key;
+    pal = Distcomp.pal ();
     number;
     pending = split 1 lo [];
     outstanding = [];
@@ -88,7 +90,7 @@ let submit t submission =
                  session inputs, the outputs embedding this state, and the
                  PAL's own extend of the result hash *)
               let expectation =
-                Verifier.expect ~pal:(Distcomp.pal ()) ~flavor:Builder.Optimized
+                Verifier.expect ~pal:t.pal ~flavor:Builder.Optimized
                   ~pal_extends:[ Distcomp.result_extend_of_state st ]
                   ~slb_base:submission.volunteer_slb_base ~nonce:submission.sub_nonce ()
               in

@@ -260,25 +260,17 @@ let behavior env =
                   end)))
   | Ok _ | Error _ -> fail "unknown mode"
 
-let pals : (int, Pal.t) Hashtbl.t = Hashtbl.create 4
-
 let ca_pal ~key_bits =
-  match Hashtbl.find_opt pals key_bits with
-  | Some p -> p
-  | None ->
-      let p =
-        Pal.define
-          ~name:(Printf.sprintf "certificate-authority-%d" key_bits)
-          ~app_code_size:1536
-          ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto ]
-          behavior
-      in
-      Hashtbl.replace pals key_bits p;
-      p
+  Pal.define
+    ~name:(Printf.sprintf "certificate-authority-%d" key_bits)
+    ~app_code_size:1536
+    ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto ]
+    behavior
 
 type server = {
   platform : Platform.t;
   key_bits : int;
+  pal : Pal.t;
   issuer : string;
   policy : policy;
   mutable sdata : string option;
@@ -287,15 +279,15 @@ type server = {
 }
 
 let create platform ?(key_bits = 1024) ?(issuer = "Flicker Simulated CA") policy =
-  { platform; key_bits; issuer; policy; sdata = None; pub = None; log = [] }
+  let pal = ca_pal ~key_bits in
+  { platform; key_bits; pal; issuer; policy; sdata = None; pub = None; log = [] }
 
 let public_key server = server.pub
 
 let run_pal server inputs =
   match
     Session.retry_busy server.platform (fun () ->
-        Session.execute server.platform ~pal:(ca_pal ~key_bits:server.key_bits)
-          ~inputs ())
+        Session.execute server.platform ~pal:server.pal ~inputs ())
   with
   | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
   | Ok outcome ->

@@ -30,6 +30,8 @@ val decode_policy : string -> (policy, string) result
 val policy_allows : policy -> issued:int -> subject:string -> bool
 
 val ca_pal : key_bits:int -> Flicker_slb.Pal.t
+(** Build the CA PAL for a key size; each call links it afresh, and
+    {!create} builds the one its server runs. *)
 
 type server
 

@@ -172,23 +172,19 @@ let behavior env =
               fail "unknown mode"))
   | Ok [] -> fail "empty inputs"
 
-let pal_instance = ref None
-
 let pal () =
-  match !pal_instance with
-  | Some p -> p
-  | None ->
-      let p =
-        Pal.define ~name:"boinc-factoring" ~app_code_size:2048
-          ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto ]
-          behavior
-      in
-      pal_instance := Some p;
-      p
+  Pal.define ~name:"boinc-factoring" ~app_code_size:2048
+    ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto ]
+    behavior
 
-type client = { platform : Platform.t; mutable sealed_key : string; mutable mac : string }
+type client = {
+  platform : Platform.t;
+  pal : Pal.t;
+  mutable sealed_key : string;
+  mutable mac : string;
+}
 
-let create_client platform = { platform; sealed_key = ""; mac = "" }
+let create_client platform = { platform; pal = pal (); sealed_key = ""; mac = "" }
 
 type step = {
   outcome : Session.outcome;
@@ -223,7 +219,7 @@ let parse_step client outcome =
       else Error "PAL returned malformed output"
 
 let run ?nonce client inputs =
-  match Session.execute client.platform ~pal:(pal ()) ~inputs ?nonce () with
+  match Session.execute client.platform ~pal:client.pal ~inputs ?nonce () with
   | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
   | Ok outcome -> (
       match parse_step client outcome with

@@ -28,7 +28,9 @@ val encode_state : state -> string
 val decode_state : string -> (state, string) result
 
 val pal : unit -> Flicker_slb.Pal.t
-(** The distributed-computing PAL (memoized). *)
+(** Build the distributed-computing PAL. A client and a
+    {!Boinc} server each build the one they run or verify when
+    created. *)
 
 type client
 

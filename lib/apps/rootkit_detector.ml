@@ -16,8 +16,48 @@ module Network = Flicker_core.Network
 (* Physical placement of the kernel regions the detector hashes. *)
 let kernel_base = 0x400000
 
+(* The PAL: parse the region descriptor from its inputs, hash the regions
+   out of physical memory (charging CPU hash time), extend PCR 17 with the
+   result, and write it to the output page. *)
+let detector_behavior env =
+  match Util.decode_fields env.Pal_env.inputs with
+  | Error _ -> Pal_env.set_output env "ERROR: bad region descriptor"
+  | Ok fields ->
+      let regions =
+        let rec pair = function
+          | a :: l :: rest -> (Util.int_of_be32 a 0, Util.int_of_be32 l 0) :: pair rest
+          | _ -> []
+        in
+        pair fields
+      in
+      let ctx = Sha1.init () in
+      List.iter
+        (fun (addr, len) ->
+          let data = Pal_env.read_phys env ~addr ~len in
+          Flicker_hw.Machine.charge_sha1 env.Pal_env.machine ~bytes:len;
+          Sha1.update ctx data)
+        regions;
+      let hash = Sha1.finalize ctx in
+      (match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
+      | Error _ -> ()
+      | Ok () ->
+          Fun.protect
+            ~finally:(fun () -> Mod_tpm_driver.release env.Pal_env.tpm_driver)
+            (fun () ->
+              match Mod_tpm_utils.pcr_extend (Pal_env.tpm env) 17 hash with
+              | Ok _ | Error _ -> ()));
+      Pal_env.set_output env hash
+
+(* A ~4 KB detector (Table 1's SKINIT time implies a ~5 KB measured SLB),
+   linked against only the TPM driver; crucially it must NOT link the
+   OS-protection module, since it has to read kernel memory. *)
+let detector_pal () =
+  Pal.define ~name:"rootkit-detector" ~app_code_size:4096 ~modules:[ Pal.Tpm_driver ]
+    detector_behavior
+
 type deployment = {
   platform : Platform.t;
+  pal : Pal.t;
   text_addr : int;
   mutable text_len : int;
   syscall_addr : int;
@@ -75,6 +115,7 @@ let deploy_on platform =
   let d =
     {
       platform;
+      pal = detector_pal ();
       text_addr = kernel_base;
       text_len;
       syscall_addr;
@@ -94,54 +135,6 @@ let known_good_hash d = d.pristine_hash
 
 let measured_region_bytes d = d.text_len + d.syscall_len + d.modules_len
 
-(* The PAL: parse the region descriptor from its inputs, hash the regions
-   out of physical memory (charging CPU hash time), extend PCR 17 with the
-   result, and write it to the output page. *)
-let detector_behavior env =
-  match Util.decode_fields env.Pal_env.inputs with
-  | Error _ -> Pal_env.set_output env "ERROR: bad region descriptor"
-  | Ok fields ->
-      let regions =
-        let rec pair = function
-          | a :: l :: rest -> (Util.int_of_be32 a 0, Util.int_of_be32 l 0) :: pair rest
-          | _ -> []
-        in
-        pair fields
-      in
-      let ctx = Sha1.init () in
-      List.iter
-        (fun (addr, len) ->
-          let data = Pal_env.read_phys env ~addr ~len in
-          Flicker_hw.Machine.charge_sha1 env.Pal_env.machine ~bytes:len;
-          Sha1.update ctx data)
-        regions;
-      let hash = Sha1.finalize ctx in
-      (match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
-      | Error _ -> ()
-      | Ok () ->
-          Fun.protect
-            ~finally:(fun () -> Mod_tpm_driver.release env.Pal_env.tpm_driver)
-            (fun () ->
-              match Mod_tpm_utils.pcr_extend (Pal_env.tpm env) 17 hash with
-              | Ok _ | Error _ -> ()));
-      Pal_env.set_output env hash
-
-let pal_instance = ref None
-
-(* A ~4 KB detector (Table 1's SKINIT time implies a ~5 KB measured SLB),
-   linked against only the TPM driver; crucially it must NOT link the
-   OS-protection module, since it has to read kernel memory. *)
-let detector_pal () =
-  match !pal_instance with
-  | Some pal -> pal
-  | None ->
-      let pal =
-        Pal.define ~name:"rootkit-detector" ~app_code_size:4096
-          ~modules:[ Pal.Tpm_driver ] detector_behavior
-      in
-      pal_instance := Some pal;
-      pal
-
 type scan_result = {
   reported_hash : string;
   outcome : Session.outcome;
@@ -152,7 +145,7 @@ type scan_result = {
 let scan d ~nonce =
   let inputs = region_descriptor d in
   match
-    Session.execute d.platform ~pal:(detector_pal ()) ~flavor:Builder.Optimized
+    Session.execute d.platform ~pal:d.pal ~flavor:Builder.Optimized
       ~inputs ~nonce ()
   with
   | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
@@ -170,7 +163,7 @@ type admin_verdict =
 let admin_check d ~ca_key result =
   (* the detector PAL extends its reported hash into PCR 17 itself *)
   let expectation =
-    Verifier.expect ~pal:(detector_pal ()) ~flavor:Builder.Optimized
+    Verifier.expect ~pal:d.pal ~flavor:Builder.Optimized
       ~pal_extends:[ result.evidence.Attestation.claimed_outputs ]
       ~slb_base:d.platform.Platform.slb_base ~nonce:result.nonce ()
   in

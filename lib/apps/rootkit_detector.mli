@@ -23,6 +23,9 @@ val known_good_hash : deployment -> string
 (** SHA-1 of the pristine kernel regions. *)
 
 val detector_pal : unit -> Flicker_slb.Pal.t
+(** Build the detector PAL; {!deploy_on} builds the one its deployment
+    runs and verifies. *)
+
 val measured_region_bytes : deployment -> int
 
 type scan_result = {

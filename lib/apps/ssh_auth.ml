@@ -52,26 +52,17 @@ let behavior env =
               | Ok _ | Error _ -> fail "malformed login payload")))
   | Ok _ | Error _ -> fail "unknown mode"
 
-let pals : (int, Pal.t) Hashtbl.t = Hashtbl.create 4
-
 let ssh_pal ~key_bits =
-  match Hashtbl.find_opt pals key_bits with
-  | Some p -> p
-  | None ->
-      let p =
-        Pal.define
-          ~name:(Printf.sprintf "ssh-password-%d" key_bits)
-          ~app_code_size:1024
-          ~modules:
-            [ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto; Pal.Secure_channel ]
-          behavior
-      in
-      Hashtbl.replace pals key_bits p;
-      p
+  Pal.define
+    ~name:(Printf.sprintf "ssh-password-%d" key_bits)
+    ~app_code_size:1024
+    ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto; Pal.Secure_channel ]
+    behavior
 
 type server = {
   platform : Platform.t;
   key_bits : int;
+  pal : Pal.t;
   passwd : (string * string * string) list; (* user, salt, crypted *)
   mutable sdata : string option;
   mutable public_key : Rsa.public option;
@@ -86,7 +77,7 @@ let create_server platform ?(key_bits = 1024) ~users () =
         (user, salt, Md5crypt.crypt ~salt ~password))
       users
   in
-  { platform; key_bits; passwd; sdata = None; public_key = None }
+  { platform; key_bits; pal = ssh_pal ~key_bits; passwd; sdata = None; public_key = None }
 
 let passwd_entry server ~user =
   List.find_map
@@ -100,10 +91,7 @@ type setup_result = {
 
 let server_setup server ~nonce =
   let inputs = Util.encode_fields [ "setup"; string_of_int server.key_bits ] in
-  match
-    Session.execute server.platform ~pal:(ssh_pal ~key_bits:server.key_bits) ~inputs
-      ~nonce ()
-  with
+  match Session.execute server.platform ~pal:server.pal ~inputs ~nonce () with
   | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
   | Ok outcome -> (
       match Mod_secure_channel.decode_setup_output outcome.Session.outputs with
@@ -125,10 +113,7 @@ let server_login server ~user ~ciphertext ~nonce =
   | _, None -> Error ("unknown user " ^ user)
   | Some sdata, Some (salt, crypted) -> (
       let inputs = Util.encode_fields [ "login"; sdata; ciphertext; salt; nonce ] in
-      match
-        Session.execute server.platform ~pal:(ssh_pal ~key_bits:server.key_bits)
-          ~inputs ()
-      with
+      match Session.execute server.platform ~pal:server.pal ~inputs () with
       | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
       | Ok outcome ->
           let out = outcome.Session.outputs in
@@ -144,33 +129,35 @@ let server_login server ~user ~ciphertext ~nonce =
             Ok { granted; login_outcome = outcome }
           end)
 
+(* a client's check of the setup attestation against the SSH PAL it
+   expects; K_PAL is read from the attested output *)
+let verify_server_key ~server_pal ~ca_key ~slb_base ~nonce evidence =
+  let expectation =
+    Verifier.expect ~pal:server_pal ~flavor:Builder.Optimized ~slb_base ~nonce ()
+  in
+  match Verifier.verify ~ca_key expectation evidence with
+  | Error f -> Error (Verifier.failure_to_string f)
+  | Ok () -> (
+      match Mod_secure_channel.decode_setup_output evidence.Attestation.claimed_outputs with
+      | Error msg -> Error ("attested output malformed: " ^ msg)
+      | Ok out -> Ok out.Mod_secure_channel.public_key)
+
 module Client = struct
   type t = {
     rng : Prng.t;
     ca_key : Rsa.public;
     server_slb_base : int;
-    key_bits : int;
+    server_pal : Pal.t;
     mutable server_key : Rsa.public option;
   }
 
   let create ~rng ~ca_key ~server_slb_base ?(key_bits = 1024) () =
-    { rng; ca_key; server_slb_base; key_bits; server_key = None }
+    { rng; ca_key; server_slb_base; server_pal = ssh_pal ~key_bits; server_key = None }
 
   let accept_server_key t ~nonce evidence =
-    let expectation =
-      Verifier.expect ~pal:(ssh_pal ~key_bits:t.key_bits) ~flavor:Builder.Optimized
-        ~slb_base:t.server_slb_base ~nonce ()
-    in
-    match Verifier.verify ~ca_key:t.ca_key expectation evidence with
-    | Error f -> Error (Verifier.failure_to_string f)
-    | Ok () -> (
-        match
-          Mod_secure_channel.decode_setup_output evidence.Attestation.claimed_outputs
-        with
-        | Error msg -> Error ("attested output malformed: " ^ msg)
-        | Ok out ->
-            t.server_key <- Some out.Mod_secure_channel.public_key;
-            Ok ())
+    verify_server_key ~server_pal:t.server_pal ~ca_key:t.ca_key ~slb_base:t.server_slb_base
+      ~nonce evidence
+    |> Result.map (fun pub -> t.server_key <- Some pub)
 
   let encrypt_password t ~password ~nonce =
     match t.server_key with
@@ -186,7 +173,8 @@ module Flicker_client = struct
     platform : Platform.t;
     ca_key : Rsa.public;
     server_slb_base : int;
-    key_bits : int;
+    server_pal : Pal.t;
+    pal : Pal.t;
     mutable server_key : Rsa.public option;
   }
 
@@ -205,37 +193,18 @@ module Flicker_client = struct
             Pal_env.set_output env ct)
     | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed inputs"
 
-  let pal_instance = ref None
-
   let encryption_pal () =
-    match !pal_instance with
-    | Some p -> p
-    | None ->
-        let p =
-          Pal.define ~name:"ssh-client-encrypt" ~app_code_size:512
-            ~modules:[ Pal.Crypto ] encryption_behavior
-        in
-        pal_instance := Some p;
-        p
+    Pal.define ~name:"ssh-client-encrypt" ~app_code_size:512 ~modules:[ Pal.Crypto ]
+      encryption_behavior
 
   let create platform ~ca_key ~server_slb_base ?(key_bits = 1024) () =
-    { platform; ca_key; server_slb_base; key_bits; server_key = None }
+    let server_pal = ssh_pal ~key_bits and pal = encryption_pal () in
+    { platform; ca_key; server_slb_base; server_pal; pal; server_key = None }
 
   let accept_server_key t ~nonce evidence =
-    let expectation =
-      Verifier.expect ~pal:(ssh_pal ~key_bits:t.key_bits) ~flavor:Builder.Optimized
-        ~slb_base:t.server_slb_base ~nonce ()
-    in
-    match Verifier.verify ~ca_key:t.ca_key expectation evidence with
-    | Error f -> Error (Verifier.failure_to_string f)
-    | Ok () -> (
-        match
-          Mod_secure_channel.decode_setup_output evidence.Attestation.claimed_outputs
-        with
-        | Error msg -> Error ("attested output malformed: " ^ msg)
-        | Ok out ->
-            t.server_key <- Some out.Mod_secure_channel.public_key;
-            Ok ())
+    verify_server_key ~server_pal:t.server_pal ~ca_key:t.ca_key ~slb_base:t.server_slb_base
+      ~nonce evidence
+    |> Result.map (fun pub -> t.server_key <- Some pub)
 
   let encrypt_password t ~password ~nonce =
     match t.server_key with
@@ -244,7 +213,7 @@ module Flicker_client = struct
         let inputs =
           Util.encode_fields [ Rsa.public_to_string pub; nonce; password ]
         in
-        match Session.execute t.platform ~pal:(encryption_pal ()) ~inputs () with
+        match Session.execute t.platform ~pal:t.pal ~inputs () with
         | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
         | Ok outcome ->
             let out = outcome.Session.outputs in

@@ -24,7 +24,8 @@ val create_server :
     to 1024. *)
 
 val ssh_pal : key_bits:int -> Flicker_slb.Pal.t
-(** The SSH PAL (memoized per key size). *)
+(** Build the SSH PAL for a key size. The server and both clients each
+    build the one they run or verify when created. *)
 
 val passwd_entry : server -> user:string -> (string * string) option
 (** [(salt, crypted)] for a user. *)
@@ -106,6 +107,7 @@ module Flicker_client : sig
       cleanup. *)
 
   val encryption_pal : unit -> Flicker_slb.Pal.t
-  (** Exposed so a paranoid server (or user) can attest the client-side
+  (** Build the client-side encryption PAL (the one {!create} builds),
+      exposed so a paranoid server (or user) can attest the client-side
       encryption too. *)
 end

@@ -19,6 +19,9 @@ type t = {
   mutable corrupt_next_slb : bool;
       (** test hook: flip a byte of the next loaded SLB window (a TOCTOU
           attack between patching and SKINIT) *)
+  mutable check_conformance : bool;
+      (** the trace-conformance gate of {!Session.execute}; off when
+          created *)
 }
 
 val create :

@@ -11,27 +11,15 @@ type established = {
   channel_nonce : string;
 }
 
-let setup_pals : (int, Pal.t) Hashtbl.t = Hashtbl.create 4
-
 let setup_pal ~key_bits =
-  match Hashtbl.find_opt setup_pals key_bits with
-  | Some pal -> pal
-  | None ->
-      let behavior env =
-        match Mod_secure_channel.setup env ~key_bits with
-        | Ok out -> Pal_env.set_output env (Mod_secure_channel.encode_setup_output out)
-        | Error msg -> Pal_env.set_output env ("ERROR: " ^ msg)
-      in
-      let pal =
-        Pal.define
-          ~name:(Printf.sprintf "secure-channel-setup-%d" key_bits)
-          ~app_code_size:256
-          ~modules:
-            [ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto; Pal.Secure_channel ]
-          behavior
-      in
-      Hashtbl.replace setup_pals key_bits pal;
-      pal
+  Pal.define
+    ~name:(Printf.sprintf "secure-channel-setup-%d" key_bits)
+    ~app_code_size:256
+    ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto; Pal.Secure_channel ]
+    (fun env ->
+      match Mod_secure_channel.setup env ~key_bits with
+      | Ok out -> Pal_env.set_output env (Mod_secure_channel.encode_setup_output out)
+      | Error msg -> Pal_env.set_output env ("ERROR: " ^ msg))
 
 let establish platform ?(key_bits = 1024) ~nonce () =
   let pal = setup_pal ~key_bits in

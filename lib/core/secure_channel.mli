@@ -16,9 +16,10 @@ type established = {
 }
 
 val setup_pal : key_bits:int -> Flicker_slb.Pal.t
-(** The generic setup PAL (Secure Channel + Crypto + TPM modules linked);
-    memoized per key size so repeated calls return the identical PAL —
-    and hence the identical measurement. *)
+(** The generic setup PAL (Secure Channel + Crypto + TPM modules linked).
+    Every call builds the same code for a key size — and hence the same
+    measurement — so {!establish} and {!client_accept} each build their
+    own. *)
 
 val establish :
   Platform.t -> ?key_bits:int -> nonce:string -> unit -> (established, string) result

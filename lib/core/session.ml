@@ -63,7 +63,7 @@ let os_busy_permanent msg = Os_busy { transient = false; msg }
 
 let pp_error fmt = function
   | Skinit_failed msg -> Format.fprintf fmt "SKINIT failed: %s" msg
-  | Unknown_pal -> Format.fprintf fmt "measured SLB matches no registered PAL"
+  | Unknown_pal -> Format.fprintf fmt "launched SLB does not hold the PAL's code"
   | Os_busy { msg; _ } -> Format.fprintf fmt "OS not ready for a session: %s" msg
 
 (* Transience is declared where the error is raised, not guessed from the
@@ -90,8 +90,8 @@ let extend_pcr17 ?kind platform value =
 
 (* --- trace conformance -------------------------------------------------
 
-   With checking on, every session replays the protocol events it
-   recorded through the temporal automata on exit and raises if any
+   With the platform's gate on, every session replays the protocol events
+   it recorded through the temporal automata on exit and raises if any
    invariant was broken — turning each run into a self-checking test of
    the Section 4 discipline. Off by default: the automata cost a pass
    over the trace slice per session, and long-running services generate
@@ -112,25 +112,18 @@ let () =
                 (List.map Flicker_verify.Checker.violation_to_string violations)))
     | _ -> None)
 
-let conformance_enabled =
-  ref
-    (match Sys.getenv_opt "FLICKER_VERIFY" with
-    | Some ("" | "0" | "false" | "off") | None -> false
-    | Some _ -> true)
-
-let set_conformance_checking on = conformance_enabled := on
-let conformance_checking () = !conformance_enabled
-
 (* Absolute index of the next tracer event: immune to ring eviction. *)
 let tracer_mark tracer = Tracer.length tracer + Tracer.dropped tracer
 
-let check_conformance ~pal tracer mark =
-  if !conformance_enabled then begin
+let check_conformance (platform : Platform.t) ~pal tracer mark =
+  if platform.Platform.check_conformance then begin
     let start = mark - Tracer.dropped tracer in
     (* if the ring evicted events from inside this session, the slice
        would start mid-protocol and the automata would report nonsense;
-       skip rather than cry wolf *)
-    if start >= 0 then begin
+       skip rather than cry wolf, and count the skip *)
+    if start < 0 then
+      Metrics.incr platform.Platform.machine.Machine.metrics "session.conformance_skipped"
+    else begin
       let events = Tracer.events tracer in
       let slice = List.filteri (fun i _ -> i >= start) events in
       let report = Flicker_verify.Checker.check_trace slice in
@@ -168,7 +161,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
     Metrics.incr metrics "session.runs";
     (* one args list, shared by the span and the protocol instant (the
        tracer stores the list pointer, it never copies) *)
-    let pal_args = [ ("pal", Tracer.Str pal.Flicker_slb.Pal.name) ] in
+    let pal_args = [ ("pal", Tracer.Str pal.Pal.name) ] in
     let session_span =
       Tracer.begin_span tracer ~cat:"session" ~args:pal_args "Flicker session"
     in
@@ -197,7 +190,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
       | Error Unknown_pal -> Metrics.incr metrics "session.unknown_pal"
       | Error (Os_busy _) -> ()
       | Ok o -> if o.pal_fault <> None then Metrics.incr metrics "session.pal_faults");
-      check_conformance ~pal:pal.Flicker_slb.Pal.name tracer mark;
+      check_conformance platform ~pal:pal.Pal.name tracer mark;
       result
     in
 
@@ -283,75 +276,73 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                    corrupted window still misses and re-hashes) *)
                 extend_pcr17 ~kind:"stub" platform (Measurement.window_digest window));
 
-        (* --- Execute PAL: dispatch on the measured bytes --- *)
+        (* --- Execute PAL: only if the launched window holds its code --- *)
         let window = Memory.read memory ~addr:slb_base ~len:Layout.slb_size in
-        let dispatch =
-          match Builder.pal_code_of_window window with
-          | Error _ -> None
-          | Ok code -> Pal.find_by_code code
+        let measured_pal =
+          match Builder.pal_code_of_window ~flavor window with
+          | Ok code -> String.equal code pal.Pal.code
+          | Error _ -> false
         in
         let pcr17_during = pcr17_of platform in
         let pal_entered = Clock.now clock in
-        let env_outputs, pal_fault, known_pal =
+        let env_outputs, pal_fault =
           timed Pal_execution (fun () ->
               (* chaos hook: a rogue device picks the worst moment — the
                  PAL is running, so the DEV window is armed and must deny
                  every write aimed at it *)
               Dma.fire_storm machine
                 ~focus:(slb_base, Layout.total_footprint) ();
-              match dispatch with
-              | None -> ("", None, false)
-              | Some running_pal ->
-                  let protection =
-                    if Pal.wants running_pal Pal.Os_protection then
+              if not measured_pal then ("", None)
+              else
+                let protection =
+                  if Pal.wants pal Pal.Os_protection then
+                    Some
+                      (Mod_os_protection.policy_for_launch ~slb_base
+                         ~footprint:Layout.total_footprint)
+                  else None
+                in
+                let heap =
+                  if Pal.wants pal Pal.Memory_management then
+                    Some (Mod_memory.create ~size:(16 * 1024))
+                  else None
+                in
+                let env =
+                  Pal_env.create ~machine ~tpm:platform.Platform.tpm ~rng:session_rng
+                    ~inputs ~inputs_addr:(slb_base + Layout.inputs_page_offset)
+                    ~outputs_addr:(slb_base + Layout.outputs_page_offset) ~protection
+                    ~heap
+                in
+                (match protection with
+                | Some policy -> Mod_os_protection.enter_ring3 machine policy
+                | None -> ());
+                let fault =
+                  match pal.Pal.behavior env with
+                  | () -> None
+                  | exception Mod_os_protection.Pal_fault msg ->
+                      Machine.log_event machine ("PAL FAULT: " ^ msg);
+                      Some msg
+                in
+                (match protection with
+                | Some _ -> Mod_os_protection.exit_ring3 machine
+                | None -> ());
+                (* SLB Core watchdog: a PAL that overran its allotted
+                   time has its outputs dropped (the timer interrupt
+                   fires before it can publish them) *)
+                let elapsed = Clock.now clock -. pal_entered in
+                (match (time_limit_ms, fault) with
+                | Some limit, None when elapsed > limit ->
+                    Machine.log_event machine
+                      (Printf.sprintf
+                         "PAL WATCHDOG: exceeded %.1f ms limit (%.1f ms)" limit
+                         elapsed);
+                    (* the unpublished output page is wiped with the rest *)
+                    Memory.zero memory ~addr:(slb_base + Layout.outputs_page_offset)
+                      ~len:Layout.io_page_size;
+                    ( "",
                       Some
-                        (Mod_os_protection.policy_for_launch ~slb_base
-                           ~footprint:Layout.total_footprint)
-                    else None
-                  in
-                  let heap =
-                    if Pal.wants running_pal Pal.Memory_management then
-                      Some (Mod_memory.create ~size:(16 * 1024))
-                    else None
-                  in
-                  let env =
-                    Pal_env.create ~machine ~tpm:platform.Platform.tpm ~rng:session_rng
-                      ~inputs ~inputs_addr:(slb_base + Layout.inputs_page_offset)
-                      ~outputs_addr:(slb_base + Layout.outputs_page_offset) ~protection
-                      ~heap
-                  in
-                  (match protection with
-                  | Some policy -> Mod_os_protection.enter_ring3 machine policy
-                  | None -> ());
-                  let fault =
-                    match running_pal.Pal.behavior env with
-                    | () -> None
-                    | exception Mod_os_protection.Pal_fault msg ->
-                        Machine.log_event machine ("PAL FAULT: " ^ msg);
-                        Some msg
-                  in
-                  (match protection with
-                  | Some _ -> Mod_os_protection.exit_ring3 machine
-                  | None -> ());
-                  (* SLB Core watchdog: a PAL that overran its allotted
-                     time has its outputs dropped (the timer interrupt
-                     fires before it can publish them) *)
-                  let elapsed = Clock.now clock -. pal_entered in
-                  (match (time_limit_ms, fault) with
-                  | Some limit, None when elapsed > limit ->
-                      Machine.log_event machine
-                        (Printf.sprintf
-                           "PAL WATCHDOG: exceeded %.1f ms limit (%.1f ms)" limit
-                           elapsed);
-                      (* the unpublished output page is wiped with the rest *)
-                      Memory.zero memory ~addr:(slb_base + Layout.outputs_page_offset)
-                        ~len:Layout.io_page_size;
-                      ( "",
-                        Some
-                          (Printf.sprintf "watchdog: PAL exceeded %.1f ms time limit"
-                             limit),
-                        true )
-                  | _ -> (Pal_env.output env, fault, true)))
+                        (Printf.sprintf "watchdog: PAL exceeded %.1f ms time limit"
+                           limit) )
+                | _ -> (Pal_env.output env, fault)))
         in
 
         (* --- Cleanup: erase everything the PAL touched inside the
@@ -385,7 +376,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
             Machine.charge machine Slb_core.cleanup_overhead_ms);
 
         finish
-          (if not known_pal then Error Unknown_pal
+          (if not measured_pal then Error Unknown_pal
            else
              Ok
                {
@@ -399,7 +390,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                })
   end
 
-let execute_from_sysfs (platform : Platform.t) ?nonce ?time_limit_ms () =
+let execute_from_sysfs (platform : Platform.t) ~pal ?nonce ?time_limit_ms () =
   (* check for a running session before inspecting sysfs: mid-session the
      slb entry may well be absent, and the caller needs to distinguish
      "retry later" from "you never wrote an SLB" *)
@@ -412,27 +403,16 @@ let execute_from_sysfs (platform : Platform.t) ?nonce ?time_limit_ms () =
       if String.length window <> Layout.slb_size then
         Error (os_busy_permanent "slb entry is not a full 64 KB window image")
       else begin
-        match Builder.pal_code_of_window window with
-        | Error msg -> Error (os_busy_permanent ("corrupt SLB image: " ^ msg))
-        | Ok code -> (
-            match Pal.find_by_code code with
-            | None -> Error Unknown_pal
-            | Some pal ->
-                (* the header length field distinguishes the optimized
-                   stub from a standard image *)
-                let measured =
-                  Char.code window.[0] lor (Char.code window.[1] lsl 8)
-                in
-                let flavor =
-                  if measured = Slb_core.stub_size then Builder.Optimized
-                  else Builder.Standard
-                in
-                let inputs =
-                  Option.value
-                    (Sysfs.read platform.Platform.sysfs ~path:"inputs")
-                    ~default:""
-                in
-                execute platform ~pal ~flavor ~inputs ?nonce ?time_limit_ms ())
+        (* the image must be one the handed PAL builds to; which one
+           names the flavor *)
+        let built flavor = String.equal (Builder.build ~flavor pal).Builder.bytes window in
+        match List.find_opt built [ Builder.Optimized; Builder.Standard ] with
+        | None -> Error Unknown_pal
+        | Some flavor ->
+            let inputs =
+              Option.value (Sysfs.read platform.Platform.sysfs ~path:"inputs") ~default:""
+            in
+            execute platform ~pal ~flavor ~inputs ?nonce ?time_limit_ms ()
       end
 
 let corrupt_slb_in_memory (platform : Platform.t) =

@@ -38,7 +38,9 @@ val phase_ms : outcome -> phase -> float
 
 type error =
   | Skinit_failed of string
-  | Unknown_pal  (** measured bytes match no registered PAL: nothing ran *)
+  | Unknown_pal
+      (** the PAL region of the launched window is not the handed PAL's
+          code: nothing ran *)
   | Os_busy of { transient : bool; msg : string }
       (** [transient] is [true] when another Flicker session currently
           owns the machine — waiting for it to resume the OS and retrying
@@ -64,19 +66,13 @@ exception
     pal : string;
     violations : Flicker_verify.Checker.violation list;
   }
-(** Raised at the end of a session (with conformance checking on) whose
-    recorded protocol events break a temporal automaton. *)
-
-val set_conformance_checking : bool -> unit
-(** Turn per-session conformance checking on or off. Defaults to off, or
-    to the [FLICKER_VERIFY] environment variable (any value other than
-    ["0"], ["false"], ["off"], or empty enables it). When on, every
-    {!execute} replays the protocol events it traced through
-    {!Flicker_verify.Automata.all} and raises {!Protocol_violation} on
-    any violation. Sessions whose events were evicted from the tracer
-    ring mid-run are skipped rather than misreported. *)
-
-val conformance_checking : unit -> bool
+(** Raised at the end of a session whose recorded protocol events break
+    a temporal automaton, when the platform's
+    {!Platform.t.check_conformance} gate is on. With the gate on, every
+    {!execute} on that platform replays the protocol events it traced
+    through {!Flicker_verify.Automata.all}. A session whose events the
+    tracer ring evicted mid-run is skipped rather than misreported, and
+    counted in the machine's [session.conformance_skipped] counter. *)
 
 val busy_is_transient : error -> bool
 (** [true] exactly for the mid-session flavour of [Os_busy]: waiting (and
@@ -112,18 +108,19 @@ val execute :
 
 val execute_from_sysfs :
   Platform.t ->
+  pal:Flicker_slb.Pal.t ->
   ?nonce:string ->
   ?time_limit_ms:float ->
   unit ->
   (outcome, error) result
 (** The application-facing path of Section 4.2: the application has
-    already written the uninitialized SLB image to the [slb] sysfs entry
-    and its inputs to [inputs]; writing [control] triggers this. The
-    flicker-module recovers the launch flavor from the SLB header and
-    dispatches on the PAL code inside the blob — it is handed bytes, not
-    a function, exactly like the real kernel module. Outputs appear in
-    the [outputs] entry. Fails with [Os_busy] when the [slb] entry is
-    missing or not a full window image. *)
+    already written the uninitialized SLB image of [pal] to the [slb]
+    sysfs entry and its inputs to [inputs]; writing [control] triggers
+    this. The launch flavor is the one whose {!Flicker_slb.Builder.build}
+    of [pal] equals the [slb] image; an image that neither flavor of
+    [pal] builds to fails with [Unknown_pal] before any launch. Outputs
+    appear in the [outputs] entry. Fails with [Os_busy] when the [slb]
+    entry is missing or not a full window image. *)
 
 val corrupt_slb_in_memory : Platform.t -> unit
 (** Test hook simulating an adversary flipping SLB bytes between the

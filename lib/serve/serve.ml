@@ -84,7 +84,6 @@ let cache_key t payload = key_of_payload ~code_id:!(t.code_id) payload
    bundle per payload, all sharing that quote *)
 let run_chunk ~boots ~nvs platform index payloads :
     ((string * bundle) list, string) result =
-  let pal = Lazy.force Workload.echo_pal in
   let inputs = Workload.echo_inputs ~work_ms:1.0 payloads in
   if String.length inputs > Layout.io_page_size then
     Error "payload exceeds the 4 KB input page"
@@ -92,7 +91,7 @@ let run_chunk ~boots ~nvs platform index payloads :
     let nonce = Platform.fresh_nonce platform in
     match
       Session.retry_busy platform (fun () ->
-          Session.execute platform ~pal ~inputs ~nonce ())
+          Session.execute platform ~pal:Workload.echo_pal ~inputs ~nonce ())
     with
     | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
     | Ok outcome -> (
@@ -195,7 +194,7 @@ let create ?(config = default_config) ?(warm = []) () =
   let indices = ref [] in
   let ensure_code_id platform =
     if !code_id = "" then begin
-      let image = Builder.build (Lazy.force Workload.echo_pal) in
+      let image = Builder.build Workload.echo_pal in
       code_id :=
         Util.to_hex
           (Measurement.after_launch image
@@ -289,7 +288,7 @@ let verify_bundle t (b : bundle) =
             b.platform))
   else begin
     let expectation =
-      Verifier.expect ~pal:(Lazy.force Workload.echo_pal)
+      Verifier.expect ~pal:Workload.echo_pal
         ~slb_base:(Fleet.platform t.fleet b.platform).Platform.slb_base
         ~nonce:b.nonce ()
     in

@@ -15,19 +15,17 @@ type t = {
 
 (* --- echo ------------------------------------------------------------ *)
 
-(* one registered PAL; the per-request work is input data, not code *)
+(* one PAL; the per-request work is input data, not code *)
 let echo_pal =
-  lazy
-    (Pal.define ~name:"fleet-echo" (fun env ->
-         match Util.decode_fields env.Pal_env.inputs with
-         | Ok (work :: items) when items <> [] ->
-             (match float_of_string_opt work with
-             | Some ms when ms > 0.0 ->
-                 Pal_env.compute env ~ms:(ms *. float_of_int (List.length items))
-             | _ -> ());
-             Pal_env.set_output env
-               (Util.encode_fields (List.map (fun s -> "echo:" ^ s) items))
-         | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed echo batch"))
+  Pal.define ~name:"fleet-echo" (fun env ->
+      match Util.decode_fields env.Pal_env.inputs with
+      | Ok (work :: items) when items <> [] ->
+          (match float_of_string_opt work with
+          | Some ms when ms > 0.0 ->
+              Pal_env.compute env ~ms:(ms *. float_of_int (List.length items))
+          | _ -> ());
+          Pal_env.set_output env (Util.encode_fields (List.map (fun s -> "echo:" ^ s) items))
+      | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed echo batch")
 
 (* split [items] greedily so each chunk's encoded inputs and outputs
    fit their 4 KB pages *)
@@ -54,7 +52,6 @@ let echo_inputs ~work_ms payloads =
   Util.encode_fields (Printf.sprintf "%.3f" work_ms :: payloads)
 
 let echo ?(work_ms = 1.0) () =
-  let pal = Lazy.force echo_pal in
   let run_chunk platform requests =
     let inputs =
       echo_inputs ~work_ms (List.map (fun r -> r.Request.payload) requests)
@@ -63,7 +60,8 @@ let echo ?(work_ms = 1.0) () =
       List.map (fun _ -> Error "payload exceeds the 4 KB input page") requests
     else
       match
-        Session.retry_busy platform (fun () -> Session.execute platform ~pal ~inputs ())
+        Session.retry_busy platform (fun () ->
+            Session.execute platform ~pal:echo_pal ~inputs ())
       with
       | Error e ->
           let msg = Format.asprintf "%a" Session.pp_error e in

@@ -28,7 +28,7 @@ val echo : ?work_ms:float -> unit -> t
     its cost model is transparent, so queueing and batching effects can
     be predicted exactly. *)
 
-val echo_pal : Flicker_slb.Pal.t Lazy.t
+val echo_pal : Flicker_slb.Pal.t
 (** The PAL behind {!echo}. Its inputs are {!echo_inputs}; its output
     encodes ["echo:" ^ payload] for each payload, in order. *)
 

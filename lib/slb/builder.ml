@@ -17,7 +17,7 @@ let pad_to size s =
   s ^ String.make (size - String.length s) '\000'
 
 let build ?(flavor = Standard) pal =
-  let pal_code = Pal.linked_code pal in
+  let pal_code = pal.Pal.code in
   match flavor with
   | Standard ->
       let measured_length =
@@ -64,25 +64,24 @@ let initialize image ~slb_base =
 
 let read_le16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
 
-let pal_code_of_window window =
+let pal_code_of_window ~flavor window =
   if String.length window <> Layout.slb_size then
     Error "window must be exactly 64 KB"
-  else begin
-    let measured = read_le16 window 0 in
-    if measured = Slb_core.stub_size then begin
-      (* optimized image: inner header carries the PAL length *)
-      let inner_len = read_le16 window Slb_core.stub_size in
-      let off = Slb_core.stub_size + 2 in
-      if off + inner_len > String.length window then Error "corrupt inner header"
-      else Ok (String.sub window off inner_len)
-    end
-    else begin
-      let off = Layout.header_size + Slb_core.core_size in
-      if measured < off || measured > Layout.pal_region_end then
-        Error "corrupt SLB header"
-      else Ok (String.sub window off (measured - off))
-    end
-  end
+  else
+    match flavor with
+    | Optimized ->
+        (* the inner header right after the measured stub carries the
+           PAL length *)
+        let inner_len = read_le16 window Slb_core.stub_size in
+        let off = Slb_core.stub_size + 2 in
+        if off + inner_len > String.length window then Error "corrupt inner header"
+        else Ok (String.sub window off inner_len)
+    | Standard ->
+        let measured = read_le16 window 0 in
+        let off = Layout.header_size + Slb_core.core_size in
+        if measured < off || measured > Layout.pal_region_end then
+          Error "corrupt SLB header"
+        else Ok (String.sub window off (measured - off))
 
 let slb_sizes pal =
   let std = build ~flavor:Standard pal in

@@ -26,10 +26,10 @@ val initialize : image -> slb_base:int -> string
     loads at [slb_base] — and the bytes a verifier must hash to predict
     the measurement. *)
 
-val pal_code_of_window : string -> (string, string) result
-(** Extract the linked PAL code back out of a 64 KB window image (as the
-    session dispatcher does from physical memory after SKINIT). Works for
-    both flavors by reading the headers. *)
+val pal_code_of_window : flavor:flavor -> string -> (string, string) result
+(** Extract the linked PAL code back out of a 64 KB window image of the
+    given flavor (as the session does from physical memory after
+    SKINIT), reading the headers that flavor writes. *)
 
 val slb_sizes : Pal.t -> int * int
 (** [(standard_measured, optimized_measured)] byte counts for a PAL —

@@ -84,7 +84,7 @@ let module_code kind =
 
 type t = {
   name : string;
-  app_code : string;
+  code : string;
   modules : module_kind list;
   behavior : Pal_env.t -> unit;
 }
@@ -97,28 +97,20 @@ let module_order = function
   | Memory_management -> 4
   | Secure_channel -> 5
 
-let linked_code t =
-  String.concat "" (List.map module_code t.modules) ^ t.app_code
-
-let code_hash t = Sha1.digest (linked_code t)
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-
 let define ~name ?(app_code_size = 512) ?(modules = []) behavior =
   let modules =
     List.sort_uniq (fun a b -> Int.compare (module_order a) (module_order b)) modules
   in
-  let app_code = synth_code ~name:("pal:" ^ name) ~size:app_code_size in
-  let t = { name; app_code; modules; behavior } in
-  let code = linked_code t in
+  let code =
+    String.concat "" (List.map module_code modules)
+    ^ synth_code ~name:("pal:" ^ name) ~size:app_code_size
+  in
   if String.length code > Layout.max_pal_code ~slb_core_size:Slb_core.core_size then
     invalid_arg
       (Printf.sprintf "Pal.define %s: linked code (%d bytes) exceeds the PAL region"
          name (String.length code));
-  Hashtbl.replace registry (Sha1.digest code) t;
-  t
+  { name; code; modules; behavior }
 
-let find_by_code code = Hashtbl.find_opt registry (Sha1.digest code)
 let wants t kind = List.mem kind t.modules
 
 let total_loc t =

@@ -1,15 +1,15 @@
-(** PAL definitions: the Figure 6 module catalog, deterministic "binary"
-    code synthesis, and the registry that maps measured code back to
-    behaviour.
+(** PAL definitions: the Figure 6 module catalog and deterministic
+    "binary" code synthesis.
 
     A real PAL is a binary blob linked against the SLB Core; the kernel
     module sees only bytes, and the hardware measures exactly those bytes.
     The simulator preserves that: a PAL's [code] is a deterministic byte
     string (synthesized from its name and declared size, mirroring the
-    sizes in Figure 6), and execution after SKINIT looks the measured
-    bytes up in a registry. Corrupt the bytes and you get a different
-    measurement and no (or different) behaviour — exactly the hardware
-    contract. *)
+    sizes in Figure 6), and a session runs the PAL's behaviour only when
+    the bytes it reads back from the launched window equal that code.
+    Corrupt the bytes and you get a different measurement and no
+    behaviour — exactly the hardware contract. A [t] is an immutable
+    value: nothing outside it maps code back to behaviour. *)
 
 type module_kind =
   | Os_protection
@@ -36,7 +36,9 @@ val module_code : module_kind -> string
 
 type t = {
   name : string;
-  app_code : string;  (** application-specific code bytes *)
+  code : string;
+      (** the linked code: module code (in catalog order) followed by the
+          app code — the PAL region of the SLB image *)
   modules : module_kind list;  (** sorted, duplicate-free *)
   behavior : Pal_env.t -> unit;
 }
@@ -47,20 +49,10 @@ val define :
   ?modules:module_kind list ->
   (Pal_env.t -> unit) ->
   t
-(** Create and register a PAL. The app code bytes are synthesized from
-    [name] and [app_code_size] (default 512 bytes — a small C function).
-    Registration keys the behaviour by [SHA-1(linked code)] so the
-    session dispatcher can only run what was measured.
+(** Create a PAL, linking its code once. The app code bytes are
+    synthesized from [name] and [app_code_size] (default 512 bytes — a
+    small C function).
     @raise Invalid_argument if the linked code exceeds the PAL region. *)
-
-val linked_code : t -> string
-(** Module code (in catalog order) followed by app code: the PAL region
-    of the SLB image. *)
-
-val code_hash : t -> string
-
-val find_by_code : string -> t option
-(** Registry lookup by the exact linked-code bytes. *)
 
 val wants : t -> module_kind -> bool
 val total_loc : t -> int

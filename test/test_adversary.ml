@@ -169,7 +169,7 @@ let test_toctou_slb_corruption () =
   | Ok outcome ->
       Alcotest.(check bool) "measurement exposes corruption" true
         (outcome.Session.slb_measurement <> honest.Session.slb_measurement));
-  (* PCR 17 now holds a value that verifies against no registered PAL *)
+  (* PCR 17 now holds a value that verifies against no honest PAL *)
   let current = Result.get_ok (Tpm.pcr_read p.Platform.tpm 17) in
   Alcotest.(check bool) "pcr differs from honest final" true
     (current <> honest.Session.pcr17_final)

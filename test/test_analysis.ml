@@ -21,7 +21,12 @@ let program functions = { Extract.functions; types = [] }
 (* a Pal.t built directly (not via Pal.define) so tests can express
    configurations define would reject, e.g. oversized code *)
 let raw_pal ?(app_code = String.make 256 'a') ?(modules = []) name =
-  { Pal.name; app_code; modules; behavior = (fun _ -> ()) }
+  {
+    Pal.name;
+    code = String.concat "" (List.map Pal.module_code modules) ^ app_code;
+    modules;
+    behavior = (fun _ -> ());
+  }
 
 let target ?(budget = 10_000) ?(effects = []) ?pal ~entry functions =
   {

@@ -5,7 +5,10 @@
    two domains at once and checks the results against single-domain
    references — under the old globals these raced (torn Hashtbl entries,
    interleaved scratch absorptions); with Domain.DLS each domain owns its
-   state and the content-keyed caches stay identity-preserving.
+   state and the content-keyed caches stay identity-preserving. It also
+   runs the paper's CA and SSH PALs on two domains at once, alone and in
+   a sharded fleet: each PAL is a plain value its server or client
+   builds, so no PAL table is shared between domains.
 
    The second group pins down the sharded fleet's core contract: the
    simulation is a pure function of the config — the domain count only
@@ -26,6 +29,10 @@ module Request = Flicker_service.Request
 module Injector = Flicker_fault.Injector
 module Serve = Flicker_serve.Serve
 module Metrics = Flicker_obs.Metrics
+module Platform = Flicker_core.Platform
+module Privacy_ca = Flicker_tpm.Privacy_ca
+module CA = Flicker_apps.Cert_authority
+module Ssh_auth = Flicker_apps.Ssh_auth
 
 (* --- DLS hammers ------------------------------------------------------ *)
 
@@ -110,6 +117,100 @@ let test_eviction_keeps_working_set_warm () =
   let hits, misses = Measurement.cache_stats () in
   Alcotest.(check int) "only the FIFO victim was evicted" 64 hits;
   Alcotest.(check int) "no re-derivation of survivors" 65 misses
+
+(* --- PALs on several domains -------------------------------------------- *)
+
+let ca_policy =
+  { CA.allowed_suffixes = [ ".example.com" ]; denied_subjects = []; max_certificates = 16 }
+
+(* one domain's share, all built where it runs: a platform, a 512-bit CA
+   that signs a batch, and an SSH server and client that complete a
+   login; returns the encoded certificates and the login verdict *)
+let ca_and_ssh seed =
+  let privacy_ca =
+    Privacy_ca.create (Prng.create ~seed:(seed ^ "/privacy-ca")) ~name:"MultiCA" ~key_bits:512
+  in
+  let p = Platform.create ~seed ~key_bits:512 ~ca:privacy_ca () in
+  let ca = CA.create p ~key_bits:512 ca_policy in
+  (match CA.init_ca ca with Ok _ -> () | Error e -> failwith ("init_ca: " ^ e));
+  let keys = Prng.create ~seed:(seed ^ "/csr") in
+  let csrs =
+    List.init 4 (fun i ->
+        {
+          CA.subject = Printf.sprintf "%s-%d.example.com" seed i;
+          subject_key = (Rsa.generate keys ~bits:256).Rsa.pub;
+        })
+  in
+  let certs = List.map (Result.map CA.encode_certificate) (CA.sign_batch ca csrs) in
+  let server = Ssh_auth.create_server p ~key_bits:512 ~users:[ ("alice", "hunter2") ] () in
+  let client =
+    Ssh_auth.Client.create ~rng:(Prng.create ~seed:(seed ^ "/client"))
+      ~ca_key:(Privacy_ca.public_key privacy_ca) ~server_slb_base:p.Platform.slb_base
+      ~key_bits:512 ()
+  in
+  (certs, Ssh_auth.authenticate server client ~user:"alice" ~password:"hunter2")
+
+let test_ca_and_ssh_two_domains () =
+  let seeds = [ "mc-pal-a"; "mc-pal-b" ] in
+  let sequential = List.map ca_and_ssh seeds in
+  let parallel =
+    List.map Domain.join (List.map (fun s -> Domain.spawn (fun () -> ca_and_ssh s)) seeds)
+  in
+  List.iter2
+    (fun (certs, login) (certs', login') ->
+      Alcotest.(check int) "every CSR signed" 4
+        (List.length (List.filter Result.is_ok certs));
+      Alcotest.(check (list (result string string))) "certificates" certs certs';
+      (match login with
+      | Ok (granted, _) -> Alcotest.(check bool) "login granted" true granted
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check (result (pair bool (float 0.0)) string)) "login" login login')
+    sequential parallel
+
+let test_ca_fleet_domains () =
+  let keys =
+    Array.init 2 (fun c ->
+        (Rsa.generate (Prng.create ~seed:(Printf.sprintf "mc-ca-client-%d" c)) ~bits:512)
+          .Rsa.pub)
+  in
+  let run ~domains =
+    let config =
+      {
+        Fleet.default_config with
+        platforms = 4;
+        shards = 2;
+        domains;
+        batch_size = 2;
+        queue_depth = 16;
+        seed = "mc-ca-fleet";
+      }
+    in
+    let fleet = Fleet.create ~config (Workload.ca ~key_bits:512 ca_policy) in
+    Fleet.submit_open_loop fleet ~clients:2 ~per_client:4 ~mean_gap_ms:400.0
+      ~payload:(fun ~client ~seq ->
+        Workload.ca_csr_payload
+          ~subject:(Printf.sprintf "c%d-%d.example.com" client seq)
+          ~subject_key:keys.(client))
+      ();
+    Fleet.run fleet;
+    (Fleet.dispositions fleet, Fleet.summary fleet)
+  in
+  let d1, s1 = run ~domains:1 in
+  let d2, s2 = run ~domains:2 in
+  List.iter
+    (fun ((r : Request.t), d) ->
+      match d with
+      | Request.Completed c -> (
+          match Workload.decode_ca_output c.Request.output with
+          | Ok (cert, issuer) ->
+              Alcotest.(check bool) "certificate verifies" true
+                (CA.verify_certificate ~ca_key:issuer cert)
+          | Error e -> Alcotest.failf "request %d: %s" r.Request.id e)
+      | d -> Alcotest.failf "request %d: %s" r.Request.id (Request.disposition_name d))
+    d1;
+  Alcotest.(check int) "all eight served" 8 (List.length d1);
+  Alcotest.(check bool) "dispositions identical" true (d1 = d2);
+  Alcotest.(check bool) "summaries identical" true (s1 = s2)
 
 (* --- sharded fleet ---------------------------------------------------- *)
 
@@ -436,6 +537,9 @@ let () =
             test_sha_scratch_two_domains;
           Alcotest.test_case "memo eviction keeps 65-image set warm" `Quick
             test_eviction_keeps_working_set_warm;
+          Alcotest.test_case "CA + SSH: 2 domains = sequential" `Quick
+            test_ca_and_ssh_two_domains;
+          Alcotest.test_case "CA fleet: 1 vs 2 domains agree" `Quick test_ca_fleet_domains;
         ] );
       ( "sharded fleet",
         [

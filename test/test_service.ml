@@ -493,7 +493,7 @@ let hello_pal =
 let test_os_busy_distinction () =
   let p = Platform.create ~seed:"busy" ~key_bits:512 () in
   (* nothing written: permanent *)
-  (match Session.execute_from_sysfs p () with
+  (match Session.execute_from_sysfs p ~pal:(Lazy.force hello_pal) () with
   | Error (Session.Os_busy { msg; _ } as e) ->
       Alcotest.(check bool) "names the missing SLB" true
         (String.length msg >= 6 && String.sub msg 0 6 = "no SLB");
@@ -501,7 +501,7 @@ let test_os_busy_distinction () =
   | _ -> Alcotest.fail "expected Os_busy");
   (* mid-session: transient, and reported as such even with no SLB entry *)
   Scheduler.suspend p.Platform.scheduler;
-  (match Session.execute_from_sysfs p () with
+  (match Session.execute_from_sysfs p ~pal:(Lazy.force hello_pal) () with
   | Error (Session.Os_busy { msg; transient } as e) ->
       Alcotest.(check bool) "names the running session" true
         (String.length msg >= 11 && String.sub msg 0 11 = "mid-session");

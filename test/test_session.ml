@@ -240,23 +240,23 @@ let test_execute_from_sysfs () =
   let p = make_platform () in
   let fs = p.Platform.sysfs in
   (* nothing written yet *)
-  (match Session.execute_from_sysfs p () with
+  (match Session.execute_from_sysfs p ~pal:hello () with
   | Error (Session.Os_busy _) -> ()
   | _ -> Alcotest.fail "missing slb accepted");
   let image = Builder.build ~flavor:Builder.Optimized hello in
   Flicker_os.Sysfs.write fs ~path:"slb" image.Builder.bytes;
   Flicker_os.Sysfs.write fs ~path:"inputs" "sysfs-world";
   Flicker_os.Sysfs.write fs ~path:"control" "1";
-  (match Session.execute_from_sysfs p () with
+  (match Session.execute_from_sysfs p ~pal:hello () with
   | Error e -> Alcotest.failf "sysfs session: %a" Session.pp_error e
   | Ok outcome ->
       Alcotest.(check string) "outputs" "Hello, sysfs-world" outcome.Session.outputs;
       Alcotest.(check (option string)) "outputs entry" (Some "Hello, sysfs-world")
         (Flicker_os.Sysfs.read fs ~path:"outputs"));
-  (* standard-flavor blobs are recognized from the header too *)
+  (* the image the application wrote names its flavor *)
   let std = Builder.build ~flavor:Builder.Standard hello in
   Flicker_os.Sysfs.write fs ~path:"slb" std.Builder.bytes;
-  (match Session.execute_from_sysfs p () with
+  (match Session.execute_from_sysfs p ~pal:hello () with
   | Error e -> Alcotest.failf "std sysfs session: %a" Session.pp_error e
   | Ok outcome ->
       Alcotest.(check string) "std measured length matches"
@@ -264,9 +264,36 @@ let test_execute_from_sysfs () =
         outcome.Session.pcr17_during);
   (* a corrupt blob is rejected before any launch *)
   Flicker_os.Sysfs.write fs ~path:"slb" (String.make Flicker_slb.Layout.slb_size '\xff');
-  match Session.execute_from_sysfs p () with
+  match Session.execute_from_sysfs p ~pal:hello () with
   | Error (Session.Os_busy _) | Error Session.Unknown_pal -> ()
   | _ -> Alcotest.fail "corrupt sysfs blob accepted"
+
+let test_sysfs_image_of_other_pal () =
+  (* the application hands the PAL it wrote; an image of another PAL
+     launches nothing *)
+  let p = make_platform () in
+  let other = Pal.define ~name:"session-other" (fun env -> Pal_env.set_output env "other") in
+  Flicker_os.Sysfs.write p.Platform.sysfs ~path:"slb" (Builder.build other).Builder.bytes;
+  (match Session.execute_from_sysfs p ~pal:hello () with
+  | Error Session.Unknown_pal -> ()
+  | Error e -> Alcotest.failf "unexpected error: %a" Session.pp_error e
+  | Ok _ -> Alcotest.fail "ran the handed PAL on another PAL's image");
+  Alcotest.(check int) "nothing launched" 0 p.Platform.sessions_run
+
+let test_standard_size_edges () =
+  (* 4 + 320 + 4412 bytes measure exactly as much as the optimized stub;
+     the session knows the flavor it built and must not mistake one for
+     the other *)
+  let p = make_platform () in
+  List.iter
+    (fun size ->
+      let pal =
+        Pal.define ~name:(Printf.sprintf "session-std-%d" size) ~app_code_size:size
+          (fun env -> Pal_env.set_output env "ran")
+      in
+      let o = run ~flavor:Builder.Standard p pal in
+      Alcotest.(check string) (Printf.sprintf "%d bytes ran" size) "ran" o.Session.outputs)
+    [ 4411; 4412; 4413 ]
 
 let test_sessions_increment () =
   let p = make_platform () in
@@ -307,6 +334,8 @@ let () =
           Alcotest.test_case "inputs via memory" `Quick test_inputs_visible_to_pal;
           Alcotest.test_case "session count" `Quick test_sessions_increment;
           Alcotest.test_case "sysfs entry point" `Quick test_execute_from_sysfs;
+          Alcotest.test_case "sysfs image of other pal" `Quick test_sysfs_image_of_other_pal;
+          Alcotest.test_case "standard size edges" `Quick test_standard_size_edges;
           Alcotest.test_case "input validation" `Quick test_input_validation;
           Alcotest.test_case "output page limit" `Quick test_output_page_limit;
         ] );

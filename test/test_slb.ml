@@ -51,9 +51,12 @@ let test_catalog_figure6 () =
 
 let test_pal_define_and_registry () =
   let pal = Pal.define ~name:"registry-test" ~modules:[ Pal.Tpm_driver ] (fun _ -> ()) in
-  Alcotest.(check bool) "found by code" true (Pal.find_by_code (Pal.linked_code pal) <> None);
-  Alcotest.(check bool) "not found for corrupt code" true
-    (Pal.find_by_code (Pal.linked_code pal ^ "x") = None);
+  (* the linked code is stored once: module code, then the app code *)
+  Alcotest.(check int) "linked size" (845 + 512) (String.length pal.Pal.code);
+  Alcotest.(check string) "module code first" (Pal.module_code Pal.Tpm_driver)
+    (String.sub pal.Pal.code 0 845);
+  Alcotest.(check string) "same code for the same definition" pal.Pal.code
+    (Pal.define ~name:"registry-test" ~modules:[ Pal.Tpm_driver ] (fun _ -> ())).Pal.code;
   Alcotest.(check bool) "wants driver" true (Pal.wants pal Pal.Tpm_driver);
   Alcotest.(check bool) "no crypto" false (Pal.wants pal Pal.Crypto);
   (* TCB accounting: SLB core + TPM driver *)
@@ -88,15 +91,15 @@ let test_builder_standard () =
     (Char.code b.[0] lor (Char.code b.[1] lsl 8));
   Alcotest.(check int) "header entry" 4 (Char.code b.[2] lor (Char.code b.[3] lsl 8));
   (* PAL code is recoverable *)
-  Alcotest.(check string) "extract pal code" (Pal.linked_code pal)
-    (Result.get_ok (Builder.pal_code_of_window image.Builder.bytes))
+  Alcotest.(check string) "extract pal code" pal.Pal.code
+    (Result.get_ok (Builder.pal_code_of_window ~flavor:Builder.Standard image.Builder.bytes))
 
 let test_builder_optimized () =
   let pal = Pal.define ~name:"builder-opt" ~app_code_size:1000 (fun _ -> ()) in
   let image = Builder.build ~flavor:Builder.Optimized pal in
   Alcotest.(check int) "measured = stub" 4736 image.Builder.measured_length;
-  Alcotest.(check string) "extract pal code" (Pal.linked_code pal)
-    (Result.get_ok (Builder.pal_code_of_window image.Builder.bytes));
+  Alcotest.(check string) "extract pal code" pal.Pal.code
+    (Result.get_ok (Builder.pal_code_of_window ~flavor:Builder.Optimized image.Builder.bytes));
   let std, opt = Builder.slb_sizes pal in
   Alcotest.(check int) "standard size" (4 + 320 + 1000) std;
   Alcotest.(check int) "optimized size" 4736 opt
@@ -113,10 +116,12 @@ let test_builder_initialize () =
 
 let test_builder_window_errors () =
   Alcotest.(check bool) "short window" true
-    (Result.is_error (Builder.pal_code_of_window "short"));
+    (Result.is_error (Builder.pal_code_of_window ~flavor:Builder.Optimized "short"));
   let junk = String.make Layout.slb_size '\xff' in
   Alcotest.(check bool) "corrupt header" true
-    (Result.is_error (Builder.pal_code_of_window junk))
+    (Result.is_error (Builder.pal_code_of_window ~flavor:Builder.Standard junk));
+  Alcotest.(check bool) "corrupt inner header" true
+    (Result.is_error (Builder.pal_code_of_window ~flavor:Builder.Optimized junk))
 
 (* --- allocator --- *)
 

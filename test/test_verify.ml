@@ -235,14 +235,40 @@ let test_real_sessions_conform () =
 let test_session_gate_accepts () =
   (* the in-session conformance gate: enabled, a clean session returns
      normally instead of raising *)
-  Session.set_conformance_checking true;
-  Fun.protect
-    ~finally:(fun () -> Session.set_conformance_checking false)
-    (fun () ->
-      let p = make_platform ~seed:"verify-gate" in
-      Alcotest.(check bool) "gate on" true (Session.conformance_checking ());
-      let o = run_session p "vg" "gated" in
-      Alcotest.(check string) "ran" "gated" o.Session.outputs)
+  let p = make_platform ~seed:"verify-gate" in
+  p.Platform.check_conformance <- true;
+  let o = run_session p "vg" "gated" in
+  Alcotest.(check string) "ran" "gated" o.Session.outputs
+
+let skipped p =
+  List.assoc_opt "session.conformance_skipped"
+    (Flicker_obs.Metrics.counters p.Platform.machine.Machine.metrics)
+
+let test_session_gate_counts_skips () =
+  (* a PAL that logs more events than the 4,096-event ring holds evicts
+     its own session's start: the gate skips the session, counts the
+     skip, and does not raise *)
+  let noisy =
+    Pal.define ~name:"vg-noisy" (fun env ->
+        for i = 1 to 5000 do
+          Machine.log_event env.Pal_env.machine (Printf.sprintf "noise %d" i)
+        done;
+        Pal_env.set_output env "noisy")
+  in
+  let run p =
+    match Session.execute p ~pal:noisy () with
+    | Ok o -> Alcotest.(check string) "ran" "noisy" o.Session.outputs
+    | Error e -> Alcotest.failf "noisy session: %a" Session.pp_error e
+  in
+  let gated = make_platform ~seed:"verify-gate-skip" in
+  gated.Platform.check_conformance <- true;
+  run gated;
+  Alcotest.(check (option int)) "counted once" (Some 1) (skipped gated);
+  ignore (run_session gated "vg-after" "clean");
+  Alcotest.(check (option int)) "a checked session is not a skip" (Some 1) (skipped gated);
+  let ungated = make_platform ~seed:"verify-gate-off" in
+  run ungated;
+  Alcotest.(check (option int)) "no counter with the gate off" None (skipped ungated)
 
 let test_replay_guard_conforms () =
   (* the NV-based replay guard defines a counter space then seals (which
@@ -616,6 +642,8 @@ let () =
           Alcotest.test_case "real sessions conform" `Quick test_real_sessions_conform;
           Alcotest.test_case "session gate accepts clean runs" `Quick
             test_session_gate_accepts;
+          Alcotest.test_case "session gate counts skips" `Quick
+            test_session_gate_counts_skips;
           Alcotest.test_case "replay guard conforms" `Quick test_replay_guard_conforms;
           Alcotest.test_case "dma during PAL: denied + traced + conformant" `Quick
             test_dma_during_pal_denied_and_traced;
