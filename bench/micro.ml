@@ -9,6 +9,8 @@ open Flicker_core
 module Prng = Flicker_crypto.Prng
 module Sha1 = Flicker_crypto.Sha1
 module Rsa = Flicker_crypto.Rsa
+module Pkcs1 = Flicker_crypto.Pkcs1
+module Hash = Flicker_crypto.Hash
 module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
 module Machine = Flicker_hw.Machine
@@ -77,6 +79,12 @@ let ca_server = lazy begin
 
 let distcomp_client = lazy (Distcomp.create_client (Lazy.force platform))
 
+(* e = 65537, so verify takes the short-exponent path *)
+let rsa_signed =
+  lazy
+    (let key = Rsa.generate (Prng.create ~seed:"micro-rsa") ~bits:512 in
+     (key, Pkcs1.sign key Hash.SHA1 "micro"))
+
 let tests =
   [
     Test.make ~name:"table1:rootkit-style session (64KB hash PAL)"
@@ -130,6 +138,15 @@ let tests =
     Test.make ~name:"crypto:rsa-512 keygen"
       (let rng = Prng.create ~seed:"micro-keygen" in
        Staged.stage (fun () -> ignore (Rsa.generate rng ~bits:512)));
+    Test.make ~name:"crypto:rsa-512 sign"
+      (Staged.stage (fun () ->
+           let key, _ = Lazy.force rsa_signed in
+           ignore (Pkcs1.sign key Hash.SHA1 "micro")));
+    Test.make ~name:"crypto:rsa-512 verify"
+      (Staged.stage (fun () ->
+           let key, signature = Lazy.force rsa_signed in
+           if not (Pkcs1.verify key.Rsa.pub Hash.SHA1 ~msg:"micro" ~signature) then
+             failwith "signature rejected"));
     Test.make ~name:"tpm:seal+unseal"
       (let p = Lazy.force platform in
        let rng = Prng.create ~seed:"micro-seal" in

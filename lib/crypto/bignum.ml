@@ -123,6 +123,10 @@ let divmod_small a d =
   done;
   (normalize q, !r)
 
+(* [(x + y) mod d] for [x, y < d], without forming a value above [d]: the
+   plain sum overflows once [d] passes [max_int / 2]. *)
+let add_mod x y d = if x >= d - y then x - (d - y) else x + y
+
 let rem_int a d =
   if d <= 0 then raise Division_by_zero;
   if d < base then begin
@@ -134,14 +138,13 @@ let rem_int a d =
   end
   else begin
     (* Modulus wider than one limb: (r*2^26 + limb) may overflow, so
-       double-and-reduce bit by bit. d < 2^62 keeps each step in range. *)
+       double-and-reduce bit by bit. Each limb is below [d] here. *)
     let r = ref 0 in
     for i = Array.length a - 1 downto 0 do
-      let x = ref (!r mod d) in
       for _ = 1 to limb_bits do
-        x := !x * 2 mod d
+        r := add_mod !r !r d
       done;
-      r := (!x + (a.(i) mod d)) mod d
+      r := add_mod !r a.(i) d
     done;
     !r
   end
@@ -272,10 +275,110 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+(* Montgomery arithmetic modulo an odd [m] of [n] limbs, with R = 2^(26n).
+   Values in Montgomery form are fixed-width arrays of [n] limbs holding
+   [x*R mod m], always below [m]. *)
+
+(* [-m0^-1 mod 2^26] for odd [m0], by Newton's iteration: [m0] is its own
+   inverse mod 8 and each step doubles the number of correct low bits.
+   Products wrap mod 2^63, which keeps the low 26 bits exact. *)
+let neg_inv_limb m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land mask
+  done;
+  (base - !x) land mask
+
+(* [r <- a*b*R^-1 mod m] by CIOS with the multiply and reduce rows fused:
+   each row adds [a*b.(i) + u*m] to the accumulator [t] (n+1 limbs of
+   scratch), where [u] makes its low limb zero, and shifts it down one
+   limb. A row's terms stay below 2^54, so carries propagate within the
+   row. [t] ends below 2m, and one conditional subtraction reduces it.
+   [r] may alias [a] or [b]: it is written only after the last row. *)
+let mont_mul m minv t a b r =
+  let n = Array.length m in
+  Array.fill t 0 (n + 1) 0;
+  for i = 0 to n - 1 do
+    let bi = b.(i) in
+    let s = t.(0) + (a.(0) * bi) in
+    let u = (s land mask) * minv land mask in
+    let c = ref ((s + (u * m.(0))) lsr limb_bits) in
+    for j = 1 to n - 1 do
+      let s = t.(j) + (a.(j) * bi) + (u * m.(j)) + !c in
+      t.(j - 1) <- s land mask;
+      c := s lsr limb_bits
+    done;
+    let s = t.(n) + !c in
+    t.(n - 1) <- s land mask;
+    t.(n) <- s lsr limb_bits
+  done;
+  let i = ref (n - 1) in
+  while !i >= 0 && t.(!i) = m.(!i) do
+    decr i
+  done;
+  if t.(n) > 0 || !i < 0 || t.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for j = 0 to n - 1 do
+      let d = t.(j) - m.(j) - !borrow in
+      r.(j) <- d land mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t 0 r 0 n
+
+(* Window width for an exponent of [nbits] bits. Short exponents such as
+   e = 65537 go bit by bit, where a table would cost more than it saves. *)
+let window_bits nbits =
+  if nbits <= 32 then 1 else if nbits <= 128 then 3 else if nbits <= 512 then 4 else 5
+
+(* Bits [pos, pos+w) of [e] as an int. *)
+let window e pos w =
+  let d = ref 0 in
+  for j = w - 1 downto 0 do
+    d := (!d lsl 1) lor if test_bit e (pos + j) then 1 else 0
+  done;
+  !d
+
+(* Left-to-right fixed-window exponentiation in Montgomery form. *)
+let mont_pow b exp m =
+  let n = Array.length m in
+  let minv = neg_inv_limb m.(0) in
+  let widen v =
+    let r = Array.make n 0 in
+    Array.blit v 0 r 0 (Array.length v);
+    r
+  in
+  let t = Array.make (n + 1) 0 in
+  let x = widen (rem (shift_left b (limb_bits * n)) m) in
+  let nbits = bit_length exp in
+  let w = window_bits nbits in
+  (* table.(i) = b^i in Montgomery form; entry 0 is never read *)
+  let table = Array.make (1 lsl w) x in
+  for i = 2 to (1 lsl w) - 1 do
+    let r = Array.make n 0 in
+    mont_mul m minv t table.(i - 1) x r;
+    table.(i) <- r
+  done;
+  let windows = (nbits + w - 1) / w in
+  (* the top window holds the exponent's top bit, so it is nonzero *)
+  let acc = Array.copy table.(window exp ((windows - 1) * w) w) in
+  for k = windows - 2 downto 0 do
+    for _ = 1 to w do
+      mont_mul m minv t acc acc acc
+    done;
+    let d = window exp (k * w) w in
+    if d > 0 then mont_mul m minv t acc table.(d) acc
+  done;
+  mont_mul m minv t acc (widen one) acc;
+  normalize acc
+
 let mod_pow ~base:b ~exp ~modulus =
   if is_zero modulus then raise Division_by_zero;
   if equal modulus one then zero
+  else if is_zero exp then one
+  else if not (is_even modulus) then mont_pow b exp modulus
   else begin
+    (* Montgomery reduction needs an odd modulus: square-and-multiply *)
     let b = rem b modulus in
     let result = ref one and acc = ref b in
     let nbits = bit_length exp in
@@ -318,21 +421,33 @@ let mod_inverse a m =
     | other -> other
   end
 
+(* Byte [k] (from the least significant end) covers bits [8k, 8k+8), which
+   start at bit [8k mod 26] of limb [8k / 26] and spill into the next limb
+   when that offset is above 18. *)
 let of_bytes_be s =
-  let r = ref zero in
-  String.iter (fun c -> r := add_int (shift_left !r 8) (Char.code c)) s;
-  !r
-
-let to_bytes_be ?pad_to a =
-  let nbytes = (bit_length a + 7) / 8 in
-  let b = Bytes.make nbytes '\000' in
-  let v = ref a in
-  for i = nbytes - 1 downto 0 do
-    Bytes.set b i (Char.chr (rem_int !v 256));
-    v := shift_right !v 8
+  let len = String.length s in
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  for k = 0 to len - 1 do
+    let byte = Char.code s.[len - 1 - k] in
+    let limb = 8 * k / limb_bits and off = 8 * k mod limb_bits in
+    r.(limb) <- r.(limb) lor ((byte lsl off) land mask);
+    if off > limb_bits - 8 then r.(limb + 1) <- r.(limb + 1) lor (byte lsr (limb_bits - off))
   done;
-  let s = Bytes.unsafe_to_string b in
-  match pad_to with None -> s | Some n -> Util.pad_left '\000' n s
+  normalize r
+
+let to_bytes_be ?(pad_to = 0) a =
+  let nbytes = max pad_to ((bit_length a + 7) / 8) in
+  let n = Array.length a in
+  String.init nbytes (fun i ->
+      let k = nbytes - 1 - i in
+      let limb = 8 * k / limb_bits and off = 8 * k mod limb_bits in
+      if limb >= n then '\000'
+      else begin
+        let hi =
+          if off > limb_bits - 8 && limb + 1 < n then a.(limb + 1) lsl (limb_bits - off) else 0
+        in
+        Char.chr (((a.(limb) lsr off) lor hi) land 0xff)
+      end)
 
 let of_hex h =
   let h = if String.length h mod 2 = 1 then "0" ^ h else h in

@@ -3,7 +3,8 @@
     The RSA implementation needs multi-precision arithmetic and no bignum
     library is available in the sealed environment, so this module provides
     one from scratch: little-endian arrays of 26-bit limbs, with schoolbook
-    multiplication and Knuth Algorithm D division. All values are
+    multiplication, Knuth Algorithm D division, and Montgomery
+    multiplication for exponentiation modulo an odd number. All values are
     non-negative; subtraction of a larger value raises. *)
 
 type t
@@ -37,8 +38,8 @@ val rem : t -> t -> t
 val add_int : t -> int -> t
 val mul_int : t -> int -> t
 val rem_int : t -> int -> int
-(** Remainder by a small positive int, computed without allocation of a
-    full quotient. *)
+(** Remainder by a positive int (any up to [max_int]), computed without
+    allocation of a full quotient. *)
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
@@ -48,7 +49,12 @@ val bit_length : t -> int
 val test_bit : t -> int -> bool
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
-(** Modular exponentiation by square-and-multiply.
+(** Modular exponentiation. An odd modulus (every RSA, Miller-Rabin and
+    ElGamal modulus) takes left-to-right windowed exponentiation over
+    Montgomery multiplication, with the window width set by the exponent's
+    length: bit by bit up to 32 bits (e = 65537), 4 bits for a 256-bit
+    exponent. An even modulus takes square-and-multiply with a division
+    after every product.
     @raise Division_by_zero if [modulus] is zero. *)
 
 val gcd : t -> t -> t
@@ -58,11 +64,13 @@ val mod_inverse : t -> t -> t option
     [gcd a m = 1], otherwise [None]. *)
 
 val of_bytes_be : string -> t
-(** Interpret a big-endian byte string as a natural number. *)
+(** Interpret a big-endian byte string as a natural number, in time linear
+    in its length. *)
 
 val to_bytes_be : ?pad_to:int -> t -> string
 (** Minimal big-endian encoding, optionally left-padded with zero bytes to
-    [pad_to] bytes. The encoding of [zero] without padding is [""]. *)
+    [pad_to] bytes, in time linear in its length. The encoding of [zero]
+    without padding is [""]. *)
 
 val of_hex : string -> t
 val to_hex : t -> string

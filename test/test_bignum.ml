@@ -62,7 +62,14 @@ let test_rem_int () =
   let d = (1 lsl 40) + 123 in
   let a = dec "123456789012345678901234567890" in
   let _, r = B.divmod a (B.of_int d) in
-  Alcotest.(check int) "wide" (B.to_int r) (B.rem_int a d)
+  Alcotest.(check int) "wide" (B.to_int r) (B.rem_int a d);
+  (* divisors above 2^61, where doubling a remainder overflows an int *)
+  let a = dec "123456789012345678901234567890123456789" in
+  List.iter
+    (fun d ->
+      let _, r = B.divmod a (B.of_int d) in
+      Alcotest.(check int) (Printf.sprintf "divisor %d" d) (B.to_int r) (B.rem_int a d))
+    [ (1 lsl 61) + 3; max_int - 10; max_int ]
 
 let test_shifts () =
   check_dec "shl" "1024" (B.shift_left B.one 10);
@@ -93,6 +100,98 @@ let test_mod_pow () =
   check_dec "big modpow" "351847868703573052863291"
     (B.mod_pow ~base:B.two ~exp:(B.of_int 1000)
        ~modulus:(dec "604462909807314587353111"))
+
+let hex = B.of_hex
+let check_hex msg expected v = Alcotest.(check string) msg expected (B.to_hex v)
+
+(* Expected values from python3, one row at a time:
+     python3 -c 'print(hex(pow(B, E, M)))'
+   with B, E and M the row's base, exponent and modulus as 0x literals.
+   Each base is 64 bits wider than its modulus; each x is a full-width
+   exponent. *)
+let test_mod_pow_known () =
+  List.iter
+    (fun (bits, m, b, x, pow_e, pow_x) ->
+      let m = hex m and b = hex b in
+      check_hex (Printf.sprintf "%d-bit e=65537" bits) pow_e
+        (B.mod_pow ~base:b ~exp:(B.of_int 65537) ~modulus:m);
+      check_hex (Printf.sprintf "%d-bit full exponent" bits) pow_x
+        (B.mod_pow ~base:b ~exp:(hex x) ~modulus:m))
+    [
+      ( 256,
+        "fcdbaa28cd9040a22708af41056dd45851cf55dde1529b72d97be23492f6c555",
+        "8e20ee5e986bd2b053d4caea5987557ee71d56155c046b711ca728f797e05b12b9f2263e64789cf9",
+        "b11f57211e45631451cab9ff02a653f7967edbe698d1d4a3757da76e7b02794a",
+        "c07088fde882acb97baa580135bb5ba98b01dc13c3e5b7d59aaf77608246da33",
+        "e11ad6c24ac5587222cfba5c17c153d27af35d36dd503c8ed6f954b5a8e1675f" );
+      ( 512,
+        "fd6d574e66b4b34392adde75ad77ff33657b33c91c503235d0a9039c3dd1c18a\
+         4c35c40e6aefa612dc987cf3322ac5527c43037c441d98f0fe27414f07d1ff9d",
+        "ebae5773d7714a1dda7458aeb2f1a6aaf8cf152478b366adf4c224fa2d5ea677\
+         84a2b3a74450d0e678df473c47e40fcdecf82bbad693518beb2dbfcbb4287cf3\
+         a114334ff897fe99",
+        "e9b531b1b1c58c85c66eeb6117a05d6b97552c55a77a9d3eef3f351ef219b254\
+         92da43c14d2cdcbd2bee590554b5fea92c32ed9fda46441d6f8b039032186832",
+        "bf4cb9fc71c2809565c11e9c8bedf01aafbe98978934ab66909fba707e2f43ba\
+         091dad60595c5101654e461de7bffae02c583ced1d0b6122d6ce04d2d75a8dca",
+        "d48c4dcc2c0a00e55b8fab2d40bb2c196efeca91a2e4fe6f783a3454c5f71227\
+         113b18915f4925546d7a44d9b6c8cccff24a1b13ac04761bc720a4b3de2c2f90" );
+      ( 1024,
+        "eda55ce6fd4aa6e1e12af0c3c9ba6983d28c600c27f23433fb17f319ba58fea6\
+         ed091ab1bc54dd8c8728fe1fd5eaa347cb566fa20a41e4c412b56510201276db\
+         12af1e404bfef392ab635e19aea31b398a7e79272c739b6acc86c92522cfec8d\
+         d8d8064364864eec4947014253890d21269c95693e5be992f2eb09a93f47f26b",
+        "b2d01896e97f658096f752f410096c8c292765c7ef1f5d15b5810de071924a02\
+         cc3cebd83890c0aa2dd03a7b74ee872e70dd635aeb1ebaca7a7e17b02f81e955\
+         86993fdb357d886d14bfad59e435622ed3a7e0456e61d57a73820b8f30654074\
+         d96c1907e7434e0bbe02eb0048c154bd48707f045a3f2447c022cec3691538ff\
+         df1393bdf779324c",
+        "e4910acc41ebe2b03d0b83ba0180255bd899e7fd754f1a74418b658a980358c4\
+         8784fe0ad0f0ace3428c1c87949369556b1d2602a5a93f7e4504b2d36ec97ad8\
+         8fc5d69955b9c9005a146d7df5a2631a64141ab73cb996db88ae70bf56df2e83\
+         f77c9820426d507fb5ba4d1e23ef49cbeb6760aff1710d010c964f48696b3903",
+        "685e0e75111beda273acfdb2bbb4ecbba42d8113007c6665111ab1f2b2f30086\
+         e6efee60841136b4f7f3ae485d22ad4e2de386fc504f15a77b344d7fa38363f0\
+         f22ea5df0c721bf4ff29664dfab2c54a200cde25c2e61d64e7be15951faa60d0\
+         3ef8a5bf0ec1b6cb8e161fd659149949b9d5afd1d45668cf43c4ec96dee3661e",
+        "09507f0549c07e5228ba90d610a581439d23dafcd9f26ac01d938c3fb395568a\
+         84d7f22952fa895726b78594f5eb41132e71b16365deb97d4451633f80ab832f\
+         3b88f2be21f3998cae3b1170293e2d429a87c313bf165435de9422017b675d88\
+         d4213ae2e4cadda824324c90c0edf343d465334da304c28247930a913cb1c410" );
+    ]
+
+(* Edge inputs, expected values from python3's pow as above. 3^2 mod 9
+   reaches zero from nonzero factors, so a Montgomery product can come
+   out equal to the modulus and must still be reduced. 0x3fffffb is a
+   one-limb modulus; 2^104-1 has four limbs of 2^26-1, so products land
+   in [m, 2m) and take the final subtraction. *)
+let test_mod_pow_edges () =
+  let b = hex "8e20ee5e986bd2b053d4caea5987557ee71d56155c046b711ca7" in
+  let x = hex "b11f57211e45631451cab9ff02a6" in
+  let ones = B.sub (B.shift_left B.one 104) B.one in
+  let pow2 k = B.shift_left B.one k in
+  List.iter
+    (fun (msg, base, exp, modulus, expected) ->
+      check_hex msg expected (B.mod_pow ~base ~exp ~modulus))
+    [
+      ("mod 1", B.of_int 5, B.of_int 5, B.one, "00");
+      ("mod 1, exp 0", B.zero, B.zero, B.one, "00");
+      ("mod 3", B.two, B.of_int 5, B.of_int 3, "02");
+      ("mod 3, exp 0", B.of_int 7, B.zero, B.of_int 3, "01");
+      ("mod 3, base 3", B.of_int 3, B.of_int 9, B.of_int 3, "00");
+      ("zero divisor", B.of_int 3, B.two, B.of_int 9, "00");
+      ("one limb, e=65537", b, B.of_int 65537, hex "3fffffb", "02a9c17f");
+      ("one limb, full exponent", b, x, hex "3fffffb", "fd4c18");
+      ("one limb, exp 2^40", b, pow2 40, hex "3fffffb", "da91e5");
+      ("all-ones limbs", b, x, ones, "31cb35a3ef1dd9f25b7c3a16a0");
+      ("all-ones limbs, e=65537", b, B.of_int 65537, ones, "b41bc3356f70fbc8456fc1c8da");
+      ("all-ones limbs, base m-1", B.sub ones B.one, x, ones, "01");
+      ("all-ones limbs, exp 2^100", b, pow2 100, ones, "9de563c022f71dfa5db13edf71");
+      ("exp 1", b, B.one, ones, "15766d45b5c1e80c58403c0701");
+      ("exp 0", b, B.zero, ones, "01");
+      ("base 0", B.zero, x, ones, "00");
+      ("base = modulus", ones, x, ones, "00");
+    ]
 
 let test_mod_pow_reference () =
   (* independent check against repeated multiplication *)
@@ -198,6 +297,66 @@ let prop_shift =
     (QCheck.pair arb_bignum (QCheck.int_range 0 80)) (fun (v, k) ->
       B.equal (B.shift_left v k) (B.mul v (B.mod_pow ~base:B.two ~exp:(B.of_int k) ~modulus:(B.shift_left B.one 200))))
 
+(* Reference exponentiation: right-to-left square-and-multiply with a
+   full division after every product. *)
+let ref_mod_pow b e m =
+  if B.equal m B.one then B.zero
+  else begin
+    let b = B.rem b m in
+    let result = ref B.one and acc = ref b in
+    let nbits = B.bit_length e in
+    for i = 0 to nbits - 1 do
+      if B.test_bit e i then result := B.rem (B.mul !result !acc) m;
+      if i < nbits - 1 then acc := B.rem (B.mul !acc !acc) m
+    done;
+    !result
+  end
+
+(* A value of exactly [bits] bits; zero when [bits = 0]. *)
+let gen_exact_bits bits st =
+  let rand n = String.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+  if bits = 0 then B.zero
+  else B.add (B.shift_left B.one (bits - 1)) (B.random_bits rand (bits - 1))
+
+let arb_mod_pow =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 1100 >>= fun mbits ->
+      int_range 0 600 >>= fun ebits ->
+      int_range 0 (2 * mbits) >>= fun bbits st ->
+      (gen_exact_bits bbits st, gen_exact_bits ebits st, gen_exact_bits mbits st))
+  in
+  QCheck.make gen ~print:(fun (b, e, m) ->
+      Printf.sprintf "base=%s exp=%s modulus=%s" (B.to_hex b) (B.to_hex e) (B.to_hex m))
+
+let prop_mod_pow =
+  QCheck.Test.make ~name:"mod_pow = square-and-multiply" ~count:200 arb_mod_pow
+    (fun (b, e, m) -> B.equal (B.mod_pow ~base:b ~exp:e ~modulus:m) (ref_mod_pow b e m))
+
+(* Reference decoding: one shift-and-add per byte. *)
+let ref_of_bytes s =
+  let r = ref B.zero in
+  String.iter (fun c -> r := B.add_int (B.shift_left !r 8) (Char.code c)) s;
+  !r
+
+(* 0-160 bytes, some with leading zero bytes; the fixed lengths sit at and
+   around limb boundaries (13 bytes = 4 limbs, 26 bytes = 8 limbs) and at
+   RSA widths. *)
+let arb_be_bytes =
+  let gen =
+    QCheck.Gen.(
+      frequency [ (3, int_range 0 160); (2, oneofl [ 12; 13; 14; 25; 26; 27; 32; 64; 128 ]) ]
+      >>= fun n ->
+      int_range 0 3 >>= fun zeros ->
+      map (String.mapi (fun i c -> if i < zeros then '\000' else c)) (string_size (return n)))
+  in
+  QCheck.make gen ~print:Util.to_hex
+
+let prop_bytes_reference =
+  QCheck.Test.make ~name:"bytes vs shift-and-add" ~count:300 arb_be_bytes (fun s ->
+      let v = B.of_bytes_be s in
+      B.equal v (ref_of_bytes s) && B.to_bytes_be ~pad_to:(String.length s) v = s)
+
 let () =
   Alcotest.run "bignum"
     [
@@ -214,6 +373,8 @@ let () =
           Alcotest.test_case "bit ops" `Quick test_bits;
           Alcotest.test_case "mod_pow" `Quick test_mod_pow;
           Alcotest.test_case "mod_pow vs naive" `Quick test_mod_pow_reference;
+          Alcotest.test_case "mod_pow known answers" `Quick test_mod_pow_known;
+          Alcotest.test_case "mod_pow edge inputs" `Quick test_mod_pow_edges;
           Alcotest.test_case "gcd / modinv" `Quick test_gcd_modinv;
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "decimal errors" `Quick test_decimal_errors;
@@ -228,5 +389,7 @@ let () =
             prop_bytes_roundtrip;
             prop_decimal_roundtrip;
             prop_shift;
+            prop_mod_pow;
+            prop_bytes_reference;
           ] );
     ]
