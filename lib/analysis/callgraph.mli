@@ -31,9 +31,6 @@ val unreachable : t -> root:string -> string list
 (** Defined functions NOT reachable from [root]: dead code that would
     ride along in the PAL image. *)
 
-val sccs : t -> int list list
-(** Strongly connected components (Tarjan), reverse topological order. *)
-
 val recursive_groups : t -> string list list
 (** SCCs that can actually recurse: size > 1, or a direct self-call.
     Recursion is a hazard on the fixed 4 KB PAL stack. *)

@@ -19,7 +19,6 @@ module Interval = struct
   let contains i n = i.lo <= n && n <= i.hi
   let subset a b = b.lo <= a.lo && a.hi <= b.hi
   let equal a b = a.lo = b.lo && a.hi = b.hi
-  let is_top i = i.lo = neg_inf && i.hi = pos_inf
   let finite n = n <> neg_inf && n <> pos_inf
 
   (* saturating bound arithmetic; the _lo/_hi variants resolve an
@@ -129,7 +128,6 @@ module Secrecy = struct
   let public = None
   let join a b = match a with Some _ -> a | None -> b
   let equal (a : t) (b : t) = a = b
-  let is_secret = function Some _ -> true | None -> false
 end
 
 module Env = struct
@@ -152,6 +150,4 @@ module Env = struct
       M.for_all (fun k va -> eq va (get ~default b k)) a
     in
     covers a b && covers b a
-
-  let bindings = M.bindings
 end

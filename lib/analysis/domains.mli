@@ -27,7 +27,6 @@ module Interval : sig
   val contains : t -> int -> bool
   val subset : t -> t -> bool
   val equal : t -> t -> bool
-  val is_top : t -> bool
 
   val binop : Flicker_extract.Extract.binop -> t -> t -> t
   (** Sound transfer for the mini-IR operators: saturating add/sub/mul,
@@ -48,7 +47,6 @@ module Secrecy : sig
   val public : t
   val join : t -> t -> t
   val equal : t -> t -> bool
-  val is_secret : t -> bool
 end
 
 module Env : sig
@@ -67,5 +65,4 @@ module Env : sig
       for a key missing on one side. Used for both join and widen. *)
 
   val equal : eq:('a -> 'a -> bool) -> default:'a -> 'a t -> 'a t -> bool
-  val bindings : 'a t -> (string * 'a) list
 end

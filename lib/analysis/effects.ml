@@ -1,11 +1,5 @@
 type effect_class = Source | Sanitizer | Sink | Zeroizer
 
-let class_name = function
-  | Source -> "secret-source"
-  | Sanitizer -> "sanitizer"
-  | Sink -> "sink"
-  | Zeroizer -> "zeroizer"
-
 let has_prefix p name =
   String.length name >= String.length p && String.sub name 0 (String.length p) = p
 

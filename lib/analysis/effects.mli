@@ -12,9 +12,6 @@ type effect_class =
   | Sink  (** bytes leave the PAL: output page, physical writes outside *)
   | Zeroizer  (** erases secrets before teardown (Section 5.1) *)
 
-val class_name : effect_class -> string
-val builtin : string -> effect_class option
-
 type table
 
 val default : unit -> table

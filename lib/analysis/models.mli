@@ -11,12 +11,6 @@
     indexes a table). They are kept out of {!all} — the shipped set
     must analyze clean — but resolve through {!find}. *)
 
-val hello : unit -> Rules.target
-val rootkit_detector : unit -> Rules.target
-val distcomp : unit -> Rules.target
-val ssh_auth : unit -> Rules.target
-val cert_authority : unit -> Rules.target
-
 val stack_hog : unit -> Rules.target
 val secret_branch : unit -> Rules.target
 

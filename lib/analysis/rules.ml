@@ -6,7 +6,6 @@ module Extract = Flicker_extract.Extract
 type severity = Info | Warning | Error
 
 let severity_name = function Info -> "info" | Warning -> "warning" | Error -> "error"
-let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 type finding = {
   rule : string;
@@ -529,8 +528,6 @@ let rules =
     unresolved_callee_rule;
     dead_function_rule;
   ]
-
-let find_rule id = List.find_opt (fun r -> r.id = id) rules
 
 let make_ctx ?index target =
   let index =

@@ -38,8 +38,6 @@ module Extract = Flicker_extract.Extract
 type severity = Info | Warning | Error
 
 val severity_name : severity -> string
-val severity_rank : severity -> int
-(** 0 = most severe; used for ordering. *)
 
 type finding = {
   rule : string;
@@ -71,14 +69,6 @@ type ctx = {
 type rule = { id : string; title : string; severity : severity; check : ctx -> finding list }
 
 val rules : rule list
-val find_rule : string -> rule option
-
-val module_requires : Pal.module_kind -> Pal.module_kind list
-(** Inter-module dependencies used when deciding whether a linked module
-    is implied by the slice. *)
-
-val implied_modules : Extract.extraction -> Pal.module_kind list
-(** [suggested_modules] closed under {!module_requires}. *)
 
 val run : ?index:Extract.index -> target -> (finding list, string) result
 (** Evaluate every rule. [Error] only when the entry function is not

@@ -138,127 +138,95 @@ let decode_ca_state s =
   | Ok _ -> Error "malformed CA state"
   | Error e -> Error e
 
-let seal_self env data =
-  match Mod_tpm_utils.pcr_read (Pal_env.tpm env) 17 with
-  | Error e -> Error (Flicker_tpm.Tpm_types.error_to_string e)
-  | Ok pcr17 -> (
-      match
-        Mod_tpm_utils.seal_to_pcr17 (Pal_env.tpm env) ~rng:env.Pal_env.rng ~pcr17 data
-      with
-      | Ok blob -> Ok blob
-      | Error e -> Error (Flicker_tpm.Tpm_types.error_to_string e))
+let tpm_error = Flicker_tpm.Tpm_types.error_to_string
 
+(* Each mode answers with the output page's contents, or with an error
+   the PAL reports as "ERROR: ...". *)
 let behavior env =
-  let fail msg = Pal_env.set_output env ("ERROR: " ^ msg) in
-  let with_tpm f =
-    match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
-    | Error e -> fail e
-    | Ok () ->
-        (* release also on exception, or a PAL fault wedges the driver *)
-        Fun.protect
-          ~finally:(fun () -> Mod_tpm_driver.release env.Pal_env.tpm_driver)
-          f
+  let rng = env.Pal_env.rng in
+  let with_tpm = Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver in
+  let seal_state tpm ~priv ~issuer ~count =
+    Result.map_error tpm_error
+      (Mod_tpm_utils.seal_for_self tpm ~rng (encode_ca_state ~priv ~issuer ~count))
   in
-  match Util.decode_fields env.Pal_env.inputs with
-  | Ok [ "keygen"; key_bits; issuer ] ->
-      with_tpm (fun () ->
-          let seed = Mod_tpm_utils.get_random (Pal_env.tpm env) 128 in
-          Prng.reseed env.Pal_env.rng seed;
-          let priv =
-            Mod_crypto.rsa_generate env.Pal_env.machine env.Pal_env.rng
-              ~bits:(int_of_string key_bits)
-          in
-          match seal_self env (encode_ca_state ~priv ~issuer ~count:0) with
-          | Error msg -> fail msg
-          | Ok sdata ->
-              Pal_env.set_output env
-                (Util.encode_fields [ "ok"; Rsa.public_to_string priv.Rsa.pub; sdata ]))
-  | Ok ("sign-batch" :: sdata :: policy_blob :: items) when List.length items mod 2 = 0
-    ->
-      (* one session, one unseal + one reseal, k signatures: the TPM
-         overhead that dominates Section 7.4.2 is paid once per batch *)
-      with_tpm (fun () ->
-          match Mod_tpm_utils.unseal (Pal_env.tpm env) ~rng:env.Pal_env.rng sdata with
-          | Error e -> fail ("unseal: " ^ Flicker_tpm.Tpm_types.error_to_string e)
-          | Ok state_raw -> (
-              match (decode_ca_state state_raw, decode_policy policy_blob) with
-              | Error m, _ -> fail ("state: " ^ m)
-              | _, Error m -> fail ("policy: " ^ m)
-              | Ok (priv, issuer, count), Ok policy -> (
-                  let rec pair = function
-                    | [] -> []
-                    | subject :: key :: rest -> (subject, key) :: pair rest
-                    | [ _ ] -> assert false
-                  in
-                  let count = ref count in
-                  let sign_one (subject, subject_key_raw) =
-                    if not (policy_allows policy ~issued:!count ~subject) then
-                      "E" ^ "policy denies subject " ^ subject
-                    else
-                      match Rsa.public_of_string subject_key_raw with
-                      | exception Invalid_argument m -> "E" ^ "subject key: " ^ m
-                      | subject_key ->
-                          let serial = !count + 1 in
-                          let signature =
-                            Mod_crypto.rsa_sign env.Pal_env.machine priv Hash.SHA1
-                              (cert_payload ~serial ~subject ~key:subject_key ~issuer)
-                          in
-                          count := serial;
-                          "C"
-                          ^ encode_certificate
-                              {
-                                serial;
-                                cert_subject = subject;
-                                cert_key = subject_key;
-                                issuer;
-                                signature;
-                              }
-                  in
-                  let results = List.map sign_one (pair items) in
-                  match seal_self env (encode_ca_state ~priv ~issuer ~count:!count) with
-                  | Error msg -> fail msg
-                  | Ok sdata' ->
-                      Pal_env.set_output env
-                        (Util.encode_fields ("ok" :: sdata' :: results)))))
-  | Ok [ "sign"; sdata; policy_blob; subject; subject_key_raw ] ->
-      with_tpm (fun () ->
-          match Mod_tpm_utils.unseal (Pal_env.tpm env) ~rng:env.Pal_env.rng sdata with
-          | Error e -> fail ("unseal: " ^ Flicker_tpm.Tpm_types.error_to_string e)
-          | Ok state_raw -> (
-              match (decode_ca_state state_raw, decode_policy policy_blob) with
-              | Error m, _ -> fail ("state: " ^ m)
-              | _, Error m -> fail ("policy: " ^ m)
-              | Ok (priv, issuer, count), Ok policy -> (
-                  if not (policy_allows policy ~issued:count ~subject) then
-                    fail ("policy denies subject " ^ subject)
-                  else begin
+  (* the sealed CA state, and the policy the OS passes in beside it *)
+  let open_state tpm sdata policy_blob =
+    match Mod_tpm_utils.unseal tpm ~rng sdata with
+    | Error e -> Error ("unseal: " ^ tpm_error e)
+    | Ok state_raw -> (
+        match (decode_ca_state state_raw, decode_policy policy_blob) with
+        | Error m, _ -> Error ("state: " ^ m)
+        | _, Error m -> Error ("policy: " ^ m)
+        | Ok state, Ok policy -> Ok (state, policy))
+  in
+  let certify priv ~issuer ~serial ~subject subject_key =
+    let signature =
+      Mod_crypto.rsa_sign env.Pal_env.machine priv Hash.SHA1
+        (cert_payload ~serial ~subject ~key:subject_key ~issuer)
+    in
+    { serial; cert_subject = subject; cert_key = subject_key; issuer; signature }
+  in
+  let result =
+    match Util.decode_fields env.Pal_env.inputs with
+    | Ok [ "keygen"; key_bits; issuer ] -> (
+        match int_of_string_opt key_bits with
+        | Some bits when bits >= 16 ->
+            with_tpm (fun tpm ->
+                let seed = Mod_tpm_utils.get_random tpm 128 in
+                Prng.reseed rng seed;
+                let priv = Mod_crypto.rsa_generate env.Pal_env.machine rng ~bits in
+                seal_state tpm ~priv ~issuer ~count:0
+                |> Result.map (fun sdata ->
+                       Util.encode_fields [ "ok"; Rsa.public_to_string priv.Rsa.pub; sdata ]))
+        | _ -> Error ("bad key size: " ^ key_bits))
+    | Ok ("sign-batch" :: sdata :: policy_blob :: items) when List.length items mod 2 = 0
+      ->
+        (* one session, one unseal + one reseal, k signatures: the TPM
+           overhead that dominates Section 7.4.2 is paid once per batch *)
+        with_tpm (fun tpm ->
+            match open_state tpm sdata policy_blob with
+            | Error m -> Error m
+            | Ok ((priv, issuer, count), policy) ->
+                let rec pair = function
+                  | [] -> []
+                  | subject :: key :: rest -> (subject, key) :: pair rest
+                  | [ _ ] -> assert false
+                in
+                let count = ref count in
+                let sign_one (subject, subject_key_raw) =
+                  if not (policy_allows policy ~issued:!count ~subject) then
+                    "E" ^ "policy denies subject " ^ subject
+                  else
                     match Rsa.public_of_string subject_key_raw with
-                    | exception Invalid_argument m -> fail ("subject key: " ^ m)
-                    | subject_key -> (
-                        let serial = count + 1 in
-                        let signature =
-                          Mod_crypto.rsa_sign env.Pal_env.machine priv Hash.SHA1
-                            (cert_payload ~serial ~subject ~key:subject_key ~issuer)
-                        in
-                        let cert =
-                          {
-                            serial;
-                            cert_subject = subject;
-                            cert_key = subject_key;
-                            issuer;
-                            signature;
-                          }
-                        in
-                        match
-                          seal_self env (encode_ca_state ~priv ~issuer ~count:serial)
-                        with
-                        | Error msg -> fail msg
-                        | Ok sdata' ->
-                            Pal_env.set_output env
-                              (Util.encode_fields
-                                 [ "ok"; encode_certificate cert; sdata' ]))
-                  end)))
-  | Ok _ | Error _ -> fail "unknown mode"
+                    | exception Invalid_argument m -> "E" ^ "subject key: " ^ m
+                    | subject_key ->
+                        let cert = certify priv ~issuer ~serial:(!count + 1) ~subject subject_key in
+                        count := cert.serial;
+                        "C" ^ encode_certificate cert
+                in
+                let results = List.map sign_one (pair items) in
+                seal_state tpm ~priv ~issuer ~count:!count
+                |> Result.map (fun sdata' -> Util.encode_fields ("ok" :: sdata' :: results)))
+    | Ok [ "sign"; sdata; policy_blob; subject; subject_key_raw ] ->
+        with_tpm (fun tpm ->
+            match open_state tpm sdata policy_blob with
+            | Error m -> Error m
+            | Ok ((priv, issuer, count), policy) -> (
+                if not (policy_allows policy ~issued:count ~subject) then
+                  Error ("policy denies subject " ^ subject)
+                else
+                  match Rsa.public_of_string subject_key_raw with
+                  | exception Invalid_argument m -> Error ("subject key: " ^ m)
+                  | subject_key ->
+                      let cert = certify priv ~issuer ~serial:(count + 1) ~subject subject_key in
+                      seal_state tpm ~priv ~issuer ~count:cert.serial
+                      |> Result.map (fun sdata' ->
+                             Util.encode_fields [ "ok"; encode_certificate cert; sdata' ])))
+    | Ok _ | Error _ -> Error "unknown mode"
+  in
+  match result with
+  | Ok output -> Pal_env.set_output env output
+  | Error msg -> Pal_env.set_output env ("ERROR: " ^ msg)
 
 let ca_pal ~key_bits =
   Pal.define

@@ -82,95 +82,69 @@ let mac_key_label = "boinc-state-mac"
 
 let compute_mac key st = Hmac.sha1 ~key (mac_key_label ^ encode_state st)
 
+(* the slice budget the untrusted OS asks for: a finite, non-negative
+   number of milliseconds *)
+let parse_slice slice =
+  match float_of_string_opt slice with
+  | Some ms when Float.is_finite ms && ms >= 0.0 -> Ok ms
+  | Some _ | None -> Error ("bad slice: " ^ slice)
+
 (* PAL input modes: "start" carries the fresh work unit; "resume" carries
    the sealed key, the stored state, and its MAC. *)
 let behavior env =
-  let fail msg = Pal_env.set_output env ("ERROR: " ^ msg) in
-  match Util.decode_fields env.Pal_env.inputs with
-  | Error e -> fail ("bad inputs: " ^ e)
-  | Ok (mode :: rest) -> (
-      let clock = env.Pal_env.machine.Machine.clock in
-      let entered = Clock.now clock in
-      match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
-      | Error e -> fail e
-      | Ok () ->
-          (* the per-branch releases below are kept (release is
-             idempotent); the protect guarantees the claim is also
-             dropped when an exception escapes mid-operation *)
-          Fun.protect
-            ~finally:(fun () -> Mod_tpm_driver.release env.Pal_env.tpm_driver)
-          @@ fun () ->
-          let tpm = Pal_env.tpm env in
-          let respond ~sealed_key ~key ~slice_ms st =
-            let pre_work_ms = Clock.now clock -. entered in
-            let st, work_ms = do_work st ~slice_ms in
-            Pal_env.compute env ~ms:work_ms;
-            if st.finished then begin
-              (* extend the results into PCR 17 so the quote covers them *)
-              let results_hash = Sha1.digest (encode_state st) in
-              match Mod_tpm_utils.pcr_extend tpm 17 results_hash with
-              | Ok _ | Error _ -> ()
-            end;
-            let mac = compute_mac key st in
-            Mod_tpm_driver.release env.Pal_env.tpm_driver;
-            Pal_env.set_output env
-              (Util.encode_fields
-                 [
-                   "ok";
-                   sealed_key;
-                   encode_state st;
-                   mac;
-                   Printf.sprintf "%.6f" pre_work_ms;
-                 ])
-          in
-          (match (mode, rest) with
-          | "start", [ unit_blob; slice ] -> (
-              match decode_state unit_blob with
-              | Error e ->
-                  Mod_tpm_driver.release env.Pal_env.tpm_driver;
-                  fail ("bad work unit: " ^ e)
-              | Ok st -> (
-                  (* first invocation: generate and seal the 160-bit key *)
-                  let key = Mod_tpm_utils.get_random tpm 20 in
-                  match Mod_tpm_utils.pcr_read tpm 17 with
-                  | Error e ->
-                      Mod_tpm_driver.release env.Pal_env.tpm_driver;
-                      fail (Flicker_tpm.Tpm_types.error_to_string e)
-                  | Ok pcr17 -> (
-                      match
-                        Mod_tpm_utils.seal_to_pcr17 tpm ~rng:env.Pal_env.rng ~pcr17 key
-                      with
-                      | Error e ->
-                          Mod_tpm_driver.release env.Pal_env.tpm_driver;
-                          fail (Flicker_tpm.Tpm_types.error_to_string e)
-                      | Ok sealed_key ->
-                          respond ~sealed_key ~key ~slice_ms:(float_of_string slice) st)))
-          | "resume", [ sealed_key; state_blob; mac; slice ] -> (
-              match Mod_tpm_utils.unseal tpm ~rng:env.Pal_env.rng sealed_key with
-              | Error e ->
-                  Mod_tpm_driver.release env.Pal_env.tpm_driver;
-                  fail ("unseal: " ^ Flicker_tpm.Tpm_types.error_to_string e)
-              | Ok key ->
-                  if
-                    not
-                      (Util.constant_time_equal mac
-                         (Hmac.sha1 ~key (mac_key_label ^ state_blob)))
-                  then begin
-                    Mod_tpm_driver.release env.Pal_env.tpm_driver;
-                    fail "state MAC mismatch (tampering detected)"
-                  end
-                  else begin
-                    match decode_state state_blob with
-                    | Error e ->
-                        Mod_tpm_driver.release env.Pal_env.tpm_driver;
-                        fail ("bad state: " ^ e)
-                    | Ok st ->
-                        respond ~sealed_key ~key ~slice_ms:(float_of_string slice) st
-                  end)
-          | _ ->
-              Mod_tpm_driver.release env.Pal_env.tpm_driver;
-              fail "unknown mode"))
-  | Ok [] -> fail "empty inputs"
+  let rng = env.Pal_env.rng in
+  let clock = env.Pal_env.machine.Machine.clock in
+  let entered = Clock.now clock in
+  let tpm_error = Flicker_tpm.Tpm_types.error_to_string in
+  let respond tpm ~sealed_key ~key ~slice_ms st =
+    let pre_work_ms = Clock.now clock -. entered in
+    let st, work_ms = do_work st ~slice_ms in
+    Pal_env.compute env ~ms:work_ms;
+    if st.finished then
+      (* extend the results into PCR 17 so the quote covers them *)
+      ignore (Mod_tpm_utils.pcr_extend tpm 17 (Sha1.digest (encode_state st)));
+    Ok
+      (Util.encode_fields
+         [ "ok"; sealed_key; encode_state st; compute_mac key st; Printf.sprintf "%.6f" pre_work_ms ])
+  in
+  let result =
+    match Util.decode_fields env.Pal_env.inputs with
+    | Error e -> Error ("bad inputs: " ^ e)
+    | Ok [] -> Error "empty inputs"
+    | Ok (mode :: rest) -> (
+        Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver @@ fun tpm ->
+        match (mode, rest) with
+        | "start", [ unit_blob; slice ] -> (
+            match (decode_state unit_blob, parse_slice slice) with
+            | Error e, _ -> Error ("bad work unit: " ^ e)
+            | _, Error e -> Error e
+            | Ok st, Ok slice_ms -> (
+                (* first invocation: generate and seal the 160-bit key *)
+                let key = Mod_tpm_utils.get_random tpm 20 in
+                match Mod_tpm_utils.seal_for_self tpm ~rng key with
+                | Error e -> Error (tpm_error e)
+                | Ok sealed_key -> respond tpm ~sealed_key ~key ~slice_ms st))
+        | "resume", [ sealed_key; state_blob; mac; slice ] -> (
+            match parse_slice slice with
+            | Error e -> Error e
+            | Ok slice_ms -> (
+                match Mod_tpm_utils.unseal tpm ~rng sealed_key with
+                | Error e -> Error ("unseal: " ^ tpm_error e)
+                | Ok key -> (
+                    if
+                      not
+                        (Util.constant_time_equal mac
+                           (Hmac.sha1 ~key (mac_key_label ^ state_blob)))
+                    then Error "state MAC mismatch (tampering detected)"
+                    else
+                      match decode_state state_blob with
+                      | Error e -> Error ("bad state: " ^ e)
+                      | Ok st -> respond tpm ~sealed_key ~key ~slice_ms st)))
+        | _ -> Error "unknown mode")
+  in
+  match result with
+  | Ok output -> Pal_env.set_output env output
+  | Error msg -> Pal_env.set_output env ("ERROR: " ^ msg)
 
 let pal () =
   Pal.define ~name:"boinc-factoring" ~app_code_size:2048
@@ -195,9 +169,10 @@ type step = {
 let parse_step client outcome =
   match Util.decode_fields outcome.Session.outputs with
   | Ok [ "ok"; sealed_key; state_blob; mac; pre_work ] -> (
-      match decode_state state_blob with
-      | Error e -> Error ("PAL returned bad state: " ^ e)
-      | Ok state ->
+      match (decode_state state_blob, float_of_string_opt pre_work) with
+      | Error e, _ -> Error ("PAL returned bad state: " ^ e)
+      | _, None -> Error ("PAL returned bad pre-work time: " ^ pre_work)
+      | Ok state, Some pre_work_ms ->
           client.sealed_key <- sealed_key;
           client.mac <- mac;
           let pre_pal =
@@ -206,12 +181,7 @@ let parse_step client outcome =
               0.0
               [ Session.Load_slb; Session.Suspend_os; Session.Skinit; Session.Slb_init ]
           in
-          Ok
-            {
-              outcome;
-              state;
-              session_overhead_ms = pre_pal +. float_of_string pre_work;
-            })
+          Ok { outcome; state; session_overhead_ms = pre_pal +. pre_work_ms })
   | Ok _ | Error _ ->
       if String.length outcome.Session.outputs >= 6
          && String.sub outcome.Session.outputs 0 6 = "ERROR:"

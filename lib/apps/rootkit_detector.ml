@@ -38,14 +38,10 @@ let detector_behavior env =
           Sha1.update ctx data)
         regions;
       let hash = Sha1.finalize ctx in
-      (match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
-      | Error _ -> ()
-      | Ok () ->
-          Fun.protect
-            ~finally:(fun () -> Mod_tpm_driver.release env.Pal_env.tpm_driver)
-            (fun () ->
-              match Mod_tpm_utils.pcr_extend (Pal_env.tpm env) 17 hash with
-              | Ok _ | Error _ -> ()));
+      ignore
+        (Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
+             ignore (Mod_tpm_utils.pcr_extend tpm 17 hash);
+             Ok ()));
       Pal_env.set_output env hash
 
 (* A ~4 KB detector (Table 1's SKINIT time implies a ~5 KB measured SLB),

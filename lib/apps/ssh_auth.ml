@@ -20,9 +20,12 @@ let behavior env =
   let fail msg = Pal_env.set_output env ("ERROR: " ^ msg) in
   match Util.decode_fields env.Pal_env.inputs with
   | Ok [ "setup"; key_bits ] -> (
-      match Mod_secure_channel.setup env ~key_bits:(int_of_string key_bits) with
-      | Ok out -> Pal_env.set_output env (Mod_secure_channel.encode_setup_output out)
-      | Error msg -> fail msg)
+      match int_of_string_opt key_bits with
+      | Some bits when bits >= 16 -> (
+          match Mod_secure_channel.setup env ~key_bits:bits with
+          | Ok out -> Pal_env.set_output env (Mod_secure_channel.encode_setup_output out)
+          | Error msg -> fail msg)
+      | _ -> fail ("bad key size: " ^ key_bits))
   | Ok [ "login"; sdata; ciphertext; salt; nonce ] -> (
       match Mod_secure_channel.recover env ~sealed_private:sdata with
       | Error msg -> fail ("unseal: " ^ msg)
@@ -36,17 +39,10 @@ let behavior env =
                     fail "nonce mismatch (replay?)"
                   else begin
                     let hash = Mod_crypto.md5crypt env.Pal_env.machine ~salt ~password in
-                    (match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
-                    | Error _ -> ()
-                    | Ok () ->
-                        Fun.protect
-                          ~finally:(fun () ->
-                            Mod_tpm_driver.release env.Pal_env.tpm_driver)
-                          (fun () ->
-                            match
-                              Mod_tpm_utils.pcr_extend (Pal_env.tpm env) 17 bottom
-                            with
-                            | Ok _ | Error _ -> ()));
+                    ignore
+                      (Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
+                           ignore (Mod_tpm_utils.pcr_extend tpm 17 bottom);
+                           Ok ()));
                     Pal_env.set_output env hash
                   end
               | Ok _ | Error _ -> fail "malformed login payload")))

@@ -105,9 +105,4 @@ module Flicker_client : sig
   (** Runs a Flicker session on the client platform; the PAL performs the
       PKCS#1 encryption and the SLB Core erases the password during
       cleanup. *)
-
-  val encryption_pal : unit -> Flicker_slb.Pal.t
-  (** Build the client-side encryption PAL (the one {!create} builds),
-      exposed so a paranoid server (or user) can attest the client-side
-      encryption too. *)
 end

@@ -13,8 +13,6 @@ type digest = Flicker_tpm.Tpm_types.digest
 val extend : digest -> digest -> digest
 (** [extend current value] = SHA-1(current || value). *)
 
-val extend_chain : digest -> digest list -> digest
-
 val initialized : Flicker_slb.Builder.image -> slb_base:int -> string
 (** The image patched for [slb_base] — [Builder.initialize], memoized by
     (image bytes, slb_base) so repeated sessions of the same PAL stop

@@ -9,5 +9,3 @@ let send p ~bytes =
 let round_trip p ~request_bytes ~response_bytes =
   send p ~bytes:request_bytes;
   send p ~bytes:response_bytes
-
-let rtt_ms p = (timing p).Timing.network.Timing.rtt_ms

@@ -10,5 +10,3 @@ val send : Platform.t -> bytes:int -> unit
     bandwidth. *)
 
 val round_trip : Platform.t -> request_bytes:int -> response_bytes:int -> unit
-
-val rtt_ms : Platform.t -> float

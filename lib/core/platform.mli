@@ -50,5 +50,4 @@ val power_cycle : t -> unit
     the TPM reboots (PCRs 17–23 go to the 0xff reboot digest) but keeps
     its NV storage, monotonic counters, and key hierarchy — so sealed
     blobs and replay counters survive, and the recovery paths in
-    {!Flicker_core.Replay} and {!Flicker_core.Sealed_storage} can be
-    exercised against a genuine reboot. *)
+    {!Flicker_core.Replay} can be exercised against a genuine reboot. *)

@@ -7,16 +7,8 @@ module Mod_tpm_driver = Flicker_slb.Mod_tpm_driver
 
 type guard = { counter_handle : int }
 
-(* The release must survive an exception from the callback: a PAL fault
-   mid-seal would otherwise leave the driver claimed and wedge every
-   later TPM operation in the session. *)
-let with_tpm (env : Pal_env.t) f =
-  match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
-  | Error e -> Error e
-  | Ok () ->
-      Fun.protect
-        ~finally:(fun () -> Mod_tpm_driver.release env.Pal_env.tpm_driver)
-        (fun () -> f (Pal_env.tpm env))
+let with_tpm (env : Pal_env.t) = Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver
+let lift r = Result.map_error Tpm_types.error_to_string r
 
 let init env ~owner_auth ~label =
   with_tpm env (fun tpm ->
@@ -24,30 +16,12 @@ let init env ~owner_auth ~label =
       | Ok handle -> Ok { counter_handle = handle }
       | Error e -> Error (Tpm_types.error_to_string e))
 
-let seal env guard ~release data =
+let seal_for_self env guard data =
   with_tpm env (fun tpm ->
       match Tpm.increment_counter tpm ~handle:guard.counter_handle with
       | Error e -> Error (Tpm_types.error_to_string e)
-      | Ok j -> (
-          let payload = Util.be32_of_int j ^ data in
-          match Mod_tpm_utils.seal tpm ~rng:env.Pal_env.rng ~release payload with
-          | Ok blob -> Ok blob
-          | Error e -> Error (Tpm_types.error_to_string e)))
-
-let seal_for_self env guard data =
-  with_tpm env (fun tpm ->
-      match Mod_tpm_utils.pcr_read tpm 17 with
-      | Error e -> Error (Tpm_types.error_to_string e)
-      | Ok pcr17 -> (
-          match Tpm.increment_counter tpm ~handle:guard.counter_handle with
-          | Error e -> Error (Tpm_types.error_to_string e)
-          | Ok j -> (
-              let payload = Util.be32_of_int j ^ data in
-              match
-                Mod_tpm_utils.seal_to_pcr17 tpm ~rng:env.Pal_env.rng ~pcr17 payload
-              with
-              | Ok blob -> Ok blob
-              | Error e -> Error (Tpm_types.error_to_string e))))
+      | Ok j ->
+          lift (Mod_tpm_utils.seal_for_self tpm ~rng:env.Pal_env.rng (Util.be32_of_int j ^ data)))
 
 type unseal_error =
   | Replay_detected of { sealed_version : int; counter : int }
@@ -64,29 +38,27 @@ let pp_unseal_error fmt = function
         sealed_version counter
   | Tpm_error msg -> Format.fprintf fmt "TPM error: %s" msg
 
-let check_version ~sealed_version ~counter payload =
-  if sealed_version = counter then Ok (String.sub payload 4 (String.length payload - 4))
-  else if sealed_version = counter - 1 then
-    Error (Counter_out_of_sync { sealed_version; counter })
-  else Error (Replay_detected { sealed_version; counter })
+(* [read] unseals a blob and reads the live counter under one claim;
+   the blob's embedded version must equal the counter *)
+let check_version env read =
+  match with_tpm env read with
+  | Error msg -> Error (Tpm_error msg)
+  | Ok (payload, _) when String.length payload < 4 ->
+      Error (Tpm_error "corrupt replay-guarded blob")
+  | Ok (payload, counter) ->
+      let sealed_version = Util.int_of_be32 payload 0 in
+      if sealed_version = counter then Ok (String.sub payload 4 (String.length payload - 4))
+      else if sealed_version = counter - 1 then
+        Error (Counter_out_of_sync { sealed_version; counter })
+      else Error (Replay_detected { sealed_version; counter })
 
 let unseal env guard blob =
-  match
-    with_tpm env (fun tpm ->
-        match Mod_tpm_utils.unseal tpm ~rng:env.Pal_env.rng blob with
-        | Error e -> Error (Tpm_types.error_to_string e)
-        | Ok payload -> (
-            match Tpm.read_counter tpm ~handle:guard.counter_handle with
-            | Error e -> Error (Tpm_types.error_to_string e)
-            | Ok counter -> Ok (payload, counter)))
-  with
-  | Error msg -> Error (Tpm_error msg)
-  | Ok (payload, counter) ->
-      if String.length payload < 4 then Error (Tpm_error "corrupt replay-guarded blob")
-      else begin
-        let sealed_version = Util.int_of_be32 payload 0 in
-        check_version ~sealed_version ~counter payload
-      end
+  check_version env (fun tpm ->
+      match Mod_tpm_utils.unseal tpm ~rng:env.Pal_env.rng blob with
+      | Error e -> Error (Tpm_types.error_to_string e)
+      | Ok payload ->
+          Tpm.read_counter tpm ~handle:guard.counter_handle
+          |> lift |> Result.map (fun counter -> (payload, counter)))
 
 module Nv = struct
   type guard = { nv_index : int }
@@ -105,15 +77,12 @@ module Nv = struct
                 ~index:nv_index attrs
             with
             | Error e -> Error (Tpm_types.error_to_string e)
-            | Ok () -> (
-                match Tpm.nv_write tpm ~index:nv_index (Util.be32_of_int 0) with
-                | Ok () -> Ok { nv_index }
-                | Error e -> Error (Tpm_types.error_to_string e))))
+            | Ok () ->
+                lift (Tpm.nv_write tpm ~index:nv_index (Util.be32_of_int 0))
+                |> Result.map (fun () -> { nv_index })))
 
   let read_counter tpm guard =
-    match Tpm.nv_read tpm ~index:guard.nv_index with
-    | Error e -> Error (Tpm_types.error_to_string e)
-    | Ok raw -> Ok (Util.int_of_be32 raw 0)
+    Tpm.nv_read tpm ~index:guard.nv_index |> lift |> Result.map (fun raw -> Util.int_of_be32 raw 0)
 
   let seal env guard data =
     with_tpm env (fun tpm ->
@@ -123,34 +92,14 @@ module Nv = struct
             let j = j + 1 in
             match Tpm.nv_write tpm ~index:guard.nv_index (Util.be32_of_int j) with
             | Error e -> Error (Tpm_types.error_to_string e)
-            | Ok () -> (
-                match Mod_tpm_utils.pcr_read tpm 17 with
-                | Error e -> Error (Tpm_types.error_to_string e)
-                | Ok pcr17 -> (
-                    match
-                      Mod_tpm_utils.seal_to_pcr17 tpm ~rng:env.Pal_env.rng ~pcr17
-                        (Util.be32_of_int j ^ data)
-                    with
-                    | Ok blob -> Ok blob
-                    | Error e -> Error (Tpm_types.error_to_string e)))))
+            | Ok () ->
+                lift
+                  (Mod_tpm_utils.seal_for_self tpm ~rng:env.Pal_env.rng
+                     (Util.be32_of_int j ^ data))))
 
   let unseal env guard blob =
-    match
-      with_tpm env (fun tpm ->
-          match Mod_tpm_utils.unseal tpm ~rng:env.Pal_env.rng blob with
-          | Error e -> Error (Tpm_types.error_to_string e)
-          | Ok payload -> (
-              match read_counter tpm guard with
-              | Error e -> Error e
-              | Ok counter -> Ok (payload, counter)))
-    with
-    | Error msg -> Error (Tpm_error msg)
-    | Ok (payload, counter) ->
-        if String.length payload < 4 then Error (Tpm_error "corrupt replay-guarded blob")
-        else begin
-          let sealed_version = Util.int_of_be32 payload 0 in
-          check_version ~sealed_version ~counter payload
-        end
-
-  let counter_value env guard = with_tpm env (fun tpm -> read_counter tpm guard)
+    check_version env (fun tpm ->
+        match Mod_tpm_utils.unseal tpm ~rng:env.Pal_env.rng blob with
+        | Error e -> Error (Tpm_types.error_to_string e)
+        | Ok payload -> read_counter tpm guard |> Result.map (fun counter -> (payload, counter)))
 end

@@ -9,31 +9,15 @@
 
 type guard = { counter_handle : int }
 
-val with_tpm :
-  Flicker_slb.Pal_env.t ->
-  (Flicker_tpm.Tpm.t -> ('a, string) result) ->
-  ('a, string) result
-(** Claim the session's TPM driver, run the callback against the device,
-    and release the claim — also on exception, so a PAL fault mid-operation
-    never leaves the driver wedged. Fails without running the callback if
-    the driver is already claimed. *)
-
 val init : Flicker_slb.Pal_env.t -> owner_auth:string -> label:string -> (guard, string) result
 (** Create the PAL's monotonic counter (owner-authorized; the 20-byte
     owner secret reaches the PAL over a secure channel in the paper's
     deployment). Run once, inside a session. *)
 
-val seal :
-  Flicker_slb.Pal_env.t ->
-  guard ->
-  release:Flicker_tpm.Tpm_types.pcr_composite ->
-  string ->
-  (string, string) result
-(** Figure 4 Seal: IncrementCounter(); j <- ReadCounter();
-    c <- TPM_Seal(d || j). *)
-
 val seal_for_self :
   Flicker_slb.Pal_env.t -> guard -> string -> (string, string) result
+(** Figure 4 Seal: IncrementCounter(); j <- ReadCounter();
+    c <- TPM_Seal(d || j), sealed to the current PCR 17. *)
 
 type unseal_error =
   | Replay_detected of { sealed_version : int; counter : int }
@@ -71,8 +55,4 @@ module Nv : sig
       PCR 17. *)
 
   val unseal : Flicker_slb.Pal_env.t -> guard -> string -> (string, unseal_error) result
-
-  val counter_value : Flicker_slb.Pal_env.t -> guard -> (int, string) result
-  (** Current NV counter (readable only when the PCR gate is satisfied —
-      i.e., from inside the right PAL's session). *)
 end

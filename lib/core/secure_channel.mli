@@ -15,12 +15,6 @@ type established = {
   channel_nonce : string;
 }
 
-val setup_pal : key_bits:int -> Flicker_slb.Pal.t
-(** The generic setup PAL (Secure Channel + Crypto + TPM modules linked).
-    Every call builds the same code for a key size — and hence the same
-    measurement — so {!establish} and {!client_accept} each build their
-    own. *)
-
 val establish :
   Platform.t -> ?key_bits:int -> nonce:string -> unit -> (established, string) result
 (** Server side: run the setup session and gather the attestation.

@@ -22,8 +22,6 @@ let failure_to_string = function
         (Util.to_hex got)
   | Missing_pcr17 -> "quote does not cover PCR 17"
 
-let pp_failure fmt f = Format.pp_print_string fmt (failure_to_string f)
-
 type expectation = {
   pal : Flicker_slb.Pal.t;
   flavor : Builder.flavor;

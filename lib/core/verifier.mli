@@ -16,7 +16,6 @@ type failure =
   | Pcr_mismatch of { expected : string; got : string }
   | Missing_pcr17
 
-val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
 
 type expectation = {
@@ -54,9 +53,6 @@ val verify :
     Flicker protection, consumed [claimed_inputs], and produced
     [claimed_outputs]. *)
 
-val expected_pcr17 : expectation -> inputs:string -> outputs:string -> string
-(** The capped PCR 17 value implied by an expectation. *)
-
 (** {2 Staged checks}
 
     [verify] is the composition of the four checks below, in order. They
@@ -64,10 +60,6 @@ val expected_pcr17 : expectation -> inputs:string -> outputs:string -> string
     stages — certificate and quote-signature verification, whose cost
     scales with RSA — while re-running the cheap context-dependent ones
     (freshness, PCR recomputation) on every appraisal. *)
-
-val quote_payload : Flicker_tpm.Tpm.quote -> string
-(** The exact byte string the TPM signed: ["QUOT"] followed by the
-    composite hash of the quoted PCRs and the challenge nonce. *)
 
 val check_certificate :
   ca_key:Flicker_crypto.Rsa.public ->

@@ -272,7 +272,6 @@ let divmod a b =
     (normalize q, shift_right r shift)
   end
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 (* Montgomery arithmetic modulo an odd [m] of [n] limbs, with R = 2^(26n).
@@ -481,8 +480,6 @@ let to_decimal_string a =
     let s = Buffer.contents buf in
     String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
   end
-
-let pp fmt a = Format.pp_print_string fmt (to_decimal_string a)
 
 let random_bits rand nbits =
   if nbits <= 0 then zero

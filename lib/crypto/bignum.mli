@@ -32,11 +32,9 @@ val mul : t -> t -> t
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)]. @raise Division_by_zero. *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val add_int : t -> int -> t
-val mul_int : t -> int -> t
 val rem_int : t -> int -> int
 (** Remainder by a positive int (any up to [max_int]), computed without
     allocation of a full quotient. *)
@@ -79,9 +77,6 @@ val of_decimal_string : string -> t
 (** @raise Invalid_argument on non-digit characters or empty input. *)
 
 val to_decimal_string : t -> string
-
-val pp : Format.formatter -> t -> unit
-(** Prints the decimal rendering. *)
 
 val random_bits : (int -> string) -> int -> t
 (** [random_bits rand nbits] draws a uniformly random value below

@@ -15,10 +15,6 @@ type params = { p : Bignum.t; g : Bignum.t }
 type public = { params : params; y : Bignum.t }
 type private_key = { pub : public; x : Bignum.t }
 
-val generate_params : Prng.t -> bits:int -> params
-(** Derive fresh group parameters (a random prime and a generator
-    candidate). Expensive — do it once and share. *)
-
 val shared_params_512 : params Lazy.t
 (** Precomputed deterministic groups for tests and benchmarks. *)
 

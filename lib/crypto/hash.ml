@@ -22,5 +22,3 @@ let name = function
   | SHA256 -> "SHA-256"
   | SHA512 -> "SHA-512"
   | MD5 -> "MD5"
-
-let pp fmt alg = Format.pp_print_string fmt (name alg)

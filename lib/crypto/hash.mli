@@ -11,4 +11,3 @@ val block_size : algorithm -> int
 val digest : algorithm -> string -> string
 val hex : algorithm -> string -> string
 val name : algorithm -> string
-val pp : Format.formatter -> algorithm -> unit

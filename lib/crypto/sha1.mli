@@ -9,10 +9,6 @@ val digest_size : int
 
 val init : unit -> ctx
 
-val reset : ctx -> unit
-(** Return the context to its initial state so it can absorb a fresh
-    message, clearing the finalized flag. *)
-
 val update : ctx -> string -> unit
 (** @raise Invalid_argument on a context that was already finalized. *)
 

@@ -7,9 +7,6 @@ val digest_size : int
 
 val init : unit -> ctx
 
-val reset : ctx -> unit
-(** Return the context to its initial state, clearing the finalized flag. *)
-
 val update : ctx -> string -> unit
 (** @raise Invalid_argument on a context that was already finalized. *)
 

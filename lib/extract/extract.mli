@@ -58,13 +58,6 @@ type func = {
   loc : int;  (** lines of code *)
 }
 
-val calls_of_stmts : stmt list -> string list
-(** Callee names in pre-order evaluation order (branch arms after the
-    condition, then-arm first; loop bodies once), duplicates preserved —
-    the [calls] list a statement body implies. Keeping [calls] equal to
-    this keeps the slicer, call graph, and order-sensitive taint pass
-    consistent with the structured body. *)
-
 val fn :
   ?params:string list ->
   ?calls:string list ->

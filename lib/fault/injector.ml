@@ -91,7 +91,6 @@ let create ?(config = disabled) ~seed () =
   { cfg; seed; draws = Hashtbl.create 16; skew }
 
 let config t = t.cfg
-let seed t = t.seed
 let clock_skew t = t.skew
 
 type tpm_fault = No_fault | Busy | Slow of float

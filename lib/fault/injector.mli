@@ -57,7 +57,6 @@ val create : ?config:config -> seed:string -> unit -> t
     [tpm_latency_factor] to >= 1, [clock_skew_pct] to [0, 0.5]. *)
 
 val config : t -> config
-val seed : t -> string
 
 val uniform : t -> site:string -> now_ms:float -> float
 (** One deterministic draw in [0, 1): SHA-256 of

@@ -45,10 +45,6 @@ let bsp t = t.(0)
 let aps t = List.tl (Array.to_list t)
 let all t = Array.to_list t
 
-let core t i =
-  if i < 0 || i >= Array.length t then invalid_arg "Cpu.core: bad index";
-  t.(i)
-
 let flat_segment size = { base = 0; limit = size - 1 }
 
 let segment_contains seg ~addr ~len =

@@ -44,7 +44,6 @@ val create : cores:int -> t
 val bsp : t -> core
 val aps : t -> core list
 val all : t -> core list
-val core : t -> int -> core
 
 val flat_segment : int -> segment
 (** A segment covering all of a [size]-byte memory. *)

@@ -14,7 +14,6 @@ type t = {
 }
 
 let create machine ~name = { machine; device_name = name; log = [] }
-let name t = t.device_name
 
 let record t ~addr ~len ~write ~blocked =
   t.log <-

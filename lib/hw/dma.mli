@@ -18,7 +18,6 @@ type attempt = {
 }
 
 val create : Machine.t -> name:string -> t
-val name : t -> string
 
 val read : t -> addr:int -> len:int -> (string, string) result
 (** [Error reason] when the DEV blocks the access. *)

@@ -42,19 +42,12 @@ val set_tpm_hooks : t -> tpm_hooks -> unit
 val set_injector : t -> Flicker_fault.Injector.t -> unit
 val injector : t -> Flicker_fault.Injector.t option
 
-val fault_cat : string
-(** Tracer category ("fault") for injected-fault instants. *)
-
 val fault_event : t -> ?args:(string * Flicker_obs.Tracer.arg) list -> string -> unit
 (** Record an instant under {!fault_cat}: hook sites emit one per
     injected fault so a chaos run's trace shows exactly what fired. *)
 
 val log_event : t -> string -> unit
 (** Record an instant event on the tracer (and the debug log). *)
-
-val protocol_cat : string
-(** Tracer category ("protocol") for the session-lifecycle instants the
-    temporal verifier consumes. *)
 
 val protocol_event : t -> ?args:(string * Flicker_obs.Tracer.arg) list -> string -> unit
 (** Record an instant under {!protocol_cat}. Hardware and OS layers emit

@@ -47,8 +47,6 @@ type t = {
 val broadcom : tpm_profile
 val infineon : tpm_profile
 val future_tpm : tpm_profile
-val athlon64_x2 : cpu_profile
-val paper_network : network_profile
 
 val default : t
 (** Broadcom + Athlon64 X2 + the paper's 12-hop network: the primary

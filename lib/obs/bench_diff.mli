@@ -36,10 +36,6 @@ type report = {
   wall_drift : field_diff list;  (** wall-clock fields beyond it *)
 }
 
-val is_wall_field : string -> bool
-(** A field is wall-clock (tolerated, not gated) iff its name contains
-    ["wall"] — e.g. ["wall_ms"]. *)
-
 val compare :
   ?wall_tolerance_pct:float ->
   baseline:Json.t ->

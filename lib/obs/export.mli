@@ -5,11 +5,6 @@
     commands, and OS suspensions on the simulated timeline) and a
     compact stats summary (text or JSON) for counters and histograms. *)
 
-val chrome_trace : ?process_name:string -> Tracer.t -> Json.t
-(** The Chrome trace object: [{"traceEvents": [...], ...}]. Spans become
-    complete ("ph":"X") events, instants "ph":"i"; timestamps convert
-    from simulated ms to the format's microseconds. *)
-
 val chrome_trace_string : ?process_name:string -> Tracer.t -> string
 
 val stats_json : Metrics.t -> Json.t

@@ -6,11 +6,6 @@ module Tpm_types = Flicker_tpm.Tpm_types
 
 type report = { attack : string; succeeded : bool; detail : string }
 
-let pp_report fmt r =
-  Format.fprintf fmt "%s: %s (%s)" r.attack
-    (if r.succeeded then "SUCCEEDED" else "failed")
-    r.detail
-
 let scan_memory (m : Machine.t) ~pattern =
   match Memory.find_pattern m.Machine.memory pattern with
   | Some addr ->

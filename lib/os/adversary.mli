@@ -13,8 +13,6 @@ type report = {
   detail : string;
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 val scan_memory : Flicker_hw.Machine.t -> pattern:string -> report
 (** Ring-0 scan of all physical memory for a secret. Succeeds iff the
     pattern is present — i.e., iff the PAL failed to erase it. *)

@@ -14,7 +14,6 @@ let create ~name ~rate_kb_per_ms =
   if rate_kb_per_ms <= 0.0 then invalid_arg "Blockdev.create: non-positive rate";
   { device_name = name; rate_kb_per_ms; files = Hashtbl.create 4 }
 
-let name t = t.device_name
 let store t ~file data = Hashtbl.replace t.files file data
 let fetch t ~file = Hashtbl.find_opt t.files file
 

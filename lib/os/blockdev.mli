@@ -18,9 +18,7 @@ type driver =
           a session, so no request is in flight while the OS is frozen *)
 
 val create : name:string -> rate_kb_per_ms:float -> t
-val name : t -> string
 val store : t -> file:string -> string -> unit
-val fetch : t -> file:string -> string option
 val md5sum : t -> file:string -> (string, string) result
 
 val transfer :

@@ -47,5 +47,3 @@ let log t = List.rev t.events
 
 let pcrs_in_use t =
   Tpm_types.selection (List.map (fun e -> e.pcr_index) t.events)
-
-let component_count t = List.length t.events

@@ -20,11 +20,6 @@ val create : Flicker_tpm.Tpm.t -> t
 (** Fresh measurement agent over the TPM's static PCRs. The TPM should be
     in its post-reboot state. *)
 
-val measure : t -> pcr:int -> component:string -> code:string -> unit
-(** Hash [code], extend the PCR, append the log entry.
-    @raise Invalid_argument for dynamic PCRs (17–23): IMA uses the static
-    bank. *)
-
 val boot_sequence : t -> Kernel.t -> unit
 (** The standard chain: BIOS and option ROMs into PCR 0, bootloader into
     PCR 4, kernel text into PCR 8, modules and the early userland into
@@ -37,6 +32,3 @@ val log : t -> event list
 (** Oldest first. *)
 
 val pcrs_in_use : t -> Flicker_tpm.Tpm_types.pcr_selection
-val component_count : t -> int
-(** How many entries a verifier must assess — the paper's
-    "untold millions of lines" burden in measurable form. *)

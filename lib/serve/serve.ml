@@ -49,9 +49,6 @@ let verify_failure_to_string = function
   | Not_in_batch ->
       "payload/output pair absent from the quoted session's claimed I/O"
 
-let pp_verify_failure fmt f =
-  Format.pp_print_string fmt (verify_failure_to_string f)
-
 type t = {
   cfg : config;
   fleet : Fleet.t;
@@ -300,7 +297,6 @@ let verify_bundle t (b : bundle) =
 (* --- accessors -------------------------------------------------------- *)
 
 let fleet t = t.fleet
-let config t = t.cfg
 let appraiser t = t.appraiser
 let bundle_for t id = Hashtbl.find_opt t.bundles id
 
@@ -328,7 +324,6 @@ let cached t payload =
   | Some b -> fresh t b
   | None -> false
 
-let cache_length t = Cache.length t.cache
 let cache_stats t = Cache.stats t.cache
 
 (* reconcile the registry with the cache's and appraiser's own running

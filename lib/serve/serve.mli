@@ -53,8 +53,6 @@ val fleet : t -> Flicker_service.Fleet.t
     cacheable: it always reaches its home, whose sealed state stays
     authoritative. *)
 
-val config : t -> config
-
 type bundle = {
   output : string;
   payload : string;
@@ -81,7 +79,6 @@ type verify_failure =
       (** the quote verifies but this (payload, output) pair is not one
           of the quoted session's positional I/O pairs *)
 
-val pp_verify_failure : Format.formatter -> verify_failure -> unit
 val verify_failure_to_string : verify_failure -> string
 
 val verify_bundle : t -> bundle -> (unit, verify_failure) result
@@ -111,8 +108,6 @@ val cached : t -> string -> bool
 (** Whether a payload would currently be served from the cache (present,
     unexpired, and fresh). Counts as a lookup in the cache stats. *)
 
-val cache_key : t -> string -> string
-val cache_length : t -> int
 val cache_stats : t -> Cache.stats
 
 val appraiser : t -> Appraise.t

@@ -12,14 +12,6 @@ let all_policies =
     ("sealed-affinity", Sealed_affinity);
   ]
 
-let policy_of_string s =
-  match List.assoc_opt (String.lowercase_ascii s) all_policies with
-  | Some p -> Ok p
-  | None ->
-      Error
-        (Printf.sprintf "unknown policy %S (expected %s)" s
-           (String.concat ", " (List.map fst all_policies)))
-
 type load = { queued : int; busy : bool; available : bool }
 
 (* FNV-1a, so affinity routing does not depend on OCaml's Hashtbl.hash

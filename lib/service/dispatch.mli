@@ -17,7 +17,6 @@
 type policy = Round_robin | Least_loaded | Sealed_affinity
 
 val policy_name : policy -> string
-val policy_of_string : string -> (policy, string) result
 val all_policies : (string * policy) list
 
 type load = {

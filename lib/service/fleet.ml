@@ -57,9 +57,6 @@ type t = {
   mutable next_id : int;
   mutable submitted : int;
   submitted_by_tier : int array;  (* indexed by [tier_index] *)
-  (* static-analysis admission gate consulted at submit time: [Some
-     reason] refuses the request before it ever reaches the network *)
-  mutable admission_gate : (Request.t -> string option) option;
 }
 
 (* Platforms are split into [shards] contiguous windows, as balanced as
@@ -163,11 +160,9 @@ let create ?(config = default_config) workload =
     next_id = 1;
     submitted = 0;
     submitted_by_tier = Array.make n_tiers 0;
-    admission_gate = None;
   }
 
 let config t = t.cfg
-let workload_name t = t.workload.Workload.name
 let verifier_key t = t.ca_key
 
 (* Live even mid-run: an interceptor's TTL check during a drain must see
@@ -185,8 +180,6 @@ let one_shard_only t ~who =
 let set_interceptor t f =
   one_shard_only t ~who:"set_interceptor";
   t.interceptor := Some f
-
-let set_admission_gate t f = t.admission_gate <- Some f
 
 let add_crash_hook t f =
   one_shard_only t ~who:"add_crash_hook";
@@ -266,17 +259,7 @@ let submit t ?client ?home ?(tier = Request.Batch) ?deadline_ms ?sent_ms payload
   t.submitted <- t.submitted + 1;
   let ti = tier_index tier in
   t.submitted_by_tier.(ti) <- t.submitted_by_tier.(ti) + 1;
-  (match t.admission_gate with
-  | Some gate when gate req <> None ->
-      (* the PAL behind this workload failed static analysis: refuse at
-         the front door, before any network or queue resources. Submits
-         run on the coordinator between drains, so shard 0's table and
-         registry are free to take the refusal. *)
-      let s0 = t.shards.(0) in
-      Metrics.incr (Shard.metrics s0) "fleet.analysis_rejected";
-      Hashtbl.replace (Shard.finalized s0) req.Request.id
-        (req, Request.Rejected { at_ms = sent; platform = -1; queue_depth = 0 })
-  | _ -> Shard.push_arrival t.shards.(route t req) ~at_ms:arrival req);
+  Shard.push_arrival t.shards.(route t req) ~at_ms:arrival req;
   req.Request.id
 
 let submit_open_loop t ~clients ~per_client ~mean_gap_ms ?tier ?deadline_ms ~payload () =
@@ -407,7 +390,6 @@ type summary = {
   tpm_faults : int;
   dma_storms : int;
   cache_served : int;  (* completions answered by the front-end cache *)
-  analysis_rejected : int;  (* refused by the static-analysis gate *)
   by_tier : tier_summary list;  (* in [Request.all_tiers] order *)
 }
 
@@ -524,7 +506,6 @@ let summary t =
     tpm_faults = machine_counter "fault.tpm.busy" + machine_counter "fault.tpm.slow";
     dma_storms = machine_counter "fault.dma_storms";
     cache_served = Metrics.counter m "fleet.cache_served";
-    analysis_rejected = Metrics.counter m "fleet.analysis_rejected";
     by_tier = List.map tier_summary Request.all_tiers;
   }
 
@@ -549,8 +530,6 @@ let pp_summary fmt s =
     Format.fprintf fmt "@,cross-shard forwards: %d" s.forwarded;
   if s.cache_served > 0 then
     Format.fprintf fmt "@,cache-served completions: %d" s.cache_served;
-  if s.analysis_rejected > 0 then
-    Format.fprintf fmt "@,rejected by analysis gate: %d" s.analysis_rejected;
   List.iter
     (fun ts ->
       if ts.t_submitted > 0 then

@@ -95,7 +95,6 @@ val create : ?config:config -> Workload.t -> t
     [queue_depth], or [batch_size]. *)
 
 val config : t -> config
-val workload_name : t -> string
 val platform : t -> int -> Flicker_core.Platform.t
 val verifier_key : t -> Flicker_crypto.Rsa.public
 (** Public key of the fleet's privacy CA, for verifying attestations
@@ -171,15 +170,6 @@ val set_interceptor : t -> (Request.t -> string option) -> unit
     inline on the one domain that drains the fleet.
     @raise Invalid_argument on a fleet with more than one shard. *)
 
-val set_admission_gate : t -> (Request.t -> string option) -> unit
-(** Install a static-analysis admission gate consulted once per
-    {!submit}, before the request enters the network. Returning
-    [Some reason] refuses the request outright: it is finalized as
-    {!Request.Rejected} (platform [-1]), the [fleet.analysis_rejected]
-    counter is bumped, and no arrival event is scheduled. Returning
-    [None] admits it normally. {!Flicker_analysis}'s [Admission.install]
-    wires a PAL's analysis verdict into this hook. *)
-
 val add_crash_hook : t -> (int -> unit) -> unit
 (** Register an observer called with the platform index on every crash
     (injected, drawn, or manual), after the platform's
@@ -202,8 +192,8 @@ val dispositions : t -> (Request.t * Request.disposition) list
 
 val disposition_of : t -> int -> Request.disposition option
 val metrics : t -> Flicker_obs.Metrics.t
-(** Snapshot of every shard's registry merged, in shard order (shard
-    0's also counts gate refusals): [fleet.admitted], [fleet.rejected],
+(** Snapshot of every shard's registry merged, in shard order:
+    [fleet.admitted], [fleet.rejected],
     [fleet.expired], [fleet.completed], [fleet.failed],
     [fleet.deadline_misses], [fleet.batches], [fleet.forwarded] counters;
     [fleet.latency_ms], [fleet.service_ms], [fleet.batch_fill],
@@ -255,9 +245,6 @@ type summary = {
   cache_served : int;
       (** completions answered by the interceptor (result cache) without
           a platform session *)
-  analysis_rejected : int;
-      (** submissions refused by the static-analysis admission gate
-          (counted inside [rejected] as well) *)
   by_tier : tier_summary list;  (** in {!Request.all_tiers} order *)
 }
 

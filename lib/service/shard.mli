@@ -90,9 +90,7 @@ val metrics : t -> Flicker_obs.Metrics.t
     traffic); the fleet merges these in shard order. *)
 
 val finalized : t -> (int, Request.t * Request.disposition) Hashtbl.t
-(** Finalized requests by id. The fleet also writes its admission-gate
-    refusals into shard 0's table (and counts them in shard 0's
-    registry), from the coordinator between drains. *)
+(** Finalized requests by id. *)
 
 val completed_counts : t -> int array
 (** Per-member completion counts, in window order. *)

@@ -25,7 +25,6 @@ val inputs_page_offset : int
 val outputs_page_offset : int
 (** 69632: second page above the SLB. *)
 
-val page_size : int
 val io_page_size : int
 (** 4096: each of the input/output areas is one page. *)
 

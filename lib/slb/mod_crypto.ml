@@ -4,19 +4,6 @@ module Timing = Flicker_hw.Timing
 
 let timing (m : Machine.t) = m.Machine.timing
 
-let sha1 m s =
-  Machine.charge_sha1 m ~bytes:(String.length s);
-  Sha1.digest s
-
-let sha512 m s =
-  (* SHA-512 runs at roughly half the SHA-1 rate on 32-bit x86 *)
-  Machine.charge m (2.0 *. Timing.sha1_ms (timing m) ~bytes:(String.length s));
-  Sha512.digest s
-
-let md5 m s =
-  Machine.charge m (0.8 *. Timing.sha1_ms (timing m) ~bytes:(String.length s));
-  Md5.digest s
-
 let hmac_sha1 m ~key s =
   Machine.charge_sha1 m ~bytes:(String.length s + 128);
   Hmac.sha1 ~key s
@@ -39,39 +26,12 @@ let rsa_sign m key alg msg =
     (Timing.rsa_private_ms (timing m) ~bits:(8 * Rsa.key_bytes key.Rsa.pub));
   Pkcs1.sign key alg msg
 
-let rsa_verify m pub alg ~msg ~signature =
-  Machine.charge m (Timing.rsa_public_ms (timing m) ~bits:(8 * Rsa.key_bytes pub));
-  Pkcs1.verify pub alg ~msg ~signature
-
 let elgamal_bits (params : Elgamal.params) = Bignum.bit_length params.Elgamal.p
 
 let elgamal_generate m rng params =
   (* one g^x mod p: the same cost class as an RSA private operation *)
   Machine.charge m (Timing.rsa_private_ms (timing m) ~bits:(elgamal_bits params));
   Elgamal.generate rng params
-
-let elgamal_encrypt m rng pub msg =
-  Machine.charge m
-    (2.0 *. Timing.rsa_private_ms (timing m) ~bits:(elgamal_bits pub.Elgamal.params));
-  Elgamal.encrypt rng pub msg
-
-let elgamal_decrypt m key ct =
-  Machine.charge m
-    (Timing.rsa_private_ms (timing m)
-       ~bits:(elgamal_bits key.Elgamal.pub.Elgamal.params));
-  Elgamal.decrypt key ct
-
-let charge_aes m bytes =
-  Machine.charge m
-    (float_of_int bytes /. (1024.0 *. 1024.0) /. (timing m).Timing.cpu.Timing.aes_mb_per_ms)
-
-let aes_encrypt_cbc m key ~iv data =
-  charge_aes m (String.length data);
-  Aes.encrypt_cbc key ~iv data
-
-let aes_decrypt_cbc m key ~iv data =
-  charge_aes m (String.length data);
-  Aes.decrypt_cbc key ~iv data
 
 let md5crypt m ~salt ~password =
   (* 1000 MD5 iterations over short inputs *)

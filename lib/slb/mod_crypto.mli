@@ -8,9 +8,6 @@
 
 module Machine = Flicker_hw.Machine
 
-val sha1 : Machine.t -> string -> string
-val sha512 : Machine.t -> string -> string
-val md5 : Machine.t -> string -> string
 val hmac_sha1 : Machine.t -> key:string -> string -> string
 
 val rsa_generate :
@@ -30,14 +27,6 @@ val rsa_decrypt :
 val rsa_sign :
   Machine.t -> Flicker_crypto.Rsa.private_key -> Flicker_crypto.Hash.algorithm -> string -> string
 
-val rsa_verify :
-  Machine.t ->
-  Flicker_crypto.Rsa.public ->
-  Flicker_crypto.Hash.algorithm ->
-  msg:string ->
-  signature:string ->
-  bool
-
 val elgamal_generate :
   Machine.t ->
   Flicker_crypto.Prng.t ->
@@ -47,19 +36,4 @@ val elgamal_generate :
     with shared group parameters, one modular exponentiation — charged at
     the private-op rate instead of the 185.7 ms keygen. *)
 
-val elgamal_encrypt :
-  Machine.t ->
-  Flicker_crypto.Prng.t ->
-  Flicker_crypto.Elgamal.public ->
-  string ->
-  (string, string) result
-
-val elgamal_decrypt :
-  Machine.t ->
-  Flicker_crypto.Elgamal.private_key ->
-  string ->
-  (string, string) result
-
-val aes_encrypt_cbc : Machine.t -> Flicker_crypto.Aes.key -> iv:string -> string -> string
-val aes_decrypt_cbc : Machine.t -> Flicker_crypto.Aes.key -> iv:string -> string -> string
 val md5crypt : Machine.t -> salt:string -> password:string -> string

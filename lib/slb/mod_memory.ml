@@ -81,8 +81,3 @@ let realloc t off n =
 
 let allocated_bytes t =
   List.fold_left (fun acc b -> if b.free then acc else acc + b.size) 0 t.blocks
-
-let free_bytes t =
-  List.fold_left (fun acc b -> if b.free then acc + b.size else acc) 0 t.blocks
-
-let zeroize t = Bytes.fill t.buf 0 (Bytes.length t.buf) '\000'

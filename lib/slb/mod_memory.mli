@@ -30,6 +30,3 @@ val block_size : t -> int -> int option
 (** Size of the allocated block at [off], if any. *)
 
 val allocated_bytes : t -> int
-val free_bytes : t -> int
-val zeroize : t -> unit
-(** Wipe the whole heap (cleanup phase). Allocations remain valid. *)

@@ -4,34 +4,21 @@ module Tpm_types = Flicker_tpm.Tpm_types
 
 type setup_output = { public_key : Rsa.public; sealed_private : string }
 
-let with_tpm env f =
-  match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
-  | Error e -> Error e
-  | Ok () ->
-      (* release also on exception, or a PAL fault wedges the driver *)
-      Fun.protect
-        ~finally:(fun () -> Mod_tpm_driver.release env.Pal_env.tpm_driver)
-        (fun () -> f (Pal_env.tpm env))
-
 let setup env ~key_bits =
-  with_tpm env (fun tpm ->
+  Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
       (* Seed the PAL's keygen from the TPM hardware RNG, as the paper's
          implementation does (the 1.3 ms GetRandom in Section 7.4.1). *)
       let seed = Mod_tpm_utils.get_random tpm 128 in
       Prng.reseed env.Pal_env.rng seed;
       let key = Mod_crypto.rsa_generate env.Pal_env.machine env.Pal_env.rng ~bits:key_bits in
-      match Mod_tpm_utils.pcr_read tpm 17 with
+      match
+        Mod_tpm_utils.seal_for_self tpm ~rng:env.Pal_env.rng (Rsa.private_to_string key)
+      with
       | Error e -> Error (Tpm_types.error_to_string e)
-      | Ok pcr17 -> (
-          match
-            Mod_tpm_utils.seal_to_pcr17 tpm ~rng:env.Pal_env.rng ~pcr17
-              (Rsa.private_to_string key)
-          with
-          | Error e -> Error (Tpm_types.error_to_string e)
-          | Ok sealed_private -> Ok { public_key = key.Rsa.pub; sealed_private }))
+      | Ok sealed_private -> Ok { public_key = key.Rsa.pub; sealed_private })
 
 let recover env ~sealed_private =
-  with_tpm env (fun tpm ->
+  Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
       match Mod_tpm_utils.unseal tpm ~rng:env.Pal_env.rng sealed_private with
       | Error e -> Error (Tpm_types.error_to_string e)
       | Ok raw -> (

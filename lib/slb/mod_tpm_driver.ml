@@ -12,18 +12,16 @@ let claim t =
 let release t = t.claimed <- false
 let is_claimed t = t.claimed
 
-let tpm t =
-  if t.claimed then Ok t.device
-  else Error "TPM driver: device not claimed (call claim first)"
+let with_tpm t f =
+  match claim t with
+  | Error e -> Error e
+  | Ok () ->
+      (* release also on exception, or a PAL fault wedges the driver *)
+      Fun.protect ~finally:(fun () -> release t) (fun () -> f t.device)
+
+let not_claimed = "TPM driver: device not claimed (call claim first)"
 
 let submit_raw t buf =
-  if not t.claimed then Error "TPM driver: device not claimed (call claim first)"
-  else Ok (Flicker_tpm.Tpm_wire.dispatch t.device buf)
+  if t.claimed then Ok (Flicker_tpm.Tpm_wire.dispatch t.device buf) else Error not_claimed
 
-let submit t cmd =
-  match submit_raw t (Flicker_tpm.Tpm_wire.encode_command cmd) with
-  | Error e -> Error e
-  | Ok resp_buf ->
-      Flicker_tpm.Tpm_wire.decode_response
-        ~ordinal:(Flicker_tpm.Tpm_wire.ordinal_of_command cmd)
-        resp_buf
+let submit t cmd = if t.claimed then Flicker_tpm.Tpm_wire.call t.device cmd else Error not_claimed

@@ -15,8 +15,12 @@ val claim : t -> (unit, string) result
 val release : t -> unit
 val is_claimed : t -> bool
 
-val tpm : t -> (Flicker_tpm.Tpm.t, string) result
-(** The device, usable only while claimed. *)
+val with_tpm : t -> (Flicker_tpm.Tpm.t -> ('a, string) result) -> ('a, string) result
+(** Claim the device, run the callback against it, and release the
+    claim on every exit, exceptions included, so a PAL fault never
+    leaves the driver wedged. This is how a PAL reaches the TPM. When
+    the device is already claimed it fails without running the callback
+    and leaves that claim in place. *)
 
 val submit : t -> Flicker_tpm.Tpm_wire.command -> (Flicker_tpm.Tpm_wire.response, string) result
 (** Marshal the command, push the bytes through the device's command

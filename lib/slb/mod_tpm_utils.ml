@@ -36,11 +36,6 @@ let get_random tpm n =
   | Ok (Wire.Digest_resp d) -> d
   | _ -> failwith "TPM GetRandom failed over the wire"
 
-let get_capability_version tpm =
-  match call tpm Wire.Get_capability_version with
-  | Ok (Wire.Digest_resp d) -> d
-  | _ -> failwith "TPM GetCapability failed over the wire"
-
 (* OSAP-authorized command against the SRK: handshake, derive the shared
    secret client-side, MAC the command digest, run, close. *)
 let with_srk_osap tpm ~rng ~command_digest f =
@@ -75,6 +70,11 @@ let unseal tpm ~rng blob =
       | Ok _ | Error _ -> Error transport_error)
 
 let seal_to_pcr17 tpm ~rng ~pcr17 data = seal tpm ~rng ~release:[ (17, pcr17) ] data
+
+let seal_for_self tpm ~rng data =
+  match pcr_read tpm 17 with
+  | Error e -> Error e
+  | Ok pcr17 -> seal_to_pcr17 tpm ~rng ~pcr17 data
 
 (* OIAP-authorized owner commands. NV space definition and counter
    creation carry structures the 1.2 wire subset does not marshal, so

@@ -13,7 +13,6 @@ module Tpm_types = Flicker_tpm.Tpm_types
 val pcr_read : Tpm.t -> int -> (Tpm_types.digest, Tpm_types.error) result
 val pcr_extend : Tpm.t -> int -> Tpm_types.digest -> (Tpm_types.digest, Tpm_types.error) result
 val get_random : Tpm.t -> int -> string
-val get_capability_version : Tpm.t -> string
 
 val seal :
   Tpm.t ->
@@ -39,6 +38,15 @@ val seal_to_pcr17 :
   string ->
   (string, Tpm_types.error) result
 (** Common case: bind to a specific PCR 17 value. *)
+
+val seal_for_self :
+  Tpm.t ->
+  rng:Flicker_crypto.Prng.t ->
+  string ->
+  (string, Tpm_types.error) result
+(** Read PCR 17 and seal to the value read. Inside a session PCR 17
+    holds the running PAL's own measurement, so only a later session of
+    the same PAL can unseal the blob (Section 4.3.1). *)
 
 val nv_define_space :
   Tpm.t ->

@@ -40,11 +40,6 @@ let write_phys t ~addr data =
   guard t ~addr ~len:(String.length data);
   Memory.write t.machine.Machine.memory ~addr data
 
-let tpm t =
-  match Mod_tpm_driver.tpm t.tpm_driver with
-  | Ok device -> device
-  | Error reason -> failwith reason
-
 let set_output t data =
   if String.length data > Layout.io_page_size then
     invalid_arg "Pal_env.set_output: output exceeds the 4 KB output page";
@@ -54,11 +49,6 @@ let set_output t data =
   write_phys t ~addr:t.outputs_addr data
 
 let output t = t.outputs
-
-let heap_exn t =
-  match t.heap with
-  | Some h -> h
-  | None -> failwith "PAL was built without the Memory Management module"
 
 let compute t ~ms =
   if ms < 0.0 then invalid_arg "Pal_env.compute: negative time";

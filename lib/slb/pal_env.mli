@@ -41,17 +41,11 @@ val read_phys : t -> addr:int -> len:int -> string
 
 val write_phys : t -> addr:int -> string -> unit
 
-val tpm : t -> Tpm.t
-(** @raise Failure if the driver has not claimed the device. *)
-
 val set_output : t -> string -> unit
 (** Write the PAL's result to the output page (PAL_OUT in the paper's
     "hello world"). @raise Invalid_argument beyond the 4 KB page. *)
 
 val output : t -> string
-
-val heap_exn : t -> Mod_memory.t
-(** @raise Failure when the Memory Management module was not linked in. *)
 
 val compute : t -> ms:float -> unit
 (** Application-specific CPU work (charges the simulated clock). *)

@@ -38,8 +38,6 @@ val auth_mac :
   secret:string -> command_digest:string -> nonce_even:string -> nonce_odd:string -> string
 (** The authorization HMAC both sides compute. *)
 
-val find : t -> int -> session option
-
 val verify :
   t ->
   handle:int ->

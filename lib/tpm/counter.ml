@@ -20,4 +20,3 @@ let increment t ~handle =
       c.value)
 
 let read t ~handle = with_counter t handle (fun c -> c.value)
-let label t ~handle = with_counter t handle (fun c -> c.label)

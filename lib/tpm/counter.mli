@@ -13,4 +13,3 @@ val increment : t -> handle:int -> (int, Tpm_types.error) result
 (** Returns the post-increment value. *)
 
 val read : t -> handle:int -> (int, Tpm_types.error) result
-val label : t -> handle:int -> (string, Tpm_types.error) result

@@ -27,9 +27,6 @@ val set_notify : t -> (change -> unit) -> unit
 val count : int
 (** 24 (TPM v1.2). *)
 
-val first_dynamic : int
-(** 17. *)
-
 val create : unit -> t
 (** Bank in post-reboot state. *)
 
@@ -50,6 +47,3 @@ val extend :
 
 val composite : t -> Tpm_types.pcr_selection -> Tpm_types.pcr_composite
 (** Snapshot the selected PCRs. *)
-
-val expected_extend : current:Tpm_types.digest -> Tpm_types.digest -> Tpm_types.digest
-(** The pure extend function, exposed so verifiers can replay event logs. *)

@@ -16,7 +16,6 @@ let create rng ~name ~key_bits =
   { ca_name = name; key = Rsa.generate rng ~bits:key_bits; known_eks = [] }
 
 let public_key t = t.key.Rsa.pub
-let name t = t.ca_name
 let register_ek t ek = t.known_eks <- Rsa.public_to_string ek :: t.known_eks
 
 let cert_payload ~issuer ~aik = "AIK-CERT" ^ issuer ^ Rsa.public_to_string aik

@@ -14,7 +14,6 @@ type aik_certificate = {
 
 val create : Flicker_crypto.Prng.t -> name:string -> key_bits:int -> t
 val public_key : t -> Flicker_crypto.Rsa.public
-val name : t -> string
 
 val register_ek : t -> Flicker_crypto.Rsa.public -> unit
 (** Record an endorsement key as belonging to a legitimate TPM (stands in

@@ -46,8 +46,6 @@ let error_to_string = function
   | Area_exists -> "TPM_NV_AREA_EXISTS"
   | Tpm_busy -> "TPM_RETRY"
 
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
-
 type locality = int
 
 let owner_auth_size = 20

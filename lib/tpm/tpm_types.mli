@@ -37,7 +37,6 @@ type error =
           resource pressure; the fault injector uses it for transient
           command errors *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 type locality = int

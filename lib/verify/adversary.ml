@@ -16,28 +16,6 @@ let kind_name = function
 
 let kind_of_name n = List.find_opt (fun k -> kind_name k = n) all_kinds
 
-let kind_doc = function
-  | Dma ->
-      ( "a malicious device probing the SLB window over the bus",
-        "dma.attempt (read/write)",
-        "clear-dev-early (an un-denied probe while secrets are live)" )
-  | Reset ->
-      ( "power-cycles the platform mid-protocol; volatile state is lost, \
-         NV and monotonic counters persist",
-        "pcr.reboot",
-        "trust-state-across-reset" )
-  | Replay ->
-      ( "records an earlier session's sealed blob / NV snapshot and \
-         re-presents it to a later session",
-        "replay.record, replay.inject",
-        "reseal-without-counter-check" )
-  | Corrupt_os ->
-      ( "drops, duplicates or swaps the input/output messages crossing \
-         the untrusted OS while it is running",
-        "os.inject(drop-msg|dup-msg|swap-msg), pcr.extend(17,software)",
-        "nothing by design: message tampering is caught by attestation \
-         hashes, not lifecycle order" )
-
 type config = {
   kinds : kind list;
   dma_probes : int;
@@ -205,21 +183,3 @@ let actions b (v : view) =
         ]
     in
     dma @ reset @ replay @ corrupt_os
-
-(* Effects the adversary could still fire from here, via adversary-only
-   action sequences (the enabling closure the persistent-set selector
-   needs): a record with remaining budget can enable an inject even when
-   nothing is recorded yet. *)
-let potential b (v : view) =
-  if v.at_end then []
-  else
-    (if b.probes > 0 then [ Spend_probe ] else [])
-    @ (if b.resets > 0 && v.dev_up then [ Do_reset ] else [])
-    @ (if b.records > 0 && not v.suspended then [ Do_record ] else [])
-    @ (if
-         b.injects > 0
-         && (not v.suspended)
-         && (v.recorded <> None || b.records > 0)
-       then [ Do_inject ]
-       else [])
-    @ if b.os_injs > 0 && not v.suspended then [ Spend_os ] else []

@@ -30,10 +30,6 @@ val kind_name : kind -> string
 
 val kind_of_name : string -> kind option
 
-val kind_doc : kind -> string * string * string
-(** [(capability, events injected, which planted bug it catches)] — the
-    adversary-model table rendered in the README and CLI docs. *)
-
 type config = {
   kinds : kind list;  (** active models; composable *)
   dma_probes : int;
@@ -93,9 +89,3 @@ val spend : budgets -> effect -> budgets
 
 val actions : budgets -> view -> action list
 (** Every adversary action enabled right now. *)
-
-val potential : budgets -> view -> effect list
-(** Effects fireable now {e or} after adversary-only sequences from
-    here (the enabling closure: a pending record can enable an inject).
-    The partial-order reduction must consider all of these before
-    postponing the adversary. *)

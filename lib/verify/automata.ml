@@ -14,7 +14,6 @@ let name (Auto s) = s.spec_name
 let property (Auto s) = s.spec_property
 let paper (Auto s) = s.spec_paper
 let start (Auto s) = Inst { spec = s; state = s.init }
-let instance_name (Inst i) = i.spec.spec_name
 
 let feed (Inst i) ev =
   match i.spec.step i.state ev with
@@ -397,5 +396,3 @@ let all =
     no_unchecked_dma;
     suspend_before_launch;
   ]
-
-let find n = List.find_opt (fun a -> name a = n) all

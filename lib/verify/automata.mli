@@ -28,7 +28,6 @@ type instance
 (** A running automaton: definition plus current state. *)
 
 val start : t -> instance
-val instance_name : instance -> string
 
 val feed : instance -> Event.t -> (instance, string) result
 (** Advance by one event. [Error msg] means the event violates the
@@ -85,6 +84,3 @@ val suspend_before_launch : t
 
 val all : t list
 (** The eight automata above, in a stable order. *)
-
-val find : string -> t option
-(** Look up a shipped automaton by {!name}. *)

@@ -49,10 +49,6 @@ let check_trace ?automata events = check ?automata (Event.of_trace events)
 let check_tracer ?automata tracer =
   check_trace ?automata (Flicker_obs.Tracer.events tracer)
 
-let pp_violation fmt v =
-  Format.fprintf fmt "[%s] %s (paper %s)@,  at event %d: %s@,  %s" v.automaton
-    v.message v.paper v.event_index (Event.to_string v.event) v.property
-
 let violation_to_string v =
   Printf.sprintf "[%s] %s (paper %s) at event %d: %s" v.automaton v.message
     v.paper v.event_index (Event.to_string v.event)

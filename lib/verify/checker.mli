@@ -35,5 +35,4 @@ val check_trace : ?automata:Automata.t list -> Flicker_obs.Tracer.event list -> 
 val check_tracer : ?automata:Automata.t list -> Flicker_obs.Tracer.t -> report
 (** {!check_trace} over everything the tracer currently retains. *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string

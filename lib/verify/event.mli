@@ -26,7 +26,6 @@ type pcr_kind =
   | Software
   | Other of string
 
-val pcr_kind_of_string : string -> pcr_kind
 val pcr_kind_to_string : pcr_kind -> string
 
 type t =
@@ -62,12 +61,6 @@ type t =
 
 val to_string : t -> string
 (** Compact one-line rendering used in counterexample traces. *)
-
-val of_tracer_event : Flicker_obs.Tracer.event -> t option
-(** Parse one tracer record. Returns [None] for events outside the
-    ["protocol"] category and for protocol events with missing or
-    malformed arguments (the checker treats those as unobserved rather
-    than failing). *)
 
 val of_trace : Flicker_obs.Tracer.event list -> t list
 (** [of_trace events] keeps the relative order of the parseable

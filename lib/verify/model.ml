@@ -35,9 +35,6 @@ let all_variants =
 
 let broken_variants = List.filter (fun v -> v <> Good) all_variants
 
-let variant_of_name n =
-  List.find_opt (fun v -> variant_name v = n) all_variants
-
 (* Which adversary model a planted bug needs before it manifests. [None]
    means the bug is in the session's own ordering and any adversary (or
    none) exposes it. *)
@@ -462,22 +459,6 @@ let transitions st =
       (Adversary.actions st.budgets (view st ~at_end))
   in
   session @ adversary
-
-let postponable st =
-  let blocks, _ = program st.variant st.sessions in
-  let at_end = st.pc >= Array.length blocks in
-  let v = view st ~at_end in
-  List.map
-    (fun e ->
-      let fp = effect_fp e in
-      match e with
-      | Adversary.Spend_probe ->
-          (* the probe's event content is judged at the current DEV: if it
-             would be denied it is invisible, and any transition that
-             changes the DEV conflicts through [v_dev] anyway *)
-          { fp with visible = fp.visible || not v.Adversary.denies }
-      | _ -> fp)
-    (Adversary.potential st.budgets v)
 
 let encode st =
   Printf.sprintf "%d|%s|%s|%b|%d|%d|%d|%s" st.pc

@@ -56,7 +56,6 @@ type variant =
           extend lands outside any launch, breaking [extend-order]) *)
 
 val variant_name : variant -> string
-val variant_of_name : string -> variant option
 val all_variants : variant list
 
 val broken_variants : variant list
@@ -109,12 +108,6 @@ val transitions : state -> trans list
 (** Enabled actions from [state]; empty means the run is complete. At
     most one [Session] transition is ever enabled (the program is
     deterministic). *)
-
-val postponable : state -> footprint list
-(** Footprints of every adversary effect fireable from [state] now or
-    after adversary-only sequences (the enabling closure). The ample-set
-    selector may explore only the session transition iff all of these
-    are invisible and independent of it. *)
 
 val encode : state -> string
 (** Stable state hash key (the monitors are hashed separately by the

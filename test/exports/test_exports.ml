@@ -1,0 +1,377 @@
+(* Exports under lib/, each reached from outside its own module.
+
+   Reads every [val] in lib/**/*.mli, nested signatures included, and
+   resolves every value reference in lib/, bin/, bench/, examples/,
+   perf/ and test/ to the export it names. Module paths are resolved
+   through the dune library wrappers, sibling modules, module aliases,
+   [open]s and [let module], so a constructor or a local module that
+   shares a module's name is not a use of it. A reference from the
+   export's own compilation unit does not count.
+
+   Every export must be referenced from outside its unit. One that only
+   tests reference (anything under test/, and perf/test_perf.ml) must
+   appear in the allowlist below with the reason it stays; an entry
+   naming a module covers every test-only export inside it. *)
+
+open Parsetree
+
+(* (reason, export or module paths) *)
+let allowlist =
+  [
+    ( "Section 4.3.2 replay protection (Figure 4 and the NV-space counter): no shipped PAL \
+       keeps versioned sealed state yet",
+      [ "Flicker_core.Replay" ] );
+    ( "Section 6.2 BOINC server that accepts distcomp results by their quotes: no workload \
+       runs a server yet",
+      [ "Flicker_apps.Boinc" ] );
+    ( "Section 4.4.2 generic secure channel: the SSH PAL links Mod_secure_channel directly",
+      [ "Flicker_core.Secure_channel" ] );
+    ( "crypto primitives the crypto suites check against known answers, round trips and \
+       reference implementations; PALs use only what they link",
+      [
+        "Flicker_crypto.Aes.encrypt_block"; "Flicker_crypto.Aes.decrypt_block";
+        "Flicker_crypto.Aes.ctr"; "Flicker_crypto.Bignum.to_int"; "Flicker_crypto.Bignum.is_zero";
+        "Flicker_crypto.Bignum.divmod"; "Flicker_crypto.Bignum.add_int";
+        "Flicker_crypto.Bignum.test_bit"; "Flicker_crypto.Bignum.gcd";
+        "Flicker_crypto.Bignum.of_hex"; "Flicker_crypto.Bignum.to_hex";
+        "Flicker_crypto.Bignum.of_decimal_string"; "Flicker_crypto.Bignum.to_decimal_string";
+        "Flicker_crypto.Elgamal.shared_params_512"; "Flicker_crypto.Elgamal.encrypt";
+        "Flicker_crypto.Elgamal.decrypt"; "Flicker_crypto.Elgamal.public_to_string";
+        "Flicker_crypto.Elgamal.public_of_string"; "Flicker_crypto.Elgamal.private_to_string";
+        "Flicker_crypto.Elgamal.private_of_string"; "Flicker_crypto.Hash.digest_size";
+        "Flicker_crypto.Hash.hex"; "Flicker_crypto.Hash.name"; "Flicker_crypto.Md5crypt.verify";
+        "Flicker_crypto.Md5crypt.parse"; "Flicker_crypto.Primality.is_probably_prime";
+        "Flicker_crypto.Primality.small_primes"; "Flicker_crypto.Sha256.init";
+        "Flicker_crypto.Sha256.update"; "Flicker_crypto.Sha256.finalize";
+        "Flicker_crypto.Sha256.hex"; "Flicker_crypto.Sha512.init"; "Flicker_crypto.Sha512.update";
+        "Flicker_crypto.Sha512.finalize"; "Flicker_crypto.Sha512.hex";
+        "Flicker_crypto.Util.pad_left"; "Flicker_crypto.Util.zeroize";
+      ] );
+    ( "PAL module API no shipped PAL calls directly: the allocator, the driver's claim \
+       discipline and raw transport, sealing to another PAL's PCR 17",
+      [
+        "Flicker_slb.Mod_memory.malloc"; "Flicker_slb.Mod_memory.free";
+        "Flicker_slb.Mod_memory.realloc"; "Flicker_slb.Mod_memory.read";
+        "Flicker_slb.Mod_memory.write"; "Flicker_slb.Mod_memory.block_size";
+        "Flicker_slb.Mod_memory.allocated_bytes"; "Flicker_slb.Mod_tpm_driver.claim";
+        "Flicker_slb.Mod_tpm_driver.release"; "Flicker_slb.Mod_tpm_driver.is_claimed";
+        "Flicker_slb.Mod_tpm_driver.submit"; "Flicker_slb.Mod_tpm_driver.submit_raw";
+        "Flicker_slb.Mod_tpm_utils.seal_to_pcr17"; "Flicker_slb.Pal_env.write_phys";
+      ] );
+    ( "Section 5.1 attacks the adversary suite mounts against honest sessions",
+      [
+        "Flicker_os.Adversary.dma_read_probe"; "Flicker_os.Adversary.dma_corrupt";
+        "Flicker_os.Adversary.forge_pcr17"; "Flicker_os.Adversary.replay_ciphertext";
+      ] );
+    ( "launch paths, measurement steps and fault knobs the session, attestation and TXT \
+       suites compare against the normal session",
+      [
+        "Flicker_core.Measurement.extend"; "Flicker_core.Measurement.of_image";
+        "Flicker_core.Measurement.window_hash"; "Flicker_core.Measurement.after_skinit";
+        "Flicker_core.Measurement.io_extends"; "Flicker_core.Session.os_busy_transient";
+        "Flicker_core.Session.os_busy_permanent"; "Flicker_core.Session.busy_is_transient";
+        "Flicker_core.Session.execute_from_sysfs"; "Flicker_core.Session.corrupt_slb_in_memory";
+        "Flicker_hw.Senter.teardown_protection";
+      ] );
+    ( "IMA log verification the trusted-boot tests check; the paper bench reports only \
+       the burden comparison",
+      [
+        "Flicker_core.Trusted_boot.failure_to_string"; "Flicker_core.Trusted_boot.replay_log";
+        "Flicker_core.Trusted_boot.verify"; "Flicker_os.Measured_boot.pcrs_in_use";
+      ] );
+    ( "state inspectors and constructors the hardware, TPM, OS and SLB suites use to check \
+       the simulator from outside",
+      [
+        "Flicker_hw.Cpu.segment_contains"; "Flicker_hw.Dev.is_page_protected";
+        "Flicker_hw.Dev.protected_pages"; "Flicker_hw.Dma.create"; "Flicker_hw.Dma.attempts";
+        "Flicker_hw.Machine.events_between"; "Flicker_hw.Machine.event_count";
+        "Flicker_hw.Machine.events_dropped"; "Flicker_hw.Memory.page_of_addr";
+        "Flicker_os.Os_state.saved_cr3"; "Flicker_os.Kernel.measured_bytes";
+        "Flicker_os.Kernel.is_compromised"; "Flicker_os.Scheduler.active_processes";
+        "Flicker_os.Scheduler.resident_processes"; "Flicker_os.Scheduler.completed_total";
+        "Flicker_os.Scheduler.last_completion"; "Flicker_os.Scheduler.online_cores";
+        "Flicker_os.Sysfs.standard_entries"; "Flicker_tpm.Nvram.undefine_space";
+        "Flicker_tpm.Nvram.defined_indices"; "Flicker_tpm.Tpm.owner_auth";
+        "Flicker_tpm.Tpm.get_capability_pcr_count"; "Flicker_tpm.Tpm_wire.ordinal_of_command";
+        "Flicker_tpm.Tpm_wire.encode_command"; "Flicker_tpm.Tpm_wire.decode_command";
+        "Flicker_tpm.Tpm_wire.encode_response"; "Flicker_tpm.Tpm_wire.decode_response";
+        "Flicker_slb.Slb_core.gdt_patch_offset";
+        "Flicker_slb.Slb_core.tss_patch_offset"; "Flicker_slb.Builder.slb_sizes";
+        "Flicker_slb.Pal.module_code";
+      ] );
+    ( "app codecs, counters and the Flicker-protected SSH client the app suites check",
+      [
+        "Flicker_apps.Cert_authority.encode_policy"; "Flicker_apps.Cert_authority.decode_policy";
+        "Flicker_apps.Cert_authority.policy_allows"; "Flicker_apps.Cert_authority.issued_count";
+        "Flicker_apps.Distcomp.decode_state"; "Flicker_apps.Distcomp.resume_attested";
+        "Flicker_apps.Distcomp.candidates_per_ms"; "Flicker_apps.Ssh_auth.Flicker_client.create";
+        "Flicker_apps.Ssh_auth.Flicker_client.accept_server_key";
+        "Flicker_apps.Ssh_auth.Flicker_client.encrypt_password";
+      ] );
+    ( "introspection and hooks the service, serve, obs and fault suites use to check \
+       behaviour from outside",
+      [
+        "Flicker_obs.Metrics.reset"; "Flicker_obs.Tracer.capacity"; "Flicker_obs.Tracer.clear";
+        "Flicker_serve.Cache.length"; "Flicker_serve.Serve.verify_failure_to_string";
+        "Flicker_serve.Serve.advance_nv"; "Flicker_serve.Serve.cached";
+        "Flicker_serve.Serve.cache_stats"; "Flicker_service.Event_queue.length";
+        "Flicker_service.Event_queue.is_empty"; "Flicker_service.Fleet.past_deadline";
+        "Flicker_service.Fleet.crash_platform"; "Flicker_service.Fleet.platform_up";
+        "Flicker_service.Request.pp_disposition"; "Flicker_fault.Injector.enabled";
+      ] );
+    ( "analysis internals the analysis and extract suites check directly: frame sizes, the \
+       concrete interpreter behind the soundness property, the planted-defect PALs, finding \
+       order and lookups",
+      [
+        "Flicker_analysis.Absint.opaque_frame_bytes"; "Flicker_analysis.Absint.frame_bytes";
+        "Flicker_analysis.Absint.Concrete.run"; "Flicker_analysis.Domains.Interval.contains";
+        "Flicker_analysis.Effects.default"; "Flicker_analysis.Models.stack_hog";
+        "Flicker_analysis.Models.secret_branch"; "Flicker_analysis.Models.planted_keys";
+        "Flicker_analysis.Report.slb_limit"; "Flicker_analysis.Rules.compare_findings";
+        "Flicker_extract.Extract.stdlib_advice"; "Flicker_extract.Extract.find_func";
+        "Flicker_extract.Extract.find_type";
+      ] );
+    ( "each protocol automaton by name, and the checker and broken variants, for the verify \
+       suite's per-property cases; runtime checking uses Automata.all",
+      [
+        "Flicker_verify.Automata.cap_before_resume"; "Flicker_verify.Automata.dev_covers_slb";
+        "Flicker_verify.Automata.zeroize_before_exit"; "Flicker_verify.Automata.extend_order";
+        "Flicker_verify.Automata.nv_monotonic"; "Flicker_verify.Automata.fresh_nv_on_launch";
+        "Flicker_verify.Automata.no_unchecked_dma";
+        "Flicker_verify.Automata.suspend_before_launch"; "Flicker_verify.Checker.check";
+        "Flicker_verify.Model.broken_variants";
+      ] );
+  ]
+
+(* the nearest directory above holding lib/: the build copy the dune
+   deps fill under [dune runtest], the source tree under [dune exec] *)
+let root =
+  let rec up dir =
+    if Sys.file_exists (Filename.concat dir "lib/core/session.ml") then dir
+    else if Filename.dirname dir = dir then failwith "no lib/ above the working directory"
+    else up (Filename.dirname dir)
+  in
+  up (Sys.getcwd ())
+
+let read file = In_channel.with_open_bin (Filename.concat root file) In_channel.input_all
+
+let lexbuf file =
+  let lexbuf = Lexing.from_string (read file) in
+  Lexing.set_filename lexbuf file;
+  lexbuf
+
+(* the files under [dir] with one of [suffixes], as paths relative to [root] *)
+let rec files suffixes dir =
+  Sys.readdir (Filename.concat root dir)
+  |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun entry ->
+         let path = Filename.concat dir entry in
+         if entry.[0] = '.' || entry = "_build" then []
+         else if Sys.is_directory (Filename.concat root path) then files suffixes path
+         else if List.exists (Filename.check_suffix entry) suffixes then [ path ]
+         else [])
+
+let unit_name file = String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
+let is_test file = String.starts_with ~prefix:"test/" file || file = "perf/test_perf.ml"
+
+(* lib/NAME holds the wrapped dune library flicker_NAME *)
+let lib_dirs =
+  Sys.readdir (Filename.concat root "lib")
+  |> Array.to_list |> List.sort compare
+  |> List.map (fun d -> ("lib/" ^ d, "Flicker_" ^ d))
+
+(* the module path of [file]'s compilation unit: under its library's
+   wrapper in lib/, under its directory elsewhere *)
+let unit_path file =
+  let dir = Filename.dirname file in
+  match List.assoc_opt dir lib_dirs with
+  | Some w -> [ w; unit_name file ]
+  | None -> [ dir; unit_name file ]
+
+let show = String.concat "."
+
+(* --- exports --- *)
+
+type export = { path : string list; unit_ : string list; where : string }
+
+let rec signature ~file path items =
+  List.concat_map
+    (fun item ->
+      match item.psig_desc with
+      | Psig_value vd ->
+          let where = Printf.sprintf "%s:%d" file vd.pval_loc.loc_start.pos_lnum in
+          [ { path = path @ [ vd.pval_name.txt ]; unit_ = unit_path file; where } ]
+      | Psig_module
+          { pmd_name = { txt = Some name; _ }; pmd_type = { pmty_desc = Pmty_signature sg; _ }; _ }
+        ->
+          signature ~file (path @ [ name ]) sg
+      | _ -> [])
+    items
+
+let exports =
+  List.concat_map
+    (fun file -> signature ~file (unit_path file) (Parse.interface (lexbuf file)))
+    (files [ ".mli" ] "lib")
+
+let export_table =
+  let t = Hashtbl.create 1024 in
+  List.iter (fun e -> Hashtbl.replace t e.path e) exports;
+  t
+
+(* the module paths holding exports: library wrappers, units and nested
+   modules, each a proper prefix of some export's path *)
+let modules =
+  let t = Hashtbl.create 256 in
+  let rec prefixes = function
+    | [] | [ _ ] -> []
+    | m :: rest -> [ m ] :: List.map (List.cons m) (prefixes rest)
+  in
+  List.iter (fun e -> List.iter (fun p -> Hashtbl.replace t p ()) (prefixes e.path)) exports;
+  t
+
+(* --- references --- *)
+
+type binding = Alias of string * string list | Open of string list
+
+(* the export paths [file] references from outside their own unit *)
+let references file =
+  let here = unit_path file in
+  let siblings = List.map unit_name (files [ ".ml"; ".mli" ] (Filename.dirname file)) in
+  (* a bare module name before the file's own bindings: a sibling in the
+     same library or directory, then a library wrapper *)
+  let initial m =
+    if List.mem m siblings then Some [ List.hd here; m ]
+    else if Hashtbl.mem modules [ m ] then Some [ m ]
+    else None
+  in
+  let scope = ref [] in
+  let rec module_path = function
+    | Longident.Lident m -> (
+        let bound = function
+          | Alias (n, p) when n = m -> Some p
+          | Open p when Hashtbl.mem modules (p @ [ m ]) -> Some (p @ [ m ])
+          | _ -> None
+        in
+        match List.find_map bound !scope with Some p -> Some p | None -> initial m)
+    | Ldot (l, m) -> Option.map (fun p -> p @ [ m ]) (module_path l)
+    | Lapply _ -> None
+  in
+  let value_path = function
+    | Longident.Lident v ->
+        let opened = function
+          | Open p when Hashtbl.mem export_table (p @ [ v ]) -> Some (p @ [ v ])
+          | _ -> None
+        in
+        List.find_map opened !scope
+    | Ldot (l, v) -> Option.map (fun p -> p @ [ v ]) (module_path l)
+    | Lapply _ -> None
+  in
+  let rec path_of me =
+    match me.pmod_desc with
+    | Pmod_ident { txt; _ } -> module_path txt
+    | Pmod_constraint (me, _) -> path_of me
+    | _ -> None
+  in
+  (* a module bound to anything but a path is this unit's own *)
+  let bind name me = Alias (name, Option.value (path_of me) ~default:(here @ [ name ])) in
+  let push_open me = Option.iter (fun p -> scope := Open p :: !scope) (path_of me) in
+  let scoped f =
+    let saved = !scope in
+    f ();
+    scope := saved
+  in
+  let found = ref [] in
+  let super = Ast_iterator.default_iterator in
+  let expr it e =
+    match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> (
+        match value_path txt with
+        | Some p when Hashtbl.mem export_table p && (Hashtbl.find export_table p).unit_ <> here ->
+            found := p :: !found
+        | _ -> ())
+    | Pexp_open (od, body) ->
+        it.Ast_iterator.module_expr it od.popen_expr;
+        scoped (fun () ->
+            push_open od.popen_expr;
+            it.expr it body)
+    | Pexp_letmodule ({ txt = Some name; _ }, me, body) ->
+        it.module_expr it me;
+        scoped (fun () ->
+            scope := bind name me :: !scope;
+            it.expr it body)
+    | _ -> super.expr it e
+  in
+  let structure it items =
+    scoped (fun () ->
+        List.iter
+          (fun item ->
+            it.Ast_iterator.structure_item it item;
+            match item.pstr_desc with
+            | Pstr_open od -> push_open od.popen_expr
+            | Pstr_include incl -> push_open incl.pincl_mod
+            | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
+                scope := bind name pmb_expr :: !scope
+            | _ -> ())
+          items)
+  in
+  let it = { super with expr; structure } in
+  it.structure it (Parse.implementation (lexbuf file));
+  !found
+
+(* export path -> (referenced outside tests, referenced by tests) *)
+let uses =
+  let t = Hashtbl.create 1024 in
+  List.iter
+    (fun file ->
+      List.iter
+        (fun p ->
+          let code, tests = Option.value (Hashtbl.find_opt t p) ~default:(false, false) in
+          Hashtbl.replace t p (code || not (is_test file), tests || is_test file))
+        (references file))
+    (List.concat_map (files [ ".ml" ]) [ "lib"; "bin"; "bench"; "examples"; "perf"; "test" ]);
+  t
+
+let use e = Option.value (Hashtbl.find_opt uses e.path) ~default:(false, false)
+let test_only = List.filter (fun e -> use e = (false, true)) exports
+
+(* an entry covers the export it names and everything inside a module it names *)
+let covers entry e =
+  let rec prefix = function
+    | [], _ -> true
+    | x :: xs, y :: ys -> x = y && prefix (xs, ys)
+    | _ :: _, [] -> false
+  in
+  prefix (String.split_on_char '.' entry, e.path)
+
+let describe e = Printf.sprintf "%s: %s" e.where (show e.path)
+let entries =
+  List.concat_map (fun (reason, paths) -> List.map (fun p -> (p, reason)) paths) allowlist
+
+let test_all_referenced () =
+  Alcotest.(check bool) "lib/ was scanned" true (List.length exports > 500);
+  Alcotest.(check (list string)) "exports nothing outside their module references" []
+    (List.map describe (List.filter (fun e -> use e = (false, false)) exports))
+
+let test_test_only_listed () =
+  Alcotest.(check (list string)) "exports only tests reference, missing from the allowlist" []
+    (List.map describe
+       (List.filter (fun e -> not (List.exists (fun (p, _) -> covers p e) entries)) test_only))
+
+let test_no_stale_entries () =
+  Alcotest.(check (list string)) "allowlist entries covering no test-only export" []
+    (List.filter_map
+       (fun (p, _) -> if List.exists (covers p) test_only then None else Some p)
+       entries);
+  Alcotest.(check (list string)) "allowlist entries without a reason" []
+    (List.filter_map (fun (p, reason) -> if String.trim reason = "" then Some p else None) entries)
+
+let () =
+  Alcotest.run "exports"
+    [
+      ( "lib",
+        [
+          Alcotest.test_case "every export referenced" `Quick test_all_referenced;
+          Alcotest.test_case "test-only exports listed" `Quick test_test_only_listed;
+          Alcotest.test_case "no stale allowlist entries" `Quick test_no_stale_entries;
+        ] );
+    ]

@@ -118,7 +118,7 @@ let test_skinit_by_adversary_is_safe () =
   let victim =
     Pal.define ~name:"adv-victim-sealer" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
       (fun env ->
-        match Sealed_storage.seal_for_self env "victim secret" with
+        match Sealing.seal_for_self env "victim secret" with
         | Ok blob -> Pal_env.set_output env blob
         | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
   in
@@ -132,7 +132,7 @@ let test_skinit_by_adversary_is_safe () =
   let evil =
     Pal.define ~name:"adv-evil-pal" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
       (fun env ->
-        match Sealed_storage.unseal env env.Pal_env.inputs with
+        match Sealing.unseal env env.Pal_env.inputs with
         | Ok data -> Pal_env.set_output env ("STOLEN:" ^ data)
         | Error e -> Pal_env.set_output env ("denied:" ^ e))
   in

@@ -1,17 +1,14 @@
 (* The PAL verifier: call-graph layer, effects/taint pass, TCB-budget
    rules, the abstract-interpretation engine (stack bounds, buffer
    bounds, constant-time lint) with its planted-defect PALs and a
-   concrete-vs-abstract soundness property, analysis-gated fleet
-   admission, golden reports for the shipped and planted PALs, and
-   property tests tying the analysis back to the extraction slicer. *)
+   concrete-vs-abstract soundness property, golden reports for the
+   shipped and planted PALs, and property tests tying the analysis back
+   to the extraction slicer. *)
 
 open Flicker_analysis
 module Extract = Flicker_extract.Extract
 module Pal = Flicker_slb.Pal
 module Layout = Flicker_slb.Layout
-module Fleet = Flicker_service.Fleet
-module Dispatch = Flicker_service.Dispatch
-module Workload = Flicker_service.Workload
 module Interval = Domains.Interval
 
 let f fname calls loc = Extract.fn fname ~calls ~loc
@@ -509,63 +506,6 @@ let test_planted_secret_branch () =
   | Absint.Bounded b -> Alcotest.(check bool) "stack fits" true (b <= Layout.stack_size)
   | Absint.Unbounded -> Alcotest.fail "secret-branch must have a bounded stack"
 
-(* --- analysis-gated fleet admission --- *)
-
-let gate_config seed =
-  {
-    Fleet.default_config with
-    platforms = 1;
-    queue_depth = 4;
-    batch_size = 1;
-    policy = Dispatch.Round_robin;
-    seed;
-  }
-
-let test_admission_gate () =
-  let bad = Admission.evaluate ~key:"stack-hog" (Models.stack_hog ()) in
-  Alcotest.(check bool) "stack-hog verdict fails" false bad.Admission.passing;
-  Alcotest.(check int) "one blocking error" 1 bad.Admission.errors;
-  (match bad.Admission.stack_bytes with
-  | Some b -> Alcotest.(check bool) "verdict carries the bound" true (b > Layout.stack_size)
-  | None -> Alcotest.fail "expected a bounded stack in the verdict");
-  Alcotest.(check bool) "reason names the rule" true
-    (List.exists
-       (fun r -> String.length r >= 11 && String.sub r 0 11 = "stack-bound")
-       bad.Admission.reasons);
-  let fleet = Fleet.create ~config:(gate_config "gate-bad") (Workload.echo ~work_ms:10.0 ()) in
-  Admission.install fleet bad;
-  for i = 1 to 5 do
-    ignore (Fleet.submit fleet (Printf.sprintf "r%d" i))
-  done;
-  Fleet.run fleet;
-  let s = Fleet.summary fleet in
-  Alcotest.(check int) "all five rejected by analysis" 5 s.Fleet.analysis_rejected;
-  Alcotest.(check int) "nothing completes" 0 s.Fleet.completed;
-  Alcotest.(check int) "rejections visible in the totals" 5 s.Fleet.rejected;
-  Alcotest.(check bool) "every disposition is Rejected" true
-    (List.for_all
-       (fun (_, d) -> match d with Flicker_service.Request.Rejected _ -> true | _ -> false)
-       (Fleet.dispositions fleet));
-  let rendered = Format.asprintf "%a" Fleet.pp_summary s in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "summary prints the gate line" true
-    (contains rendered "rejected by analysis gate: 5");
-  (* a passing verdict admits everything *)
-  let ok = Admission.evaluate ~key:"hello" (Models.hello ()) in
-  Alcotest.(check bool) "hello verdict passes" true ok.Admission.passing;
-  Alcotest.(check (list string)) "no reasons" [] ok.Admission.reasons;
-  let fleet = Fleet.create ~config:(gate_config "gate-ok") (Workload.echo ~work_ms:10.0 ()) in
-  Admission.install fleet ok;
-  ignore (Fleet.submit fleet "r1");
-  Fleet.run fleet;
-  let s = Fleet.summary fleet in
-  Alcotest.(check int) "nothing gated" 0 s.Fleet.analysis_rejected;
-  Alcotest.(check int) "request served" 1 s.Fleet.completed
-
 (* --- the five shipped PALs are clean --- *)
 
 let test_shipped_pals_clean () =
@@ -869,7 +809,6 @@ let () =
           Alcotest.test_case "stack-hog caught" `Quick test_planted_stack_hog;
           Alcotest.test_case "secret-branch caught" `Quick test_planted_secret_branch;
         ] );
-      ("admission", [ Alcotest.test_case "fleet gate" `Quick test_admission_gate ]);
       ( "shipped PALs",
         Alcotest.test_case "all five clean" `Quick test_shipped_pals_clean
         :: List.map

@@ -163,6 +163,25 @@ let test_signing_latency () =
   Alcotest.(check bool) (Printf.sprintf "~906 ms (got %.1f)" ms) true
     (ms > 880.0 && ms < 980.0)
 
+(* A key size the PAL cannot parse or use gets an ERROR: reply; the
+   session still ends normally and the platform serves the next one. *)
+let test_malformed_key_size_refused () =
+  let p, ca = make ~seed:"bad-keygen" in
+  let pal = CA.ca_pal ~key_bits:512 in
+  List.iter
+    (fun bits ->
+      match
+        Session.execute p ~pal ~inputs:(Util.encode_fields [ "keygen"; bits; "Bad CA" ]) ()
+      with
+      | Ok o ->
+          Alcotest.(check string) ("key size " ^ bits) ("ERROR: bad key size: " ^ bits)
+            o.Session.outputs
+      | Error e -> Alcotest.failf "key size %s: %a" bits Session.pp_error e)
+    [ "x"; "8" ];
+  match CA.init_ca ca with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "clean keygen: %s" e
+
 let () =
   Alcotest.run "apps-ca"
     [
@@ -185,5 +204,7 @@ let () =
         [
           Alcotest.test_case "key isolation" `Quick test_private_key_never_in_memory;
           Alcotest.test_case "signing latency" `Quick test_signing_latency;
+          Alcotest.test_case "malformed key size refused" `Quick
+            test_malformed_key_size_refused;
         ] );
     ]

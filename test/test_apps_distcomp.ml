@@ -167,6 +167,37 @@ let test_results_extended_into_pcr () =
       Alcotest.(check (list int)) "3 and 7" [ 3; 7 ]
         (List.sort compare final.Distcomp.divisors_found)
 
+(* The slice comes from the untrusted OS. A malformed one gets an ERROR:
+   reply from a session that still ends normally, so the platform stays
+   usable. *)
+let test_malformed_slice_refused () =
+  let p = make ~seed:"bad-slice" in
+  let pal = Distcomp.pal () in
+  let run fields =
+    match Session.execute p ~pal ~inputs:(Flicker_crypto.Util.encode_fields fields) () with
+    | Ok outcome -> outcome.Session.outputs
+    | Error e -> Alcotest.failf "session: %a" Session.pp_error e
+  in
+  let refused out = String.length out >= 6 && String.sub out 0 6 = "ERROR:" in
+  let unit_ = { Distcomp.unit_id = 4; number = 91; lo = 2; hi = 50 } in
+  let st = { Distcomp.unit_; next_candidate = 2; divisors_found = []; finished = false } in
+  Alcotest.(check bool) "start, slice x" true
+    (refused (run [ "start"; Distcomp.encode_state st; "x" ]));
+  Alcotest.(check bool) "start, negative slice" true
+    (refused (run [ "start"; Distcomp.encode_state st; "-1" ]));
+  let client = Distcomp.create_client p in
+  match Distcomp.start client unit_ ~slice_ms:0.05 with
+  | Error e -> Alcotest.failf "clean start: %s" e
+  | Ok step -> (
+      (match Flicker_crypto.Util.decode_fields step.Distcomp.outcome.Session.outputs with
+      | Ok [ "ok"; sealed_key; state_blob; mac; _ ] ->
+          Alcotest.(check bool) "resume, slice x" true
+            (refused (run [ "resume"; sealed_key; state_blob; mac; "x" ]))
+      | _ -> Alcotest.fail "malformed start output");
+      match Distcomp.resume client step.Distcomp.state ~slice_ms:0.05 with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "clean resume: %s" e)
+
 let () =
   Alcotest.run "apps-distcomp"
     [
@@ -184,7 +215,10 @@ let () =
           Alcotest.test_case "results extended" `Quick test_results_extended_into_pcr;
         ] );
       ( "integrity",
-        [ Alcotest.test_case "MAC tamper detected" `Quick test_mac_tamper_detected ] );
+        [
+          Alcotest.test_case "MAC tamper detected" `Quick test_mac_tamper_detected;
+          Alcotest.test_case "malformed slice refused" `Quick test_malformed_slice_refused;
+        ] );
       ( "efficiency",
         [
           Alcotest.test_case "overhead = skinit+unseal" `Quick test_overhead_dominated_by_unseal;

@@ -212,6 +212,23 @@ let test_flicker_client_rejects_bad_server () =
        (Ssh_auth.Flicker_client.encrypt_password fclient ~password:"pw"
           ~nonce:(Platform.fresh_nonce client_p)))
 
+(* A key size the PAL cannot parse or use gets an ERROR: reply; the
+   session still ends normally and setup then runs on the same platform. *)
+let test_malformed_key_size_refused () =
+  let p, server, _ = make_pair ~seed:"bad-setup" in
+  let pal = Ssh_auth.ssh_pal ~key_bits:512 in
+  List.iter
+    (fun bits ->
+      match Session.execute p ~pal ~inputs:(Util.encode_fields [ "setup"; bits ]) () with
+      | Ok o ->
+          Alcotest.(check string) ("key size " ^ bits) ("ERROR: bad key size: " ^ bits)
+            o.Session.outputs
+      | Error e -> Alcotest.failf "key size %s: %a" bits Session.pp_error e)
+    [ "x"; "8" ];
+  match Ssh_auth.server_setup server ~nonce:(Platform.fresh_nonce p) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "clean setup: %s" e
+
 let () =
   Alcotest.run "apps-ssh"
     [
@@ -229,6 +246,8 @@ let () =
             test_password_never_in_server_memory;
           Alcotest.test_case "client rejects wrong pal" `Quick test_client_rejects_wrong_pal;
           Alcotest.test_case "nonce replay rejected" `Quick test_nonce_replay_rejected;
+          Alcotest.test_case "malformed key size refused" `Quick
+            test_malformed_key_size_refused;
         ] );
       ("timing", [ Alcotest.test_case "figure 9 shape" `Quick test_figure9_breakdown ]);
       ( "flicker client",

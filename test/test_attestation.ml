@@ -148,11 +148,11 @@ let stateful =
     (fun env ->
       match Util.decode_fields env.Pal_env.inputs with
       | Ok [ "seal"; data ] -> (
-          match Sealed_storage.seal_for_self env data with
+          match Sealing.seal_for_self env data with
           | Ok blob -> Pal_env.set_output env (Util.encode_fields [ "blob"; blob ])
           | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
       | Ok [ "unseal"; blob ] -> (
-          match Sealed_storage.unseal env blob with
+          match Sealing.unseal env blob with
           | Ok data -> Pal_env.set_output env (Util.encode_fields [ "data"; data ])
           | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
       | Ok _ | Error _ -> Pal_env.set_output env "ERROR: bad mode")
@@ -182,7 +182,7 @@ let test_sealed_blob_unavailable_to_other_pal () =
       let thief =
         Pal.define ~name:"attest-thief" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
           (fun env ->
-            match Sealed_storage.unseal env env.Pal_env.inputs with
+            match Sealing.unseal env env.Pal_env.inputs with
             | Ok data -> Pal_env.set_output env ("STOLEN: " ^ data)
             | Error e -> Pal_env.set_output env ("denied: " ^ e))
       in
@@ -210,12 +210,13 @@ let test_sealed_blob_unavailable_to_os () =
 (* --- cross-PAL sealed handoff: P seals for P' (Section 4.3.1) --- *)
 
 (* The receiving PAL P' must exist before P can compute its measurement;
-   P is parameterized by P'-s identity via Sealed_storage.seal_for. *)
+   P is parameterized by P'-s identity: the PCR 17 value a session of P'
+   produces. *)
 let receiver_pal =
   Pal.define ~name:"attest-handoff-receiver"
     ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
     (fun env ->
-      match Sealed_storage.unseal env env.Pal_env.inputs with
+      match Sealing.unseal env env.Pal_env.inputs with
       | Ok data -> Pal_env.set_output env ("received:" ^ data)
       | Error e -> Pal_env.set_output env ("denied:" ^ e))
 
@@ -225,10 +226,12 @@ let sender_pal =
   Pal.define ~name:"attest-handoff-sender"
     ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
     (fun env ->
-      match
-        Sealed_storage.seal_for env ~target:receiver_pal ~flavor:Builder.Optimized
-          ~slb_base:sender_platform.Platform.slb_base "the handoff payload"
-      with
+      let pcr17 =
+        Measurement.after_skinit
+          (Builder.build ~flavor:Builder.Optimized receiver_pal)
+          ~slb_base:sender_platform.Platform.slb_base
+      in
+      match Sealing.seal_to_pcr17 env ~pcr17 "the handoff payload" with
       | Ok blob -> Pal_env.set_output env blob
       | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
 
@@ -245,7 +248,7 @@ let test_cross_pal_handoff () =
     Pal.define ~name:"attest-handoff-sender-readback"
       ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
       (fun env ->
-        match Sealed_storage.unseal env env.Pal_env.inputs with
+        match Sealing.unseal env env.Pal_env.inputs with
         | Ok d -> Pal_env.set_output env ("leak:" ^ d)
         | Error e -> Pal_env.set_output env ("denied:" ^ e))
   in

@@ -72,23 +72,6 @@ let test_aes_ctr () =
   let short = "not a multiple of sixteen!" in
   check "ctr partial" short (Aes.ctr key ~nonce (Aes.ctr key ~nonce short))
 
-let test_rc4_vectors () =
-  check "rc4 Key/Plaintext" "bbf316e8d940af0ad3" (hex (Rc4.encrypt ~key:"Key" "Plaintext"));
-  check "rc4 Wiki/pedia" "1021bf0420" (hex (Rc4.encrypt ~key:"Wiki" "pedia"));
-  check "rc4 Secret" "45a01f645fc35b383552544b9bf5"
-    (hex (Rc4.encrypt ~key:"Secret" "Attack at dawn"))
-
-let test_rc4_stream () =
-  let c = Rc4.create ~key:"streaming" in
-  let part1 = Rc4.process c "hello " in
-  let part2 = Rc4.process c "world" in
-  let oneshot = Rc4.encrypt ~key:"streaming" "hello world" in
-  check "streamed equals one-shot" (hex oneshot) (hex (part1 ^ part2));
-  Alcotest.(check int) "keystream length" 100
-    (String.length (Rc4.keystream (Rc4.create ~key:"k") 100));
-  Alcotest.check_raises "empty key" (Invalid_argument "Rc4.create: key must be 1-256 bytes")
-    (fun () -> ignore (Rc4.create ~key:""))
-
 let arb_data = QCheck.(string_of_size Gen.(int_range 0 500))
 
 let prop_cbc_roundtrip =
@@ -102,10 +85,6 @@ let prop_ctr_involution =
       let key = Aes.expand_key (String.make 32 'q') in
       let nonce = String.make 16 'n' in
       Aes.ctr key ~nonce (Aes.ctr key ~nonce data) = data)
-
-let prop_rc4_involution =
-  QCheck.Test.make ~name:"RC4 is an involution" ~count:100 arb_data (fun data ->
-      Rc4.encrypt ~key:"prop" (Rc4.encrypt ~key:"prop" data) = data)
 
 let prop_cbc_expands =
   QCheck.Test.make ~name:"CBC ciphertext is a padded multiple of 16" ~count:100 arb_data
@@ -125,13 +104,8 @@ let () =
           Alcotest.test_case "key errors" `Quick test_aes_key_errors;
           Alcotest.test_case "NIST CTR vector" `Quick test_aes_ctr;
         ] );
-      ( "rc4",
-        [
-          Alcotest.test_case "vectors" `Quick test_rc4_vectors;
-          Alcotest.test_case "streaming" `Quick test_rc4_stream;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_cbc_roundtrip; prop_ctr_involution; prop_rc4_involution; prop_cbc_expands ]
+          [ prop_cbc_roundtrip; prop_ctr_involution; prop_cbc_expands ]
       );
     ]

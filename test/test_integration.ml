@@ -139,11 +139,11 @@ let test_reboot_invalidates_seals () =
       (fun env ->
         match Util.decode_fields env.Pal_env.inputs with
         | Ok [ "seal" ] -> (
-            match Sealed_storage.seal_for_self env "persistent secret" with
+            match Sealing.seal_for_self env "persistent secret" with
             | Ok blob -> Pal_env.set_output env blob
             | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
         | Ok [ "unseal"; blob ] -> (
-            match Sealed_storage.unseal env blob with
+            match Sealing.unseal env blob with
             | Ok d -> Pal_env.set_output env ("recovered:" ^ d)
             | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
         | Ok _ | Error _ -> Pal_env.set_output env "ERROR: mode")

@@ -14,7 +14,6 @@ module Pal_env = Flicker_slb.Pal_env
 module Mod_tpm_driver = Flicker_slb.Mod_tpm_driver
 module Platform = Flicker_core.Platform
 module Session = Flicker_core.Session
-module Replay = Flicker_core.Replay
 module Prng = Flicker_crypto.Prng
 
 let make_tracer ?capacity () =
@@ -361,20 +360,35 @@ let make_env () =
     ~inputs_addr:0x1000 ~outputs_addr:0x2000 ~protection:None ~heap:None
 
 let test_with_tpm_releases_on_exception () =
-  let env = make_env () in
-  (match Replay.with_tpm env (fun _ -> raise Exit) with
+  let drv = (make_env ()).Pal_env.tpm_driver in
+  (match Mod_tpm_driver.with_tpm drv (fun _ -> raise Exit) with
   | exception Exit -> ()
   | Ok () | Error _ -> Alcotest.fail "callback exception should propagate");
-  Alcotest.(check bool) "driver released after raise" false
-    (Mod_tpm_driver.is_claimed env.Pal_env.tpm_driver);
+  Alcotest.(check bool) "driver released after raise" false (Mod_tpm_driver.is_claimed drv);
   (* and it is actually claimable again *)
-  (match Mod_tpm_driver.claim env.Pal_env.tpm_driver with
-  | Ok () -> Mod_tpm_driver.release env.Pal_env.tpm_driver
+  (match Mod_tpm_driver.claim drv with
+  | Ok () -> Mod_tpm_driver.release drv
   | Error e -> Alcotest.failf "driver still wedged: %s" e);
   (* the normal path still works *)
-  match Replay.with_tpm env (fun _ -> Ok ()) with
+  match Mod_tpm_driver.with_tpm drv (fun _ -> Ok ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "normal path broken: %s" e
+
+(* a nested claim is refused and leaves the outer one alone; the outer
+   call still releases on return *)
+let test_with_tpm_nested () =
+  let drv = (make_env ()).Pal_env.tpm_driver in
+  let inner =
+    Mod_tpm_driver.with_tpm drv (fun _ ->
+        let inner = Mod_tpm_driver.with_tpm drv (fun _ -> Ok ()) in
+        Alcotest.(check bool) "outer claim kept" true (Mod_tpm_driver.is_claimed drv);
+        Ok inner)
+  in
+  (match inner with
+  | Ok (Error _) -> ()
+  | Ok (Ok ()) -> Alcotest.fail "nested with_tpm claimed a claimed device"
+  | Error e -> Alcotest.failf "outer with_tpm failed: %s" e);
+  Alcotest.(check bool) "released after the outer call" false (Mod_tpm_driver.is_claimed drv)
 
 (* --- regression: DEV fails closed beyond its coverage --- *)
 
@@ -526,5 +540,6 @@ let () =
             test_bounded_event_memory;
           Alcotest.test_case "session events bounded" `Quick
             test_session_events_bounded;
+          Alcotest.test_case "nested with_tpm refused" `Quick test_with_tpm_nested;
         ] );
     ]

@@ -124,13 +124,13 @@ let prop_seal_binds_to_pal =
       (fun env ->
         match Util.decode_fields env.Pal_env.inputs with
         | Ok [ "seal"; data ] -> (
-            match Sealed_storage.seal_for_self env data with
+            match Sealing.seal_for_self env data with
             | Ok blob ->
                 blob_box := blob;
                 Pal_env.set_output env "sealed"
             | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
         | Ok [ "unseal" ] -> (
-            match Sealed_storage.unseal env !blob_box with
+            match Sealing.unseal env !blob_box with
             | Ok d -> Pal_env.set_output env d
             | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
         | Ok _ | Error _ -> Pal_env.set_output env "ERROR: mode")

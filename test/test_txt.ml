@@ -147,11 +147,11 @@ let test_txt_sealing_is_tech_specific () =
       (fun env ->
         match Util.decode_fields env.Pal_env.inputs with
         | Ok [ "seal" ] -> (
-            match Sealed_storage.seal_for_self env "txt secret" with
+            match Sealing.seal_for_self env "txt secret" with
             | Ok blob -> Pal_env.set_output env blob
             | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
         | Ok [ "unseal"; blob ] -> (
-            match Sealed_storage.unseal env blob with
+            match Sealing.unseal env blob with
             | Ok d -> Pal_env.set_output env ("got:" ^ d)
             | Error e -> Pal_env.set_output env ("denied:" ^ e))
         | Ok _ | Error _ -> Pal_env.set_output env "ERROR: mode")
