@@ -167,7 +167,8 @@ let tests =
    (the pre-memoization behavior, every window re-patched and re-hashed);
    "warm" keeps them, the shipping configuration. Simulated TPM costs are
    charged identically either way; only the simulator's own hashing
-   changes. *)
+   changes. Then the allocation meter: major-heap words (promoted words
+   included) per warm Optimized session. *)
 let measurement_cache_report () =
   let p = Platform.create ~seed:"micro-memo" ~key_bits:512 () in
   let pal = Pal.define ~name:"micro-memo" (fun env -> Pal_env.set_output env "hi") in
@@ -192,12 +193,21 @@ let measurement_cache_report () =
   let cold = bytes_per_session ~cold:true in
   let warm = bytes_per_session ~cold:false in
   let hits, misses = Measurement.cache_stats () in
+  let major_words =
+    let n = 200 in
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    for _ = 1 to n do
+      session ()
+    done;
+    ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int n
+  in
   print_endline "\n=== measurement cache (host SHA-1 bytes per Optimized session) ===";
   Printf.printf "cold (cache cleared each session): %7d bytes/session\n" cold;
   Printf.printf "warm (shipping configuration):     %7d bytes/session  (%.1fx fewer)\n"
     warm
     (float_of_int cold /. float_of_int (max 1 warm));
-  Printf.printf "cache stats over the warm run: %d hits, %d misses\n" hits misses
+  Printf.printf "cache stats over the warm run: %d hits, %d misses\n" hits misses;
+  Printf.printf "major-heap words per Optimized session: %.0f\n" major_words
 
 let run () =
   print_endline "\n=== Bechamel microbenchmarks (real wall-clock of the simulator) ===";

@@ -23,6 +23,31 @@ let extend_chain start values = List.fold_left extend start values
    invalidation is automatic. Collisions only cost a memcmp, which is
    ~100x cheaper than re-hashing the window. *)
 
+(* Equality of image keys is content equality of the bytes. The image a
+   PAL holds is one shared string, so [String.equal] returns on its
+   pointer check. Hashing all 64 KB would cost as much as that saves, so
+   the hash reads the load address, the measured length (which tells the
+   flavors apart) and the last bytes of the PAL region: the tail of the
+   app code, which the PAL's name determines. Only
+   [Slb_image.link] makes an image, so its region fields are functions
+   of its bytes and equal keys hash equal. *)
+module Image_key = struct
+  type t = Builder.image * int
+
+  let equal ((a : Builder.image), x) ((b : Builder.image), y) =
+    x = y && String.equal a.bytes b.bytes
+
+  let hash ((image : Builder.image), slb_base) =
+    let stop = image.pal_region_off + image.pal_region_len in
+    let h = ref ((slb_base * 31) + image.measured_length) in
+    for i = max 0 (stop - 32) to stop - 1 do
+      h := (!h * 31) + Char.code image.bytes.[i]
+    done;
+    !h land max_int
+end
+
+module Image_tbl = Hashtbl.Make (Image_key)
+
 type entry = {
   e_initialized : string; (* the patched 64 KB window *)
   e_measured : digest; (* H(measured prefix): [of_image] *)
@@ -43,8 +68,8 @@ let cache_limit = 64
    misses where another would have hit only re-derives the same bytes —
    so the memo stays transparent at any domain count. *)
 type state = {
-  s_cache : (string * int, entry) Hashtbl.t;
-  s_cache_order : (string * int) Queue.t; (* insertion order, oldest first *)
+  s_cache : entry Image_tbl.t;
+  s_cache_order : Image_key.t Queue.t; (* insertion order, oldest first *)
   s_windows : (string, digest) Hashtbl.t;
   s_windows_order : string Queue.t;
   mutable s_hits : int;
@@ -54,7 +79,7 @@ type state = {
 let state_key =
   Domain.DLS.new_key (fun () ->
       {
-        s_cache = Hashtbl.create 16;
+        s_cache = Image_tbl.create 16;
         s_cache_order = Queue.create ();
         s_windows = Hashtbl.create 16;
         s_windows_order = Queue.create ();
@@ -70,7 +95,7 @@ let cache_stats () =
 
 let clear_cache () =
   let st = state () in
-  Hashtbl.reset st.s_cache;
+  Image_tbl.reset st.s_cache;
   Queue.clear st.s_cache_order;
   Hashtbl.reset st.s_windows;
   Queue.clear st.s_windows_order;
@@ -79,22 +104,23 @@ let clear_cache () =
 
 (* The order queue may hold keys that were already evicted (a key
    re-inserted after eviction appears twice); skip those. *)
-let rec evict_one tbl order =
+let rec evict_one ~mem ~remove order =
   match Queue.take_opt order with
   | None -> ()
-  | Some k -> if Hashtbl.mem tbl k then Hashtbl.remove tbl k else evict_one tbl order
+  | Some k -> if mem k then remove k else evict_one ~mem ~remove order
 
 let lookup image ~slb_base =
   let st = state () in
-  let key = (image.Builder.bytes, slb_base) in
-  match Hashtbl.find_opt st.s_cache key with
+  let key = (image, slb_base) in
+  match Image_tbl.find_opt st.s_cache key with
   | Some e ->
       st.s_hits <- st.s_hits + 1;
       e
   | None ->
       st.s_misses <- st.s_misses + 1;
-      if Hashtbl.length st.s_cache >= cache_limit then
-        evict_one st.s_cache st.s_cache_order;
+      if Image_tbl.length st.s_cache >= cache_limit then
+        evict_one ~mem:(Image_tbl.mem st.s_cache) ~remove:(Image_tbl.remove st.s_cache)
+          st.s_cache_order;
       let bytes = Builder.initialize image ~slb_base in
       let e =
         {
@@ -103,7 +129,7 @@ let lookup image ~slb_base =
           e_window = None;
         }
       in
-      Hashtbl.replace st.s_cache key e;
+      Image_tbl.replace st.s_cache key e;
       Queue.add key st.s_cache_order;
       e
 
@@ -124,7 +150,8 @@ let window_digest window =
   | None ->
       st.s_misses <- st.s_misses + 1;
       if Hashtbl.length st.s_windows >= cache_limit then
-        evict_one st.s_windows st.s_windows_order;
+        evict_one ~mem:(Hashtbl.mem st.s_windows) ~remove:(Hashtbl.remove st.s_windows)
+          st.s_windows_order;
       let d = Sha1.digest window in
       Hashtbl.replace st.s_windows window d;
       Queue.add window st.s_windows_order;

@@ -16,23 +16,27 @@ val extend : digest -> digest -> digest
 val initialized : Flicker_slb.Builder.image -> slb_base:int -> string
 (** The image patched for [slb_base] — [Builder.initialize], memoized by
     (image bytes, slb_base) so repeated sessions of the same PAL stop
-    re-patching a fresh 64 KB copy. The returned string is shared: treat
-    it as immutable. *)
+    re-patching a fresh 64 KB copy. A lookup hashes a few bytes of the
+    image, not all of it, and the image a PAL holds compares equal to
+    itself by pointer. The returned string is shared: treat it as
+    immutable. *)
 
 val of_image : Flicker_slb.Builder.image -> slb_base:int -> digest
 (** H(measured bytes) of the initialized image — what the TPM receives.
     Memoized alongside {!initialized}. *)
 
 val window_hash : Flicker_slb.Builder.image -> slb_base:int -> digest
-(** Hash of the full 64 KB window (what the optimized stub extends).
+(** Hash of the full 64 KB initialized window (what the optimized stub
+    extends when no page of the window was written after the load).
     Memoized alongside {!initialized}. *)
 
 val window_digest : string -> digest
 (** SHA-1 of a raw window read back from memory, memoized by the window
-    content itself — the session's optimized-stub extend goes through
-    here, so re-measuring an unchanged window costs a memcmp instead of
-    a 64 KB hash while any in-memory corruption still changes the key
-    (and therefore misses and re-hashes). *)
+    content itself. The session's optimized-stub extend goes through
+    here when a page of the window was written after the load (a
+    corrupted byte, a DMA write): re-measuring a window seen before
+    costs a hash of the key and a memcmp instead of a SHA-1, while any
+    other content misses and re-hashes. *)
 
 val cache_stats : unit -> int * int
 (** (hits, misses) of the calling domain's measurement caches since its

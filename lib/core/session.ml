@@ -1,4 +1,3 @@
-open Flicker_crypto
 module Tracer = Flicker_obs.Tracer
 module Metrics = Flicker_obs.Metrics
 module Machine = Flicker_hw.Machine
@@ -196,25 +195,31 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
 
     (* --- Load SLB: the application's sysfs writes and the
        flicker-module's allocation + patching --- *)
-    timed Load_slb (fun () ->
-        Sysfs.write platform.Platform.sysfs ~path:"slb" image.Builder.bytes;
-        Sysfs.write platform.Platform.sysfs ~path:"inputs" inputs;
-        Sysfs.write platform.Platform.sysfs ~path:"control" "1";
-        Memory.zero memory ~addr:slb_base ~len:Layout.total_footprint;
-        (* memoized: repeated sessions of the same PAL reuse one patched
-           window instead of re-patching a fresh 64 KB copy *)
-        let initialized = Measurement.initialized image ~slb_base in
-        Memory.write memory ~addr:slb_base initialized;
-        if platform.Platform.corrupt_next_slb then begin
-          platform.Platform.corrupt_next_slb <- false;
-          (* flip a byte inside the PAL region *)
-          let addr = slb_base + image.Builder.pal_region_off in
-          let original = Memory.read_byte memory addr in
-          Memory.write_byte memory addr (original lxor 0xff);
-          Machine.log_event machine "ATTACK: SLB corrupted in memory before SKINIT"
-        end;
-        Memory.write memory ~addr:(slb_base + Layout.inputs_page_offset) inputs;
-        Machine.charge machine machine.Machine.timing.Flicker_hw.Timing.cpu.Flicker_hw.Timing.misc_op_ms);
+    let loaded =
+      timed Load_slb (fun () ->
+          Sysfs.write platform.Platform.sysfs ~path:"slb" image.Builder.bytes;
+          Sysfs.write platform.Platform.sysfs ~path:"inputs" inputs;
+          Sysfs.write platform.Platform.sysfs ~path:"control" "1";
+          Memory.zero memory ~addr:slb_base ~len:Layout.total_footprint;
+          (* memoized: repeated sessions of the same PAL reuse one patched
+             window instead of re-patching a fresh 64 KB copy *)
+          let initialized = Measurement.initialized image ~slb_base in
+          Memory.write memory ~addr:slb_base initialized;
+          (* the window now holds the initialized image, whose digest is
+             memoized; a later write to any of its pages voids that *)
+          let loaded = Memory.write_stamp memory in
+          if platform.Platform.corrupt_next_slb then begin
+            platform.Platform.corrupt_next_slb <- false;
+            (* flip a byte inside the PAL region *)
+            let addr = slb_base + image.Builder.pal_region_off in
+            let original = Memory.read_byte memory addr in
+            Memory.write_byte memory addr (original lxor 0xff);
+            Machine.log_event machine "ATTACK: SLB corrupted in memory before SKINIT"
+          end;
+          Memory.write memory ~addr:(slb_base + Layout.inputs_page_offset) inputs;
+          Machine.charge machine machine.Machine.timing.Flicker_hw.Timing.cpu.Flicker_hw.Timing.misc_op_ms;
+          loaded)
+    in
 
     (* --- Suspend OS --- *)
     let saved_state =
@@ -244,6 +249,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                       Skinit.slb_base = senter.Flicker_hw.Senter.mle_base;
                       slb_length = senter.Flicker_hw.Senter.mle_length;
                       entry_point = senter.Flicker_hw.Senter.entry_point;
+                      measurement = senter.Flicker_hw.Senter.mle_measurement;
                       protected_base = senter.Flicker_hw.Senter.protected_base;
                       protected_len = senter.Flicker_hw.Senter.protected_len;
                     }
@@ -257,10 +263,6 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
         Scheduler.resume platform.Platform.scheduler;
         finish (Error (Skinit_failed msg))
     | Ok launch ->
-        let slb_measurement =
-          Sha1.digest (Memory.read memory ~addr:slb_base ~len:launch.Skinit.slb_length)
-        in
-
         (* --- SLB Core init (plus the optimized stub's hash+extend) --- *)
         timed Slb_init (fun () ->
             Machine.charge machine Slb_core.init_overhead_ms;
@@ -268,18 +270,26 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
             | Builder.Standard -> ()
             | Builder.Optimized ->
                 (* the measured stub hashes the full window on the main
-                   CPU and extends PCR 17 before running any of it *)
-                let window = Memory.read memory ~addr:slb_base ~len:Layout.slb_size in
+                   CPU and extends PCR 17 before running any of it. The
+                   simulated cost is charged in full; on the host, a
+                   window no write touched since the load hashes to the
+                   image's memoized digest, and any other window (a
+                   corrupted byte, a DMA write) is read back and hashed *)
+                let digest =
+                  if
+                    Memory.written_after memory ~stamp:loaded ~addr:slb_base
+                      ~len:Layout.slb_size
+                  then
+                    Measurement.window_digest
+                      (Memory.read memory ~addr:slb_base ~len:Layout.slb_size)
+                  else Measurement.window_hash image ~slb_base
+                in
                 Machine.charge_sha1 machine ~bytes:Layout.slb_size;
-                (* the simulated cost above is charged in full; only the
-                   host-side hash is memoized (by window content, so a
-                   corrupted window still misses and re-hashes) *)
-                extend_pcr17 ~kind:"stub" platform (Measurement.window_digest window));
+                extend_pcr17 ~kind:"stub" platform digest);
 
         (* --- Execute PAL: only if the launched window holds its code --- *)
-        let window = Memory.read memory ~addr:slb_base ~len:Layout.slb_size in
         let measured_pal =
-          match Builder.pal_code_of_window ~flavor window with
+          match Builder.pal_code_in_memory ~flavor memory ~slb_base with
           | Ok code -> String.equal code pal.Pal.code
           | Error _ -> false
         in
@@ -381,7 +391,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
              Ok
                {
                  outputs = env_outputs;
-                 slb_measurement;
+                 slb_measurement = launch.Skinit.measurement;
                  pcr17_during;
                  pcr17_final;
                  breakdown = List.rev !breakdown;

@@ -4,7 +4,7 @@ module Injector = Flicker_fault.Injector
 
 type tpm_hooks = {
   dynamic_pcr_reset : unit -> unit;
-  measure_into_pcr17 : string -> unit;
+  measure_into_pcr17 : string -> string;
 }
 
 type event = { at : float; detail : string }

@@ -13,8 +13,9 @@
 type tpm_hooks = {
   dynamic_pcr_reset : unit -> unit;
       (** Reset PCRs 17–23 to zero, as the chipset does on SKINIT. *)
-  measure_into_pcr17 : string -> unit;
-      (** Hash the transmitted SLB bytes and extend PCR 17. *)
+  measure_into_pcr17 : string -> string;
+      (** Hash the transmitted SLB bytes, extend PCR 17 with the hash,
+          and return it. *)
 }
 
 type event = { at : float; detail : string }

@@ -2,7 +2,13 @@
 
     A flat byte-addressable space divided into 4 KB pages. Both the
     untrusted OS and (via {!Dev}-checked paths) DMA devices operate on this
-    space; the SLB is laid out here before SKINIT executes. *)
+    space; the SLB is laid out here before SKINIT executes.
+
+    Pages are sparse: a page is allocated on its first write, and a page
+    never written reads as zeros. Every mutation ([write], [write_byte],
+    [write_u16_le], [zero]) stamps the pages it touches, so a caller can
+    tell whether a range changed after a point it remembered
+    ({!write_stamp}, {!written_after}). *)
 
 type t
 
@@ -25,7 +31,17 @@ val read_u16_le : t -> int -> int
 
 val write_u16_le : t -> int -> int -> unit
 val zero : t -> addr:int -> len:int -> unit
-(** Zeroize a region, as the SLB Core's cleanup phase does. *)
+(** Zeroize a region, as the SLB Core's cleanup phase does. Allocated
+    pages are filled in place; no page is allocated or freed. *)
+
+val write_stamp : t -> int
+(** The stamp of the latest mutation (0 before the first). *)
+
+val written_after : t -> stamp:int -> addr:int -> len:int -> bool
+(** [true] iff a mutation after [stamp] touched a page of the range. The
+    granularity is the page: a write next to the range on one of its
+    pages counts. An empty range is never written.
+    @raise Invalid_argument on out-of-range access. *)
 
 val page_of_addr : int -> int
 val pages_of_range : addr:int -> len:int -> int * int
@@ -34,4 +50,6 @@ val pages_of_range : addr:int -> len:int -> int * int
 
 val find_pattern : t -> string -> int option
 (** Linear scan for a byte pattern; used by the simulated adversary to
-    hunt for secrets left in memory. Returns the first match address. *)
+    hunt for secrets left in memory. Returns the first match address.
+    Matches may straddle pages and lie in never-written pages, which
+    read as zeros. *)

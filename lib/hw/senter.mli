@@ -21,6 +21,7 @@ type launch = {
   mle_length : int;
   entry_point : int;
   acm_measurement : string;  (** SHA-1 of the SINIT ACM *)
+  mle_measurement : string;  (** SHA-1 of the measured MLE bytes *)
   protected_base : int;
   protected_len : int;
 }

@@ -4,6 +4,7 @@ type launch = {
   slb_base : int;
   slb_length : int;
   entry_point : int;
+  measurement : string;
   protected_base : int;
   protected_len : int;
 }
@@ -42,7 +43,7 @@ let execute (m : Machine.t) ~slb_base =
      dynamic PCRs and extends PCR 17 with the measurement. *)
   let contents = Memory.read m.memory ~addr:slb_base ~len:slb_length in
   hooks.dynamic_pcr_reset ();
-  hooks.measure_into_pcr17 contents;
+  let measurement = hooks.measure_into_pcr17 contents in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:slb_length);
   (* Enter flat 32-bit protected mode at the entry point. *)
   bsp.mode <- Cpu.Flat_protected;
@@ -60,6 +61,7 @@ let execute (m : Machine.t) ~slb_base =
     slb_base;
     slb_length;
     entry_point = slb_base + entry_offset;
+    measurement;
     protected_base = slb_base;
     protected_len = slb_window;
   }

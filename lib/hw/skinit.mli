@@ -14,6 +14,7 @@ type launch = {
   slb_base : int;  (** physical address passed to SKINIT *)
   slb_length : int;  (** measured length from the header *)
   entry_point : int;  (** absolute physical address of the first instruction *)
+  measurement : string;  (** H(measured SLB bytes): what the TPM extended *)
   protected_base : int;
   protected_len : int;  (** always the full 64 KB DEV window *)
 }

@@ -8,9 +8,9 @@
       stub; the stub hashes the full 64 KB window on the main CPU and
       extends PCR 17 itself (Section 7.2, "SKINIT Optimization"). *)
 
-type flavor = Standard | Optimized
+type flavor = Slb_image.flavor = Standard | Optimized
 
-type image = {
+type image = Slb_image.t = private {
   flavor : flavor;
   bytes : string;  (** full 64 KB uninitialized window image *)
   measured_length : int;  (** value of the header's length field *)
@@ -19,17 +19,22 @@ type image = {
 }
 
 val build : ?flavor:flavor -> Pal.t -> image
-(** @raise Invalid_argument when the PAL does not fit. *)
+(** The image of that flavor the PAL holds: built once by
+    {!Pal.define}, so every call returns the same shared string.
+    @raise Invalid_argument when the PAL does not fit. *)
 
 val initialize : image -> slb_base:int -> string
 (** The patched (GDT/TSS bases filled in) 64 KB image the flicker-module
     loads at [slb_base] — and the bytes a verifier must hash to predict
     the measurement. *)
 
-val pal_code_of_window : flavor:flavor -> string -> (string, string) result
-(** Extract the linked PAL code back out of a 64 KB window image of the
-    given flavor (as the session does from physical memory after
-    SKINIT), reading the headers that flavor writes. *)
+val pal_code_in_memory :
+  flavor:flavor -> Flicker_hw.Memory.t -> slb_base:int -> (string, string) result
+(** The linked PAL code of the window of that flavor at [slb_base], as
+    the session reads it from physical memory after the launch: the
+    header that flavor writes, then the code region it names, and
+    nothing else of the window. [Error] when the window lies outside
+    memory or its header is corrupt. *)
 
 val slb_sizes : Pal.t -> int * int
 (** [(standard_measured, optimized_measured)] byte counts for a PAL —

@@ -87,6 +87,8 @@ type t = {
   code : string;
   modules : module_kind list;
   behavior : Pal_env.t -> unit;
+  standard : (Slb_image.t, string) result;
+  optimized : (Slb_image.t, string) result;
 }
 
 let module_order = function
@@ -109,7 +111,14 @@ let define ~name ?(app_code_size = 512) ?(modules = []) behavior =
     invalid_arg
       (Printf.sprintf "Pal.define %s: linked code (%d bytes) exceeds the PAL region"
          name (String.length code));
-  { name; code; modules; behavior }
+  {
+    name;
+    code;
+    modules;
+    behavior;
+    standard = Slb_image.link Slb_image.Standard code;
+    optimized = Slb_image.link Slb_image.Optimized code;
+  }
 
 let wants t kind = List.mem kind t.modules
 

@@ -9,7 +9,8 @@
     the bytes it reads back from the launched window equal that code.
     Corrupt the bytes and you get a different measurement and no
     behaviour — exactly the hardware contract. A [t] is an immutable
-    value: nothing outside it maps code back to behaviour. *)
+    value: nothing outside it maps code back to behaviour. It holds its
+    64 KB SLB images, linked once when it is defined. *)
 
 type module_kind =
   | Os_protection
@@ -41,6 +42,11 @@ type t = {
           app code — the PAL region of the SLB image *)
   modules : module_kind list;  (** sorted, duplicate-free *)
   behavior : Pal_env.t -> unit;
+  standard : (Slb_image.t, string) result;  (** [Slb_image.link Standard code] *)
+  optimized : (Slb_image.t, string) result;
+      (** [Slb_image.link Optimized code]: an [Error] when the code fits
+          the standard PAL region but not the one behind the 4,736-byte
+          stub *)
 }
 
 val define :
@@ -49,9 +55,9 @@ val define :
   ?modules:module_kind list ->
   (Pal_env.t -> unit) ->
   t
-(** Create a PAL, linking its code once. The app code bytes are
-    synthesized from [name] and [app_code_size] (default 512 bytes — a
-    small C function).
+(** Create a PAL, linking its code and both flavors' SLB images once.
+    The app code bytes are synthesized from [name] and [app_code_size]
+    (default 512 bytes — a small C function).
     @raise Invalid_argument if the linked code exceeds the PAL region. *)
 
 val wants : t -> module_kind -> bool

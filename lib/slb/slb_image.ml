@@ -1,0 +1,64 @@
+type flavor = Standard | Optimized
+
+type t = {
+  flavor : flavor;
+  bytes : string;
+  measured_length : int;
+  pal_region_off : int;
+  pal_region_len : int;
+}
+
+let le16 v = String.init 2 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
+let header ~length ~entry = le16 length ^ le16 entry
+
+(* the parts laid end to end from offset 0, zero-padded to the window *)
+let window parts =
+  let b = Bytes.make Layout.slb_size '\000' in
+  ignore
+    (List.fold_left
+       (fun off s ->
+         Bytes.blit_string s 0 b off (String.length s);
+         off + String.length s)
+       0 parts);
+  Bytes.unsafe_to_string b
+
+let link flavor pal_code =
+  let pal_region_len = String.length pal_code in
+  match flavor with
+  | Standard ->
+      let pal_region_off = Layout.header_size + Slb_core.core_size in
+      let measured_length = pal_region_off + pal_region_len in
+      if measured_length > Layout.pal_region_end then
+        Error "Builder.build: PAL too large for the standard SLB"
+      else
+        Ok
+          {
+            flavor;
+            bytes =
+              window
+                [ header ~length:measured_length ~entry:Layout.header_size; Slb_core.code; pal_code ];
+            measured_length;
+            pal_region_off;
+            pal_region_len;
+          }
+  | Optimized ->
+      (* inner header: u16 PAL length right after the measured stub *)
+      let pal_region_off = Slb_core.stub_size + 2 in
+      if pal_region_off + pal_region_len > Layout.pal_region_end then
+        Error "Builder.build: PAL too large for the optimized SLB"
+      else
+        Ok
+          {
+            flavor;
+            bytes =
+              window
+                [
+                  header ~length:Slb_core.stub_size ~entry:Layout.header_size;
+                  Slb_core.stub_code;
+                  le16 pal_region_len;
+                  pal_code;
+                ];
+            measured_length = Slb_core.stub_size;
+            pal_region_off;
+            pal_region_len;
+          }

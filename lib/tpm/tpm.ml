@@ -119,7 +119,7 @@ let skinit_hooks t =
       (fun slb_contents ->
         let measurement = Sha1.digest slb_contents in
         match Pcr.extend ~kind:"measure" t.pcrs 17 measurement with
-        | Ok _ -> ()
+        | Ok _ -> measurement
         | Error e -> failwith ("TPM: PCR 17 extend failed: " ^ Tpm_types.error_to_string e));
   }
 

@@ -18,11 +18,14 @@ let program functions = { Extract.functions; types = [] }
 (* a Pal.t built directly (not via Pal.define) so tests can express
    configurations define would reject, e.g. oversized code *)
 let raw_pal ?(app_code = String.make 256 'a') ?(modules = []) name =
+  let code = String.concat "" (List.map Pal.module_code modules) ^ app_code in
   {
     Pal.name;
-    code = String.concat "" (List.map Pal.module_code modules) ^ app_code;
+    code;
     modules;
     behavior = (fun _ -> ());
+    standard = Flicker_slb.Slb_image.link Flicker_slb.Slb_image.Standard code;
+    optimized = Flicker_slb.Slb_image.link Flicker_slb.Slb_image.Optimized code;
   }
 
 let target ?(budget = 10_000) ?(effects = []) ?pal ~entry functions =

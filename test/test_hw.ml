@@ -160,7 +160,10 @@ let machine_with_tpm () =
   Machine.set_tpm_hooks m
     {
       Machine.dynamic_pcr_reset = (fun () -> incr resets);
-      measure_into_pcr17 = (fun contents -> measured := Some contents);
+      measure_into_pcr17 =
+        (fun contents ->
+          measured := Some contents;
+          "measurement");
     };
   (m, measured, resets)
 
@@ -185,6 +188,8 @@ let test_skinit_happy_path () =
   (match !measured with
   | Some contents -> Alcotest.(check int) "measured bytes" 1000 (String.length contents)
   | None -> Alcotest.fail "nothing measured");
+  Alcotest.(check string) "launch carries the TPM's digest" "measurement"
+    launch.Skinit.measurement;
   let bsp = Cpu.bsp m.Machine.cpus in
   Alcotest.(check bool) "interrupts off" false bsp.Cpu.interrupts_enabled;
   Alcotest.(check bool) "debug off" false bsp.Cpu.debug_enabled;
@@ -285,6 +290,138 @@ let prop_memory_rw =
       Memory.write m ~addr data;
       Memory.read m ~addr ~len:(String.length data) = data)
 
+(* property: sparse pages behave as one flat byte array. Random
+   operations on a four-page memory, with ranges that straddle pages,
+   are replayed on a [Bytes] model and every result is compared. The
+   model also keeps, per page, the number of the last mutation that
+   touched it, which gives the write-stamp contract: [written_after]
+   reports a write exactly when a mutation after the stamp touched one
+   of the range's pages. *)
+type mem_op =
+  | Write of int * string
+  | Write_byte of int * int
+  | Write_u16 of int * int
+  | Zero of int * int
+  | Read of int * int
+  | Read_byte of int
+  | Read_u16 of int
+  | Find of string
+  | Stamp
+  | Written_after of int * int * int  (* which stamp, addr, len *)
+
+let model_pages = 4
+let model_size = model_pages * Memory.page_size
+
+let show_op = function
+  | Write (a, s) -> Printf.sprintf "write %d %S" a s
+  | Write_byte (a, v) -> Printf.sprintf "write_byte %d %d" a v
+  | Write_u16 (a, v) -> Printf.sprintf "write_u16 %d %d" a v
+  | Zero (a, n) -> Printf.sprintf "zero %d %d" a n
+  | Read (a, n) -> Printf.sprintf "read %d %d" a n
+  | Read_byte a -> Printf.sprintf "read_byte %d" a
+  | Read_u16 a -> Printf.sprintf "read_u16 %d" a
+  | Find p -> Printf.sprintf "find %S" p
+  | Stamp -> "stamp"
+  | Written_after (k, a, n) -> Printf.sprintf "written_after #%d %d %d" k a n
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  (* an address [span] bytes can start at, often just before a page end *)
+  let addr span =
+    let top = model_size - span in
+    oneof
+      [
+        int_range 0 top;
+        map (fun (p, d) -> max 0 (min top ((p * Memory.page_size) + d)))
+          (pair (int_range 1 (model_pages - 1)) (int_range (-8) 8));
+      ]
+  in
+  let range = int_range 0 6000 >>= fun n -> map (fun a -> (a, n)) (addr n) in
+  let bytes n = string_size ~gen:(oneofl [ '\000'; 'a'; 'b' ]) (return n) in
+  frequency
+    [
+      (3, range >>= fun (a, n) -> map (fun s -> Write (a, s)) (bytes n));
+      (2, map2 (fun a v -> Write_byte (a, v)) (addr 1) (int_range 0 0x1ff));
+      (2, map2 (fun a v -> Write_u16 (a, v)) (addr 2) (int_range 0 0x1ffff));
+      (2, map (fun (a, n) -> Zero (a, n)) range);
+      (3, map (fun (a, n) -> Read (a, n)) range);
+      (2, map (fun a -> Read_byte a) (addr 1));
+      (1, map (fun a -> Read_u16 a) (addr 2));
+      (2, int_range 1 6 >>= fun n -> map (fun p -> Find p) (bytes n));
+      (1, return Stamp);
+      (3, map2 (fun k (a, n) -> Written_after (k, a, n)) (int_range 0 7) range);
+    ]
+
+let prop_memory_matches_flat_model =
+  QCheck.Test.make ~name:"sparse memory matches a flat model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_mem_op))
+    (fun ops ->
+      let m = Memory.create ~size:model_size in
+      let flat = Bytes.make model_size '\000' in
+      let last = Array.make model_pages 0 in
+      let mutations = ref 0 in
+      let mutate a n =
+        if n > 0 then begin
+          incr mutations;
+          for p = a / Memory.page_size to (a + n - 1) / Memory.page_size do
+            last.(p) <- !mutations
+          done
+        end
+      in
+      (* (memory's stamp, mutations so far), newest first *)
+      let stamps = ref [ (Memory.write_stamp m, 0) ] in
+      let flat_find p =
+        let n = String.length p in
+        let rec go i =
+          if n = 0 || i + n > model_size then None
+          else if Bytes.sub_string flat i n = p then Some i
+          else go (i + 1)
+        in
+        go 0
+      in
+      let flat_byte a = Char.code (Bytes.get flat a) in
+      List.for_all
+        (function
+          | Write (a, s) ->
+              Memory.write m ~addr:a s;
+              Bytes.blit_string s 0 flat a (String.length s);
+              mutate a (String.length s);
+              true
+          | Write_byte (a, v) ->
+              Memory.write_byte m a v;
+              Bytes.set flat a (Char.chr (v land 0xff));
+              mutate a 1;
+              true
+          | Write_u16 (a, v) ->
+              Memory.write_u16_le m a v;
+              Bytes.set flat a (Char.chr (v land 0xff));
+              Bytes.set flat (a + 1) (Char.chr ((v lsr 8) land 0xff));
+              mutate a 2;
+              true
+          | Zero (a, n) ->
+              Memory.zero m ~addr:a ~len:n;
+              Bytes.fill flat a n '\000';
+              mutate a n;
+              true
+          | Read (a, n) -> Memory.read m ~addr:a ~len:n = Bytes.sub_string flat a n
+          | Read_byte a -> Memory.read_byte m a = flat_byte a
+          | Read_u16 a -> Memory.read_u16_le m a = flat_byte a lor (flat_byte (a + 1) lsl 8)
+          | Find p -> Memory.find_pattern m p = flat_find p
+          | Stamp ->
+              stamps := (Memory.write_stamp m, !mutations) :: !stamps;
+              true
+          | Written_after (k, a, n) ->
+              let stamp, at = List.nth !stamps (k mod List.length !stamps) in
+              let touched = ref false in
+              if n > 0 then
+                for p = a / Memory.page_size to (a + n - 1) / Memory.page_size do
+                  if last.(p) > at then touched := true
+                done;
+              Memory.written_after m ~stamp ~addr:a ~len:n = !touched)
+        ops)
+
 let () =
   Alcotest.run "hw"
     [
@@ -320,5 +457,6 @@ let () =
           Alcotest.test_case "event log" `Quick test_machine_events;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_dev_soundness; prop_memory_rw ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_dev_soundness; prop_memory_rw; prop_memory_matches_flat_model ] );
     ]

@@ -213,6 +213,60 @@ let test_corrupt_slb_changes_measurement () =
       Alcotest.(check bool) "measurement differs" true
         (outcome.Session.slb_measurement <> good.Session.slb_measurement)
 
+(* The stub must hash the window as SKINIT left it. After a flip in the
+   PAL region, PCR 17 is the chain over the corrupted window: the stub's
+   measurement, the SHA-1 of the initialized window with the flipped
+   byte, the I/O extends (no output: the PAL never ran) and the cap. A
+   chain that reused the clean window's digest would differ here, while
+   the empty output alone already makes it differ from the honest one. *)
+let test_corrupt_optimized_pcr17 () =
+  let p = make_platform () in
+  ignore (run ~inputs:"in" p hello);
+  Session.corrupt_slb_in_memory p;
+  (match Session.execute p ~pal:hello ~flavor:Builder.Optimized ~inputs:"in" () with
+  | Error Session.Unknown_pal -> ()
+  | Error e -> Alcotest.failf "unexpected error: %a" Session.pp_error e
+  | Ok _ -> Alcotest.fail "the corrupted PAL ran");
+  let image = Builder.build ~flavor:Builder.Optimized hello in
+  let window = Bytes.of_string (Builder.initialize image ~slb_base:p.Platform.slb_base) in
+  let off = image.Builder.pal_region_off in
+  Bytes.set window off (Char.chr (Char.code (Bytes.get window off) lxor 0xff));
+  let window = Bytes.to_string window in
+  let h = Flicker_crypto.Sha1.digest in
+  let chain =
+    List.fold_left
+      (fun pcr v -> h (pcr ^ v))
+      (String.make 20 '\000')
+      [
+        h (String.sub window 0 image.Builder.measured_length);
+        h window;
+        h "in";
+        h "";
+        Flicker_slb.Slb_core.cap_value;
+      ]
+  in
+  Alcotest.(check string) "pcr17 over the corrupted window" chain
+    (Result.get_ok (Tpm.pcr_read p.Platform.tpm 17))
+
+(* Allocation meter: a session loads the image its PAL holds, extends
+   the image's memoized window digest and reuses the window's pages, so
+   it allocates less than one 64 KB window (8,192 words) in the major
+   heap, promoted words included. *)
+let test_major_words_per_session () =
+  let p = make_platform () in
+  let session () = ignore (run ~flavor:Builder.Optimized ~inputs:"x" p hello) in
+  for _ = 1 to 20 do
+    session ()
+  done;
+  let sessions = 200 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to sessions do
+    session ()
+  done;
+  let per_session = ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int sessions in
+  if per_session >= 8192.0 then
+    Alcotest.failf "%.0f major-heap words per Optimized session (limit 8192)" per_session
+
 let test_input_validation () =
   let p = make_platform () in
   Alcotest.(check bool) "oversized inputs" true
@@ -347,6 +401,8 @@ let () =
             test_measurement_stable_across_sessions;
           Alcotest.test_case "measurement functions" `Quick test_measurement_module;
           Alcotest.test_case "corrupt slb" `Quick test_corrupt_slb_changes_measurement;
+          Alcotest.test_case "corrupt optimized pcr17" `Quick test_corrupt_optimized_pcr17;
+          Alcotest.test_case "major words per session" `Quick test_major_words_per_session;
         ] );
       ( "isolation",
         [

@@ -80,6 +80,18 @@ let test_pal_too_large () =
 
 (* --- builder --- *)
 
+(* a window loaded at [slb_base] of a fresh memory, as the session reads
+   it back after the launch *)
+let slb_base = 0x10000
+
+let loaded window =
+  let m = Flicker_hw.Memory.create ~size:(4 * Layout.slb_size) in
+  Flicker_hw.Memory.write m ~addr:slb_base window;
+  m
+
+let pal_code_loaded ~flavor window =
+  Builder.pal_code_in_memory ~flavor (loaded window) ~slb_base
+
 let test_builder_standard () =
   let pal = Pal.define ~name:"builder-std" ~app_code_size:1000 (fun _ -> ()) in
   let image = Builder.build ~flavor:Builder.Standard pal in
@@ -92,17 +104,28 @@ let test_builder_standard () =
   Alcotest.(check int) "header entry" 4 (Char.code b.[2] lor (Char.code b.[3] lsl 8));
   (* PAL code is recoverable *)
   Alcotest.(check string) "extract pal code" pal.Pal.code
-    (Result.get_ok (Builder.pal_code_of_window ~flavor:Builder.Standard image.Builder.bytes))
+    (Result.get_ok (pal_code_loaded ~flavor:Builder.Standard image.Builder.bytes))
 
 let test_builder_optimized () =
   let pal = Pal.define ~name:"builder-opt" ~app_code_size:1000 (fun _ -> ()) in
   let image = Builder.build ~flavor:Builder.Optimized pal in
   Alcotest.(check int) "measured = stub" 4736 image.Builder.measured_length;
   Alcotest.(check string) "extract pal code" pal.Pal.code
-    (Result.get_ok (Builder.pal_code_of_window ~flavor:Builder.Optimized image.Builder.bytes));
+    (Result.get_ok (pal_code_loaded ~flavor:Builder.Optimized image.Builder.bytes));
   let std, opt = Builder.slb_sizes pal in
   Alcotest.(check int) "standard size" (4 + 320 + 1000) std;
-  Alcotest.(check int) "optimized size" 4736 opt
+  Alcotest.(check int) "optimized size" 4736 opt;
+  (* the PAL holds its images: every build hands out the same string *)
+  Alcotest.(check bool) "held image" true
+    ((Builder.build ~flavor:Builder.Optimized pal).Builder.bytes == image.Builder.bytes);
+  (* code that fits the standard PAL region but not the one behind the
+     stub: the PAL is defined, and only its optimized build fails *)
+  let big = Pal.define ~name:"builder-big" ~app_code_size:58_000 (fun _ -> ()) in
+  Alcotest.(check int) "standard still builds" (4 + 320 + 58_000)
+    (Builder.build ~flavor:Builder.Standard big).Builder.measured_length;
+  Alcotest.check_raises "optimized too large"
+    (Invalid_argument "Builder.build: PAL too large for the optimized SLB") (fun () ->
+      ignore (Builder.build ~flavor:Builder.Optimized big))
 
 let test_builder_initialize () =
   let pal = Pal.define ~name:"builder-init" (fun _ -> ()) in
@@ -115,13 +138,14 @@ let test_builder_initialize () =
   Alcotest.(check int) "gdt base patched" 0x200000 (Util.int_of_be32 a Slb_core.gdt_patch_offset)
 
 let test_builder_window_errors () =
-  Alcotest.(check bool) "short window" true
-    (Result.is_error (Builder.pal_code_of_window ~flavor:Builder.Optimized "short"));
+  let small = Flicker_hw.Memory.create ~size:Layout.slb_size in
+  Alcotest.(check bool) "window past the end of memory" true
+    (Result.is_error (Builder.pal_code_in_memory ~flavor:Builder.Optimized small ~slb_base:4096));
   let junk = String.make Layout.slb_size '\xff' in
   Alcotest.(check bool) "corrupt header" true
-    (Result.is_error (Builder.pal_code_of_window ~flavor:Builder.Standard junk));
+    (Result.is_error (pal_code_loaded ~flavor:Builder.Standard junk));
   Alcotest.(check bool) "corrupt inner header" true
-    (Result.is_error (Builder.pal_code_of_window ~flavor:Builder.Optimized junk))
+    (Result.is_error (pal_code_loaded ~flavor:Builder.Optimized junk))
 
 (* --- allocator --- *)
 
