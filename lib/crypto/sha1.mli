@@ -14,12 +14,12 @@ val update : ctx -> string -> unit
 
 val finalize : ctx -> string
 (** Returns the 20-byte digest and marks the context finalized: any
-    further [update] or [finalize] raises [Invalid_argument] until the
-    context is [reset]. *)
+    further [update] or [finalize] raises [Invalid_argument]. A new
+    message needs a new context from {!init}. *)
 
 val digest : string -> string
-(** One-shot hash (reuses one process-wide scratch context; the
-    simulator is single-domain). *)
+(** One-shot hash. Reuses a scratch context local to the calling
+    domain, so domains that hash at once never share one. *)
 
 val bytes_hashed : unit -> int
 (** Message bytes absorbed through [update] since process start —

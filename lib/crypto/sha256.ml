@@ -47,42 +47,47 @@ let reset ctx =
   ctx.buf_len <- 0;
   ctx.finalized <- false
 
-let rotr32 v n = ((v lsr n) lor (v lsl (32 - n))) land mask32
-let shr v n = v lsr n
+(* [x], below 2^32, rotated right by [n] within 32 bits, with the bits
+   shifted past bit 31 left in place *)
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
-let compress ctx block =
+(* Compress the 64-byte block at [off] of [s], reading its words
+   big-endian in place. Ch is written g ^ (e & (f ^ g)) and Maj
+   (a & b) | (c & (a | b)), FIPS 180's functions with fewer operations.
+   As in Sha1.compress, only sums are masked to 32 bits: the sigma
+   functions feed sums and keep the bits their rotations push past
+   bit 31, and every word they rotate or shift right is a masked sum.
+   [w] holds 64 words, [k] 64 constants, and every index read here is
+   in [0, 63] by the loop bounds, so the reads skip the bounds check. *)
+let compress ctx s off =
   let w = ctx.w in
   for t = 0 to 15 do
-    let i = 4 * t in
-    w.(t) <-
-      (Char.code (Bytes.get block i) lsl 24)
-      lor (Char.code (Bytes.get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (i + 3))
+    w.(t) <- Int32.to_int (String.get_int32_be s (off + (4 * t))) land mask32
   done;
   for t = 16 to 63 do
-    let s0 = rotr32 w.(t - 15) 7 lxor rotr32 w.(t - 15) 18 lxor shr w.(t - 15) 3 in
-    let s1 = rotr32 w.(t - 2) 17 lxor rotr32 w.(t - 2) 19 lxor shr w.(t - 2) 10 in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(t) <- (Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask32
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr32 !e 6 lxor rotr32 !e 11 lxor rotr32 !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land mask32 in
-    let temp1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask32 in
-    let s0 = rotr32 !a 2 lxor rotr32 !a 13 lxor rotr32 !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask32 in
+    let e0 = !e and a0 = !a in
+    let s1 = rotr e0 6 lxor rotr e0 11 lxor rotr e0 25 in
+    let ch = !g lxor (e0 land (!f lxor !g)) in
+    let temp1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = rotr a0 2 lxor rotr a0 13 lxor rotr a0 22 in
+    let maj = (a0 land !b) lor (!c land (a0 lor !b)) in
     hh := !g;
     g := !f;
-    f := !e;
+    f := e0;
     e := (!d + temp1) land mask32;
     d := !c;
     c := !b;
-    b := !a;
-    a := (temp1 + temp2) land mask32
+    b := a0;
+    a := (temp1 + s0 + maj) land mask32
   done;
   h.(0) <- (h.(0) + !a) land mask32;
   h.(1) <- (h.(1) + !b) land mask32;
@@ -93,25 +98,29 @@ let compress ctx block =
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
 
-(* Raw absorb loop shared by [update] and the padding write in
-   [finalize], which must bypass the finalized check. *)
-let absorb ctx s =
+(* The buffer is only read while a block compresses, so it is passed
+   as a string without a copy. *)
+let compress_buf ctx = compress ctx (Bytes.unsafe_to_string ctx.buf) 0
+
+let update ctx s =
+  if ctx.finalized then invalid_arg "Sha256.update: context already finalized";
   let len = String.length s in
   ctx.total <- ctx.total + len;
   let pos = ref 0 in
+  (* top up a partial block first *)
   if ctx.buf_len > 0 then begin
     let take = min (64 - ctx.buf_len) len in
     Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
+  (* whole blocks straight from the caller's string *)
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    compress ctx ctx.buf;
+    compress ctx s !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin
@@ -119,31 +128,23 @@ let absorb ctx s =
     ctx.buf_len <- len - !pos
   end
 
-let update ctx s =
-  if ctx.finalized then invalid_arg "Sha256.update: context already finalized";
-  absorb ctx s
-
+(* Padding goes into the block buffer, as in Sha1.finalize. *)
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: context already finalized";
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1) mod 64 in
-    if rem <= 56 then 56 - rem else 120 - rem
-  in
-  let padding = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set padding 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set padding (1 + pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  absorb ctx (Bytes.unsafe_to_string padding);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress_buf ctx;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress_buf ctx;
+  ctx.buf_len <- 0;
   ctx.finalized <- true;
   let out = Bytes.create 32 in
-  Array.iteri
-    (fun i h ->
-      for j = 0 to 3 do
-        Bytes.set out ((4 * i) + j) (Char.chr ((h lsr (8 * (3 - j))) land 0xff))
-      done)
-    ctx.h;
+  Array.iteri (fun i h -> Bytes.set_int32_be out (4 * i) (Int32.of_int h)) ctx.h;
   Bytes.unsafe_to_string out
 
 (* Domain-local one-shot scratch context; see Sha1.scratch_key for the

@@ -12,8 +12,8 @@ val update : ctx -> string -> unit
 
 val finalize : ctx -> string
 (** Returns the 32-byte digest and marks the context finalized: any
-    further [update] or [finalize] raises [Invalid_argument] until the
-    context is [reset]. *)
+    further [update] or [finalize] raises [Invalid_argument]. A new
+    message needs a new context from {!init}. *)
 
 val digest : string -> string
 val hex : string -> string

@@ -15,7 +15,11 @@ type tpm_hooks = {
       (** Reset PCRs 17–23 to zero, as the chipset does on SKINIT. *)
   measure_into_pcr17 : string -> string;
       (** Hash the transmitted SLB bytes, extend PCR 17 with the hash,
-          and return it. *)
+          and return it. The TPM keeps the bytes it measured last and
+          their hash: bytes [String.equal] to those extend that hash
+          again without rehashing, and any other bytes are hashed and
+          kept in their place. The digest, the extend and the launch's
+          simulated cost are the same either way. *)
 }
 
 type event = { at : float; detail : string }

@@ -13,6 +13,8 @@ type t = {
   owner_auth : string;
   seal_enc_key : Aes.key;
   seal_mac_key : string;
+  mutable last_measured : (string * Tpm_types.digest) option;
+      (* the bytes the SKINIT/SENTER hook last hashed, and their SHA-1 *)
 }
 
 type authorization = { session : int; nonce_odd : string; mac : string }
@@ -110,14 +112,27 @@ let create ?owner_auth ?srk_auth machine rng ~key_bits =
     owner_auth;
     seal_enc_key;
     seal_mac_key;
+    last_measured = None;
   }
+
+(* The SHA-1 of the transmitted bytes. A platform relaunching one PAL
+   sends the same bytes every time, so a TPM that is sent exactly what
+   it measured last reuses that digest; any other bytes are hashed and
+   remembered instead. *)
+let measure t slb_contents =
+  match t.last_measured with
+  | Some (bytes, digest) when String.equal bytes slb_contents -> digest
+  | _ ->
+      let digest = Sha1.digest slb_contents in
+      t.last_measured <- Some (slb_contents, digest);
+      digest
 
 let skinit_hooks t =
   {
     Machine.dynamic_pcr_reset = (fun () -> Pcr.dynamic_reset t.pcrs);
     measure_into_pcr17 =
       (fun slb_contents ->
-        let measurement = Sha1.digest slb_contents in
+        let measurement = measure t slb_contents in
         match Pcr.extend ~kind:"measure" t.pcrs 17 measurement with
         | Ok _ -> measurement
         | Error e -> failwith ("TPM: PCR 17 extend failed: " ^ Tpm_types.error_to_string e));

@@ -52,34 +52,103 @@ let test_sha256_million () =
   check "million a's" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.hex (String.make 1_000_000 'a'))
 
-let test_incremental_sha1 () =
+(* The streaming side of one hash, for the cases both kernels share. *)
+type streaming = {
+  alg : string;
+  size : int;
+  oneshot : string -> string;
+  chunked : string list -> string;  (** one context, one [update] per chunk *)
+}
+
+let sha1 =
+  {
+    alg = "sha1";
+    size = 20;
+    oneshot = Sha1.digest;
+    chunked =
+      (fun chunks ->
+        let ctx = Sha1.init () in
+        List.iter (Sha1.update ctx) chunks;
+        Sha1.finalize ctx);
+  }
+
+let sha256 =
+  {
+    alg = "sha256";
+    size = 32;
+    oneshot = Sha256.digest;
+    chunked =
+      (fun chunks ->
+        let ctx = Sha256.init () in
+        List.iter (Sha256.update ctx) chunks;
+        Sha256.finalize ctx);
+  }
+
+let test_incremental h () =
   (* chunked updates across block boundaries must equal one-shot *)
   let data = String.init 1000 (fun i -> Char.chr (i mod 256)) in
   List.iter
     (fun sizes ->
-      let ctx = Sha1.init () in
-      let off = ref 0 in
-      List.iter
-        (fun n ->
-          let take = min n (String.length data - !off) in
-          Sha1.update ctx (String.sub data !off take);
-          off := !off + take)
-        sizes;
-      Sha1.update ctx (String.sub data !off (String.length data - !off));
-      check "incremental" (Util.to_hex (Sha1.digest data)) (Util.to_hex (Sha1.finalize ctx)))
-    [ [ 1; 63; 64; 65; 127 ]; [ 512; 488 ]; [ 999 ]; List.init 100 (fun _ -> 10) ]
+      let chunks, off =
+        List.fold_left
+          (fun (chunks, off) n ->
+            let take = min n (String.length data - off) in
+            (String.sub data off take :: chunks, off + take))
+          ([], 0) sizes
+      in
+      let chunks = List.rev (String.sub data off (String.length data - off) :: chunks) in
+      check (h.alg ^ " incremental") (Util.to_hex (h.oneshot data)) (Util.to_hex (h.chunked chunks)))
+    [
+      [ 1; 63; 64; 65; 127 ];
+      [ 512; 488 ];
+      [ 999 ];
+      List.init 100 (fun _ -> 10);
+      (* leave 1, 55, 56, 63 and 64 bytes buffered before the next update *)
+      [ 1; 54; 1; 7; 1 ];
+      [ 55; 9; 56; 8; 63; 1; 64 ];
+      [ 129; 119; 120; 127 ];
+    ]
 
-let test_padding_boundaries () =
-  (* lengths around the 55/56/63/64 padding edges *)
+let test_padding_boundaries h () =
+  (* lengths around the 55/56/63/64 padding edges, each hashed one-shot,
+     in one update and in two updates split at every offset *)
   List.iter
     (fun n ->
-      let s = String.make n 'x' in
-      (* digest must be stable and 20 bytes; incremental equals one-shot *)
-      let ctx = Sha1.init () in
-      Sha1.update ctx s;
-      check "boundary" (Util.to_hex (Sha1.digest s)) (Util.to_hex (Sha1.finalize ctx));
-      Alcotest.(check int) "size" 20 (String.length (Sha1.digest s)))
-    [ 54; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
+      let s = String.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
+      let expected = Util.to_hex (h.oneshot s) in
+      Alcotest.(check int) (h.alg ^ " size") h.size (String.length (h.oneshot s));
+      check (h.alg ^ " one update") expected (Util.to_hex (h.chunked [ s ]));
+      for k = 0 to n do
+        check
+          (Printf.sprintf "%s %d split at %d" h.alg n k)
+          expected
+          (Util.to_hex (h.chunked [ String.sub s 0 k; String.sub s k (n - k) ]))
+      done)
+    [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
+
+(* A chain of hashes over every message length 0 to 300 and two long
+   ones, so every padding case, block count and buffered remainder feeds
+   the next digest: d starts as zero bytes and becomes H(d || m_n),
+   where m_n is n bytes with m_n[i] = (n + i) mod 256. The expected
+   ends come from Python's hashlib. The descending chain leaves the
+   one-shot scratch context's previous 0x80 marker one byte past each
+   new one, so padding that skips a byte it should zero shows. *)
+let chained oneshot size lengths =
+  List.fold_left
+    (fun d n -> oneshot (d ^ String.init n (fun i -> Char.chr ((n + i) land 0xff))))
+    (String.make size '\000') lengths
+
+let test_chained_known_answers () =
+  let up = List.init 301 Fun.id @ [ 4736; 65536 ] and down = List.init 301 (fun i -> 300 - i) in
+  check "sha1 chain" "3d0f555125d10a066ac080d3b7f66fc21d321c50"
+    (Util.to_hex (chained Sha1.digest 20 up));
+  check "sha256 chain" "95e2e04fd6e32f3b688959515b663b0a36bfa3574874419c44d40de72d1288ff"
+    (Util.to_hex (chained Sha256.digest 32 up));
+  check "sha1 descending chain" "50e5e097ee365ac9d18ccce994942f6fb6dcc7ab"
+    (Util.to_hex (chained Sha1.digest 20 down));
+  check "sha256 descending chain"
+    "fb5a84dd71998629264eda01766c8a96344a2e012f6549b19f4a13f07959eed2"
+    (Util.to_hex (chained Sha256.digest 32 down))
 
 let test_hash_facade () =
   Alcotest.(check int) "sha1 size" 20 (Hash.digest_size Hash.SHA1);
@@ -170,11 +239,15 @@ let () =
           Alcotest.test_case "md5" `Quick (test_vectors "md5" Md5.hex md5_vectors);
           Alcotest.test_case "sha1 million" `Slow test_sha1_million;
           Alcotest.test_case "sha256 million" `Slow test_sha256_million;
+          Alcotest.test_case "chained known answers" `Quick test_chained_known_answers;
         ] );
       ( "streaming",
         [
-          Alcotest.test_case "sha1 incremental" `Quick test_incremental_sha1;
-          Alcotest.test_case "padding boundaries" `Quick test_padding_boundaries;
+          Alcotest.test_case "sha1 incremental" `Quick (test_incremental sha1);
+          Alcotest.test_case "sha256 incremental" `Quick (test_incremental sha256);
+          Alcotest.test_case "padding boundaries" `Quick (test_padding_boundaries sha1);
+          Alcotest.test_case "sha256 padding boundaries" `Quick
+            (test_padding_boundaries sha256);
           Alcotest.test_case "facade" `Quick test_hash_facade;
           Alcotest.test_case "finalize is terminal" `Quick test_finalize_once;
         ] );

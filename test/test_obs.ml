@@ -118,6 +118,29 @@ let test_histograms () =
       Alcotest.(check (float 1e-9)) "single p50" 42.0 h.Metrics.p50;
       Alcotest.(check (float 1e-9)) "single p99" 42.0 h.Metrics.p99
 
+(* Bucket placement seen through the public summary: with one sample
+   at a bucket's bound and one at the top, the p50 is the low sample's
+   bucket bound. A sample exactly on bound i lands in bucket i, and the
+   next float above it lands in bucket i + 1. The top bucket also holds
+   everything past its bound, so only the first case reaches it. *)
+let test_bucket_placement () =
+  let bound i = 1e-6 *. (2.0 ** Float.of_int i) in
+  let p50 low =
+    let m = Metrics.create () in
+    Metrics.observe m "lat" low;
+    Metrics.observe m "lat" Float.max_float;
+    (Option.get (Metrics.histogram m "lat")).Metrics.p50
+  in
+  for i = 0 to 63 do
+    Alcotest.(check (float 0.0)) (Printf.sprintf "bound %d" i) (bound i) (p50 (bound i))
+  done;
+  for i = 0 to 62 do
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "just above bound %d" i)
+      (bound (i + 1))
+      (p50 (Float.succ (bound i)))
+  done
+
 let test_observe_guard () =
   (* regression: a single NaN sample used to poison sum/mean/min/max for
      the rest of the series; negatives broke the bucket walk. Both must
@@ -501,6 +524,7 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "histograms" `Quick test_histograms;
+          Alcotest.test_case "bucket placement" `Quick test_bucket_placement;
           Alcotest.test_case "observe drops NaN and negatives" `Quick
             test_observe_guard;
         ] );

@@ -213,40 +213,65 @@ let test_corrupt_slb_changes_measurement () =
       Alcotest.(check bool) "measurement differs" true
         (outcome.Session.slb_measurement <> good.Session.slb_measurement)
 
-(* The stub must hash the window as SKINIT left it. After a flip in the
-   PAL region, PCR 17 is the chain over the corrupted window: the stub's
-   measurement, the SHA-1 of the initialized window with the flipped
-   byte, the I/O extends (no output: the PAL never ran) and the cap. A
-   chain that reused the clean window's digest would differ here, while
-   the empty output alone already makes it differ from the honest one. *)
-let test_corrupt_optimized_pcr17 () =
+(* After a flip in the PAL region, PCR 17 is the chain over the
+   corrupted bytes: the SHA-1 of the initialized window's measured
+   prefix with the flipped byte, for Optimized the stub's measurement of
+   the whole corrupted window, the I/O extends (no output: the PAL never
+   ran) and the cap. The Optimized stub must hash the window as SKINIT
+   left it: a chain that reused the clean window's digest would differ
+   here, while the empty output alone already makes it differ from the
+   honest one. Only in a Standard image does the flip lie inside the
+   measured bytes, so its TPM is sent bytes it did not measure last and
+   must hash them. The next clean launch measures like the first. *)
+let test_corrupt_pcr17 flavor () =
   let p = make_platform () in
-  ignore (run ~inputs:"in" p hello);
+  let image = Builder.build ~flavor hello in
+  let off = image.Builder.pal_region_off in
+  Alcotest.(check bool) "flip inside the measured bytes" (flavor = Builder.Standard)
+    (off < image.Builder.measured_length);
+  let first = run ~flavor ~inputs:"in" p hello in
   Session.corrupt_slb_in_memory p;
-  (match Session.execute p ~pal:hello ~flavor:Builder.Optimized ~inputs:"in" () with
+  (match Session.execute p ~pal:hello ~flavor ~inputs:"in" () with
   | Error Session.Unknown_pal -> ()
   | Error e -> Alcotest.failf "unexpected error: %a" Session.pp_error e
   | Ok _ -> Alcotest.fail "the corrupted PAL ran");
-  let image = Builder.build ~flavor:Builder.Optimized hello in
   let window = Bytes.of_string (Builder.initialize image ~slb_base:p.Platform.slb_base) in
-  let off = image.Builder.pal_region_off in
   Bytes.set window off (Char.chr (Char.code (Bytes.get window off) lxor 0xff));
   let window = Bytes.to_string window in
   let h = Flicker_crypto.Sha1.digest in
+  let stub = match flavor with Builder.Optimized -> [ h window ] | Builder.Standard -> [] in
   let chain =
     List.fold_left
       (fun pcr v -> h (pcr ^ v))
       (String.make 20 '\000')
-      [
-        h (String.sub window 0 image.Builder.measured_length);
-        h window;
-        h "in";
-        h "";
-        Flicker_slb.Slb_core.cap_value;
-      ]
+      ((h (String.sub window 0 image.Builder.measured_length) :: stub)
+      @ [ h "in"; h ""; Flicker_slb.Slb_core.cap_value ])
   in
-  Alcotest.(check string) "pcr17 over the corrupted window" chain
-    (Result.get_ok (Tpm.pcr_read p.Platform.tpm 17))
+  Alcotest.(check string) "pcr17 over the corrupted bytes" chain
+    (Result.get_ok (Tpm.pcr_read p.Platform.tpm 17));
+  let third = run ~flavor ~inputs:"in" p hello in
+  Alcotest.(check string) "third launch measured like the first"
+    first.Session.slb_measurement third.Session.slb_measurement;
+  Alcotest.(check string) "third pcr17 like the first" first.Session.pcr17_final
+    third.Session.pcr17_final
+
+(* Host-work meter: a platform relaunching one PAL sends its TPM the
+   4,736 measured bytes that TPM measured last, which it extends again
+   without hashing, and the stub extends the image's memoized window
+   digest. What the host still hashes is the I/O and PCR extends. *)
+let test_host_sha1_bytes_per_session () =
+  let p = make_platform () in
+  let session () = ignore (run ~flavor:Builder.Optimized ~inputs:"x" p hello) in
+  session ();
+  session ();
+  let sessions = 20 in
+  let before = Flicker_crypto.Sha1.bytes_hashed () in
+  for _ = 1 to sessions do
+    session ()
+  done;
+  let per_session = (Flicker_crypto.Sha1.bytes_hashed () - before) / sessions in
+  if per_session > 256 then
+    Alcotest.failf "%d host SHA-1 bytes per Optimized session (limit 256)" per_session
 
 (* Allocation meter: a session loads the image its PAL holds, extends
    the image's memoized window digest and reuses the window's pages, so
@@ -401,8 +426,13 @@ let () =
             test_measurement_stable_across_sessions;
           Alcotest.test_case "measurement functions" `Quick test_measurement_module;
           Alcotest.test_case "corrupt slb" `Quick test_corrupt_slb_changes_measurement;
-          Alcotest.test_case "corrupt optimized pcr17" `Quick test_corrupt_optimized_pcr17;
+          Alcotest.test_case "corrupt optimized pcr17" `Quick
+            (test_corrupt_pcr17 Builder.Optimized);
+          Alcotest.test_case "corrupt standard pcr17" `Quick
+            (test_corrupt_pcr17 Builder.Standard);
           Alcotest.test_case "major words per session" `Quick test_major_words_per_session;
+          Alcotest.test_case "host SHA-1 bytes per session" `Quick
+            test_host_sha1_bytes_per_session;
         ] );
       ( "isolation",
         [

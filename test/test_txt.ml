@@ -107,6 +107,25 @@ let test_txt_session () =
         (outcome.Session.pcr17_during
         <> Measurement.after_skinit image ~slb_base:p.Platform.slb_base)
 
+(* SENTER sends the TPM the ACM and then the MLE, so the bytes it
+   measured last never match the next stage's: back-to-back TXT sessions
+   each measure both stages and end at the same launch value. *)
+let test_txt_sessions_in_a_row () =
+  let p = make_platform ~seed:"txt-twice" in
+  let tech = Session.Txt { acm = Senter.default_acm } in
+  let image = Flicker_slb.Builder.build ~flavor:Flicker_slb.Builder.Optimized worker in
+  let expected =
+    Measurement.after_launch ~acm:Senter.default_acm image ~slb_base:p.Platform.slb_base
+  in
+  for i = 1 to 2 do
+    match Session.execute p ~pal:worker ~tech ~inputs:"again" () with
+    | Error e -> Alcotest.failf "session %d: %a" i Session.pp_error e
+    | Ok outcome ->
+        Alcotest.(check string)
+          (Printf.sprintf "session %d pcr17 during" i)
+          expected outcome.Session.pcr17_during
+  done
+
 let test_txt_attestation () =
   let p = make_platform ~seed:"txt-attest" in
   let nonce = Platform.fresh_nonce p in
@@ -207,6 +226,7 @@ let () =
       ( "sessions",
         [
           Alcotest.test_case "txt session" `Quick test_txt_session;
+          Alcotest.test_case "txt sessions in a row" `Quick test_txt_sessions_in_a_row;
           Alcotest.test_case "txt attestation" `Quick test_txt_attestation;
           Alcotest.test_case "tech-specific sealing" `Quick test_txt_sealing_is_tech_specific;
           Alcotest.test_case "timing" `Quick test_txt_timing;
