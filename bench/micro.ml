@@ -24,6 +24,9 @@ module Tcb = Flicker_slb.Tcb
 module Distcomp = Flicker_apps.Distcomp
 module Ssh_auth = Flicker_apps.Ssh_auth
 module CA = Flicker_apps.Cert_authority
+module Fleet = Flicker_service.Fleet
+module Serve = Flicker_serve.Serve
+module Appraise = Flicker_serve.Appraise
 
 (* staged state, built once *)
 let platform = lazy (Platform.create ~seed:"micro" ~key_bits:512 ())
@@ -79,6 +82,30 @@ let ca_server = lazy begin
   end
 
 let distcomp_client = lazy (Distcomp.create_client (Lazy.force platform))
+
+(* A one-platform serving tier warmed with two payloads, which share one
+   chunk and its quote, and the two cache-hit bundles. *)
+let serve_chunk () =
+  let config =
+    {
+      Serve.default_config with
+      Serve.fleet = { Fleet.default_config with Fleet.platforms = 1; seed = "micro-serve" };
+    }
+  in
+  let t = Serve.create ~config ~warm:[ "alpha"; "beta" ] () in
+  let fleet = Serve.fleet t in
+  let ids = List.map (Fleet.submit fleet) [ "alpha"; "beta" ] in
+  Fleet.run fleet;
+  match List.map (Serve.bundle_for t) ids with
+  | [ Some b; Some sibling ] -> (t, b, sibling)
+  | _ -> failwith "micro: a warm payload was not served"
+
+let appraise t b =
+  match Serve.verify_bundle t b with
+  | Ok () -> ()
+  | Error f -> failwith (Serve.verify_failure_to_string f)
+
+let warm_bundle = lazy (serve_chunk ())
 
 (* e = 65537, so verify takes the short-exponent path *)
 let rsa_signed =
@@ -138,6 +165,10 @@ let tests =
       (Staged.stage (fun () ->
            let ca, csr = Lazy.force ca_server in
            match CA.sign_csr ca csr with Ok _ -> () | Error e -> failwith e));
+    Test.make ~name:"serve:appraise warm bundle"
+      (Staged.stage (fun () ->
+           let t, b, _ = Lazy.force warm_bundle in
+           appraise t b));
     Test.make ~name:"crypto:sha1 64KB"
       (let buf = String.make (64 * 1024) 'x' in
        Staged.stage (fun () -> ignore (Sha1.digest buf)));
@@ -231,6 +262,35 @@ let measurement_cache_report () =
     ];
   Printf.printf "major-heap words per Optimized session: %.0f\n" major_words
 
+(* Host SHA-1 bytes of appraising a bundle a second time, and of
+   appraising its sibling from the same chunk after it: every stage
+   answers from the appraiser's memos, so both are 0 and the PCR-17
+   memo misses once, on the first appraisal. Recorded as the "micro"
+   artifact's "appraisal" row. *)
+let appraisal_report () =
+  let t, b, sibling = serve_chunk () in
+  let hashed b =
+    let start = Sha1.bytes_hashed () in
+    appraise t b;
+    Sha1.bytes_hashed () - start
+  in
+  let first = hashed b in
+  let warm = hashed b in
+  let sibling = hashed sibling in
+  let s = Appraise.stats (Serve.appraiser t) in
+  print_endline "\n=== appraisal memo (host SHA-1 bytes per bundle appraisal) ===";
+  Printf.printf "first appraisal:            %7d bytes\n" first;
+  Printf.printf "same bundle again:          %7d bytes\n" warm;
+  Printf.printf "sibling from the same chunk: %6d bytes\n" sibling;
+  Printf.printf "PCR-17 memo: %d hits, %d misses\n" s.Appraise.pcr_hits s.Appraise.pcr_misses;
+  Paper.emit ~artifact:"micro" ~label:"appraisal"
+    [
+      ("warm_sha1_bytes", Paper.J.Int warm);
+      ("sibling_sha1_bytes", Paper.J.Int sibling);
+      ("pcr_memo_hits", Paper.J.Int s.Appraise.pcr_hits);
+      ("pcr_memo_misses", Paper.J.Int s.Appraise.pcr_misses);
+    ]
+
 let run () =
   print_endline "\n=== Bechamel microbenchmarks (real wall-clock of the simulator) ===";
   let instance = Instance.monotonic_clock in
@@ -253,4 +313,5 @@ let run () =
           Printf.printf "%-46s %12.1f us/run\n" (Test.Elt.name tst) (estimate /. 1000.0))
         (Test.elements test))
     tests;
-  measurement_cache_report ()
+  measurement_cache_report ();
+  appraisal_report ()

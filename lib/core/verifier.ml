@@ -41,9 +41,9 @@ let expected_pcr17 expectation ~inputs ~outputs =
     ~slb_base:expectation.slb_base ~inputs ~outputs ~nonce:(Some expectation.nonce)
 
 (* The staged checks below are exposed separately so an appraisal cache
-   (lib/serve) can memoize the expensive host-crypto stages — certificate
-   and quote-signature verification — while always re-running the cheap,
-   context-dependent ones (nonce, PCR recomputation). *)
+   (lib/serve) can memoize the certificate, quote-signature and PCR-17
+   stages, each a function of the values it reads, while re-running the
+   nonce check against each new challenge. *)
 
 let quote_payload (quote : Tpm.quote) =
   "QUOT"

@@ -56,10 +56,12 @@ val verify :
 (** {2 Staged checks}
 
     [verify] is the composition of the four checks below, in order. They
-    are exposed so an appraisal cache can memoize the host-crypto
-    stages — certificate and quote-signature verification, whose cost
-    scales with RSA — while re-running the cheap context-dependent ones
-    (freshness, PCR recomputation) on every appraisal. *)
+    are exposed so an appraisal cache can memoize the three stages whose
+    verdict is a function of the values they read: certificate and
+    quote-signature verification, whose cost scales with RSA, and PCR-17
+    recomputation, whose host SHA-1 scales with the claimed I/O.
+    Freshness depends on the challenge at hand and re-runs on every
+    appraisal. *)
 
 val check_certificate :
   ca_key:Flicker_crypto.Rsa.public ->

@@ -42,9 +42,9 @@ let constant_time_equal a b =
 let be32_of_int v =
   String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
 
-let int_of_be32 s off =
-  let byte i = Char.code s.[off + i] in
-  (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
+(* one unboxed load, masked to keep the value unsigned; allocates
+   nothing, as every field decoder reads its headers through it *)
+let int_of_be32 s off = Int32.to_int (String.get_int32_be s off) land 0xffff_ffff
 
 let be16_of_int v =
   String.init 2 (fun i -> Char.chr ((v lsr (8 * (1 - i))) land 0xff))

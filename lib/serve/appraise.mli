@@ -3,19 +3,32 @@
 
     A front end that answers from its result cache hands every client
     the {e original} quote, so one platform's evidence is appraised over
-    and over. The two host-crypto stages of {!Flicker_core.Verifier} —
-    AIK-certificate validation (same certificate for every quote a
-    platform ever produces) and quote-signature verification (same
-    bundle re-verified on every cache hit) — are memoized here, while
-    the context-dependent stages (nonce freshness, PCR-17 recomputation
-    against the claimed I/O) always re-run. Verdicts are cached
-    including failures: a forged certificate or signature stays bad.
+    and over: every bundle of a chunk shares its quote, and every cache
+    hit re-presents it. Three stages of {!Flicker_core.Verifier} are
+    memoized here: AIK-certificate validation (the same certificate for
+    every quote a platform ever produces), quote-signature verification,
+    and PCR-17 recomputation against the claimed I/O, whose host SHA-1
+    over the claimed inputs and outputs costs more than the other two
+    together. Nonce freshness depends on the challenge at hand and
+    re-runs on every appraisal. Verdicts are memoized including
+    failures: a forged certificate or signature stays bad, and so does a
+    PCR mismatch.
 
-    Savings are accounted in the same instrument the measurement-cache
-    bench uses, {!Flicker_crypto.Sha1.bytes_hashed}: a miss records the
-    stage's hashing cost, a hit credits it to [bytes_saved]. Memo keys
-    are built by concatenation, never hashing, so keying adds nothing to
-    the instrument. *)
+    Each memo is keyed by the values its stage reads, never by a string
+    built from them: the PCR-17 key is the (expectation, evidence) pair
+    itself, compared with [String.equal] on the PAL's code, the nonce,
+    the PAL's extends, the ACM, the claimed inputs and outputs and the
+    quoted PCR 17, and [=] on the flavor and load address. Bundles that
+    share a chunk's evidence compare by pointer; other strings are
+    compared byte by byte and never hashed. Each memo holds at most
+    1,024 entries and evicts its oldest at that bound (single-victim
+    FIFO, like {!Flicker_core.Measurement}'s caches).
+
+    Savings are accounted in the instrument the measurement-cache bench
+    uses, {!Flicker_crypto.Sha1.bytes_hashed}: a miss records the stage's
+    hashing cost, and a certificate or quote hit credits it to
+    [bytes_saved]. Looking a key up hashes nothing into the
+    instrument. *)
 
 type t
 
@@ -29,17 +42,23 @@ val verify :
   (unit, Flicker_core.Verifier.failure) result
 (** Same verdict as {!Flicker_core.Verifier.verify} with the appraiser's
     CA key — the staged checks run in the same order, so the first
-    failing stage reported is identical — but the certificate and
-    quote-signature stages run at most once per distinct input. *)
+    failing stage reported is identical — but the certificate,
+    quote-signature and PCR-17 stages run at most once per distinct
+    input still in their memo. *)
 
 type stats = {
   cert_hits : int;
   cert_misses : int;  (** certificate validations actually run *)
   quote_hits : int;  (** memoized quote verifications *)
   quote_misses : int;  (** quote-signature verifications actually run *)
+  pcr_hits : int;  (** memoized PCR-17 recomputations *)
+  pcr_misses : int;
+      (** PCR-17 recomputations actually run; a quote without PCR 17 is
+          checked without the memo and counts as neither *)
   bytes_saved : int;
       (** host-crypto bytes ({!Flicker_crypto.Sha1.bytes_hashed}) the
-          memo hits avoided re-hashing *)
+          certificate and quote memo hits avoided re-hashing; PCR-17
+          hits are counted in [pcr_hits] only *)
 }
 
 val stats : t -> stats

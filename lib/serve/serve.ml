@@ -261,19 +261,44 @@ let create ?(config = default_config) ?(warm = []) () =
 
 (* --- verification ----------------------------------------------------- *)
 
+(* the end of the [Util.encode_fields] field that starts at [off] in
+   [s], or -1 when its header or body runs past the end *)
+let field_end s off =
+  if off + 4 > String.length s then -1
+  else
+    let stop = off + 4 + Util.int_of_be32 s off in
+    if stop > String.length s then -1 else stop
+
+(* does [s] hold [v] at [pos]? *)
+let rec holds s pos v i =
+  i = String.length v || (s.[pos + i] = v.[i] && holds s pos v (i + 1))
+
+(* does the field [off, stop) of [s] hold exactly [v]? *)
+let field_is s off stop v = stop - off - 4 = String.length v && holds s (off + 4) v 0
+
+(* walk the fields of [ins] from [i] and of [outs] from [o] in step:
+   both must end together, and some step must hold [payload] in and
+   [output] out *)
+let rec pairs_hold ins outs ~payload ~output i o found =
+  if i = String.length ins || o = String.length outs then
+    found && i = String.length ins && o = String.length outs
+  else
+    let i' = field_end ins i and o' = field_end outs o in
+    i' >= 0 && o' >= 0
+    && pairs_hold ins outs ~payload ~output i' o'
+         (found || (field_is ins i i' payload && field_is outs o o' output))
+
 (* is (payload, output) one of the positional pairs the quoted session
-   actually served? The quote covers the whole chunk's encoded I/O. *)
+   actually served? The quote covers the whole chunk's encoded I/O: the
+   work field and one field per payload in, one field per output out.
+   Both are walked in place, and both must decode whole and hold as many
+   payloads as outputs. *)
 let in_batch (b : bundle) =
-  let ev = b.evidence in
-  match
-    ( Util.decode_fields ev.Attestation.claimed_inputs,
-      Util.decode_fields ev.Attestation.claimed_outputs )
-  with
-  | Ok (_work :: ins), Ok outs when List.length ins = List.length outs ->
-      List.exists2
-        (fun i o -> String.equal i b.payload && String.equal o b.output)
-        ins outs
-  | _ -> false
+  let ins = b.evidence.Attestation.claimed_inputs in
+  let work = field_end ins 0 in
+  work >= 0
+  && pairs_hold ins b.evidence.Attestation.claimed_outputs ~payload:b.payload
+       ~output:b.output work 0 false
 
 let verify_bundle t (b : bundle) =
   if not (fresh t b) then

@@ -112,8 +112,7 @@ let allowlist =
        behaviour from outside",
       [
         "Flicker_obs.Metrics.reset"; "Flicker_obs.Tracer.capacity"; "Flicker_obs.Tracer.clear";
-        "Flicker_serve.Cache.length"; "Flicker_serve.Serve.verify_failure_to_string";
-        "Flicker_serve.Serve.advance_nv"; "Flicker_serve.Serve.cached";
+        "Flicker_serve.Cache.length"; "Flicker_serve.Serve.advance_nv"; "Flicker_serve.Serve.cached";
         "Flicker_serve.Serve.cache_stats"; "Flicker_service.Event_queue.length";
         "Flicker_service.Event_queue.is_empty"; "Flicker_service.Fleet.past_deadline";
         "Flicker_service.Fleet.crash_platform"; "Flicker_service.Fleet.platform_up";

@@ -28,7 +28,20 @@ let test_constant_time_equal () =
 let test_be32 () =
   check "be32" "\x00\x00\x01\x02" (Util.be32_of_int 258);
   Alcotest.(check int) "roundtrip" 0xDEAD (Util.int_of_be32 (Util.be32_of_int 0xDEAD) 0);
-  Alcotest.(check int) "offset" 7 (Util.int_of_be32 ("xx" ^ Util.be32_of_int 7) 2)
+  Alcotest.(check int) "offset" 7 (Util.int_of_be32 ("xx" ^ Util.be32_of_int 7) 2);
+  (* the top bit set must read back unsigned, not sign-extended *)
+  Alcotest.(check int) "all ones" 0xFFFF_FFFF
+    (Util.int_of_be32 (Util.be32_of_int 0xFFFF_FFFF) 0);
+  Alcotest.(check int) "top bit" 0x8000_0000
+    (Util.int_of_be32 (Util.be32_of_int 0x8000_0000) 0);
+  (* every field decoder reads its headers through this: no allocation *)
+  let s = Util.be32_of_int 0xDEAD in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Util.int_of_be32 s 0))
+  done;
+  Alcotest.(check (float 0.)) "10,000 reads allocate nothing" 0.
+    (Gc.minor_words () -. before)
 
 let test_be16 () =
   check "be16" "\x01\x02" (Util.be16_of_int 258);
