@@ -27,6 +27,7 @@ module CA = Flicker_apps.Cert_authority
 module Fleet = Flicker_service.Fleet
 module Serve = Flicker_serve.Serve
 module Appraise = Flicker_serve.Appraise
+module V = Flicker_verify
 
 (* staged state, built once *)
 let platform = lazy (Platform.create ~seed:"micro" ~key_bits:512 ())
@@ -107,6 +108,11 @@ let appraise t b =
 
 let warm_bundle = lazy (serve_chunk ())
 
+(* The largest reduced model-checker run: the good session against all
+   four adversary models over two sessions. *)
+let mc_good_all () =
+  V.Mc.run ~adversary:(V.Adversary.of_kinds V.Adversary.all_kinds) ~sessions:2 V.Model.Good
+
 (* e = 65537, so verify takes the short-exponent path *)
 let rsa_signed =
   lazy
@@ -169,6 +175,7 @@ let tests =
       (Staged.stage (fun () ->
            let t, b, _ = Lazy.force warm_bundle in
            appraise t b));
+    Test.make ~name:"verify:mc good-all" (Staged.stage (fun () -> ignore (mc_good_all ())));
     Test.make ~name:"crypto:sha1 64KB"
       (let buf = String.make (64 * 1024) 'x' in
        Staged.stage (fun () -> ignore (Sha1.digest buf)));
@@ -291,6 +298,24 @@ let appraisal_report () =
       ("pcr_memo_misses", Paper.J.Int s.Appraise.pcr_misses);
     ]
 
+(* States and transitions of [mc_good_all], and the minor-heap words it
+   allocates per expanded state after a warm-up run. Recorded as the
+   "micro" artifact's "model checker" row. *)
+let model_checker_report () =
+  ignore (mc_good_all ());
+  let before = Gc.minor_words () in
+  let s = (mc_good_all ()).V.Mc.stats in
+  let per_state = (Gc.minor_words () -. before) /. float_of_int s.V.Mc.states in
+  print_endline "\n=== model checker (good session, all four adversaries, two sessions, POR) ===";
+  Printf.printf "%d states, %d transitions, %.0f minor words per expanded state\n"
+    s.V.Mc.states s.V.Mc.transitions per_state;
+  Paper.emit ~artifact:"micro" ~label:"model checker"
+    [
+      ("states", Paper.J.Int s.V.Mc.states);
+      ("transitions", Paper.J.Int s.V.Mc.transitions);
+      ("minor_words_per_state", Paper.J.Int (Float.to_int (Float.round per_state)));
+    ]
+
 let run () =
   print_endline "\n=== Bechamel microbenchmarks (real wall-clock of the simulator) ===";
   let instance = Instance.monotonic_clock in
@@ -314,4 +339,5 @@ let run () =
         (Test.elements test))
     tests;
   measurement_cache_report ();
-  appraisal_report ()
+  appraisal_report ();
+  model_checker_report ()

@@ -649,10 +649,12 @@ let check_run seed tpm workloads with_mc adversary no_por only_variant as_json
   if conf_violations > 0 then
     Printf.eprintf "%d trace-conformance violation(s)\n" conf_violations;
   List.iter
-    (fun (v, _, _, expected, _) ->
+    (fun (v, _, _, expected, r) ->
       Printf.eprintf
-        (if expected then "model checker missed the planted bug in %s\n"
-         else "model checker flagged the correct session %s\n")
+        (match (expected, r.V.Mc.outcome) with
+        | true, _ -> "model checker missed the planted bug in %s\n"
+        | false, V.Mc.Violation _ -> "model checker flagged the correct session %s\n"
+        | false, V.Mc.Verified -> "model checker search of %s was truncated\n")
         (V.Model.variant_name v))
     mc_missed;
   if conf_violations > 0 || mc_missed <> [] || !failed_workloads <> [] then 1

@@ -64,10 +64,6 @@ let budgets_of cfg =
     os_injs = (if active cfg Corrupt_os then cfg.os_injections else 0);
   }
 
-let encode_budgets b =
-  Printf.sprintf "%d.%d.%d.%d.%d" b.probes b.resets b.records b.injects
-    b.os_injs
-
 (* What the adversary can see of the machine when choosing an action. *)
 type view = {
   dev_up : bool;
@@ -96,6 +92,27 @@ let spend b = function
   | Do_record -> { b with records = b.records - 1 }
   | Do_inject -> { b with injects = b.injects - 1 }
   | Spend_os -> { b with os_injs = b.os_injs - 1 }
+
+(* The corrupt OS's actions read nothing of the machine, so one list
+   serves every state. *)
+let os_tampering =
+  let tamper what =
+    {
+      act_label = "adv-os-" ^ what;
+      act_events = [ Event.Os_inject { what } ];
+      act_effect = Spend_os;
+    }
+  in
+  [
+    tamper "drop-msg";
+    tamper "dup-msg";
+    tamper "swap-msg";
+    {
+      act_label = "adv-os-forge-extend";
+      act_events = [ Event.Pcr_extend { index = 17; kind = Event.Software } ];
+      act_effect = Spend_os;
+    };
+  ]
 
 let actions b (v : view) =
   if v.at_end then []
@@ -160,26 +177,5 @@ let actions b (v : view) =
             ]
         | _ -> []
     in
-    let corrupt_os =
-      if b.os_injs <= 0 || v.suspended then []
-      else
-        let tamper what =
-          {
-            act_label = "adv-os-" ^ what;
-            act_events = [ Event.Os_inject { what } ];
-            act_effect = Spend_os;
-          }
-        in
-        [
-          tamper "drop-msg";
-          tamper "dup-msg";
-          tamper "swap-msg";
-          {
-            act_label = "adv-os-forge-extend";
-            act_events =
-              [ Event.Pcr_extend { index = 17; kind = Event.Software } ];
-            act_effect = Spend_os;
-          };
-        ]
-    in
+    let corrupt_os = if b.os_injs <= 0 || v.suspended then [] else os_tampering in
     dma @ reset @ replay @ corrupt_os

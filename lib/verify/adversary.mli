@@ -64,7 +64,6 @@ type budgets = {
     model-checker state (and its dedup key). *)
 
 val budgets_of : config -> budgets
-val encode_budgets : budgets -> string
 
 type view = {
   dev_up : bool;

@@ -1,10 +1,12 @@
+(* ['s] is plain data (constructors, records, ints, sorted lists; no
+   closures), so [=] can compare two states. *)
 type 's spec = {
   spec_name : string;
   spec_property : string;
   spec_paper : string;
+  id : 's Type.Id.t;  (* the automaton's identity, for [equal] *)
   init : 's;
   step : 's -> Event.t -> ('s, string) result;
-  encode : 's -> string;
 }
 
 type t = Auto : 's spec -> t
@@ -15,12 +17,17 @@ let property (Auto s) = s.spec_property
 let paper (Auto s) = s.spec_paper
 let start (Auto s) = Inst { spec = s; state = s.init }
 
-let feed (Inst i) ev =
+let feed (Inst i as inst) ev =
   match i.spec.step i.state ev with
-  | Ok state -> Ok (Inst { i with state })
+  | Ok state -> Ok (if state == i.state then inst else Inst { i with state })
   | Error _ as e -> e
 
-let encode_state (Inst i) = i.spec.encode i.state
+let equal (Inst a) (Inst b) =
+  match Type.Id.provably_equal a.spec.id b.spec.id with
+  | Some Type.Equal -> a.state == b.state || a.state = b.state
+  | None -> false
+
+let hash (Inst i) = Hashtbl.hash i.state
 
 (* [a1, a1+l1) and [a2, a2+l2) share at least one byte *)
 let overlaps a1 l1 a2 l2 = l1 > 0 && l2 > 0 && a1 < a2 + l2 && a2 < a1 + l1
@@ -38,8 +45,7 @@ let cap_before_resume =
         "PCR 17 is extended with the session cap value before the OS resumes";
       spec_paper = "§4.3";
       init = C_idle;
-      encode =
-        (function C_idle -> "i" | C_armed -> "a" | C_capped -> "c");
+      id = Type.Id.make ();
       step =
         (fun st ev ->
           match (st, ev) with
@@ -69,12 +75,7 @@ let dev_covers_slb =
          until the window is zeroized";
       spec_paper = "§2.2, §5.1";
       init = D_idle;
-      encode =
-        (function
-        | D_idle -> "i"
-        | D_pending -> "p"
-        | D_covered { addr; len; zeroized } ->
-            Printf.sprintf "c%x:%x:%b" addr len zeroized);
+      id = Type.Id.make ();
       step =
         (fun st ev ->
           match (st, ev) with
@@ -119,15 +120,7 @@ let zeroize_before_exit =
       spec_property = "the SLB window is zeroized before the OS resumes";
       spec_paper = "§4.3";
       init = Z_idle;
-      encode =
-        (function
-        | Z_idle -> "i"
-        | Z_armed { window; zeroized } ->
-            Printf.sprintf "a%s:%b"
-              (match window with
-              | Some (a, l) -> Printf.sprintf "%x+%x" a l
-              | None -> "?")
-              zeroized);
+      id = Type.Id.make ();
       step =
         (fun st ev ->
           match (st, ev) with
@@ -172,7 +165,7 @@ let extend_order =
          nonce?, cap";
       spec_paper = "§4.2–4.3, §5.2";
       init = -1;
-      encode = string_of_int;
+      id = Type.Id.make ();
       step =
         (fun rank ev ->
           match ev with
@@ -218,14 +211,7 @@ let nv_monotonic =
          strictly advance on every write";
       spec_paper = "§4.4";
       init = { counters = []; nv = []; dead = [] };
-      encode =
-        (fun s ->
-          Printf.sprintf "%s|%s|%s"
-            (String.concat ","
-               (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) s.counters))
-            (String.concat ","
-               (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) s.nv))
-            (String.concat "," (List.map string_of_int (List.sort compare s.dead))));
+      id = Type.Id.make ();
       step =
         (fun st ev ->
           match ev with
@@ -292,11 +278,7 @@ let fresh_nv_on_launch =
          the same launch (no reseal without a freshness check)";
       spec_paper = "§4.4";
       init = { f_in_launch = false; f_seen = []; f_read = [] };
-      encode =
-        (fun s ->
-          Printf.sprintf "%b|%s|%s" s.f_in_launch
-            (String.concat "," (List.map string_of_int (List.sort compare s.f_seen)))
-            (String.concat "," (List.map string_of_int (List.sort compare s.f_read))));
+      id = Type.Id.make ();
       step =
         (fun st ev ->
           match ev with
@@ -337,11 +319,7 @@ let no_unchecked_dma =
         "no DMA reaches the SLB window un-denied while a PAL session is live";
       spec_paper = "§2.2";
       init = N_idle;
-      encode =
-        (function
-        | N_idle -> "i"
-        | N_armed { window = None } -> "a?"
-        | N_armed { window = Some (a, l) } -> Printf.sprintf "a%x+%x" a l);
+      id = Type.Id.make ();
       step =
         (fun st ev ->
           match (st, ev) with
@@ -374,7 +352,7 @@ let suspend_before_launch =
       spec_property = "a late launch only happens while the OS is suspended";
       spec_paper = "§4.1";
       init = false (* suspended? *);
-      encode = string_of_bool;
+      id = Type.Id.make ();
       step =
         (fun suspended ev ->
           match ev with

@@ -32,11 +32,17 @@ val start : t -> instance
 val feed : instance -> Event.t -> (instance, string) result
 (** Advance by one event. [Error msg] means the event violates the
     invariant; the instance is consumed either way (restart with
-    {!start} to keep scanning past a violation). *)
+    {!start} to keep scanning past a violation). A step that leaves the
+    state physically unchanged returns the same instance. *)
 
-val encode_state : instance -> string
-(** Stable encoding of the current state, used by the model checker to
-    hash the product of machine state and monitor states. *)
+val equal : instance -> instance -> bool
+(** Same automaton and structurally equal state. Each automaton keeps
+    its state canonical (sorted lists, no closures), so equal instances
+    react alike to every later event. Instances of different automata
+    are never equal. *)
+
+val hash : instance -> int
+(** Hash of the instance's state; equal instances hash alike. *)
 
 (** {1 The shipped invariants} *)
 

@@ -22,46 +22,63 @@ type stats = {
 type outcome = Verified | Violation of counterexample
 type result = { outcome : outcome; stats : stats }
 
-(* One frontier node: model state, monitor instances, and the reversed
-   path that reached it (paths are bounded by max_depth, so storing them
-   per node is cheap and spares parent-pointer reconstruction). *)
-type node = {
+(* A frontier node's dedup key: its model state and monitor instances,
+   with their hash computed once. The visited set keeps this one block
+   per state; the model state and instance array it points at are the
+   node's own, and share every part a transition left unchanged with
+   the parent's. *)
+type key = {
+  hash : int;
   mstate : Model.state;
-  monitors : (Automata.t * Automata.instance) list;
-  rev_path : step list;
-  node_depth : int;
+  monitors : Automata.instance array;  (* one per automaton, in order *)
 }
 
-let key node =
-  String.concat ";"
-    (Model.encode node.mstate
-    :: List.map (fun (_, i) -> Automata.encode_state i) node.monitors)
+let make_key mstate monitors =
+  let hash =
+    Array.fold_left (fun h i -> (h * 31) + Automata.hash i) (Model.hash mstate) monitors
+  in
+  { hash; mstate; monitors }
+
+module Visited = Hashtbl.Make (struct
+  type t = key
+
+  let hash k = k.hash
+
+  let equal a b =
+    a.hash = b.hash
+    && Model.equal a.mstate b.mstate
+    && Array.for_all2 Automata.equal a.monitors b.monitors
+end)
+
+(* One frontier node: its key and the reversed path that reached it
+   (paths are bounded by max_depth, so storing them per node is cheap and
+   spares parent-pointer reconstruction). *)
+type node = { key : key; rev_path : step list; node_depth : int }
 
 (* Feed a transition's events through every monitor. First rejection
-   wins; the remaining monitors are not consulted for later events. *)
+   wins, reported with the automaton's index; the remaining monitors are
+   not consulted for later events. The array is copied when the first
+   instance changes, so a transition every monitor ignores returns
+   [monitors] itself. *)
 let feed_monitors monitors events =
-  let rec go monitors = function
-    | [] -> Ok monitors
-    | ev :: rest -> (
-        let violation = ref None in
-        let monitors' =
-          List.map
-            (fun (a, inst) ->
-              match !violation with
-              | Some _ -> (a, inst)
-              | None -> (
-                  match Automata.feed inst ev with
-                  | Ok inst' -> (a, inst')
-                  | Error message ->
-                      violation := Some (a, ev, message);
-                      (a, inst)))
-            monitors
+  let n = Array.length monitors in
+  let rec go ms owned = function
+    | [] -> Ok ms
+    | ev :: rest ->
+        let rec each i ms owned =
+          if i = n then go ms owned rest
+          else
+            match Automata.feed ms.(i) ev with
+            | Error message -> Error (i, ev, message)
+            | Ok inst when inst == ms.(i) -> each (i + 1) ms owned
+            | Ok inst ->
+                let ms = if owned then ms else Array.copy ms in
+                ms.(i) <- inst;
+                each (i + 1) ms true
         in
-        match !violation with
-        | Some (a, ev, message) -> Error (a, ev, message)
-        | None -> go monitors' rest)
+        each 0 ms owned
   in
-  go monitors events
+  go monitors false events
 
 (* Ample-set selection (persistent sets over the session/adversary
    product). The session program is deterministic, so a state has at
@@ -97,46 +114,41 @@ let monitor_silent monitors events =
   match feed_monitors monitors events with
   | Error _ -> false
   | Ok monitors' ->
-      List.for_all2
-        (fun (_, a) (_, b) ->
-          Automata.encode_state a = Automata.encode_state b)
-        monitors monitors'
+      monitors' == monitors || Array.for_all2 Automata.equal monitors monitors'
 
+(* [Model.transitions] lists the session transition, if any, first. *)
 let ample ~por trans monitors =
-  if not por then trans
-  else
-    match List.partition (fun t -> t.Model.source = Model.Session) trans with
-    | ([ session ] as only), (_ :: _ as adversary)
-      when List.for_all
-             (fun (a : Model.trans) ->
-               ((not (Model.fp_visible a.Model.fp))
-               || monitor_silent monitors a.Model.events)
-               && Model.independent session.Model.fp a.Model.fp)
-             adversary ->
-        only
-    | _ -> trans
+  match trans with
+  | ({ Model.source = Model.Session; _ } as session) :: (_ :: _ as adversary)
+    when por
+         && List.for_all
+              (fun (a : Model.trans) ->
+                ((not (Model.fp_visible a.Model.fp))
+                || monitor_silent monitors a.Model.events)
+                && Model.independent session.Model.fp a.Model.fp)
+              adversary ->
+      [ session ]
+  | _ -> trans
 
 let run ?(automata = Automata.all) ?(max_states = 50_000) ?(max_depth = 96)
-    ?dma_probes ?adversary ?sessions ?(por = true) variant =
-  let visited = Hashtbl.create 1024 in
+    ?adversary ?sessions ?(por = true) variant =
+  let automata = Array.of_list automata in
+  let visited = Visited.create 1024 in
   let queue = Queue.create () in
-  let enqueue node =
+  let enqueue key rev_path node_depth =
     (* dedup at enqueue time: the visited set doubles as a membership
        check for the queue, so a state reachable along many commuting
        interleavings is queued (and counted) exactly once *)
-    let k = key node in
-    if not (Hashtbl.mem visited k) then begin
-      Hashtbl.replace visited k ();
-      Queue.add node queue
+    if not (Visited.mem visited key) then begin
+      Visited.add visited key ();
+      Queue.add { key; rev_path; node_depth } queue
     end
   in
   enqueue
-    {
-      mstate = Model.initial ?adversary ?sessions ?dma_probes variant;
-      monitors = List.map (fun a -> (a, Automata.start a)) automata;
-      rev_path = [];
-      node_depth = 0;
-    };
+    (make_key
+       (Model.initial ?adversary ?sessions variant)
+       (Array.map Automata.start automata))
+    [] 0;
   let states = ref 0 in
   let transitions = ref 0 in
   let depth = ref 0 in
@@ -153,22 +165,23 @@ let run ?(automata = Automata.all) ?(max_states = 50_000) ?(max_depth = 96)
        end;
        incr states;
        if node.node_depth > !depth then depth := node.node_depth;
-       let succs = Model.transitions node.mstate in
+       let { mstate; monitors; _ } = node.key in
+       let succs = Model.transitions mstate in
        if node.node_depth >= max_depth then begin
          (* only report truncation when the depth cap actually cut
             something off: a leaf at exactly max_depth is fully explored *)
          if succs <> [] then truncated := true
        end
        else begin
-         let chosen = ample ~por succs node.monitors in
-         if chosen != succs && List.compare_lengths chosen succs < 0 then
-           incr ample_states;
+         let chosen = ample ~por succs monitors in
+         if chosen != succs then incr ample_states;
          List.iter
            (fun (t : Model.trans) ->
              incr transitions;
              let step = { action = t.Model.label; events = t.Model.events } in
-             match feed_monitors node.monitors t.Model.events with
-             | Error (a, ev, message) ->
+             match feed_monitors monitors t.Model.events with
+             | Error (i, ev, message) ->
+                 let a = automata.(i) in
                  found :=
                    Some
                      {
@@ -182,12 +195,8 @@ let run ?(automata = Automata.all) ?(max_states = 50_000) ?(max_depth = 96)
                  raise Exit
              | Ok monitors' ->
                  enqueue
-                   {
-                     mstate = t.Model.succ;
-                     monitors = monitors';
-                     rev_path = step :: node.rev_path;
-                     node_depth = node.node_depth + 1;
-                   })
+                   (make_key t.Model.succ monitors')
+                   (step :: node.rev_path) (node.node_depth + 1))
            chosen;
          let qlen = Queue.length queue in
          if qlen > !peak_queue then peak_queue := qlen

@@ -3,10 +3,12 @@
     Breadth-first exploration of {!Model} states (session program ×
     adversary interleavings × machine), running every automaton in
     {!Automata.all} in lockstep and stopping at the first rejection.
-    States are deduplicated on the hash of (model state × monitor
-    states) at enqueue time, so a state reachable along many commuting
-    interleavings is queued exactly once. BFS order means a reported
-    counterexample is a {e minimal} violating trace.
+    States are deduplicated at enqueue time by value: two nodes are the
+    same state when {!Model.equal} holds of their model states and
+    {!Automata.equal} of each pair of monitor instances. A state
+    reachable along many commuting interleavings is queued exactly
+    once. BFS order means a reported counterexample is a {e minimal}
+    violating trace.
 
     By default the search applies a partial-order reduction: when every
     adversary action fireable from a state (now or after adversary-only
@@ -49,14 +51,13 @@ val run :
   ?automata:Automata.t list ->
   ?max_states:int ->
   ?max_depth:int ->
-  ?dma_probes:int ->
   ?adversary:Adversary.config ->
   ?sessions:int ->
   ?por:bool ->
   Model.variant ->
   result
-(** Check one session variant. [adversary] / [sessions] / [dma_probes]
-    are forwarded to {!Model.initial}; [por] (default true) enables the
+(** Check one session variant. [adversary] and [sessions] are
+    forwarded to {!Model.initial}; [por] (default true) enables the
     partial-order reduction. Defaults: all automata, 50 000 states,
     depth 96. [Verified] with [stats.truncated = false] means the full
     (reduced) product space was explored with no automaton rejecting. *)

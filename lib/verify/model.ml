@@ -64,15 +64,6 @@ type machine = {
   recorded : int option;  (* the replay adversary's copy, if taken *)
 }
 
-type state = {
-  variant : variant;
-  sessions : int;
-  cfg : Adversary.config;  (* static per run; not part of the dedup key *)
-  pc : int;
-  budgets : Adversary.budgets;
-  m : machine;
-}
-
 (* Fixed geometry of the modeled session (values are arbitrary but
    stable; the automata only care about containment and overlap). *)
 let slb_addr = 0x30000
@@ -311,27 +302,32 @@ let session_program variant : block list =
       @ [ pal_read; pal_incr_unchecked; pal_reseal_unchecked ]
       @ [ zeroize; inputs; outputs; nonce; cap; teardown; resume; end_ ]
 
-(* Flattened program for [sessions] back-to-back runs, with, per pc, the
-   index where the *next* session starts (= where a mid-protocol reset
-   lands a disciplined platform). Memoized: every state of one checker
-   run shares it. *)
-let programs : (variant * int, block array * int array) Hashtbl.t =
-  Hashtbl.create 16
+(* The static half of a state, built once per checker run and shared by
+   every state of it; not part of the dedup key. *)
+type program = {
+  variant : variant;
+  blocks : block array;  (* [sessions] back-to-back runs, flattened *)
+  next_start : int array;
+      (* per pc, the index where the *next* session starts (= where a
+         mid-protocol reset lands a disciplined platform) *)
+}
 
 let program variant sessions =
-  match Hashtbl.find_opt programs (variant, sessions) with
-  | Some p -> p
-  | None ->
-      let one = session_program variant in
-      let len1 = List.length one in
-      let blocks =
-        Array.concat (List.init sessions (fun _ -> Array.of_list one))
-      in
-      let next_start =
-        Array.init (Array.length blocks) (fun i -> ((i / len1) + 1) * len1)
-      in
-      Hashtbl.replace programs (variant, sessions) (blocks, next_start);
-      (blocks, next_start)
+  let one = session_program variant in
+  let len1 = List.length one in
+  let blocks = Array.concat (List.init sessions (fun _ -> Array.of_list one)) in
+  let next_start =
+    Array.init (Array.length blocks) (fun i -> ((i / len1) + 1) * len1)
+  in
+  { variant; blocks; next_start }
+
+(* The dynamic half — pc, budgets and machine — is the dedup key. *)
+type state = {
+  prog : program;
+  pc : int;
+  budgets : Adversary.budgets;
+  m : machine;
+}
 
 (* --- semantics --------------------------------------------------------- *)
 
@@ -352,22 +348,14 @@ let apply m (ev : Event.t) =
 
 let apply_all m evs = List.fold_left apply m evs
 
-let initial ?adversary ?sessions ?dma_probes variant =
-  let cfg =
-    match (adversary, dma_probes) with
-    | Some cfg, _ -> cfg
-    | None, Some n -> { Adversary.default with Adversary.dma_probes = n }
-    | None, None -> Adversary.default
-  in
+let initial ?(adversary = Adversary.default) ?sessions variant =
   let sessions =
     match sessions with Some n -> max 1 n | None -> default_sessions variant
   in
   {
-    variant;
-    sessions;
-    cfg;
+    prog = program variant sessions;
     pc = 0;
-    budgets = Adversary.budgets_of cfg;
+    budgets = Adversary.budgets_of adversary;
     m =
       {
         dev = None;
@@ -407,7 +395,7 @@ type trans = {
 }
 
 let transitions st =
-  let blocks, next_start = program st.variant st.sessions in
+  let { variant; blocks; next_start } = st.prog in
   let len = Array.length blocks in
   let at_end = st.pc >= len in
   let session =
@@ -432,7 +420,7 @@ let transitions st =
       (fun (a : Adversary.action) ->
         let pc' =
           match a.Adversary.act_effect with
-          | Adversary.Do_reset when st.variant <> Trust_state_across_reset ->
+          | Adversary.Do_reset when variant <> Trust_state_across_reset ->
               (* a power cycle aborts the in-flight session; a disciplined
                  platform relaunches from scratch (the next session).
                  The planted bug keeps executing where it left off, as
@@ -460,11 +448,19 @@ let transitions st =
   in
   session @ adversary
 
-let encode st =
-  Printf.sprintf "%d|%s|%s|%b|%d|%d|%d|%s" st.pc
-    (Adversary.encode_budgets st.budgets)
-    (match st.m.dev with
-    | None -> "-"
-    | Some (a, l) -> Printf.sprintf "%x+%x" a l)
-    st.m.suspended st.m.counter st.m.nv st.m.blob
-    (match st.m.recorded with None -> "-" | Some c -> string_of_int c)
+let equal a b =
+  a.pc = b.pc
+  && (a.budgets == b.budgets || a.budgets = b.budgets)
+  && (a.m == b.m || a.m = b.m)
+
+(* The key's parts are small ints, so a base-31 polynomial over them is
+   all but injective; [Hashtbl.hash] then mixes its bits. *)
+let ( +* ) h x = (h * 31) + x
+
+let hash st =
+  let b = st.budgets and m = st.m in
+  Hashtbl.hash
+    (st.pc +* b.probes +* b.resets +* b.records +* b.injects +* b.os_injs
+    +* (match m.dev with None -> 0 | Some (a, l) -> (a +* l) + 1)
+    +* Bool.to_int m.suspended +* m.counter +* m.nv +* m.blob
+    +* match m.recorded with None -> 0 | Some c -> c + 1)

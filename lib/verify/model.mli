@@ -76,14 +76,20 @@ val intended_adversary : variant -> Adversary.config * int
     for [Good], all four models composed over two sessions. *)
 
 type state
+(** A program counter, the adversary's remaining budgets and the
+    machine, plus the run's static part (the variant and its flattened
+    session program), which every state of one run shares. *)
 
-val initial :
-  ?adversary:Adversary.config -> ?sessions:int -> ?dma_probes:int ->
-  variant -> state
+val initial : ?adversary:Adversary.config -> ?sessions:int -> variant -> state
 (** [adversary] defaults to {!Adversary.default} (DMA only, two
-    probes); [dma_probes] is the PR-4 compatibility knob and is ignored
-    when [adversary] is given. [sessions] defaults to
-    {!default_sessions}. *)
+    probes); [sessions] defaults to {!default_sessions}. *)
+
+val equal : state -> state -> bool
+(** Equality of the dynamic part: pc, budgets and machine. The static
+    part is the same for every state of one run and is not compared. *)
+
+val hash : state -> int
+(** Hash of the dynamic part; equal states hash alike. *)
 
 type footprint
 (** Read/write sets over machine variables plus event visibility. *)
@@ -107,8 +113,4 @@ type trans = {
 val transitions : state -> trans list
 (** Enabled actions from [state]; empty means the run is complete. At
     most one [Session] transition is ever enabled (the program is
-    deterministic). *)
-
-val encode : state -> string
-(** Stable state hash key (the monitors are hashed separately by the
-    model checker). *)
+    deterministic), and it comes first. *)

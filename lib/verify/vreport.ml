@@ -68,8 +68,9 @@ let conformance_run ~subject (report : Checker.report) =
 let mc_missed_violation (r : Mc.result) ~expected_violation =
   match (r.Mc.outcome, expected_violation) with
   | Mc.Verified, true -> true (* planted bug not caught *)
+  | Mc.Verified, false -> r.Mc.stats.Mc.truncated (* a cut-off search proves nothing *)
   | Mc.Violation _, false -> true (* correct session flagged *)
-  | Mc.Verified, false | Mc.Violation _, true -> false
+  | Mc.Violation _, true -> false
 
 let mc_run ?(adversary = Adversary.default) ?(sessions = 1) variant
     ~expected_violation (r : Mc.result) =
@@ -77,7 +78,7 @@ let mc_run ?(adversary = Adversary.default) ?(sessions = 1) variant
   let results =
     match r.Mc.outcome with
     | Mc.Verified ->
-        if expected_violation then
+        if mc_missed_violation r ~expected_violation then
           [
             J.Obj
               [
@@ -88,10 +89,16 @@ let mc_run ?(adversary = Adversary.default) ?(sessions = 1) variant
                     [
                       ( "text",
                         J.String
-                          (Printf.sprintf
-                             "planted bug in variant %s was NOT caught by the \
-                              model checker"
-                             vname) );
+                          (if expected_violation then
+                             Printf.sprintf
+                               "planted bug in variant %s was NOT caught by \
+                                the model checker"
+                               vname
+                           else
+                             Printf.sprintf
+                               "search of variant %s was truncated before it \
+                                covered every state"
+                               vname) );
                     ] );
                 ("locations", logical_location (vname ^ "/model"));
               ];

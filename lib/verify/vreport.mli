@@ -29,5 +29,6 @@ val document : Flicker_obs.Json.t list -> Flicker_obs.Json.t
 (** Wrap runs into the [{version; runs}] document. *)
 
 val mc_missed_violation : Mc.result -> expected_violation:bool -> bool
-(** True when a broken variant was NOT caught (or a good variant was
-    flagged) — the gate condition for CI. *)
+(** True when a broken variant was NOT caught, a good variant was
+    flagged, or a good variant's search was truncated (a cut-off search
+    verifies nothing) — the gate condition for CI. *)

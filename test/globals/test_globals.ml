@@ -22,9 +22,6 @@ let allowlist =
     ( "lib/crypto/elgamal.ml",
       "Elgamal.shared_params_1024",
       "forced only by bench/paper.ml and test_elgamal.ml, on the main domain" );
-    ( "lib/verify/model.ml",
-      "Model.programs",
-      "a memo read by the single-domain model checker" );
   ]
 
 let creators =

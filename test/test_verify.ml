@@ -445,9 +445,15 @@ let test_mc_new_bugs_need_their_adversary () =
         V.Adversary.all_kinds)
     [ V.Model.Reseal_without_counter_check; V.Model.Trust_state_across_reset ]
 
+(* a search cut off by a budget has not verified the good session: the
+   CI gate must count it as a failure *)
+let check_truncated_fails what r =
+  Alcotest.(check bool) (what ^ " truncated") true r.V.Mc.stats.V.Mc.truncated;
+  Alcotest.(check bool) (what ^ " counts as a failure") true
+    (V.Vreport.mc_missed_violation r ~expected_violation:false)
+
 let test_mc_budget_truncation () =
-  let r = V.Mc.run ~max_states:5 V.Model.Good in
-  Alcotest.(check bool) "truncated" true r.V.Mc.stats.V.Mc.truncated
+  check_truncated_fails "max_states 5" (V.Mc.run ~max_states:5 V.Model.Good)
 
 let test_mc_depth_truncation_is_honest () =
   (* good × 1 session × 2 probes explores to depth 17 exactly; a depth
@@ -462,13 +468,15 @@ let test_mc_depth_truncation_is_honest () =
     exact.V.Mc.stats.V.Mc.truncated;
   let cut = V.Mc.run ~sessions:1 ~por:false ~max_depth:(d - 1) V.Model.Good in
   Alcotest.(check bool) "cap below the frontier is" true
-    cut.V.Mc.stats.V.Mc.truncated
+    cut.V.Mc.stats.V.Mc.truncated;
+  check_truncated_fails "max_depth 3" (V.Mc.run ~max_depth:3 V.Model.Good)
 
 let test_mc_queue_stays_deduped () =
   (* enqueue-time dedup: with a large probe budget the frontier must
      stay bounded by the distinct-state count instead of filling with
      duplicate nodes reached along commuting probe interleavings *)
-  let r = V.Mc.run ~dma_probes:6 ~por:false V.Model.Good in
+  let adversary = { V.Adversary.default with V.Adversary.dma_probes = 6 } in
+  let r = V.Mc.run ~adversary ~por:false V.Model.Good in
   let s = r.V.Mc.stats in
   Alcotest.(check bool) "verified" true (r.V.Mc.outcome = V.Mc.Verified);
   Alcotest.(check bool) "peak queue bounded by states" true
@@ -485,6 +493,102 @@ let test_mc_por_reduces_work () =
   Alcotest.(check bool) "at least 2x fewer transitions" true
     (full.V.Mc.stats.V.Mc.transitions
      >= 2 * reduced.V.Mc.stats.V.Mc.transitions)
+
+let all_adversaries = V.Adversary.of_kinds V.Adversary.all_kinds
+
+(* The perf sweep's eleven runs: every variant under its intended
+   adversary with the reduction, then the good session against all four
+   adversary models with and without it. Their search sizes, as
+   BENCH_verify.json records them (its full-product row has no peak
+   queue; 192 is perf's verify.peak_queue), pin the deduplication
+   exactly: merging one state too many or too few moves at least one
+   of them. *)
+let sweep_sizes =
+  (* label, states, transitions, ample states, peak queue, depth *)
+  [
+    ("good", 3061, 5869, 1077, 170, 36);
+    ("resume-before-cap", 30, 36, 19, 4, 12);
+    ("clear-dev-early", 6, 10, 3, 3, 4);
+    ("skip-zeroize", 27, 31, 18, 3, 11);
+    ("nv-rollback", 15, 19, 10, 3, 7);
+    ("launch-unsuspended", 2, 2, 1, 1, 1);
+    ("out-of-order-extends", 18, 22, 12, 3, 8);
+    ("reseal-without-counter-check", 85, 90, 5, 6, 23);
+    ("trust-state-across-reset", 6, 8, 0, 3, 4);
+    ("good-all por", 3061, 5869, 1077, 170, 36);
+    ("good-all full", 3402, 10026, 0, 192, 36);
+  ]
+
+let test_mc_sweep_sizes () =
+  let runs =
+    List.map
+      (fun v -> (V.Model.variant_name v, run_intended v))
+      V.Model.all_variants
+    @ List.map
+        (fun por ->
+          ( (if por then "good-all por" else "good-all full"),
+            V.Mc.run ~adversary:all_adversaries ~sessions:2 ~por V.Model.Good ))
+        [ true; false ]
+  in
+  let size (label, r) =
+    let s = r.V.Mc.stats in
+    (label, s.V.Mc.states, s.V.Mc.transitions, s.V.Mc.ample, s.V.Mc.peak_queue, s.V.Mc.depth)
+  in
+  Alcotest.(check (list (of_pp (fun ppf (l, a, b, c, d, e) ->
+      Format.fprintf ppf "%s: %d states, %d transitions, %d ample, peak %d, depth %d"
+        l a b c d e))))
+    "search sizes" sweep_sizes (List.map size runs)
+
+let test_mc_allocation () =
+  (* after a warm-up, the largest reduced run allocates at most 1,000
+     minor-heap words per expanded state *)
+  let run () = V.Mc.run ~adversary:all_adversaries ~sessions:2 V.Model.Good in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let per_state =
+    (Gc.minor_words () -. before) /. float_of_int r.V.Mc.stats.V.Mc.states
+  in
+  if per_state > 1000.0 then
+    Alcotest.failf "%.0f minor words per expanded state (at most 1,000)" per_state
+
+let test_instance_equality () =
+  let feed inst ev =
+    match V.Automata.feed inst ev with
+    | Ok i -> i
+    | Error m -> Alcotest.failf "rejected %s: %s" (E.to_string ev) m
+  in
+  List.iter
+    (fun a ->
+      let i = V.Automata.start a in
+      (* every automaton ignores a session label *)
+      let i' = feed i (E.Session_begin "t") in
+      Alcotest.(check bool) (V.Automata.name a ^ " ignored event: equal") true
+        (V.Automata.equal i i');
+      Alcotest.(check int) (V.Automata.name a ^ " ignored event: same hash")
+        (V.Automata.hash i) (V.Automata.hash i'))
+    V.Automata.all;
+  (* equality is by value: two launches built apart compare equal, and
+     a step that changes the state does not *)
+  let z = V.Automata.zeroize_before_exit in
+  let launched () = feed (V.Automata.start z) skinit in
+  Alcotest.(check bool) "equal launches" true
+    (V.Automata.equal (launched ()) (launched ()));
+  Alcotest.(check bool) "launch differs from rest" false
+    (V.Automata.equal (V.Automata.start z) (launched ()));
+  (* five automata's start states are the same runtime value (the
+     immediate 0), yet no two automata's instances are equal *)
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i <> j then
+            Alcotest.(check bool)
+              (V.Automata.name a ^ " vs " ^ V.Automata.name b)
+              false
+              (V.Automata.equal (V.Automata.start a) (V.Automata.start b)))
+        V.Automata.all)
+    V.Automata.all
 
 let test_mc_replay_golden_trace () =
   (* the replay counterexample, verbatim: record the blob at rest before
@@ -629,6 +733,7 @@ let () =
           Alcotest.test_case "no-unchecked-dma" `Quick test_no_unchecked_dma;
           Alcotest.test_case "suspend-before-launch" `Quick
             test_suspend_before_launch;
+          Alcotest.test_case "instance equality" `Quick test_instance_equality;
         ] );
       ( "checker",
         [
@@ -665,6 +770,8 @@ let () =
           Alcotest.test_case "queue stays deduped" `Quick test_mc_queue_stays_deduped;
           Alcotest.test_case "POR reduces work" `Quick test_mc_por_reduces_work;
           Alcotest.test_case "replay golden trace" `Quick test_mc_replay_golden_trace;
+          Alcotest.test_case "sweep search sizes" `Quick test_mc_sweep_sizes;
+          Alcotest.test_case "allocation per state" `Quick test_mc_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
