@@ -12,6 +12,8 @@ module Sha256 = Flicker_crypto.Sha256
 module Rsa = Flicker_crypto.Rsa
 module Pkcs1 = Flicker_crypto.Pkcs1
 module Hash = Flicker_crypto.Hash
+module Aes = Flicker_crypto.Aes
+module Util = Flicker_crypto.Util
 module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
 module Machine = Flicker_hw.Machine
@@ -119,6 +121,22 @@ let rsa_signed =
     (let key = Rsa.generate (Prng.create ~seed:"micro-rsa") ~bits:512 in
      (key, Pkcs1.sign key Hash.SHA1 "micro"))
 
+(* A 512-byte message under an AES-128 key, and its CBC ciphertext
+   (528 bytes with the padding block). *)
+let aes_cbc =
+  lazy
+    (let key = Aes.expand_key (String.make 16 'k') and iv = String.make 16 'i' in
+     let plaintext = String.make 512 'p' in
+     (key, iv, plaintext, Aes.encrypt_cbc key ~iv plaintext))
+
+(* The state the CA PAL seals every session: its 512-bit private key,
+   issuer and issue count, laid out as Cert_authority lays them out
+   (about 350 bytes). *)
+let ca_state =
+  lazy
+    (let key, _ = Lazy.force rsa_signed in
+     Util.encode_fields [ Rsa.private_to_string key; "micro CA"; Util.be32_of_int 1 ])
+
 let tests =
   [
     Test.make ~name:"table1:rootkit-style session (64KB hash PAL)"
@@ -197,13 +215,22 @@ let tests =
            let key, signature = Lazy.force rsa_signed in
            if not (Pkcs1.verify key.Rsa.pub Hash.SHA1 ~msg:"micro" ~signature) then
              failwith "signature rejected"));
+    Test.make ~name:"crypto:aes-128-cbc 512B encrypt"
+      (Staged.stage (fun () ->
+           let key, iv, plaintext, _ = Lazy.force aes_cbc in
+           ignore (Aes.encrypt_cbc key ~iv plaintext)));
+    Test.make ~name:"crypto:aes-128-cbc 512B decrypt"
+      (Staged.stage (fun () ->
+           let key, iv, _, ciphertext = Lazy.force aes_cbc in
+           ignore (Aes.decrypt_cbc key ~iv ciphertext)));
     Test.make ~name:"tpm:seal+unseal"
       (let p = Lazy.force platform in
        let rng = Prng.create ~seed:"micro-seal" in
        Staged.stage (fun () ->
            let blob =
              Result.get_ok
-               (Flicker_slb.Mod_tpm_utils.seal p.Platform.tpm ~rng ~release:[] "data")
+               (Flicker_slb.Mod_tpm_utils.seal p.Platform.tpm ~rng ~release:[]
+                  (Lazy.force ca_state))
            in
            ignore (Flicker_slb.Mod_tpm_utils.unseal p.Platform.tpm ~rng blob)));
     Test.make ~name:"tpm:quote"

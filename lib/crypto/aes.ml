@@ -1,6 +1,22 @@
-(* Straightforward byte-oriented AES: S-box lookups plus xtime-based
-   MixColumns. Clarity over speed; the simulator encrypts kilobytes, not
-   gigabytes. *)
+(* AES (FIPS-197) as 32-bit T-table rounds, the rijndael-alg-fst form.
+   Only the simulated TPM's sealed storage calls it, on every seal and
+   unseal: each CA session decrypts its sealed state and encrypts it
+   again.
+
+   The state is four big-endian column words. One encryption round is
+   sixteen lookups in te0..te3, which fold SubBytes, ShiftRows and
+   MixColumns into one word per state byte, XORed with the round key.
+   Decryption runs FIPS-197's equivalent inverse cipher (5.3.5) over
+   td0..td3, with InvMixColumns applied to its round keys once, when the
+   key is expanded. The last round has no MixColumns and looks its bytes
+   up in the S-box itself.
+
+   Key and data bytes only ever index tables: no branch depends on
+   them, and decrypt_cbc's padding check branches once, on its verdict.
+   On real hardware, which table lines a lookup touches still shows in
+   cache timing (Bernstein, 2005). *)
+
+let mask32 = 0xFFFFFFFF
 
 let sbox =
   [|
@@ -33,32 +49,78 @@ let inv_sbox =
   Array.iteri (fun i v -> t.(v) <- i) sbox;
   t
 
-type key = { rounds : int; round_keys : int array (* 4*(rounds+1) words *) }
+(* multiplication by x in GF(2^8), reducing by x^8 + x^4 + x^3 + x + 1
+   without a branch *)
+let xtime b = (b lsl 1) lxor (0x11b * (b lsr 7))
 
-let xtime b =
-  let v = b lsl 1 in
-  if v land 0x100 <> 0 then v lxor 0x11b else v
+let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
-(* GF(2^8) multiply *)
-let gmul a b =
-  let acc = ref 0 and a = ref a and b = ref b in
-  while !b <> 0 do
-    if !b land 1 = 1 then acc := !acc lxor !a;
-    a := xtime !a;
-    b := !b lsr 1
-  done;
-  !acc land 0xff
+(* One flat table of 2,048 words: te0..te3 at 0, 256, 512 and 768, then
+   td0..td3 at 1024, 1280, 1536 and 1792. te0.(b) is the column
+   (2s, s, s, 3s) for s = sbox.(b), td0.(b) the column (14s, 9s, 13s,
+   11s) for s = inv_sbox.(b), and the k-th table of each half is its
+   first rotated right by 8k bits. Built once and never written, so
+   every domain may read it. *)
+let tables =
+  Array.init 2048 (fun i ->
+      let b = i land 0xff in
+      let column =
+        if i < 1024 then begin
+          let s = sbox.(b) in
+          let s2 = xtime s in
+          (s2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor (s2 lxor s)
+        end
+        else begin
+          let s = inv_sbox.(b) in
+          let s2 = xtime s in
+          let s4 = xtime s2 in
+          let s8 = xtime s4 in
+          ((s8 lxor s4 lxor s2) lsl 24)
+          lor ((s8 lxor s) lsl 16)
+          lor ((s8 lxor s4 lxor s) lsl 8)
+          lor (s8 lxor s2 lxor s)
+        end
+      in
+      rotr column (8 * ((i lsr 8) land 3)))
 
-let sub_word w =
-  (sbox.((w lsr 24) land 0xff) lsl 24)
-  lor (sbox.((w lsr 16) land 0xff) lsl 16)
-  lor (sbox.((w lsr 8) land 0xff) lsl 8)
-  lor sbox.(w land 0xff)
+let te = 0
+let td = 1024
 
-let rot_word w = ((w lsl 8) lor (w lsr 24)) land 0xFFFFFFFF
+(* A full round's output column: the table words, from the four tables
+   at [base], of [a]'s top byte, [b]'s second, [c]'s third and [d]'s
+   low byte. *)
+let[@inline] column base a b c d =
+  tables.(base + (a lsr 24))
+  lxor tables.(base + 256 + ((b lsr 16) land 0xff))
+  lxor tables.(base + 512 + ((c lsr 8) land 0xff))
+  lxor tables.(base + 768 + (d land 0xff))
 
-let rcon =
-  [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36; 0x6c; 0xd8; 0xab; 0x4d |]
+(* The last round's output column, which has no MixColumns: the [box]
+   bytes of the same four state bytes. *)
+let[@inline] last box a b c d =
+  (box.(a lsr 24) lsl 24)
+  lor (box.((b lsr 16) land 0xff) lsl 16)
+  lor (box.((c lsr 8) land 0xff) lsl 8)
+  lor box.(d land 0xff)
+
+type key = {
+  rounds : int;
+  enc : int array; (* 4*(rounds+1) round-key words *)
+  dec : int array;
+      (* the same round keys last first, all but the outer two through
+         InvMixColumns: the equivalent inverse cipher's *)
+}
+
+let sub_word w = last sbox w w w w
+let rot_word w = ((w lsl 8) lor (w lsr 24)) land mask32
+let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
+
+(* td's column of a byte b is InvMixColumns applied to inv_sbox.(b) in
+   that byte's row, so the td column of the S-box bytes of [w] is
+   InvMixColumns of [w]. *)
+let inv_mix_columns w =
+  let s = sub_word w in
+  column td s s s s
 
 let expand_key key_str =
   let nk =
@@ -70,150 +132,163 @@ let expand_key key_str =
   in
   let rounds = nk + 6 in
   let nwords = 4 * (rounds + 1) in
-  let w = Array.make nwords 0 in
+  let enc = Array.make nwords 0 in
   for i = 0 to nk - 1 do
-    w.(i) <- Util.int_of_be32 key_str (4 * i)
+    enc.(i) <- Util.int_of_be32 key_str (4 * i)
   done;
   for i = nk to nwords - 1 do
-    let temp = ref w.(i - 1) in
-    if i mod nk = 0 then temp := sub_word (rot_word !temp) lxor (rcon.((i / nk) - 1) lsl 24)
-    else if nk > 6 && i mod nk = 4 then temp := sub_word !temp;
-    w.(i) <- w.(i - nk) lxor !temp
+    let temp = enc.(i - 1) in
+    let temp =
+      if i mod nk = 0 then sub_word (rot_word temp) lxor (rcon.((i / nk) - 1) lsl 24)
+      else if nk > 6 && i mod nk = 4 then sub_word temp
+      else temp
+    in
+    enc.(i) <- enc.(i - nk) lxor temp
   done;
-  { rounds; round_keys = w }
+  let dec =
+    Array.init nwords (fun i ->
+        let round = i / 4 in
+        let w = enc.((4 * (rounds - round)) + (i land 3)) in
+        if round = 0 || round = rounds then w else inv_mix_columns w)
+  in
+  { rounds; enc; dec }
 
-let add_round_key state w off =
-  for c = 0 to 3 do
-    let word = w.(off + c) in
-    for r = 0 to 3 do
-      state.((4 * c) + r) <- state.((4 * c) + r) lxor ((word lsr (8 * (3 - r))) land 0xff)
-    done
-  done
+let[@inline] word s off = Int32.to_int (String.get_int32_be s off) land mask32
+let[@inline] bytes_word b off = Int32.to_int (Bytes.get_int32_be b off) land mask32
+let[@inline] set_word b off w = Bytes.set_int32_be b off (Int32.of_int w)
 
-let state_of_string s =
-  Array.init 16 (fun i -> Char.code s.[i])
+(* Encrypt the block whose words are [s0]..[s3] into [dst] at [off]. *)
+let encrypt_words k s0 s1 s2 s3 dst off =
+  let rk = k.enc in
+  let s0 = ref (s0 lxor rk.(0)) and s1 = ref (s1 lxor rk.(1)) in
+  let s2 = ref (s2 lxor rk.(2)) and s3 = ref (s3 lxor rk.(3)) in
+  for round = 1 to k.rounds - 1 do
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 and o = 4 * round in
+    s0 := column te a b c d lxor rk.(o);
+    s1 := column te b c d a lxor rk.(o + 1);
+    s2 := column te c d a b lxor rk.(o + 2);
+    s3 := column te d a b c lxor rk.(o + 3)
+  done;
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 and o = 4 * k.rounds in
+  set_word dst off (last sbox a b c d lxor rk.(o));
+  set_word dst (off + 4) (last sbox b c d a lxor rk.(o + 1));
+  set_word dst (off + 8) (last sbox c d a b lxor rk.(o + 2));
+  set_word dst (off + 12) (last sbox d a b c lxor rk.(o + 3))
 
-let string_of_state state =
-  String.init 16 (fun i -> Char.chr state.(i))
-
-let shift_rows state =
-  (* state is column-major: state.(4*c + r) *)
-  for r = 1 to 3 do
-    let row = Array.init 4 (fun c -> state.((4 * c) + r)) in
-    for c = 0 to 3 do
-      state.((4 * c) + r) <- row.((c + r) mod 4)
-    done
-  done
-
-let inv_shift_rows state =
-  for r = 1 to 3 do
-    let row = Array.init 4 (fun c -> state.((4 * c) + r)) in
-    for c = 0 to 3 do
-      state.((4 * c) + r) <- row.((c - r + 4) mod 4)
-    done
-  done
-
-let mix_columns state =
-  for c = 0 to 3 do
-    let o = 4 * c in
-    let a0 = state.(o) and a1 = state.(o + 1) and a2 = state.(o + 2) and a3 = state.(o + 3) in
-    state.(o) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
-    state.(o + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
-    state.(o + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
-    state.(o + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
-  done
-
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    let o = 4 * c in
-    let a0 = state.(o) and a1 = state.(o + 1) and a2 = state.(o + 2) and a3 = state.(o + 3) in
-    state.(o) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    state.(o + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    state.(o + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    state.(o + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
-  done
+(* Decrypt the block whose words are [s0]..[s3], XOR the result with
+   [m0]..[m3] (CBC's previous ciphertext block, or zeros), and write it
+   into [dst] at [off]. InvShiftRows takes row r's byte from r columns
+   to the left, where ShiftRows takes it from r columns to the right, so
+   the columns are read in the other order. *)
+let decrypt_words k s0 s1 s2 s3 m0 m1 m2 m3 dst off =
+  let rk = k.dec in
+  let s0 = ref (s0 lxor rk.(0)) and s1 = ref (s1 lxor rk.(1)) in
+  let s2 = ref (s2 lxor rk.(2)) and s3 = ref (s3 lxor rk.(3)) in
+  for round = 1 to k.rounds - 1 do
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 and o = 4 * round in
+    s0 := column td a d c b lxor rk.(o);
+    s1 := column td b a d c lxor rk.(o + 1);
+    s2 := column td c b a d lxor rk.(o + 2);
+    s3 := column td d c b a lxor rk.(o + 3)
+  done;
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 and o = 4 * k.rounds in
+  set_word dst off (last inv_sbox a d c b lxor rk.(o) lxor m0);
+  set_word dst (off + 4) (last inv_sbox b a d c lxor rk.(o + 1) lxor m1);
+  set_word dst (off + 8) (last inv_sbox c b a d lxor rk.(o + 2) lxor m2);
+  set_word dst (off + 12) (last inv_sbox d c b a lxor rk.(o + 3) lxor m3)
 
 let encrypt_block key block =
   if String.length block <> 16 then invalid_arg "Aes.encrypt_block: need 16 bytes";
-  let state = state_of_string block in
-  add_round_key state key.round_keys 0;
-  for round = 1 to key.rounds - 1 do
-    Array.iteri (fun i v -> state.(i) <- sbox.(v)) (Array.copy state);
-    shift_rows state;
-    mix_columns state;
-    add_round_key state key.round_keys (4 * round)
-  done;
-  Array.iteri (fun i v -> state.(i) <- sbox.(v)) (Array.copy state);
-  shift_rows state;
-  add_round_key state key.round_keys (4 * key.rounds);
-  string_of_state state
+  let out = Bytes.create 16 in
+  encrypt_words key (word block 0) (word block 4) (word block 8) (word block 12) out 0;
+  Bytes.to_string out
 
 let decrypt_block key block =
   if String.length block <> 16 then invalid_arg "Aes.decrypt_block: need 16 bytes";
-  let state = state_of_string block in
-  add_round_key state key.round_keys (4 * key.rounds);
-  for round = key.rounds - 1 downto 1 do
-    inv_shift_rows state;
-    Array.iteri (fun i v -> state.(i) <- inv_sbox.(v)) (Array.copy state);
-    add_round_key state key.round_keys (4 * round);
-    inv_mix_columns state
-  done;
-  inv_shift_rows state;
-  Array.iteri (fun i v -> state.(i) <- inv_sbox.(v)) (Array.copy state);
-  add_round_key state key.round_keys 0;
-  string_of_state state
+  let out = Bytes.create 16 in
+  decrypt_words key (word block 0) (word block 4) (word block 8) (word block 12) 0 0 0 0
+    out 0;
+  Bytes.to_string out
 
 let encrypt_cbc key ~iv plaintext =
   if String.length iv <> 16 then invalid_arg "Aes.encrypt_cbc: iv must be 16 bytes";
-  let pad = 16 - (String.length plaintext mod 16) in
-  let padded = plaintext ^ String.make pad (Char.chr pad) in
-  let out = Buffer.create (String.length padded) in
-  let prev = ref iv in
-  List.iter
-    (fun block ->
-      let c = encrypt_block key (Util.xor block !prev) in
-      Buffer.add_string out c;
-      prev := c)
-    (Util.chunks 16 padded);
-  Buffer.contents out
+  let len = String.length plaintext in
+  let pad = 16 - (len mod 16) in
+  let out = Bytes.create (len + pad) in
+  Bytes.blit_string plaintext 0 out 0 len;
+  Bytes.fill out len pad (Char.chr pad);
+  (* each block is encrypted in place, and its ciphertext chains into
+     the next *)
+  let c0 = ref (word iv 0) and c1 = ref (word iv 4) in
+  let c2 = ref (word iv 8) and c3 = ref (word iv 12) in
+  for block = 0 to ((len + pad) / 16) - 1 do
+    let o = 16 * block in
+    encrypt_words key
+      (bytes_word out o lxor !c0)
+      (bytes_word out (o + 4) lxor !c1)
+      (bytes_word out (o + 8) lxor !c2)
+      (bytes_word out (o + 12) lxor !c3)
+      out o;
+    c0 := bytes_word out o;
+    c1 := bytes_word out (o + 4);
+    c2 := bytes_word out (o + 8);
+    c3 := bytes_word out (o + 12)
+  done;
+  Bytes.to_string out
 
 let decrypt_cbc key ~iv ciphertext =
   if String.length iv <> 16 then invalid_arg "Aes.decrypt_cbc: iv must be 16 bytes";
   let len = String.length ciphertext in
   if len = 0 || len mod 16 <> 0 then invalid_arg "Aes.decrypt_cbc: malformed ciphertext";
-  let out = Buffer.create len in
-  let prev = ref iv in
-  List.iter
-    (fun block ->
-      Buffer.add_string out (Util.xor (decrypt_block key block) !prev);
-      prev := block)
-    (Util.chunks 16 ciphertext);
-  let padded = Buffer.contents out in
-  let pad = Char.code padded.[len - 1] in
-  if pad < 1 || pad > 16 then invalid_arg "Aes.decrypt_cbc: bad padding";
-  for i = len - pad to len - 1 do
-    if Char.code padded.[i] <> pad then invalid_arg "Aes.decrypt_cbc: bad padding"
+  let out = Bytes.create len in
+  let p0 = ref (word iv 0) and p1 = ref (word iv 4) in
+  let p2 = ref (word iv 8) and p3 = ref (word iv 12) in
+  for block = 0 to (len / 16) - 1 do
+    let o = 16 * block in
+    let c0 = word ciphertext o and c1 = word ciphertext (o + 4) in
+    let c2 = word ciphertext (o + 8) and c3 = word ciphertext (o + 12) in
+    decrypt_words key c0 c1 c2 c3 !p0 !p1 !p2 !p3 out o;
+    p0 := c0;
+    p1 := c1;
+    p2 := c2;
+    p3 := c3
   done;
-  String.sub padded 0 (len - pad)
+  (* PKCS#7: the last byte [pad] is 1..16 and the last [pad] bytes all
+     equal it. All of the last 16 bytes are read, each masked in or out,
+     so only the verdict branches. *)
+  let pad = Char.code (Bytes.get out (len - 1)) in
+  let bad = ref ((pad - 1) lsr 4) in
+  for i = 1 to 16 do
+    let in_pad = (i - pad - 1) asr 62 in
+    bad := !bad lor ((Char.code (Bytes.get out (len - i)) lxor pad) land in_pad)
+  done;
+  if !bad <> 0 then invalid_arg "Aes.decrypt_cbc: bad padding";
+  Bytes.sub_string out 0 (len - pad)
 
 let ctr key ~nonce data =
   if String.length nonce <> 16 then invalid_arg "Aes.ctr: nonce must be 16 bytes";
-  let counter = Bytes.of_string nonce in
-  let increment () =
-    let rec bump i =
-      if i >= 0 then begin
-        let v = (Char.code (Bytes.get counter i) + 1) land 0xff in
-        Bytes.set counter i (Char.chr v);
-        if v = 0 then bump (i - 1)
+  let len = String.length data in
+  let out = Bytes.create len in
+  let keystream = Bytes.create 16 in
+  (* the 128-bit big-endian counter block, one word at a time *)
+  let n0 = ref (word nonce 0) and n1 = ref (word nonce 4) in
+  let n2 = ref (word nonce 8) and n3 = ref (word nonce 12) in
+  let next w = (w + 1) land mask32 in
+  let off = ref 0 in
+  while !off < len do
+    encrypt_words key !n0 !n1 !n2 !n3 keystream 0;
+    for i = 0 to min 16 (len - !off) - 1 do
+      let j = !off + i in
+      Bytes.set out j (Char.chr (Char.code data.[j] lxor Char.code (Bytes.get keystream i)))
+    done;
+    n3 := next !n3;
+    if !n3 = 0 then begin
+      n2 := next !n2;
+      if !n2 = 0 then begin
+        n1 := next !n1;
+        if !n1 = 0 then n0 := next !n0
       end
-    in
-    bump 15
-  in
-  let out = Buffer.create (String.length data) in
-  List.iter
-    (fun block ->
-      let ks = encrypt_block key (Bytes.to_string counter) in
-      increment ();
-      Buffer.add_string out (Util.xor block (String.sub ks 0 (String.length block))))
-    (Util.chunks 16 data);
-  Buffer.contents out
+    end;
+    off := !off + 16
+  done;
+  Bytes.to_string out

@@ -1,7 +1,10 @@
 (** AES-128/192/256 (FIPS 197) with CBC and CTR modes.
 
-    Part of the paper's PAL crypto module: PALs use a fast symmetric cipher
-    on the main CPU and keep only the symmetric key in TPM sealed storage. *)
+    Only the simulated TPM's sealed storage calls this module:
+    [Tpm.seal] and [Tpm.unseal] wrap each blob in AES-CBC under a key
+    derived from the SRK. The cipher's only operations that depend on
+    the key or the data are table lookups; {!decrypt_cbc}'s padding
+    check reads every padding byte and branches once, on its verdict. *)
 
 type key
 

@@ -9,7 +9,6 @@ type tpm_profile = {
   nv_read_ms : float;
   nv_write_ms : float;
   counter_increment_ms : float;
-  load_key_ms : float;
   skinit_base_ms : float;
   skinit_ms_per_kb : float;
 }
@@ -20,7 +19,6 @@ type cpu_profile = {
   rsa_keygen_1024_ms : float;
   rsa_private_1024_ms : float;
   rsa_public_1024_ms : float;
-  aes_mb_per_ms : float;
   misc_op_ms : float;
 }
 
@@ -46,7 +44,6 @@ let broadcom =
     nv_read_ms = 22.0;
     nv_write_ms = 28.0;
     counter_increment_ms = 30.0;
-    load_key_ms = 40.0;
     skinit_base_ms = 0.9;
     skinit_ms_per_kb = 2.76;
   }
@@ -75,7 +72,6 @@ let future_tpm =
     nv_read_ms = 0.02;
     nv_write_ms = 0.03;
     counter_increment_ms = 0.03;
-    load_key_ms = 0.04;
     skinit_base_ms = 0.9;
     skinit_ms_per_kb = 0.003;
   }
@@ -90,7 +86,6 @@ let athlon64_x2 =
     rsa_keygen_1024_ms = 185.7;
     rsa_private_1024_ms = 4.6;
     rsa_public_1024_ms = 0.25;
-    aes_mb_per_ms = 0.10;
     misc_op_ms = 0.01;
   }
 

@@ -18,7 +18,6 @@ type tpm_profile = {
   nv_read_ms : float;
   nv_write_ms : float;
   counter_increment_ms : float;
-  load_key_ms : float;
   skinit_base_ms : float;  (** CPU state change: < 1 ms (Table 2, 0 KB row) *)
   skinit_ms_per_kb : float;  (** SLB transfer+hash to TPM: Table 2 slope *)
 }
@@ -29,7 +28,6 @@ type cpu_profile = {
   rsa_keygen_1024_ms : float;  (** 185.7 ms (Figure 9a) *)
   rsa_private_1024_ms : float;  (** 4.6 ms decrypt / 4.7 ms sign *)
   rsa_public_1024_ms : float;
-  aes_mb_per_ms : float;
   misc_op_ms : float;  (** small fixed cost for modelled syscalls etc. *)
 }
 

@@ -181,6 +181,37 @@ let test_unseal_foreign_tpm () =
   | Error e -> Alcotest.fail ("wrong error: " ^ Tpm_types.error_to_string e)
   | Ok _ -> Alcotest.fail "blob migrated between TPMs"
 
+(* Sealed storage at the size the CA PAL reseals every session (Section
+   7.4.2): a 512-bit private key, an issuer name and an issue count, laid
+   out as Cert_authority's encode_ca_state lays them out. The blob is
+   pinned by its SHA-1, recorded before AES's T-table rewrite, and a warm
+   seal+unseal round trip, OSAP handshakes and wire marshalling
+   included, allocates at most 8,192 minor words (the byte-oriented AES
+   took about 31,000). *)
+let test_seal_ca_state () =
+  let machine = Machine.create ~memory_size:(1024 * 1024) Timing.default in
+  let tpm = Tpm.create machine (Prng.create ~seed:"seal-ca-state") ~key_bits:512 in
+  let rng = Prng.create ~seed:"seal-ca-client" in
+  let priv = Rsa.generate (Prng.create ~seed:"seal-ca-key") ~bits:512 in
+  let state =
+    Util.encode_fields [ Rsa.private_to_string priv; "Flicker test CA"; Util.be32_of_int 41 ]
+  in
+  let release = [ (17, Result.get_ok (Tpm.pcr_read tpm 17)) ] in
+  let round_trip () =
+    let blob = Result.get_ok (Flicker_slb.Mod_tpm_utils.seal tpm ~rng ~release state) in
+    (blob, Result.get_ok (Flicker_slb.Mod_tpm_utils.unseal tpm ~rng blob))
+  in
+  let blob, unsealed = round_trip () in
+  Alcotest.(check int) "state bytes" 354 (String.length state);
+  Alcotest.(check string) "blob SHA-1" "d0d720f7924cb2066aed1d43ba8ce54e0b83fc4a"
+    (Util.to_hex (Sha1.digest blob));
+  Alcotest.(check string) "unsealed" (Util.to_hex state) (Util.to_hex unsealed);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (round_trip ()));
+  let words = Gc.minor_words () -. before in
+  if words > 8192.0 then
+    Alcotest.failf "a warm seal+unseal allocated %.0f minor words (at most 8,192)" words
+
 let test_auth_failure () =
   let _, tpm = make_tpm () in
   (* hand-roll a seal with a WRONG shared secret *)
@@ -402,6 +433,7 @@ let () =
           Alcotest.test_case "empty release" `Quick test_seal_empty_release;
           Alcotest.test_case "corrupt blob" `Quick test_unseal_corrupt_blob;
           Alcotest.test_case "foreign TPM" `Quick test_unseal_foreign_tpm;
+          Alcotest.test_case "CA-sized state" `Quick test_seal_ca_state;
         ] );
       ( "authorization",
         [
