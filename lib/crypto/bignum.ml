@@ -1,9 +1,11 @@
-(* Little-endian arrays of 26-bit limbs. 26-bit limbs keep every
-   intermediate product (52 bits plus carries) comfortably inside OCaml's
-   63-bit native int, so no boxed arithmetic is needed anywhere. Values are
-   normalized: no trailing zero limbs, and zero is the empty array. *)
+(* Little-endian arrays of 30-bit limbs. With B = 2^30, a product of two
+   limbs is below 2^60, and every intermediate sum in this module stays
+   under 2^62 (OCaml's native int holds up to 2^62 - 1), so no boxed
+   arithmetic is needed anywhere; each kernel states its own bound.
+   Values are normalized: no trailing zero limbs, and zero is the empty
+   array. *)
 
-let limb_bits = 26
+let limb_bits = 30
 let base = 1 lsl limb_bits
 let mask = base - 1
 
@@ -88,6 +90,8 @@ let sub a b =
   done;
   normalize r
 
+(* A row term [r.(i+j) + a.(i)*b.(j) + carry] is at most
+   (B-1) + (B-1)^2 + (B-1) = B^2 - 1 < 2^60, so every carry stays below B. *)
 let mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
@@ -110,7 +114,8 @@ let add_int a v = add a (of_int v)
 let mul_int a v = mul a (of_int v)
 
 (* Division of the limb array [a] by a single positive limb-sized int,
-   returning the quotient array (not normalized) and the remainder. *)
+   returning the quotient array (not normalized) and the remainder. The
+   remainder stays below [d < B], so [cur] is below 2^60. *)
 let divmod_small a d =
   if d <= 0 then raise Division_by_zero;
   let n = Array.length a in
@@ -130,6 +135,7 @@ let add_mod x y d = if x >= d - y then x - (d - y) else x + y
 let rem_int a d =
   if d <= 0 then raise Division_by_zero;
   if d < base then begin
+    (* one-limb modulus: [r < d < 2^30], so [r*2^30 + limb] is below 2^60 *)
     let r = ref 0 in
     for i = Array.length a - 1 downto 0 do
       r := ((!r lsl limb_bits) lor a.(i)) mod d
@@ -137,7 +143,7 @@ let rem_int a d =
     !r
   end
   else begin
-    (* Modulus wider than one limb: (r*2^26 + limb) may overflow, so
+    (* Modulus wider than one limb: (r*2^30 + limb) may overflow, so
        double-and-reduce bit by bit. Each limb is below [d] here. *)
     let r = ref 0 in
     for i = Array.length a - 1 downto 0 do
@@ -199,7 +205,11 @@ let test_bit a i =
   let limb = i / limb_bits and bit = i mod limb_bits in
   limb < Array.length a && (a.(limb) lsr bit) land 1 = 1
 
-(* Knuth Algorithm D. *)
+(* Knuth Algorithm D. After normalization the divisor's top limb is at
+   least 2^29, so [top] (two limbs) is below 2^60 and [qhat] below 2^31.
+   The test [qhat*v.(n-2) > (rhat lsl 30) lor u] compares two values
+   below 2^61: [rhat < B] whenever it is evaluated. A multiply-subtract
+   term [qhat*v.(i) + carry] stays below 2^61 + 2^31. *)
 let divmod a b =
   let lb = Array.length b in
   if lb = 0 then raise Division_by_zero;
@@ -274,13 +284,14 @@ let divmod a b =
 
 let rem a b = snd (divmod a b)
 
-(* Montgomery arithmetic modulo an odd [m] of [n] limbs, with R = 2^(26n).
+(* Montgomery arithmetic modulo an odd [m] of [n] limbs, with R = 2^(30n).
    Values in Montgomery form are fixed-width arrays of [n] limbs holding
    [x*R mod m], always below [m]. *)
 
-(* [-m0^-1 mod 2^26] for odd [m0], by Newton's iteration: [m0] is its own
-   inverse mod 8 and each step doubles the number of correct low bits.
-   Products wrap mod 2^63, which keeps the low 26 bits exact. *)
+(* [-m0^-1 mod 2^30] for odd [m0], by Newton's iteration: [m0] is its own
+   inverse mod 8 and each step doubles the number of correct low bits, so
+   four steps give 3 -> 48 >= 30 bits (three would give only 24).
+   Products wrap mod 2^63, which keeps the low 30 bits exact. *)
 let neg_inv_limb m0 =
   let x = ref m0 in
   for _ = 1 to 4 do
@@ -291,25 +302,40 @@ let neg_inv_limb m0 =
 (* [r <- a*b*R^-1 mod m] by CIOS with the multiply and reduce rows fused:
    each row adds [a*b.(i) + u*m] to the accumulator [t] (n+1 limbs of
    scratch), where [u] makes its low limb zero, and shifts it down one
-   limb. A row's terms stay below 2^54, so carries propagate within the
-   row. [t] ends below 2m, and one conditional subtraction reduces it.
-   [r] may alias [a] or [b]: it is written only after the last row. *)
+   limb. A row term [t.(j) + a.(j)*b.(i) + u*m.(j) + c] is at most
+   (B-1) + 2(B-1)^2 + (2B-1) < 2B^2 = 2^61 when the carry [c] is below
+   2B, and its carry out is then below 2B again; so carries propagate
+   within the row and no term reaches 2^62. [t] ends below 2m, and one
+   conditional subtraction reduces it. [r] may alias [a] or [b]: it is
+   written only after the last row. The lengths are checked once here,
+   so every index in the rows is in range and skips the bounds check.
+   @raise Invalid_argument if [m] is empty or [t], [a], [b] or [r] is
+   too short. *)
 let mont_mul m minv t a b r =
   let n = Array.length m in
+  if
+    n = 0
+    || Array.length t < n + 1
+    || Array.length a < n
+    || Array.length b < n
+    || Array.length r < n
+  then invalid_arg "Bignum.mont_mul";
   Array.fill t 0 (n + 1) 0;
   for i = 0 to n - 1 do
-    let bi = b.(i) in
-    let s = t.(0) + (a.(0) * bi) in
+    let bi = Array.unsafe_get b i in
+    let s = Array.unsafe_get t 0 + (Array.unsafe_get a 0 * bi) in
     let u = (s land mask) * minv land mask in
-    let c = ref ((s + (u * m.(0))) lsr limb_bits) in
+    let c = ref ((s + (u * Array.unsafe_get m 0)) lsr limb_bits) in
     for j = 1 to n - 1 do
-      let s = t.(j) + (a.(j) * bi) + (u * m.(j)) + !c in
-      t.(j - 1) <- s land mask;
+      let s =
+        Array.unsafe_get t j + (Array.unsafe_get a j * bi) + (u * Array.unsafe_get m j) + !c
+      in
+      Array.unsafe_set t (j - 1) (s land mask);
       c := s lsr limb_bits
     done;
-    let s = t.(n) + !c in
-    t.(n - 1) <- s land mask;
-    t.(n) <- s lsr limb_bits
+    let s = Array.unsafe_get t n + !c in
+    Array.unsafe_set t (n - 1) (s land mask);
+    Array.unsafe_set t n (s lsr limb_bits)
   done;
   let i = ref (n - 1) in
   while !i >= 0 && t.(!i) = m.(!i) do
@@ -421,8 +447,9 @@ let mod_inverse a m =
   end
 
 (* Byte [k] (from the least significant end) covers bits [8k, 8k+8), which
-   start at bit [8k mod 26] of limb [8k / 26] and spill into the next limb
-   when that offset is above 18. *)
+   start at bit [8k mod 30] of limb [8k / 30] and spill into the next limb
+   when that offset is above 22. The offset is always even, so the
+   offsets that spill are 24, 26 and 28. *)
 let of_bytes_be s =
   let len = String.length s in
   let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in

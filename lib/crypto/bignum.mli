@@ -2,7 +2,7 @@
 
     The RSA implementation needs multi-precision arithmetic and no bignum
     library is available in the sealed environment, so this module provides
-    one from scratch: little-endian arrays of 26-bit limbs, with schoolbook
+    one from scratch: little-endian arrays of 30-bit limbs, with schoolbook
     multiplication, Knuth Algorithm D division, and Montgomery
     multiplication for exponentiation modulo an odd number. All values are
     non-negative; subtraction of a larger value raises. *)

@@ -13,12 +13,15 @@
 type tpm_hooks = {
   dynamic_pcr_reset : unit -> unit;
       (** Reset PCRs 17–23 to zero, as the chipset does on SKINIT. *)
-  measure_into_pcr17 : string -> string;
-      (** Hash the transmitted SLB bytes, extend PCR 17 with the hash,
-          and return it. The TPM keeps the bytes it measured last and
-          their hash: bytes [String.equal] to those extend that hash
-          again without rehashing, and any other bytes are hashed and
-          kept in their place. The digest, the extend and the launch's
+  measure_into_pcr17 : len:int -> same:(string -> bool) -> read:(unit -> string) -> string;
+      (** Hash the [len] transmitted SLB bytes, extend PCR 17 with the
+          hash, and return it. [same kept] says whether the transmitted
+          bytes equal [kept], a string of [len] bytes, without copying
+          them; [read ()] returns them. The TPM keeps the bytes it
+          measured last and their hash: when [same] holds for those, it
+          extends that hash again without reading or rehashing, and
+          otherwise it reads the bytes, hashes them and keeps them in
+          their place. The digest, the extend and the launch's
           simulated cost are the same either way. *)
 }
 

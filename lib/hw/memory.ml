@@ -63,6 +63,42 @@ let read t ~addr ~len =
       if allocated p then Bytes.blit p off b pos n else Bytes.fill b pos n '\000');
   Bytes.unsafe_to_string b
 
+(* [n] bytes of page [p] from [off] equal those of [s] from [pos],
+   compared eight bytes at a time and then one by one. An unallocated
+   page reads as zeros. *)
+let equal_piece p off s pos n =
+  let i = ref 0 in
+  if allocated p then begin
+    while !i + 8 <= n && Bytes.get_int64_ne p (off + !i) = String.get_int64_ne s (pos + !i) do
+      i := !i + 8
+    done;
+    while !i < n && Bytes.get p (off + !i) = s.[pos + !i] do
+      incr i
+    done
+  end
+  else begin
+    while !i + 8 <= n && String.get_int64_ne s (pos + !i) = 0L do
+      i := !i + 8
+    done;
+    while !i < n && s.[pos + !i] = '\000' do
+      incr i
+    done
+  end;
+  !i = n
+
+let equal_range t ~addr s =
+  let len = String.length s in
+  check t addr len "equal_range";
+  let rec go pos =
+    pos >= len
+    ||
+    let a = addr + pos in
+    let off = a mod page_size in
+    let n = min (len - pos) (page_size - off) in
+    equal_piece t.pages.(a / page_size) off s pos n && go (pos + n)
+  in
+  go 0
+
 let write t ~addr s =
   let len = String.length s in
   check t addr len "write";

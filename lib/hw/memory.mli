@@ -23,6 +23,12 @@ val size : t -> int
 val read : t -> addr:int -> len:int -> string
 (** @raise Invalid_argument on out-of-range access. *)
 
+val equal_range : t -> addr:int -> string -> bool
+(** [equal_range t ~addr s] is [String.equal (read t ~addr ~len) s] with
+    [len = String.length s], compared in place without copying the
+    range out.
+    @raise Invalid_argument on out-of-range access. *)
+
 val write : t -> addr:int -> string -> unit
 val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit

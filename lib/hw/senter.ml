@@ -52,11 +52,13 @@ let execute (m : Machine.t) ~slb_base ~acm =
   bsp.Cpu.debug_enabled <- false;
   (* stage 1: the chipset authenticates and measures the SINIT ACM *)
   hooks.Machine.dynamic_pcr_reset ();
-  let acm_measurement = hooks.Machine.measure_into_pcr17 acm in
+  let acm_measurement =
+    hooks.Machine.measure_into_pcr17 ~len:(String.length acm) ~same:(String.equal acm)
+      ~read:(fun () -> acm)
+  in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:(String.length acm));
   (* stage 2: the ACM measures and launches the MLE *)
-  let mle = Memory.read m.memory ~addr:slb_base ~len:mle_length in
-  let mle_measurement = hooks.Machine.measure_into_pcr17 mle in
+  let mle_measurement = Skinit.measure_range hooks m ~addr:slb_base ~len:mle_length in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:mle_length);
   bsp.Cpu.mode <- Cpu.Flat_protected;
   bsp.Cpu.paging_enabled <- false;

@@ -13,6 +13,11 @@ let slb_window = 64 * 1024
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Skinit_error s)) fmt
 
+let measure_range (hooks : Machine.tpm_hooks) (m : Machine.t) ~addr ~len =
+  hooks.measure_into_pcr17 ~len
+    ~same:(Memory.equal_range m.memory ~addr)
+    ~read:(fun () -> Memory.read m.memory ~addr ~len)
+
 let execute (m : Machine.t) ~slb_base =
   let bsp = Cpu.bsp m.cpus in
   if bsp.ring <> 0 then fail "SKINIT is privileged: caller in ring %d" bsp.ring;
@@ -40,10 +45,10 @@ let execute (m : Machine.t) ~slb_base =
   bsp.interrupts_enabled <- false;
   bsp.debug_enabled <- false;
   (* The CPU transmits the SLB contents to the TPM, which resets the
-     dynamic PCRs and extends PCR 17 with the measurement. *)
-  let contents = Memory.read m.memory ~addr:slb_base ~len:slb_length in
+     dynamic PCRs and extends PCR 17 with the measurement. The TPM reads
+     the bytes out of memory only when they differ from those it kept. *)
   hooks.dynamic_pcr_reset ();
-  let measurement = hooks.measure_into_pcr17 contents in
+  let measurement = measure_range hooks m ~addr:slb_base ~len:slb_length in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:slb_length);
   (* Enter flat 32-bit protected mode at the entry point. *)
   bsp.mode <- Cpu.Flat_protected;

@@ -28,6 +28,12 @@ val execute : Machine.t -> slb_base:int -> launch
     not in ring 0, caller not the BSP, APs not parked, missing TPM, bad
     header, or the SLB exceeding its window. *)
 
+val measure_range : Machine.tpm_hooks -> Machine.t -> addr:int -> len:int -> string
+(** Have the TPM measure [len] bytes of memory at [addr] into PCR 17 and
+    return the digest, as SKINIT and SENTER's MLE stage do. The TPM
+    compares the range in place with the bytes it kept and reads it out
+    only when they differ. *)
+
 val teardown_dev : Machine.t -> launch -> unit
 (** Drop the DEV protection after the session's cleanup phase (done by the
     SLB Core just before resuming the OS). *)

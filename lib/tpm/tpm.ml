@@ -117,12 +117,13 @@ let create ?owner_auth ?srk_auth machine rng ~key_bits =
 
 (* The SHA-1 of the transmitted bytes. A platform relaunching one PAL
    sends the same bytes every time, so a TPM that is sent exactly what
-   it measured last reuses that digest; any other bytes are hashed and
-   remembered instead. *)
-let measure t slb_contents =
+   it measured last reuses that digest, comparing them where they lie;
+   any other bytes are read out, hashed and remembered instead. *)
+let measure t ~len ~same ~read =
   match t.last_measured with
-  | Some (bytes, digest) when String.equal bytes slb_contents -> digest
+  | Some (bytes, digest) when String.length bytes = len && same bytes -> digest
   | _ ->
+      let slb_contents = read () in
       let digest = Sha1.digest slb_contents in
       t.last_measured <- Some (slb_contents, digest);
       digest
@@ -131,8 +132,8 @@ let skinit_hooks t =
   {
     Machine.dynamic_pcr_reset = (fun () -> Pcr.dynamic_reset t.pcrs);
     measure_into_pcr17 =
-      (fun slb_contents ->
-        let measurement = measure t slb_contents in
+      (fun ~len ~same ~read ->
+        let measurement = measure t ~len ~same ~read in
         match Pcr.extend ~kind:"measure" t.pcrs 17 measurement with
         | Ok _ -> measurement
         | Error e -> failwith ("TPM: PCR 17 extend failed: " ^ Tpm_types.error_to_string e));

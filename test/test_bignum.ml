@@ -46,13 +46,29 @@ let test_divmod () =
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
       ignore (B.divmod B.one B.zero))
 
+(* Knuth D's add-back step, expected values from python3's [a // b] and
+   [a % b]. 2^52+1 (26-bit limbs) and 2^60+1 (30-bit) are three-limb
+   divisors with an empty middle limb; D3's two-limb test already gets
+   their [qhat] right. The add-back runs on Hacker's Delight's case
+   scaled to each width: dividend limbs [3; 0; B/2; 0] over divisor limbs
+   [1; 0; B/8], i.e. 2^77+3 over 2^75+1 and 2^89+3 over 2^87+1, where the
+   first [qhat] is one too large and the divisor is added back. *)
 let test_divmod_knuth_addback () =
-  (* exercise the rare add-back correction: divisor with small second limb *)
-  let b = B.add (B.shift_left B.one 52) B.one in
-  let a = B.sub (B.shift_left B.one 104) B.one in
-  let q, r = B.divmod a b in
-  check_dec "reconstruct addback" (B.to_decimal_string a) (B.add (B.mul q b) r);
-  Alcotest.(check bool) "r < b" true (B.compare r b < 0)
+  let pow2_plus k c = B.add (B.shift_left B.one k) (B.of_int c) in
+  List.iter
+    (fun (a, b, quotient, remainder) ->
+      let q, r = B.divmod a b in
+      let msg = Printf.sprintf "%s / %s" (B.to_hex a) (B.to_hex b) in
+      check_dec "reconstruct addback" (B.to_decimal_string a) (B.add (B.mul q b) r);
+      Alcotest.(check bool) "r < b" true (B.compare r b < 0);
+      Alcotest.(check string) (msg ^ " quotient") quotient (B.to_hex q);
+      Alcotest.(check string) (msg ^ " remainder") remainder (B.to_hex r))
+    [
+      (B.sub (B.shift_left B.one 104) B.one, pow2_plus 52 1, "0fffffffffffff", "00");
+      (B.sub (B.shift_left B.one 120) B.one, pow2_plus 60 1, "0fffffffffffffff", "00");
+      (pow2_plus 77 3, pow2_plus 75 1, "03", "08000000000000000000");
+      (pow2_plus 89 3, pow2_plus 87 1, "03", "8000000000000000000000");
+    ]
 
 let test_rem_int () =
   Alcotest.(check int) "small" 2 (B.rem_int (B.of_int 17) 5);
@@ -162,13 +178,15 @@ let test_mod_pow_known () =
 
 (* Edge inputs, expected values from python3's pow as above. 3^2 mod 9
    reaches zero from nonzero factors, so a Montgomery product can come
-   out equal to the modulus and must still be reduced. 0x3fffffb is a
-   one-limb modulus; 2^104-1 has four limbs of 2^26-1, so products land
-   in [m, 2m) and take the final subtraction. *)
+   out equal to the modulus and must still be reduced. 2^30-5 is a
+   one-limb modulus; 2^120-1 has four limbs of 2^30-1, so products land
+   in [m, 2m) and take the final subtraction. The 0x3fffffb and 2^104-1
+   rows aimed at the same edges for 26-bit limbs and stay as they were. *)
 let test_mod_pow_edges () =
   let b = hex "8e20ee5e986bd2b053d4caea5987557ee71d56155c046b711ca7" in
   let x = hex "b11f57211e45631451cab9ff02a6" in
   let ones = B.sub (B.shift_left B.one 104) B.one in
+  let ones30 = B.sub (B.shift_left B.one 120) B.one in
   let pow2 k = B.shift_left B.one k in
   List.iter
     (fun (msg, base, exp, modulus, expected) ->
@@ -191,6 +209,15 @@ let test_mod_pow_edges () =
       ("exp 0", b, B.zero, ones, "01");
       ("base 0", B.zero, x, ones, "00");
       ("base = modulus", ones, x, ones, "00");
+      ("30-bit one limb, e=65537", b, B.of_int 65537, hex "3ffffffb", "1d344622");
+      ("30-bit one limb, full exponent", b, x, hex "3ffffffb", "39d54186");
+      ("30-bit one limb, exp 2^40", b, pow2 40, hex "3ffffffb", "29767266");
+      ("30-bit all-ones limbs", b, x, ones30, "dbd50e4933b22e6a1ec3d51360ba0b");
+      ("30-bit all-ones limbs, e=65537", b, B.of_int 65537, ones30, "03f655df08d2f71f2ee419fd665184");
+      ("30-bit all-ones limbs, base m-1", B.sub ones30 B.one, x, ones30, "01");
+      ("30-bit all-ones limbs, exp 2^100", b, pow2 100, ones30, "f78f331802e0042093e87b63f8cf7a");
+      ("30-bit exp 1", b, B.one, ones30, "ea5987560d080bb4adc7d71bc4f171");
+      ("30-bit base = modulus", ones30, x, ones30, "00");
     ]
 
 let test_mod_pow_reference () =
@@ -256,6 +283,348 @@ let test_random () =
   Alcotest.check_raises "zero bound"
     (Invalid_argument "Bignum.random_below: zero bound") (fun () ->
       ignore (B.random_below rand B.zero))
+
+(* The Bignum of 26-bit limbs that ran before the 30-bit rewrite, kept
+   as the reference the differential properties compare against: the
+   same schoolbook multiplication, Knuth Algorithm D, one-limb and
+   double-and-reduce [rem_int], CIOS Montgomery multiplication with
+   checked indexing, and byte codecs, at another limb width. Only the
+   functions the properties call are kept. *)
+module Reference = struct
+  let limb_bits = 26
+  let base = 1 lsl limb_bits
+  let mask = base - 1
+
+  type t = int array
+
+  let zero : t = [||]
+  let is_zero a = Array.length a = 0
+
+  let normalize a =
+    let n = ref (Array.length a) in
+    while !n > 0 && a.(!n - 1) = 0 do
+      decr n
+    done;
+    if !n = Array.length a then a else Array.sub a 0 !n
+
+  let of_int v =
+    if v < 0 then invalid_arg "Bignum.of_int: negative";
+    let rec limbs v acc = if v = 0 then List.rev acc else limbs (v lsr limb_bits) ((v land mask) :: acc) in
+    Array.of_list (limbs v [])
+
+  let one = of_int 1
+
+  let compare a b =
+    let la = Array.length a and lb = Array.length b in
+    if la <> lb then Stdlib.compare la lb
+    else begin
+      let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i) else go (i - 1) in
+      go (la - 1)
+    end
+
+  let equal a b = compare a b = 0
+  let is_even a = Array.length a = 0 || a.(0) land 1 = 0
+
+  let mul a b =
+    let la = Array.length a and lb = Array.length b in
+    if la = 0 || lb = 0 then zero
+    else begin
+      let r = Array.make (la + lb) 0 in
+      for i = 0 to la - 1 do
+        let carry = ref 0 in
+        let ai = a.(i) in
+        for j = 0 to lb - 1 do
+          let p = r.(i + j) + (ai * b.(j)) + !carry in
+          r.(i + j) <- p land mask;
+          carry := p lsr limb_bits
+        done;
+        r.(i + lb) <- r.(i + lb) + !carry
+      done;
+      normalize r
+    end
+
+  let divmod_small a d =
+    if d <= 0 then raise Division_by_zero;
+    let n = Array.length a in
+    let q = Array.make n 0 in
+    let r = ref 0 in
+    for i = n - 1 downto 0 do
+      let cur = (!r lsl limb_bits) lor a.(i) in
+      q.(i) <- cur / d;
+      r := cur mod d
+    done;
+    (normalize q, !r)
+
+  let add_mod x y d = if x >= d - y then x - (d - y) else x + y
+
+  let rem_int a d =
+    if d <= 0 then raise Division_by_zero;
+    if d < base then begin
+      let r = ref 0 in
+      for i = Array.length a - 1 downto 0 do
+        r := ((!r lsl limb_bits) lor a.(i)) mod d
+      done;
+      !r
+    end
+    else begin
+      (* Modulus wider than one limb: (r*2^26 + limb) may overflow, so
+         double-and-reduce bit by bit. Each limb is below [d] here. *)
+      let r = ref 0 in
+      for i = Array.length a - 1 downto 0 do
+        for _ = 1 to limb_bits do
+          r := add_mod !r !r d
+        done;
+        r := add_mod !r a.(i) d
+      done;
+      !r
+    end
+
+  let shift_left a bits =
+    if bits < 0 then invalid_arg "Bignum.shift_left";
+    if is_zero a || bits = 0 then a
+    else begin
+      let limb_shift = bits / limb_bits and bit_shift = bits mod limb_bits in
+      let la = Array.length a in
+      let r = Array.make (la + limb_shift + 1) 0 in
+      for i = 0 to la - 1 do
+        let v = a.(i) lsl bit_shift in
+        r.(i + limb_shift) <- r.(i + limb_shift) lor (v land mask);
+        r.(i + limb_shift + 1) <- v lsr limb_bits
+      done;
+      normalize r
+    end
+
+  let shift_right a bits =
+    if bits < 0 then invalid_arg "Bignum.shift_right";
+    if is_zero a || bits = 0 then a
+    else begin
+      let limb_shift = bits / limb_bits and bit_shift = bits mod limb_bits in
+      let la = Array.length a in
+      if limb_shift >= la then zero
+      else begin
+        let n = la - limb_shift in
+        let r = Array.make n 0 in
+        for i = 0 to n - 1 do
+          let lo = a.(i + limb_shift) lsr bit_shift in
+          let hi =
+            if bit_shift = 0 || i + limb_shift + 1 >= la then 0
+            else (a.(i + limb_shift + 1) lsl (limb_bits - bit_shift)) land mask
+          in
+          r.(i) <- lo lor hi
+        done;
+        normalize r
+      end
+    end
+
+  let bit_length a =
+    let n = Array.length a in
+    if n = 0 then 0
+    else begin
+      let top = a.(n - 1) in
+      let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
+      ((n - 1) * limb_bits) + width top 0
+    end
+
+  let test_bit a i =
+    let limb = i / limb_bits and bit = i mod limb_bits in
+    limb < Array.length a && (a.(limb) lsr bit) land 1 = 1
+
+  let divmod a b =
+    let lb = Array.length b in
+    if lb = 0 then raise Division_by_zero;
+    if compare a b < 0 then (zero, a)
+    else if lb = 1 then begin
+      let q, r = divmod_small a b.(0) in
+      (q, of_int r)
+    end
+    else begin
+      (* Normalize so the top limb of the divisor is >= base/2. *)
+      let shift =
+        let rec go v acc = if v >= base / 2 then acc else go (v lsl 1) (acc + 1) in
+        go b.(lb - 1) 0
+      in
+      let u_arr = shift_left a shift and v_arr = shift_left b shift in
+      let n = Array.length v_arr in
+      let m = Array.length u_arr - n in
+      (* Working copy of the dividend with one extra high limb. *)
+      let u = Array.make (Array.length u_arr + 1) 0 in
+      Array.blit u_arr 0 u 0 (Array.length u_arr);
+      let v = v_arr in
+      let q = Array.make (m + 1) 0 in
+      for j = m downto 0 do
+        let top = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+        let qhat = ref (top / v.(n - 1)) and rhat = ref (top mod v.(n - 1)) in
+        let continue = ref true in
+        while !continue do
+          if
+            !qhat >= base
+            || (n >= 2 && !qhat * v.(n - 2) > (!rhat lsl limb_bits) lor u.(j + n - 2))
+          then begin
+            decr qhat;
+            rhat := !rhat + v.(n - 1);
+            if !rhat >= base then continue := false
+          end
+          else continue := false
+        done;
+        (* u[j..j+n] -= qhat * v *)
+        let borrow = ref 0 and carry = ref 0 in
+        for i = 0 to n - 1 do
+          let p = (!qhat * v.(i)) + !carry in
+          carry := p lsr limb_bits;
+          let d = u.(j + i) - (p land mask) - !borrow in
+          if d < 0 then begin
+            u.(j + i) <- d + base;
+            borrow := 1
+          end
+          else begin
+            u.(j + i) <- d;
+            borrow := 0
+          end
+        done;
+        let d = u.(j + n) - !carry - !borrow in
+        if d < 0 then begin
+          (* qhat was one too large: add the divisor back. *)
+          u.(j + n) <- d + base;
+          decr qhat;
+          let carry = ref 0 in
+          for i = 0 to n - 1 do
+            let s = u.(j + i) + v.(i) + !carry in
+            u.(j + i) <- s land mask;
+            carry := s lsr limb_bits
+          done;
+          u.(j + n) <- (u.(j + n) + !carry) land mask
+        end
+        else u.(j + n) <- d;
+        q.(j) <- !qhat
+      done;
+      let r = normalize (Array.sub u 0 n) in
+      (normalize q, shift_right r shift)
+    end
+
+  let rem a b = snd (divmod a b)
+
+  let neg_inv_limb m0 =
+    let x = ref m0 in
+    for _ = 1 to 4 do
+      x := !x * (2 - (m0 * !x)) land mask
+    done;
+    (base - !x) land mask
+
+  let mont_mul m minv t a b r =
+    let n = Array.length m in
+    Array.fill t 0 (n + 1) 0;
+    for i = 0 to n - 1 do
+      let bi = b.(i) in
+      let s = t.(0) + (a.(0) * bi) in
+      let u = (s land mask) * minv land mask in
+      let c = ref ((s + (u * m.(0))) lsr limb_bits) in
+      for j = 1 to n - 1 do
+        let s = t.(j) + (a.(j) * bi) + (u * m.(j)) + !c in
+        t.(j - 1) <- s land mask;
+        c := s lsr limb_bits
+      done;
+      let s = t.(n) + !c in
+      t.(n - 1) <- s land mask;
+      t.(n) <- s lsr limb_bits
+    done;
+    let i = ref (n - 1) in
+    while !i >= 0 && t.(!i) = m.(!i) do
+      decr i
+    done;
+    if t.(n) > 0 || !i < 0 || t.(!i) > m.(!i) then begin
+      let borrow = ref 0 in
+      for j = 0 to n - 1 do
+        let d = t.(j) - m.(j) - !borrow in
+        r.(j) <- d land mask;
+        borrow := if d < 0 then 1 else 0
+      done
+    end
+    else Array.blit t 0 r 0 n
+
+  let window_bits nbits =
+    if nbits <= 32 then 1 else if nbits <= 128 then 3 else if nbits <= 512 then 4 else 5
+
+  let window e pos w =
+    let d = ref 0 in
+    for j = w - 1 downto 0 do
+      d := (!d lsl 1) lor if test_bit e (pos + j) then 1 else 0
+    done;
+    !d
+
+  let mont_pow b exp m =
+    let n = Array.length m in
+    let minv = neg_inv_limb m.(0) in
+    let widen v =
+      let r = Array.make n 0 in
+      Array.blit v 0 r 0 (Array.length v);
+      r
+    in
+    let t = Array.make (n + 1) 0 in
+    let x = widen (rem (shift_left b (limb_bits * n)) m) in
+    let nbits = bit_length exp in
+    let w = window_bits nbits in
+    (* table.(i) = b^i in Montgomery form; entry 0 is never read *)
+    let table = Array.make (1 lsl w) x in
+    for i = 2 to (1 lsl w) - 1 do
+      let r = Array.make n 0 in
+      mont_mul m minv t table.(i - 1) x r;
+      table.(i) <- r
+    done;
+    let windows = (nbits + w - 1) / w in
+    (* the top window holds the exponent's top bit, so it is nonzero *)
+    let acc = Array.copy table.(window exp ((windows - 1) * w) w) in
+    for k = windows - 2 downto 0 do
+      for _ = 1 to w do
+        mont_mul m minv t acc acc acc
+      done;
+      let d = window exp (k * w) w in
+      if d > 0 then mont_mul m minv t acc table.(d) acc
+    done;
+    mont_mul m minv t acc (widen one) acc;
+    normalize acc
+
+  let mod_pow ~base:b ~exp ~modulus =
+    if is_zero modulus then raise Division_by_zero;
+    if equal modulus one then zero
+    else if is_zero exp then one
+    else if not (is_even modulus) then mont_pow b exp modulus
+    else begin
+      (* Montgomery reduction needs an odd modulus: square-and-multiply *)
+      let b = rem b modulus in
+      let result = ref one and acc = ref b in
+      let nbits = bit_length exp in
+      for i = 0 to nbits - 1 do
+        if test_bit exp i then result := rem (mul !result !acc) modulus;
+        if i < nbits - 1 then acc := rem (mul !acc !acc) modulus
+      done;
+      !result
+    end
+
+  let of_bytes_be s =
+    let len = String.length s in
+    let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+    for k = 0 to len - 1 do
+      let byte = Char.code s.[len - 1 - k] in
+      let limb = 8 * k / limb_bits and off = 8 * k mod limb_bits in
+      r.(limb) <- r.(limb) lor ((byte lsl off) land mask);
+      if off > limb_bits - 8 then r.(limb + 1) <- r.(limb + 1) lor (byte lsr (limb_bits - off))
+    done;
+    normalize r
+
+  let to_bytes_be ?(pad_to = 0) a =
+    let nbytes = max pad_to ((bit_length a + 7) / 8) in
+    let n = Array.length a in
+    String.init nbytes (fun i ->
+        let k = nbytes - 1 - i in
+        let limb = 8 * k / limb_bits and off = 8 * k mod limb_bits in
+        if limb >= n then '\000'
+        else begin
+          let hi =
+            if off > limb_bits - 8 && limb + 1 < n then a.(limb + 1) lsl (limb_bits - off) else 0
+          in
+          Char.chr (((a.(limb) lsr off) lor hi) land 0xff)
+        end)
+end
 
 (* qcheck generator: random bignum from decimal digits *)
 let gen_bignum =
@@ -340,12 +709,16 @@ let ref_of_bytes s =
   !r
 
 (* 0-160 bytes, some with leading zero bytes; the fixed lengths sit at and
-   around limb boundaries (13 bytes = 4 limbs, 26 bytes = 8 limbs) and at
-   RSA widths. *)
+   around limb boundaries (13 bytes = 4 limbs of 26 bits and 26 bytes = 8;
+   15 bytes = 4 limbs of 30 bits and 30 bytes = 8) and at RSA widths. *)
 let arb_be_bytes =
   let gen =
     QCheck.Gen.(
-      frequency [ (3, int_range 0 160); (2, oneofl [ 12; 13; 14; 25; 26; 27; 32; 64; 128 ]) ]
+      frequency
+        [
+          (3, int_range 0 160);
+          (2, oneofl [ 12; 13; 14; 15; 16; 25; 26; 27; 29; 30; 31; 32; 64; 128 ]);
+        ]
       >>= fun n ->
       int_range 0 3 >>= fun zeros ->
       map (String.mapi (fun i c -> if i < zeros then '\000' else c)) (string_size (return n)))
@@ -356,6 +729,116 @@ let prop_bytes_reference =
   QCheck.Test.make ~name:"bytes vs shift-and-add" ~count:300 arb_be_bytes (fun s ->
       let v = B.of_bytes_be s in
       B.equal v (ref_of_bytes s) && B.to_bytes_be ~pad_to:(String.length s) v = s)
+
+(* Widths one bit either side of a multiple of 26 or 30 bits, where a
+   value's top limb is nearly full or nearly empty in one of the two
+   representations, up to [max] bits. *)
+let limb_edge_widths max =
+  List.init 40 (fun i -> i + 1)
+  |> List.concat_map (fun k -> [ (26 * k) - 1; 26 * k; (26 * k) + 1; (30 * k) - 1; 30 * k; (30 * k) + 1 ])
+  |> List.filter (fun w -> w <= max)
+  |> List.sort_uniq compare
+
+let gen_width max = QCheck.Gen.(frequency [ (3, oneofl (limb_edge_widths max)); (1, int_range 1 max) ])
+
+(* Big-endian bytes of a value of exactly [w] bits: random below the top
+   bit, or all ones, so every limb is full. *)
+let gen_value w =
+  QCheck.Gen.(
+    frequency [ (3, return false); (1, return true) ] >>= fun ones st ->
+    let nbytes = (w + 7) / 8 in
+    let top = w - (8 * (nbytes - 1)) in
+    String.init nbytes (fun i ->
+        if i = 0 then Char.chr ((1 lsl (top - 1)) lor if ones then (1 lsl (top - 1)) - 1 else Random.State.int st (1 lsl (top - 1)))
+        else if ones then '\255'
+        else Char.chr (Random.State.int st 256)))
+
+let gen_edge_value max = QCheck.Gen.(gen_width max >>= gen_value)
+
+(* [v] and [rv] hold the same value: their encodings match. *)
+let same_bytes v rv = B.to_bytes_be v = Reference.to_bytes_be rv
+
+let edge_test ~name ~count gen print f =
+  QCheck.Test.make ~name ~count (QCheck.make gen ~print) f
+
+let print_hex2 (a, b) = Printf.sprintf "a=%s b=%s" (Util.to_hex a) (Util.to_hex b)
+
+let prop_mul_reference =
+  edge_test ~name:"mul = 26-bit reference" ~count:300
+    QCheck.Gen.(pair (gen_edge_value 700) (gen_edge_value 700))
+    print_hex2
+    (fun (a, b) ->
+      same_bytes
+        (B.mul (B.of_bytes_be a) (B.of_bytes_be b))
+        (Reference.mul (Reference.of_bytes_be a) (Reference.of_bytes_be b)))
+
+let prop_divmod_reference =
+  edge_test ~name:"divmod = 26-bit reference" ~count:300
+    QCheck.Gen.(pair (gen_edge_value 1200) (gen_edge_value 700))
+    print_hex2
+    (fun (a, b) ->
+      let q, r = B.divmod (B.of_bytes_be a) (B.of_bytes_be b) in
+      let rq, rr = Reference.divmod (Reference.of_bytes_be a) (Reference.of_bytes_be b) in
+      same_bytes q rq && same_bytes r rr)
+
+(* divisors of every width up to 62 bits, so both the one-limb path and
+   the double-and-reduce path run at each limb width *)
+let prop_rem_int_reference =
+  edge_test ~name:"rem_int = 26-bit reference" ~count:300
+    QCheck.Gen.(
+      pair (gen_edge_value 700)
+        (oneofl (List.init 62 (fun i -> i + 1)) >>= fun w ->
+         gen_value w >|= fun d -> String.fold_left (fun acc c -> (acc lsl 8) lor Char.code c) 0 d))
+    (fun (a, d) -> Printf.sprintf "a=%s d=%d" (Util.to_hex a) d)
+    (fun (a, d) -> B.rem_int (B.of_bytes_be a) d = Reference.rem_int (Reference.of_bytes_be a) d)
+
+let prop_shifts_reference =
+  edge_test ~name:"shifts = 26-bit reference" ~count:300
+    QCheck.Gen.(pair (gen_edge_value 700) (gen_width 400))
+    (fun (a, k) -> Printf.sprintf "a=%s k=%d" (Util.to_hex a) k)
+    (fun (a, k) ->
+      let v = B.of_bytes_be a and rv = Reference.of_bytes_be a in
+      same_bytes (B.shift_left v k) (Reference.shift_left rv k)
+      && same_bytes (B.shift_right v k) (Reference.shift_right rv k))
+
+(* Both codecs round-trip the bytes, with leading zeros and padding, and
+   the two decoded values agree bit by bit: [test_bit] reads the limbs
+   directly, so a decoder and an encoder wrong in matching ways show. *)
+let prop_bytes_codec_reference =
+  edge_test ~name:"byte codecs = 26-bit reference" ~count:300
+    QCheck.Gen.(pair (gen_edge_value 1200) (int_range 0 3))
+    (fun (a, pad) -> Printf.sprintf "a=%s pad=%d" (Util.to_hex a) pad)
+    (fun (a, pad) ->
+      let s = String.make pad '\000' ^ a in
+      let pad_to = String.length s in
+      let v = B.of_bytes_be s and rv = Reference.of_bytes_be s in
+      B.to_bytes_be ~pad_to v = s
+      && Reference.to_bytes_be ~pad_to rv = s
+      && B.bit_length v = Reference.bit_length rv
+      && List.for_all (fun i -> B.test_bit v i = Reference.test_bit rv i) (List.init (B.bit_length v) Fun.id))
+
+let prop_mod_pow_reference =
+  edge_test ~name:"mod_pow = 26-bit reference" ~count:200
+    QCheck.Gen.(
+      gen_edge_value 1100 >>= fun m ->
+      bool >>= fun odd ->
+      let last = Char.code m.[String.length m - 1] in
+      let m =
+        String.mapi
+          (fun i c ->
+            if i < String.length m - 1 then c
+            else Char.chr (if odd then last lor 1 else last land lnot 1))
+          m
+      in
+      triple (gen_edge_value 1200) (gen_edge_value 300) (return m))
+    (fun (b, e, m) ->
+      Printf.sprintf "base=%s exp=%s modulus=%s" (Util.to_hex b) (Util.to_hex e) (Util.to_hex m))
+    (fun (b, e, m) ->
+      QCheck.assume (not (B.is_zero (B.of_bytes_be m)));
+      same_bytes
+        (B.mod_pow ~base:(B.of_bytes_be b) ~exp:(B.of_bytes_be e) ~modulus:(B.of_bytes_be m))
+        (Reference.mod_pow ~base:(Reference.of_bytes_be b) ~exp:(Reference.of_bytes_be e)
+           ~modulus:(Reference.of_bytes_be m)))
 
 let () =
   Alcotest.run "bignum"
@@ -391,5 +874,15 @@ let () =
             prop_shift;
             prop_mod_pow;
             prop_bytes_reference;
+          ] );
+      ( "reference",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_mul_reference;
+            prop_divmod_reference;
+            prop_rem_int_reference;
+            prop_shifts_reference;
+            prop_bytes_codec_reference;
+            prop_mod_pow_reference;
           ] );
     ]

@@ -161,8 +161,8 @@ let machine_with_tpm () =
     {
       Machine.dynamic_pcr_reset = (fun () -> incr resets);
       measure_into_pcr17 =
-        (fun contents ->
-          measured := Some contents;
+        (fun ~len:_ ~same:_ ~read ->
+          measured := Some (read ());
           "measurement");
     };
   (m, measured, resets)
@@ -422,6 +422,45 @@ let prop_memory_matches_flat_model =
               Memory.written_after m ~stamp ~addr:a ~len:n = !touched)
         ops)
 
+(* The in-place compare equals [String.equal] over a copy of the range.
+   A four-page memory gets up to four random writes, so some pages are
+   never written, and the range may cross page boundaries. The candidate
+   is the range's own bytes, the same with its last byte or one random
+   byte changed, or random bytes. *)
+let prop_equal_range =
+  let size = 4 * Memory.page_size in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 4) (pair (int_range 0 (size - 1)) (string_size (int_range 1 600)))
+      >>= fun writes ->
+      int_range 0 size >>= fun addr ->
+      int_range 0 (min 6000 (size - addr)) >>= fun len ->
+      oneofl [ `Same; `Last; `One; `Random ] >>= fun kind ->
+      int_range 0 (max 0 (len - 1)) >>= fun pos ->
+      string_size (return len) >|= fun random -> (writes, addr, len, kind, pos, random))
+  in
+  QCheck.Test.make ~name:"equal_range = equal of a copy" ~count:300
+    (QCheck.make gen ~print:(fun (writes, addr, len, _, pos, _) ->
+         Printf.sprintf "writes=[%s] addr=%d len=%d pos=%d"
+           (String.concat "; "
+              (List.map (fun (a, s) -> Printf.sprintf "%d+%d" a (String.length s)) writes))
+           addr len pos))
+    (fun (writes, addr, len, kind, pos, random) ->
+      let m = Memory.create ~size in
+      List.iter
+        (fun (a, s) -> Memory.write m ~addr:a (String.sub s 0 (min (String.length s) (size - a))))
+        writes;
+      let actual = Memory.read m ~addr ~len in
+      let flip i = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) actual in
+      let candidate =
+        match kind with
+        | `Same -> actual
+        | `Last -> flip (len - 1)
+        | `One -> flip pos
+        | `Random -> random
+      in
+      Memory.equal_range m ~addr candidate = String.equal actual candidate)
+
 let () =
   Alcotest.run "hw"
     [
@@ -458,5 +497,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_dev_soundness; prop_memory_rw; prop_memory_matches_flat_model ] );
+          [
+            prop_dev_soundness;
+            prop_memory_rw;
+            prop_memory_matches_flat_model;
+            prop_equal_range;
+          ] );
     ]

@@ -134,6 +134,29 @@ let test_distinct_keys () =
   let k2 = Rsa.generate rng ~bits:256 in
   Alcotest.(check bool) "moduli differ" false (Bignum.equal k1.Rsa.pub.Rsa.n k2.Rsa.pub.Rsa.n)
 
+(* Keys and signatures are pinned by their SHA-1, recorded with the
+   Bignum of 26-bit limbs: a change to Bignum's representation or its
+   kernels must generate the same primes and sign the same bytes. Each
+   width draws from its own seed. *)
+let test_pinned_keys () =
+  List.iter
+    (fun (bits, key_sha1, sig_sha1) ->
+      let rng = Prng.create ~seed:(Printf.sprintf "rsa-pinned-%d" bits) in
+      let key = Rsa.generate rng ~bits in
+      let sha1 s = Util.to_hex (Sha1.digest s) in
+      Alcotest.(check string)
+        (Printf.sprintf "%d-bit key" bits)
+        key_sha1
+        (sha1 (Rsa.private_to_string key));
+      Alcotest.(check string)
+        (Printf.sprintf "%d-bit signature" bits)
+        sig_sha1
+        (sha1 (Pkcs1.sign key Hash.SHA1 "pinned message")))
+    [
+      (512, "d0c185dd03acf8d95db5580bd89768080f455bb3", "d0c542055b6739e30f3225479aa9508bd463891a");
+      (1024, "3f894cdd51ee9eafb00548b9897b8a8353c8ee19", "5484a8b7fc4587739ef5407c06274240b1ae804e");
+    ]
+
 let prop_pkcs1_roundtrip =
   let key = Rsa.generate rng ~bits:512 in
   QCheck.Test.make ~name:"PKCS#1 encrypt/decrypt roundtrip" ~count:50
@@ -162,6 +185,7 @@ let () =
           Alcotest.test_case "raw roundtrip" `Quick test_raw_roundtrip;
           Alcotest.test_case "CRT correctness" `Quick test_crt_against_plain;
           Alcotest.test_case "distinct keys" `Quick test_distinct_keys;
+          Alcotest.test_case "pinned keys and signatures" `Quick test_pinned_keys;
         ] );
       ( "pkcs1",
         [
