@@ -201,12 +201,13 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
           Sysfs.write platform.Platform.sysfs ~path:"inputs" inputs;
           Sysfs.write platform.Platform.sysfs ~path:"control" "1";
           Memory.zero memory ~addr:slb_base ~len:Layout.total_footprint;
-          (* memoized: repeated sessions of the same PAL reuse one patched
-             window instead of re-patching a fresh 64 KB copy *)
+          (* repeated sessions of the same PAL reuse the patched window
+             the image's memo slot keeps instead of re-patching a fresh
+             64 KB copy *)
           let initialized = Measurement.initialized image ~slb_base in
           Memory.write memory ~addr:slb_base initialized;
-          (* the window now holds the initialized image, whose digest is
-             memoized; a later write to any of its pages voids that *)
+          (* the window now holds the initialized image, whose digest the
+             slot keeps; a later write to any of its pages voids that *)
           let loaded = Memory.write_stamp memory in
           if platform.Platform.corrupt_next_slb then begin
             platform.Platform.corrupt_next_slb <- false;
@@ -233,27 +234,14 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
     (* --- late launch: SKINIT or GETSEC[SENTER] --- *)
     let launch_result =
       timed Skinit (fun () ->
-          match tech with
-          | Svm -> (
-              match Skinit.execute machine ~slb_base with
-              | launch -> Ok launch
-              | exception Skinit.Skinit_error msg -> Error msg)
-          | Txt { acm } -> (
-              (* map the SENTER launch onto the common record: the MLE
-                 occupies the same window and the session logic above the
-                 launch instruction is identical *)
-              match Flicker_hw.Senter.execute machine ~slb_base ~acm with
-              | senter ->
-                  Ok
-                    {
-                      Skinit.slb_base = senter.Flicker_hw.Senter.mle_base;
-                      slb_length = senter.Flicker_hw.Senter.mle_length;
-                      entry_point = senter.Flicker_hw.Senter.entry_point;
-                      measurement = senter.Flicker_hw.Senter.mle_measurement;
-                      protected_base = senter.Flicker_hw.Senter.protected_base;
-                      protected_len = senter.Flicker_hw.Senter.protected_len;
-                    }
-              | exception Flicker_hw.Senter.Senter_error msg -> Error msg))
+          match
+            match tech with
+            | Svm -> Skinit.execute machine ~slb_base
+            | Txt { acm } -> Flicker_hw.Senter.execute machine ~slb_base ~acm
+          with
+          | launch -> Ok launch
+          | exception (Skinit.Skinit_error msg | Flicker_hw.Senter.Senter_error msg) ->
+              Error msg)
     in
     match launch_result with
     | Error msg ->
@@ -273,14 +261,15 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                    CPU and extends PCR 17 before running any of it. The
                    simulated cost is charged in full; on the host, a
                    window no write touched since the load hashes to the
-                   image's memoized digest, and any other window (a
-                   corrupted byte, a DMA write) is read back and hashed *)
+                   digest the image's memo slot keeps, and any other
+                   window (a corrupted byte, a DMA write) is read back and
+                   hashed *)
                 let digest =
                   if
                     Memory.written_after memory ~stamp:loaded ~addr:slb_base
                       ~len:Layout.slb_size
                   then
-                    Measurement.window_digest
+                    Flicker_crypto.Sha1.digest
                       (Memory.read memory ~addr:slb_base ~len:Layout.slb_size)
                   else Measurement.window_hash image ~slb_base
                 in
@@ -288,11 +277,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                 extend_pcr17 ~kind:"stub" platform digest);
 
         (* --- Execute PAL: only if the launched window holds its code --- *)
-        let measured_pal =
-          match Builder.pal_code_in_memory ~flavor memory ~slb_base with
-          | Ok code -> String.equal code pal.Pal.code
-          | Error _ -> false
-        in
+        let measured_pal = Builder.holds_pal_code ~flavor memory ~slb_base pal.Pal.code in
         let pcr17_during = pcr17_of platform in
         let pal_entered = Clock.now clock in
         let env_outputs, pal_fault =

@@ -2,16 +2,6 @@ open Flicker_crypto
 
 exception Senter_error of string
 
-type launch = {
-  mle_base : int;
-  mle_length : int;
-  entry_point : int;
-  acm_measurement : string;
-  mle_measurement : string;
-  protected_base : int;
-  protected_len : int;
-}
-
 let default_acm =
   (* deterministic stand-in for the ~20 KB vendor SINIT module *)
   let buf = Buffer.create 20480 in
@@ -58,7 +48,7 @@ let execute (m : Machine.t) ~slb_base ~acm =
   in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:(String.length acm));
   (* stage 2: the ACM measures and launches the MLE *)
-  let mle_measurement = Skinit.measure_range hooks m ~addr:slb_base ~len:mle_length in
+  let measurement = Skinit.measure_range hooks m ~addr:slb_base ~len:mle_length in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:mle_length);
   bsp.Cpu.mode <- Cpu.Flat_protected;
   bsp.Cpu.paging_enabled <- false;
@@ -72,15 +62,10 @@ let execute (m : Machine.t) ~slb_base ~acm =
        (Util.to_hex (String.sub acm_measurement 0 6)));
   Machine.protocol_event m "skinit.end";
   {
-    mle_base = slb_base;
-    mle_length;
+    Skinit.slb_base;
+    slb_length = mle_length;
     entry_point = slb_base + entry_offset;
-    acm_measurement;
-    mle_measurement;
+    measurement;
     protected_base = slb_base;
     protected_len = Skinit.slb_window;
   }
-
-let teardown_protection (m : Machine.t) launch =
-  Dev.unprotect_range m.dev ~addr:launch.protected_base ~len:launch.protected_len;
-  Machine.log_event m "senter: DMA protection dropped"

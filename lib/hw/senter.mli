@@ -16,23 +16,14 @@
 
 exception Senter_error of string
 
-type launch = {
-  mle_base : int;
-  mle_length : int;
-  entry_point : int;
-  acm_measurement : string;  (** SHA-1 of the SINIT ACM *)
-  mle_measurement : string;  (** SHA-1 of the measured MLE bytes *)
-  protected_base : int;
-  protected_len : int;
-}
-
 val default_acm : string
 (** A stand-in SINIT ACM image (vendor-supplied binary on real hardware);
     deterministic so measurements are reproducible. *)
 
-val execute : Machine.t -> slb_base:int -> acm:string -> launch
-(** Run the SENTER sequence on the MLE at [slb_base].
+val execute : Machine.t -> slb_base:int -> acm:string -> Skinit.launch
+(** Run the SENTER sequence on the MLE at [slb_base]. The launch record
+    is SKINIT's: the MLE occupies the same window, its [measurement] is
+    the MLE's digest (the ACM's link is in PCR 17 before it), and
+    {!Skinit.teardown_dev} drops its DMA protection.
     @raise Senter_error under the same preconditions as SKINIT, plus an
     empty ACM. *)
-
-val teardown_protection : Machine.t -> launch -> unit

@@ -8,6 +8,7 @@ type image = Slb_image.t = private {
   measured_length : int;
   pal_region_off : int;
   pal_region_len : int;
+  memo : Slb_image.memo option Atomic.t;
 }
 
 let build ?(flavor = Standard) pal =
@@ -19,24 +20,25 @@ let initialize image ~slb_base =
   Slb_core.patch b ~slb_base;
   Bytes.unsafe_to_string b
 
-let pal_code_in_memory ~flavor memory ~slb_base =
-  if slb_base < 0 || slb_base + Layout.slb_size > Memory.size memory then
-    Error "window outside memory"
-  else
-    let code off len = Ok (Memory.read memory ~addr:(slb_base + off) ~len) in
+let holds_pal_code ~flavor memory ~slb_base code =
+  let len = String.length code in
+  slb_base >= 0
+  && slb_base + Layout.slb_size <= Memory.size memory
+  &&
+  let off, named, limit =
     match flavor with
     | Optimized ->
         (* the inner header right after the measured stub carries the
            PAL length *)
-        let len = Memory.read_u16_le memory (slb_base + Slb_core.stub_size) in
-        let off = Slb_core.stub_size + 2 in
-        if off + len > Layout.slb_size then Error "corrupt inner header" else code off len
+        ( Slb_core.stub_size + 2,
+          Memory.read_u16_le memory (slb_base + Slb_core.stub_size),
+          Layout.slb_size )
     | Standard ->
-        let measured = Memory.read_u16_le memory slb_base in
+        (* the SLB header's length covers the header, the core and the PAL *)
         let off = Layout.header_size + Slb_core.core_size in
-        if measured < off || measured > Layout.pal_region_end then
-          Error "corrupt SLB header"
-        else code off (measured - off)
+        (off, Memory.read_u16_le memory slb_base - off, Layout.pal_region_end)
+  in
+  named = len && off + len <= limit && Memory.equal_range memory ~addr:(slb_base + off) code
 
 let slb_sizes pal =
   let std = build ~flavor:Standard pal in

@@ -16,6 +16,7 @@ type image = Slb_image.t = private {
   measured_length : int;  (** value of the header's length field *)
   pal_region_off : int;
   pal_region_len : int;
+  memo : Slb_image.memo option Atomic.t;  (** filled by [Measurement] *)
 }
 
 val build : ?flavor:flavor -> Pal.t -> image
@@ -28,13 +29,13 @@ val initialize : image -> slb_base:int -> string
     loads at [slb_base] — and the bytes a verifier must hash to predict
     the measurement. *)
 
-val pal_code_in_memory :
-  flavor:flavor -> Flicker_hw.Memory.t -> slb_base:int -> (string, string) result
-(** The linked PAL code of the window of that flavor at [slb_base], as
-    the session reads it from physical memory after the launch: the
-    header that flavor writes, then the code region it names, and
-    nothing else of the window. [Error] when the window lies outside
-    memory or its header is corrupt. *)
+val holds_pal_code : flavor:flavor -> Flicker_hw.Memory.t -> slb_base:int -> string -> bool
+(** Whether the window of that flavor at [slb_base] holds [code] as its
+    linked PAL code, as the session checks physical memory after the
+    launch: the header that flavor writes names a code region of
+    [String.length code] bytes, and those bytes equal [code], compared
+    in place. [false] when the window lies outside memory or its header
+    is corrupt. *)
 
 val slb_sizes : Pal.t -> int * int
 (** [(standard_measured, optimized_measured)] byte counts for a PAL —

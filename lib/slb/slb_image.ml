@@ -1,11 +1,14 @@
 type flavor = Standard | Optimized
 
+type memo = { slb_base : int; initialized : string; measured : string; window : string }
+
 type t = {
   flavor : flavor;
   bytes : string;
   measured_length : int;
   pal_region_off : int;
   pal_region_len : int;
+  memo : memo option Atomic.t;
 }
 
 let le16 v = String.init 2 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
@@ -40,6 +43,7 @@ let link flavor pal_code =
             measured_length;
             pal_region_off;
             pal_region_len;
+            memo = Atomic.make None;
           }
   | Optimized ->
       (* inner header: u16 PAL length right after the measured stub *)
@@ -61,4 +65,5 @@ let link flavor pal_code =
             measured_length = Slb_core.stub_size;
             pal_region_off;
             pal_region_len;
+            memo = Atomic.make None;
           }

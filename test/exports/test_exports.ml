@@ -67,11 +67,9 @@ let allowlist =
        suites compare against the normal session",
       [
         "Flicker_core.Measurement.extend"; "Flicker_core.Measurement.of_image";
-        "Flicker_core.Measurement.after_skinit"; "Flicker_core.Measurement.io_extends";
         "Flicker_core.Session.os_busy_transient";
         "Flicker_core.Session.os_busy_permanent"; "Flicker_core.Session.busy_is_transient";
         "Flicker_core.Session.execute_from_sysfs"; "Flicker_core.Session.corrupt_slb_in_memory";
-        "Flicker_hw.Senter.teardown_protection";
       ] );
     ( "IMA log verification the trusted-boot tests check; the paper bench reports only \
        the burden comparison",

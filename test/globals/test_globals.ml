@@ -12,7 +12,8 @@ open Parsetree
 
 let allowlist =
   [
-    ("lib/core/measurement.ml", "Measurement.state_key", "domain-local storage");
+    ("lib/core/measurement.ml", "Measurement.hits", "atomic");
+    ("lib/core/measurement.ml", "Measurement.misses", "atomic");
     ("lib/crypto/sha1.ml", "Sha1.scratch_key", "domain-local storage");
     ("lib/crypto/sha256.ml", "Sha256.scratch_key", "domain-local storage");
     ("lib/crypto/sha1.ml", "Sha1.bytes_hashed_total", "atomic");

@@ -83,7 +83,7 @@ let test_pcr17_forgery () =
   let pal = Pal.define ~name:"adv-forgery-target" (fun env -> Pal_env.set_output env "") in
   let p = make_platform ~seed:"forgery" in
   let image = Flicker_slb.Builder.build pal in
-  let target = Measurement.after_skinit image ~slb_base:p.Platform.slb_base in
+  let target = Measurement.after_launch image ~slb_base:p.Platform.slb_base in
   let measurement = Measurement.of_image image ~slb_base:p.Platform.slb_base in
   let tries =
     [
@@ -105,7 +105,7 @@ let test_pcr17_forgery_even_after_sessions () =
   | Error e -> Alcotest.failf "session: %a" Session.pp_error e
   | Ok _ -> ());
   let image = Flicker_slb.Builder.build pal in
-  let target = Measurement.after_skinit image ~slb_base:p.Platform.slb_base in
+  let target = Measurement.after_launch image ~slb_base:p.Platform.slb_base in
   let report =
     Adversary.forge_pcr17 p.Platform.tpm ~target
       ~tries:(List.init 32 (fun i -> Sha1.digest (string_of_int i)))

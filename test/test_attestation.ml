@@ -227,7 +227,7 @@ let sender_pal =
     ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
     (fun env ->
       let pcr17 =
-        Measurement.after_skinit
+        Measurement.after_launch
           (Builder.build ~flavor:Builder.Optimized receiver_pal)
           ~slb_base:sender_platform.Platform.slb_base
       in

@@ -1,14 +1,13 @@
 (* Domain-safety and sharded-fleet regression tests.
 
-   The first group hammers the host-side shared-state paths that used to
-   be module-level globals (measurement memo, SHA scratch contexts) from
-   two domains at once and checks the results against single-domain
-   references — under the old globals these raced (torn Hashtbl entries,
-   interleaved scratch absorptions); with Domain.DLS each domain owns its
-   state and the content-keyed caches stay identity-preserving. It also
-   runs the paper's CA and SSH PALs on two domains at once, alone and in
-   a sharded fleet: each PAL is a plain value its server or client
-   builds, so no PAL table is shared between domains.
+   The first group hammers the host-side state that two domains reach
+   at once (an SLB image's measurement memo slot, the SHA scratch
+   contexts) and checks the results against single-domain references:
+   the slot holds one immutable value that any domain may replace with
+   an equal one, and each domain keeps its own scratch context in
+   Domain.DLS. It also runs the paper's CA and SSH PALs on two domains
+   at once, alone and in a sharded fleet: each PAL is a plain value its
+   server or client builds, so no PAL table is shared between domains.
 
    The second group pins down the sharded fleet's core contract: the
    simulation is a pure function of the config — the domain count only
@@ -22,6 +21,7 @@
 
 open Flicker_crypto
 module Measurement = Flicker_core.Measurement
+module Builder = Flicker_slb.Builder
 module Fleet = Flicker_service.Fleet
 module Workload = Flicker_service.Workload
 module Dispatch = Flicker_service.Dispatch
@@ -34,7 +34,7 @@ module Privacy_ca = Flicker_tpm.Privacy_ca
 module CA = Flicker_apps.Cert_authority
 module Ssh_auth = Flicker_apps.Ssh_auth
 
-(* --- DLS hammers ------------------------------------------------------ *)
+(* --- shared-state hammers ---------------------------------------------- *)
 
 (* join both domains and re-raise the first failure, so an assertion
    tripping inside a spawned domain fails the test instead of vanishing *)
@@ -46,37 +46,69 @@ let spawn_catching f =
   Domain.spawn (fun () ->
       match f () with () -> Ok () | exception e -> Error e)
 
-let test_measurement_memo_two_domains () =
-  let windows =
-    Array.init 80 (fun i ->
-        (* > 64-entry cache bound, so concurrent eviction runs too *)
-        Printf.sprintf "window-%03d-%s" i (String.make 961 (Char.chr (33 + (i mod 90)))))
+(* Two domains share one fresh image's memo slot while each alternates
+   between two load addresses, so a lookup may find the other domain's
+   address in the slot, or lose its own to it, and publish over it.
+   Every answer must equal the unmemoized reference. *)
+let test_measurement_slot_two_domains () =
+  let pal = Flicker_slb.Pal.define ~name:"multicore-memo-slot" (fun _ -> ()) in
+  let image = Builder.build ~flavor:Builder.Optimized pal in
+  let bases = [| 0x100000; 0x200000 |] in
+  (* unmemoized reference values, computed before any hammering *)
+  let reference =
+    Array.map
+      (fun slb_base ->
+        let bytes = Builder.initialize image ~slb_base in
+        let measured = Sha1.digest (String.sub bytes 0 image.Builder.measured_length) in
+        let window = Sha1.digest bytes in
+        let launch =
+          Sha1.digest (Sha1.digest (String.make 20 '\000' ^ measured) ^ window)
+        in
+        (bytes, measured, window, launch))
+      bases
   in
-  (* unmemoized reference digests, computed before any hammering *)
-  let expected = Array.map Sha1.digest windows in
+  let rounds = 100 in
+  let hammer first () =
+    for i = 0 to rounds - 1 do
+      let k = (first + i) mod 2 in
+      let slb_base = bases.(k) in
+      let bytes, measured, window, launch = reference.(k) in
+      if
+        not
+          (String.equal (Measurement.initialized image ~slb_base) bytes
+          && String.equal (Measurement.of_image image ~slb_base) measured
+          && String.equal (Measurement.window_hash image ~slb_base) window
+          && String.equal (Measurement.after_launch image ~slb_base) launch)
+      then Alcotest.failf "stale or torn memo slot at %#x, round %d" slb_base i
+    done
+  in
+  join_all [ spawn_catching (hammer 0); spawn_catching (hammer 1) ]
+
+(* The hit and miss counters behind [Measurement.cache_stats] are shared
+   by every domain: two domains looking up one warm image count every
+   hit, none lost to the other domain's increments. *)
+let test_measurement_stats_two_domains () =
+  let pal = Flicker_slb.Pal.define ~name:"multicore-memo-stats" (fun _ -> ()) in
+  let image = Builder.build ~flavor:Builder.Optimized pal in
+  let slb_base = 0x200000 in
+  ignore (Measurement.of_image image ~slb_base);
+  let lookups = 200_000 in
+  (* both domains start hammering together *)
+  let ready = Atomic.make 0 in
   let hammer () =
-    Measurement.clear_cache ();
-    for pass = 0 to 2 do
-      ignore pass;
-      Array.iteri
-        (fun i w ->
-          let d = Measurement.window_digest w in
-          if not (String.equal d expected.(i)) then
-            Alcotest.failf "torn or stale memo entry for window %d" i)
-        windows
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
     done;
-    let hits, misses = Measurement.cache_stats () in
-    (* every access is accounted for on this domain's own stats *)
-    Alcotest.(check int) "every lookup counted" (3 * Array.length windows)
-      (hits + misses)
+    for _ = 1 to lookups do
+      ignore (Measurement.of_image image ~slb_base)
+    done
   in
+  let hits0, misses0 = Measurement.cache_stats () in
   join_all [ spawn_catching hammer; spawn_catching hammer ];
-  (* and the hammering never polluted this domain's view *)
-  Array.iteri
-    (fun i w ->
-      Alcotest.(check string) "main-domain digest" expected.(i)
-        (Measurement.window_digest w))
-    windows
+  let hits1, misses1 = Measurement.cache_stats () in
+  Alcotest.(check int) "every hit counted" (2 * lookups) (hits1 - hits0);
+  Alcotest.(check int) "no miss" 0 (misses1 - misses0)
 
 let test_sha_scratch_two_domains () =
   let inputs =
@@ -98,25 +130,6 @@ let test_sha_scratch_two_domains () =
     done
   in
   join_all [ spawn_catching hammer; spawn_catching hammer ]
-
-let test_eviction_keeps_working_set_warm () =
-  Measurement.clear_cache ();
-  let window i = Printf.sprintf "evict-%03d-%s" i (String.make 100 'w') in
-  (* 65 distinct windows: one past the 64-entry bound. The old wholesale
-     Hashtbl.reset at capacity flushed everything on the 65th insert;
-     single-victim FIFO eviction only drops window 0. *)
-  for i = 0 to 64 do
-    ignore (Measurement.window_digest (window i))
-  done;
-  let hits0, misses0 = Measurement.cache_stats () in
-  Alcotest.(check int) "all cold at first" 0 hits0;
-  Alcotest.(check int) "65 misses" 65 misses0;
-  for i = 1 to 64 do
-    ignore (Measurement.window_digest (window i))
-  done;
-  let hits, misses = Measurement.cache_stats () in
-  Alcotest.(check int) "only the FIFO victim was evicted" 64 hits;
-  Alcotest.(check int) "no re-derivation of survivors" 65 misses
 
 (* --- PALs on several domains -------------------------------------------- *)
 
@@ -531,12 +544,12 @@ let () =
     [
       ( "domain safety",
         [
-          Alcotest.test_case "measurement memo: 2-domain hammer" `Quick
-            test_measurement_memo_two_domains;
+          Alcotest.test_case "measurement slot: 2-base hammer" `Quick
+            test_measurement_slot_two_domains;
           Alcotest.test_case "sha scratch: 2-domain hammer" `Quick
             test_sha_scratch_two_domains;
-          Alcotest.test_case "memo eviction keeps 65-image set warm" `Quick
-            test_eviction_keeps_working_set_warm;
+          Alcotest.test_case "measurement stats: 2-domain hammer" `Quick
+            test_measurement_stats_two_domains;
           Alcotest.test_case "CA + SSH: 2 domains = sequential" `Quick
             test_ca_and_ssh_two_domains;
           Alcotest.test_case "CA fleet: 1 vs 2 domains agree" `Quick test_ca_fleet_domains;

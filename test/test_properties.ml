@@ -158,7 +158,7 @@ let prop_seal_binds_to_pal =
       seal_out = "sealed" && unseal_out = data)
 
 let prop_measurement_memo_transparent =
-  (* the content-keyed measurement cache must be invisible: for random
+  (* each image's measurement memo slot must be invisible: for random
      PAL bodies, flavors, load addresses, and ACM choices, the memoized
      path equals the unmemoized reference computed straight from
      Builder.initialize + Sha1.digest *)
@@ -189,15 +189,14 @@ let prop_measurement_memo_transparent =
         | Builder.Standard -> v
         | Builder.Optimized -> Sha1.digest (v ^ Sha1.digest reference_bytes)
       in
-      (* run each memoized accessor twice: once cold, once from cache *)
+      (* run each memoized accessor twice: once cold, once from the slot *)
       let twice f = f () = f () && f () = f () in
       Measurement.initialized image ~slb_base = reference_bytes
       && twice (fun () -> Measurement.initialized image ~slb_base)
       && Measurement.of_image image ~slb_base = reference_measured
       && Measurement.window_hash image ~slb_base = Sha1.digest reference_bytes
-      && Measurement.window_digest reference_bytes = Sha1.digest reference_bytes
       && Measurement.after_launch ?acm image ~slb_base = reference_launch
-      (* a different load address misses the cache and re-derives *)
+      (* a different load address misses the slot and re-derives *)
       && Measurement.of_image image ~slb_base:(slb_base + 0x10000)
          = Sha1.digest
              (String.sub
@@ -205,33 +204,33 @@ let prop_measurement_memo_transparent =
                 0 image.Builder.measured_length))
 
 let test_measurement_cache_invalidation () =
-  Measurement.clear_cache ();
   let pal = Pal.define ~name:"memo-invalidate" (fun env -> Pal_env.set_output env "x") in
   let image = Builder.build ~flavor:Builder.Optimized pal in
-  let d1 = Measurement.of_image image ~slb_base:0x100000 in
   let hits0, misses0 = Measurement.cache_stats () in
-  Alcotest.(check int) "first lookup misses" 1 misses0;
-  Alcotest.(check int) "no hits yet" 0 hits0;
+  (* hits and misses since this test began *)
+  let stats () =
+    let hits, misses = Measurement.cache_stats () in
+    (hits - hits0, misses - misses0)
+  in
+  let reference slb_base =
+    Sha1.digest
+      (String.sub (Builder.initialize image ~slb_base) 0 image.Builder.measured_length)
+  in
+  let d1 = Measurement.of_image image ~slb_base:0x100000 in
+  Alcotest.(check (pair int int)) "first lookup misses" (0, 1) (stats ());
   let d1' = Measurement.of_image image ~slb_base:0x100000 in
-  let hits1, misses1 = Measurement.cache_stats () in
   Alcotest.(check bool) "hit returns same digest" true (d1 = d1');
-  Alcotest.(check int) "second lookup hits" 1 hits1;
-  Alcotest.(check int) "no new miss" 1 misses1;
-  (* changing slb_base changes the key: a miss, and a different digest
+  Alcotest.(check (pair int int)) "second lookup hits" (1, 1) (stats ());
+  (* changing slb_base misses the slot and re-derives a different digest
      (the patched entry point differs) *)
   let d2 = Measurement.of_image image ~slb_base:0x200000 in
-  let _, misses2 = Measurement.cache_stats () in
-  Alcotest.(check int) "new base misses" 2 misses2;
-  Alcotest.(check bool) "new base re-derives" true
-    (d2 = Sha1.digest
-            (String.sub
-               (Builder.initialize image ~slb_base:0x200000)
-               0 image.Builder.measured_length));
-  (* clear_cache drops everything but changes no results *)
-  Measurement.clear_cache ();
-  Alcotest.(check (pair int int)) "stats zeroed" (0, 0) (Measurement.cache_stats ());
-  Alcotest.(check bool) "post-clear digest unchanged" true
-    (Measurement.of_image image ~slb_base:0x100000 = d1)
+  Alcotest.(check (pair int int)) "new base misses" (1, 2) (stats ());
+  Alcotest.(check bool) "new base re-derives" true (d2 = reference 0x200000 && d2 <> d1);
+  (* the slot now holds the new base, so the first one misses again and
+     re-derives the same digest *)
+  let d1'' = Measurement.of_image image ~slb_base:0x100000 in
+  Alcotest.(check (pair int int)) "old base misses again" (1, 3) (stats ());
+  Alcotest.(check bool) "old base digest unchanged" true (d1'' = d1 && d1 = reference 0x100000)
 
 let () =
   Alcotest.run "session-properties"

@@ -89,8 +89,8 @@ let loaded window =
   Flicker_hw.Memory.write m ~addr:slb_base window;
   m
 
-let pal_code_loaded ~flavor window =
-  Builder.pal_code_in_memory ~flavor (loaded window) ~slb_base
+let holds_loaded ~flavor window code =
+  Builder.holds_pal_code ~flavor (loaded window) ~slb_base code
 
 let test_builder_standard () =
   let pal = Pal.define ~name:"builder-std" ~app_code_size:1000 (fun _ -> ()) in
@@ -102,16 +102,16 @@ let test_builder_standard () =
   Alcotest.(check int) "header length" image.Builder.measured_length
     (Char.code b.[0] lor (Char.code b.[1] lsl 8));
   Alcotest.(check int) "header entry" 4 (Char.code b.[2] lor (Char.code b.[3] lsl 8));
-  (* PAL code is recoverable *)
-  Alcotest.(check string) "extract pal code" pal.Pal.code
-    (Result.get_ok (pal_code_loaded ~flavor:Builder.Standard image.Builder.bytes))
+  (* the loaded window holds the PAL code *)
+  Alcotest.(check bool) "holds pal code" true
+    (holds_loaded ~flavor:Builder.Standard image.Builder.bytes pal.Pal.code)
 
 let test_builder_optimized () =
   let pal = Pal.define ~name:"builder-opt" ~app_code_size:1000 (fun _ -> ()) in
   let image = Builder.build ~flavor:Builder.Optimized pal in
   Alcotest.(check int) "measured = stub" 4736 image.Builder.measured_length;
-  Alcotest.(check string) "extract pal code" pal.Pal.code
-    (Result.get_ok (pal_code_loaded ~flavor:Builder.Optimized image.Builder.bytes));
+  Alcotest.(check bool) "holds pal code" true
+    (holds_loaded ~flavor:Builder.Optimized image.Builder.bytes pal.Pal.code);
   let std, opt = Builder.slb_sizes pal in
   Alcotest.(check int) "standard size" (4 + 320 + 1000) std;
   Alcotest.(check int) "optimized size" 4736 opt;
@@ -138,14 +138,29 @@ let test_builder_initialize () =
   Alcotest.(check int) "gdt base patched" 0x200000 (Util.int_of_be32 a Slb_core.gdt_patch_offset)
 
 let test_builder_window_errors () =
+  let pal = Pal.define ~name:"builder-errors" (fun _ -> ()) in
   let small = Flicker_hw.Memory.create ~size:Layout.slb_size in
-  Alcotest.(check bool) "window past the end of memory" true
-    (Result.is_error (Builder.pal_code_in_memory ~flavor:Builder.Optimized small ~slb_base:4096));
+  Alcotest.(check bool) "window past the end of memory" false
+    (Builder.holds_pal_code ~flavor:Builder.Optimized small ~slb_base:4096 pal.Pal.code);
   let junk = String.make Layout.slb_size '\xff' in
-  Alcotest.(check bool) "corrupt header" true
-    (Result.is_error (pal_code_loaded ~flavor:Builder.Standard junk));
-  Alcotest.(check bool) "corrupt inner header" true
-    (Result.is_error (pal_code_loaded ~flavor:Builder.Optimized junk))
+  Alcotest.(check bool) "corrupt header" false
+    (holds_loaded ~flavor:Builder.Standard junk pal.Pal.code);
+  Alcotest.(check bool) "corrupt inner header" false
+    (holds_loaded ~flavor:Builder.Optimized junk pal.Pal.code);
+  (* a well-formed window of another PAL's code, of the same length: the
+     header names a region of the right size, and its bytes differ *)
+  let other = Pal.define ~name:"builder-other" (fun _ -> ()) in
+  List.iter
+    (fun flavor ->
+      let window = (Builder.build ~flavor other).Builder.bytes in
+      Alcotest.(check bool) "same length" true
+        (String.length other.Pal.code = String.length pal.Pal.code);
+      Alcotest.(check bool) "wrong code" false (holds_loaded ~flavor window pal.Pal.code);
+      Alcotest.(check bool) "its own code" true (holds_loaded ~flavor window other.Pal.code);
+      let code = other.Pal.code in
+      Alcotest.(check bool) "a prefix of its code" false
+        (holds_loaded ~flavor window (String.sub code 0 (String.length code - 1))))
+    [ Builder.Standard; Builder.Optimized ]
 
 (* --- allocator --- *)
 

@@ -44,10 +44,11 @@ let test_senter_measurement_chain () =
   write_mle m ~addr:0x10000 ~len:1000;
   park m;
   let launch = Senter.execute m ~slb_base:0x10000 ~acm:Senter.default_acm in
-  Alcotest.(check string) "acm measurement" (Sha1.digest Senter.default_acm)
-    launch.Senter.acm_measurement;
-  (* PCR 17 = extend(extend(0, H(ACM)), H(MLE)) *)
+  (* PCR 17 = extend(extend(0, H(ACM)), H(MLE)); the launch record
+     carries the MLE's link *)
   let mle = Memory.read m.Machine.memory ~addr:0x10000 ~len:1000 in
+  Alcotest.(check string) "mle measurement" (Sha1.digest mle)
+    launch.Flicker_hw.Skinit.measurement;
   let expected =
     Sha1.digest
       (Sha1.digest (String.make 20 '\000' ^ Sha1.digest Senter.default_acm)
@@ -57,7 +58,7 @@ let test_senter_measurement_chain () =
   (* protections up, as with SKINIT *)
   Alcotest.(check bool) "DMA blocked" false
     (Flicker_hw.Dev.allows m.Machine.dev ~addr:0x10000 ~len:65536);
-  Senter.teardown_protection m launch;
+  Flicker_hw.Skinit.teardown_dev m launch;
   Alcotest.(check bool) "DMA restored" true
     (Flicker_hw.Dev.allows m.Machine.dev ~addr:0x10000 ~len:65536)
 
@@ -105,7 +106,7 @@ let test_txt_session () =
         outcome.Session.pcr17_during;
       Alcotest.(check bool) "differs from svm chain" true
         (outcome.Session.pcr17_during
-        <> Measurement.after_skinit image ~slb_base:p.Platform.slb_base)
+        <> Measurement.after_launch image ~slb_base:p.Platform.slb_base)
 
 (* SENTER sends the TPM the ACM and then the MLE, so the bytes it
    measured last never match the next stage's: back-to-back TXT sessions
