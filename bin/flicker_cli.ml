@@ -406,64 +406,39 @@ let analyze_run pals as_json strict out =
                      (String.concat ", " (Models.keys ()))))
           (Ok []) keys
   in
-  match selected with
+  (* canonical merged order: by PAL key, then (rule, function,
+     location) within each report *)
+  let analyzed =
+    Result.bind selected (fun targets ->
+        List.fold_right
+          (fun (key, target) acc ->
+            match (Rules.run target, acc) with
+            | Ok analysis, Ok rest -> Ok ((key, target, analysis) :: rest)
+            | Error msg, _ -> Error (Printf.sprintf "%s: %s" key msg)
+            | Ok _, (Error _ as e) -> e)
+          (List.sort (fun (a, _) (b, _) -> compare a b) targets)
+          (Ok []))
+  in
+  match analyzed with
   | Error msg -> prerr_endline msg; 1
-  | Ok targets -> (
-      (* canonical merged order: by PAL key, then (rule, function,
-         location) within each report *)
-      let targets =
-        List.sort (fun (a, _) (b, _) -> compare a b) targets
-      in
-      (* one extraction index per PAL, shared by the rule run and the
-         text report instead of each re-indexing the program *)
-      let results =
-        List.map
-          (fun (key, target) ->
-            let index = Flicker_extract.Extract.index target.Rules.program in
-            match Rules.run ~index target with
-            | Ok findings -> (key, target, index, findings)
-            | Error msg ->
-                ( key,
-                  target,
-                  index,
-                  [
-                    {
-                      Rules.rule = "driver";
-                      severity = Rules.Error;
-                      subject = target.Rules.entry;
-                      location = "";
-                      message = msg;
-                    };
-                  ] ))
-          targets
-      in
-      let sarif_rows = List.map (fun (key, t, _, fs) -> (key, t, fs)) results in
+  | Ok results ->
       let text =
-        if as_json then
-          Flicker_obs.Json.to_string (Report.sarif sarif_rows) ^ "\n"
+        if as_json then Flicker_obs.Json.to_string (Report.sarif results) ^ "\n"
         else
           String.concat "\n"
-            (List.map
-               (fun (key, t, index, fs) -> Report.to_text ~index ~key t fs)
-               results)
+            (List.map (fun (key, t, analysis) -> Report.to_text ~key t analysis) results)
       in
       write_out out text ~written:(Printf.sprintf "analysis written to %s");
-      let errors =
-        List.fold_left (fun acc (_, _, _, fs) -> acc + Rules.errors fs) 0 results
-      in
-      let warnings =
-        List.fold_left (fun acc (_, _, _, fs) -> acc + Rules.warnings fs) 0 results
-      in
-      let failing =
-        List.exists (fun (_, _, _, fs) -> Rules.should_fail ~strict fs) results
-      in
-      if failing then begin
+      let findings = List.map (fun (_, _, a) -> a.Rules.findings) results in
+      let errors = List.fold_left (fun acc fs -> acc + Rules.errors fs) 0 findings in
+      let warnings = List.fold_left (fun acc fs -> acc + Rules.warnings fs) 0 findings in
+      if List.exists (Rules.should_fail ~strict) findings then begin
         if strict && errors = 0 then
           Printf.eprintf "%d warning(s) with --strict\n" warnings
         else Printf.eprintf "%d error-severity finding(s)\n" errors;
         1
       end
-      else 0)
+      else 0
 
 let analyze_pals_arg =
   Arg.(value & pos_all string []
@@ -593,7 +568,7 @@ let check_run seed tpm workloads with_mc adversary no_por only_variant as_json
                 ~expected_violation:expected r)
             mc_results
       in
-      Flicker_obs.Json.to_string (V.Vreport.document runs) ^ "\n"
+      Flicker_obs.Json.to_string (Flicker_obs.Sarif.document runs) ^ "\n"
     else begin
       let buf = Buffer.create 1024 in
       let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

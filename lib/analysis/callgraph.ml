@@ -136,23 +136,3 @@ let has_recursion_from g ~root =
   List.exists
     (fun group -> List.exists (fun n -> match id g n with Some i -> in_reach.(i) | None -> false) group)
     (recursive_groups g)
-
-(* Worst-case call depth (number of stacked frames) from the root.
-   [None] when recursion reachable from the root makes it unbounded. *)
-let max_depth g ~root =
-  if id g root = None then None
-  else if has_recursion_from g ~root then None
-  else begin
-    let memo = Array.make (node_count g) (-1) in
-    let rec depth i =
-      if memo.(i) >= 0 then memo.(i)
-      else begin
-        let d =
-          1 + List.fold_left (fun acc j -> max acc (depth j)) 0 (defined_callees g i)
-        in
-        memo.(i) <- d;
-        d
-      end
-    in
-    match id g root with Some r -> Some (depth r) | None -> None
-  end

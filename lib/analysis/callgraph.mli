@@ -36,8 +36,3 @@ val recursive_groups : t -> string list list
     Recursion is a hazard on the fixed 4 KB PAL stack. *)
 
 val has_recursion_from : t -> root:string -> bool
-
-val max_depth : t -> root:string -> int option
-(** Worst-case number of stacked frames starting at [root] ([root]
-    itself counts as one). [None] when the root is undefined or
-    recursion makes the depth unbounded. *)

@@ -1,16 +1,11 @@
 module J = Flicker_obs.Json
+module Sarif = Flicker_obs.Sarif
 module Pal = Flicker_slb.Pal
 module Layout = Flicker_slb.Layout
-module Slb_core = Flicker_slb.Slb_core
+module Slb_image = Flicker_slb.Slb_image
 module Extract = Flicker_extract.Extract
 
-let slb_limit () = Layout.max_pal_code ~slb_core_size:Slb_core.core_size
-
-let absint_of (target : Rules.target) =
-  Absint.analyze
-    ~table:(Effects.make target.Rules.effects)
-    (Callgraph.build target.Rules.program)
-    ~entry:target.Rules.entry
+let slb_limit = Slb_image.capacity Slb_image.Standard
 
 let ct_findings findings =
   List.length
@@ -26,7 +21,7 @@ let module_names pal =
 
 (* Deterministic per-PAL text report; the golden regression fixtures
    under test/golden/ are exactly this output. *)
-let to_text ?index ~key (target : Rules.target) findings =
+let to_text ~key (target : Rules.target) (analysis : Rules.analysis) =
   let buf = Buffer.create 512 in
   let pal = target.Rules.pal in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -36,22 +31,20 @@ let to_text ?index ~key (target : Rules.target) findings =
   add "tcb:      %d LOC of %d budget; linked code %d of %d bytes\n" (Pal.total_loc pal)
     target.Rules.budget_loc
     (String.length pal.Pal.code)
-    (slb_limit ());
-  (match Extract.extract ?index target.Rules.program ~target:target.Rules.entry with
-  | Ok e ->
-      add "slice:    %d functions, %d LOC, %d types\n"
-        (List.length e.Extract.required_functions)
-        e.Extract.extracted_loc
-        (List.length e.Extract.required_types);
-      let r = absint_of target in
-      (match r.Absint.stack with
-      | Absint.Unbounded ->
-          add "stack:    unbounded (recursive call cycle) of %d bytes\n"
-            Layout.stack_size
-      | Absint.Bounded bytes ->
-          add "stack:    worst-case %d bytes of %d (%s)\n" bytes Layout.stack_size
-            (String.concat " -> " r.Absint.worst_chain))
-  | Error _ -> add "slice:    (entry not defined)\n");
+    slb_limit;
+  let e = analysis.Rules.extraction in
+  add "slice:    %d functions, %d LOC, %d types\n"
+    (List.length e.Extract.required_functions)
+    e.Extract.extracted_loc
+    (List.length e.Extract.required_types);
+  let r = analysis.Rules.absint in
+  (match r.Absint.stack with
+  | Absint.Unbounded ->
+      add "stack:    unbounded (recursive call cycle) of %d bytes\n" Layout.stack_size
+  | Absint.Bounded bytes ->
+      add "stack:    worst-case %d bytes of %d (%s)\n" bytes Layout.stack_size
+        (String.concat " -> " r.Absint.worst_chain));
+  let findings = analysis.Rules.findings in
   add "findings: %d error(s), %d warning(s), %d info\n" (Rules.count Rules.Error findings)
     (Rules.count Rules.Warning findings)
     (Rules.count Rules.Info findings);
@@ -75,92 +68,46 @@ let level = function
   | Rules.Warning -> "warning"
   | Rules.Info -> "note"
 
-let rule_descriptors () =
-  J.List
-    (List.map
-       (fun (r : Rules.rule) ->
-         J.Obj
-           [
-             ("id", J.String r.Rules.id);
-             ("shortDescription", J.Obj [ ("text", J.String r.Rules.title) ]);
-             ("defaultConfiguration",
-              J.Obj [ ("level", J.String (level r.Rules.severity)) ]);
-           ])
-       Rules.rules)
+let rule_descriptors =
+  List.map
+    (fun (r : Rules.rule) ->
+      Sarif.rule ~id:r.Rules.id ~text:r.Rules.title ~level:(level r.Rules.severity) ())
+    Rules.rules
 
 let result_json ~key (fi : Rules.finding) =
-  J.Obj
-    [
-      ("ruleId", J.String fi.Rules.rule);
-      ("level", J.String (level fi.Rules.severity));
-      ("message", J.Obj [ ("text", J.String fi.Rules.message) ]);
-      ( "locations",
-        J.List
-          [
-            J.Obj
-              [
-                ( "logicalLocations",
-                  J.List
-                    [
-                      J.Obj
-                        [
-                          ( "fullyQualifiedName",
-                            J.String
-                              (key ^ "/" ^ fi.Rules.subject
-                              ^
-                              if fi.Rules.location = "" then ""
-                              else "/" ^ fi.Rules.location) );
-                        ];
-                    ] );
-              ];
-          ] );
-    ]
+  Sarif.result ~rule_id:fi.Rules.rule ~level:(level fi.Rules.severity)
+    ~message:fi.Rules.message
+    ~location:
+      (key ^ "/" ^ fi.Rules.subject
+      ^ if fi.Rules.location = "" then "" else "/" ^ fi.Rules.location)
 
 (* SARIF-style document: one run per analyzed PAL. The per-run property
    bag carries the Figure 6-style TCB accounting (LOC and SLB bytes) so
    `flicker analyze --json` doubles as the paper's TCB table. *)
 let sarif results =
-  J.Obj
-    [
-      ("version", J.String "2.1.0");
-      ( "runs",
-        J.List
-          (List.map
-             (fun (key, (target : Rules.target), findings) ->
-               let pal = target.Rules.pal in
-               J.Obj
-                 [
-                   ( "tool",
-                     J.Obj
-                       [
-                         ( "driver",
-                           J.Obj
-                             [
-                               ("name", J.String "flicker-analyze");
-                               ("rules", rule_descriptors ());
-                             ] );
-                       ] );
-                   ("results", J.List (List.map (result_json ~key) findings));
-                   ( "properties",
-                     J.Obj
-                       [
-                         ("pal", J.String pal.Pal.name);
-                         ("key", J.String key);
-                         ("entry", J.String target.Rules.entry);
-                         ("tcb_loc", J.Int (Pal.total_loc pal));
-                         ("budget_loc", J.Int target.Rules.budget_loc);
-                         ("slb_bytes", J.Int (String.length pal.Pal.code));
-                         ("slb_limit_bytes", J.Int (slb_limit ()));
-                         ("errors", J.Int (Rules.errors findings));
-                         ("warnings", J.Int (Rules.count Rules.Warning findings));
-                         ( "worst_stack_bytes",
-                           J.Int
-                             (match (absint_of target).Absint.stack with
-                             | Absint.Bounded b -> b
-                             | Absint.Unbounded -> -1) );
-                         ("stack_limit_bytes", J.Int Layout.stack_size);
-                         ("ct_findings", J.Int (ct_findings findings));
-                       ] );
-                 ])
-             results) );
-    ]
+  Sarif.document
+    (List.map
+       (fun (key, (target : Rules.target), (analysis : Rules.analysis)) ->
+         let pal = target.Rules.pal in
+         let findings = analysis.Rules.findings in
+         Sarif.run ~tool:"flicker-analyze" ~rules:rule_descriptors
+           ~results:(List.map (result_json ~key) findings)
+           [
+             ("pal", J.String pal.Pal.name);
+             ("key", J.String key);
+             ("entry", J.String target.Rules.entry);
+             ("tcb_loc", J.Int (Pal.total_loc pal));
+             ("budget_loc", J.Int target.Rules.budget_loc);
+             ("slb_bytes", J.Int (String.length pal.Pal.code));
+             ("slb_limit_bytes", J.Int slb_limit);
+             ("errors", J.Int (Rules.errors findings));
+             ("warnings", J.Int (Rules.count Rules.Warning findings));
+             ( "worst_stack_bytes",
+               J.Int
+                 (match analysis.Rules.absint.Absint.stack with
+                 | Absint.Bounded b -> b
+                 | Absint.Unbounded -> -1) );
+             ("stack_limit_bytes", J.Int Layout.stack_size);
+             ("ct_findings", J.Int (ct_findings findings));
+           ])
+       results)

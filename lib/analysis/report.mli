@@ -3,19 +3,9 @@
     SARIF-style JSON document with one run per PAL whose property bag
     carries the Figure 6 TCB accounting plus the abstract-interpretation
     stack bound ([worst_stack_bytes], [-1] when unbounded) and
-    constant-time finding count ([ct_findings]). *)
+    constant-time finding count ([ct_findings]). Both read the
+    {!Rules.analysis} that {!Rules.run} returned for the target. *)
 
-val to_text :
-  ?index:Flicker_extract.Extract.index ->
-  key:string ->
-  Rules.target ->
-  Rules.finding list ->
-  string
-(** [index] is a prebuilt index over [target.program], shared with the
-    {!Rules.run} call that produced [findings]; without it the slice
-    line re-indexes the program from scratch. *)
+val to_text : key:string -> Rules.target -> Rules.analysis -> string
 
-val sarif : (string * Rules.target * Rules.finding list) list -> Flicker_obs.Json.t
-
-val slb_limit : unit -> int
-(** Bytes available to linked PAL code inside the 64 KB SLB region. *)
+val sarif : (string * Rules.target * Rules.analysis) list -> Flicker_obs.Json.t

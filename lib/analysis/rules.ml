@@ -1,6 +1,6 @@
 module Pal = Flicker_slb.Pal
 module Layout = Flicker_slb.Layout
-module Slb_core = Flicker_slb.Slb_core
+module Slb_image = Flicker_slb.Slb_image
 module Extract = Flicker_extract.Extract
 
 type severity = Info | Warning | Error
@@ -28,15 +28,10 @@ type ctx = {
   graph : Callgraph.t;
   extraction : Extract.extraction;
   table : Effects.table;
-  absint : Absint.result Lazy.t;
-      (* both abstract-interpretation clients, forced on first use *)
+  absint : Absint.result;
 }
 
 type rule = { id : string; title : string; severity : severity; check : ctx -> finding list }
-
-(* estimated worst-case frame: saved registers + a small locals window,
-   conservative for the freestanding C a PAL is built from *)
-let frame_bytes = 128
 
 (* Which optional modules a module itself depends on: the utilities sit
    on the driver; the secure channel generates, seals, and uses keys. *)
@@ -81,34 +76,6 @@ let recursion_rule =
                 }
             else None)
           (Callgraph.recursive_groups ctx.graph));
-  }
-
-let stack_depth_rule =
-  {
-    id = "stack-depth";
-    title = "worst-case call depth approaches the PAL stack";
-    severity = Warning;
-    check =
-      (fun ctx ->
-        match Callgraph.max_depth ctx.graph ~root:ctx.target.entry with
-        | None -> [] (* unbounded: the recursion rule already fired *)
-        | Some depth ->
-            let worst = depth * frame_bytes in
-            if worst > Layout.stack_size then
-              [
-                {
-                  rule = "stack-depth";
-                  severity = Warning;
-                  subject = ctx.target.entry;
-                  location = "";
-                  message =
-                    Printf.sprintf
-                      "worst-case call depth %d (~%d bytes at %d bytes/frame) exceeds \
-                       the %d-byte PAL stack"
-                      depth worst frame_bytes Layout.stack_size;
-                };
-              ]
-            else []);
   }
 
 let secret_leak_rule =
@@ -193,33 +160,38 @@ let slb_region_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let size = String.length ctx.target.pal.Pal.code in
-        let limit = Layout.max_pal_code ~slb_core_size:Slb_core.core_size in
-        if size > limit then
-          [
-            {
-              rule = "slb-region";
-              severity = Error;
-              subject = ctx.target.pal.Pal.name;
-              location = "";
-              message =
-                Printf.sprintf
-                  "linked code is %d bytes but only %d fit in the SLB's PAL region \
-                   (SKINIT measures at most 64 KB)"
-                  size limit;
-            };
-          ]
+        let pal = ctx.target.pal in
+        let size = String.length pal.Pal.code in
+        let finding severity location message =
+          { rule = "slb-region"; severity; subject = pal.Pal.name; location; message }
+        in
+        let unlinked =
+          List.filter_map
+            (fun (flavor, name, image) ->
+              match image with
+              | Ok _ -> None
+              | Error _ ->
+                  Some
+                    (finding Error name
+                       (Printf.sprintf
+                          "linked code is %d bytes but only %d fit in the %s SLB's PAL \
+                           region (SKINIT measures at most 64 KB)"
+                          size (Slb_image.capacity flavor) name)))
+            [
+              (Slb_image.Standard, "standard", pal.Pal.standard);
+              (Slb_image.Optimized, "optimized", pal.Pal.optimized);
+            ]
+        in
+        (* the optimized region is the smaller one, and the default launch *)
+        let limit = Slb_image.capacity Slb_image.Optimized in
+        if unlinked <> [] then unlinked
         else if size * 10 > limit * 9 then
           [
-            {
-              rule = "slb-region";
-              severity = Warning;
-              subject = ctx.target.pal.Pal.name;
-              location = "";
-              message =
-                Printf.sprintf "linked code is %d of %d bytes (over 90%% of the PAL region)"
-                  size limit;
-            };
+            finding Warning ""
+              (Printf.sprintf
+                 "linked code is %d of %d bytes (over 90%% of the optimized SLB's PAL \
+                  region)"
+                 size limit);
           ]
         else []);
   }
@@ -374,7 +346,7 @@ let stack_bound_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let r = Lazy.force ctx.absint in
+        let r = ctx.absint in
         match r.Absint.stack with
         | Absint.Unbounded -> [] (* the recursion rule already fired *)
         | Absint.Bounded bytes when bytes > Layout.stack_size ->
@@ -402,7 +374,6 @@ let buffer_bounds_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let r = Lazy.force ctx.absint in
         List.map
           (fun (v : Absint.bounds_violation) ->
             {
@@ -420,7 +391,7 @@ let buffer_bounds_rule =
                   v.Absint.buffer v.Absint.size_elems v.Absint.in_function
                   (Domains.Interval.to_string v.Absint.index);
             })
-          r.Absint.bounds);
+          ctx.absint.Absint.bounds);
   }
 
 let ct_finding (v : Absint.ct_violation) =
@@ -449,13 +420,12 @@ let secret_branch_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let r = Lazy.force ctx.absint in
         List.filter_map
           (fun (v : Absint.ct_violation) ->
             match v.Absint.kind with
             | Absint.Branch | Absint.Loop_bound -> Some (ct_finding v)
             | Absint.Index -> None)
-          r.Absint.ct);
+          ctx.absint.Absint.ct);
   }
 
 let secret_index_rule =
@@ -465,13 +435,12 @@ let secret_index_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let r = Lazy.force ctx.absint in
         List.filter_map
           (fun (v : Absint.ct_violation) ->
             match v.Absint.kind with
             | Absint.Index -> Some (ct_finding v)
             | Absint.Branch | Absint.Loop_bound -> None)
-          r.Absint.ct);
+          ctx.absint.Absint.ct);
   }
 
 let duplicate_definition_rule =
@@ -511,7 +480,6 @@ let duplicate_definition_rule =
 let rules =
   [
     recursion_rule;
-    stack_depth_rule;
     stack_bound_rule;
     buffer_bounds_rule;
     secret_branch_rule;
@@ -529,24 +497,6 @@ let rules =
     dead_function_rule;
   ]
 
-let make_ctx ?index target =
-  let index =
-    match index with Some i -> i | None -> Extract.index target.program
-  in
-  match Extract.extract ~index target.program ~target:target.entry with
-  | Result.Error msg -> Result.Error msg
-  | Result.Ok extraction ->
-      let graph = Callgraph.build target.program in
-      let table = Effects.make target.effects in
-      Result.Ok
-        {
-          target;
-          graph;
-          extraction;
-          table;
-          absint = lazy (Absint.analyze ~table graph ~entry:target.entry);
-        }
-
 (* canonical export order: rule id, then function (subject), then
    location, then message — the CLI additionally orders PALs by key, so
    merged text/SARIF output is sorted by (pal, rule, function, location) *)
@@ -561,12 +511,23 @@ let compare_findings (a : finding) (b : finding) =
       | c -> c)
   | c -> c
 
-let run ?index target =
-  match make_ctx ?index target with
+type analysis = {
+  findings : finding list;
+  extraction : Extract.extraction;
+  absint : Absint.result;
+}
+
+let run target =
+  match Extract.extract target.program ~target:target.entry with
   | Result.Error msg -> Result.Error msg
-  | Result.Ok ctx ->
+  | Result.Ok extraction ->
+      let graph = Callgraph.build target.program in
+      let table = Effects.make target.effects in
+      let absint = Absint.analyze ~table graph ~entry:target.entry in
+      let ctx = { target; graph; extraction; table; absint } in
       let findings = List.concat_map (fun r -> r.check ctx) rules in
-      Result.Ok (List.stable_sort compare_findings findings)
+      Result.Ok
+        { findings = List.stable_sort compare_findings findings; extraction; absint }
 
 let count sev findings =
   List.length (List.filter (fun (f : finding) -> f.severity = sev) findings)

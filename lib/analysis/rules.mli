@@ -3,17 +3,18 @@
     A [target] pairs a {!Flicker_slb.Pal.t} with the
     extraction-IR program modeling its code, the entry function, a
     declared TCB budget, and per-PAL effects annotations. [run] slices
-    the program, builds the call graph, and evaluates every rule,
-    returning findings in the canonical export order (rule id, then
-    subject function, then location).
+    the program, builds the call graph, runs the abstract interpreter
+    once, and evaluates every rule, returning the findings in the
+    canonical export order (rule id, then subject function, then
+    location) beside the slice and the interpreter's result.
 
-    Rule classes (the ISSUE's six, plus supporting ones):
+    Rule classes:
     - [recursion] (error): call cycles on the fixed 4 KB PAL stack
-    - [stack-depth] (warning): deep acyclic chains nearing the stack
     - [secret-leak] (error): source->sink flow with no sanitizer
     - [missing-zeroize] (error): secrets not erased before teardown
     - [tcb-budget] (error): [Pal.total_loc] over the declared budget
-    - [slb-region] (error/warning): linked code vs the 64 KB region
+    - [slb-region] (error/warning): linked code that either SLB flavor
+      cannot hold, or over 90% of the optimized flavor's PAL region
     - [unnecessary-module] (warning): linked but not implied by the slice
     - [missing-module] (error): implied by the slice but not linked
     - [forbidden-call] (error): needs the OS (sockets, fork, time-of-day)
@@ -23,7 +24,8 @@
 
     Abstract-interpretation-backed classes (proofs over {!Absint}):
     - [stack-bound] (error): proved worst-case stack over the 4 KB PAL
-      stack, with the deepest call chain
+      stack, with the deepest call chain (a shape-only function costs a
+      conservative 128-byte frame)
     - [buffer-bounds] (error): abstract buffer index escapes the
       declared element count
     - [secret-branch] (error): branch condition or loop bound
@@ -61,21 +63,24 @@ type ctx = {
   graph : Callgraph.t;
   extraction : Extract.extraction;
   table : Effects.table;
-  absint : Absint.result Lazy.t;
-      (** shared abstract-interpretation results, forced by the first
-          rule that needs them *)
+  absint : Absint.result;
 }
+(** What every rule reads about one target. *)
 
 type rule = { id : string; title : string; severity : severity; check : ctx -> finding list }
 
 val rules : rule list
 
-val run : ?index:Extract.index -> target -> (finding list, string) result
+type analysis = {
+  findings : finding list;  (** every rule's, in the canonical order *)
+  extraction : Extract.extraction;  (** the entry's slice *)
+  absint : Absint.result;  (** the proved stack bound and lint results *)
+}
+(** One target analyzed once: the reports and the bench read this. *)
+
+val run : target -> (analysis, string) result
 (** Evaluate every rule. [Error] only when the entry function is not
-    defined in the program. [index] is a prebuilt {!Extract.index} over
-    [target.program]; pass it when analyzing several PALs that share one
-    program so the per-run slice reuses the index instead of rebuilding
-    it (the CLI's [analyze] and the analysis bench do this). *)
+    defined in the program. *)
 
 val compare_findings : finding -> finding -> int
 (** The canonical export order: (rule id, subject, location, message). *)

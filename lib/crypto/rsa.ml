@@ -62,23 +62,16 @@ let decrypt_raw key c =
   let h = rem (mul key.qinv diff) key.p in
   add m2 (mul h key.q)
 
-(* length-prefixed field encoding: 4-byte big-endian length then bytes *)
-let field b = Util.be32_of_int (String.length b) ^ b
-
+(* keys are Util.encode_fields lists of big-endian integers; the
+   encoders join Util.field strings themselves, so a key on the signing
+   path is encoded without building the list encode_fields takes *)
 let fields_of_string s =
-  let rec go off acc =
-    if off = String.length s then List.rev acc
-    else if off + 4 > String.length s then invalid_arg "Rsa: truncated field header"
-    else begin
-      let len = Util.int_of_be32 s off in
-      if off + 4 + len > String.length s then invalid_arg "Rsa: truncated field"
-      else go (off + 4 + len) (String.sub s (off + 4) len :: acc)
-    end
-  in
-  go 0 []
+  match Util.decode_fields s with
+  | Ok fields -> fields
+  | Error msg -> invalid_arg ("Rsa: " ^ msg)
 
 let public_to_string pub =
-  field (Bignum.to_bytes_be pub.n) ^ field (Bignum.to_bytes_be pub.e)
+  Util.field (Bignum.to_bytes_be pub.n) ^ Util.field (Bignum.to_bytes_be pub.e)
 
 let public_of_string s =
   match fields_of_string s with
@@ -88,7 +81,7 @@ let public_of_string s =
 let private_to_string key =
   String.concat ""
     (List.map
-       (fun v -> field (Bignum.to_bytes_be v))
+       (fun v -> Util.field (Bignum.to_bytes_be v))
        [ key.pub.n; key.pub.e; key.d; key.p; key.q; key.dp; key.dq; key.qinv ])
 
 let private_of_string s =

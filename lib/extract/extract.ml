@@ -117,33 +117,19 @@ type extraction = {
   extracted_loc : int;
 }
 
-(* Name->definition indices, built once per program. The original slicer
-   ran a [List.find_opt] scan per visited callee (O(V·E) on dense
-   programs); both the slicer and the analysis call-graph layer share
-   these tables instead. First definition wins, matching the old
-   first-match scan on programs with duplicate names. *)
-type index = {
-  ifuncs : (string, func) Hashtbl.t;
-  itypes : (string, typedef) Hashtbl.t;
-}
-
-let index program =
-  let ifuncs = Hashtbl.create (max 16 (2 * List.length program.functions)) in
+(* Name->definition table, first definition wins; the slicer looks up
+   each visited callee in it instead of scanning the program's list. *)
+let table items key =
+  let tbl = Hashtbl.create (max 16 (2 * List.length items)) in
   List.iter
-    (fun f -> if not (Hashtbl.mem ifuncs f.fname) then Hashtbl.add ifuncs f.fname f)
-    program.functions;
-  let itypes = Hashtbl.create (max 16 (2 * List.length program.types)) in
-  List.iter
-    (fun t -> if not (Hashtbl.mem itypes t.tname) then Hashtbl.add itypes t.tname t)
-    program.types;
-  { ifuncs; itypes }
+    (fun x ->
+      let k = key x in
+      if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k x)
+    items;
+  Hashtbl.find_opt tbl
 
-let find_func idx name = Hashtbl.find_opt idx.ifuncs name
-let find_type idx name = Hashtbl.find_opt idx.itypes name
-
-let extract ?index:idx program ~target =
-  let idx = match idx with Some i -> i | None -> index program in
-  let lookup = find_func idx in
+let extract program ~target =
+  let lookup = table program.functions (fun f -> f.fname) in
   match lookup target with
   | None -> Error (Printf.sprintf "target function %s is not defined in the program" target)
   | Some _ ->
@@ -168,7 +154,7 @@ let extract ?index:idx program ~target =
       visit target;
       let required_functions = List.rev !ordered in
       (* type closure over everything the slice touches *)
-      let type_lookup = find_type idx in
+      let type_lookup = table program.types (fun t -> t.tname) in
       let tvisited = Hashtbl.create 16 in
       let ttypes = ref [] in
       let rec tvisit name =

@@ -102,21 +102,11 @@ type extraction = {
   extracted_loc : int;
 }
 
-type index
-(** Name->definition hash indices over a program, built once and shared
-    by the slicer and the analysis layer (avoids a list scan per visit). *)
-
-val index : program -> index
-(** Build the indices. First definition wins for duplicate names. *)
-
-val find_func : index -> string -> func option
-val find_type : index -> string -> typedef option
-
-val extract : ?index:index -> program -> target:string -> (extraction, string) result
+val extract : program -> target:string -> (extraction, string) result
 (** Slice the program for [target]. Fails only if the target itself is
     undefined; unresolved callees are reported, not fatal (the programmer
     must supply them), mirroring the paper's "not completely automated"
-    caveat. Pass [?index] to reuse a prebuilt index across many slices. *)
+    caveat. *)
 
 val suggested_modules : extraction -> Flicker_slb.Pal.module_kind list
 (** The PAL modules the slice's stdlib usage implies, deduplicated. *)

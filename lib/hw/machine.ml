@@ -7,8 +7,6 @@ type tpm_hooks = {
   measure_into_pcr17 : len:int -> same:(string -> bool) -> read:(unit -> string) -> string;
 }
 
-type event = { at : float; detail : string }
-
 type t = {
   memory : Memory.t;
   dev : Dev.t;
@@ -70,18 +68,6 @@ let log_event t detail =
 
 let protocol_event t ?(args = []) name =
   Tracer.instant t.tracer ~cat:protocol_cat ~args name
-
-let events_between t ~since =
-  List.filter_map
-    (fun (e : Tracer.event) ->
-      match e.Tracer.kind with
-      | Tracer.Instant when e.Tracer.ts >= since ->
-          Some { at = e.Tracer.ts; detail = e.Tracer.name }
-      | _ -> None)
-    (Tracer.events t.tracer)
-
-let event_count t = Tracer.length t.tracer
-let events_dropped t = Tracer.dropped t.tracer
 
 let charge t ms =
   let ms =

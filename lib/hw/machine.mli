@@ -25,8 +25,6 @@ type tpm_hooks = {
           simulated cost are the same either way. *)
 }
 
-type event = { at : float; detail : string }
-
 type t = {
   memory : Memory.t;
   dev : Dev.t;
@@ -62,17 +60,6 @@ val protocol_event : t -> ?args:(string * Flicker_obs.Tracer.arg) list -> string
     these at protocol-relevant state changes (SKINIT begin/end, DEV
     range changes, suspend/resume, PCR extends, DMA attempts) so every
     execution's trace can be checked against the protocol automata. *)
-
-val events_between : t -> since:float -> event list
-(** Instant events at or after [since] still retained in the ring
-    buffer, oldest first. The buffer is bounded: a long-running platform
-    keeps only the most recent [trace_capacity] events. *)
-
-val event_count : t -> int
-(** Events currently retained (never exceeds the trace capacity). *)
-
-val events_dropped : t -> int
-(** Events evicted from the ring buffer so far. *)
 
 val charge : t -> float -> unit
 (** Advance the simulated clock by [ms], scaled by the injector's clock

@@ -85,8 +85,8 @@ end
    real and its [Sha1.bytes_hashed] delta is stored as the entry's cost;
    each later hit skips the stage and credits that cost to [saved].
    Failures are memoized too: a bad signature stays bad. The table is
-   bounded by single-victim FIFO eviction, like [Measurement]'s caches:
-   at [limit] entries the oldest key goes. A key is inserted only when it
+   bounded by single-victim FIFO eviction: at [limit] entries the oldest
+   key goes. A key is inserted only when it
    is absent, so the order queue holds exactly the table's keys. *)
 
 let limit = 1024

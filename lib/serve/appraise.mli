@@ -22,7 +22,7 @@
     share a chunk's evidence compare by pointer; other strings are
     compared byte by byte and never hashed. Each memo holds at most
     1,024 entries and evicts its oldest at that bound (single-victim
-    FIFO, like {!Flicker_core.Measurement}'s caches).
+    FIFO).
 
     Savings are accounted in the instrument the measurement-cache bench
     uses, {!Flicker_crypto.Sha1.bytes_hashed}: a miss records the stage's

@@ -30,6 +30,3 @@ val io_page_size : int
 
 val total_footprint : int
 (** SLB window plus both I/O pages: what the flicker-module allocates. *)
-
-val max_pal_code : slb_core_size:int -> int
-(** Bytes available for PAL code given the core stub's size. *)

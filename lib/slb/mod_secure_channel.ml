@@ -26,26 +26,14 @@ let recover env ~sealed_private =
           | key -> Ok key
           | exception Invalid_argument msg -> Error ("corrupt private key: " ^ msg)))
 
-let field s = Util.be32_of_int (String.length s) ^ s
-
 let encode_setup_output out =
-  field (Rsa.public_to_string out.public_key) ^ field out.sealed_private
+  Util.field (Rsa.public_to_string out.public_key) ^ Util.field out.sealed_private
 
 let decode_setup_output s =
-  let read off =
-    if off + 4 > String.length s then Error "truncated"
-    else begin
-      let len = Util.int_of_be32 s off in
-      if off + 4 + len > String.length s then Error "truncated"
-      else Ok (String.sub s (off + 4) len, off + 4 + len)
-    end
-  in
-  match read 0 with
+  match Util.decode_fields s with
   | Error e -> Error e
-  | Ok (pub_raw, off) -> (
-      match read off with
-      | Error e -> Error e
-      | Ok (sealed_private, _) -> (
-          match Rsa.public_of_string pub_raw with
-          | public_key -> Ok { public_key; sealed_private }
-          | exception Invalid_argument msg -> Error msg))
+  | Ok [ pub_raw; sealed_private ] -> (
+      match Rsa.public_of_string pub_raw with
+      | public_key -> Ok { public_key; sealed_private }
+      | exception Invalid_argument msg -> Error msg)
+  | Ok _ -> Error "setup output is not two fields"

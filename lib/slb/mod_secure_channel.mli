@@ -24,3 +24,7 @@ val encode_setup_output : setup_output -> string
 (** Serialization for the PAL output page. *)
 
 val decode_setup_output : string -> (setup_output, string) result
+(** Inverse of {!encode_setup_output}: exactly two
+    {!Flicker_crypto.Util.encode_fields} fields, the public key and the
+    sealed private key. [Error] on truncated input, trailing bytes or a
+    malformed key. *)

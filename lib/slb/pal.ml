@@ -107,7 +107,7 @@ let define ~name ?(app_code_size = 512) ?(modules = []) behavior =
     String.concat "" (List.map module_code modules)
     ^ synth_code ~name:("pal:" ^ name) ~size:app_code_size
   in
-  if String.length code > Layout.max_pal_code ~slb_core_size:Slb_core.core_size then
+  if String.length code > Slb_image.capacity Slb_image.Standard then
     invalid_arg
       (Printf.sprintf "Pal.define %s: linked code (%d bytes) exceeds the PAL region"
          name (String.length code));

@@ -25,45 +25,44 @@ let window parts =
        0 parts);
   Bytes.unsafe_to_string b
 
+(* where the PAL region starts; the optimized flavor's inner header is
+   the u16 PAL length right after the measured stub *)
+let pal_region_off = function
+  | Standard -> Layout.header_size + Slb_core.core_size
+  | Optimized -> Slb_core.stub_size + 2
+
+let capacity flavor = Layout.pal_region_end - pal_region_off flavor
+
 let link flavor pal_code =
+  let pal_region_off = pal_region_off flavor in
   let pal_region_len = String.length pal_code in
-  match flavor with
-  | Standard ->
-      let pal_region_off = Layout.header_size + Slb_core.core_size in
-      let measured_length = pal_region_off + pal_region_len in
-      if measured_length > Layout.pal_region_end then
-        Error "Builder.build: PAL too large for the standard SLB"
-      else
-        Ok
-          {
-            flavor;
-            bytes =
-              window
-                [ header ~length:measured_length ~entry:Layout.header_size; Slb_core.code; pal_code ];
-            measured_length;
-            pal_region_off;
-            pal_region_len;
-            memo = Atomic.make None;
-          }
-  | Optimized ->
-      (* inner header: u16 PAL length right after the measured stub *)
-      let pal_region_off = Slb_core.stub_size + 2 in
-      if pal_region_off + pal_region_len > Layout.pal_region_end then
-        Error "Builder.build: PAL too large for the optimized SLB"
-      else
-        Ok
-          {
-            flavor;
-            bytes =
-              window
-                [
-                  header ~length:Slb_core.stub_size ~entry:Layout.header_size;
-                  Slb_core.stub_code;
-                  le16 pal_region_len;
-                  pal_code;
-                ];
-            measured_length = Slb_core.stub_size;
-            pal_region_off;
-            pal_region_len;
-            memo = Atomic.make None;
-          }
+  if pal_region_len > capacity flavor then
+    Error
+      (match flavor with
+      | Standard -> "Builder.build: PAL too large for the standard SLB"
+      | Optimized -> "Builder.build: PAL too large for the optimized SLB")
+  else
+    let measured_length, parts =
+      match flavor with
+      | Standard ->
+          let measured_length = pal_region_off + pal_region_len in
+          ( measured_length,
+            [ header ~length:measured_length ~entry:Layout.header_size; Slb_core.code; pal_code ] )
+      | Optimized ->
+          ( Slb_core.stub_size,
+            [
+              header ~length:Slb_core.stub_size ~entry:Layout.header_size;
+              Slb_core.stub_code;
+              le16 pal_region_len;
+              pal_code;
+            ] )
+    in
+    Ok
+      {
+        flavor;
+        bytes = window parts;
+        measured_length;
+        pal_region_off;
+        pal_region_len;
+        memo = Atomic.make None;
+      }

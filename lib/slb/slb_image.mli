@@ -27,6 +27,11 @@ type t = private {
 (** Only {!link} makes one, so every field but [memo] is a function of
     [bytes]. *)
 
+val capacity : flavor -> int
+(** Bytes of PAL code the flavor's PAL region holds: 61,116 behind the
+    standard SLB Core, 56,702 behind the optimized flavor's 4,736-byte
+    stub and its 2-byte length. *)
+
 val link : flavor -> string -> (t, string) result
 (** The image of linked PAL code, or the message [Builder.build] raises
-    when the code does not fit that flavor's PAL region. *)
+    when the code is longer than that flavor's {!capacity}. *)

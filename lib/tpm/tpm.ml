@@ -188,21 +188,9 @@ let close_session t handle = Auth.close t.auth_sessions handle
 
 (* --- sealed storage --- *)
 
-let field s = Util.be32_of_int (String.length s) ^ s
-
-let fields_exn s =
-  let rec go off acc =
-    if off = String.length s then List.rev acc
-    else begin
-      let len = Util.int_of_be32 s off in
-      go (off + 4 + len) (String.sub s (off + 4) len :: acc)
-    end
-  in
-  go 0 []
-
 let serialize_composite composite =
   String.concat ""
-    (List.map (fun (i, v) -> Util.be32_of_int i ^ field v) composite)
+    (List.map (fun (i, v) -> Util.be32_of_int i ^ Util.field v) composite)
 
 let deserialize_composite s =
   let rec go off acc =
@@ -233,7 +221,7 @@ let seal t ~auth ~release data =
   match check_auth t ~auth ~entity_auth:t.keys.Keys.srk_auth ~command_digest with
   | Error e -> Error e
   | Ok () ->
-      let payload = field (serialize_composite release) ^ field data in
+      let payload = Util.field (serialize_composite release) ^ Util.field data in
       let iv = Prng.bytes t.rng 16 in
       let ct = Aes.encrypt_cbc t.seal_enc_key ~iv payload in
       let body = iv ^ ct in
@@ -260,8 +248,8 @@ let unseal t ~auth blob =
           match Aes.decrypt_cbc t.seal_enc_key ~iv ct with
           | exception Invalid_argument _ -> Error Tpm_types.Decrypt_error
           | payload -> (
-              match fields_exn payload with
-              | [ release_raw; data ] ->
+              match Util.decode_fields payload with
+              | Ok [ release_raw; data ] ->
                   let release = deserialize_composite release_raw in
                   let current = Pcr.composite t.pcrs (List.map fst release) in
                   if
@@ -269,7 +257,7 @@ let unseal t ~auth blob =
                     = Tpm_types.composite_hash release
                   then Ok data
                   else Error Tpm_types.Wrong_pcr_value
-              | _ | (exception _) -> Error Tpm_types.Decrypt_error)
+              | Ok _ | Error _ -> Error Tpm_types.Decrypt_error)
         end
       end)
 

@@ -1,9 +1,10 @@
-(** SARIF-style output for the temporal verifier, matching the shape the
-    static analyzer ({!Flicker_analysis.Report}) emits: a top-level
-    [version]/[runs] document where each run carries the tool driver
-    with rule descriptors, the results, and a property bag with the
-    run's headline numbers. Conformance checks and model-checking runs
-    each become one SARIF run. *)
+(** SARIF runs for the temporal verifier, built on
+    {!Flicker_obs.Sarif} like the static analyzer's
+    ({!Flicker_analysis.Report}): each run carries the tool driver with
+    rule descriptors (each naming its paper section), the results, and
+    a property bag with the run's headline numbers. Conformance checks
+    and model-checking runs each become one SARIF run;
+    {!Flicker_obs.Sarif.document} wraps them. *)
 
 val conformance_run :
   subject:string -> Checker.report -> Flicker_obs.Json.t
@@ -24,9 +25,6 @@ val mc_run :
     one as an ["error"]. [adversary] and [sessions] (defaults: DMA-only,
     one session) are recorded in the property bag alongside the search
     statistics, POR flag and counterexample length. *)
-
-val document : Flicker_obs.Json.t list -> Flicker_obs.Json.t
-(** Wrap runs into the [{version; runs}] document. *)
 
 val mc_missed_violation : Mc.result -> expected_violation:bool -> bool
 (** True when a broken variant was NOT caught, a good variant was

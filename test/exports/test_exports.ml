@@ -82,8 +82,7 @@ let allowlist =
       [
         "Flicker_hw.Cpu.segment_contains"; "Flicker_hw.Dev.is_page_protected";
         "Flicker_hw.Dev.protected_pages"; "Flicker_hw.Dma.create"; "Flicker_hw.Dma.attempts";
-        "Flicker_hw.Machine.events_between"; "Flicker_hw.Machine.event_count";
-        "Flicker_hw.Machine.events_dropped"; "Flicker_hw.Memory.page_of_addr";
+        "Flicker_hw.Memory.page_of_addr";
         "Flicker_os.Os_state.saved_cr3"; "Flicker_os.Kernel.measured_bytes";
         "Flicker_os.Kernel.is_compromised"; "Flicker_os.Scheduler.active_processes";
         "Flicker_os.Scheduler.resident_processes"; "Flicker_os.Scheduler.completed_total";
@@ -124,9 +123,7 @@ let allowlist =
         "Flicker_analysis.Absint.Concrete.run"; "Flicker_analysis.Domains.Interval.contains";
         "Flicker_analysis.Effects.default"; "Flicker_analysis.Models.stack_hog";
         "Flicker_analysis.Models.secret_branch"; "Flicker_analysis.Models.planted_keys";
-        "Flicker_analysis.Report.slb_limit"; "Flicker_analysis.Rules.compare_findings";
-        "Flicker_extract.Extract.stdlib_advice"; "Flicker_extract.Extract.find_func";
-        "Flicker_extract.Extract.find_type";
+        "Flicker_analysis.Rules.compare_findings"; "Flicker_extract.Extract.stdlib_advice";
       ] );
     ( "each protocol automaton by name, and the checker and broken variants, for the verify \
        suite's per-property cases; runtime checking uses Automata.all",

@@ -9,6 +9,7 @@ module Adversary = Flicker_os.Adversary
 module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
 module Machine = Flicker_hw.Machine
+module Tracer = Flicker_obs.Tracer
 module Memory = Flicker_hw.Memory
 module Dma = Flicker_hw.Dma
 module Tpm = Flicker_tpm.Tpm
@@ -185,13 +186,11 @@ let test_event_log_records_attacks () =
   (match Session.execute p ~pal () with
   | Error e -> Alcotest.failf "session: %a" Session.pp_error e
   | Ok _ -> ());
-  let events = Machine.events_between p.Platform.machine ~since:0.0 in
   Alcotest.(check bool) "blocked DMA in audit log" true
     (List.exists
        (fun e ->
-         let d = e.Machine.detail in
-         String.length d >= 4 && String.sub d 0 4 = "dev:")
-       events)
+         e.Tracer.kind = Tracer.Instant && String.starts_with ~prefix:"dev:" e.Tracer.name)
+       (Tracer.events p.Platform.machine.Machine.tracer))
 
 let () =
   Alcotest.run "adversary"

@@ -37,7 +37,8 @@ let target ?(budget = 10_000) ?(effects = []) ?pal ~entry functions =
     effects;
   }
 
-let run_ok t = match Rules.run t with Ok fs -> fs | Error e -> Alcotest.fail e
+let analyze_ok t = match Rules.run t with Ok a -> a | Error e -> Alcotest.fail e
+let run_ok t = (analyze_ok t).Rules.findings
 
 let rules_fired findings = List.sort_uniq compare (List.map (fun fi -> fi.Rules.rule) findings)
 let fired rule findings = List.exists (fun fi -> fi.Rules.rule = rule) findings
@@ -53,11 +54,6 @@ let test_reachable () =
   Alcotest.(check (list string)) "dead" [ "dead" ] (Callgraph.unreachable g ~root:"a");
   Alcotest.(check (list string)) "unknown root" [] (Callgraph.reachable g ~root:"nope")
 
-let test_depth () =
-  let g = Callgraph.build (program diamond) in
-  Alcotest.(check (option int)) "diamond depth" (Some 3) (Callgraph.max_depth g ~root:"a");
-  Alcotest.(check (option int)) "leaf depth" (Some 1) (Callgraph.max_depth g ~root:"d")
-
 let test_recursion_detection () =
   let g =
     Callgraph.build
@@ -67,8 +63,7 @@ let test_recursion_detection () =
   let groups = List.map (List.sort compare) (Callgraph.recursive_groups g) in
   Alcotest.(check bool) "mutual cycle" true (List.mem [ "even"; "odd" ] groups);
   Alcotest.(check bool) "self loop" true (List.mem [ "lone" ] groups);
-  Alcotest.(check bool) "recursion from top" true (Callgraph.has_recursion_from g ~root:"top");
-  Alcotest.(check (option int)) "depth unbounded" None (Callgraph.max_depth g ~root:"top")
+  Alcotest.(check bool) "recursion from top" true (Callgraph.has_recursion_from g ~root:"top")
 
 (* --- taint pass --- *)
 
@@ -148,15 +143,24 @@ let test_rule_tcb_budget () =
   Alcotest.(check bool) "over budget" true (fired "tcb-budget" fs)
 
 let test_rule_slb_region () =
-  let limit = Report.slb_limit () in
-  let pal = raw_pal ~app_code:(String.make (limit + 1) 'x') "huge" in
-  let fs = run_ok (target ~pal ~entry:"m" [ f "m" [] 1 ]) in
-  Alcotest.(check bool) "oversized SLB" true
-    (List.exists (fun fi -> fi.Rules.rule = "slb-region" && fi.Rules.severity = Rules.Error) fs);
-  let near = raw_pal ~app_code:(String.make (limit - 100) 'x') "near" in
-  let fs = run_ok (target ~pal:near ~entry:"m" [ f "m" [] 1 ]) in
-  Alcotest.(check bool) "90% warning" true
-    (List.exists (fun fi -> fi.Rules.rule = "slb-region" && fi.Rules.severity = Rules.Warning) fs)
+  let region_findings size =
+    let pal = raw_pal ~app_code:(String.make size 'x') (Printf.sprintf "pal-%d" size) in
+    List.filter_map
+      (fun fi ->
+        if fi.Rules.rule = "slb-region" then
+          Some (Rules.severity_name fi.Rules.severity, fi.Rules.location)
+        else None)
+      (run_ok (target ~pal ~entry:"m" [ f "m" [] 1 ]))
+  in
+  let check what expected size =
+    Alcotest.(check (list (pair string string))) what expected (region_findings size)
+  in
+  (* 58,000 bytes fit the standard region (61,116) but not the optimized
+     one (56,702), so the default launch would fail *)
+  check "optimized-only overflow is an error" [ ("error", "optimized") ] 58_000;
+  check "oversized for both flavors" [ ("error", "optimized"); ("error", "standard") ] 61_117;
+  check "90% warning" [ ("warning", "") ] 56_000;
+  check "small code is silent" [] 50_000
 
 let test_rule_unnecessary_module () =
   let pal = raw_pal ~modules:[ Pal.Memory_management ] "padded" in
@@ -190,15 +194,22 @@ let test_rule_missing_zeroize () =
   Alcotest.(check bool) "zeroize satisfies" false (fired "missing-zeroize" fs)
 
 let test_rule_stack_depth () =
-  let n = (Layout.stack_size / 128) + 5 in
+  (* 37 shape-only frames at the opaque 128 bytes each: 4,736 > 4,096 *)
+  let n = (Layout.stack_size / Absint.opaque_frame_bytes) + 5 in
   let chain =
     List.init n (fun i ->
         f (Printf.sprintf "f%d" i)
           (if i = n - 1 then [] else [ Printf.sprintf "f%d" (i + 1) ])
           1)
   in
-  let fs = run_ok (target ~entry:"f0" chain) in
-  Alcotest.(check bool) "deep chain warns" true (fired "stack-depth" fs)
+  let a = analyze_ok (target ~entry:"f0" chain) in
+  Alcotest.(check bool) "deep chain is a stack-bound error" true
+    (List.exists
+       (fun fi -> fi.Rules.rule = "stack-bound" && fi.Rules.severity = Rules.Error)
+       a.Rules.findings);
+  match a.Rules.absint.Absint.stack with
+  | Absint.Bounded b -> Alcotest.(check int) "proved bound" (n * Absint.opaque_frame_bytes) b
+  | Absint.Unbounded -> Alcotest.fail "an acyclic chain has a bounded stack"
 
 let test_rule_dead_function () =
   let fs = run_ok (target ~entry:"m" [ f "m" [] 1; f "orphan" [] 1 ]) in
@@ -532,15 +543,15 @@ let test_golden key () =
   match Models.find key with
   | None -> Alcotest.fail ("unknown model " ^ key)
   | Some t ->
-      let fs = run_ok t in
       let expected = read_file (Filename.concat "golden" (key ^ ".txt")) in
-      Alcotest.(check string) (key ^ " report") expected (Report.to_text ~key t fs)
+      Alcotest.(check string) (key ^ " report") expected
+        (Report.to_text ~key t (analyze_ok t))
 
 (* --- SARIF export --- *)
 
 let test_sarif_roundtrip () =
   let results =
-    List.map (fun (key, t) -> (key, t, run_ok t)) (Models.all ())
+    List.map (fun (key, t) -> (key, t, analyze_ok t)) (Models.all ())
   in
   let doc = Flicker_obs.Json.to_string (Report.sarif results) in
   match Flicker_obs.Json.of_string doc with
@@ -768,7 +779,6 @@ let () =
       ( "callgraph",
         [
           Alcotest.test_case "reachable + dead" `Quick test_reachable;
-          Alcotest.test_case "max depth" `Quick test_depth;
           Alcotest.test_case "recursion detection" `Quick test_recursion_detection;
         ] );
       ( "taint",

@@ -104,6 +104,23 @@ let test_client_rejects_wrong_pal () =
       | Error _ -> ()
       | Ok () -> Alcotest.fail "client accepted an evil PAL's key")
 
+let test_setup_output_codec () =
+  let module M = Flicker_slb.Mod_secure_channel in
+  let pub = { Rsa.n = Bignum.of_int 3233; e = Bignum.of_int 17 } in
+  let enc = M.encode_setup_output { M.public_key = pub; sealed_private = "sealed-blob" } in
+  (match M.decode_setup_output enc with
+  | Ok out ->
+      Alcotest.(check string) "sealed key" "sealed-blob" out.M.sealed_private;
+      Alcotest.(check bool) "public key" true (Bignum.equal out.M.public_key.Rsa.n pub.Rsa.n)
+  | Error e -> Alcotest.fail e);
+  let rejects what s =
+    Alcotest.(check bool) what true (Result.is_error (M.decode_setup_output s))
+  in
+  rejects "truncated" (String.sub enc 0 (String.length enc - 1));
+  rejects "trailing byte" (enc ^ "\000");
+  rejects "third field" (enc ^ Util.field "extra");
+  rejects "empty" ""
+
 let test_nonce_replay_rejected () =
   (* replaying an old ciphertext with a stale nonce: the PAL aborts *)
   let p, server, client = make_pair ~seed:"replay" in
@@ -245,6 +262,7 @@ let () =
           Alcotest.test_case "password never in memory" `Quick
             test_password_never_in_server_memory;
           Alcotest.test_case "client rejects wrong pal" `Quick test_client_rejects_wrong_pal;
+          Alcotest.test_case "setup output codec" `Quick test_setup_output_codec;
           Alcotest.test_case "nonce replay rejected" `Quick test_nonce_replay_rejected;
           Alcotest.test_case "malformed key size refused" `Quick
             test_malformed_key_size_refused;

@@ -134,21 +134,6 @@ let test_advice_table_gaps () =
   check_advice "tpm_transmit" (`Link Pal.Tpm_driver);
   check_advice "sc_keygen" (`Link Pal.Secure_channel)
 
-let test_index_lookup () =
-  let idx = Extract.index sshd in
-  (match Extract.find_func idx "md5crypt" with
-  | Some fn -> Alcotest.(check int) "md5crypt loc" 120 fn.Extract.loc
-  | None -> Alcotest.fail "md5crypt not indexed");
-  Alcotest.(check bool) "missing func" true (Extract.find_func idx "nope" = None);
-  (match Extract.find_type idx "auth_ctxt" with
-  | Some t -> Alcotest.(check (list string)) "deps" [ "passwd_entry" ] t.Extract.type_depends
-  | None -> Alcotest.fail "auth_ctxt not indexed");
-  (* a prebuilt index gives the same slice as the per-call one *)
-  match (Extract.extract ~index:idx sshd ~target:"check_password",
-         Extract.extract sshd ~target:"check_password") with
-  | Ok a, Ok b -> Alcotest.(check (list string)) "same slice" (names b) (names a)
-  | _ -> Alcotest.fail "extraction failed"
-
 let test_unknown_target () =
   Alcotest.(check bool) "missing target" true
     (Result.is_error (Extract.extract sshd ~target:"nonexistent"))
@@ -202,6 +187,5 @@ let () =
           Alcotest.test_case "suggested modules" `Quick test_suggested_modules;
           Alcotest.test_case "blockers" `Quick test_blockers;
         ] );
-      ("indexing", [ Alcotest.test_case "hashtbl index" `Quick test_index_lookup ]);
       ("rendering", [ Alcotest.test_case "standalone program" `Quick test_render ]);
     ]

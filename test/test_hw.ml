@@ -1,4 +1,5 @@
 open Flicker_hw
+module Tracer = Flicker_obs.Tracer
 
 let timing = Timing.default
 let make_machine () = Machine.create ~memory_size:(1024 * 1024) ~cores:2 timing
@@ -256,11 +257,15 @@ let test_machine_events () =
   Machine.log_event m "first";
   Clock.advance m.Machine.clock 10.0;
   Machine.log_event m "second";
-  let all = Machine.events_between m ~since:0.0 in
-  Alcotest.(check int) "two events" 2 (List.length all);
-  let late = Machine.events_between m ~since:5.0 in
+  let instants_since since =
+    List.filter
+      (fun e -> e.Tracer.kind = Tracer.Instant && e.Tracer.ts >= since)
+      (Tracer.events m.Machine.tracer)
+  in
+  Alcotest.(check int) "two events" 2 (List.length (instants_since 0.0));
+  let late = instants_since 5.0 in
   Alcotest.(check int) "one late event" 1 (List.length late);
-  Alcotest.(check string) "ordering" "second" (List.hd late).Machine.detail
+  Alcotest.(check string) "ordering" "second" (List.hd late).Tracer.name
 
 (* property: the DEV blocks an access iff the access overlaps a
    protected page *)

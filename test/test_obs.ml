@@ -469,9 +469,9 @@ let test_bounded_event_memory () =
     Scheduler.resume sched
   done;
   Alcotest.(check bool) "retained events bounded" true
-    (Machine.event_count machine <= 256);
+    (Tracer.length machine.Machine.tracer <= 256);
   Alcotest.(check bool) "older events were evicted" true
-    (Machine.events_dropped machine > 0);
+    (Tracer.dropped machine.Machine.tracer > 0);
   Alcotest.(check int) "suspensions all counted" 10_000
     (Metrics.counter machine.Machine.metrics "os.suspensions")
 
@@ -489,8 +489,7 @@ let test_session_events_bounded () =
   done;
   let machine = p.Platform.machine in
   Alcotest.(check bool) "events within capacity" true
-    (Machine.event_count machine
-    <= Tracer.capacity machine.Machine.tracer);
+    (Tracer.length machine.Machine.tracer <= Tracer.capacity machine.Machine.tracer);
   Alcotest.(check int) "runs counted" 5
     (Metrics.counter machine.Machine.metrics "session.runs");
   (* every phase of the last session appears as a span on the tracer *)

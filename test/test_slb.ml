@@ -10,7 +10,18 @@ let test_layout_constants () =
   Alcotest.(check int) "outputs page" (65536 + 4096) Layout.outputs_page_offset;
   Alcotest.(check int) "footprint" (65536 + 8192) Layout.total_footprint;
   Alcotest.(check int) "pal capacity" (61440 - 4 - 320)
-    (Layout.max_pal_code ~slb_core_size:Slb_core.core_size)
+    (Slb_image.capacity Slb_image.Standard);
+  Alcotest.(check int) "optimized pal capacity" (61440 - 4736 - 2)
+    (Slb_image.capacity Slb_image.Optimized);
+  (* the linker accepts exactly the capacity and not one byte more *)
+  List.iter
+    (fun flavor ->
+      let cap = Slb_image.capacity flavor in
+      Alcotest.(check bool) "capacity links" true
+        (Result.is_ok (Slb_image.link flavor (String.make cap 'x')));
+      Alcotest.(check bool) "one byte over fails" true
+        (Result.is_error (Slb_image.link flavor (String.make (cap + 1) 'x'))))
+    [ Slb_image.Standard; Slb_image.Optimized ]
 
 (* --- slb core --- *)
 
