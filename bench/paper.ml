@@ -87,7 +87,7 @@ let table1 ?(timing = Timing.default) () =
   header
     (Printf.sprintf "Table 1: Rootkit Detector Overhead  [TPM: %s]"
        timing.Timing.tpm.Timing.tpm_name);
-  let p, ca_key = eval_platform ~timing ~seed:"table1" () in
+  let p, _ = eval_platform ~timing ~seed:"table1" () in
   let d = Rootkit_detector.deploy_on p in
   let nonce = Platform.fresh_nonce p in
   let result =
@@ -113,22 +113,16 @@ let table1 ?(timing = Timing.default) () =
   t1_row "Hash of Kernel" ~paper:"22.0" ~measured:hash_ms;
   t1_row "TPM Quote" ~paper:"972.7" ~measured:quote_ms;
   (* end-to-end over the 12-hop network, on a fresh platform clock *)
-  let p2, _ = eval_platform ~timing ~seed:"table1-e2e" () in
+  let p2, ca_key = eval_platform ~timing ~seed:"table1-e2e" () in
   let d2 = Rootkit_detector.deploy_on p2 in
-  ignore ca_key;
-  let verdict, total =
-    match
-      Rootkit_detector.remote_query d2
-        ~ca_key:
-          (let ca =
-             Privacy_ca.create (Prng.create ~seed:"t1ca2") ~name:"x" ~key_bits:512
-           in
-           Privacy_ca.public_key ca)
-    with
-    | Ok (v, t) -> (v, t)
+  let total =
+    match Rootkit_detector.remote_query d2 ~ca_key with
+    | Ok (Rootkit_detector.Clean, t) -> t
+    | Ok (Rootkit_detector.Rootkit_detected _, _) -> failwith "table1: rootkit detected"
+    | Ok (Rootkit_detector.Attestation_rejected f, _) ->
+        failwith ("table1: attestation rejected: " ^ Verifier.failure_to_string f)
     | Error e -> failwith e
   in
-  ignore verdict;
   paper_row ~artifact:"table1" "Total Query Latency" ~paper:"1022.7" ~measured:total
 
 (* ------------------------------------------------------------------ *)
@@ -575,7 +569,7 @@ let txt () =
     | Error e -> Format.kasprintf failwith "%a" Session.pp_error e
   in
   let svm = run None in
-  let txt = run (Some (Session.Txt { acm = Flicker_hw.Senter.default_acm })) in
+  let txt = run (Some (Session.Txt { acm = Skinit.default_acm })) in
   Printf.printf "%-30s %14s %14s\n" "" "SKINIT" "SENTER";
   let txt_row label skinit_v senter_v =
     Printf.printf "%-30s %14.1f %14.1f\n" label skinit_v senter_v;
@@ -589,7 +583,7 @@ let txt () =
   Printf.printf
     "SENTER additionally transfers and measures the %d-byte SINIT ACM; the\n\
      measurement chains differ, so attestations identify the launch technology.\n"
-    (String.length Flicker_hw.Senter.default_acm)
+    (String.length Skinit.default_acm)
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: TPM profiles                                              *)

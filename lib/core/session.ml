@@ -151,6 +151,11 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
   let clock = machine.Machine.clock in
   let memory = machine.Machine.memory in
   let slb_base = platform.Platform.slb_base in
+  (* a PAL whose code does not fit this flavor's region has no window
+     image to load: it fails before the session counts or traces *)
+  match Builder.linked ~flavor pal with
+  | Error msg -> Error (os_busy_permanent msg)
+  | Ok image ->
   if Scheduler.is_suspended platform.Platform.scheduler then
     Error (os_busy_transient "mid-session: another Flicker session owns the machine")
   else begin
@@ -170,7 +175,6 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
       Platform.fork_rng platform
         ~label:(Printf.sprintf "session-%d" platform.Platform.sessions_run)
     in
-    let image = Builder.build ~flavor pal in
     let started = Clock.now clock in
     let breakdown = ref [] in
     let timed phase f =
@@ -234,14 +238,10 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
     (* --- late launch: SKINIT or GETSEC[SENTER] --- *)
     let launch_result =
       timed Skinit (fun () ->
-          match
-            match tech with
-            | Svm -> Skinit.execute machine ~slb_base
-            | Txt { acm } -> Flicker_hw.Senter.execute machine ~slb_base ~acm
-          with
+          let acm = match tech with Svm -> None | Txt { acm } -> Some acm in
+          match Skinit.execute ?acm machine ~slb_base with
           | launch -> Ok launch
-          | exception (Skinit.Skinit_error msg | Flicker_hw.Senter.Senter_error msg) ->
-              Error msg)
+          | exception Skinit.Skinit_error msg -> Error msg)
     in
     match launch_result with
     | Error msg ->
@@ -398,9 +398,13 @@ let execute_from_sysfs (platform : Platform.t) ~pal ?nonce ?time_limit_ms () =
       if String.length window <> Layout.slb_size then
         Error (os_busy_permanent "slb entry is not a full 64 KB window image")
       else begin
-        (* the image must be one the handed PAL builds to; which one
+        (* the image must be one the handed PAL links to; which one
            names the flavor *)
-        let built flavor = String.equal (Builder.build ~flavor pal).Builder.bytes window in
+        let built flavor =
+          match Builder.linked ~flavor pal with
+          | Ok image -> String.equal image.Builder.bytes window
+          | Error _ -> false
+        in
         match List.find_opt built [ Builder.Optimized; Builder.Standard ] with
         | None -> Error Unknown_pal
         | Some flavor ->

@@ -45,8 +45,9 @@ type error =
       (** [transient] is [true] when another Flicker session currently
           owns the machine — waiting for it to resume the OS and retrying
           can succeed. It is [false] for a missing, short, or corrupt SLB
-          image: the application never wrote a full window, and no amount
-          of waiting fixes that. The classification is structural, set at
+          image, or a PAL whose code does not fit the flavor's SLB: there
+          is no full window to launch, and no amount of waiting fixes
+          that. The classification is structural, set at
           the raise site — retry logic must not (and no longer does)
           parse [msg]. *)
 
@@ -57,7 +58,8 @@ val os_busy_transient : string -> error
 
 val os_busy_permanent : string -> error
 (** [Os_busy { transient = false; msg }] — a structural failure (missing,
-    short, or corrupt SLB image) that no amount of waiting fixes. *)
+    short, or corrupt SLB image, or a PAL too large for the flavor) that
+    no amount of waiting fixes. *)
 
 (** {1 Trace conformance} *)
 
@@ -97,7 +99,10 @@ val execute :
 (** Run a full session on the platform. [flavor] defaults to [Optimized]
     (the paper uses the hash-then-extend loader for everything after
     Section 7.2). [nonce] is the verifier's 20-byte challenge; when
-    present it is extended into PCR 17 with the outputs.
+    present it is extended into PCR 17 with the outputs. A PAL whose
+    code does not fit [flavor]'s SLB (see {!Flicker_slb.Pal.t}) fails
+    with a permanent [Os_busy] carrying the link message, before the
+    session is counted or traced.
 
     [time_limit_ms] arms the SLB Core's watchdog timer (the execution-time
     restriction Section 5.1.2 describes as under investigation): if the
@@ -116,9 +121,10 @@ val execute_from_sysfs :
 (** The application-facing path of Section 4.2: the application has
     already written the uninitialized SLB image of [pal] to the [slb]
     sysfs entry and its inputs to [inputs]; writing [control] triggers
-    this. The launch flavor is the one whose {!Flicker_slb.Builder.build}
-    of [pal] equals the [slb] image; an image that neither flavor of
-    [pal] builds to fails with [Unknown_pal] before any launch. Outputs
+    this. The launch flavor is the one whose linked image of [pal]
+    ({!Flicker_slb.Builder.linked}) equals the [slb] image; only flavors
+    that linked are tried, and an image that neither flavor of [pal]
+    links to fails with [Unknown_pal] before any launch. Outputs
     appear in the [outputs] entry. Fails with [Os_busy] when the [slb]
     entry is missing or not a full window image. *)
 

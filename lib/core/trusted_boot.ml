@@ -37,9 +37,7 @@ let replay_log events =
 let verify ~ca_key ~aik_cert ~nonce ~log quote =
   if not (Privacy_ca.verify_certificate ~ca_key aik_cert) then Error Bad_certificate
   else begin
-    let payload =
-      "QUOT" ^ Tpm_types.composite_hash quote.Tpm.quoted_composite ^ quote.Tpm.quote_nonce
-    in
+    let payload = Tpm.quote_payload quote.Tpm.quoted_composite ~nonce:quote.Tpm.quote_nonce in
     if
       not
         (Pkcs1.verify aik_cert.Privacy_ca.subject_aik Hash.SHA1 ~msg:payload

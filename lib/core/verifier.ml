@@ -45,18 +45,14 @@ let expected_pcr17 expectation ~inputs ~outputs =
    stages, each a function of the values it reads, while re-running the
    nonce check against each new challenge. *)
 
-let quote_payload (quote : Tpm.quote) =
-  "QUOT"
-  ^ Tpm_types.composite_hash quote.Tpm.quoted_composite
-  ^ quote.Tpm.quote_nonce
-
 let check_certificate ~ca_key cert =
   if Privacy_ca.verify_certificate ~ca_key cert then Ok ()
   else Error Bad_certificate
 
 let check_quote_signature ~aik (quote : Tpm.quote) =
   if
-    Pkcs1.verify aik Hash.SHA1 ~msg:(quote_payload quote)
+    Pkcs1.verify aik Hash.SHA1
+      ~msg:(Tpm.quote_payload quote.Tpm.quoted_composite ~nonce:quote.Tpm.quote_nonce)
       ~signature:quote.Tpm.signature
   then Ok ()
   else Error Bad_signature

@@ -73,7 +73,7 @@ val check_quote_signature :
   aik:Flicker_crypto.Rsa.public ->
   Flicker_tpm.Tpm.quote ->
   (unit, failure) result
-(** Does the quote's signature over {!quote_payload} check under the
+(** Does the quote's signature over {!Flicker_tpm.Tpm.quote_payload} check under the
     certified AIK? *)
 
 val check_freshness : expectation -> Flicker_tpm.Tpm.quote -> (unit, failure) result

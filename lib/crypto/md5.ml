@@ -24,42 +24,24 @@ let k =
     0xf7537e82; 0xbd3af235; 0x2ad7d2bb; 0xeb86d391;
   |]
 
-type ctx = {
+type state = {
   mutable a : int;
   mutable b : int;
   mutable c : int;
   mutable d : int;
-  mutable total : int;
-  buf : Bytes.t;
-  mutable buf_len : int;
   m : int array; (* 16 little-endian message words *)
 }
 
-let init () =
-  {
-    a = 0x67452301;
-    b = 0xefcdab89;
-    c = 0x98badcfe;
-    d = 0x10325476;
-    total = 0;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    m = Array.make 16 0;
-  }
-
 let rotl32 v n = ((v lsl n) lor (v lsr (32 - n))) land mask32
 
-let compress ctx block =
-  let m = ctx.m in
+(* Compress the 64-byte block at [off] of [str], reading its words
+   little-endian in place. *)
+let compress st str off =
+  let m = st.m in
   for i = 0 to 15 do
-    let o = 4 * i in
-    m.(i) <-
-      Char.code (Bytes.get block o)
-      lor (Char.code (Bytes.get block (o + 1)) lsl 8)
-      lor (Char.code (Bytes.get block (o + 2)) lsl 16)
-      lor (Char.code (Bytes.get block (o + 3)) lsl 24)
+    m.(i) <- Int32.to_int (String.get_int32_le str (off + (4 * i))) land mask32
   done;
-  let a = ref ctx.a and b = ref ctx.b and c = ref ctx.c and d = ref ctx.d in
+  let a = ref st.a and b = ref st.b and c = ref st.c and d = ref st.d in
   for i = 0 to 63 do
     let f, g =
       if i < 16 then (((!b land !c) lor (lnot !b land !d)) land mask32, i)
@@ -73,60 +55,35 @@ let compress ctx block =
     b := (!b + rotl32 ((!a + f + k.(i) + m.(g)) land mask32) s.(i)) land mask32;
     a := temp
   done;
-  ctx.a <- (ctx.a + !a) land mask32;
-  ctx.b <- (ctx.b + !b) land mask32;
-  ctx.c <- (ctx.c + !c) land mask32;
-  ctx.d <- (ctx.d + !d) land mask32
+  st.a <- (st.a + !a) land mask32;
+  st.b <- (st.b + !b) land mask32;
+  st.c <- (st.c + !c) land mask32;
+  st.d <- (st.d + !d) land mask32
 
-let update ctx str =
-  let len = String.length str in
-  ctx.total <- ctx.total + len;
-  let pos = ref 0 in
-  if ctx.buf_len > 0 then begin
-    let take = min (64 - ctx.buf_len) len in
-    Bytes.blit_string str 0 ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
-    if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf;
-      ctx.buf_len <- 0
-    end
-  end;
-  while len - !pos >= 64 do
-    Bytes.blit_string str !pos ctx.buf 0 64;
-    compress ctx ctx.buf;
-    pos := !pos + 64
-  done;
-  if !pos < len then begin
-    Bytes.blit_string str !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
-  end
+include Block_hash.Make (struct
+  type nonrec state = state
 
-let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1) mod 64 in
-    if rem <= 56 then 56 - rem else 120 - rem
-  in
-  let padding = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set padding 0 '\x80';
-  (* MD5 length is little-endian, unlike the SHA family. *)
-  for i = 0 to 7 do
-    Bytes.set padding (1 + pad_len + i) (Char.chr ((bit_len lsr (8 * i)) land 0xff))
-  done;
-  update ctx (Bytes.unsafe_to_string padding);
-  let out = Bytes.create 16 in
-  List.iteri
-    (fun i v ->
-      for j = 0 to 3 do
-        Bytes.set out ((4 * i) + j) (Char.chr ((v lsr (8 * j)) land 0xff))
-      done)
-    [ ctx.a; ctx.b; ctx.c; ctx.d ];
-  Bytes.unsafe_to_string out
+  let name = "Md5"
+  let block_size = 64
+  let length_size = 8
+  let big_endian = false
+  let create () = { a = 0; b = 0; c = 0; d = 0; m = Array.make 16 0 }
 
-let digest str =
-  let ctx = init () in
-  update ctx str;
-  finalize ctx
+  let reset st =
+    st.a <- 0x67452301;
+    st.b <- 0xefcdab89;
+    st.c <- 0x98badcfe;
+    st.d <- 0x10325476
+
+  let compress = compress
+
+  let output st =
+    let out = Bytes.create 16 in
+    Bytes.set_int32_le out 0 (Int32.of_int st.a);
+    Bytes.set_int32_le out 4 (Int32.of_int st.b);
+    Bytes.set_int32_le out 8 (Int32.of_int st.c);
+    Bytes.set_int32_le out 12 (Int32.of_int st.d);
+    Bytes.unsafe_to_string out
+end)
 
 let hex str = Util.to_hex (digest str)

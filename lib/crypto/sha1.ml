@@ -1,17 +1,13 @@
 let digest_size = 20
 let mask32 = 0xFFFFFFFF
 
-type ctx = {
+type state = {
   mutable h0 : int;
   mutable h1 : int;
   mutable h2 : int;
   mutable h3 : int;
   mutable h4 : int;
-  mutable total : int; (* bytes processed so far *)
-  buf : Bytes.t; (* partial block, 64 bytes *)
-  mutable buf_len : int;
   w : int array; (* message schedule scratch *)
-  mutable finalized : bool;
 }
 
 (* Host-side instrumentation: message bytes fed through [update] since
@@ -22,30 +18,6 @@ type ctx = {
    drop increments under contention. *)
 let bytes_hashed_total = Atomic.make 0
 let bytes_hashed () = Atomic.get bytes_hashed_total
-
-let init () =
-  {
-    h0 = 0x67452301;
-    h1 = 0xEFCDAB89;
-    h2 = 0x98BADCFE;
-    h3 = 0x10325476;
-    h4 = 0xC3D2E1F0;
-    total = 0;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    w = Array.make 80 0;
-    finalized = false;
-  }
-
-let reset ctx =
-  ctx.h0 <- 0x67452301;
-  ctx.h1 <- 0xEFCDAB89;
-  ctx.h2 <- 0x98BADCFE;
-  ctx.h3 <- 0x10325476;
-  ctx.h4 <- 0xC3D2E1F0;
-  ctx.total <- 0;
-  ctx.buf_len <- 0;
-  ctx.finalized <- false
 
 (* [v], below 2^32, rotated left by [n] within 32 bits, with the bits
    shifted past bit 31 left in place *)
@@ -67,8 +39,8 @@ let rol v n = (v lsl n) lor (v lsr (32 - n))
    right, and each is a masked sum from one of the two rounds before.
    [w] holds 80 words and every index read here is in [0, 79] by the
    loop bounds, so the reads skip the bounds check. *)
-let compress ctx s off =
-  let w = ctx.w in
+let compress st s off =
+  let w = st.w in
   for t = 0 to 15 do
     w.(t) <- Int32.to_int (String.get_int32_be s (off + (4 * t))) land mask32
   done;
@@ -82,8 +54,8 @@ let compress ctx s off =
         1
       land mask32
   done;
-  let a = ref ctx.h0 and b = ref ctx.h1 and c = ref ctx.h2 in
-  let d = ref ctx.h3 and e = ref ctx.h4 in
+  let a = ref st.h0 and b = ref st.h1 and c = ref st.h2 in
+  let d = ref st.h3 and e = ref st.h4 in
   for i = 0 to 3 do
     let t = 5 * i in
     e := (rol !a 5 + (!d lxor (!b land (!c lxor !d))) + !e + 0x5A827999
@@ -156,81 +128,50 @@ let compress ctx s off =
           + Array.unsafe_get w (t + 4)) land mask32;
     c := rol !c 30
   done;
-  ctx.h0 <- (ctx.h0 + !a) land mask32;
-  ctx.h1 <- (ctx.h1 + !b) land mask32;
-  ctx.h2 <- (ctx.h2 + !c) land mask32;
-  ctx.h3 <- (ctx.h3 + !d) land mask32;
-  ctx.h4 <- (ctx.h4 + !e) land mask32
+  st.h0 <- (st.h0 + !a) land mask32;
+  st.h1 <- (st.h1 + !b) land mask32;
+  st.h2 <- (st.h2 + !c) land mask32;
+  st.h3 <- (st.h3 + !d) land mask32;
+  st.h4 <- (st.h4 + !e) land mask32
 
-(* The buffer is only read while a block compresses, so it is passed
-   as a string without a copy. *)
-let compress_buf ctx = compress ctx (Bytes.unsafe_to_string ctx.buf) 0
+include Block_hash.Make (struct
+  type nonrec state = state
+
+  let name = "Sha1"
+  let block_size = 64
+  let length_size = 8
+  let big_endian = true
+  let create () = { h0 = 0; h1 = 0; h2 = 0; h3 = 0; h4 = 0; w = Array.make 80 0 }
+
+  let reset st =
+    st.h0 <- 0x67452301;
+    st.h1 <- 0xEFCDAB89;
+    st.h2 <- 0x98BADCFE;
+    st.h3 <- 0x10325476;
+    st.h4 <- 0xC3D2E1F0
+
+  let compress = compress
+
+  let output st =
+    let out = Bytes.create 20 in
+    Bytes.set_int32_be out 0 (Int32.of_int st.h0);
+    Bytes.set_int32_be out 4 (Int32.of_int st.h1);
+    Bytes.set_int32_be out 8 (Int32.of_int st.h2);
+    Bytes.set_int32_be out 12 (Int32.of_int st.h3);
+    Bytes.set_int32_be out 16 (Int32.of_int st.h4);
+    Bytes.unsafe_to_string out
+end)
+
+(* [bytes_hashed] counts the message of every [update] and one-shot
+   [digest] once; the framing's own padding never passes through here *)
+let count s = ignore (Atomic.fetch_and_add bytes_hashed_total (String.length s))
 
 let update ctx s =
-  if ctx.finalized then invalid_arg "Sha1.update: context already finalized";
-  let len = String.length s in
-  ignore (Atomic.fetch_and_add bytes_hashed_total len);
-  ctx.total <- ctx.total + len;
-  let pos = ref 0 in
-  (* top up a partial block first *)
-  if ctx.buf_len > 0 then begin
-    let take = min (64 - ctx.buf_len) len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
-    if ctx.buf_len = 64 then begin
-      compress_buf ctx;
-      ctx.buf_len <- 0
-    end
-  end;
-  (* whole blocks straight from the caller's string *)
-  while len - !pos >= 64 do
-    compress ctx s !pos;
-    pos := !pos + 64
-  done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
-  end
-
-(* Padding goes into the block buffer: 0x80, zeros up to byte 56 (into
-   a second block when fewer than 9 bytes are free), then the message
-   length in bits, big-endian. *)
-let finalize ctx =
-  if ctx.finalized then invalid_arg "Sha1.finalize: context already finalized";
-  let buf = ctx.buf and n = ctx.buf_len in
-  Bytes.set buf n '\x80';
-  if n >= 56 then begin
-    Bytes.fill buf (n + 1) (63 - n) '\000';
-    compress_buf ctx;
-    Bytes.fill buf 0 56 '\000'
-  end
-  else Bytes.fill buf (n + 1) (55 - n) '\000';
-  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
-  compress_buf ctx;
-  ctx.buf_len <- 0;
-  ctx.finalized <- true;
-  let out = Bytes.create 20 in
-  Bytes.set_int32_be out 0 (Int32.of_int ctx.h0);
-  Bytes.set_int32_be out 4 (Int32.of_int ctx.h1);
-  Bytes.set_int32_be out 8 (Int32.of_int ctx.h2);
-  Bytes.set_int32_be out 12 (Int32.of_int ctx.h3);
-  Bytes.set_int32_be out 16 (Int32.of_int ctx.h4);
-  Bytes.unsafe_to_string out
-
-(* One scratch context per domain for one-shot digests: [digest] runs to
-   completion before returning and never re-enters itself, so reusing a
-   domain-local context is safe — including under the sharded fleet,
-   where several domains digest concurrently — and saves a 64-byte
-   buffer + 80-word schedule allocation per call on the measurement hot
-   path. A single shared context here was the PR-6 latent bug: two
-   domains interleaving [reset]/[update]/[finalize] would mix messages. *)
-let scratch_key = Domain.DLS.new_key init
+  update ctx s;
+  count s
 
 let digest s =
-  let scratch = Domain.DLS.get scratch_key in
-  reset scratch;
-  update scratch s;
-  finalize scratch
+  count s;
+  digest s
 
 let hex s = Util.to_hex (digest s)

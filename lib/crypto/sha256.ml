@@ -16,13 +16,9 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
-type ctx = {
+type state = {
   h : int array; (* 8 state words *)
-  mutable total : int;
-  buf : Bytes.t;
-  mutable buf_len : int;
-  w : int array;
-  mutable finalized : bool;
+  w : int array; (* message schedule scratch *)
 }
 
 let iv =
@@ -30,22 +26,6 @@ let iv =
     0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
     0x1f83d9ab; 0x5be0cd19;
   |]
-
-let init () =
-  {
-    h = Array.copy iv;
-    total = 0;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    w = Array.make 64 0;
-    finalized = false;
-  }
-
-let reset ctx =
-  Array.blit iv 0 ctx.h 0 8;
-  ctx.total <- 0;
-  ctx.buf_len <- 0;
-  ctx.finalized <- false
 
 (* [x], below 2^32, rotated right by [n] within 32 bits, with the bits
    shifted past bit 31 left in place *)
@@ -59,8 +39,8 @@ let rotr x n = (x lsr n) lor (x lsl (32 - n))
    bit 31, and every word they rotate or shift right is a masked sum.
    [w] holds 64 words, [k] 64 constants, and every index read here is
    in [0, 63] by the loop bounds, so the reads skip the bounds check. *)
-let compress ctx s off =
-  let w = ctx.w in
+let compress st s off =
+  let w = st.w in
   for t = 0 to 15 do
     w.(t) <- Int32.to_int (String.get_int32_be s (off + (4 * t))) land mask32
   done;
@@ -70,7 +50,7 @@ let compress ctx s off =
     let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
     w.(t) <- (Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask32
   done;
-  let h = ctx.h in
+  let h = st.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
@@ -98,64 +78,21 @@ let compress ctx s off =
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
 
-(* The buffer is only read while a block compresses, so it is passed
-   as a string without a copy. *)
-let compress_buf ctx = compress ctx (Bytes.unsafe_to_string ctx.buf) 0
+include Block_hash.Make (struct
+  type nonrec state = state
 
-let update ctx s =
-  if ctx.finalized then invalid_arg "Sha256.update: context already finalized";
-  let len = String.length s in
-  ctx.total <- ctx.total + len;
-  let pos = ref 0 in
-  (* top up a partial block first *)
-  if ctx.buf_len > 0 then begin
-    let take = min (64 - ctx.buf_len) len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
-    if ctx.buf_len = 64 then begin
-      compress_buf ctx;
-      ctx.buf_len <- 0
-    end
-  end;
-  (* whole blocks straight from the caller's string *)
-  while len - !pos >= 64 do
-    compress ctx s !pos;
-    pos := !pos + 64
-  done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
-  end
+  let name = "Sha256"
+  let block_size = 64
+  let length_size = 8
+  let big_endian = true
+  let create () = { h = Array.make 8 0; w = Array.make 64 0 }
+  let reset st = Array.blit iv 0 st.h 0 8
+  let compress = compress
 
-(* Padding goes into the block buffer, as in Sha1.finalize. *)
-let finalize ctx =
-  if ctx.finalized then invalid_arg "Sha256.finalize: context already finalized";
-  let buf = ctx.buf and n = ctx.buf_len in
-  Bytes.set buf n '\x80';
-  if n >= 56 then begin
-    Bytes.fill buf (n + 1) (63 - n) '\000';
-    compress_buf ctx;
-    Bytes.fill buf 0 56 '\000'
-  end
-  else Bytes.fill buf (n + 1) (55 - n) '\000';
-  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
-  compress_buf ctx;
-  ctx.buf_len <- 0;
-  ctx.finalized <- true;
-  let out = Bytes.create 32 in
-  Array.iteri (fun i h -> Bytes.set_int32_be out (4 * i) (Int32.of_int h)) ctx.h;
-  Bytes.unsafe_to_string out
-
-(* Domain-local one-shot scratch context; see Sha1.scratch_key for the
-   rationale ([digest] never re-enters itself, and each domain owns its
-   own context so concurrent domains cannot interleave absorptions). *)
-let scratch_key = Domain.DLS.new_key init
-
-let digest s =
-  let scratch = Domain.DLS.get scratch_key in
-  reset scratch;
-  update scratch s;
-  finalize scratch
+  let output st =
+    let out = Bytes.create 32 in
+    Array.iteri (fun i h -> Bytes.set_int32_be out (4 * i) (Int32.of_int h)) st.h;
+    Bytes.unsafe_to_string out
+end)
 
 let hex s = Util.to_hex (digest s)

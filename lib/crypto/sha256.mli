@@ -16,4 +16,7 @@ val finalize : ctx -> string
     message needs a new context from {!init}. *)
 
 val digest : string -> string
+(** One-shot hash. Reuses a scratch context local to the calling
+    domain, so domains that hash at once never share one. *)
+
 val hex : string -> string

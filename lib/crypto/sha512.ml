@@ -33,27 +33,13 @@ let k =
     0x5fcb6fab3ad6faecL; 0x6c44198c4a475817L;
   |]
 
-type ctx = {
-  h : int64 array;
-  mutable total : int;
-  buf : Bytes.t; (* 128-byte blocks *)
-  mutable buf_len : int;
-  w : int64 array;
-}
+type state = { h : int64 array; w : int64 array }
 
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667f3bcc908L; 0xbb67ae8584caa73bL; 0x3c6ef372fe94f82bL;
-        0xa54ff53a5f1d36f1L; 0x510e527fade682d1L; 0x9b05688c2b3e6c1fL;
-        0x1f83d9abfb41bd6bL; 0x5be0cd19137e2179L;
-      |];
-    total = 0;
-    buf = Bytes.create 128;
-    buf_len = 0;
-    w = Array.make 80 0L;
-  }
+let iv =
+  [|
+    0x6a09e667f3bcc908L; 0xbb67ae8584caa73bL; 0x3c6ef372fe94f82bL; 0xa54ff53a5f1d36f1L;
+    0x510e527fade682d1L; 0x9b05688c2b3e6c1fL; 0x1f83d9abfb41bd6bL; 0x5be0cd19137e2179L;
+  |]
 
 let ( +% ) = Int64.add
 let ( ^% ) = Int64.logxor
@@ -61,22 +47,19 @@ let ( &% ) = Int64.logand
 
 let rotr64 v n = Int64.logor (Int64.shift_right_logical v n) (Int64.shift_left v (64 - n))
 
-let compress ctx block =
-  let w = ctx.w in
+(* Compress the 128-byte block at [off] of [s], reading its words
+   big-endian in place. *)
+let compress st s off =
+  let w = st.w in
   for t = 0 to 15 do
-    let i = 8 * t in
-    let v = ref 0L in
-    for j = 0 to 7 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get block (i + j))))
-    done;
-    w.(t) <- !v
+    w.(t) <- String.get_int64_be s (off + (8 * t))
   done;
   for t = 16 to 79 do
     let s0 = rotr64 w.(t - 15) 1 ^% rotr64 w.(t - 15) 8 ^% Int64.shift_right_logical w.(t - 15) 7 in
     let s1 = rotr64 w.(t - 2) 19 ^% rotr64 w.(t - 2) 61 ^% Int64.shift_right_logical w.(t - 2) 6 in
     w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
   done;
-  let h = ctx.h in
+  let h = st.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 79 do
@@ -104,57 +87,21 @@ let compress ctx block =
   h.(6) <- h.(6) +% !g;
   h.(7) <- h.(7) +% !hh
 
-let update ctx s =
-  let len = String.length s in
-  ctx.total <- ctx.total + len;
-  let pos = ref 0 in
-  if ctx.buf_len > 0 then begin
-    let take = min (128 - ctx.buf_len) len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
-    if ctx.buf_len = 128 then begin
-      compress ctx ctx.buf;
-      ctx.buf_len <- 0
-    end
-  end;
-  while len - !pos >= 128 do
-    Bytes.blit_string s !pos ctx.buf 0 128;
-    compress ctx ctx.buf;
-    pos := !pos + 128
-  done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
-  end
+include Block_hash.Make (struct
+  type nonrec state = state
 
-let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1) mod 128 in
-    if rem <= 112 then 112 - rem else 240 - rem
-  in
-  (* The 128-bit length field: the simulator never hashes > 2^59 bytes, so
-     the top 8 bytes are always zero. *)
-  let padding = Bytes.make (1 + pad_len + 16) '\000' in
-  Bytes.set padding 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set padding (1 + pad_len + 8 + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  update ctx (Bytes.unsafe_to_string padding);
-  let out = Bytes.create 64 in
-  Array.iteri
-    (fun i h ->
-      for j = 0 to 7 do
-        let byte = Int64.to_int (Int64.shift_right_logical h (8 * (7 - j))) land 0xff in
-        Bytes.set out ((8 * i) + j) (Char.chr byte)
-      done)
-    ctx.h;
-  Bytes.unsafe_to_string out
+  let name = "Sha512"
+  let block_size = 128
+  let length_size = 16
+  let big_endian = true
+  let create () = { h = Array.make 8 0L; w = Array.make 80 0L }
+  let reset st = Array.blit iv 0 st.h 0 8
+  let compress = compress
 
-let digest s =
-  let ctx = init () in
-  update ctx s;
-  finalize ctx
+  let output st =
+    let out = Bytes.create 64 in
+    Array.iteri (fun i h -> Bytes.set_int64_be out (8 * i) h) st.h;
+    Bytes.unsafe_to_string out
+end)
 
 let hex s = Util.to_hex (digest s)

@@ -9,20 +9,29 @@ type launch = {
   protected_len : int;
 }
 
+(* the architectural SLB protection window *)
 let slb_window = 64 * 1024
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Skinit_error s)) fmt
 
-let measure_range (hooks : Machine.tpm_hooks) (m : Machine.t) ~addr ~len =
-  hooks.measure_into_pcr17 ~len
-    ~same:(Memory.equal_range m.memory ~addr)
-    ~read:(fun () -> Memory.read m.memory ~addr ~len)
+let default_acm =
+  (* deterministic stand-in for the ~20 KB vendor SINIT module *)
+  let buf = Buffer.create 20480 in
+  Buffer.add_string buf "\x7fSINIT-ACM-v1\x00";
+  let c = ref 0 in
+  while Buffer.length buf < 20480 do
+    Buffer.add_string buf (Flicker_crypto.Sha256.digest (Printf.sprintf "sinit:%d" !c));
+    incr c
+  done;
+  Buffer.contents buf
 
-let execute (m : Machine.t) ~slb_base =
+let execute ?acm (m : Machine.t) ~slb_base =
+  let insn = match acm with None -> "SKINIT" | Some _ -> "GETSEC[SENTER]" in
   let bsp = Cpu.bsp m.cpus in
-  if bsp.ring <> 0 then fail "SKINIT is privileged: caller in ring %d" bsp.ring;
+  if bsp.ring <> 0 then fail "%s is privileged: caller in ring %d" insn bsp.ring;
   if not (Cpu.all_aps_parked m.cpus) then
-    fail "SKINIT on multi-core requires all APs parked via INIT IPI";
+    fail "%s on multi-core requires all APs parked via INIT IPI" insn;
+  (match acm with Some "" -> fail "no SINIT ACM provided" | _ -> ());
   let hooks =
     match m.tpm_hooks with
     | Some h -> h
@@ -37,18 +46,40 @@ let execute (m : Machine.t) ~slb_base =
   if entry_offset >= slb_length then
     fail "SLB header: entry point %#x beyond length %#x" entry_offset slb_length;
   (* Hardware protections, in architectural order: DMA exclusion first so
-     no device can race the measurement, then interrupts and debug. All
-     validation is done, so from here the launch always completes. *)
+     no device can race the measurement (TXT: NoDMA / protected memory
+     ranges), then interrupts and debug. All validation is done, so from
+     here the launch always completes. *)
+  (* each args list is a constant, so a launch allocates none *)
   Machine.protocol_event m "skinit.begin"
-    ~args:[ ("tech", Flicker_obs.Tracer.Str "svm") ];
+    ~args:
+      (match acm with
+      | None -> [ ("tech", Flicker_obs.Tracer.Str "svm") ]
+      | Some _ -> [ ("tech", Flicker_obs.Tracer.Str "txt") ]);
   Dev.protect_range m.dev ~addr:slb_base ~len:slb_window;
   bsp.interrupts_enabled <- false;
   bsp.debug_enabled <- false;
   (* The CPU transmits the SLB contents to the TPM, which resets the
      dynamic PCRs and extends PCR 17 with the measurement. The TPM reads
-     the bytes out of memory only when they differ from those it kept. *)
+     the bytes out of memory only when they differ from those it kept.
+     Under TXT the chipset first authenticates and measures the SINIT
+     ACM, which then measures the SLB (the MLE). *)
   hooks.dynamic_pcr_reset ();
-  let measurement = measure_range hooks m ~addr:slb_base ~len:slb_length in
+  let acm_measurement =
+    Option.map
+      (fun acm ->
+        let digest =
+          hooks.measure_into_pcr17 ~len:(String.length acm) ~same:(String.equal acm)
+            ~read:(fun () -> acm)
+        in
+        Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:(String.length acm));
+        digest)
+      acm
+  in
+  let measurement =
+    hooks.measure_into_pcr17 ~len:slb_length
+      ~same:(Memory.equal_range m.memory ~addr:slb_base)
+      ~read:(fun () -> Memory.read m.memory ~addr:slb_base ~len:slb_length)
+  in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:slb_length);
   (* Enter flat 32-bit protected mode at the entry point. *)
   bsp.mode <- Cpu.Flat_protected;
@@ -59,8 +90,13 @@ let execute (m : Machine.t) ~slb_base =
   bsp.ds <- flat;
   bsp.ss <- flat;
   Machine.log_event m
-    (Printf.sprintf "skinit: launched SLB at %#x (len=%d, entry=+%#x)" slb_base
-       slb_length entry_offset);
+    (match acm_measurement with
+    | None ->
+        Printf.sprintf "skinit: launched SLB at %#x (len=%d, entry=+%#x)" slb_base slb_length
+          entry_offset
+    | Some digest ->
+        Printf.sprintf "senter: launched MLE at %#x (len=%d) under ACM %s" slb_base slb_length
+          (Flicker_crypto.Util.to_hex (String.sub digest 0 6)));
   Machine.protocol_event m "skinit.end";
   {
     slb_base;

@@ -11,9 +11,11 @@ type image = Slb_image.t = private {
   memo : Slb_image.memo option Atomic.t;
 }
 
+let linked ~flavor pal =
+  match flavor with Standard -> pal.Pal.standard | Optimized -> pal.Pal.optimized
+
 let build ?(flavor = Standard) pal =
-  let held = match flavor with Standard -> pal.Pal.standard | Optimized -> pal.Pal.optimized in
-  match held with Ok image -> image | Error msg -> invalid_arg msg
+  match linked ~flavor pal with Ok image -> image | Error msg -> invalid_arg msg
 
 let initialize image ~slb_base =
   let b = Bytes.of_string image.bytes in

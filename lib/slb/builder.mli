@@ -19,6 +19,10 @@ type image = Slb_image.t = private {
   memo : Slb_image.memo option Atomic.t;  (** filled by [Measurement] *)
 }
 
+val linked : flavor:flavor -> Pal.t -> (image, string) result
+(** The link verdict of that flavor the PAL holds, from {!Pal.define}:
+    its image, or why its code does not fit the flavor's PAL region. *)
+
 val build : ?flavor:flavor -> Pal.t -> image
 (** The image of that flavor the PAL holds: built once by
     {!Pal.define}, so every call returns the same shared string.

@@ -167,13 +167,14 @@ let get_random t n =
     (Timing.get_random_ms t.machine.Machine.timing ~bytes:n);
   Prng.bytes t.rng n
 
+let quote_payload composite ~nonce = "QUOT" ^ Tpm_types.composite_hash composite ^ nonce
+
 let quote t ~nonce ~selection =
   if String.length nonce <> Tpm_types.digest_size then
     invalid_arg "Tpm.quote: nonce must be 20 bytes";
   charge_op ~fault:(injected_fault t "quote") t "quote" (profile t).Timing.quote_ms;
   let composite = Pcr.composite t.pcrs selection in
-  let payload = "QUOT" ^ Tpm_types.composite_hash composite ^ nonce in
-  let signature = Pkcs1.sign t.keys.Keys.aik Hash.SHA1 payload in
+  let signature = Pkcs1.sign t.keys.Keys.aik Hash.SHA1 (quote_payload composite ~nonce) in
   { quoted_composite = composite; quote_nonce = nonce; signature }
 
 let oiap t = Auth.start_oiap t.auth_sessions

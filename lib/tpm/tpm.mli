@@ -19,8 +19,13 @@ type authorization = { session : int; nonce_odd : string; mac : string }
 type quote = {
   quoted_composite : Tpm_types.pcr_composite;
   quote_nonce : string;
-  signature : string;  (** AIK signature over ["QUOT" || composite_hash || nonce] *)
+  signature : string;  (** AIK signature over {!quote_payload} *)
 }
+
+val quote_payload : Tpm_types.pcr_composite -> nonce:string -> string
+(** The bytes a quote's AIK signature covers: the tag QUOT, the
+    composite's hash and the nonce, for the TPM that signs them and
+    every verifier that checks them. *)
 
 val create :
   ?owner_auth:string ->

@@ -1,7 +1,8 @@
 (* Global state under lib/, kept to a reviewed list.
 
    Parses every lib/**/*.ml and lists each structure-level binding, at
-   top level or inside a [module ... = struct], whose right-hand side
+   top level or inside a [module ... = struct] or a functor's body (a
+   binding there is one value per application), whose right-hand side
    creates mutable or lazy state: [ref], [lazy], [Hashtbl.create],
    [Array.make], [Queue.create], [Atomic.make], [Mutex.create] or
    [Domain.DLS.new_key]. Such a binding is one value shared by every
@@ -14,8 +15,7 @@ let allowlist =
   [
     ("lib/core/measurement.ml", "Measurement.hits", "atomic");
     ("lib/core/measurement.ml", "Measurement.misses", "atomic");
-    ("lib/crypto/sha1.ml", "Sha1.scratch_key", "domain-local storage");
-    ("lib/crypto/sha256.ml", "Sha256.scratch_key", "domain-local storage");
+    ("lib/crypto/block_hash.ml", "Block_hash.Make.scratch_key", "domain-local storage");
     ("lib/crypto/sha1.ml", "Sha1.bytes_hashed_total", "atomic");
     ( "lib/crypto/elgamal.ml",
       "Elgamal.shared_params_512",
@@ -72,7 +72,7 @@ and scan_binding path mb =
 and scan_module path me =
   match me.pmod_desc with
   | Pmod_structure items -> scan path items
-  | Pmod_constraint (me, _) -> scan_module path me
+  | Pmod_constraint (me, _) | Pmod_functor (_, me) -> scan_module path me
   | _ -> []
 
 (* the nearest directory above holding lib/: the build copy the dune

@@ -52,7 +52,7 @@ let test_sha256_million () =
   check "million a's" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.hex (String.make 1_000_000 'a'))
 
-(* The streaming side of one hash, for the cases both kernels share. *)
+(* The streaming side of one hash, for the cases every kernel shares. *)
 type streaming = {
   alg : string;
   size : int;
@@ -82,6 +82,30 @@ let sha256 =
         let ctx = Sha256.init () in
         List.iter (Sha256.update ctx) chunks;
         Sha256.finalize ctx);
+  }
+
+let sha512 =
+  {
+    alg = "sha512";
+    size = 64;
+    oneshot = Sha512.digest;
+    chunked =
+      (fun chunks ->
+        let ctx = Sha512.init () in
+        List.iter (Sha512.update ctx) chunks;
+        Sha512.finalize ctx);
+  }
+
+let md5 =
+  {
+    alg = "md5";
+    size = 16;
+    oneshot = Md5.digest;
+    chunked =
+      (fun chunks ->
+        let ctx = Md5.init () in
+        List.iter (Md5.update ctx) chunks;
+        Md5.finalize ctx);
   }
 
 let test_incremental h () =
@@ -150,6 +174,91 @@ let test_chained_known_answers () =
     "fb5a84dd71998629264eda01766c8a96344a2e012f6549b19f4a13f07959eed2"
     (Util.to_hex (chained Sha256.digest 32 down))
 
+(* Known answers at every padding edge of both block sizes, from
+   Python's hashlib. 55/56 and 63/64 bytes are where a 64-byte block's
+   8-byte length field stops fitting and where a block fills;
+   111/112, 119/120 and 127/128 the same for SHA-512's 128-byte block and
+   16-byte length field, and for a second 64-byte block; 239/240 a
+   128-byte block later; 1,000 bytes spans many blocks. The n-byte
+   message is m[i] = 7i mod 256, as in the padding-boundary cases. Each
+   length is hashed one-shot, in ascending and then descending order so
+   the one-shot scratch context holds a longer message's bytes past each
+   shorter one's padding, and streamed in two updates split at a third. *)
+let padding_edges = [ 0; 55; 56; 63; 64; 111; 112; 119; 120; 127; 128; 239; 240; 1000 ]
+
+let padding_edge_answers =
+  [
+    ( sha1,
+      [
+        "da39a3ee5e6b4b0d3255bfef95601890afd80709"; "aecd1643c9903b9bae8cb94f53c50f8a4e18605b";
+        "f5d65c621c02cc8e785159feff8088e3072da1bc"; "4952f0fe097e4d6410ae9eab4855aa836caf3bff";
+        "1e17ae1fc093e5daca033553c97a5192ca164486"; "df2f6197f2b13b38727c3317ee887f0dfae15339";
+        "fe6021ce28099e49dbe7eaf995feac7848f25a48"; "b4a4e69060d0b1e7e8ebbf7041a4211c63438b57";
+        "b651390c2996406336a3f6647e4b590c18cdd6f8"; "374f47c1c8d4700fc2588e71f6d1e861b431b5c3";
+        "516846cd40bd1fe431119c3b0a0f362957992ee8"; "8f973a5ac2bce221086b7e2ae638cc50838368c3";
+        "a774f176cef622a51557bd0e472d9c961141b2f1"; "38f3aa587f4aa04965a359f9151092759b3a4c2a";
+      ] );
+    ( sha256,
+      [
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+        "576a1bf8d4478657e6dc4af9398544765c2a92cde28478b019235cfed315fc09";
+        "9b20501dfd1d99161c257950f3444f3e49230c351c5c8e0943ef369f85f5205d";
+        "30b345906b493f06f69444b6521113511c242f30e29840462950035043682f1e";
+        "d8bc63b4fc1156e5e7d95a418b9bf54cd3174bedbc2db40f74895349b229b3c0";
+        "d80a22461ae74d8e6944001e255f9e47eca17702b1dc987238d78e6e1ea3e342";
+        "a4ecd1e6c38e9d976d0cef32d899be35eb83c98d46b4dbfd68a1560f83b786a2";
+        "7a6589821178918ca8d9edaba5abfc1e9b2669564f4469b66885379c1530b2c8";
+        "655250427d56b1b0eeb8497d21428704273458a01772d6881b65c0abac0f8a98";
+        "67d79933e3c9aa8e89f481e071cfca1e9a16c09d7263b5efa3bb01f1a9f8d065";
+        "54c9eb041badfd7064645067b107661fed6113197ce2dd066ba69618abd3732f";
+        "f7d03523f69109dd5e8033129be4236bc88801cbef0f24fcb60e5b6840b0ce35";
+        "92c8a7a10ebf0e7ef3c7a503ce47c589f9d7f3c8bd799d0142c52b9f0790d4e4";
+        "89f4ff56a25dd1db06a4ce6033603775d705fb96f30f8693733fef602a1ca532";
+      ] );
+    ( sha512,
+      [
+        "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e";
+        "1fa86069db165162601ddc6103789cbca1fe97bc7c32de0d11a62e140f489340fc07d2664635a196fbebfb9fa976204882a1b803261b1018c257d24423553fb5";
+        "7b6d8a5b05452e1ca1237d37573bd3847c51a2f4f8aac8b9dd4dd4d91dd69b9561cc5b499bfa23c8767e272d1cfb4132746f6ff9518de6b5dc969b4c47947e48";
+        "60a1cdd00a75f8715cc0c284bca24836c17d60b2cc4dc43ebd4091dee226c8cf32e32846456d316ee0782fe8b6a0f1de0cae8c47a6614e4b529075a7d2aa24af";
+        "9f59bad22a6a8bda005caa01350372bf744703244db0aeb0446d8523012962ced1e49fd8ff703523938926a0dbbb023920b07cce073352920635bb28cad8e104";
+        "d2026b9857418e96d800f55017d1c1566c027453ff240da88f0a25558fabf5d6ffbe00bb14bc04f120af1cac53f21cb4a81765140b9249f52aaab4935079dd94";
+        "4dc754b8985c03b8015b1efd61af5c05828b6d07eecda8d90dd5863f7704bd375905932f2fbdeb4ee1b754a7778e4a0327e7d75b71ae95d1f619136e27564467";
+        "5f44e9790c0769086d75954f27060e0e9bd38ca3075a6f663caa8c5c8ab0d54dd2b1de58d07bf7d3e3e1e560afb15c977337d22f5bec6cd7979f6d0e301e52c2";
+        "34736c669f4ffd4cfd945fdc62e1d31c2852e963649c7b3cd17e8469def1264310926a9f18241b14fc50e4e672350d853b4dddd3d19c34a6a7ffb1d48d4f0baa";
+        "78de13cc28717e3ee7a3cb21b2ecac6d201f32f4a81bc1becdf9de5126e1a0139e25784aeb8baf327cc32f98d54d20e80e61d4d6bff5b37872fdaa645a4f3886";
+        "6e7f10bc87eacc3e98014eaade39e273285ba13c79231361c24c304a8d409018f543a28847fcc829b87fdde605caa5ab5fdb00e296737fa4687d5ee8d130ceea";
+        "d29cefaac62d3e8acd367abe0804c702a4848773ada2ad537619bc5c29a3a1f0c7d58c639638ede6869cf43536bb0530c2e8cee6b29ac3999e1216b6e88bab4f";
+        "44f1b40dcf17562fc7119b65ea16035838ccb0438092ef3c7ba8011fda5448d6ccff715c5d17e4e399154938c8e89be6cf724018868cac11f383709af4e0d0e5";
+        "5c3d2be85b82f8ace3dbd4cf34e814cf68201a9f3e5730253ee42fd46fbe6db2e68ab158e76a103df431f3ad279d8fa3ff6b148e21ced56feb321a6d28d101f1";
+      ] );
+    ( md5,
+      [
+        "d41d8cd98f00b204e9800998ecf8427e"; "8d24280288a696559fd8d5aa1b6d8c6e";
+        "ef2c72b7254c92459e498eddd4ace573"; "c4c8c6d513f4e1604eb18508a1769364";
+        "a2fcb39a253b9b785b1f97518fa37683"; "d33e91d921631eea0d6c25fc96e10524";
+        "ac43942f2f342010747a0de1fe3cf15b"; "1640deea49ebb258ec6ede18d4b2d2d7";
+        "05f879f7b542a7ebf0605adff67d4423"; "c774d99f2281f28edc4257944c8871d1";
+        "fe942895e9aae953f3e246e5fd00739d"; "7c70e0c4dc45201e8f6f06bdad7effc5";
+        "984e085bbbcebd8531024a3688f17a6d"; "de809ff794e91b68f9e91a2b7030bcb0";
+      ] );
+  ]
+
+let test_padding_edge_known_answers () =
+  List.iter
+    (fun (h, answers) ->
+      let pinned = List.combine padding_edges answers in
+      List.iter
+        (fun (n, expected) ->
+          let s = String.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
+          check (Printf.sprintf "%s %d one-shot" h.alg n) expected (Util.to_hex (h.oneshot s));
+          check
+            (Printf.sprintf "%s %d in two updates" h.alg n)
+            expected
+            (Util.to_hex (h.chunked [ String.sub s 0 (n / 3); String.sub s (n / 3) (n - (n / 3)) ])))
+        (pinned @ List.rev pinned))
+    padding_edge_answers
+
 let test_hash_facade () =
   Alcotest.(check int) "sha1 size" 20 (Hash.digest_size Hash.SHA1);
   Alcotest.(check int) "sha256 size" 32 (Hash.digest_size Hash.SHA256);
@@ -205,7 +314,17 @@ let test_finalize_once () =
   ignore (Sha256.finalize ctx);
   expect_invalid "sha256 double finalize" (fun () -> Sha256.finalize ctx);
   expect_invalid "sha256 update after finalize" (fun () ->
-      Sha256.update ctx "x")
+      Sha256.update ctx "x");
+  let ctx = Sha512.init () in
+  Sha512.update ctx "abc";
+  check "sha512 first finalize correct" (Sha512.hex "abc") (Util.to_hex (Sha512.finalize ctx));
+  expect_invalid "sha512 double finalize" (fun () -> Sha512.finalize ctx);
+  expect_invalid "sha512 update after finalize" (fun () -> Sha512.update ctx "x");
+  let ctx = Md5.init () in
+  Md5.update ctx "abc";
+  check "md5 first finalize correct" (Md5.hex "abc") (Util.to_hex (Md5.finalize ctx));
+  expect_invalid "md5 double finalize" (fun () -> Md5.finalize ctx);
+  expect_invalid "md5 update after finalize" (fun () -> Md5.update ctx "x")
 
 let prop_incremental alg oneshot init update finalize =
   QCheck.Test.make
@@ -240,6 +359,8 @@ let () =
           Alcotest.test_case "sha1 million" `Slow test_sha1_million;
           Alcotest.test_case "sha256 million" `Slow test_sha256_million;
           Alcotest.test_case "chained known answers" `Quick test_chained_known_answers;
+          Alcotest.test_case "padding-edge known answers" `Quick
+            test_padding_edge_known_answers;
         ] );
       ( "streaming",
         [

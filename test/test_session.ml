@@ -389,6 +389,36 @@ let test_sysfs_image_of_other_pal () =
   | Ok _ -> Alcotest.fail "ran the handed PAL on another PAL's image");
   Alcotest.(check int) "nothing launched" 0 p.Platform.sessions_run
 
+let test_pal_too_large_for_optimized () =
+  (* 58,000 bytes of code fit the standard PAL region but not the one
+     behind the optimized stub. The default launch fails as a permanent
+     Os_busy carrying the link message, before it counts, traces or
+     touches anything; the sysfs path launches the standard image the
+     application wrote *)
+  let p = make_platform () in
+  let big =
+    Pal.define ~name:"session-big" ~app_code_size:58_000 (fun env ->
+        Pal_env.set_output env "ran")
+  in
+  let machine = p.Platform.machine in
+  let traced = Flicker_obs.Tracer.length machine.Machine.tracer in
+  (match Session.execute p ~pal:big () with
+  | Error (Session.Os_busy { transient = false; msg }) ->
+      Alcotest.(check string) "link message"
+        "Builder.build: PAL too large for the optimized SLB" msg
+  | Error e -> Alcotest.failf "unexpected error: %a" Session.pp_error e
+  | Ok _ -> Alcotest.fail "launched a PAL the optimized SLB cannot hold");
+  Alcotest.(check int) "nothing launched" 0 p.Platform.sessions_run;
+  Alcotest.(check int) "no run counted" 0
+    (Flicker_obs.Metrics.counter machine.Machine.metrics "session.runs");
+  Alcotest.(check int) "nothing traced" traced
+    (Flicker_obs.Tracer.length machine.Machine.tracer);
+  let std = Builder.build ~flavor:Builder.Standard big in
+  Flicker_os.Sysfs.write p.Platform.sysfs ~path:"slb" std.Builder.bytes;
+  match Session.execute_from_sysfs p ~pal:big () with
+  | Ok o -> Alcotest.(check string) "standard image ran" "ran" o.Session.outputs
+  | Error e -> Alcotest.failf "sysfs session: %a" Session.pp_error e
+
 let test_standard_size_edges () =
   (* 4 + 320 + 4412 bytes measure exactly as much as the optimized stub;
      the session knows the flavor it built and must not mistake one for
@@ -446,6 +476,8 @@ let () =
           Alcotest.test_case "sysfs entry point" `Quick test_execute_from_sysfs;
           Alcotest.test_case "sysfs image of other pal" `Quick test_sysfs_image_of_other_pal;
           Alcotest.test_case "standard size edges" `Quick test_standard_size_edges;
+          Alcotest.test_case "pal too large for optimized" `Quick
+            test_pal_too_large_for_optimized;
           Alcotest.test_case "input validation" `Quick test_input_validation;
           Alcotest.test_case "output page limit" `Quick test_output_page_limit;
         ] );

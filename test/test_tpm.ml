@@ -99,13 +99,13 @@ let test_quote_verifies () =
   ignore (Tpm.pcr_extend tpm 17 (Sha1.digest "state"));
   let nonce = String.make 20 'n' in
   let quote = Tpm.quote tpm ~nonce ~selection:(Tpm_types.selection [ 17 ]) in
-  let payload = "QUOT" ^ Tpm_types.composite_hash quote.Tpm.quoted_composite ^ nonce in
+  let payload = Tpm.quote_payload quote.Tpm.quoted_composite ~nonce in
   Alcotest.(check bool) "signature valid" true
     (Pkcs1.verify (Tpm.aik_public tpm) Hash.SHA1 ~msg:payload
        ~signature:quote.Tpm.signature);
   (* tampering with the composite breaks it *)
   let evil = [ (17, Sha1.digest "evil") ] in
-  let payload' = "QUOT" ^ Tpm_types.composite_hash evil ^ nonce in
+  let payload' = Tpm.quote_payload evil ~nonce in
   Alcotest.(check bool) "tampered composite fails" false
     (Pkcs1.verify (Tpm.aik_public tpm) Hash.SHA1 ~msg:payload'
        ~signature:quote.Tpm.signature);

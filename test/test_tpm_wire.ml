@@ -124,7 +124,7 @@ let test_dispatch_equivalence () =
   | _ -> Alcotest.fail "get_random failed");
   match Wire.call tpm (Wire.Quote { nonce = d20 'n'; selection = [ 17 ] }) with
   | Ok (Wire.Quote_resp q) ->
-      let payload = "QUOT" ^ Tpm_types.composite_hash q.Tpm.quoted_composite ^ d20 'n' in
+      let payload = Tpm.quote_payload q.Tpm.quoted_composite ~nonce:(d20 'n') in
       Alcotest.(check bool) "wire quote verifies" true
         (Pkcs1.verify (Tpm.aik_public tpm) Hash.SHA1 ~msg:payload
            ~signature:q.Tpm.signature)
