@@ -569,7 +569,8 @@ let txt () =
     | Error e -> Format.kasprintf failwith "%a" Session.pp_error e
   in
   let svm = run None in
-  let txt = run (Some (Session.Txt { acm = Skinit.default_acm })) in
+  let acm = Skinit.default_acm () in
+  let txt = run (Some (Session.Txt { acm })) in
   Printf.printf "%-30s %14s %14s\n" "" "SKINIT" "SENTER";
   let txt_row label skinit_v senter_v =
     Printf.printf "%-30s %14.1f %14.1f\n" label skinit_v senter_v;
@@ -583,7 +584,7 @@ let txt () =
   Printf.printf
     "SENTER additionally transfers and measures the %d-byte SINIT ACM; the\n\
      measurement chains differ, so attestations identify the launch technology.\n"
-    (String.length Skinit.default_acm)
+    (String.length acm)
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: TPM profiles                                              *)

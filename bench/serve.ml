@@ -26,6 +26,7 @@ module Fleet = Flicker_service.Fleet
 module Request = Flicker_service.Request
 module Injector = Flicker_fault.Injector
 module Platform = Flicker_core.Platform
+module Memo = Flicker_core.Memo
 module Metrics = Flicker_obs.Metrics
 module Prng = Flicker_crypto.Prng
 module Rsa = Flicker_crypto.Rsa
@@ -137,6 +138,8 @@ let emit_cell ~label ~hit_tenths ~faults
 (* CA-side memoization: how many host-crypto bytes does caching
    certificate-validation verdicts save a relying party that checks the
    same few certificates over and over? *)
+module Cert_memo = Memo.Make (CA.Certificate_key)
+
 let ca_memo_report () =
   let platform = Platform.create ~seed:"serve-bench-ca" () in
   let server =
@@ -178,19 +181,19 @@ let ca_memo_report () =
     done;
     Sha1.bytes_hashed () - before
   in
-  let cache = CA.verify_cache ~ca_key () in
+  let memo = Cert_memo.create (CA.verify_certificate ~ca_key) in
   let cached_bytes =
     let before = Sha1.bytes_hashed () in
     for _ = 1 to rounds do
       List.iter
         (fun c ->
-          if not (CA.verify_certificate_cached cache c) then
-            failwith "serve bench: cached certificate failed to verify")
+          if not (Cert_memo.find memo c) then
+            failwith "serve bench: memoized certificate failed to verify")
         certs
     done;
     Sha1.bytes_hashed () - before
   in
-  let hits, misses = CA.verify_cache_stats cache in
+  let { Memo.hits; misses; _ } = Cert_memo.stats memo in
   Printf.printf
     "\nCA certificate-validation memoization (%d certs x %d rounds):\n"
     (List.length certs) rounds;

@@ -95,35 +95,19 @@ let decode_certificate s =
   | Ok _ -> Error "malformed certificate"
   | Error e -> Error e
 
-(* Memoized certificate verification. A relying party that appraises
-   many certificates from the same CA sees the same few certificates
-   over and over; the RSA verify only depends on the certificate bytes
-   and the CA key, so its verdict can be cached. Negative verdicts are
-   cached too — a forged certificate stays forged. *)
+(* the certificate fields [verify_certificate] reads, as a memo key *)
+module Certificate_key = struct
+  type t = certificate
 
-type verify_cache = {
-  vc_ca_key : Rsa.public;
-  vc_table : (string, bool) Hashtbl.t; (* encoded certificate -> verdict *)
-  mutable vc_hits : int;
-  mutable vc_misses : int;
-}
+  let equal a b =
+    String.equal a.signature b.signature
+    && a.serial = b.serial
+    && String.equal a.cert_subject b.cert_subject
+    && String.equal a.issuer b.issuer
+    && Rsa.public_equal a.cert_key b.cert_key
 
-let verify_cache ~ca_key () =
-  { vc_ca_key = ca_key; vc_table = Hashtbl.create 32; vc_hits = 0; vc_misses = 0 }
-
-let verify_certificate_cached cache cert =
-  let key = encode_certificate cert in
-  match Hashtbl.find_opt cache.vc_table key with
-  | Some verdict ->
-      cache.vc_hits <- cache.vc_hits + 1;
-      verdict
-  | None ->
-      cache.vc_misses <- cache.vc_misses + 1;
-      let verdict = verify_certificate ~ca_key:cache.vc_ca_key cert in
-      Hashtbl.replace cache.vc_table key verdict;
-      verdict
-
-let verify_cache_stats cache = (cache.vc_hits, cache.vc_misses)
+  let hash c = Flicker_core.Memo.hash_prefix 0 c.signature
+end
 
 (* sealed CA state: private key, issuer name, issue count *)
 let encode_ca_state ~priv ~issuer ~count =

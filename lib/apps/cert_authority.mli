@@ -65,20 +65,11 @@ val audit_log : server -> (int * string) list
 val verify_certificate :
   ca_key:Flicker_crypto.Rsa.public -> certificate -> bool
 
-type verify_cache
-(** Memoized {!verify_certificate} verdicts for one CA key. A relying
-    party appraising many certificates sees the same few repeatedly;
-    the RSA verify depends only on the certificate bytes and the CA
-    key, so the verdict (including a negative one) is cached. *)
-
-val verify_cache : ca_key:Flicker_crypto.Rsa.public -> unit -> verify_cache
-
-val verify_certificate_cached : verify_cache -> certificate -> bool
-(** Same verdict as {!verify_certificate} with the cache's key, but the
-    RSA verify runs only on the first sight of each certificate. *)
-
-val verify_cache_stats : verify_cache -> int * int
-(** [(hits, misses)] — misses count actual RSA verifications run. *)
+module Certificate_key : Hashtbl.HashedType with type t = certificate
+(** Certificates compared by every field {!verify_certificate} reads,
+    hashed by a few signature bytes: the key of a
+    {!Flicker_core.Memo} over {!verify_certificate}, for a relying party
+    that sees the same few certificates over and over. *)
 
 val encode_certificate : certificate -> string
 val decode_certificate : string -> (certificate, string) result

@@ -1,7 +1,6 @@
 open Flicker_crypto
 module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
-module Builder = Flicker_slb.Builder
 module Mod_crypto = Flicker_slb.Mod_crypto
 module Mod_secure_channel = Flicker_slb.Mod_secure_channel
 module Mod_tpm_utils = Flicker_slb.Mod_tpm_utils
@@ -9,7 +8,7 @@ module Mod_tpm_driver = Flicker_slb.Mod_tpm_driver
 module Platform = Flicker_core.Platform
 module Session = Flicker_core.Session
 module Attestation = Flicker_core.Attestation
-module Verifier = Flicker_core.Verifier
+module Secure_channel = Flicker_core.Secure_channel
 module Network = Flicker_core.Network
 
 (* Figure 7's final extend(PCR17, ⊥): the PAL revokes its own access to
@@ -125,19 +124,6 @@ let server_login server ~user ~ciphertext ~nonce =
             Ok { granted; login_outcome = outcome }
           end)
 
-(* a client's check of the setup attestation against the SSH PAL it
-   expects; K_PAL is read from the attested output *)
-let verify_server_key ~server_pal ~ca_key ~slb_base ~nonce evidence =
-  let expectation =
-    Verifier.expect ~pal:server_pal ~flavor:Builder.Optimized ~slb_base ~nonce ()
-  in
-  match Verifier.verify ~ca_key expectation evidence with
-  | Error f -> Error (Verifier.failure_to_string f)
-  | Ok () -> (
-      match Mod_secure_channel.decode_setup_output evidence.Attestation.claimed_outputs with
-      | Error msg -> Error ("attested output malformed: " ^ msg)
-      | Ok out -> Ok out.Mod_secure_channel.public_key)
-
 module Client = struct
   type t = {
     rng : Prng.t;
@@ -151,8 +137,8 @@ module Client = struct
     { rng; ca_key; server_slb_base; server_pal = ssh_pal ~key_bits; server_key = None }
 
   let accept_server_key t ~nonce evidence =
-    verify_server_key ~server_pal:t.server_pal ~ca_key:t.ca_key ~slb_base:t.server_slb_base
-      ~nonce evidence
+    Secure_channel.client_accept ~ca_key:t.ca_key ~pal:t.server_pal
+      ~slb_base:t.server_slb_base ~nonce evidence
     |> Result.map (fun pub -> t.server_key <- Some pub)
 
   let encrypt_password t ~password ~nonce =
@@ -198,8 +184,8 @@ module Flicker_client = struct
     { platform; ca_key; server_slb_base; server_pal; pal; server_key = None }
 
   let accept_server_key t ~nonce evidence =
-    verify_server_key ~server_pal:t.server_pal ~ca_key:t.ca_key ~slb_base:t.server_slb_base
-      ~nonce evidence
+    Secure_channel.client_accept ~ca_key:t.ca_key ~pal:t.server_pal
+      ~slb_base:t.server_slb_base ~nonce evidence
     |> Result.map (fun pub -> t.server_key <- Some pub)
 
   let encrypt_password t ~password ~nonce =

@@ -41,20 +41,14 @@ let establish platform ?(key_bits = 1024) ~nonce () =
               channel_nonce = nonce;
             })
 
-let client_accept ~ca_key ~slb_base ~nonce ?(key_bits = 1024) established =
-  let expectation =
-    Verifier.expect ~pal:(setup_pal ~key_bits) ~flavor:Builder.Optimized ~slb_base
-      ~nonce ()
-  in
-  match Verifier.verify ~ca_key expectation established.evidence with
+let client_accept ~ca_key ~pal ~slb_base ~nonce evidence =
+  let expectation = Verifier.expect ~pal ~flavor:Builder.Optimized ~slb_base ~nonce () in
+  match Verifier.verify ~ca_key expectation evidence with
   | Error f -> Error (Verifier.failure_to_string f)
   | Ok () -> (
       (* The attestation covers the output bytes; re-derive the key from
          them rather than trusting the unauthenticated copy. *)
-      match
-        Mod_secure_channel.decode_setup_output
-          established.evidence.Attestation.claimed_outputs
-      with
+      match Mod_secure_channel.decode_setup_output evidence.Attestation.claimed_outputs with
       | Error msg -> Error ("attested output malformed: " ^ msg)
       | Ok out -> Ok out.Mod_secure_channel.public_key)
 

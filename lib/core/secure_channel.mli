@@ -15,6 +15,10 @@ type established = {
   channel_nonce : string;
 }
 
+val setup_pal : key_bits:int -> Flicker_slb.Pal.t
+(** The setup PAL {!establish} runs: it outputs
+    {!Flicker_slb.Mod_secure_channel.encode_setup_output}. *)
+
 val establish :
   Platform.t -> ?key_bits:int -> nonce:string -> unit -> (established, string) result
 (** Server side: run the setup session and gather the attestation.
@@ -22,14 +26,16 @@ val establish :
 
 val client_accept :
   ca_key:Flicker_crypto.Rsa.public ->
+  pal:Flicker_slb.Pal.t ->
   slb_base:int ->
   nonce:string ->
-  ?key_bits:int ->
-  established ->
+  Attestation.evidence ->
   (Flicker_crypto.Rsa.public, string) result
-(** Remote-party side: check the attestation chain and extract the
-    public key. Fails on any verification error — including a server
-    that ran a different PAL or tampered with the output. *)
+(** Remote-party side: check the attestation that [pal], a PAL whose
+    setup mode links {!Flicker_slb.Mod_secure_channel}, produced the
+    evidence's output, then read the public key from that attested
+    output. Fails on any verification error — including a server that
+    ran a different PAL or tampered with the output. *)
 
 val encrypt_to_pal :
   Flicker_crypto.Prng.t -> Flicker_crypto.Rsa.public -> string -> string

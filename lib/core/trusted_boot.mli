@@ -2,24 +2,25 @@
     with Flicker's fine-grained attestation (Sections 2.1 and 8).
 
     The verifier receives the untrusted event log and a TPM quote over the
-    static PCRs; it replays the log to recompute each PCR and accepts only
-    if the quote matches. Acceptance still leaves the hard part: deciding
-    whether every one of the logged components is trustworthy — the burden
-    Flicker removes by shrinking the attested code to one PAL. *)
+    static PCRs. It authenticates the quote with {!Verifier}'s
+    certificate, signature and freshness stages, then replays the log
+    and accepts only if every quoted PCR matches its replay. Acceptance
+    still leaves the hard part: deciding whether every one of the logged
+    components is trustworthy — the burden Flicker removes by shrinking
+    the attested code to one PAL. *)
 
 type failure =
-  | Bad_certificate
-  | Bad_signature
-  | Nonce_mismatch
+  | Quote_rejected of Verifier.failure
+      (** the certificate, quote-signature or freshness stage failed *)
   | Log_mismatch of { pcr : int; expected : string; got : string }
-  | Pcr_not_quoted of int
+  | Pcr_not_quoted of int  (** a PCR the log names is missing from the quote *)
 
 val failure_to_string : failure -> string
 
 val replay_log :
   Flicker_os.Measured_boot.event list -> (int * string) list
-(** Expected PCR values implied by the log (each PCR replayed from its
-    post-reboot zero). *)
+(** Expected values of the PCRs the log names, each replayed from its
+    post-reboot value. *)
 
 val verify :
   ca_key:Flicker_crypto.Rsa.public ->
@@ -28,6 +29,9 @@ val verify :
   log:Flicker_os.Measured_boot.event list ->
   Flicker_tpm.Tpm.quote ->
   (unit, failure) result
+(** Accepts iff {!Verifier.authenticate} does, every PCR the log names
+    is quoted, and every quoted PCR equals its replay, or, if the log
+    never names it, its post-reboot value. *)
 
 type burden = {
   components_to_assess : int;

@@ -1,11 +1,9 @@
 open Flicker_crypto
 module Tpm = Flicker_tpm.Tpm
-module Tpm_types = Flicker_tpm.Tpm_types
 module Privacy_ca = Flicker_tpm.Privacy_ca
 module Builder = Flicker_slb.Builder
 
 type failure =
-  | Untrusted_ca
   | Bad_certificate
   | Bad_signature
   | Nonce_mismatch
@@ -13,7 +11,6 @@ type failure =
   | Missing_pcr17
 
 let failure_to_string = function
-  | Untrusted_ca -> "AIK certificate issued by an untrusted CA"
   | Bad_certificate -> "AIK certificate signature invalid"
   | Bad_signature -> "TPM quote signature invalid"
   | Nonce_mismatch -> "quote nonce does not match the challenge"
@@ -40,16 +37,15 @@ let expected_pcr17 expectation ~inputs ~outputs =
   Measurement.final ?acm:expectation.acm ~pal_extends:expectation.pal_extends image
     ~slb_base:expectation.slb_base ~inputs ~outputs ~nonce:(Some expectation.nonce)
 
-(* The staged checks below are exposed separately so an appraisal cache
-   (lib/serve) can memoize the certificate, quote-signature and PCR-17
-   stages, each a function of the values it reads, while re-running the
-   nonce check against each new challenge. *)
+(* Each stage is a function of the values it reads, so a relying party
+   can memoize the certificate, quote-signature and PCR-17 stages
+   ([Memo]) while freshness re-runs against each new challenge. *)
 
 let check_certificate ~ca_key cert =
   if Privacy_ca.verify_certificate ~ca_key cert then Ok ()
   else Error Bad_certificate
 
-let check_quote_signature ~aik (quote : Tpm.quote) =
+let check_quote_signature (aik, (quote : Tpm.quote)) =
   if
     Pkcs1.verify aik Hash.SHA1
       ~msg:(Tpm.quote_payload quote.Tpm.quoted_composite ~nonce:quote.Tpm.quote_nonce)
@@ -57,8 +53,8 @@ let check_quote_signature ~aik (quote : Tpm.quote) =
   then Ok ()
   else Error Bad_signature
 
-let check_freshness expectation (quote : Tpm.quote) =
-  if Util.constant_time_equal quote.Tpm.quote_nonce expectation.nonce then Ok ()
+let check_freshness ~nonce (quote : Tpm.quote) =
+  if Util.constant_time_equal quote.Tpm.quote_nonce nonce then Ok ()
   else Error Nonce_mismatch
 
 let check_pcr17 expectation (evidence : Attestation.evidence) =
@@ -73,11 +69,23 @@ let check_pcr17 expectation (evidence : Attestation.evidence) =
       if Util.constant_time_equal expected got then Ok ()
       else Error (Pcr_mismatch { expected; got })
 
+type runner = {
+  certificate : Privacy_ca.aik_certificate -> (unit, failure) result;
+  quote_signature : Rsa.public * Tpm.quote -> (unit, failure) result;
+}
+
+let direct ~ca_key =
+  { certificate = check_certificate ~ca_key; quote_signature = check_quote_signature }
+
+let authenticate run ~nonce (cert : Privacy_ca.aik_certificate) quote =
+  let ( let* ) = Result.bind in
+  let* () = run.certificate cert in
+  let* () = run.quote_signature (cert.subject_aik, quote) in
+  check_freshness ~nonce quote
+
 let verify ~ca_key expectation (evidence : Attestation.evidence) =
   let ( let* ) = Result.bind in
-  let cert = evidence.Attestation.aik_cert in
-  let quote = evidence.Attestation.quote in
-  let* () = check_certificate ~ca_key cert in
-  let* () = check_quote_signature ~aik:cert.Privacy_ca.subject_aik quote in
-  let* () = check_freshness expectation quote in
+  let* () =
+    authenticate (direct ~ca_key) ~nonce:expectation.nonce evidence.aik_cert evidence.quote
+  in
   check_pcr17 expectation evidence

@@ -9,7 +9,6 @@
     claimed inputs and outputs — could have produced. *)
 
 type failure =
-  | Untrusted_ca
   | Bad_certificate
   | Bad_signature
   | Nonce_mismatch
@@ -49,36 +48,45 @@ val verify :
   Attestation.evidence ->
   (unit, failure) result
 (** Full check against the claimed inputs/outputs carried in the
-    evidence. On [Ok ()], the verifier knows the exact PAL ran under
-    Flicker protection, consumed [claimed_inputs], and produced
+    evidence: {!authenticate} with {!direct}, then {!check_pcr17}. On
+    [Ok ()], the verifier knows the exact PAL ran under Flicker
+    protection, consumed [claimed_inputs], and produced
     [claimed_outputs]. *)
 
-(** {2 Staged checks}
+(** {2 Stages}
 
-    [verify] is the composition of the four checks below, in order. They
-    are exposed so an appraisal cache can memoize the three stages whose
-    verdict is a function of the values they read: certificate and
-    quote-signature verification, whose cost scales with RSA, and PCR-17
-    recomputation, whose host SHA-1 scales with the claimed I/O.
-    Freshness depends on the challenge at hand and re-runs on every
-    appraisal. *)
+    Appraisal is four stages, in order: certificate, quote signature,
+    freshness, PCR 17. Each is a function of the values it reads, so a
+    relying party that sees the same evidence again can memoize
+    ({!Memo}) the certificate and quote-signature stages, whose cost
+    scales with RSA, and the PCR-17 stage, whose host SHA-1 scales with
+    the claimed I/O. Freshness depends on the challenge at hand and
+    re-runs on every appraisal. *)
 
-val check_certificate :
-  ca_key:Flicker_crypto.Rsa.public ->
+type runner = {
+  certificate : Flicker_tpm.Privacy_ca.aik_certificate -> (unit, failure) result;
+      (** Does the AIK certificate chain to the trusted CA? *)
+  quote_signature :
+    Flicker_crypto.Rsa.public * Flicker_tpm.Tpm.quote -> (unit, failure) result;
+      (** Does the quote's signature over {!Flicker_tpm.Tpm.quote_payload}
+          check under the certified AIK? *)
+}
+(** How the first two stages run: directly, or through a memo. *)
+
+val direct : ca_key:Flicker_crypto.Rsa.public -> runner
+(** Both stages run for real, the certificate against [ca_key]. *)
+
+val authenticate :
+  runner ->
+  nonce:string ->
   Flicker_tpm.Privacy_ca.aik_certificate ->
-  (unit, failure) result
-(** Does the AIK certificate chain to the trusted CA? *)
-
-val check_quote_signature :
-  aik:Flicker_crypto.Rsa.public ->
   Flicker_tpm.Tpm.quote ->
   (unit, failure) result
-(** Does the quote's signature over {!Flicker_tpm.Tpm.quote_payload} check under the
-    certified AIK? *)
-
-val check_freshness : expectation -> Flicker_tpm.Tpm.quote -> (unit, failure) result
-(** Is the quoted nonce the challenge we sent? (Constant-time.) *)
+(** The first three stages, in order: the certificate, the quote's
+    signature under the certified AIK, and whether the quoted nonce is
+    the challenge [nonce] (constant-time). The first failing stage is
+    reported. *)
 
 val check_pcr17 : expectation -> Attestation.evidence -> (unit, failure) result
-(** Does quoted PCR 17 equal the value implied by the expectation and
-    the claimed inputs/outputs? *)
+(** The last stage: does quoted PCR 17 equal the value implied by the
+    expectation and the claimed inputs/outputs? *)

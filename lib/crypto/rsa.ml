@@ -48,6 +48,8 @@ let generate ?(e = 65537) rng ~bits =
 
 let key_bytes pub = (Bignum.bit_length pub.n + 7) / 8
 
+let public_equal a b = a == b || (Bignum.equal a.n b.n && Bignum.equal a.e b.e)
+
 let encrypt_raw pub m =
   if Bignum.compare m pub.n >= 0 then invalid_arg "Rsa.encrypt_raw: message too large";
   Bignum.mod_pow ~base:m ~exp:pub.e ~modulus:pub.n

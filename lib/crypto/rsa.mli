@@ -23,6 +23,9 @@ val generate : ?e:int -> Prng.t -> bits:int -> private_key
 val key_bytes : public -> int
 (** Modulus length in bytes. *)
 
+val public_equal : public -> public -> bool
+(** Same modulus and exponent. *)
+
 val encrypt_raw : public -> Bignum.t -> Bignum.t
 (** [m^e mod n]. @raise Invalid_argument if the message is >= n. *)
 

@@ -14,8 +14,9 @@ let slb_window = 64 * 1024
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Skinit_error s)) fmt
 
-let default_acm =
-  (* deterministic stand-in for the ~20 KB vendor SINIT module *)
+let default_acm () =
+  (* deterministic stand-in for the ~20 KB vendor SINIT module, built
+     on each call: only TXT launches read it *)
   let buf = Buffer.create 20480 in
   Buffer.add_string buf "\x7fSINIT-ACM-v1\x00";
   let c = ref 0 in

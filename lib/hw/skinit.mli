@@ -35,9 +35,10 @@ type launch = {
   protected_len : int;  (** always the full 64 KB DEV window *)
 }
 
-val default_acm : string
+val default_acm : unit -> string
 (** A stand-in SINIT ACM image (vendor-supplied binary on real hardware);
-    deterministic so measurements are reproducible. *)
+    deterministic so measurements are reproducible. Each call builds the
+    20 KB image afresh. *)
 
 val execute : ?acm:string -> Machine.t -> slb_base:int -> launch
 (** Perform the launch sequence on [slb_base]: SKINIT, or SENTER under

@@ -4,31 +4,26 @@
     A front end that answers from its result cache hands every client
     the {e original} quote, so one platform's evidence is appraised over
     and over: every bundle of a chunk shares its quote, and every cache
-    hit re-presents it. Three stages of {!Flicker_core.Verifier} are
-    memoized here: AIK-certificate validation (the same certificate for
-    every quote a platform ever produces), quote-signature verification,
-    and PCR-17 recomputation against the claimed I/O, whose host SHA-1
-    over the claimed inputs and outputs costs more than the other two
-    together. Nonce freshness depends on the challenge at hand and
-    re-runs on every appraisal. Verdicts are memoized including
-    failures: a forged certificate or signature stays bad, and so does a
-    PCR mismatch.
+    hit re-presents it. The appraiser runs {!Flicker_core.Verifier}'s
+    stages in their one order, with three of them through a
+    {!Flicker_core.Memo}: AIK-certificate validation (the same
+    certificate for every quote a platform ever produces),
+    quote-signature verification, and PCR-17 recomputation against the
+    claimed I/O, whose host SHA-1 over the claimed inputs and outputs
+    costs more than the other two together. Nonce freshness depends on
+    the challenge at hand and re-runs on every appraisal.
 
-    Each memo is keyed by the values its stage reads, never by a string
-    built from them: the PCR-17 key is the (expectation, evidence) pair
-    itself, compared with [String.equal] on the PAL's code, the nonce,
-    the PAL's extends, the ACM, the claimed inputs and outputs and the
-    quoted PCR 17, and [=] on the flavor and load address. Bundles that
-    share a chunk's evidence compare by pointer; other strings are
-    compared byte by byte and never hashed. Each memo holds at most
-    1,024 entries and evicts its oldest at that bound (single-victim
-    FIFO).
+    Each memo is keyed by the values its stage reads: the PCR-17 key is
+    the (expectation, evidence) pair itself, compared with
+    [String.equal] on the PAL's code, the nonce, the PAL's extends, the
+    ACM, the claimed inputs and outputs and the quoted PCR 17, and [=]
+    on the flavor and load address. Bundles that share a chunk's
+    evidence compare by pointer; other strings are compared byte by byte
+    and never hashed.
 
     Savings are accounted in the instrument the measurement-cache bench
-    uses, {!Flicker_crypto.Sha1.bytes_hashed}: a miss records the stage's
-    hashing cost, and a certificate or quote hit credits it to
-    [bytes_saved]. Looking a key up hashes nothing into the
-    instrument. *)
+    uses, {!Flicker_crypto.Sha1.bytes_hashed}: a certificate or quote
+    hit credits the stage's cost to [bytes_saved]. *)
 
 type t
 

@@ -112,6 +112,50 @@ let test_signature_binds_fields () =
   Alcotest.(check bool) "issuer key" false
     (CA.verify_certificate ~ca_key:rogue.Rsa.pub cert)
 
+module Cert_memo = Memo.Make (CA.Certificate_key)
+
+(* A memo over [verify_certificate] gives the check's own verdict: a
+   forgery of any field the check reads is a new key, so it misses, and
+   a certificate seen before hits. *)
+let test_certificate_memo () =
+  let _, ca = make ~seed:"cert-memo" in
+  let pub = Result.get_ok (CA.init_ca ca) in
+  let key seed = (Rsa.generate (Prng.create ~seed) ~bits:256).Rsa.pub in
+  let cert =
+    Result.get_ok
+      (CA.sign_csr ca { CA.subject = "www.example.com"; subject_key = key "cert-memo-subject" })
+  in
+  let flip s = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) s in
+  let certs =
+    [
+      ("honest", cert);
+      ("serial", { cert with CA.serial = cert.CA.serial + 1 });
+      ("subject", { cert with CA.cert_subject = "www.evil.net" });
+      ("key", { cert with CA.cert_key = key "cert-memo-other" });
+      ("issuer", { cert with CA.issuer = "Rogue CA" });
+      ("signature", { cert with CA.signature = flip cert.CA.signature });
+    ]
+  in
+  let memo = Cert_memo.create (CA.verify_certificate ~ca_key:pub) in
+  let counts () =
+    let s = Cert_memo.stats memo in
+    (s.Memo.hits, s.Memo.misses)
+  in
+  let n = List.length certs in
+  List.iteri
+    (fun i (name, c) ->
+      let verdict = Cert_memo.find memo c in
+      Alcotest.(check bool) (name ^ ": only the honest one verifies") (name = "honest") verdict;
+      Alcotest.(check bool) (name ^ ": the check's verdict") (CA.verify_certificate ~ca_key:pub c)
+        verdict;
+      Alcotest.(check (pair int int)) (name ^ ": misses") (0, i + 1) (counts ()))
+    certs;
+  List.iteri
+    (fun i (name, c) ->
+      Alcotest.(check bool) (name ^ ": repeat verdict") (name = "honest") (Cert_memo.find memo c);
+      Alcotest.(check (pair int int)) (name ^ ": repeat hits") (i + 1, n) (counts ()))
+    certs
+
 let test_certificate_codec () =
   let _, ca = make ~seed:"codec" in
   ignore (Result.get_ok (CA.init_ca ca));
@@ -199,6 +243,7 @@ let () =
           Alcotest.test_case "serials increment" `Quick test_serials_increment;
           Alcotest.test_case "signature binding" `Quick test_signature_binds_fields;
           Alcotest.test_case "certificate codec" `Quick test_certificate_codec;
+          Alcotest.test_case "certificate memo" `Quick test_certificate_memo;
         ] );
       ( "security+timing",
         [

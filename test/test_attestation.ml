@@ -274,8 +274,8 @@ let test_secure_channel_end_to_end () =
   | Error e -> Alcotest.fail e
   | Ok established -> (
       match
-        Secure_channel.client_accept ~ca_key ~slb_base:p.Platform.slb_base ~nonce
-          ~key_bits:512 established
+        Secure_channel.client_accept ~ca_key ~pal:(Secure_channel.setup_pal ~key_bits:512)
+          ~slb_base:p.Platform.slb_base ~nonce established.Secure_channel.evidence
       with
       | Error e -> Alcotest.fail e
       | Ok pub ->
@@ -309,8 +309,8 @@ let test_secure_channel_rejects_substituted_key () =
         }
       in
       (match
-         Secure_channel.client_accept ~ca_key ~slb_base:p.Platform.slb_base ~nonce
-           ~key_bits:512 evil
+         Secure_channel.client_accept ~ca_key ~pal:(Secure_channel.setup_pal ~key_bits:512)
+           ~slb_base:p.Platform.slb_base ~nonce evil.Secure_channel.evidence
        with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "substituted key accepted")

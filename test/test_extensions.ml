@@ -312,14 +312,19 @@ let test_measured_boot_log_replay () =
         (Result.get_ok (Tpm.pcr_read p.Platform.tpm pcr)))
     (Trusted_boot.replay_log log)
 
-let test_trusted_boot_attestation () =
-  let p = make_platform ~seed:"ima-attest" in
+(* a platform right after a measured boot, its IMA log, and a quote over
+   the log's PCRs under a fresh nonce *)
+let ima_quote ~seed =
+  let p = make_platform ~seed in
   Tpm.reboot p.Platform.tpm;
   let ima = Measured_boot.create p.Platform.tpm in
   Measured_boot.boot_sequence ima p.Platform.kernel;
-  let log = Measured_boot.log ima in
   let nonce = Platform.fresh_nonce p in
   let quote = Tpm.quote p.Platform.tpm ~nonce ~selection:(Measured_boot.pcrs_in_use ima) in
+  (p, Measured_boot.log ima, nonce, quote)
+
+let test_trusted_boot_attestation () =
+  let p, log, nonce, quote = ima_quote ~seed:"ima-attest" in
   (match
      Trusted_boot.verify ~ca_key ~aik_cert:p.Platform.aik_cert ~nonce ~log quote
    with
@@ -338,6 +343,55 @@ let test_trusted_boot_attestation () =
   match Trusted_boot.verify ~ca_key ~aik_cert:p.Platform.aik_cert ~nonce ~log:padded quote with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "padded log accepted"
+
+(* hiding every entry of one PCR leaves a log that never names it, but
+   the quote still covers it: its value must be the post-reboot zero *)
+let test_trusted_boot_censored_pcr () =
+  let p, log, nonce, quote = ima_quote ~seed:"ima-attest" in
+  let censored = List.filter (fun e -> e.Measured_boot.pcr_index <> 0) log in
+  Alcotest.(check int) "BIOS and option ROMs hidden" 2 (List.length log - List.length censored);
+  match Trusted_boot.verify ~ca_key ~aik_cert:p.Platform.aik_cert ~nonce ~log:censored quote with
+  | Error (Trusted_boot.Log_mismatch { pcr = 0; _ }) -> ()
+  | Error f -> Alcotest.fail ("wrong failure: " ^ Trusted_boot.failure_to_string f)
+  | Ok () -> Alcotest.fail "log without PCR 0 accepted"
+
+(* a bad certificate, signature or nonce fails Trusted_boot with the
+   failure Verifier's own stages give the same quote *)
+let test_trusted_boot_stage_parity () =
+  let p, log, nonce, quote = ima_quote ~seed:"ima-parity" in
+  let aik_cert = p.Platform.aik_cert in
+  let forged_cert =
+    let rogue = Privacy_ca.create (Prng.create ~seed:"ext-rogue-ca") ~name:"ExtCA" ~key_bits:512 in
+    let ek = Tpm.ek_public p.Platform.tpm in
+    Privacy_ca.register_ek rogue ek;
+    Result.get_ok (Privacy_ca.certify_aik rogue ~ek ~aik:aik_cert.Privacy_ca.subject_aik)
+  in
+  let flipped =
+    let s = quote.Tpm.signature in
+    {
+      quote with
+      Tpm.signature =
+        String.mapi (fun i c -> if i = 5 then Char.chr (Char.code c lxor 1) else c) s;
+    }
+  in
+  let stale = Platform.fresh_nonce p in
+  let pal = Pal.define ~name:"ext-parity-pal" (fun env -> Pal_env.set_output env "") in
+  List.iter
+    (fun (name, aik_cert, nonce, quote, expected) ->
+      let flicker =
+        Verifier.verify ~ca_key
+          (Verifier.expect ~pal ~slb_base:p.Platform.slb_base ~nonce ())
+          { Attestation.quote; aik_cert; claimed_inputs = ""; claimed_outputs = "" }
+      in
+      Alcotest.(check bool) (name ^ ": Verifier's stage") true (flicker = Error expected);
+      Alcotest.(check bool) (name ^ ": Trusted_boot's") true
+        (Trusted_boot.verify ~ca_key ~aik_cert ~nonce ~log quote
+        = Error (Trusted_boot.Quote_rejected expected)))
+    [
+      ("forged AIK certificate", forged_cert, nonce, quote, Verifier.Bad_certificate);
+      ("flipped signature byte", aik_cert, nonce, flipped, Verifier.Bad_signature);
+      ("stale nonce", aik_cert, stale, quote, Verifier.Nonce_mismatch);
+    ]
 
 let test_verification_burden_comparison () =
   let p = make_platform ~seed:"burden" in
@@ -470,6 +524,8 @@ let () =
         [
           Alcotest.test_case "log replay" `Quick test_measured_boot_log_replay;
           Alcotest.test_case "attestation" `Quick test_trusted_boot_attestation;
+          Alcotest.test_case "censored pcr" `Quick test_trusted_boot_censored_pcr;
+          Alcotest.test_case "stage parity" `Quick test_trusted_boot_stage_parity;
           Alcotest.test_case "burden comparison" `Quick test_verification_burden_comparison;
           Alcotest.test_case "ima runtime blind spot" `Quick test_ima_misses_runtime_compromise;
         ] );

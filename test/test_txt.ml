@@ -43,7 +43,7 @@ let test_senter_measurement_chain () =
   let m, tpm = machine_with_tpm () in
   write_mle m ~addr:0x10000 ~len:1000;
   park m;
-  let launch = Skinit.execute ~acm:Skinit.default_acm m ~slb_base:0x10000 in
+  let launch = Skinit.execute ~acm:(Skinit.default_acm ()) m ~slb_base:0x10000 in
   (* PCR 17 = extend(extend(0, H(ACM)), H(MLE)); the launch record
      carries the MLE's link *)
   let mle = Memory.read m.Machine.memory ~addr:0x10000 ~len:1000 in
@@ -51,7 +51,7 @@ let test_senter_measurement_chain () =
     launch.Skinit.measurement;
   let expected =
     Sha1.digest
-      (Sha1.digest (String.make 20 '\000' ^ Sha1.digest Skinit.default_acm)
+      (Sha1.digest (String.make 20 '\000' ^ Sha1.digest (Skinit.default_acm ()))
       ^ Sha1.digest mle)
   in
   Alcotest.(check string) "pcr17 chain" expected (Result.get_ok (Tpm.pcr_read tpm 17));
@@ -68,7 +68,7 @@ let test_senter_differs_from_skinit () =
   let m1, tpm1 = machine_with_tpm () in
   write_mle m1 ~addr:0x10000 ~len:500;
   park m1;
-  ignore (Skinit.execute ~acm:Skinit.default_acm m1 ~slb_base:0x10000);
+  ignore (Skinit.execute ~acm:(Skinit.default_acm ()) m1 ~slb_base:0x10000);
   let m2, tpm2 = machine_with_tpm () in
   write_mle m2 ~addr:0x10000 ~len:500;
   park m2;
@@ -80,7 +80,7 @@ let test_senter_preconditions () =
   let m, _ = machine_with_tpm () in
   write_mle m ~addr:0x10000 ~len:500;
   (* busy APs *)
-  (match Skinit.execute ~acm:Skinit.default_acm m ~slb_base:0x10000 with
+  (match Skinit.execute ~acm:(Skinit.default_acm ()) m ~slb_base:0x10000 with
   | _ -> Alcotest.fail "busy APs accepted"
   | exception Skinit.Skinit_error _ -> ());
   park m;
@@ -93,7 +93,7 @@ let test_senter_preconditions () =
 
 let test_txt_session () =
   let p = make_platform ~seed:"txt-session" in
-  let tech = Session.Txt { acm = Skinit.default_acm } in
+  let tech = Session.Txt { acm = Skinit.default_acm () } in
   match Session.execute p ~pal:worker ~tech ~inputs:"hello" () with
   | Error e -> Alcotest.failf "session: %a" Session.pp_error e
   | Ok outcome ->
@@ -101,7 +101,7 @@ let test_txt_session () =
       (* the during-value includes the ACM link *)
       let image = Flicker_slb.Builder.build ~flavor:Flicker_slb.Builder.Optimized worker in
       Alcotest.(check string) "pcr17 during"
-        (Measurement.after_launch ~acm:Skinit.default_acm image
+        (Measurement.after_launch ~acm:(Skinit.default_acm ()) image
            ~slb_base:p.Platform.slb_base)
         outcome.Session.pcr17_during;
       Alcotest.(check bool) "differs from svm chain" true
@@ -113,10 +113,10 @@ let test_txt_session () =
    each measure both stages and end at the same launch value. *)
 let test_txt_sessions_in_a_row () =
   let p = make_platform ~seed:"txt-twice" in
-  let tech = Session.Txt { acm = Skinit.default_acm } in
+  let tech = Session.Txt { acm = Skinit.default_acm () } in
   let image = Flicker_slb.Builder.build ~flavor:Flicker_slb.Builder.Optimized worker in
   let expected =
-    Measurement.after_launch ~acm:Skinit.default_acm image ~slb_base:p.Platform.slb_base
+    Measurement.after_launch ~acm:(Skinit.default_acm ()) image ~slb_base:p.Platform.slb_base
   in
   for i = 1 to 2 do
     match Session.execute p ~pal:worker ~tech ~inputs:"again" () with
@@ -130,7 +130,7 @@ let test_txt_sessions_in_a_row () =
 let test_txt_attestation () =
   let p = make_platform ~seed:"txt-attest" in
   let nonce = Platform.fresh_nonce p in
-  let tech = Session.Txt { acm = Skinit.default_acm } in
+  let tech = Session.Txt { acm = Skinit.default_acm () } in
   match Session.execute p ~pal:worker ~tech ~inputs:"x" ~nonce () with
   | Error e -> Alcotest.failf "session: %a" Session.pp_error e
   | Ok outcome -> (
@@ -139,7 +139,7 @@ let test_txt_attestation () =
       in
       (* a TXT-aware expectation verifies *)
       let good =
-        Verifier.expect ~pal:worker ~acm:Skinit.default_acm
+        Verifier.expect ~pal:worker ~acm:(Skinit.default_acm ())
           ~slb_base:p.Platform.slb_base ~nonce ()
       in
       (match Verifier.verify ~ca_key good evidence with
@@ -177,7 +177,7 @@ let test_txt_sealing_is_tech_specific () =
         | Ok _ | Error _ -> Pal_env.set_output env "ERROR: mode")
   in
   let p = make_platform ~seed:"txt-seal" in
-  let tech = Session.Txt { acm = Skinit.default_acm } in
+  let tech = Session.Txt { acm = Skinit.default_acm () } in
   let blob =
     match Session.execute p ~pal:sealer ~tech ~inputs:(Util.encode_fields [ "seal" ]) () with
     | Ok o -> o.Session.outputs
@@ -208,7 +208,7 @@ let test_txt_timing () =
     | Error e -> Alcotest.failf "%a" Session.pp_error e
   in
   let txt =
-    match Session.execute p ~pal:worker ~tech:(Session.Txt { acm = Skinit.default_acm }) () with
+    match Session.execute p ~pal:worker ~tech:(Session.Txt { acm = Skinit.default_acm () }) () with
     | Ok o -> o
     | Error e -> Alcotest.failf "%a" Session.pp_error e
   in

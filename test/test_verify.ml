@@ -223,7 +223,7 @@ let test_real_sessions_conform () =
   let nonce = Platform.fresh_nonce p in
   ignore (run_session p "vc-opt" "a" ~inputs:"in" ~nonce);
   ignore (run_session p "vc-std" "b" ~flavor:Flicker_slb.Builder.Standard);
-  ignore (run_session p "vc-txt" "c" ~tech:(Session.Txt { acm = Flicker_hw.Skinit.default_acm }));
+  ignore (run_session p "vc-txt" "c" ~tech:(Session.Txt { acm = Flicker_hw.Skinit.default_acm () }));
   let report =
     V.Checker.check_tracer p.Platform.machine.Machine.tracer
   in
