@@ -146,8 +146,8 @@ let tests =
            | Ok _ -> ()
            | Error e -> Format.kasprintf failwith "%a" Session.pp_error e));
     Test.make ~name:"table2:skinit instruction"
-      (* two SLB contents in turn: a TPM sent the bytes it measured last
-         reuses their digest, so one content would time a compare *)
+      (* two SLB contents in turn, written byte by byte: the window is
+         never one slice of a string, so every launch is measured *)
       (let flip = ref 0 in
        Staged.stage (fun () ->
            let m = Lazy.force skinit_machine in

@@ -199,20 +199,17 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
 
     (* --- Load SLB: the application's sysfs writes and the
        flicker-module's allocation + patching --- *)
-    let loaded =
+    let initialized =
       timed Load_slb (fun () ->
           Sysfs.write platform.Platform.sysfs ~path:"slb" image.Builder.bytes;
           Sysfs.write platform.Platform.sysfs ~path:"inputs" inputs;
           Sysfs.write platform.Platform.sysfs ~path:"control" "1";
           Memory.zero memory ~addr:slb_base ~len:Layout.total_footprint;
-          (* repeated sessions of the same PAL reuse the patched window
-             the image's memo slot keeps instead of re-patching a fresh
-             64 KB copy *)
+          (* repeated sessions of the same PAL load the patched window
+             the image's memo slot keeps: the window's pages become
+             slices of that one string, and no byte is copied *)
           let initialized = Measurement.initialized image ~slb_base in
           Memory.write memory ~addr:slb_base initialized;
-          (* the window now holds the initialized image, whose digest the
-             slot keeps; a later write to any of its pages voids that *)
-          let loaded = Memory.write_stamp memory in
           if platform.Platform.corrupt_next_slb then begin
             platform.Platform.corrupt_next_slb <- false;
             (* flip a byte inside the PAL region *)
@@ -223,7 +220,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
           end;
           Memory.write memory ~addr:(slb_base + Layout.inputs_page_offset) inputs;
           Machine.charge machine machine.Machine.timing.Flicker_hw.Timing.cpu.Flicker_hw.Timing.misc_op_ms;
-          loaded)
+          initialized)
     in
 
     (* --- Suspend OS --- *)
@@ -251,6 +248,15 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
         Scheduler.resume platform.Platform.scheduler;
         finish (Error (Skinit_failed msg))
     | Ok launch ->
+        (* the window still holds the loaded image exactly when it is
+           still one slice of that very string from its start: any write
+           since the load (a corrupted byte, a DMA write) copied a page
+           out of it *)
+        let pristine =
+          match Memory.source memory ~addr:slb_base ~len:Layout.slb_size with
+          | Some (s, 0) -> s == initialized
+          | _ -> false
+        in
         (* --- SLB Core init (plus the optimized stub's hash+extend) --- *)
         timed Slb_init (fun () ->
             Machine.charge machine Slb_core.init_overhead_ms;
@@ -260,24 +266,24 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                 (* the measured stub hashes the full window on the main
                    CPU and extends PCR 17 before running any of it. The
                    simulated cost is charged in full; on the host, a
-                   window no write touched since the load hashes to the
-                   digest the image's memo slot keeps, and any other
-                   window (a corrupted byte, a DMA write) is read back and
+                   pristine window hashes to the digest the image's memo
+                   slot keeps, and any other window is read back and
                    hashed *)
                 let digest =
-                  if
-                    Memory.written_after memory ~stamp:loaded ~addr:slb_base
-                      ~len:Layout.slb_size
-                  then
+                  if pristine then Measurement.window_hash image ~slb_base
+                  else
                     Flicker_crypto.Sha1.digest
                       (Memory.read memory ~addr:slb_base ~len:Layout.slb_size)
-                  else Measurement.window_hash image ~slb_base
                 in
                 Machine.charge_sha1 machine ~bytes:Layout.slb_size;
                 extend_pcr17 ~kind:"stub" platform digest);
 
-        (* --- Execute PAL: only if the launched window holds its code --- *)
-        let measured_pal = Builder.holds_pal_code ~flavor memory ~slb_base pal.Pal.code in
+        (* --- Execute PAL: only if the launched window holds its code.
+           A pristine window holds the image linked from the PAL's code,
+           so only another window is compared in place --- *)
+        let measured_pal =
+          pristine || Builder.holds_pal_code ~flavor memory ~slb_base pal.Pal.code
+        in
         let pcr17_during = pcr17_of platform in
         let pal_entered = Clock.now clock in
         let env_outputs, pal_fault =

@@ -4,7 +4,7 @@ module Injector = Flicker_fault.Injector
 
 type tpm_hooks = {
   dynamic_pcr_reset : unit -> unit;
-  measure_into_pcr17 : len:int -> same:(string -> bool) -> read:(unit -> string) -> string;
+  measure_into_pcr17 : len:int -> source:(string * int) option -> read:(unit -> string) -> string;
 }
 
 type t = {

@@ -13,15 +13,18 @@
 type tpm_hooks = {
   dynamic_pcr_reset : unit -> unit;
       (** Reset PCRs 17–23 to zero, as the chipset does on SKINIT. *)
-  measure_into_pcr17 : len:int -> same:(string -> bool) -> read:(unit -> string) -> string;
+  measure_into_pcr17 : len:int -> source:(string * int) option -> read:(unit -> string) -> string;
       (** Hash the [len] transmitted SLB bytes, extend PCR 17 with the
-          hash, and return it. [same kept] says whether the transmitted
-          bytes equal [kept], a string of [len] bytes, without copying
-          them; [read ()] returns them. The TPM keeps the bytes it
-          measured last and their hash: when [same] holds for those, it
-          extends that hash again without reading or rehashing, and
-          otherwise it reads the bytes, hashes them and keeps them in
-          their place. The digest, the extend and the launch's
+          hash, and return it. [source] is where the bytes lie when they
+          are one slice [String.sub s o len] of an immutable string
+          ({!Memory.source}); [read ()] returns them. The TPM keeps the
+          slice it measured last and its hash: when [source] is that
+          very slice (the same string, physically, at the same offset
+          and length) it extends the hash again without reading or
+          rehashing anything. Any other bytes (another string, another
+          part of it, or no single source) are read and hashed, and
+          what the TPM keeps is replaced by their slice, or by nothing
+          when they have none. The digest, the extend and the launch's
           simulated cost are the same either way. *)
 }
 

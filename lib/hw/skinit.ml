@@ -61,15 +61,15 @@ let execute ?acm (m : Machine.t) ~slb_base =
   bsp.debug_enabled <- false;
   (* The CPU transmits the SLB contents to the TPM, which resets the
      dynamic PCRs and extends PCR 17 with the measurement. The TPM reads
-     the bytes out of memory only when they differ from those it kept.
-     Under TXT the chipset first authenticates and measures the SINIT
-     ACM, which then measures the SLB (the MLE). *)
+     the bytes out of memory only when they are not the very slice it
+     measured last. Under TXT the chipset first authenticates and
+     measures the SINIT ACM, which then measures the SLB (the MLE). *)
   hooks.dynamic_pcr_reset ();
   let acm_measurement =
     Option.map
       (fun acm ->
         let digest =
-          hooks.measure_into_pcr17 ~len:(String.length acm) ~same:(String.equal acm)
+          hooks.measure_into_pcr17 ~len:(String.length acm) ~source:(Some (acm, 0))
             ~read:(fun () -> acm)
         in
         Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:(String.length acm));
@@ -78,7 +78,7 @@ let execute ?acm (m : Machine.t) ~slb_base =
   in
   let measurement =
     hooks.measure_into_pcr17 ~len:slb_length
-      ~same:(Memory.equal_range m.memory ~addr:slb_base)
+      ~source:(Memory.source m.memory ~addr:slb_base ~len:slb_length)
       ~read:(fun () -> Memory.read m.memory ~addr:slb_base ~len:slb_length)
   in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:slb_length);

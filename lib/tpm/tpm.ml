@@ -13,8 +13,9 @@ type t = {
   owner_auth : string;
   seal_enc_key : Aes.key;
   seal_mac_key : string;
-  mutable last_measured : (string * Tpm_types.digest) option;
-      (* the bytes the SKINIT/SENTER hook last hashed, and their SHA-1 *)
+  mutable last_measured : (string * int * int * Tpm_types.digest) option;
+      (* the slice the SKINIT/SENTER hook last hashed (its string,
+         offset and length) and its SHA-1 *)
 }
 
 type authorization = { session : int; nonce_odd : string; mac : string }
@@ -116,24 +117,24 @@ let create ?owner_auth ?srk_auth machine rng ~key_bits =
   }
 
 (* The SHA-1 of the transmitted bytes. A platform relaunching one PAL
-   sends the same bytes every time, so a TPM that is sent exactly what
-   it measured last reuses that digest, comparing them where they lie;
-   any other bytes are read out, hashed and remembered instead. *)
-let measure t ~len ~same ~read =
-  match t.last_measured with
-  | Some (bytes, digest) when String.length bytes = len && same bytes -> digest
+   sends the same slice of the same immutable window string every time,
+   so a TPM sent exactly the slice it measured last reuses that digest;
+   any other bytes are read out and hashed, and their slice, if any, is
+   remembered instead. *)
+let measure t ~len ~source ~read =
+  match (t.last_measured, source) with
+  | Some (s, o, n, digest), Some (s', o') when s == s' && o = o' && n = len -> digest
   | _ ->
-      let slb_contents = read () in
-      let digest = Sha1.digest slb_contents in
-      t.last_measured <- Some (slb_contents, digest);
+      let digest = Sha1.digest (read ()) in
+      t.last_measured <- Option.map (fun (s, o) -> (s, o, len, digest)) source;
       digest
 
 let skinit_hooks t =
   {
     Machine.dynamic_pcr_reset = (fun () -> Pcr.dynamic_reset t.pcrs);
     measure_into_pcr17 =
-      (fun ~len ~same ~read ->
-        let measurement = measure t ~len ~same ~read in
+      (fun ~len ~source ~read ->
+        let measurement = measure t ~len ~source ~read in
         match Pcr.extend ~kind:"measure" t.pcrs 17 measurement with
         | Ok _ -> measurement
         | Error e -> failwith ("TPM: PCR 17 extend failed: " ^ Tpm_types.error_to_string e));

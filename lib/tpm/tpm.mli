@@ -41,8 +41,9 @@ val create :
 val skinit_hooks : t -> Flicker_hw.Machine.tpm_hooks
 (** The chipset-facing interface SKINIT drives; pass to
     [Machine.set_tpm_hooks]. Not reachable from the software command set.
-    Its [measure_into_pcr17] keeps the bytes this TPM measured last and
-    their SHA-1 in [t], as {!Flicker_hw.Machine.tpm_hooks} describes. *)
+    Its [measure_into_pcr17] keeps the slice this TPM measured last (a
+    string, an offset and a length, compared physically) and its SHA-1
+    in [t], as {!Flicker_hw.Machine.tpm_hooks} describes. *)
 
 val reboot : t -> unit
 (** Platform reset: static PCRs to zero, dynamic PCRs to -1, sessions

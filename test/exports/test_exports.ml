@@ -1,12 +1,17 @@
 (* Exports under lib/, each reached from outside its own module.
 
-   Reads every [val] in lib/**/*.mli, nested signatures included, and
-   resolves every value reference in lib/, bin/, bench/, examples/,
-   perf/ and test/ to the export it names. Module paths are resolved
-   through the dune library wrappers, sibling modules, module aliases,
-   [open]s and [let module], so a constructor or a local module that
-   shares a module's name is not a use of it. A reference from the
-   export's own compilation unit does not count.
+   Reads every [val] in lib/**/*.mli, nested signatures included: a
+   [sig ... end], a functor's result signature, and a module type named
+   by [module X : S] or [S with ...], declared in the same interface,
+   another lib/ interface or the standard library. Resolves every value
+   reference in lib/, bin/, bench/, examples/, perf/ and test/ to the
+   export it names. Module paths are resolved through the dune library
+   wrappers, sibling modules, module aliases, [open]s and [let module],
+   so a constructor or a local module that shares a module's name is not
+   a use of it. A module bound to [F (...)] stands for [F]: [M.v] is a
+   use of [F.v], and so is [U.v] when unit [U] does [include F (...)]. A
+   module passed whole to a functor uses every value it exports. A
+   reference from the export's own compilation unit does not count.
 
    Every export must be referenced from outside its unit. One that only
    tests reference (anything under test/, and perf/test_perf.ml) must
@@ -189,23 +194,70 @@ let show = String.concat "."
 
 type export = { path : string list; unit_ : string list; where : string }
 
-let rec signature ~file path items =
+(* the [module type NAME] among [items], if it declares one *)
+let declared_module_type name items =
+  List.find_map
+    (fun item ->
+      match item.psig_desc with
+      | Psig_modtype { pmtd_name = { txt; _ }; pmtd_type = Some mty; _ } when txt = name ->
+          Some mty
+      | _ -> None)
+    items
+
+(* the interface of unit [u], as its path and its items: a sibling of
+   [file] in lib/, else the standard library's *)
+let interface_of ~file u =
+  let name = String.uncapitalize_ascii u ^ ".mli" in
+  let sibling = Filename.concat (Filename.dirname file) name in
+  let stdlib = Filename.concat Config.standard_library name in
+  if Sys.file_exists (Filename.concat root sibling) then
+    Some (sibling, Parse.interface (lexbuf sibling))
+  else if Sys.file_exists stdlib then
+    let text = In_channel.with_open_bin stdlib In_channel.input_all in
+    Some (stdlib, Parse.interface (Lexing.from_string text))
+  else None
+
+(* the signature a module type stands for, with the interface ([(path,
+   items)]) it is written in: written out, a functor's result, the type
+   [S] of [S with ...], or a module type named in [intf] or in another
+   interface *)
+let rec module_type ~file intf mty =
+  match mty.pmty_desc with
+  | Pmty_signature sg -> Some (sg, intf)
+  | Pmty_functor (_, result) | Pmty_with (result, _) -> module_type ~file intf result
+  | Pmty_ident { txt = Lident name; _ } ->
+      Option.bind (declared_module_type name (snd intf)) (module_type ~file intf)
+  | Pmty_ident { txt = Ldot ((Lident u | Ldot (Lident "Stdlib", u)), name); _ } ->
+      Option.bind (interface_of ~file u) (fun other ->
+          Option.bind (declared_module_type name (snd other)) (module_type ~file other))
+  | _ -> None
+
+(* every [val] of [items], written in [intf], under [path]; [at] is the
+   declaration in [file] that brought in a signature written elsewhere *)
+let rec signature ~file ~intf ?at path items =
   List.concat_map
     (fun item ->
       match item.psig_desc with
       | Psig_value vd ->
-          let where = Printf.sprintf "%s:%d" file vd.pval_loc.loc_start.pos_lnum in
+          let loc = Option.value at ~default:vd.pval_loc in
+          let where = Printf.sprintf "%s:%d" file loc.loc_start.pos_lnum in
           [ { path = path @ [ vd.pval_name.txt ]; unit_ = unit_path file; where } ]
-      | Psig_module
-          { pmd_name = { txt = Some name; _ }; pmd_type = { pmty_desc = Pmty_signature sg; _ }; _ }
-        ->
-          signature ~file (path @ [ name ]) sg
+      | Psig_module { pmd_name = { txt = Some name; _ }; pmd_type; pmd_loc; _ } -> (
+          match module_type ~file intf pmd_type with
+          | Some (sg, intf') ->
+              let at =
+                if fst intf' = fst intf then at else Some (Option.value at ~default:pmd_loc)
+              in
+              signature ~file ~intf:intf' ?at (path @ [ name ]) sg
+          | None -> [])
       | _ -> [])
     items
 
+let interface_exports file sg = signature ~file ~intf:(file, sg) (unit_path file) sg
+
 let exports =
   List.concat_map
-    (fun file -> signature ~file (unit_path file) (Parse.interface (lexbuf file)))
+    (fun file -> interface_exports file (Parse.interface (lexbuf file)))
     (files [ ".mli" ] "lib")
 
 let export_table =
@@ -226,10 +278,19 @@ let modules =
 
 (* --- references --- *)
 
+(* [path] is [m] or lies inside module [m] *)
+let rec covers_path m path =
+  match (m, path) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && covers_path xs ys
+  | _ :: _, [] -> false
+
 type binding = Alias of string * string list | Open of string list
 
-(* the export paths [file] references from outside their own unit *)
-let references file =
+(* the export paths [file] references from outside their own unit, and
+   the functors its top level includes an application of; [ast] is
+   [file]'s parsed text *)
+let references file ast =
   let here = unit_path file in
   let siblings = List.map unit_name (files [ ".ml"; ".mli" ] (Filename.dirname file)) in
   (* a bare module name before the file's own bindings: a sibling in the
@@ -261,13 +322,15 @@ let references file =
     | Ldot (l, v) -> Option.map (fun p -> p @ [ v ]) (module_path l)
     | Lapply _ -> None
   in
+  (* a functor's application stands for the functor *)
   let rec path_of me =
     match me.pmod_desc with
     | Pmod_ident { txt; _ } -> module_path txt
-    | Pmod_constraint (me, _) -> path_of me
+    | Pmod_constraint (me, _) | Pmod_apply (me, _) | Pmod_apply_unit me -> path_of me
     | _ -> None
   in
-  (* a module bound to anything but a path is this unit's own *)
+  (* a module bound to anything but a path or an application is this
+     unit's own *)
   let bind name me = Alias (name, Option.value (path_of me) ~default:(here @ [ name ])) in
   let push_open me = Option.iter (fun p -> scope := Open p :: !scope) (path_of me) in
   let scoped f =
@@ -275,13 +338,14 @@ let references file =
     f ();
     scope := saved
   in
-  let found = ref [] in
+  let found = ref [] and included = ref [] in
+  let outside e = e.unit_ <> here in
   let super = Ast_iterator.default_iterator in
   let expr it e =
     match e.pexp_desc with
     | Pexp_ident { txt; _ } -> (
         match value_path txt with
-        | Some p when Hashtbl.mem export_table p && (Hashtbl.find export_table p).unit_ <> here ->
+        | Some p when Hashtbl.mem export_table p && outside (Hashtbl.find export_table p) ->
             found := p :: !found
         | _ -> ())
     | Pexp_open (od, body) ->
@@ -296,6 +360,19 @@ let references file =
             it.expr it body)
     | _ -> super.expr it e
   in
+  (* a module passed whole to a functor: every value it exports *)
+  let module_expr it me =
+    (match me.pmod_desc with
+    | Pmod_apply (_, arg) ->
+        Option.iter
+          (fun m ->
+            List.iter
+              (fun e -> if outside e && covers_path m e.path then found := e.path :: !found)
+              exports)
+          (path_of arg)
+    | _ -> ());
+    super.module_expr it me
+  in
   let structure it items =
     scoped (fun () ->
         List.iter
@@ -303,40 +380,57 @@ let references file =
             it.Ast_iterator.structure_item it item;
             match item.pstr_desc with
             | Pstr_open od -> push_open od.popen_expr
-            | Pstr_include incl -> push_open incl.pincl_mod
+            | Pstr_include incl ->
+                (match incl.pincl_mod.pmod_desc with
+                | Pmod_apply _ when items == ast ->
+                    Option.iter (fun f -> included := f :: !included) (path_of incl.pincl_mod)
+                | _ -> ());
+                push_open incl.pincl_mod
             | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
                 scope := bind name pmb_expr :: !scope
             | _ -> ())
           items)
   in
-  let it = { super with expr; structure } in
-  it.structure it (Parse.implementation (lexbuf file));
-  !found
+  let it = { super with expr; module_expr; structure } in
+  it.structure it ast;
+  (!found, !included)
 
 (* export path -> (referenced outside tests, referenced by tests) *)
 let uses =
   let t = Hashtbl.create 1024 in
+  let refs =
+    List.map
+      (fun file -> (file, references file (Parse.implementation (lexbuf file))))
+      (List.concat_map (files [ ".ml" ]) [ "lib"; "bin"; "bench"; "examples"; "perf"; "test" ])
+  in
+  (* unit path -> the functors it includes an application of *)
+  let includes = Hashtbl.create 16 in
+  List.iter (fun (file, (_, fs)) -> Hashtbl.replace includes (unit_path file) fs) refs;
+  let mark file p =
+    let code, tests = Option.value (Hashtbl.find_opt t p) ~default:(false, false) in
+    Hashtbl.replace t p (code || not (is_test file), tests || is_test file)
+  in
   List.iter
-    (fun file ->
+    (fun (file, (found, _)) ->
       List.iter
         (fun p ->
-          let code, tests = Option.value (Hashtbl.find_opt t p) ~default:(false, false) in
-          Hashtbl.replace t p (code || not (is_test file), tests || is_test file))
-        (references file))
-    (List.concat_map (files [ ".ml" ]) [ "lib"; "bin"; "bench"; "examples"; "perf"; "test" ]);
+          mark file p;
+          (* [U.v], where [U] includes [F (...)], is also [F.v] *)
+          match List.rev p with
+          | v :: rev_unit ->
+              List.iter
+                (fun f -> if Hashtbl.mem export_table (f @ [ v ]) then mark file (f @ [ v ]))
+                (Option.value (Hashtbl.find_opt includes (List.rev rev_unit)) ~default:[])
+          | [] -> ())
+        found)
+    refs;
   t
 
 let use e = Option.value (Hashtbl.find_opt uses e.path) ~default:(false, false)
 let test_only = List.filter (fun e -> use e = (false, true)) exports
 
 (* an entry covers the export it names and everything inside a module it names *)
-let covers entry e =
-  let rec prefix = function
-    | [], _ -> true
-    | x :: xs, y :: ys -> x = y && prefix (xs, ys)
-    | _ :: _, [] -> false
-  in
-  prefix (String.split_on_char '.' entry, e.path)
+let covers entry e = covers_path (String.split_on_char '.' entry) e.path
 
 let describe e = Printf.sprintf "%s: %s" e.where (show e.path)
 let entries =
@@ -360,11 +454,45 @@ let test_no_stale_entries () =
   Alcotest.(check (list string)) "allowlist entries without a reason" []
     (List.filter_map (fun (p, reason) -> if String.trim reason = "" then Some p else None) entries)
 
+(* The scan itself, on inline text: a functor's result, a module type
+   declared beside its use and [S with ...] over a standard-library
+   module type are read; [M.v] for [M] bound to [F (...)] is [F.v], and
+   a module passed to a functor uses every value it exports. *)
+let test_functors () =
+  let parse s = Parse.interface (Lexing.from_string s) in
+  Alcotest.(check (list string)) "exports read"
+    [
+      "Flicker_core.Example.Make.find"; "Flicker_core.Example.Key.equal";
+      "Flicker_core.Example.Key.hash"; "Flicker_core.Example.Named.s";
+    ]
+    (List.map
+       (fun e -> show e.path)
+       (interface_exports "lib/core/example.mli"
+          (parse
+             "module type S = sig val s : int end\n\
+              module Make (K : S) : sig val find : int end\n\
+              module Key : Hashtbl.HashedType with type t = int\n\
+              module Named : S\n")));
+  let found, _ =
+    references "bench/example.ml"
+      (Parse.implementation
+         (Lexing.from_string
+            "module M = Flicker_core.Memo.Make (Flicker_apps.Cert_authority.Certificate_key)\n\
+             let _ = M.find\n"))
+  in
+  Alcotest.(check (list string)) "uses resolved"
+    [
+      "Flicker_apps.Cert_authority.Certificate_key.equal";
+      "Flicker_apps.Cert_authority.Certificate_key.hash"; "Flicker_core.Memo.Make.find";
+    ]
+    (List.sort compare (List.map show found))
+
 let () =
   Alcotest.run "exports"
     [
       ( "lib",
         [
+          Alcotest.test_case "functor results and arguments" `Quick test_functors;
           Alcotest.test_case "every export referenced" `Quick test_all_referenced;
           Alcotest.test_case "test-only exports listed" `Quick test_test_only_listed;
           Alcotest.test_case "no stale allowlist entries" `Quick test_no_stale_entries;

@@ -162,7 +162,7 @@ let machine_with_tpm () =
     {
       Machine.dynamic_pcr_reset = (fun () -> incr resets);
       measure_into_pcr17 =
-        (fun ~len:_ ~same:_ ~read ->
+        (fun ~len:_ ~source:_ ~read ->
           measured := Some (read ());
           "measurement");
     };
@@ -295,39 +295,59 @@ let prop_memory_rw =
       Memory.write m ~addr data;
       Memory.read m ~addr ~len:(String.length data) = data)
 
-(* property: sparse pages behave as one flat byte array. Random
+(* property: pages of three kinds behave as one flat byte array. Random
    operations on a four-page memory, with ranges that straddle pages,
-   are replayed on a [Bytes] model and every result is compared. The
-   model also keeps, per page, the number of the last mutation that
-   touched it, which gives the write-stamp contract: [written_after]
-   reports a write exactly when a mutation after the stamp touched one
-   of the range's pages. *)
+   are replayed on a [Bytes] model and every result is compared. Writes
+   come from a small pool of strings (two with equal bytes, so equal
+   bytes from another string are seen), at aligned addresses that make
+   their whole pages slices and at any other; random bytes, single bytes
+   and u16s are written in place; [zero] and a power cycle wipe. The
+   model also keeps, per page, the string and offset it was last written
+   from whole, which gives the [source] contract: a range is reported
+   sliced from [(s, o)] exactly when each of its pages still holds the
+   next bytes of [s], and then it reads [String.sub s o len]. *)
 type mem_op =
   | Write of int * string
+  | Write_pool of int * int  (* which pool string, addr *)
   | Write_byte of int * int
   | Write_u16 of int * int
   | Zero of int * int
+  | Power_cycle
   | Read of int * int
   | Read_byte of int
   | Read_u16 of int
   | Find of string
-  | Stamp
-  | Written_after of int * int * int  (* which stamp, addr, len *)
+  | Equal_range of int * int * int option  (* addr, len, the byte to flip *)
+  | Source of int * int
 
 let model_pages = 4
 let model_size = model_pages * Memory.page_size
 
+(* the pool's third string is a copy of its first: equal bytes in
+   another string *)
+let pool =
+  let page c = String.init Memory.page_size (fun i -> if i mod 7 = 0 then c else 'a') in
+  let two = page 'x' ^ page 'y' in
+  [|
+    two; page 'p' ^ page 'q' ^ page 'r'; String.init (String.length two) (String.get two);
+    page 'z' ^ String.make 100 'b';
+  |]
+
 let show_op = function
   | Write (a, s) -> Printf.sprintf "write %d %S" a s
+  | Write_pool (k, a) -> Printf.sprintf "write pool.(%d) at %d" k a
   | Write_byte (a, v) -> Printf.sprintf "write_byte %d %d" a v
   | Write_u16 (a, v) -> Printf.sprintf "write_u16 %d %d" a v
   | Zero (a, n) -> Printf.sprintf "zero %d %d" a n
+  | Power_cycle -> "power_cycle"
   | Read (a, n) -> Printf.sprintf "read %d %d" a n
   | Read_byte a -> Printf.sprintf "read_byte %d" a
   | Read_u16 a -> Printf.sprintf "read_u16 %d" a
   | Find p -> Printf.sprintf "find %S" p
-  | Stamp -> "stamp"
-  | Written_after (k, a, n) -> Printf.sprintf "written_after #%d %d %d" k a n
+  | Equal_range (a, n, flip) ->
+      Printf.sprintf "equal_range %d %d%s" a n
+        (match flip with Some i -> Printf.sprintf " flip %d" i | None -> "")
+  | Source (a, n) -> Printf.sprintf "source %d %d" a n
 
 let gen_mem_op =
   let open QCheck.Gen in
@@ -341,20 +361,35 @@ let gen_mem_op =
           (pair (int_range 1 (model_pages - 1)) (int_range (-8) 8));
       ]
   in
+  let aligned span =
+    map (fun p -> p * Memory.page_size) (int_range 0 ((model_size - span) / Memory.page_size))
+  in
   let range = int_range 0 6000 >>= fun n -> map (fun a -> (a, n)) (addr n) in
-  let bytes n = string_size ~gen:(oneofl [ '\000'; 'a'; 'b' ]) (return n) in
+  let bytes n = string_size ~gen:(oneofl [ '\000'; 'a'; 'b'; 'x' ]) (return n) in
+  let pooled =
+    int_range 0 (Array.length pool - 1) >>= fun k ->
+    let n = String.length pool.(k) in
+    map (fun a -> Write_pool (k, a)) (frequency [ (3, aligned n); (1, addr n) ])
+  in
   frequency
     [
-      (3, range >>= fun (a, n) -> map (fun s -> Write (a, s)) (bytes n));
+      (2, range >>= fun (a, n) -> map (fun s -> Write (a, s)) (bytes n));
+      (3, pooled);
       (2, map2 (fun a v -> Write_byte (a, v)) (addr 1) (int_range 0 0x1ff));
-      (2, map2 (fun a v -> Write_u16 (a, v)) (addr 2) (int_range 0 0x1ffff));
+      (1, map2 (fun a v -> Write_u16 (a, v)) (addr 2) (int_range 0 0x1ffff));
       (2, map (fun (a, n) -> Zero (a, n)) range);
-      (3, map (fun (a, n) -> Read (a, n)) range);
-      (2, map (fun a -> Read_byte a) (addr 1));
+      (1, return Power_cycle);
+      (2, map (fun (a, n) -> Read (a, n)) range);
+      (1, map (fun a -> Read_byte a) (addr 1));
       (1, map (fun a -> Read_u16 a) (addr 2));
-      (2, int_range 1 6 >>= fun n -> map (fun p -> Find p) (bytes n));
-      (1, return Stamp);
-      (3, map2 (fun k (a, n) -> Written_after (k, a, n)) (int_range 0 7) range);
+      (1, int_range 1 6 >>= fun n -> map (fun p -> Find p) (bytes n));
+      ( 2,
+        range >>= fun (a, n) ->
+        map (fun flip -> Equal_range (a, n, flip))
+          (if n = 0 then return None else opt (int_range 0 (n - 1))) );
+      (3, map (fun (a, n) -> Source (a, n)) range);
+      (2, map (fun p -> Source (p * Memory.page_size, Memory.page_size * (1 + (p mod 2))))
+           (int_range 0 (model_pages - 2)));
     ]
 
 let prop_memory_matches_flat_model =
@@ -363,20 +398,44 @@ let prop_memory_matches_flat_model =
        ~print:(fun ops -> String.concat "; " (List.map show_op ops))
        QCheck.Gen.(list_size (int_range 1 40) gen_mem_op))
     (fun ops ->
-      let m = Memory.create ~size:model_size in
+      let machine = Machine.create ~memory_size:model_size ~trace_capacity:64 timing in
+      let m = machine.Machine.memory in
       let flat = Bytes.make model_size '\000' in
-      let last = Array.make model_pages 0 in
-      let mutations = ref 0 in
-      let mutate a n =
-        if n > 0 then begin
-          incr mutations;
+      (* per page: the string and offset it was last written from whole *)
+      let sliced = Array.make model_pages None in
+      let forget a n =
+        if n > 0 then
           for p = a / Memory.page_size to (a + n - 1) / Memory.page_size do
-            last.(p) <- !mutations
+            sliced.(p) <- None
           done
-        end
       in
-      (* (memory's stamp, mutations so far), newest first *)
-      let stamps = ref [ (Memory.write_stamp m, 0) ] in
+      let write a s =
+        let n = String.length s in
+        Memory.write m ~addr:a s;
+        Bytes.blit_string s 0 flat a n;
+        forget a n;
+        for p = 0 to model_pages - 1 do
+          let o = (p * Memory.page_size) - a in
+          if o >= 0 && o + Memory.page_size <= n then sliced.(p) <- Some (s, o)
+        done
+      in
+      let expected_source a n =
+        if n = 0 then None
+        else
+          let first = a / Memory.page_size and last = (a + n - 1) / Memory.page_size in
+          match sliced.(first) with
+          | None -> None
+          | Some (s, o) ->
+              let shift = o - (first * Memory.page_size) in
+              let rec continues p =
+                p > last
+                || (match sliced.(p) with
+                   | Some (s', o') -> s' == s && o' - (p * Memory.page_size) = shift
+                   | None -> false)
+                   && continues (p + 1)
+              in
+              if continues (first + 1) then Some (s, a + shift) else None
+      in
       let flat_find p =
         let n = String.length p in
         let rec go i =
@@ -390,41 +449,48 @@ let prop_memory_matches_flat_model =
       List.for_all
         (function
           | Write (a, s) ->
-              Memory.write m ~addr:a s;
-              Bytes.blit_string s 0 flat a (String.length s);
-              mutate a (String.length s);
+              write a s;
+              true
+          | Write_pool (k, a) ->
+              write a pool.(k);
               true
           | Write_byte (a, v) ->
               Memory.write_byte m a v;
               Bytes.set flat a (Char.chr (v land 0xff));
-              mutate a 1;
+              forget a 1;
               true
           | Write_u16 (a, v) ->
               Memory.write_u16_le m a v;
               Bytes.set flat a (Char.chr (v land 0xff));
               Bytes.set flat (a + 1) (Char.chr ((v lsr 8) land 0xff));
-              mutate a 2;
+              forget a 2;
               true
           | Zero (a, n) ->
               Memory.zero m ~addr:a ~len:n;
               Bytes.fill flat a n '\000';
-              mutate a n;
+              forget a n;
+              true
+          | Power_cycle ->
+              Machine.power_cycle machine;
+              Bytes.fill flat 0 model_size '\000';
+              forget 0 model_size;
               true
           | Read (a, n) -> Memory.read m ~addr:a ~len:n = Bytes.sub_string flat a n
           | Read_byte a -> Memory.read_byte m a = flat_byte a
           | Read_u16 a -> Memory.read_u16_le m a = flat_byte a lor (flat_byte (a + 1) lsl 8)
           | Find p -> Memory.find_pattern m p = flat_find p
-          | Stamp ->
-              stamps := (Memory.write_stamp m, !mutations) :: !stamps;
-              true
-          | Written_after (k, a, n) ->
-              let stamp, at = List.nth !stamps (k mod List.length !stamps) in
-              let touched = ref false in
-              if n > 0 then
-                for p = a / Memory.page_size to (a + n - 1) / Memory.page_size do
-                  if last.(p) > at then touched := true
-                done;
-              Memory.written_after m ~stamp ~addr:a ~len:n = !touched)
+          | Equal_range (a, n, flip) ->
+              let actual = Bytes.sub flat a n in
+              Option.iter
+                (fun i -> Bytes.set actual i (Char.chr (Char.code (Bytes.get actual i) lxor 1)))
+                flip;
+              Memory.equal_range m ~addr:a (Bytes.to_string actual) = (flip = None)
+          | Source (a, n) -> (
+              let range = Bytes.sub_string flat a n in
+              match (Memory.source m ~addr:a ~len:n, expected_source a n) with
+              | None, None -> true
+              | Some (s, o), Some (s', o') -> s == s' && o = o' && String.sub s o n = range
+              | Some _, None | None, Some _ -> false))
         ops)
 
 (* The in-place compare equals [String.equal] over a copy of the range.

@@ -75,6 +75,33 @@ let test_pcr17_value () =
   Alcotest.(check string) "tpm agrees" outcome.Session.pcr17_final
     (Result.get_ok (Tpm.pcr_read p.Platform.tpm 17))
 
+(* One platform alternates Optimized and Standard sessions of one PAL.
+   Each launch sends its TPM another slice than the last (the other
+   image's window string, and another length), so each is measured
+   afresh, and every outcome must carry its own flavor's chain. *)
+let test_flavors_alternating () =
+  let p = make_platform () in
+  let slb_base = p.Platform.slb_base in
+  for _ = 1 to 3 do
+    List.iter
+      (fun flavor ->
+        let image = Builder.build ~flavor hello in
+        let nonce = Platform.fresh_nonce p in
+        let outcome = run ~flavor ~inputs:"in" ~nonce p hello in
+        Alcotest.(check string) "outputs" "Hello, in" outcome.Session.outputs;
+        Alcotest.(check string) "slb measurement"
+          (Measurement.of_image image ~slb_base)
+          outcome.Session.slb_measurement;
+        Alcotest.(check string) "pcr17 during"
+          (Measurement.after_launch image ~slb_base)
+          outcome.Session.pcr17_during;
+        Alcotest.(check string) "pcr17 final"
+          (Measurement.final image ~slb_base ~inputs:"in" ~outputs:outcome.Session.outputs
+             ~nonce:(Some nonce))
+          outcome.Session.pcr17_final)
+      [ Builder.Optimized; Builder.Standard ]
+  done
+
 let test_measurement_differs_by_pal () =
   let p = make_platform () in
   let other = Pal.define ~name:"session-other" (fun env -> Pal_env.set_output env "x") in
@@ -284,15 +311,16 @@ let test_host_sha1_bytes_per_session () =
 
 (* Allocation meter: a warm session allocates almost nothing directly in
    the major heap, whatever the size of its PAL's code. It loads the
-   image its PAL holds, extends the digest the image's memo slot keeps,
-   reuses the window's pages, and compares the measured bytes (the TPM)
-   and the launched code (the session) in place: a copy of either out of
-   simulated RAM goes straight to the major heap, 594 words for the
-   4,736-byte stub and about 5,400 for the 43,143 bytes of code of a PAL
-   linked with the TPM driver, TPM utilities and crypto. Words counted
-   are [Gc.counters]' major minus promoted, each read after a minor
-   collection. With promoted words included, a session stays below one
-   64 KB window (8,192 words). *)
+   window string the image's memo slot keeps as slices, extends the
+   digest that slot keeps, and tells the TPM's measured bytes and the
+   launched code apart from the loaded image by the window's source
+   alone: a copy of either out of simulated RAM would go straight to the
+   major heap, 594 words for the 4,736-byte stub and about 5,400 for the
+   43,143 bytes of code of a PAL linked with the TPM driver, TPM
+   utilities and crypto, and so would a 4 KB page copied on write.
+   Words counted are [Gc.counters]' major minus promoted, each read
+   after a minor collection. With promoted words included, a session
+   stays below one 64 KB window (8,192 words). *)
 let tpm_crypto_pal =
   Pal.define ~name:"session-tpm-crypto"
     ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto ]
@@ -484,6 +512,7 @@ let () =
       ( "measurement",
         [
           Alcotest.test_case "pcr17 chain" `Quick test_pcr17_value;
+          Alcotest.test_case "flavors alternating" `Quick test_flavors_alternating;
           Alcotest.test_case "differs by pal" `Quick test_measurement_differs_by_pal;
           Alcotest.test_case "stable across sessions" `Quick
             test_measurement_stable_across_sessions;

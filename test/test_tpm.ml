@@ -390,6 +390,79 @@ let test_capabilities () =
   Alcotest.(check bool) "version string" true
     (String.length (Tpm.get_capability_version tpm) > 0)
 
+(* --- SKINIT measurement reuse ---
+
+   The TPM behind SKINIT reuses its last digest only when it is sent the
+   very slice of the very string it measured last, which a page
+   replaced by a whole-page write (another string) or a window rewritten
+   from an equal copy is not. Each launch below measures the first
+   [measured_len] bytes of a 64 KB window; a launch that reuses the
+   digest hashes only its 40-byte PCR 17 extend, one that re-measures
+   hashes [measured_len] bytes more. *)
+
+let slb_base = 0x10000
+let measured_len = (3 * 4096) + 100
+
+let window fill =
+  let b = Bytes.make (64 * 1024) fill in
+  Bytes.set_uint16_le b 0 measured_len;
+  Bytes.set_uint16_le b 2 4;
+  Bytes.to_string b
+
+let skinit_machine () =
+  let machine, tpm = make_tpm () in
+  Machine.set_tpm_hooks machine (Tpm.skinit_hooks tpm);
+  (machine, tpm)
+
+(* one launch: its measurement, PCR 17 after it, and the host SHA-1
+   bytes it hashed *)
+let launch (machine, tpm) =
+  let before = Sha1.bytes_hashed () in
+  Flicker_hw.Apic.deschedule_aps machine;
+  Flicker_hw.Apic.send_init_ipi machine;
+  let l = Flicker_hw.Skinit.execute machine ~slb_base in
+  Flicker_hw.Skinit.teardown_dev machine l;
+  Flicker_hw.Apic.release_aps machine;
+  let hashed = Sha1.bytes_hashed () - before in
+  (l.Flicker_hw.Skinit.measurement, Result.get_ok (Tpm.pcr_read tpm 17), hashed)
+
+let test_page_replaced_remeasured () =
+  let ((machine, _) as m) = skinit_machine () in
+  let memory = machine.Machine.memory in
+  let w = window 'w' in
+  Flicker_hw.Memory.write memory ~addr:slb_base w;
+  let digest, pcr, first = launch m in
+  Alcotest.(check string) "measures the prefix" (Sha1.digest (String.sub w 0 measured_len)) digest;
+  let again, pcr_again, reused = launch m in
+  Alcotest.(check string) "same slice, same digest" digest again;
+  Alcotest.(check string) "same slice, same pcr17" pcr pcr_again;
+  Alcotest.(check int) "same slice is not hashed again" measured_len (first - reused);
+  (* page 1 becomes a slice of another string, with other bytes *)
+  let page = String.make 4096 'q' in
+  Flicker_hw.Memory.write memory ~addr:(slb_base + 4096) page;
+  let replaced, pcr_replaced, rehashed = launch m in
+  let expected = String.sub w 0 4096 ^ page ^ String.sub w 8192 (measured_len - 8192) in
+  Alcotest.(check string) "replaced page measured" (Sha1.digest expected) replaced;
+  Alcotest.(check bool) "pcr17 changes" true (pcr_replaced <> pcr);
+  Alcotest.(check int) "replaced page hashed" measured_len (rehashed - reused)
+
+let test_equal_copy_measures_same () =
+  let ((machine, _) as m) = skinit_machine () in
+  let memory = machine.Machine.memory in
+  let w = window 'e' in
+  Flicker_hw.Memory.write memory ~addr:slb_base w;
+  let digest, pcr, _ = launch m in
+  let _, _, reused = launch m in
+  let copy = Bytes.to_string (Bytes.of_string w) in
+  Alcotest.(check bool) "another string" true (copy != w);
+  Flicker_hw.Memory.write memory ~addr:slb_base copy;
+  let from_copy, pcr_copy, rehashed = launch m in
+  Alcotest.(check string) "equal bytes, same digest" digest from_copy;
+  Alcotest.(check string) "equal bytes, same pcr17" pcr pcr_copy;
+  Alcotest.(check int) "another string is hashed" measured_len (rehashed - reused);
+  let _, _, reused_copy = launch m in
+  Alcotest.(check int) "then its slice is reused" reused reused_copy
+
 let prop_seal_roundtrip =
   let _, tpm = make_tpm () in
   QCheck.Test.make ~name:"seal/unseal roundtrip for arbitrary data" ~count:40
@@ -451,6 +524,11 @@ let () =
           Alcotest.test_case "reboot" `Quick test_reboot;
         ] );
       ("privacy ca", [ Alcotest.test_case "certify" `Quick test_privacy_ca ]);
+      ( "skinit digest",
+        [
+          Alcotest.test_case "replaced page re-measured" `Quick test_page_replaced_remeasured;
+          Alcotest.test_case "equal copy measures the same" `Quick test_equal_copy_measures_same;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_seal_roundtrip; prop_extend_injective ]
       );

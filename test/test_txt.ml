@@ -108,8 +108,8 @@ let test_txt_session () =
         (outcome.Session.pcr17_during
         <> Measurement.after_launch image ~slb_base:p.Platform.slb_base)
 
-(* SENTER sends the TPM the ACM and then the MLE, so the bytes it
-   measured last never match the next stage's: back-to-back TXT sessions
+(* SENTER sends the TPM the ACM and then the MLE, so the slice it
+   measured last is never the next stage's: back-to-back TXT sessions
    each measure both stages and end at the same launch value. *)
 let test_txt_sessions_in_a_row () =
   let p = make_platform ~seed:"txt-twice" in
