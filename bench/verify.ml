@@ -149,18 +149,21 @@ let run () =
       ("truncated", J.Bool s.V.Mc.truncated);
       ("wall_ms", J.Float wall_ms);
     ];
-  (* conformance over a real session's trace *)
+  (* conformance over a real session, checked as its protocol events
+     are emitted: wall_ms is the host time of the whole checked session *)
   let p = Platform.create ~seed:"bench-verify" () in
+  let checker = V.Checker.create () in
+  Flicker_hw.Machine.attach_checker p.Platform.machine checker;
   let pal =
     Pal.define ~name:"bench-verify"
       (fun env -> Flicker_slb.Pal_env.set_output env "ok")
   in
-  match Session.execute p ~pal ~nonce:(Platform.fresh_nonce p) () with
-  | Error e ->
+  let nonce = Platform.fresh_nonce p in
+  match timed (fun () -> Session.execute p ~pal ~nonce ()) with
+  | Error e, _ ->
       Format.printf "conformance session failed: %a@." Session.pp_error e
-  | Ok _ ->
-      let tracer = p.Platform.machine.Flicker_hw.Machine.tracer in
-      let report, wall_ms = timed (fun () -> V.Checker.check_tracer tracer) in
+  | Ok _, wall_ms ->
+      let report = V.Checker.report checker in
       let violations = List.length report.V.Checker.violations in
       Printf.printf "%-28s %-22s %-10s %8d %12s %6s %10.3f %5s\n" "conformance"
         "-"

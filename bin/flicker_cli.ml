@@ -498,20 +498,22 @@ let check_run seed tpm workloads with_mc adversary no_por only_variant as_json
   let variants =
     match only_variant with None -> V.Model.all_variants | Some v -> [ v ]
   in
-  (* conformance: run each workload on a fresh platform and replay its
-     recorded protocol events through the automata *)
+  (* conformance: run each workload on a fresh platform whose checker
+     sees every protocol event as it is emitted; a violating session
+     stops its workload, and the report holds what it broke *)
   let failed_workloads = ref [] in
   let conformance =
     List.filter_map
       (fun (name, w) ->
         let p, ca_key = make_platform ~seed:(seed ^ "/" ^ name) ~tpm () in
+        let checker = V.Checker.create () in
+        Flicker_hw.Machine.attach_checker p.Platform.machine checker;
         match run_workload p ca_key ~seed w with
         | Error e ->
             failed_workloads := (name, e) :: !failed_workloads;
             None
-        | Ok _ ->
-            let tracer = p.Platform.machine.Flicker_hw.Machine.tracer in
-            Some (name, V.Checker.check_tracer tracer))
+        | Ok _ | (exception Session.Protocol_violation _) ->
+            Some (name, V.Checker.report checker))
       workloads
   in
   (* model checking: the good variant must verify; every planted bug

@@ -61,8 +61,9 @@ let after_launch ?acm image ~slb_base =
   | Builder.Optimized -> extend v m.window
 
 let labeled_io_extends ~inputs ~outputs ~nonce =
-  let base = [ ("input", Sha1.digest inputs); ("output", Sha1.digest outputs) ] in
-  match nonce with None -> base | Some n -> base @ [ ("nonce", n) ]
+  let module E = Flicker_verify.Event in
+  let base = [ (E.Input, Sha1.digest inputs); (E.Output, Sha1.digest outputs) ] in
+  match nonce with None -> base | Some n -> base @ [ (E.Nonce, n) ]
 
 let final ?acm ?(pal_extends = []) image ~slb_base ~inputs ~outputs ~nonce =
   extend_chain

@@ -41,11 +41,13 @@ val after_launch : ?acm:string -> Flicker_slb.Builder.image -> slb_base:int -> d
     link in front. *)
 
 val labeled_io_extends :
-  inputs:string -> outputs:string -> nonce:string option -> (string * digest) list
+  inputs:string ->
+  outputs:string ->
+  nonce:string option ->
+  (Flicker_verify.Event.pcr_kind * digest) list
 (** The values the SLB Core extends after the PAL exits, each with its
-    protocol-event kind label (["input"]/["output"]/["nonce"]) so the
-    session can tag the extends for the temporal verifier's extend-order
-    automaton. *)
+    PCR kind ([Input], [Output], [Nonce]) so the session can tag the
+    extends for the temporal verifier's extend-order automaton. *)
 
 val final :
   ?acm:string ->

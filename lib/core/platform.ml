@@ -19,7 +19,6 @@ type t = {
   slb_base : int;
   mutable sessions_run : int;
   mutable corrupt_next_slb : bool;
-  mutable check_conformance : bool;
 }
 
 let default_slb_base = 0x200000 (* 2 MB: inside the kernel's direct mapping *)
@@ -56,7 +55,6 @@ let create ?(seed = "flicker-platform") ?(timing = Timing.default) ?(key_bits = 
     slb_base = default_slb_base;
     sessions_run = 0;
     corrupt_next_slb = false;
-    check_conformance = false;
   }
 
 let clock t = t.machine.Machine.clock

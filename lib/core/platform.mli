@@ -1,6 +1,10 @@
 (** Assembly of one Flicker-capable machine: simulated hardware, TPM,
     untrusted OS, and the flicker-module's sysfs interface — the HP
-    dc5750 of Section 7.1, in software. *)
+    dc5750 of Section 7.1, in software.
+
+    The trace-conformance gate of {!Session.execute} is off on a new
+    platform; attaching a checker to its machine
+    ({!Flicker_hw.Machine.attach_checker}) turns it on. *)
 
 module Machine = Flicker_hw.Machine
 module Tpm = Flicker_tpm.Tpm
@@ -19,9 +23,6 @@ type t = {
   mutable corrupt_next_slb : bool;
       (** test hook: flip a byte of the next loaded SLB window (a TOCTOU
           attack between patching and SKINIT) *)
-  mutable check_conformance : bool;
-      (** the trace-conformance gate of {!Session.execute}; off when
-          created *)
 }
 
 val create :

@@ -18,6 +18,8 @@ module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
 module Mod_os_protection = Flicker_slb.Mod_os_protection
 module Mod_memory = Flicker_slb.Mod_memory
+module Event = Flicker_verify.Event
+module Checker = Flicker_verify.Checker
 
 type phase =
   | Load_slb
@@ -89,49 +91,36 @@ let extend_pcr17 ?kind platform value =
 
 (* --- trace conformance -------------------------------------------------
 
-   With the platform's gate on, every session replays the protocol events
-   it recorded through the temporal automata on exit and raises if any
-   invariant was broken — turning each run into a self-checking test of
-   the Section 4 discipline. Off by default: the automata cost a pass
-   over the trace slice per session, and long-running services generate
-   unbounded sessions. *)
+   A machine with a checker attached feeds it every protocol event as it
+   is emitted; a session on it raises if the checker recorded a
+   violation from the session's first event on — turning each run into
+   a self-checking test of the Section 4 discipline. *)
 
-exception
-  Protocol_violation of {
-    pal : string;
-    violations : Flicker_verify.Checker.violation list;
-  }
+exception Protocol_violation of { pal : string; violations : Checker.violation list }
 
 let () =
   Printexc.register_printer (function
     | Protocol_violation { pal; violations } ->
         Some
           (Printf.sprintf "Session.Protocol_violation(%s): %s" pal
-             (String.concat "; "
-                (List.map Flicker_verify.Checker.violation_to_string violations)))
+             (String.concat "; " (List.map Checker.violation_to_string violations)))
     | _ -> None)
 
-(* Absolute index of the next tracer event: immune to ring eviction. *)
-let tracer_mark tracer = Tracer.length tracer + Tracer.dropped tracer
-
-let check_conformance (platform : Platform.t) ~pal tracer mark =
-  if platform.Platform.check_conformance then begin
-    let start = mark - Tracer.dropped tracer in
-    (* if the ring evicted events from inside this session, the slice
-       would start mid-protocol and the automata would report nonsense;
-       skip rather than cry wolf, and count the skip *)
-    if start < 0 then
-      Metrics.incr platform.Platform.machine.Machine.metrics "session.conformance_skipped"
-    else begin
-      let events = Tracer.events tracer in
-      let slice = List.filteri (fun i _ -> i >= start) events in
-      let report = Flicker_verify.Checker.check_trace slice in
-      if report.Flicker_verify.Checker.violations <> [] then
-        raise
-          (Protocol_violation
-             { pal; violations = report.Flicker_verify.Checker.violations })
-    end
-  end
+(* Taken before a session's first protocol event: the check it returns
+   raises with the violations recorded from that event on. *)
+let conformance_gate machine ~pal =
+  match machine.Machine.checker with
+  | None -> ignore
+  | Some c -> (
+      let mark = (Checker.report c).Checker.events_checked in
+      fun () ->
+        match
+          List.filter
+            (fun v -> v.Checker.event_index >= mark)
+            (Checker.report c).Checker.violations
+        with
+        | [] -> ()
+        | violations -> raise (Protocol_violation { pal; violations }))
 
 type launch_tech = Svm | Txt of { acm : string }
 
@@ -163,14 +152,13 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
     let tracer = machine.Machine.tracer in
     let metrics = machine.Machine.metrics in
     Metrics.incr metrics "session.runs";
-    (* one args list, shared by the span and the protocol instant (the
-       tracer stores the list pointer, it never copies) *)
-    let pal_args = [ ("pal", Tracer.Str pal.Pal.name) ] in
     let session_span =
-      Tracer.begin_span tracer ~cat:"session" ~args:pal_args "Flicker session"
+      Tracer.begin_span tracer ~cat:"session"
+        ~args:[ ("pal", Tracer.Str pal.Pal.name) ]
+        "Flicker session"
     in
-    let mark = tracer_mark tracer in
-    Machine.protocol_event machine "session.begin" ~args:pal_args;
+    let gate = conformance_gate machine ~pal:pal.Pal.name in
+    Machine.protocol_event machine (Event.Session_begin pal.Pal.name);
     let session_rng =
       Platform.fork_rng platform
         ~label:(Printf.sprintf "session-%d" platform.Platform.sessions_run)
@@ -186,14 +174,14 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
     (* close the session span and roll the outcome into the counters at
        every exit *)
     let finish result =
-      Machine.protocol_event machine "session.end";
+      Machine.protocol_event machine Event.Session_end;
       Tracer.end_span tracer session_span;
       (match result with
       | Error (Skinit_failed _) -> Metrics.incr metrics "session.skinit_failures"
       | Error Unknown_pal -> Metrics.incr metrics "session.unknown_pal"
       | Error (Os_busy _) -> ()
       | Ok o -> if o.pal_fault <> None then Metrics.incr metrics "session.pal_faults");
-      check_conformance platform ~pal:pal.Pal.name tracer mark;
+      gate ();
       result
     in
 
@@ -276,7 +264,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                       (Memory.read memory ~addr:slb_base ~len:Layout.slb_size)
                 in
                 Machine.charge_sha1 machine ~bytes:Layout.slb_size;
-                extend_pcr17 ~kind:"stub" platform digest);
+                extend_pcr17 ~kind:Event.Stub platform digest);
 
         (* --- Execute PAL: only if the launched window holds its code.
            A pristine window holds the image linked from the PAL's code,
@@ -352,8 +340,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
         timed Cleanup (fun () ->
             let wipe addr len =
               Memory.zero memory ~addr ~len;
-              Machine.protocol_event machine "zeroize"
-                ~args:[ ("addr", Tracer.Count addr); ("len", Tracer.Count len) ]
+              Machine.protocol_event machine (Event.Zeroize { addr; len })
             in
             wipe slb_base Layout.slb_size;
             wipe (slb_base + Layout.inputs_page_offset) Layout.io_page_size;
@@ -364,7 +351,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
             List.iter
               (fun (kind, v) -> extend_pcr17 ~kind platform v)
               (Measurement.labeled_io_extends ~inputs ~outputs:env_outputs ~nonce);
-            extend_pcr17 ~kind:"cap" platform Slb_core.cap_value);
+            extend_pcr17 ~kind:Event.Cap platform Slb_core.cap_value);
         let pcr17_final = pcr17_of platform in
 
         (* --- Resume OS --- *)

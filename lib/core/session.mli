@@ -68,13 +68,13 @@ exception
     pal : string;
     violations : Flicker_verify.Checker.violation list;
   }
-(** Raised at the end of a session whose recorded protocol events break
-    a temporal automaton, when the platform's
-    {!Platform.t.check_conformance} gate is on. With the gate on, every
-    {!execute} on that platform replays the protocol events it traced
-    through {!Flicker_verify.Automata.all}. A session whose events the
-    tracer ring evicted mid-run is skipped rather than misreported, and
-    counted in the machine's [session.conformance_skipped] counter. *)
+(** Raised at the end of a session whose protocol events broke a
+    temporal automaton, when the platform's machine has a checker
+    attached ({!Flicker_hw.Machine.attach_checker}). The checker sees
+    every protocol event as it is emitted, so no session goes unchecked,
+    however much the trace ring has evicted since it began.
+    [violations] are those the checker recorded from the session's first
+    event on. *)
 
 val busy_is_transient : error -> bool
 (** [true] exactly for the mid-session flavour of [Os_busy]: waiting (and

@@ -1,9 +1,6 @@
-type change =
-  | Protected of { addr : int; len : int }
-  | Unprotected of { addr : int; len : int }
-  | Cleared
+module Event = Flicker_verify.Event
 
-type t = { bits : Bytes.t; pages : int; mutable notify : (change -> unit) option }
+type t = { bits : Bytes.t; pages : int; mutable notify : (Event.t -> unit) option }
 
 let create ~pages =
   if pages <= 0 then invalid_arg "Dev.create: need at least one page";
@@ -36,15 +33,15 @@ let iter_range t ~addr ~len f =
 
 let protect_range t ~addr ~len =
   iter_range t ~addr ~len (fun p -> set t p true);
-  if len > 0 then notice t (Protected { addr; len })
+  if len > 0 then notice t (Event.Dev_protect { addr; len })
 
 let unprotect_range t ~addr ~len =
   iter_range t ~addr ~len (fun p -> set t p false);
-  if len > 0 then notice t (Unprotected { addr; len })
+  if len > 0 then notice t (Event.Dev_unprotect { addr; len })
 
 let clear t =
   Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
-  notice t Cleared
+  notice t Event.Dev_clear
 
 let allows t ~addr ~len =
   if len <= 0 then true

@@ -13,19 +13,15 @@
     specific nonexistent page is a caller bug rather than a device
     access. *)
 
-type change =
-  | Protected of { addr : int; len : int }
-  | Unprotected of { addr : int; len : int }
-  | Cleared
-
 type t
 
 val create : pages:int -> t
 
-val set_notify : t -> (change -> unit) -> unit
-(** Observe range-level protection changes (the machine wires this to the
-    tracer so the protocol verifier sees [Dev_protect]/[Dev_unprotect]
-    events). Range operations with [len <= 0] notify nothing. *)
+val set_notify : t -> (Flicker_verify.Event.t -> unit) -> unit
+(** Observe range-level protection changes as [Dev_protect],
+    [Dev_unprotect] and [Dev_clear] events (the machine wires this to
+    {!Machine.protocol_event}). Range operations with [len <= 0] notify
+    nothing. *)
 
 val protect_range : t -> addr:int -> len:int -> unit
 (** Set the DEV bits for every page overlapping the byte range. Pages

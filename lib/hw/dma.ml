@@ -28,15 +28,8 @@ let record t ~addr ~len ~write ~blocked =
     :: t.log;
   (* the attempt/denied pair the trace-conformance checker expects: every
      DMA shows up, blocked or not, with the DEV's verdict attached *)
-  Machine.protocol_event t.machine "dma.attempt"
-    ~args:
-      [
-        ("device", Flicker_obs.Tracer.Str t.device_name);
-        ("addr", Flicker_obs.Tracer.Count addr);
-        ("len", Flicker_obs.Tracer.Count len);
-        ("write", Flicker_obs.Tracer.Flag write);
-        ("denied", Flicker_obs.Tracer.Flag blocked);
-      ];
+  Machine.protocol_event t.machine ~device:t.device_name
+    (Flicker_verify.Event.Dma_attempt { addr; len; write; denied = blocked });
   if blocked then begin
     Flicker_obs.Metrics.incr t.machine.Machine.metrics "dev.blocked_dma";
     Machine.log_event t.machine

@@ -1,6 +1,8 @@
 module Tracer = Flicker_obs.Tracer
 module Metrics = Flicker_obs.Metrics
 module Injector = Flicker_fault.Injector
+module Event = Flicker_verify.Event
+module Checker = Flicker_verify.Checker
 
 type tpm_hooks = {
   dynamic_pcr_reset : unit -> unit;
@@ -17,15 +19,29 @@ type t = {
   metrics : Metrics.t;
   mutable tpm_hooks : tpm_hooks option;
   mutable injector : Injector.t option;
+  mutable checker : Checker.t option;
 }
 
-(* Category for the instants the temporal verifier consumes; see
-   [Flicker_verify.Event] for the alphabet built from them. *)
+(* Category of the protocol instants, one per [Flicker_verify.Event.t]
+   emitted. *)
 let protocol_cat = "protocol"
 
 (* Category for injected-fault instants, so chaos runs can be separated
    from protocol traffic when reading a trace. *)
 let fault_cat = "fault"
+
+(* The trace record carries the event's own args, with the device named
+   first and the extended value's 4-byte prefix last. *)
+let protocol_event t ?device ?value ev =
+  let args = Event.args ev in
+  let args =
+    match value with
+    | Some v -> args @ [ ("value", Tracer.Str (Flicker_crypto.Util.to_hex (String.sub v 0 4))) ]
+    | None -> args
+  in
+  let args = match device with Some d -> ("device", Tracer.Str d) :: args | None -> args in
+  Tracer.instant t.tracer ~cat:protocol_cat ~args (Event.name ev);
+  match t.checker with Some c -> Checker.feed c ev | None -> ()
 
 let create ?(memory_size = 16 * 1024 * 1024) ?(cores = 2) ?(trace_capacity = 4096)
     timing =
@@ -42,22 +58,16 @@ let create ?(memory_size = 16 * 1024 * 1024) ?(cores = 2) ?(trace_capacity = 409
       metrics = Metrics.create ();
       tpm_hooks = None;
       injector = None;
+      checker = None;
     }
   in
-  Dev.set_notify t.dev (fun change ->
-      let range name addr len =
-        Tracer.instant t.tracer ~cat:protocol_cat name
-          ~args:[ ("addr", Tracer.Count addr); ("len", Tracer.Count len) ]
-      in
-      match change with
-      | Dev.Protected { addr; len } -> range "dev.protect" addr len
-      | Dev.Unprotected { addr; len } -> range "dev.unprotect" addr len
-      | Dev.Cleared -> Tracer.instant t.tracer ~cat:protocol_cat "dev.clear");
+  Dev.set_notify t.dev (fun ev -> protocol_event t ev);
   t
 
 let set_tpm_hooks t hooks = t.tpm_hooks <- Some hooks
 let set_injector t inj = t.injector <- Some inj
 let injector t = t.injector
+let attach_checker t checker = t.checker <- Some checker
 
 let fault_event t ?(args = []) name =
   Tracer.instant t.tracer ~cat:fault_cat ~args name
@@ -65,9 +75,6 @@ let fault_event t ?(args = []) name =
 let log_event t detail =
   Tracer.instant t.tracer ~cat:"machine" detail;
   Logs.debug (fun m -> m "[%.3f ms] %s" (Clock.now t.clock) detail)
-
-let protocol_event t ?(args = []) name =
-  Tracer.instant t.tracer ~cat:protocol_cat ~args name
 
 let charge t ms =
   let ms =

@@ -40,6 +40,9 @@ type t = {
   mutable injector : Flicker_fault.Injector.t option;
       (** fault injector consulted by the charge path, the TPM command
           layer, and DMA storms; [None] (the default) injects nothing *)
+  mutable checker : Flicker_verify.Checker.t option;
+      (** protocol checker fed every {!protocol_event}; [None] (the
+          default) checks nothing *)
 }
 
 val create : ?memory_size:int -> ?cores:int -> ?trace_capacity:int -> Timing.t -> t
@@ -51,6 +54,10 @@ val set_tpm_hooks : t -> tpm_hooks -> unit
 val set_injector : t -> Flicker_fault.Injector.t -> unit
 val injector : t -> Flicker_fault.Injector.t option
 
+val attach_checker : t -> Flicker_verify.Checker.t -> unit
+(** Feed every later protocol event to the checker, and turn on the
+    conformance gate of [Flicker_core.Session.execute] on this machine. *)
+
 val fault_event : t -> ?args:(string * Flicker_obs.Tracer.arg) list -> string -> unit
 (** Record an instant under {!fault_cat}: hook sites emit one per
     injected fault so a chaos run's trace shows exactly what fired. *)
@@ -58,11 +65,17 @@ val fault_event : t -> ?args:(string * Flicker_obs.Tracer.arg) list -> string ->
 val log_event : t -> string -> unit
 (** Record an instant event on the tracer (and the debug log). *)
 
-val protocol_event : t -> ?args:(string * Flicker_obs.Tracer.arg) list -> string -> unit
-(** Record an instant under {!protocol_cat}. Hardware and OS layers emit
-    these at protocol-relevant state changes (SKINIT begin/end, DEV
-    range changes, suspend/resume, PCR extends, DMA attempts) so every
-    execution's trace can be checked against the protocol automata. *)
+val protocol_event : t -> ?device:string -> ?value:string -> Flicker_verify.Event.t -> unit
+(** The one emission point of the protocol alphabet. Hardware, TPM, OS
+    and session layers call it at each protocol-relevant state change
+    (SKINIT begin/end, DEV range changes, suspend/resume, PCR extends,
+    NV traffic, DMA attempts, zeroization). It records the event as an
+    instant under the ["protocol"] category, named by
+    {!Flicker_verify.Event.name} with {!Flicker_verify.Event.args}, and
+    feeds it to the attached {!checker}, if any. Two annotations reach
+    the trace record only: [device] (a DMA attempt's device name, the
+    first arg) and [value] (a PCR extend's 20-byte value, recorded last
+    as its first 4 bytes in hex). *)
 
 val charge : t -> float -> unit
 (** Advance the simulated clock by [ms], scaled by the injector's clock

@@ -1,3 +1,5 @@
+module Event = Flicker_verify.Event
+
 exception Skinit_error of string
 
 type launch = {
@@ -50,12 +52,8 @@ let execute ?acm (m : Machine.t) ~slb_base =
      no device can race the measurement (TXT: NoDMA / protected memory
      ranges), then interrupts and debug. All validation is done, so from
      here the launch always completes. *)
-  (* each args list is a constant, so a launch allocates none *)
-  Machine.protocol_event m "skinit.begin"
-    ~args:
-      (match acm with
-      | None -> [ ("tech", Flicker_obs.Tracer.Str "svm") ]
-      | Some _ -> [ ("tech", Flicker_obs.Tracer.Str "txt") ]);
+  Machine.protocol_event m
+    (Event.Skinit_begin (match acm with None -> Event.Svm | Some _ -> Event.Txt));
   Dev.protect_range m.dev ~addr:slb_base ~len:slb_window;
   bsp.interrupts_enabled <- false;
   bsp.debug_enabled <- false;
@@ -98,7 +96,7 @@ let execute ?acm (m : Machine.t) ~slb_base =
     | Some digest ->
         Printf.sprintf "senter: launched MLE at %#x (len=%d) under ACM %s" slb_base slb_length
           (Flicker_crypto.Util.to_hex (String.sub digest 0 6)));
-  Machine.protocol_event m "skinit.end";
+  Machine.protocol_event m Event.Skinit_end;
   {
     slb_base;
     slb_length;

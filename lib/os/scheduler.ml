@@ -139,7 +139,7 @@ let suspend t =
   Metrics.incr t.machine.Machine.metrics "os.suspensions";
   t.suspend_span <-
     Some (Tracer.begin_span t.machine.Machine.tracer ~cat:"os" "OS suspended");
-  Machine.protocol_event t.machine "os.suspend";
+  Machine.protocol_event t.machine Flicker_verify.Event.Os_suspend;
   Machine.log_event t.machine "os: suspended for Flicker session"
 
 let resume t =
@@ -150,7 +150,7 @@ let resume t =
       Tracer.end_span t.machine.Machine.tracer h;
       t.suspend_span <- None
   | None -> ());
-  Machine.protocol_event t.machine "os.resume";
+  Machine.protocol_event t.machine Flicker_verify.Event.Os_resume;
   Machine.log_event t.machine "os: resumed"
 
 let is_suspended t = t.suspended

@@ -7,22 +7,12 @@
     one; that asymmetry is what makes PCR 17 attest to a genuine late
     launch. *)
 
-type change =
-  | Extended of { index : int; kind : string; value : Tpm_types.digest }
-      (** [kind] labels who extended and why: "measure" (SKINIT's SLB
-          transmission), "stub" (the optimized stub's window hash),
-          "input"/"output"/"nonce" (session I/O extends), "cap" (the
-          session-close cap), or "software" (any unlabeled command-path
-          extend). The protocol verifier's extend-order automaton keys
-          on these labels. *)
-  | Dynamic_reset
-  | Rebooted
-
 type t
 
-val set_notify : t -> (change -> unit) -> unit
-(** Observe every mutation of the bank (the TPM wires this to the
-    machine tracer so extends/resets become protocol trace events). *)
+val set_notify : t -> (?value:Tpm_types.digest -> Flicker_verify.Event.t -> unit) -> unit
+(** Observe every mutation of the bank as a [Pcr_extend] (with the
+    extended [value]), [Pcr_reset] or [Pcr_reboot] event (the TPM wires
+    this to the machine's protocol events). *)
 
 val count : int
 (** 24 (TPM v1.2). *)
@@ -40,10 +30,18 @@ val dynamic_reset : t -> unit
 val read : t -> int -> (Tpm_types.digest, Tpm_types.error) result
 
 val extend :
-  ?kind:string -> t -> int -> Tpm_types.digest -> (Tpm_types.digest, Tpm_types.error) result
+  ?kind:Flicker_verify.Event.pcr_kind ->
+  t ->
+  int ->
+  Tpm_types.digest ->
+  (Tpm_types.digest, Tpm_types.error) result
 (** [extend t i m] sets [PCR_i <- SHA1(PCR_i || m)] and returns the new
-    value. [m] must be exactly 20 bytes. [kind] (default ["software"])
-    labels the change notice; see {!change}. *)
+    value. [m] must be exactly 20 bytes. [kind] (default [Software])
+    labels who extended and why: [Measure] (SKINIT's SLB transmission),
+    [Stub] (the optimized stub's window hash), [Input], [Output] and
+    [Nonce] (session I/O extends), [Cap] (the session-close cap), or
+    [Software] (any unlabeled command-path extend). The protocol
+    verifier's extend-order automaton keys on these labels. *)
 
 val composite : t -> Tpm_types.pcr_selection -> Tpm_types.pcr_composite
 (** Snapshot the selected PCRs. *)

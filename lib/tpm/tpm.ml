@@ -1,6 +1,7 @@
 open Flicker_crypto
 module Machine = Flicker_hw.Machine
 module Timing = Flicker_hw.Timing
+module Event = Flicker_verify.Event
 
 type t = {
   machine : Machine.t;
@@ -28,45 +29,64 @@ type quote = {
 
 let profile t = t.machine.Machine.timing.Timing.tpm
 
-(* One fault decision per command invocation, drawn from the machine's
-   injector (if any) at the current virtual time. *)
-let injected_fault t op =
-  match Machine.injector t.machine with
-  | None -> Flicker_fault.Injector.No_fault
-  | Some inj ->
-      Flicker_fault.Injector.tpm_fault inj ~op
-        ~now_ms:(Flicker_hw.Clock.now t.machine.Machine.clock)
+(* A TPM command: its name, as the injector and fault events know it,
+   and the two metric names it records under, built once per command. *)
+type op = { name : string; count : string; ms : string }
 
-(* Every TPM command advances the simulated clock and records one count
-   plus the charged latency under tpm.<command>.{count,ms}. An injected
-   latency spike stretches the charge; the recorded ms is what was
-   actually charged, so chaos runs show up in the histograms. *)
-let charge_op ?(fault = Flicker_fault.Injector.No_fault) t op ms =
+let op name = { name; count = "tpm." ^ name ^ ".count"; ms = "tpm." ^ name ^ ".ms" }
+let pcr_read_op = op "pcr_read"
+let pcr_extend_op = op "pcr_extend"
+let get_random_op = op "get_random"
+let quote_op = op "quote"
+let seal_op = op "seal"
+let unseal_op = op "unseal"
+let nv_define_space_op = op "nv_define_space"
+let nv_read_op = op "nv_read"
+let nv_write_op = op "nv_write"
+let counter_create_op = op "counter_create"
+let counter_increment_op = op "counter_increment"
+let counter_read_op = op "counter_read"
+let get_capability_op = op "get_capability"
+
+(* Every TPM command draws one fault decision from the machine's
+   injector (if any) at the current virtual time, advances the simulated
+   clock and records one count plus the charged latency under
+   tpm.<command>.{count,ms}. An injected latency spike stretches the
+   charge; the recorded ms is what was actually charged, so chaos runs
+   show up in the histograms. Returns the fault drawn. *)
+let charge t op ms =
+  let fault =
+    match Machine.injector t.machine with
+    | None -> Flicker_fault.Injector.No_fault
+    | Some inj ->
+        Flicker_fault.Injector.tpm_fault inj ~op:op.name
+          ~now_ms:(Flicker_hw.Clock.now t.machine.Machine.clock)
+  in
   let ms =
     match fault with
     | Flicker_fault.Injector.Slow factor ->
         Machine.fault_event t.machine "fault.tpm.slow"
-          ~args:[ ("op", Flicker_obs.Tracer.Str op) ];
+          ~args:[ ("op", Flicker_obs.Tracer.Str op.name) ];
         Flicker_obs.Metrics.incr t.machine.Machine.metrics "fault.tpm.slow";
         ms *. factor
     | _ -> ms
   in
   Machine.charge t.machine ms;
   let metrics = t.machine.Machine.metrics in
-  Flicker_obs.Metrics.incr metrics ("tpm." ^ op ^ ".count");
-  Flicker_obs.Metrics.observe metrics ("tpm." ^ op ^ ".ms") ms
+  Flicker_obs.Metrics.incr metrics op.count;
+  Flicker_obs.Metrics.observe metrics op.ms ms;
+  fault
+
+(* Charge a command with no error result: it sees latency faults only. *)
+let charge_op t op ms = ignore (charge t op ms : Flicker_fault.Injector.tpm_fault)
 
 (* Charge a result-returning command and decide whether it instead dies
-   with a transient TPM_RETRY. Commands whose callers treat errors as
-   fatal protocol violations (pcr_extend inside a session) charge through
-   [charge_op] directly and only ever see latency faults. *)
+   with a transient TPM_RETRY. *)
 let charged t op ms =
-  let fault = injected_fault t op in
-  charge_op ~fault t op ms;
-  match fault with
+  match charge t op ms with
   | Flicker_fault.Injector.Busy ->
       Machine.fault_event t.machine "fault.tpm.busy"
-        ~args:[ ("op", Flicker_obs.Tracer.Str op) ];
+        ~args:[ ("op", Flicker_obs.Tracer.Str op.name) ];
       Flicker_obs.Metrics.incr t.machine.Machine.metrics "fault.tpm.busy";
       Error Tpm_types.Tpm_busy
   | _ -> Ok ()
@@ -88,20 +108,9 @@ let create ?owner_auth ?srk_auth machine rng ~key_bits =
   let keys = Keys.generate ?srk_auth rng ~key_bits in
   let seal_enc_key, seal_mac_key = derive_seal_keys keys.Keys.srk in
   let pcrs = Pcr.create () in
-  (* PCR mutations were previously silent state changes; surface them as
-     protocol instants so the temporal verifier can check extend order *)
-  Pcr.set_notify pcrs (fun change ->
-      match change with
-      | Pcr.Extended { index; kind; value } ->
-          Machine.protocol_event machine "pcr.extend"
-            ~args:
-              [
-                ("index", Flicker_obs.Tracer.Count index);
-                ("kind", Flicker_obs.Tracer.Str kind);
-                ("value", Flicker_obs.Tracer.Str (Flicker_crypto.Util.to_hex (String.sub value 0 4)));
-              ]
-      | Pcr.Dynamic_reset -> Machine.protocol_event machine "pcr.reset"
-      | Pcr.Rebooted -> Machine.protocol_event machine "pcr.reboot");
+  (* every PCR mutation is a protocol event, so the temporal verifier can
+     check extend order *)
+  Pcr.set_notify pcrs (fun ?value ev -> Machine.protocol_event machine ?value ev);
   {
     machine;
     rng;
@@ -135,7 +144,7 @@ let skinit_hooks t =
     measure_into_pcr17 =
       (fun ~len ~source ~read ->
         let measurement = measure t ~len ~source ~read in
-        match Pcr.extend ~kind:"measure" t.pcrs 17 measurement with
+        match Pcr.extend ~kind:Event.Measure t.pcrs 17 measurement with
         | Ok _ -> measurement
         | Error e -> failwith ("TPM: PCR 17 extend failed: " ^ Tpm_types.error_to_string e));
   }
@@ -150,22 +159,20 @@ let owner_auth t = t.owner_auth
 let srk_auth t = t.keys.Keys.srk_auth
 
 let pcr_read t i =
-  match charged t "pcr_read" (profile t).Timing.pcr_read_ms with
+  match charged t pcr_read_op (profile t).Timing.pcr_read_ms with
   | Error e -> Error e
   | Ok () -> Pcr.read t.pcrs i
 
 let pcr_extend ?kind t i m =
   (* latency faults only: session code treats an extend error as a fatal
      protocol violation, so a transient here could never be retried *)
-  charge_op ~fault:(injected_fault t "pcr_extend") t "pcr_extend"
-    (profile t).Timing.pcr_extend_ms;
+  charge_op t pcr_extend_op (profile t).Timing.pcr_extend_ms;
   Pcr.extend ?kind t.pcrs i m
 
 let pcr_composite t sel = Pcr.composite t.pcrs sel
 
 let get_random t n =
-  charge_op ~fault:(injected_fault t "get_random") t "get_random"
-    (Timing.get_random_ms t.machine.Machine.timing ~bytes:n);
+  charge_op t get_random_op (Timing.get_random_ms t.machine.Machine.timing ~bytes:n);
   Prng.bytes t.rng n
 
 let quote_payload composite ~nonce = "QUOT" ^ Tpm_types.composite_hash composite ^ nonce
@@ -173,7 +180,7 @@ let quote_payload composite ~nonce = "QUOT" ^ Tpm_types.composite_hash composite
 let quote t ~nonce ~selection =
   if String.length nonce <> Tpm_types.digest_size then
     invalid_arg "Tpm.quote: nonce must be 20 bytes";
-  charge_op ~fault:(injected_fault t "quote") t "quote" (profile t).Timing.quote_ms;
+  charge_op t quote_op (profile t).Timing.quote_ms;
   let composite = Pcr.composite t.pcrs selection in
   let signature = Pkcs1.sign t.keys.Keys.aik Hash.SHA1 (quote_payload composite ~nonce) in
   { quoted_composite = composite; quote_nonce = nonce; signature }
@@ -216,7 +223,7 @@ let check_auth t ~auth ~entity_auth ~command_digest =
     ~nonce_odd:auth.nonce_odd ~mac:auth.mac
 
 let seal t ~auth ~release data =
-  match charged t "seal" (profile t).Timing.seal_ms with
+  match charged t seal_op (profile t).Timing.seal_ms with
   | Error e -> Error e
   | Ok () -> (
   let command_digest = seal_command_digest ~release ~data in
@@ -231,7 +238,7 @@ let seal t ~auth ~release data =
       Ok (tag ^ body))
 
 let unseal t ~auth blob =
-  match charged t "unseal" (profile t).Timing.unseal_ms with
+  match charged t unseal_op (profile t).Timing.unseal_ms with
   | Error e -> Error e
   | Ok () -> (
   let command_digest = unseal_command_digest ~blob in
@@ -273,7 +280,7 @@ let nv_define_command_digest ~index (attrs : Nvram.space_attributes) =
     ^ serialize_composite attrs.Nvram.write_pcrs)
 
 let nv_define_space t ~auth ~index attrs =
-  match charged t "nv_define_space" (profile t).Timing.nv_write_ms with
+  match charged t nv_define_space_op (profile t).Timing.nv_write_ms with
   | Error e -> Error e
   | Ok () -> (
       let command_digest = nv_define_command_digest ~index attrs in
@@ -284,30 +291,25 @@ let nv_define_space t ~auth ~index attrs =
 let current_pcrs t sel = Pcr.composite t.pcrs sel
 
 let nv_read t ~index =
-  match charged t "nv_read" (profile t).Timing.nv_read_ms with
+  match charged t nv_read_op (profile t).Timing.nv_read_ms with
   | Error e -> Error e
   | Ok () ->
   let r = Nvram.read t.nvram ~index ~current_pcrs:(current_pcrs t) in
-  if Result.is_ok r then
-    Machine.protocol_event t.machine "nv.read"
-      ~args:[ ("index", Flicker_obs.Tracer.Count index) ];
+  if Result.is_ok r then Machine.protocol_event t.machine (Event.Nv_read { index });
   r
 
 let nv_write t ~index data =
-  match charged t "nv_write" (profile t).Timing.nv_write_ms with
+  match charged t nv_write_op (profile t).Timing.nv_write_ms with
   | Error e -> Error e
   | Ok () ->
   let r = Nvram.write t.nvram ~index ~current_pcrs:(current_pcrs t) data in
   if Result.is_ok r then begin
     (* 4-byte spaces are the replay-counter convention; carry the decoded
        value so the NV-monotonicity automaton can watch it advance *)
-    let args = [ ("index", Flicker_obs.Tracer.Count index) ] in
-    let args =
-      if String.length data = 4 then
-        args @ [ ("counter", Flicker_obs.Tracer.Count (Flicker_crypto.Util.int_of_be32 data 0)) ]
-      else args
+    let counter =
+      if String.length data = 4 then Some (Util.int_of_be32 data 0) else None
     in
-    Machine.protocol_event t.machine "nv.write" ~args
+    Machine.protocol_event t.machine (Event.Nv_write { index; counter })
   end;
   r
 
@@ -316,7 +318,7 @@ let nv_write t ~index data =
 let counter_command_digest ~label = Sha1.digest ("TPM_CreateCounter" ^ label)
 
 let create_counter t ~auth ~label =
-  match charged t "counter_create" (profile t).Timing.counter_increment_ms with
+  match charged t counter_create_op (profile t).Timing.counter_increment_ms with
   | Error e -> Error e
   | Ok () -> (
       let command_digest = counter_command_digest ~label in
@@ -325,32 +327,24 @@ let create_counter t ~auth ~label =
       | Ok () -> Ok (Counter.create_counter t.counters ~label))
 
 let increment_counter t ~handle =
-  match charged t "counter_increment" (profile t).Timing.counter_increment_ms with
+  match charged t counter_increment_op (profile t).Timing.counter_increment_ms with
   | Error e -> Error e
   | Ok () ->
   let r = Counter.increment t.counters ~handle in
   (match r with
-  | Ok value ->
-      Machine.protocol_event t.machine "counter.increment"
-        ~args:
-          [
-            ("handle", Flicker_obs.Tracer.Count handle);
-            ("value", Flicker_obs.Tracer.Count value);
-          ]
+  | Ok value -> Machine.protocol_event t.machine (Event.Counter_increment { handle; value })
   | Error _ -> ());
   r
 
 let read_counter t ~handle =
-  match charged t "counter_read" (profile t).Timing.nv_read_ms with
+  match charged t counter_read_op (profile t).Timing.nv_read_ms with
   | Error e -> Error e
   | Ok () -> Counter.read t.counters ~handle
 
 let get_capability_version t =
-  charge_op ~fault:(injected_fault t "get_capability") t "get_capability"
-    (profile t).Timing.pcr_read_ms;
+  charge_op t get_capability_op (profile t).Timing.pcr_read_ms;
   "TPM 1.2 rev 103 (simulated, " ^ (profile t).Timing.tpm_name ^ ")"
 
 let get_capability_pcr_count t =
-  charge_op ~fault:(injected_fault t "get_capability") t "get_capability"
-    (profile t).Timing.pcr_read_ms;
+  charge_op t get_capability_op (profile t).Timing.pcr_read_ms;
   Pcr.count

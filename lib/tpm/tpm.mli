@@ -59,9 +59,13 @@ val srk_auth : t -> string
 val pcr_read : t -> int -> (Tpm_types.digest, Tpm_types.error) result
 
 val pcr_extend :
-  ?kind:string -> t -> int -> Tpm_types.digest -> (Tpm_types.digest, Tpm_types.error) result
-(** [kind] (default ["software"]) labels the protocol trace event; the
-    session layer passes "stub"/"input"/"output"/"nonce"/"cap" so the
+  ?kind:Flicker_verify.Event.pcr_kind ->
+  t ->
+  int ->
+  Tpm_types.digest ->
+  (Tpm_types.digest, Tpm_types.error) result
+(** [kind] (default [Software]) labels the protocol event; the session
+    layer passes [Stub], [Input], [Output], [Nonce] and [Cap] so the
     extend-order automaton can check the Section 4–5 discipline. *)
 
 val pcr_composite : t -> Tpm_types.pcr_selection -> Tpm_types.pcr_composite

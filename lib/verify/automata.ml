@@ -181,7 +181,7 @@ let extend_order =
                        (rank_name rank))
               in
               match kind with
-              | Event.Software | Event.Other _ -> Ok rank
+              | Event.Software -> Ok rank
               | Event.Measure -> allowed 1 [ 0; 1 ]
               | Event.Stub -> allowed 2 [ 1 ]
               | Event.Input -> allowed 3 [ 1; 2 ]

@@ -12,42 +12,60 @@ type report = { events_checked : int; violations : violation list }
 
 let window_size = 8
 
-let check ?(automata = Automata.all) events =
-  let instances = ref (List.map (fun a -> (a, Automata.start a)) automata) in
-  let violations = ref [] in
-  let recent = ref [] (* last [window_size] events, newest first *) in
-  List.iteri
-    (fun i ev ->
-      recent := ev :: (if List.length !recent >= window_size then
-                         List.filteri (fun j _ -> j < window_size - 1) !recent
-                       else !recent);
-      instances :=
-        List.map
-          (fun (a, inst) ->
-            match Automata.feed inst ev with
-            | Ok inst' -> (a, inst')
-            | Error message ->
-                violations :=
-                  {
-                    automaton = Automata.name a;
-                    property = Automata.property a;
-                    paper = Automata.paper a;
-                    event_index = i;
-                    event = ev;
-                    message;
-                    window = List.rev !recent;
-                  }
-                  :: !violations;
-                (* restart so later sessions in the trace are still checked *)
-                (a, Automata.start a))
-          !instances)
-    events;
-  { events_checked = List.length events; violations = List.rev !violations }
+type t = {
+  automata : Automata.t array;
+  instances : Automata.instance array;
+  recent : Event.t array;  (* ring: event [i] sits in slot [i mod window_size] *)
+  mutable events : int;
+  mutable violations : violation list;  (* newest first *)
+}
 
-let check_trace ?automata events = check ?automata (Event.of_trace events)
+let create () =
+  let automata = Array.of_list Automata.all in
+  {
+    automata;
+    instances = Array.map Automata.start automata;
+    recent = Array.make window_size Event.Session_end;
+    events = 0;
+    violations = [];
+  }
 
-let check_tracer ?automata tracer =
-  check_trace ?automata (Flicker_obs.Tracer.events tracer)
+(* the last [window_size] events, oldest first, ending at the newest *)
+let window t =
+  let n = min t.events window_size in
+  List.init n (fun k -> t.recent.((t.events - n + k) mod window_size))
+
+let feed t ev =
+  let i = t.events in
+  t.recent.(i mod window_size) <- ev;
+  t.events <- i + 1;
+  Array.iteri
+    (fun j inst ->
+      match Automata.feed inst ev with
+      | Ok inst' -> if inst' != inst then t.instances.(j) <- inst'
+      | Error message ->
+          let a = t.automata.(j) in
+          t.violations <-
+            {
+              automaton = Automata.name a;
+              property = Automata.property a;
+              paper = Automata.paper a;
+              event_index = i;
+              event = ev;
+              message;
+              window = window t;
+            }
+            :: t.violations;
+          (* restart so later sessions are still checked *)
+          t.instances.(j) <- Automata.start a)
+    t.instances
+
+let report t = { events_checked = t.events; violations = List.rev t.violations }
+
+let check events =
+  let t = create () in
+  List.iter (feed t) events;
+  report t
 
 let violation_to_string v =
   Printf.sprintf "[%s] %s (paper %s) at event %d: %s" v.automaton v.message

@@ -1,17 +1,19 @@
-(** Trace conformance: run the protocol automata over recorded event
-    streams.
+(** Trace conformance: run the protocol automata over a stream of
+    protocol events as it is produced.
 
     This is the dynamic half of the verifier — where the model checker
-    ({!Mc}) explores every interleaving of an abstract session, the
-    checker validates what one concrete simulator run actually did, by
-    replaying the ["protocol"] instants a {!Flicker_obs.Tracer} recorded
-    through every automaton in {!Automata.all}. *)
+    ({!Mc}) explores every interleaving of an abstract session, a
+    checker validates what one concrete simulator run actually did. A
+    checker attached to a machine ({!Flicker_hw.Machine.attach_checker})
+    is fed every protocol event at the moment it is emitted, through
+    every automaton in {!Automata.all}; what the trace ring later
+    evicts makes no difference to it. *)
 
 type violation = {
   automaton : string;
   property : string;
   paper : string;
-  event_index : int;  (** position in the checked event list *)
+  event_index : int;  (** position in the checked event stream, from 0 *)
   event : Event.t;  (** the event that broke the invariant *)
   message : string;
   window : Event.t list;
@@ -21,18 +23,26 @@ type violation = {
 
 type report = {
   events_checked : int;
-  violations : violation list;  (** in trace order *)
+  violations : violation list;  (** in stream order *)
 }
 
-val check : ?automata:Automata.t list -> Event.t list -> report
-(** Run every automaton (default {!Automata.all}) over the events. A
-    violated automaton is restarted from its initial state so one broken
-    session does not mask problems later in the trace. *)
+type t
+(** A running checker: one instance of each automaton and a ring of the
+    last 8 events. Owned by one machine, so by one domain. *)
 
-val check_trace : ?automata:Automata.t list -> Flicker_obs.Tracer.event list -> report
-(** {!check} over the parseable protocol events of raw tracer records. *)
+val create : unit -> t
+(** A checker running every automaton of {!Automata.all} from its
+    initial state, with nothing checked yet. *)
 
-val check_tracer : ?automata:Automata.t list -> Flicker_obs.Tracer.t -> report
-(** {!check_trace} over everything the tracer currently retains. *)
+val feed : t -> Event.t -> unit
+(** Advance every automaton by one event. A violated automaton is
+    recorded and restarted from its initial state, so one broken session
+    does not mask problems later in the stream. *)
+
+val report : t -> report
+(** Everything fed so far: the event count and every violation. *)
+
+val check : Event.t list -> report
+(** {!feed} each event to a fresh checker, then {!report}. *)
 
 val violation_to_string : violation -> string

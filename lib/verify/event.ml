@@ -8,17 +8,6 @@ type pcr_kind =
   | Nonce
   | Cap
   | Software
-  | Other of string
-
-let pcr_kind_of_string = function
-  | "measure" -> Measure
-  | "stub" -> Stub
-  | "input" -> Input
-  | "output" -> Output
-  | "nonce" -> Nonce
-  | "cap" -> Cap
-  | "software" -> Software
-  | s -> Other s
 
 let pcr_kind_to_string = function
   | Measure -> "measure"
@@ -28,14 +17,15 @@ let pcr_kind_to_string = function
   | Nonce -> "nonce"
   | Cap -> "cap"
   | Software -> "software"
-  | Other s -> s
+
+type tech = Svm | Txt
 
 type t =
   | Session_begin of string
   | Session_end
   | Os_suspend
   | Os_resume
-  | Skinit_begin of string
+  | Skinit_begin of tech
   | Skinit_end
   | Dev_protect of { addr : int; len : int }
   | Dev_unprotect of { addr : int; len : int }
@@ -57,7 +47,8 @@ let to_string = function
   | Session_end -> "session.end"
   | Os_suspend -> "os.suspend"
   | Os_resume -> "os.resume"
-  | Skinit_begin tech -> Printf.sprintf "skinit.begin(%s)" tech
+  | Skinit_begin Svm -> "skinit.begin(svm)"
+  | Skinit_begin Txt -> "skinit.begin(txt)"
   | Skinit_end -> "skinit.end"
   | Dev_protect { addr; len } -> Printf.sprintf "dev.protect(0x%x,+%d)" addr len
   | Dev_unprotect { addr; len } ->
@@ -82,80 +73,50 @@ let to_string = function
   | Replay_inject { counter } -> Printf.sprintf "replay.inject(counter=%d)" counter
   | Os_inject { what } -> Printf.sprintf "os.inject(%s)" what
 
-let arg name args = List.assoc_opt name args
+let name = function
+  | Session_begin _ -> "session.begin"
+  | Session_end -> "session.end"
+  | Os_suspend -> "os.suspend"
+  | Os_resume -> "os.resume"
+  | Skinit_begin _ -> "skinit.begin"
+  | Skinit_end -> "skinit.end"
+  | Dev_protect _ -> "dev.protect"
+  | Dev_unprotect _ -> "dev.unprotect"
+  | Dev_clear -> "dev.clear"
+  | Pcr_reset -> "pcr.reset"
+  | Pcr_reboot -> "pcr.reboot"
+  | Pcr_extend _ -> "pcr.extend"
+  | Nv_read _ -> "nv.read"
+  | Nv_write _ -> "nv.write"
+  | Counter_increment _ -> "counter.increment"
+  | Zeroize _ -> "zeroize"
+  | Dma_attempt _ -> "dma.attempt"
+  | Replay_record _ -> "replay.record"
+  | Replay_inject _ -> "replay.inject"
+  | Os_inject _ -> "os.inject"
 
-let count name args =
-  match arg name args with Some (Tracer.Count n) -> Some n | _ -> None
-
-let str name args =
-  match arg name args with Some (Tracer.Str s) -> Some s | _ -> None
-
-let flag name args =
-  match arg name args with Some (Tracer.Flag b) -> Some b | _ -> None
-
-let ( let* ) = Option.bind
-
-let of_tracer_event (e : Tracer.event) =
-  if e.Tracer.cat <> "protocol" then None
-  else
-    let args = e.Tracer.args in
-    match e.Tracer.name with
-    | "session.begin" ->
-        let pal = Option.value ~default:"?" (str "pal" args) in
-        Some (Session_begin pal)
-    | "session.end" -> Some Session_end
-    | "os.suspend" -> Some Os_suspend
-    | "os.resume" -> Some Os_resume
-    | "skinit.begin" ->
-        let tech = Option.value ~default:"?" (str "tech" args) in
-        Some (Skinit_begin tech)
-    | "skinit.end" -> Some Skinit_end
-    | "dev.protect" ->
-        let* addr = count "addr" args in
-        let* len = count "len" args in
-        Some (Dev_protect { addr; len })
-    | "dev.unprotect" ->
-        let* addr = count "addr" args in
-        let* len = count "len" args in
-        Some (Dev_unprotect { addr; len })
-    | "dev.clear" -> Some Dev_clear
-    | "pcr.reset" -> Some Pcr_reset
-    | "pcr.reboot" -> Some Pcr_reboot
-    | "pcr.extend" ->
-        let* index = count "index" args in
-        let kind =
-          pcr_kind_of_string (Option.value ~default:"software" (str "kind" args))
-        in
-        Some (Pcr_extend { index; kind })
-    | "nv.read" ->
-        let* index = count "index" args in
-        Some (Nv_read { index })
-    | "nv.write" ->
-        let* index = count "index" args in
-        Some (Nv_write { index; counter = count "counter" args })
-    | "counter.increment" ->
-        let* handle = count "handle" args in
-        let* value = count "value" args in
-        Some (Counter_increment { handle; value })
-    | "zeroize" ->
-        let* addr = count "addr" args in
-        let* len = count "len" args in
-        Some (Zeroize { addr; len })
-    | "dma.attempt" ->
-        let* addr = count "addr" args in
-        let* len = count "len" args in
-        let write = Option.value ~default:false (flag "write" args) in
-        let denied = Option.value ~default:false (flag "denied" args) in
-        Some (Dma_attempt { addr; len; write; denied })
-    | "replay.record" ->
-        let* counter = count "counter" args in
-        Some (Replay_record { counter })
-    | "replay.inject" ->
-        let* counter = count "counter" args in
-        Some (Replay_inject { counter })
-    | "os.inject" ->
-        let what = Option.value ~default:"?" (str "what" args) in
-        Some (Os_inject { what })
-    | _ -> None
-
-let of_trace events = List.filter_map of_tracer_event events
+let args ev =
+  let count key n = (key, Tracer.Count n) in
+  match ev with
+  | Session_begin pal -> [ ("pal", Tracer.Str pal) ]
+  | Skinit_begin Svm -> [ ("tech", Tracer.Str "svm") ]
+  | Skinit_begin Txt -> [ ("tech", Tracer.Str "txt") ]
+  | Dev_protect { addr; len } | Dev_unprotect { addr; len } | Zeroize { addr; len } ->
+      [ count "addr" addr; count "len" len ]
+  | Pcr_extend { index; kind } ->
+      [ count "index" index; ("kind", Tracer.Str (pcr_kind_to_string kind)) ]
+  | Nv_read { index } | Nv_write { index; counter = None } -> [ count "index" index ]
+  | Nv_write { index; counter = Some c } -> [ count "index" index; count "counter" c ]
+  | Counter_increment { handle; value } -> [ count "handle" handle; count "value" value ]
+  | Dma_attempt { addr; len; write; denied } ->
+      [
+        count "addr" addr;
+        count "len" len;
+        ("write", Tracer.Flag write);
+        ("denied", Tracer.Flag denied);
+      ]
+  | Replay_record { counter } | Replay_inject { counter } -> [ count "counter" counter ]
+  | Os_inject { what } -> [ ("what", Tracer.Str what) ]
+  | Session_end | Os_suspend | Os_resume | Skinit_end | Dev_clear | Pcr_reset
+  | Pcr_reboot ->
+      []

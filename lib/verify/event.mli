@@ -2,12 +2,13 @@
 
     Every security-relevant state change in the simulator — late launch,
     DEV updates, PCR extends, NV traffic, OS suspend/resume, DMA
-    attempts, memory zeroization — is emitted as an instant trace event
-    under the ["protocol"] category (see {!Flicker_hw.Machine.protocol_event}).
-    This module gives those raw tracer records a typed alphabet that both
-    verification layers consume: the trace-conformance checker parses
-    recorded traces into it, and the model checker generates it directly
-    from the abstract session model. *)
+    attempts, memory zeroization — is one of these events. The emitters
+    construct it and hand it to {!Flicker_hw.Machine.protocol_event},
+    which records it as an instant under the ["protocol"] trace category
+    (named by {!name}, with {!args}) and feeds it to the machine's
+    {!Checker} when one is attached. The model checker generates the
+    same alphabet directly from the abstract session model, so both
+    verification layers check exactly what the simulator emits. *)
 
 (** How a PCR extend is labeled by its call site. The Flicker session
     discipline (paper Sections 4–5) extends PCR 17 in a fixed order:
@@ -15,25 +16,23 @@
     the untrusted stub ([Stub]), then inputs, outputs, an optional
     nonce, and finally the cap that closes the session. [Software] is
     any extend outside the session discipline (PAL application code,
-    tests); [Other s] preserves unknown labels. *)
-type pcr_kind =
-  | Measure
-  | Stub
-  | Input
-  | Output
-  | Nonce
-  | Cap
-  | Software
-  | Other of string
+    tests). *)
+type pcr_kind = Measure | Stub | Input | Output | Nonce | Cap | Software
 
 val pcr_kind_to_string : pcr_kind -> string
+(** The label a trace records: ["measure"], ["stub"], ["input"],
+    ["output"], ["nonce"], ["cap"] or ["software"]. *)
+
+(** The late-launch technology: AMD SVM's SKINIT, or Intel TXT's
+    GETSEC[SENTER]. *)
+type tech = Svm | Txt
 
 type t =
-  | Session_begin of string  (** PAL name; emitted by [Session.run] *)
+  | Session_begin of string  (** PAL name; emitted by [Session.execute] *)
   | Session_end
   | Os_suspend
   | Os_resume
-  | Skinit_begin of string  (** launch technology: ["svm"] or ["txt"] *)
+  | Skinit_begin of tech  (** recorded as ["svm"] or ["txt"] *)
   | Skinit_end
   | Dev_protect of { addr : int; len : int }
   | Dev_unprotect of { addr : int; len : int }
@@ -62,6 +61,10 @@ type t =
 val to_string : t -> string
 (** Compact one-line rendering used in counterexample traces. *)
 
-val of_trace : Flicker_obs.Tracer.event list -> t list
-(** [of_trace events] keeps the relative order of the parseable
-    protocol events. *)
+val name : t -> string
+(** The trace record's name: ["session.begin"], ["pcr.extend"],
+    ["dma.attempt"], and so on, one per constructor. *)
+
+val args : t -> (string * Flicker_obs.Tracer.arg) list
+(** The trace record's arguments, one per field, in declaration order;
+    a PCR kind is recorded by {!pcr_kind_to_string}. *)

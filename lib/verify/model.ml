@@ -113,7 +113,7 @@ let independent a b =
 
 let session_kind_on_17 (kind : Event.pcr_kind) =
   match kind with
-  | Event.Software | Event.Other _ -> false
+  | Event.Software -> false
   | Event.Measure | Event.Stub | Event.Input | Event.Output | Event.Nonce
   | Event.Cap ->
       true
@@ -122,8 +122,9 @@ let session_kind_on_17 (kind : Event.pcr_kind) =
    touches, and whether any automaton could observe it (change state or
    reject). The [visible = false] classifications are load-bearing for
    the reduction and are exercised by the POR-vs-full QCheck property:
-   denied DMA, software/other extends, replay bookkeeping and corrupt-OS
-   message tampering are ignored by every automaton in every state. *)
+   denied DMA, software extends and extends of PCRs other than 17,
+   replay bookkeeping and corrupt-OS message tampering are ignored by
+   every automaton in every state. *)
 let event_fp (ev : Event.t) =
   match ev with
   | Event.Dev_protect _ | Event.Dev_unprotect _ | Event.Dev_clear ->
@@ -206,7 +207,7 @@ let session_program variant : block list =
   let skinit =
     b "skinit" (fun _ ->
         [
-          Event.Skinit_begin "svm";
+          Event.Skinit_begin Event.Svm;
           Event.Dev_protect { addr = slb_addr; len = slb_len };
           Event.Pcr_reset;
           ext Event.Measure;

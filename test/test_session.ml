@@ -480,10 +480,13 @@ let test_measurement_module () =
     (Measurement.of_image image ~slb_base:base
     <> Measurement.of_image image ~slb_base:0x300000);
   (* io extends: nonce present adds one link *)
+  let kinds extends =
+    List.map (fun (kind, _) -> Flicker_verify.Event.pcr_kind_to_string kind) extends
+  in
   Alcotest.(check (list string)) "io extends without nonce" [ "input"; "output" ]
-    (List.map fst (Measurement.labeled_io_extends ~inputs:"" ~outputs:"" ~nonce:None));
+    (kinds (Measurement.labeled_io_extends ~inputs:"" ~outputs:"" ~nonce:None));
   Alcotest.(check (list string)) "io extends with nonce" [ "input"; "output"; "nonce" ]
-    (List.map fst
+    (kinds
        (Measurement.labeled_io_extends ~inputs:"" ~outputs:""
           ~nonce:(Some (String.make 20 'n'))));
   (* final differs when outputs differ *)

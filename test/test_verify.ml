@@ -20,7 +20,7 @@ let make_platform ~seed = Platform.create ~seed ~key_bits:512 ()
 
 let w_addr = 0x30000
 let w_len = 0x10000
-let skinit = E.Skinit_begin "svm"
+let skinit = E.Skinit_begin E.Svm
 let protect = E.Dev_protect { addr = w_addr; len = w_len }
 let unprotect = E.Dev_unprotect { addr = w_addr; len = w_len }
 let zeroize = E.Zeroize { addr = w_addr; len = w_len }
@@ -218,61 +218,61 @@ let run_session ?tech ?flavor ?inputs ?nonce p name output =
   | Ok o -> o
   | Error e -> Alcotest.failf "session %s: %a" name Session.pp_error e
 
+(* a platform whose machine feeds every protocol event to [checker]:
+   its sessions run under the conformance gate *)
+let checked_platform ~seed =
+  let p = make_platform ~seed in
+  let checker = V.Checker.create () in
+  Machine.attach_checker p.Platform.machine checker;
+  (p, checker)
+
 let test_real_sessions_conform () =
-  let p = make_platform ~seed:"verify-conform" in
+  let p, checker = checked_platform ~seed:"verify-conform" in
   let nonce = Platform.fresh_nonce p in
   ignore (run_session p "vc-opt" "a" ~inputs:"in" ~nonce);
   ignore (run_session p "vc-std" "b" ~flavor:Flicker_slb.Builder.Standard);
   ignore (run_session p "vc-txt" "c" ~tech:(Session.Txt { acm = Flicker_hw.Skinit.default_acm () }));
-  let report =
-    V.Checker.check_tracer p.Platform.machine.Machine.tracer
-  in
+  let report = V.Checker.report checker in
   Alcotest.(check int) "no violations" 0 (List.length report.V.Checker.violations);
   Alcotest.(check bool) "protocol events seen" true
     (report.V.Checker.events_checked > 30)
 
 let test_session_gate_accepts () =
-  (* the in-session conformance gate: enabled, a clean session returns
+  (* the in-session conformance gate: on, a clean session returns
      normally instead of raising *)
-  let p = make_platform ~seed:"verify-gate" in
-  p.Platform.check_conformance <- true;
+  let p, _ = checked_platform ~seed:"verify-gate" in
   let o = run_session p "vg" "gated" in
   Alcotest.(check string) "ran" "gated" o.Session.outputs
 
-let skipped p =
-  List.assoc_opt "session.conformance_skipped"
-    (Flicker_obs.Metrics.counters p.Platform.machine.Machine.metrics)
-
-let test_session_gate_counts_skips () =
-  (* a PAL that logs more events than the 4,096-event ring holds evicts
-     its own session's start: the gate skips the session, counts the
-     skip, and does not raise *)
-  let noisy =
-    Pal.define ~name:"vg-noisy" (fun env ->
-        for i = 1 to 5000 do
+let test_session_gate_raises () =
+  (* a PAL that clears the DEV while its window is still un-zeroized
+     breaks dev-covers-slb: the gate fails the session, even when the
+     PAL first logs more events than the 4,096-event trace ring holds *)
+  let clearing ~noise =
+    Pal.define ~name:"vg-clear" (fun env ->
+        for i = 1 to noise do
           Machine.log_event env.Pal_env.machine (Printf.sprintf "noise %d" i)
         done;
-        Pal_env.set_output env "noisy")
+        Flicker_hw.Dev.clear env.Pal_env.machine.Machine.dev;
+        Pal_env.set_output env "cleared")
   in
-  let run p =
-    match Session.execute p ~pal:noisy () with
-    | Ok o -> Alcotest.(check string) "ran" "noisy" o.Session.outputs
-    | Error e -> Alcotest.failf "noisy session: %a" Session.pp_error e
-  in
-  let gated = make_platform ~seed:"verify-gate-skip" in
-  gated.Platform.check_conformance <- true;
-  run gated;
-  Alcotest.(check (option int)) "counted once" (Some 1) (skipped gated);
-  ignore (run_session gated "vg-after" "clean");
-  Alcotest.(check (option int)) "a checked session is not a skip" (Some 1) (skipped gated);
-  let ungated = make_platform ~seed:"verify-gate-off" in
-  run ungated;
-  Alcotest.(check (option int)) "no counter with the gate off" None (skipped ungated)
+  List.iter
+    (fun noise ->
+      let p, _ = checked_platform ~seed:(Printf.sprintf "verify-gate-%d" noise) in
+      match Session.execute p ~pal:(clearing ~noise) () with
+      | Ok _ | Error _ -> Alcotest.failf "after %d log lines: the session was not failed" noise
+      | exception Session.Protocol_violation { pal; violations } ->
+          Alcotest.(check string) "pal" "vg-clear" pal;
+          Alcotest.(check (list string))
+            (Printf.sprintf "after %d log lines" noise)
+            [ "dev-covers-slb" ]
+            (List.map (fun v -> v.V.Checker.automaton) violations))
+    [ 0; 5000 ]
 
 let test_replay_guard_conforms () =
   (* the NV-based replay guard defines a counter space then seals (which
      increments); the nv-monotonic automaton must accept its real traffic *)
-  let p = make_platform ~seed:"verify-replay" in
+  let p, checker = checked_platform ~seed:"verify-replay" in
   let pal =
     Pal.define ~name:"vr-nv" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
       (fun env ->
@@ -288,13 +288,13 @@ let test_replay_guard_conforms () =
   (match Session.execute p ~pal () with
   | Ok o -> Alcotest.(check string) "guard ran" "nv" o.Session.outputs
   | Error e -> Alcotest.failf "session: %a" Session.pp_error e);
-  let report = V.Checker.check_tracer p.Platform.machine.Machine.tracer in
+  let report = V.Checker.report checker in
   Alcotest.(check int) "no violations" 0 (List.length report.V.Checker.violations)
 
 (* --- the planted-bug regression: DMA during a PAL run --- *)
 
 let test_dma_during_pal_denied_and_traced () =
-  let p = make_platform ~seed:"verify-dma" in
+  let p, checker = checked_platform ~seed:"verify-dma" in
   let nic = Dma.create p.Platform.machine ~name:"verify-nic" in
   let slb_base = p.Platform.slb_base in
   let probe = ref None in
@@ -311,18 +311,18 @@ let test_dma_during_pal_denied_and_traced () =
   (match !probe with
   | Some r -> Alcotest.(check bool) "probe failed" false r.Adversary.succeeded
   | None -> Alcotest.fail "probe never ran");
-  (* ... and the denial is in the protocol event stream *)
-  let events = E.of_trace (Tracer.events p.Platform.machine.Machine.tracer) in
+  (* ... and the denial is in the protocol trace *)
   let denied_attempts =
     List.filter
-      (function
-        | E.Dma_attempt { denied = true; addr; _ } -> addr = slb_base
-        | _ -> false)
-      events
+      (fun (e : Tracer.event) ->
+        e.Tracer.name = "dma.attempt"
+        && List.assoc_opt "addr" e.Tracer.args = Some (Tracer.Count slb_base)
+        && List.assoc_opt "denied" e.Tracer.args = Some (Tracer.Flag true))
+      (Tracer.events p.Platform.machine.Machine.tracer)
   in
   Alcotest.(check bool) "denied dma.attempt traced" true (denied_attempts <> []);
-  (* ... and the trace still conforms: denied DMA is the DEV working *)
-  let report = V.Checker.check events in
+  (* ... and the session still conforms: denied DMA is the DEV working *)
+  let report = V.Checker.report checker in
   Alcotest.(check int) "no violations" 0 (List.length report.V.Checker.violations)
 
 (* --- model checker --- *)
@@ -615,31 +615,44 @@ let test_mc_replay_golden_trace () =
         (E.to_string cex.V.Mc.event);
       Alcotest.(check string) "automaton" "nv-monotonic" cex.V.Mc.automaton
 
-(* --- event parsing --- *)
+(* --- event encoding --- *)
 
-let test_event_parsing () =
-  let raw name args =
-    { Tracer.name; cat = "protocol"; ts = 0.0; kind = Tracer.Instant; args }
-  in
-  let parsed =
-    E.of_trace
-      [
-        raw "dev.protect" [ ("addr", Tracer.Count 5); ("len", Tracer.Count 6) ];
-        raw "pcr.extend"
-          [ ("index", Tracer.Count 17); ("kind", Tracer.Str "cap") ];
-        { Tracer.name = "not-protocol"; cat = "os"; ts = 0.0;
-          kind = Tracer.Instant; args = [] };
-        raw "dev.protect" [] (* malformed: dropped, not crashed *);
-        raw "nv.write" [ ("index", Tracer.Count 9) ];
-      ]
-  in
-  Alcotest.(check int) "parsed" 3 (List.length parsed);
-  Alcotest.(check bool) "protect" true
-    (List.mem (E.Dev_protect { addr = 5; len = 6 }) parsed);
-  Alcotest.(check bool) "cap extend" true
-    (List.mem (E.Pcr_extend { index = 17; kind = E.Cap }) parsed);
-  Alcotest.(check bool) "nv write sans counter" true
-    (List.mem (E.Nv_write { index = 9; counter = None }) parsed)
+let test_event_encoding () =
+  (* the trace names and args of the events no CLI trace golden shows *)
+  let count k n = (k, Tracer.Count n) in
+  let flag k b = (k, Tracer.Flag b) in
+  List.iter
+    (fun (ev, name, args) ->
+      Alcotest.(check string) (E.to_string ev ^ " name") name (E.name ev);
+      Alcotest.(check bool) (E.to_string ev ^ " args") true (E.args ev = args))
+    [
+      (E.Nv_read { index = 0x1500 }, "nv.read", [ count "index" 0x1500 ]);
+      (E.Nv_write { index = 9; counter = None }, "nv.write", [ count "index" 9 ]);
+      ( E.Nv_write { index = 9; counter = Some 7 },
+        "nv.write",
+        [ count "index" 9; count "counter" 7 ] );
+      ( E.Counter_increment { handle = 2; value = 3 },
+        "counter.increment",
+        [ count "handle" 2; count "value" 3 ] );
+      ( E.Dma_attempt { addr = 5; len = 6; write = true; denied = false },
+        "dma.attempt",
+        [ count "addr" 5; count "len" 6; flag "write" true; flag "denied" false ] );
+      (E.Dev_clear, "dev.clear", []);
+      (E.Pcr_reboot, "pcr.reboot", []);
+    ];
+  (* the trace-only annotations: the device leads a DMA record's args *)
+  let m = (make_platform ~seed:"verify-encoding").Platform.machine in
+  Machine.protocol_event m ~device:"nic"
+    (E.Dma_attempt { addr = 5; len = 6; write = false; denied = true });
+  match List.rev (Tracer.events m.Machine.tracer) with
+  | last :: _ ->
+      Alcotest.(check string) "recorded name" "dma.attempt" last.Tracer.name;
+      Alcotest.(check string) "category" "protocol" last.Tracer.cat;
+      Alcotest.(check bool) "device first" true
+        (last.Tracer.args
+        = [ ("device", Tracer.Str "nic"); count "addr" 5; count "len" 6;
+            flag "write" false; flag "denied" true ])
+  | [] -> Alcotest.fail "nothing recorded"
 
 (* --- property: no false positives on arbitrary clean workloads --- *)
 
@@ -648,7 +661,7 @@ let prop_sessions_conform =
     QCheck.(
       triple (string_of_size Gen.(int_range 0 64)) bool small_int)
     (fun (inputs, optimized, salt) ->
-      let p = make_platform ~seed:(Printf.sprintf "verify-prop-%d" salt) in
+      let p, checker = checked_platform ~seed:(Printf.sprintf "verify-prop-%d" salt) in
       let flavor =
         if optimized then Flicker_slb.Builder.Optimized
         else Flicker_slb.Builder.Standard
@@ -660,11 +673,7 @@ let prop_sessions_conform =
       in
       match Session.execute p ~pal ~flavor ~inputs ?nonce () with
       | Error e -> QCheck.Test.fail_reportf "session: %a" Session.pp_error e
-      | Ok _ ->
-          let report =
-            V.Checker.check_tracer p.Platform.machine.Machine.tracer
-          in
-          report.V.Checker.violations = [])
+      | Ok _ -> (V.Checker.report checker).V.Checker.violations = [])
 
 (* --- property: the partial-order reduction is sound --- *)
 
@@ -739,15 +748,15 @@ let () =
           Alcotest.test_case "broken trace caught" `Quick test_checker_broken_trace;
           Alcotest.test_case "restarts after violation" `Quick
             test_checker_restarts_after_violation;
-          Alcotest.test_case "event parsing" `Quick test_event_parsing;
+          Alcotest.test_case "event encoding" `Quick test_event_encoding;
         ] );
       ( "conformance",
         [
           Alcotest.test_case "real sessions conform" `Quick test_real_sessions_conform;
           Alcotest.test_case "session gate accepts clean runs" `Quick
             test_session_gate_accepts;
-          Alcotest.test_case "session gate counts skips" `Quick
-            test_session_gate_counts_skips;
+          Alcotest.test_case "session gate raises on dev clear" `Quick
+            test_session_gate_raises;
           Alcotest.test_case "replay guard conforms" `Quick test_replay_guard_conforms;
           Alcotest.test_case "dma during PAL: denied + traced + conformant" `Quick
             test_dma_during_pal_denied_and_traced;
