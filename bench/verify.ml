@@ -96,8 +96,8 @@ let run () =
         ])
     configs;
   (* the POR payoff headline: transitions explored, full over reduced,
-     on the good session with a four-probe DMA adversary (the CI gate
-     asserts this stays >= 2) *)
+     on the good session with a four-probe DMA adversary (test_verify's
+     "POR reduces work" asserts this stays >= 2) *)
   let adversary = { V.Adversary.default with V.Adversary.dma_probes = 4 } in
   let reduced, wall_por =
     timed (fun () -> V.Mc.run ~adversary ~sessions:2 V.Model.Good)

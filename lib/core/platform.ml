@@ -68,10 +68,11 @@ let fresh_nonce t = Prng.bytes t.rng 20
    0xff reboot digest while NV, counters, and the key hierarchy persist
    — which is exactly why sealed blobs bound to PCR 17-during-PAL unseal
    again after the next SKINIT reproduces that value (Section 4.3's
-   recovery story). *)
+   recovery story). The TPM reboots first: its [pcr.reboot] ends any
+   launch before the DEV is cleared and the OS resumes. *)
 let power_cycle t =
-  Machine.power_cycle t.machine;
   Tpm.reboot t.tpm;
+  Machine.power_cycle t.machine;
   if Scheduler.is_suspended t.scheduler then Scheduler.resume t.scheduler;
   List.iter (fun path -> Sysfs.remove t.sysfs ~path) (Sysfs.paths t.sysfs);
   t.corrupt_next_slb <- false

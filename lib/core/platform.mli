@@ -51,4 +51,6 @@ val power_cycle : t -> unit
     the TPM reboots (PCRs 17–23 go to the 0xff reboot digest) but keeps
     its NV storage, monotonic counters, and key hierarchy — so sealed
     blobs and replay counters survive, and the recovery paths in
-    {!Flicker_core.Replay} can be exercised against a genuine reboot. *)
+    {!Flicker_core.Replay} can be exercised against a genuine reboot.
+    The TPM reboots first, so its [pcr.reboot] event precedes the
+    machine's [dev.clear] and the scheduler's [os.resume]. *)

@@ -172,8 +172,9 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
           result)
     in
     (* close the session span and roll the outcome into the counters at
-       every exit *)
-    let finish result =
+       every exit; an exception that escaped the PAL reaches the caller
+       only now, once the session is over *)
+    let finish ?escaped result =
       Machine.protocol_event machine Event.Session_end;
       Tracer.end_span tracer session_span;
       (match result with
@@ -182,6 +183,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
       | Error (Os_busy _) -> ()
       | Ok o -> if o.pal_fault <> None then Metrics.incr metrics "session.pal_faults");
       gate ();
+      Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) escaped;
       result
     in
 
@@ -274,14 +276,14 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
         in
         let pcr17_during = pcr17_of platform in
         let pal_entered = Clock.now clock in
-        let env_outputs, pal_fault =
+        let env_outputs, pal_fault, escaped =
           timed Pal_execution (fun () ->
               (* chaos hook: a rogue device picks the worst moment — the
                  PAL is running, so the DEV window is armed and must deny
                  every write aimed at it *)
               Dma.fire_storm machine
                 ~focus:(slb_base, Layout.total_footprint) ();
-              if not measured_pal then ("", None)
+              if not measured_pal then ("", None, None)
               else
                 let protection =
                   if Pal.wants pal Pal.Os_protection then
@@ -304,12 +306,16 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                 (match protection with
                 | Some policy -> Mod_os_protection.enter_ring3 machine policy
                 | None -> ());
-                let fault =
+                let fault, escaped =
                   match pal.Pal.behavior env with
-                  | () -> None
+                  | () -> (None, None)
                   | exception Mod_os_protection.Pal_fault msg ->
                       Machine.log_event machine ("PAL FAULT: " ^ msg);
-                      Some msg
+                      (Some msg, None)
+                  | exception e ->
+                      (* any other exception ends the PAL too: the session
+                         still wipes, caps and resumes, then re-raises it *)
+                      (None, Some (e, Printexc.get_raw_backtrace ()))
                 in
                 (match protection with
                 | Some _ -> Mod_os_protection.exit_ring3 machine
@@ -330,52 +336,61 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                     ( "",
                       Some
                         (Printf.sprintf "watchdog: PAL exceeded %.1f ms time limit"
-                           limit) )
-                | _ -> (Pal_env.output env, fault)))
+                           limit),
+                      escaped )
+                | _ -> (Pal_env.output env, fault, escaped)))
         in
 
-        (* --- Cleanup: erase everything the PAL touched inside the
-           window and the input page (the output page goes back to the
-           OS) --- *)
-        timed Cleanup (fun () ->
-            let wipe addr len =
-              Memory.zero memory ~addr ~len;
-              Machine.protocol_event machine (Event.Zeroize { addr; len })
-            in
-            wipe slb_base Layout.slb_size;
-            wipe (slb_base + Layout.inputs_page_offset) Layout.io_page_size;
-            Machine.charge machine Slb_core.cleanup_overhead_ms);
+        if not (Scheduler.is_suspended platform.Platform.scheduler) then
+          (* the platform was power-cycled under the PAL: the machine has
+             rebooted, so nothing is left to wipe, extend or resume, and a
+             relaunch may succeed *)
+          finish ?escaped
+            (Error (os_busy_transient "platform power-cycled during the session"))
+        else begin
+          (* --- Cleanup: erase everything the PAL touched inside the
+             window and the input page (the output page goes back to the
+             OS) --- *)
+          timed Cleanup (fun () ->
+              let wipe addr len =
+                Memory.zero memory ~addr ~len;
+                Machine.protocol_event machine (Event.Zeroize { addr; len })
+              in
+              wipe slb_base Layout.slb_size;
+              wipe (slb_base + Layout.inputs_page_offset) Layout.io_page_size;
+              Machine.charge machine Slb_core.cleanup_overhead_ms);
 
-        (* --- Extend PCR 17 with the I/O measurements and the cap --- *)
-        timed Pcr_extends (fun () ->
-            List.iter
-              (fun (kind, v) -> extend_pcr17 ~kind platform v)
-              (Measurement.labeled_io_extends ~inputs ~outputs:env_outputs ~nonce);
-            extend_pcr17 ~kind:Event.Cap platform Slb_core.cap_value);
-        let pcr17_final = pcr17_of platform in
+          (* --- Extend PCR 17 with the I/O measurements and the cap --- *)
+          timed Pcr_extends (fun () ->
+              List.iter
+                (fun (kind, v) -> extend_pcr17 ~kind platform v)
+                (Measurement.labeled_io_extends ~inputs ~outputs:env_outputs ~nonce);
+              extend_pcr17 ~kind:Event.Cap platform Slb_core.cap_value);
+          let pcr17_final = pcr17_of platform in
 
-        (* --- Resume OS --- *)
-        timed Resume_os (fun () ->
-            Skinit.teardown_dev machine launch;
-            Os_state.restore machine platform.Platform.kernel saved_state;
-            Apic.release_aps machine;
-            Scheduler.resume platform.Platform.scheduler;
-            Sysfs.write platform.Platform.sysfs ~path:"outputs" env_outputs;
-            Machine.charge machine Slb_core.cleanup_overhead_ms);
+          (* --- Resume OS --- *)
+          timed Resume_os (fun () ->
+              Skinit.teardown_dev machine launch;
+              Os_state.restore machine platform.Platform.kernel saved_state;
+              Apic.release_aps machine;
+              Scheduler.resume platform.Platform.scheduler;
+              Sysfs.write platform.Platform.sysfs ~path:"outputs" env_outputs;
+              Machine.charge machine Slb_core.cleanup_overhead_ms);
 
-        finish
-          (if not measured_pal then Error Unknown_pal
-           else
-             Ok
-               {
-                 outputs = env_outputs;
-                 slb_measurement = launch.Skinit.measurement;
-                 pcr17_during;
-                 pcr17_final;
-                 breakdown = List.rev !breakdown;
-                 total_ms = Clock.now clock -. started;
-                 pal_fault;
-               })
+          finish ?escaped
+            (if not measured_pal then Error Unknown_pal
+             else
+               Ok
+                 {
+                   outputs = env_outputs;
+                   slb_measurement = launch.Skinit.measurement;
+                   pcr17_during;
+                   pcr17_final;
+                   breakdown = List.rev !breakdown;
+                   total_ms = Clock.now clock -. started;
+                   pal_fault;
+                 })
+        end
   end
 
 let execute_from_sysfs (platform : Platform.t) ~pal ?nonce ?time_limit_ms () =

@@ -43,18 +43,19 @@ type error =
           code: nothing ran *)
   | Os_busy of { transient : bool; msg : string }
       (** [transient] is [true] when another Flicker session currently
-          owns the machine — waiting for it to resume the OS and retrying
-          can succeed. It is [false] for a missing, short, or corrupt SLB
-          image, or a PAL whose code does not fit the flavor's SLB: there
-          is no full window to launch, and no amount of waiting fixes
-          that. The classification is structural, set at
-          the raise site — retry logic must not (and no longer does)
-          parse [msg]. *)
+          owns the machine, or the platform was power-cycled under the
+          PAL — waiting and retrying can succeed. It is [false] for a
+          missing, short, or corrupt SLB image, or a PAL whose code does
+          not fit the flavor's SLB: there is no full window to launch,
+          and no amount of waiting fixes that. The classification is
+          structural, set at the raise site — retry logic must not (and
+          no longer does) parse [msg]. *)
 
 val pp_error : Format.formatter -> error -> unit
 
 val os_busy_transient : string -> error
-(** [Os_busy { transient = true; msg }] — another session owns the machine. *)
+(** [Os_busy { transient = true; msg }] — another session owns the
+    machine, or a power cycle cut the session short. *)
 
 val os_busy_permanent : string -> error
 (** [Os_busy { transient = false; msg }] — a structural failure (missing,
@@ -77,8 +78,9 @@ exception
     event on. *)
 
 val busy_is_transient : error -> bool
-(** [true] exactly for the mid-session flavour of [Os_busy]: waiting (and
-    retrying) can succeed. A missing or short SLB image is not transient. *)
+(** [true] exactly for the transient flavour of [Os_busy] (mid-session,
+    or power-cycled under the PAL): waiting (and retrying) can succeed. A
+    missing or short SLB image is not transient. *)
 
 type launch_tech =
   | Svm  (** AMD SKINIT — the paper's implementation platform *)
@@ -108,6 +110,18 @@ val execute :
     restriction Section 5.1.2 describes as under investigation): if the
     PAL runs past the limit, its outputs are discarded, the fault is
     recorded, and cleanup proceeds — the OS gets its machine back.
+
+    A PAL that raises an exception other than an OS-Protection fault
+    still gets the rest of its session: the wipe, the I/O extends, the
+    cap, DEV teardown, OS resume and [session.end]. The exception then
+    reaches the caller (unless the session broke the protocol, which
+    raises {!Protocol_violation}), and the platform serves its next
+    session.
+
+    A PAL during which the platform was power-cycled
+    ({!Platform.power_cycle}) ends the session with a transient
+    [Os_busy]: the machine has rebooted, so the session wipes nothing,
+    extends nothing and resumes nothing, and {!retry_busy} relaunches.
     @raise Invalid_argument if [inputs] exceeds the 4 KB input page, the
     nonce is not 20 bytes, or the time limit is not positive. *)
 

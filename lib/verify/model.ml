@@ -64,13 +64,17 @@ type machine = {
   recorded : int option;  (* the replay adversary's copy, if taken *)
 }
 
-(* Fixed geometry of the modeled session (values are arbitrary but
-   stable; the automata only care about containment and overlap). *)
+let machine0 =
+  { dev = None; suspended = false; counter = 7; nv = 7; blob = 7; recorded = None }
+
+(* Fixed geometry of the modeled session: a 64 KB window with the 4 KB
+   input page right after it, as [Layout] places them (the address is
+   arbitrary; the automata only care about containment and overlap). *)
 let slb_addr = 0x30000
 let slb_len = 0x10000
+let page_len = 4096  (* the input page, and a DMA probe's reach *)
 let nv_index = 0x1200
 let counter_handle = 1
-let probe_len = 4096
 
 (* --- footprints -------------------------------------------------------- *)
 
@@ -191,117 +195,125 @@ type block = {
   b_reads : int;  (* machine vars the emission function consults *)
 }
 
+let b ?(reads = 0) b_label b_emit = { b_label; b_emit; b_reads = reads }
+let fixed label events = b label (fun _ -> events)
 let ext kind = Event.Pcr_extend { index = 17; kind }
 let fresh m = m.blob = m.nv
 
-(* One session as atomic blocks. The SKINIT block bundles protect +
-   reset + measure + end: a single instruction on real hardware. Each
-   block may read the machine to compute event payloads; a disciplined
-   PAL gates its NV work on the sealed blob matching the NV counter
-   (the §4.4 freshness check) and silently aborts the NV update when a
-   stale blob was presented. *)
-let session_program variant : block list =
-  let b ?(reads = 0) b_label b_emit = { b_label; b_emit; b_reads = reads } in
-  let begin_ = b "session" (fun _ -> [ Event.Session_begin "model" ]) in
-  let suspend = b "suspend" (fun _ -> [ Event.Os_suspend ]) in
-  let skinit =
-    b "skinit" (fun _ ->
-        [
-          Event.Skinit_begin Event.Svm;
-          Event.Dev_protect { addr = slb_addr; len = slb_len };
-          Event.Pcr_reset;
-          ext Event.Measure;
-          Event.Skinit_end;
-        ])
-  in
-  let stub = b "stub-extend" (fun _ -> [ ext Event.Stub ]) in
-  let pal_read = b "pal-nv-read" (fun _ -> [ Event.Nv_read { index = nv_index } ]) in
-  let pal_incr =
-    b "pal-counter-incr"
-      ~reads:(v_counter lor v_nv lor v_blob)
-      (fun m ->
-        if fresh m then
-          [ Event.Counter_increment { handle = counter_handle; value = m.counter + 1 } ]
-        else [])
-  in
-  let pal_write =
-    b "pal-nv-write"
-      ~reads:(v_nv lor v_blob)
-      (fun m ->
-        if fresh m then
-          [ Event.Nv_write { index = nv_index; counter = Some (m.nv + 1) } ]
-        else [])
-  in
-  (* the planted reseal bug: the PAL reads NV but never compares it
-     against the unsealed blob's counter — it increments *the blob's*
-     counter and persists that, so a replayed blob is resealed as if
-     fresh *)
-  let pal_incr_unchecked =
-    b "pal-counter-incr" ~reads:v_counter (fun m ->
-        [ Event.Counter_increment { handle = counter_handle; value = m.counter + 1 } ])
-  in
-  let pal_reseal_unchecked =
-    b "pal-nv-reseal" ~reads:v_blob (fun m ->
-        [ Event.Nv_write { index = nv_index; counter = Some (m.blob + 1) } ])
-  in
-  let zeroize =
-    b "zeroize" (fun _ -> [ Event.Zeroize { addr = slb_addr; len = slb_len } ])
-  in
-  let inputs = b "extend-inputs" (fun _ -> [ ext Event.Input ]) in
-  let outputs = b "extend-outputs" (fun _ -> [ ext Event.Output ]) in
-  let nonce = b "extend-nonce" (fun _ -> [ ext Event.Nonce ]) in
-  let cap = b "extend-cap" (fun _ -> [ ext Event.Cap ]) in
-  let teardown =
-    b "teardown-dev"
-      (fun _ -> [ Event.Dev_unprotect { addr = slb_addr; len = slb_len } ])
-  in
-  let resume = b "resume" (fun _ -> [ Event.Os_resume ]) in
-  let end_ = b "session-end" (fun _ -> [ Event.Session_end ]) in
-  let pal = [ pal_read; pal_incr; pal_write ] in
-  match variant with
-  | Good | Trust_state_across_reset ->
-      (* Trust_state_across_reset runs the disciplined program too: its
-         bug is in the reset path, where it keeps executing as if the
-         launch survived the power cycle (see [transitions]) *)
-      [ begin_; suspend; skinit; stub ]
-      @ pal
-      @ [ zeroize; inputs; outputs; nonce; cap; teardown; resume; end_ ]
+(* The one good session, in [Session.execute]'s order: a launch with
+   [tech] over the [window], the Optimized flavor's stub extend when
+   [stub], the [pal]'s blocks, a cleanup that wipes the window and the
+   [input_page], the I/O extends (the nonce's when [nonce]), the cap, DEV
+   teardown and resume. The launch block bundles protect + reset +
+   measure + end, a single instruction on real hardware; under TXT the
+   SINIT ACM is measured into PCR 17 before the SLB. *)
+let good_session ~name ~tech ~stub ~nonce ~window:(addr, len) ~input_page:(i_addr, i_len)
+    pal =
+  let acm = if tech = Event.Txt then [ ext Event.Measure ] else [] in
+  let opt flag blk = if flag then [ blk ] else [] in
+  [
+    fixed "session" [ Event.Session_begin name ];
+    fixed "suspend" [ Event.Os_suspend ];
+    fixed "skinit"
+      ([ Event.Skinit_begin tech; Event.Dev_protect { addr; len }; Event.Pcr_reset ]
+      @ acm @ [ ext Event.Measure; Event.Skinit_end ]);
+  ]
+  @ opt stub (fixed "stub-extend" [ ext Event.Stub ])
+  @ pal
+  @ [
+      fixed "zeroize"
+        [ Event.Zeroize { addr; len }; Event.Zeroize { addr = i_addr; len = i_len } ];
+      fixed "extend-inputs" [ ext Event.Input ];
+      fixed "extend-outputs" [ ext Event.Output ];
+    ]
+  @ opt nonce (fixed "extend-nonce" [ ext Event.Nonce ])
+  @ [
+      fixed "extend-cap" [ ext Event.Cap ];
+      fixed "teardown-dev" [ Event.Dev_unprotect { addr; len } ];
+      fixed "resume" [ Event.Os_resume ];
+      fixed "session-end" [ Event.Session_end ];
+    ]
+
+let nv_read = fixed "pal-nv-read" [ Event.Nv_read { index = nv_index } ]
+let incr_counter m =
+  [ Event.Counter_increment { handle = counter_handle; value = m.counter + 1 } ]
+let nv_write c = [ Event.Nv_write { index = nv_index; counter = Some c } ]
+
+(* A disciplined PAL gates its NV work on the sealed blob matching the
+   NV counter (the §4.4 freshness check) and silently aborts the NV
+   update when a stale blob was presented. *)
+let nv_pal =
+  [
+    nv_read;
+    b "pal-counter-incr" ~reads:(v_counter lor v_nv lor v_blob) (fun m ->
+        if fresh m then incr_counter m else []);
+    b "pal-nv-write" ~reads:(v_nv lor v_blob) (fun m ->
+        if fresh m then nv_write (m.nv + 1) else []);
+  ]
+
+(* the planted reseal bug: the PAL reads NV but never compares it
+   against the unsealed blob's counter — it increments *the blob's*
+   counter and persists that, so a replayed blob is resealed as if
+   fresh *)
+let unchecked_pal =
+  [
+    nv_read;
+    b "pal-counter-incr" ~reads:v_counter incr_counter;
+    b "pal-nv-reseal" ~reads:v_blob (fun m -> nv_write (m.blob + 1));
+  ]
+
+(* A planted bug is an edit of the good session, by block label;
+   [Move_after (a, b)] moves block [a] to right after block [b]. *)
+type edit =
+  | Drop of string
+  | Swap of string * string
+  | Move_after of string * string
+  | Insert_before of string * block
+
+let edit blocks e =
+  let find l = List.find (fun blk -> blk.b_label = l) blocks in
+  let each f = List.concat_map (fun blk -> f blk.b_label blk) blocks in
+  match e with
+  | Drop x -> each (fun l blk -> if l = x then [] else [ blk ])
+  | Swap (x, y) ->
+      each (fun l blk -> [ (if l = x then find y else if l = y then find x else blk) ])
+  | Move_after (x, y) ->
+      each (fun l blk -> if l = x then [] else if l = y then [ blk; find x ] else [ blk ])
+  | Insert_before (x, nb) -> each (fun l blk -> if l = x then [ nb; blk ] else [ blk ])
+
+let edits = function
+  | Good | Reseal_without_counter_check | Trust_state_across_reset ->
+      (* Trust_state_across_reset's bug is where [transitions] sends a reset *)
+      []
   | Resume_before_cap ->
-      (* the bug: teardown + resume jump the queue; the cap lands late *)
-      [ begin_; suspend; skinit; stub ]
-      @ pal
-      @ [ zeroize; inputs; outputs; nonce; teardown; resume; cap; end_ ]
+      (* teardown + resume jump the queue; the cap lands late *)
+      [ Move_after ("extend-cap", "resume") ]
   | Clear_dev_early ->
-      let clear = b "clear-dev" (fun _ -> [ Event.Dev_clear ]) in
-      [ begin_; suspend; skinit; stub; clear ]
-      @ pal
-      @ [ zeroize; inputs; outputs; nonce; cap; resume; end_ ]
+      [ Insert_before ("pal-nv-read", fixed "clear-dev" [ Event.Dev_clear ]);
+        Drop "teardown-dev" ]
   | Skip_zeroize ->
-      (* the whole cleanup block is skipped: no wipe, no DEV teardown *)
-      [ begin_; suspend; skinit; stub ]
-      @ pal
-      @ [ inputs; outputs; nonce; cap; resume; end_ ]
+      (* the whole cleanup is skipped: no wipe, no DEV teardown *)
+      [ Drop "zeroize"; Drop "teardown-dev" ]
   | Nv_rollback ->
-      let stale =
-        b "restore-stale-nv" ~reads:v_nv (fun m ->
-            (* "restore" the pre-session snapshot: one less than current *)
-            [ Event.Nv_write { index = nv_index; counter = Some (m.nv - 1) } ])
-      in
-      [ begin_; suspend; skinit; stub ]
-      @ pal
-      @ [ stale; zeroize; inputs; outputs; nonce; cap; teardown; resume; end_ ]
-  | Launch_unsuspended ->
-      [ begin_; skinit; stub ]
-      @ pal
-      @ [ zeroize; inputs; outputs; nonce; cap; teardown; resume; end_ ]
-  | Out_of_order_extends ->
-      [ begin_; suspend; skinit; stub ]
-      @ pal
-      @ [ zeroize; outputs; inputs; nonce; cap; teardown; resume; end_ ]
-  | Reseal_without_counter_check ->
-      [ begin_; suspend; skinit; stub ]
-      @ [ pal_read; pal_incr_unchecked; pal_reseal_unchecked ]
-      @ [ zeroize; inputs; outputs; nonce; cap; teardown; resume; end_ ]
+      (* "restore" the pre-session snapshot: one less than current *)
+      let stale = b "restore-stale-nv" ~reads:v_nv (fun m -> nv_write (m.nv - 1)) in
+      [ Insert_before ("zeroize", stale) ]
+  | Launch_unsuspended -> [ Drop "suspend" ]
+  | Out_of_order_extends -> [ Swap ("extend-inputs", "extend-outputs") ]
+
+(* The modeled session: an SVM launch of the Optimized flavor with a
+   nonce, running the NV-discipline PAL or the reseal bug's, then edited. *)
+let session_program variant =
+  let pal = if variant = Reseal_without_counter_check then unchecked_pal else nv_pal in
+  List.fold_left edit
+    (good_session ~name:"model" ~tech:Event.Svm ~stub:true ~nonce:true
+       ~window:(slb_addr, slb_len) ~input_page:(slb_addr + slb_len, page_len) pal)
+    (edits variant)
+
+let session_events ~name ~tech ~stub ~nonce ~window ~input_page pal =
+  List.concat_map
+    (fun blk -> blk.b_emit machine0)
+    (good_session ~name ~tech ~stub ~nonce ~window ~input_page [ fixed "pal" pal ])
 
 (* The static half of a state, built once per checker run and shared by
    every state of it; not part of the dedup key. *)
@@ -357,15 +369,7 @@ let initial ?(adversary = Adversary.default) ?sessions variant =
     prog = program variant sessions;
     pc = 0;
     budgets = Adversary.budgets_of adversary;
-    m =
-      {
-        dev = None;
-        suspended = false;
-        counter = 7;
-        nv = 7;
-        blob = 7;
-        recorded = None;
-      };
+    m = machine0;
   }
 
 let dev_denies m ~addr ~len =
@@ -381,8 +385,8 @@ let view st ~at_end =
     blob = st.m.blob;
     recorded = st.m.recorded;
     slb_addr;
-    probe_len;
-    denies = dev_denies st.m ~addr:slb_addr ~len:probe_len;
+    probe_len = page_len;
+    denies = dev_denies st.m ~addr:slb_addr ~len:page_len;
   }
 
 type source = Session | Attack of Adversary.effect

@@ -7,9 +7,16 @@
       Flicker session performs (suspend, late launch, PAL work, zeroize,
       extends, resume), as atomic blocks — SKINIT's protect + reset +
       measure is one hardware instruction and cannot be interleaved.
-      With [sessions > 1] the program runs back-to-back sessions over
-      the same persistent NV state, which is what gives the replay
-      adversary something to replay;
+      There is one good session, built from the parameters
+      [Session.execute] takes (launch technology, the Optimized flavor's
+      stub extend, the optional nonce), the window and input-page
+      geometry and the PAL's own blocks; {!session_events} lists its
+      events. The model runs it as an SVM launch with stub and nonce,
+      over a 64 KB window with the 4 KB input page right after it, as
+      [Layout] places them, and a PAL that keeps an NV counter. With
+      [sessions > 1] the program runs back-to-back sessions over the
+      same persistent NV state, which is what gives the replay adversary
+      something to replay;
     - the {e machine}: DEV coverage, OS suspension, the monotonic
       counter, NV counter, sealed-blob binding and the adversary's
       recorded snapshot (enough to compute whether a DMA is denied and
@@ -19,7 +26,12 @@
       tampering), schedulable between any two session blocks.
 
     Variants plant specific protocol bugs so the model checker can be
-    shown to catch real violations, not just bless correct code.
+    shown to catch real violations, not just bless correct code. Each
+    planted variant is the good session with at most three edits by
+    block label (drop, swap, move after, insert before), or the good
+    session with another PAL ([Reseal_without_counter_check]);
+    [Trust_state_across_reset] runs the good session unchanged, its bug
+    being where a reset sends it.
 
     Every transition also carries a {!footprint} — the machine variables
     it reads and writes, and whether any automaton can observe its
@@ -74,6 +86,22 @@ val intended_adversary : variant -> Adversary.config * int
 (** The (adversary, sessions) pair the variant is designed to be
     checked under: the minimal configuration that exposes its bug, or,
     for [Good], all four models composed over two sessions. *)
+
+val session_events :
+  name:string ->
+  tech:Event.tech ->
+  stub:bool ->
+  nonce:bool ->
+  window:int * int ->
+  input_page:int * int ->
+  Event.t list ->
+  Event.t list
+(** [session_events ~name ~tech ~stub ~nonce ~window ~input_page pal]:
+    the good session's protocol events for a session of the PAL [name]
+    launched with [tech], with the stub extend when [stub] and the nonce
+    extend when [nonce], over the [window] and [input_page] (address,
+    length), and with [pal] in the PAL slot. A TXT launch extends PCR 17
+    twice with [Measure]: the SINIT ACM, then the SLB. *)
 
 type state
 (** A program counter, the adversary's remaining budgets and the

@@ -141,6 +141,9 @@ let allowlist =
         "Flicker_verify.Automata.suspend_before_launch"; "Flicker_verify.Checker.check";
         "Flicker_verify.Model.broken_variants";
       ] );
+    ( "the model's good session as events, which the verify suite compares each real \
+       session's against; the model checker runs its blocks directly",
+      [ "Flicker_verify.Model.session_events" ] );
   ]
 
 (* the nearest directory above holding lib/: the build copy the dune

@@ -7,6 +7,7 @@ module Machine = Flicker_hw.Machine
 module Memory = Flicker_hw.Memory
 module Cpu = Flicker_hw.Cpu
 module Tpm = Flicker_tpm.Tpm
+module Checker = Flicker_verify.Checker
 
 let make_platform ?seed () = Platform.create ?seed ~key_bits:512 ()
 
@@ -367,10 +368,18 @@ let test_output_page_limit () =
         Pal_env.set_output env (String.make (Layout.io_page_size + 1) 'x'))
   in
   let p = make_platform () in
+  let checker = Checker.create () in
+  Machine.attach_checker p.Platform.machine checker;
   Alcotest.(check bool) "oversized output raises in PAL" true
     (match run p big_mouth with
     | exception Invalid_argument _ -> true
-    | _outcome -> false)
+    | _outcome -> false);
+  (* the raising session still wiped, capped and resumed: the platform
+     serves its next session, and neither session broke the protocol *)
+  let next = run ~inputs:"again" p hello in
+  Alcotest.(check string) "next session runs" "Hello, again" next.Session.outputs;
+  Alcotest.(check int) "no violations" 0
+    (List.length (Checker.report checker).Checker.violations)
 
 let test_execute_from_sysfs () =
   (* the paper's application flow: write slb + inputs, poke control *)

@@ -13,6 +13,8 @@ module Machine = Flicker_hw.Machine
 module Dma = Flicker_hw.Dma
 module Tracer = Flicker_obs.Tracer
 module Adversary = Flicker_os.Adversary
+module Builder = Flicker_slb.Builder
+module Layout = Flicker_slb.Layout
 
 let make_platform ~seed = Platform.create ~seed ~key_bits:512 ()
 
@@ -212,6 +214,46 @@ let test_checker_restarts_after_violation () =
 
 (* --- conformance over real simulator sessions --- *)
 
+(* the protocol events in a machine's trace, as (name, args) records
+   without the trace-only annotations: an extend's value and a DMA
+   attempt's device *)
+let recorded_events p =
+  List.filter_map
+    (fun (e : Tracer.event) ->
+      match (e.Tracer.cat, e.Tracer.name, e.Tracer.args) with
+      | "protocol", "pcr.extend", args ->
+          Some (e.Tracer.name, List.filter (fun (k, _) -> k <> "value") args)
+      | "protocol", "dma.attempt", _device :: args -> Some (e.Tracer.name, args)
+      | "protocol", name, args -> Some (name, args)
+      | _ -> None)
+    (Tracer.events p.Platform.machine.Machine.tracer)
+
+(* the model's good session for a session of the PAL [name] on [p]'s
+   window and input page, with [pal] in the PAL slot, as records *)
+let model_session p ~name ~tech ~flavor ~nonce pal =
+  let base = p.Platform.slb_base in
+  V.Model.session_events ~name ~tech ~stub:(flavor = Builder.Optimized) ~nonce
+    ~window:(base, Layout.slb_size)
+    ~input_page:(base + Layout.inputs_page_offset, Layout.io_page_size)
+    pal
+  |> List.map (fun ev -> (E.name ev, E.args ev))
+
+let show_records records =
+  let arg = function
+    | Tracer.Str s -> s
+    | Tracer.Num f -> Printf.sprintf "%g" f
+    | Tracer.Count n -> string_of_int n
+    | Tracer.Flag b -> string_of_bool b
+  in
+  String.concat "; "
+    (List.map
+       (fun (name, args) ->
+         Printf.sprintf "%s(%s)" name
+           (String.concat "," (List.map (fun (k, a) -> k ^ "=" ^ arg a) args)))
+       records)
+
+let txt = Session.Txt { acm = Flicker_hw.Skinit.default_acm () }
+
 let run_session ?tech ?flavor ?inputs ?nonce p name output =
   let pal = Pal.define ~name (fun env -> Pal_env.set_output env output) in
   match Session.execute p ~pal ?tech ?flavor ?inputs ?nonce () with
@@ -231,7 +273,7 @@ let test_real_sessions_conform () =
   let nonce = Platform.fresh_nonce p in
   ignore (run_session p "vc-opt" "a" ~inputs:"in" ~nonce);
   ignore (run_session p "vc-std" "b" ~flavor:Flicker_slb.Builder.Standard);
-  ignore (run_session p "vc-txt" "c" ~tech:(Session.Txt { acm = Flicker_hw.Skinit.default_acm () }));
+  ignore (run_session p "vc-txt" "c" ~tech:txt);
   let report = V.Checker.report checker in
   Alcotest.(check int) "no violations" 0 (List.length report.V.Checker.violations);
   Alcotest.(check bool) "protocol events seen" true
@@ -285,11 +327,44 @@ let test_replay_guard_conforms () =
             | Ok _ -> Pal_env.set_output env "nv"
             | Error e -> Pal_env.set_output env ("ERROR: " ^ e)))
   in
+  Tracer.clear p.Platform.machine.Machine.tracer;
   (match Session.execute p ~pal () with
   | Ok o -> Alcotest.(check string) "guard ran" "nv" o.Session.outputs
   | Error e -> Alcotest.failf "session: %a" Session.pp_error e);
   let report = V.Checker.report checker in
-  Alcotest.(check int) "no violations" 0 (List.length report.V.Checker.violations)
+  Alcotest.(check int) "no violations" 0 (List.length report.V.Checker.violations);
+  (* the PAL's NV traffic fills the model's PAL slot: the guard zeroes
+     its counter, then reads it and writes it advanced before sealing *)
+  Alcotest.(check string) "the model's good session"
+    (show_records
+       (model_session p ~name:"vr-nv" ~tech:E.Svm ~flavor:Builder.Optimized ~nonce:false
+          [
+            E.Nv_write { index = 0x1500; counter = Some 0 };
+            E.Nv_read { index = 0x1500 };
+            E.Nv_write { index = 0x1500; counter = Some 1 };
+          ]))
+    (show_records (recorded_events p))
+
+let test_power_cycle_during_pal () =
+  (* a crash under a running PAL: the TPM's reboot ends the launch before
+     the DEV clears and the OS resumes, the session ends busy without
+     wiping, extending or resuming the rebooted machine, and the retry
+     relaunches it cleanly *)
+  let p, checker = checked_platform ~seed:"verify-power-cycle" in
+  let runs = ref 0 in
+  let pal =
+    Pal.define ~name:"vpc-crash" (fun env ->
+        incr runs;
+        if !runs = 1 then Platform.power_cycle p;
+        Pal_env.set_output env "relaunched")
+  in
+  (match Session.retry_busy p (fun () -> Session.execute p ~pal ()) with
+  | Ok o -> Alcotest.(check string) "relaunch ran" "relaunched" o.Session.outputs
+  | Error e -> Alcotest.failf "session: %a" Session.pp_error e);
+  Alcotest.(check int) "PAL ran twice" 2 !runs;
+  let report = V.Checker.report checker in
+  Alcotest.(check (list string)) "no violations" []
+    (List.map V.Checker.violation_to_string report.V.Checker.violations)
 
 (* --- the planted-bug regression: DMA during a PAL run --- *)
 
@@ -482,18 +557,41 @@ let test_mc_queue_stays_deduped () =
     (s.V.Mc.peak_queue <= s.V.Mc.states);
   Alcotest.(check bool) "not truncated" false s.V.Mc.truncated
 
-let test_mc_por_reduces_work () =
-  let reduced = V.Mc.run ~sessions:2 V.Model.Good in
-  let full = V.Mc.run ~sessions:2 ~por:false V.Model.Good in
-  Alcotest.(check bool) "both verify" true
-    (reduced.V.Mc.outcome = V.Mc.Verified && full.V.Mc.outcome = V.Mc.Verified);
-  Alcotest.(check bool) "ample states recorded" true
-    (reduced.V.Mc.stats.V.Mc.ample > 0);
-  Alcotest.(check bool) "at least 2x fewer transitions" true
-    (full.V.Mc.stats.V.Mc.transitions
-     >= 2 * reduced.V.Mc.stats.V.Mc.transitions)
-
 let all_adversaries = V.Adversary.of_kinds V.Adversary.all_kinds
+
+let test_mc_por_reduces_work () =
+  (* the good session over two sessions, reduced against full: with the
+     default and the four-probe DMA adversary (bench verify's
+     good-por-ratio row) the reduction halves the transitions at least;
+     under each adversary model alone and all four together (its
+     por-compare rows) it never adds any *)
+  let compare adversary =
+    let run por = V.Mc.run ~adversary ~sessions:2 ~por V.Model.Good in
+    let reduced = run true and full = run false in
+    Alcotest.(check bool) "both verify" true
+      (reduced.V.Mc.outcome = V.Mc.Verified && full.V.Mc.outcome = V.Mc.Verified);
+    (reduced.V.Mc.stats, full.V.Mc.stats)
+  in
+  List.iter
+    (fun (what, adversary) ->
+      let r, f = compare adversary in
+      let ratio = float_of_int f.V.Mc.transitions /. float_of_int r.V.Mc.transitions in
+      Alcotest.(check bool) (what ^ ": ample states recorded") true (r.V.Mc.ample > 0);
+      Alcotest.(check bool) (what ^ ": at least 2x fewer transitions") true
+        (ratio >= 2.0))
+    [
+      ("dma(2)", V.Adversary.default);
+      ("dma(4)", { V.Adversary.default with V.Adversary.dma_probes = 4 });
+    ];
+  List.iter
+    (fun adversary ->
+      let r, f = compare adversary in
+      Alcotest.(check bool)
+        (V.Adversary.name adversary ^ ": no more transitions than full")
+        true
+        (r.V.Mc.transitions <= f.V.Mc.transitions))
+    (all_adversaries
+    :: List.map (fun k -> V.Adversary.of_kinds [ k ]) V.Adversary.all_kinds)
 
 (* The perf sweep's eleven runs: every variant under its intended
    adversary with the reduction, then the good session against all four
@@ -536,7 +634,10 @@ let test_mc_sweep_sizes () =
   Alcotest.(check (list (of_pp (fun ppf (l, a, b, c, d, e) ->
       Format.fprintf ppf "%s: %d states, %d transitions, %d ample, peak %d, depth %d"
         l a b c d e))))
-    "search sizes" sweep_sizes (List.map size runs)
+    "search sizes" sweep_sizes (List.map size runs);
+  (* the full product's size is an exhaustive search's, not a budget's *)
+  Alcotest.(check bool) "good-all full not truncated" false
+    (List.assoc "good-all full" runs).V.Mc.stats.V.Mc.truncated
 
 let test_mc_allocation () =
   (* after a warm-up, the largest reduced run allocates at most 1,000
@@ -656,24 +757,54 @@ let test_event_encoding () =
 
 (* --- property: no false positives on arbitrary clean workloads --- *)
 
+(* every launch a session can make: technology, flavor, nonce or not *)
+let launches =
+  List.concat_map
+    (fun tech ->
+      List.concat_map
+        (fun flavor -> List.map (fun nonce -> (tech, flavor, nonce)) [ true; false ])
+        [ Builder.Optimized; Builder.Standard ])
+    [ E.Svm; E.Txt ]
+
+let show_launch (tech, flavor, nonce) =
+  Printf.sprintf "%s/%s/%s"
+    (match tech with E.Svm -> "svm" | E.Txt -> "txt")
+    (match flavor with Builder.Optimized -> "optimized" | Builder.Standard -> "standard")
+    (if nonce then "nonce" else "no-nonce")
+
 let prop_sessions_conform =
+  (* each case runs all eight launches, in a drawn order, on one
+     platform: every session conforms and emits exactly the model's good
+     session for its launch *)
   QCheck.Test.make ~name:"conformance accepts every clean session" ~count:25
     QCheck.(
-      triple (string_of_size Gen.(int_range 0 64)) bool small_int)
-    (fun (inputs, optimized, salt) ->
+      triple
+        (string_of_size Gen.(int_range 0 64))
+        small_int
+        (make ~print:(fun l -> String.concat " " (List.map show_launch l))
+           Gen.(shuffle_l launches)))
+    (fun (inputs, salt, order) ->
       let p, checker = checked_platform ~seed:(Printf.sprintf "verify-prop-%d" salt) in
-      let flavor =
-        if optimized then Flicker_slb.Builder.Optimized
-        else Flicker_slb.Builder.Standard
-      in
-      let nonce = if salt mod 2 = 0 then Some (Platform.fresh_nonce p) else None in
+      let name = Printf.sprintf "vp-%d" salt in
       let pal =
-        Pal.define ~name:(Printf.sprintf "vp-%d" salt) (fun env ->
+        Pal.define ~name (fun env ->
             Pal_env.set_output env (String.uppercase_ascii env.Pal_env.inputs))
       in
-      match Session.execute p ~pal ~flavor ~inputs ?nonce () with
-      | Error e -> QCheck.Test.fail_reportf "session: %a" Session.pp_error e
-      | Ok _ -> (V.Checker.report checker).V.Checker.violations = [])
+      List.for_all
+        (fun ((tech, flavor, with_nonce) as launch) ->
+          let nonce = if with_nonce then Some (Platform.fresh_nonce p) else None in
+          Tracer.clear p.Platform.machine.Machine.tracer;
+          let session_tech = match tech with E.Svm -> Session.Svm | E.Txt -> txt in
+          match Session.execute p ~pal ~tech:session_tech ~flavor ~inputs ?nonce () with
+          | Error e -> QCheck.Test.fail_reportf "session: %a" Session.pp_error e
+          | Ok _ ->
+              let expected = model_session p ~name ~tech ~flavor ~nonce:with_nonce [] in
+              let actual = recorded_events p in
+              expected = actual
+              || QCheck.Test.fail_reportf "%s:\nmodel: %s\nreal:  %s" (show_launch launch)
+                   (show_records expected) (show_records actual))
+        order
+      && (V.Checker.report checker).V.Checker.violations = [])
 
 (* --- property: the partial-order reduction is sound --- *)
 
@@ -758,6 +889,8 @@ let () =
           Alcotest.test_case "session gate raises on dev clear" `Quick
             test_session_gate_raises;
           Alcotest.test_case "replay guard conforms" `Quick test_replay_guard_conforms;
+          Alcotest.test_case "power cycle during a PAL" `Quick
+            test_power_cycle_during_pal;
           Alcotest.test_case "dma during PAL: denied + traced + conformant" `Quick
             test_dma_during_pal_denied_and_traced;
         ] );
