@@ -3,7 +3,8 @@
    constant-time lint tally — for the five shipped PALs plus the two
    planted-defect targets, emitted like every other table row so
    `--json` keeps the bench trajectory populated. The planted rows pin
-   the detector: CI fails if either stops being caught. *)
+   the detector: `bench diff` against BENCH_analysis.json fails if
+   either stops being caught. *)
 
 module Rules = Flicker_analysis.Rules
 module Models = Flicker_analysis.Models

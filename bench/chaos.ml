@@ -40,6 +40,51 @@ let run_config ~platforms ~rate =
   Fleet.run fleet;
   Fleet.summary fleet
 
+(* One row of either sweep: print it, record it, and check that every
+   submitted request ended exactly one way (completed, failed, rejected
+   or expired) and that some completed despite the faults. A sharded
+   row also carries its shard count and forwarded requests. *)
+let emit_row ~platforms ?shards ~rate (s : Fleet.summary) =
+  let label, name, shard_fields, forwarded_fields =
+    match shards with
+    | None -> (Printf.sprintf "p%d r%.2f" platforms rate, string_of_int platforms, [], [])
+    | Some n ->
+        ( Printf.sprintf "p%d s%d r%.2f" platforms n rate,
+          Printf.sprintf "%dx%ds" platforms n,
+          [ ("shards", J.Int n) ],
+          [ ("forwarded", J.Int s.forwarded) ] )
+  in
+  Paper.require
+    (s.completed + s.failed + s.rejected + s.expired = s.submitted)
+    "chaos bench %s: %d completed + %d failed + %d rejected + %d expired <> %d submitted"
+    label s.completed s.failed s.rejected s.expired s.submitted;
+  Paper.require (s.completed > 0) "chaos bench %s: no request completed" label;
+  Printf.printf "%-10s %6.2f %10d %7d %8d %8d %8d %6d %10.2f %10.1f\n" name rate
+    s.completed s.failed s.crashes s.redispatched s.tpm_faults s.dma_storms
+    s.throughput_rps s.latency_p95_ms;
+  Paper.emit ~artifact:"chaos" ~label
+    ([ ("platforms", J.Int platforms) ]
+    @ shard_fields
+    @ [
+        ("fault_rate", J.Float rate);
+        ("submitted", J.Int s.submitted);
+        ("completed", J.Int s.completed);
+        ("failed", J.Int s.failed);
+        ("rejected", J.Int s.rejected);
+        ("expired", J.Int s.expired);
+        ("crashes", J.Int s.crashes);
+        ("redispatched", J.Int s.redispatched);
+      ]
+    @ forwarded_fields
+    @ [
+        ("breaker_opens", J.Int s.breaker_opens);
+        ("tpm_faults", J.Int s.tpm_faults);
+        ("dma_storms", J.Int s.dma_storms);
+        ("goodput_rps", J.Float s.throughput_rps);
+        ("p95_ms", J.Float s.latency_p95_ms);
+        ("makespan_ms", J.Float s.makespan_ms);
+      ])
+
 (* One sharded cell: the fault machinery (injected crashes, re-dispatch,
    breakers) running across shard boundaries, on [domains] domains — the
    emitted fields are all simulated, so the row is byte-identical at any
@@ -66,32 +111,7 @@ let run_sharded ~domains =
     ~payload:(fun ~client ~seq -> Printf.sprintf "chaos-s-%d-%d" client seq)
     ();
   Fleet.run fleet;
-  let s = Fleet.summary fleet in
-  Printf.printf "%-10s %6.2f %10d %7d %8d %8d %8d %6d %10.2f %10.1f\n"
-    (Printf.sprintf "%dx%ds" platforms shards)
-    rate s.Fleet.completed s.failed s.crashes s.redispatched s.tpm_faults
-    s.dma_storms s.throughput_rps s.latency_p95_ms;
-  Paper.emit ~artifact:"chaos"
-    ~label:(Printf.sprintf "p%d s%d r%.2f" platforms shards rate)
-    [
-      ("platforms", J.Int platforms);
-      ("shards", J.Int shards);
-      ("fault_rate", J.Float rate);
-      ("submitted", J.Int s.Fleet.submitted);
-      ("completed", J.Int s.completed);
-      ("failed", J.Int s.failed);
-      ("rejected", J.Int s.rejected);
-      ("expired", J.Int s.expired);
-      ("crashes", J.Int s.crashes);
-      ("redispatched", J.Int s.redispatched);
-      ("forwarded", J.Int s.forwarded);
-      ("breaker_opens", J.Int s.breaker_opens);
-      ("tpm_faults", J.Int s.tpm_faults);
-      ("dma_storms", J.Int s.dma_storms);
-      ("goodput_rps", J.Float s.throughput_rps);
-      ("p95_ms", J.Float s.latency_p95_ms);
-      ("makespan_ms", J.Float s.makespan_ms);
-    ]
+  emit_row ~platforms ~shards ~rate (Fleet.summary fleet)
 
 let run ~domains =
   Printf.printf "\n=== Chaos: fleet degradation vs fault rate ===\n";
@@ -104,30 +124,7 @@ let run ~domains =
   List.iter
     (fun platforms ->
       List.iter
-        (fun rate ->
-          let s = run_config ~platforms ~rate in
-          Printf.printf "%-10d %6.2f %10d %7d %8d %8d %8d %6d %10.2f %10.1f\n"
-            platforms rate s.Fleet.completed s.failed s.crashes s.redispatched
-            s.tpm_faults s.dma_storms s.throughput_rps s.latency_p95_ms;
-          Paper.emit ~artifact:"chaos"
-            ~label:(Printf.sprintf "p%d r%.2f" platforms rate)
-            [
-              ("platforms", J.Int platforms);
-              ("fault_rate", J.Float rate);
-              ("submitted", J.Int s.submitted);
-              ("completed", J.Int s.completed);
-              ("failed", J.Int s.failed);
-              ("rejected", J.Int s.rejected);
-              ("expired", J.Int s.expired);
-              ("crashes", J.Int s.crashes);
-              ("redispatched", J.Int s.redispatched);
-              ("breaker_opens", J.Int s.breaker_opens);
-              ("tpm_faults", J.Int s.tpm_faults);
-              ("dma_storms", J.Int s.dma_storms);
-              ("goodput_rps", J.Float s.throughput_rps);
-              ("p95_ms", J.Float s.latency_p95_ms);
-              ("makespan_ms", J.Float s.makespan_ms);
-            ])
+        (fun rate -> emit_row ~platforms ~rate (run_config ~platforms ~rate))
         fault_rates)
     platform_counts;
   run_sharded ~domains

@@ -4,8 +4,8 @@
    Simulated metrics must be byte-identical (the simulator is
    deterministic); wall-clock fields get a relative tolerance band and
    only warn unless --threshold is given, which makes drift beyond PCT
-   percent fail too. This is the gate CI runs against the committed
-   BENCH_*.json baselines. *)
+   percent fail too. `dune runtest` runs it on all six bench areas
+   against the committed BENCH_*.json baselines (test/baselines/dune). *)
 
 open Cmdliner
 module J = Flicker_obs.Json

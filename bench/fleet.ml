@@ -65,8 +65,9 @@ let run_config ~platforms ~batch =
    bottleneck, split across shards and run twice — serially on one
    domain, then on [domains] — to (a) cross-check that the domain
    count is invisible in the simulated results and (b) record the
-   wall-clock cost of both placements. Echo keeps the session cost flat
-   so the measured wall is dominated by the event loops themselves. *)
+   wall-clock cost of both placements. Every submitted request must
+   complete. Echo keeps the session cost flat so the measured wall is
+   dominated by the event loops themselves. *)
 let sharded_platforms = 64
 let sharded_shards = 8
 let sharded_clients = 32
@@ -102,10 +103,11 @@ let run_sharded_sweep ~domains =
     sharded_clients sharded_per_client;
   let s1, d1, wall_serial = run_sharded ~domains:1 in
   let sn, dn, wall_parallel = run_sharded ~domains in
-  if d1 <> dn || s1 <> sn then (
-    Printf.eprintf
-      "fleet bench: sharded sweep diverged between 1 and %d domains\n" domains;
-    exit 1);
+  Paper.require (d1 = dn && s1 = sn)
+    "fleet bench: sharded sweep diverged between 1 and %d domains" domains;
+  Paper.require (sn.Fleet.completed = sn.submitted && sn.submitted > 0)
+    "fleet bench: sharded sweep completed %d of %d requests" sn.completed
+    sn.submitted;
   let speedup = if wall_parallel > 0.0 then wall_serial /. wall_parallel else 0.0 in
   Printf.printf "%-10s %7s %10s %9s %10s %12s %10s %10s\n" "platforms"
     "shards" "completed" "sessions" "forwarded" "thruput r/s" "p50 ms"

@@ -61,7 +61,7 @@ let all_in_order = List.filter (( <> ) "infineon") (List.map fst known)
 
 (* "paper" regenerates every Section 7 table/figure artifact in one run —
    the unit the committed BENCH_paper.json baseline covers (the other
-   four baselines map 1:1 onto fleet/chaos/analyze/verify) *)
+   five baselines map 1:1 onto fleet/chaos/serve/analyze/verify) *)
 let paper_targets =
   [ "table1"; "table2"; "table3"; "table4"; "figure6"; "figure8"; "figure9";
     "ca"; "impact"; "ablation"; "keygen"; "burden"; "txt" ]

@@ -46,6 +46,11 @@ let sink : row list ref = ref []
 let collected_rows () = List.rev !sink
 let emit ~artifact ~label fields = sink := { artifact; label; fields } :: !sink
 
+(* An invariant a bench target checks while it runs: a run that breaks
+   one raises with the reason, which fails the target and every dune
+   rule that runs it. *)
+let require ok fmt = Printf.ksprintf (fun msg -> if not ok then failwith msg) fmt
+
 let json_of_rows rows =
   J.List
     (List.map

@@ -91,8 +91,14 @@ let run_cell ~label ~hit_tenths ~faults =
 let tier_slice (s : Fleet.summary) tier =
   List.find (fun ts -> ts.Fleet.tier = tier) s.Fleet.by_tier
 
+(* No bad cache hit: a served bundle must verify, or, after a later
+   crash under faults, fail as stale. One that fails cryptographically
+   would be an unverifiable result the tier served. *)
 let emit_cell ~label ~hit_tenths ~faults
     (t, (s : Fleet.summary), { Serve.ok; stale; bad }) =
+  Paper.require (bad = 0) "serve bench %s: %d cache hits failed appraisal" label bad;
+  Paper.require (faults || ok = s.cache_served)
+    "serve bench %s: %d of %d cache-served bundles verified" label ok s.cache_served;
   let m = Serve.metrics t in
   let ap = Appraise.stats (Serve.appraiser t) in
   let ti = tier_slice s Request.Interactive in

@@ -281,7 +281,7 @@ let cert_authority () =
 (* Planted defects: regression targets the analyzer must catch. They   *)
 (* are deliberately NOT in [all] — the shipped set stays clean — but   *)
 (* are addressable through [find] and exercised by tests, the bench    *)
-(* harness, and the CI planted-defect gate.                            *)
+(* harness, and the planted-PAL golden in test/cli.                    *)
 (* ------------------------------------------------------------------ *)
 
 let stack_hog_pal = Pal.define ~name:"planted-stack-hog" (fun _ -> ())

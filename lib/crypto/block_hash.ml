@@ -2,14 +2,14 @@ module type KERNEL = sig
   type state
 
   val name : string
-  val block_size : int
-  val length_size : int
   val big_endian : bool
   val create : unit -> state
   val reset : state -> unit
   val compress : state -> string -> int -> unit
   val output : state -> string
 end
+
+let block_size = 64
 
 module Make (K : KERNEL) = struct
   type ctx = {
@@ -28,7 +28,7 @@ module Make (K : KERNEL) = struct
 
   let init () =
     let ctx =
-      { state = K.create (); buf = Bytes.create K.block_size; buf_len = 0; total = 0;
+      { state = K.create (); buf = Bytes.create block_size; buf_len = 0; total = 0;
         finalized = false }
     in
     reset ctx;
@@ -40,24 +40,24 @@ module Make (K : KERNEL) = struct
 
   let update ctx s =
     if ctx.finalized then invalid_arg (K.name ^ ".update: context already finalized");
-    let block = K.block_size and len = String.length s in
+    let len = String.length s in
     ctx.total <- ctx.total + len;
     let pos = ref 0 in
     (* top up a partial block first *)
     if ctx.buf_len > 0 then begin
-      let take = min (block - ctx.buf_len) len in
+      let take = min (block_size - ctx.buf_len) len in
       Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
       ctx.buf_len <- ctx.buf_len + take;
       pos := take;
-      if ctx.buf_len = block then begin
+      if ctx.buf_len = block_size then begin
         compress_buf ctx;
         ctx.buf_len <- 0
       end
     end;
     (* whole blocks straight from the caller's string *)
-    while len - !pos >= block do
+    while len - !pos >= block_size do
       K.compress ctx.state s !pos;
-      pos := !pos + block
+      pos := !pos + block_size
     done;
     if !pos < len then begin
       Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
@@ -65,17 +65,16 @@ module Make (K : KERNEL) = struct
     end
 
   (* Padding goes into the block buffer: 0x80, then zeros up to the
-     length field (into a second block when the field no longer fits
-     after the marker), then the message length in bits. The field's low
-     64 bits end the block; a 16-byte field's high half stays zero, as
-     no message here reaches 2^59 bytes. *)
+     8-byte length field that ends the block (into a second block when
+     the field no longer fits after the marker), then the message length
+     in bits. *)
   let finalize ctx =
     if ctx.finalized then invalid_arg (K.name ^ ".finalize: context already finalized");
-    let buf = ctx.buf and n = ctx.buf_len and block = K.block_size in
-    let low = block - 8 in
+    let buf = ctx.buf and n = ctx.buf_len in
+    let low = block_size - 8 in
     Bytes.set buf n '\x80';
-    if n >= block - K.length_size then begin
-      Bytes.fill buf (n + 1) (block - 1 - n) '\000';
+    if n >= low then begin
+      Bytes.fill buf (n + 1) (block_size - 1 - n) '\000';
       compress_buf ctx;
       Bytes.fill buf 0 low '\000'
     end

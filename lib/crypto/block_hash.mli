@@ -1,5 +1,5 @@
-(** The Merkle–Damgård framing SHA-1, SHA-256, SHA-512 and MD5 share:
-    the partial-block buffer, whole blocks compressed in place from the
+(** The Merkle–Damgård framing SHA-1, SHA-256 and MD5 share: the
+    partial-block buffer, whole blocks compressed in place from the
     caller's string, the 0x80, zero and bit-length padding, a terminal
     [finalize], and the domain-local scratch context behind one-shot
     digests. Each hash supplies only its chaining state, its
@@ -11,13 +11,6 @@ module type KERNEL = sig
 
   val name : string
   (** The module name, for error messages. *)
-
-  val block_size : int
-  (** 64, or 128 for SHA-512. *)
-
-  val length_size : int
-  (** Bytes of the length field that ends the padding: 8, or 16 for
-      SHA-512. *)
 
   val big_endian : bool
   (** Byte order of the length field: big-endian for the SHA family,
@@ -33,6 +26,10 @@ module type KERNEL = sig
   val output : state -> string
   (** The digest of the chaining value. *)
 end
+
+val block_size : int
+(** 64 bytes for every kernel; the padding ends each message's last
+    block with an 8-byte bit-length field. *)
 
 module Make (K : KERNEL) : sig
   type ctx

@@ -1,12 +1,12 @@
 (** Uniform interface over the hash functions in this library, so higher
     layers (HMAC, PKCS#1, the TPM) can be parameterized by algorithm. *)
 
-type algorithm = SHA1 | SHA256 | SHA512 | MD5
+type algorithm = SHA1 | SHA256 | MD5
 
 val digest_size : algorithm -> int
-val block_size : algorithm -> int
-(** Input block size in bytes (64 for SHA-1/SHA-256/MD5, 128 for SHA-512);
-    HMAC keys are padded to this length. *)
+val block_size : int
+(** Input block size in bytes, 64 for every algorithm here; HMAC keys
+    are padded to this length. *)
 
 val digest : algorithm -> string -> string
 val hex : algorithm -> string -> string

@@ -1,5 +1,5 @@
 let mac alg ~key msg =
-  let block = Hash.block_size alg in
+  let block = Hash.block_size in
   let key = if String.length key > block then Hash.digest alg key else key in
   let key = key ^ String.make (block - String.length key) '\000' in
   let ipad = Util.xor key (String.make block '\x36') in

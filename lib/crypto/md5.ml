@@ -64,8 +64,6 @@ include Block_hash.Make (struct
   type nonrec state = state
 
   let name = "Md5"
-  let block_size = 64
-  let length_size = 8
   let big_endian = false
   let create () = { a = 0; b = 0; c = 0; d = 0; m = Array.make 16 0 }
 

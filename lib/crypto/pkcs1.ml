@@ -3,7 +3,6 @@
 let digest_info_prefix = function
   | Hash.SHA1 -> Util.of_hex "3021300906052b0e03021a05000414"
   | Hash.SHA256 -> Util.of_hex "3031300d060960864801650304020105000420"
-  | Hash.SHA512 -> Util.of_hex "3051300d060960864801650304020305000440"
   | Hash.MD5 -> Util.of_hex "3020300c06082a864886f70d020505000410"
 
 let max_message_bytes pub = Rsa.key_bytes pub - 11

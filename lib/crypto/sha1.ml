@@ -138,8 +138,6 @@ include Block_hash.Make (struct
   type nonrec state = state
 
   let name = "Sha1"
-  let block_size = 64
-  let length_size = 8
   let big_endian = true
   let create () = { h0 = 0; h1 = 0; h2 = 0; h3 = 0; h4 = 0; w = Array.make 80 0 }
 

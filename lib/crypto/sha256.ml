@@ -82,8 +82,6 @@ include Block_hash.Make (struct
   type nonrec state = state
 
   let name = "Sha256"
-  let block_size = 64
-  let length_size = 8
   let big_endian = true
   let create () = { h = Array.make 8 0; w = Array.make 64 0 }
   let reset st = Array.blit iv 0 st.h 0 8
