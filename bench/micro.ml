@@ -237,6 +237,17 @@ let tests =
       (let p = Lazy.force platform in
        Staged.stage (fun () ->
            ignore (Tpm.quote p.Platform.tpm ~nonce:(String.make 20 'n') ~selection:[ 17 ])));
+    (* the per-event cost of the trace ring, in its steady state (full,
+       evicting): one PCR extend with its value and one phase span *)
+    Test.make ~name:"trace:record (pcr.extend + phase span)"
+      (let m = Machine.create ~memory_size:(1024 * 1024) Flicker_hw.Timing.default in
+       let tracer = m.Machine.tracer in
+       let value = String.make 20 '\x5a' in
+       let extend = V.Event.Pcr_extend { index = 17; kind = V.Event.Cap } in
+       Staged.stage (fun () ->
+           Machine.protocol_event m ~value extend;
+           let span = Flicker_obs.Tracer.begin_span tracer ~cat:"session.phase" "Extend PCR" in
+           Flicker_obs.Tracer.end_span tracer span));
   ]
 
 (* Host SHA-1 bytes per Optimized session — the measurement-memoization

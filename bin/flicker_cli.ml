@@ -8,7 +8,7 @@
      flicker tcb [--modules m1,m2]      TCB accounting for a PAL
      flicker check [WORKLOAD..] [--mc]  temporal protocol verification
      flicker trace WORKLOAD [-o FILE]   Chrome trace JSON of a workload
-     flicker stats WORKLOAD [--json]    counters + latency histograms
+     flicker stats WORKLOAD [--json]    counters, latency histograms, trace drops
      flicker fleet [--platforms N] [--shards S] [--domains D]
                                         multi-machine fleet serving PAL requests
      flicker chaos [--rate R]           fleet under seeded fault injection
@@ -727,11 +727,13 @@ let stats seed tpm workload as_json out verbose =
   match run_workload p ca_key ~seed workload with
   | Error e -> Printf.printf "workload failed: %s\n" e; 1
   | Ok _ ->
-      let metrics = p.Platform.machine.Flicker_hw.Machine.metrics in
+      let machine = p.Platform.machine in
+      let metrics = machine.Flicker_hw.Machine.metrics in
+      let tracer = machine.Flicker_hw.Machine.tracer in
       let text =
         if as_json then
-          Flicker_obs.Json.to_string (Flicker_obs.Export.stats_json metrics) ^ "\n"
-        else Flicker_obs.Export.stats_summary metrics
+          Flicker_obs.Json.to_string (Flicker_obs.Export.stats_json ~tracer metrics) ^ "\n"
+        else Flicker_obs.Export.stats_summary ~tracer metrics
       in
       write_out out text ~written:(Printf.sprintf "stats written to %s");
       0

@@ -21,6 +21,9 @@ module Mod_memory = Flicker_slb.Mod_memory
 module Event = Flicker_verify.Event
 module Checker = Flicker_verify.Checker
 
+(* the session span's one arg *)
+let pal_arg name _ _ pal = (name, [ ("pal", Tracer.Str pal) ])
+
 type phase =
   | Load_slb
   | Suspend_os
@@ -153,15 +156,14 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
     let metrics = machine.Machine.metrics in
     Metrics.incr metrics "session.runs";
     let session_span =
-      Tracer.begin_span tracer ~cat:"session"
-        ~args:[ ("pal", Tracer.Str pal.Pal.name) ]
+      Tracer.begin_span tracer ~cat:"session" ~render:pal_arg ~s:pal.Pal.name
         "Flicker session"
     in
     let gate = conformance_gate machine ~pal:pal.Pal.name in
     Machine.protocol_event machine (Event.Session_begin pal.Pal.name);
     let session_rng =
       Platform.fork_rng platform
-        ~label:(Printf.sprintf "session-%d" platform.Platform.sessions_run)
+        ~label:("session-" ^ string_of_int platform.Platform.sessions_run)
     in
     let started = Clock.now clock in
     let breakdown = ref [] in

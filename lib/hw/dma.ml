@@ -56,6 +56,9 @@ let write t ~addr ~data =
 
 let attempts t = List.rev t.log
 
+(* the arg of a storm's fault instant *)
+let writes_arg name _ writes _ = (name, [ ("writes", Flicker_obs.Tracer.Count writes) ])
+
 (* An injected DMA storm: a burst of adversarial writes from a rogue
    device, alternating between the caller's focus window (the SLB region
    a live session cares about — the DEV must deny these) and arbitrary
@@ -70,8 +73,7 @@ let fire_storm machine ?focus () =
       match Flicker_fault.Injector.dma_storm inj ~now_ms:now with
       | None -> ()
       | Some writes ->
-          Machine.fault_event machine "fault.dma_storm"
-            ~args:[ ("writes", Flicker_obs.Tracer.Count writes) ];
+          Machine.fault_event machine ~render:writes_arg ~n:writes "fault.dma_storm";
           Flicker_obs.Metrics.incr machine.Machine.metrics "fault.dma_storms";
           let dev = create machine ~name:"chaos-dma" in
           let mem = Memory.size machine.Machine.memory in

@@ -22,25 +22,14 @@ type t = {
   mutable checker : Checker.t option;
 }
 
-(* Category of the protocol instants, one per [Flicker_verify.Event.t]
-   emitted. *)
-let protocol_cat = "protocol"
-
 (* Category for injected-fault instants, so chaos runs can be separated
    from protocol traffic when reading a trace. *)
 let fault_cat = "fault"
 
-(* The trace record carries the event's own args, with the device named
-   first and the extended value's 4-byte prefix last. *)
+let machine_cat = "machine"
+
 let protocol_event t ?device ?value ev =
-  let args = Event.args ev in
-  let args =
-    match value with
-    | Some v -> args @ [ ("value", Tracer.Str (Flicker_crypto.Util.to_hex (String.sub v 0 4))) ]
-    | None -> args
-  in
-  let args = match device with Some d -> ("device", Tracer.Str d) :: args | None -> args in
-  Tracer.instant t.tracer ~cat:protocol_cat ~args (Event.name ev);
+  Event.record t.tracer ?device ?value ev;
   match t.checker with Some c -> Checker.feed c ev | None -> ()
 
 let create ?(memory_size = 16 * 1024 * 1024) ?(cores = 2) ?(trace_capacity = 4096)
@@ -69,12 +58,14 @@ let set_injector t inj = t.injector <- Some inj
 let injector t = t.injector
 let attach_checker t checker = t.checker <- Some checker
 
-let fault_event t ?(args = []) name =
-  Tracer.instant t.tracer ~cat:fault_cat ~args name
+let fault_event t ?(render = Tracer.plain) ?(n = 0) ?(s = "") name =
+  Tracer.record t.tracer ~cat:fault_cat ~render ~code:0 ~n ~s name
 
-let log_event t detail =
-  Tracer.instant t.tracer ~cat:"machine" detail;
-  Logs.debug (fun m -> m "[%.3f ms] %s" (Clock.now t.clock) detail)
+let log_record t ~render ~code ~n name =
+  Tracer.record t.tracer ~cat:machine_cat ~render ~code ~n ~s:"" name;
+  Logs.debug (fun m -> m "[%.3f ms] %s" (Clock.now t.clock) (fst (render name code n "")))
+
+let log_event t detail = log_record t ~render:Tracer.plain ~code:0 ~n:0 detail
 
 let charge t ms =
   let ms =

@@ -58,19 +58,28 @@ val attach_checker : t -> Flicker_verify.Checker.t -> unit
 (** Feed every later protocol event to the checker, and turn on the
     conformance gate of [Flicker_core.Session.execute] on this machine. *)
 
-val fault_event : t -> ?args:(string * Flicker_obs.Tracer.arg) list -> string -> unit
-(** Record an instant under {!fault_cat}: hook sites emit one per
-    injected fault so a chaos run's trace shows exactly what fired. *)
+val fault_event :
+  t -> ?render:Flicker_obs.Tracer.render -> ?n:int -> ?s:string -> string -> unit
+(** Record an instant under the ["fault"] category: hook sites emit one per
+    injected fault so a chaos run's trace shows exactly what fired. Its
+    args come from [render] over [n] and [s] (see
+    {!Flicker_obs.Tracer.record}); by default it has none. *)
 
 val log_event : t -> string -> unit
 (** Record an instant event on the tracer (and the debug log). *)
+
+val log_record :
+  t -> render:Flicker_obs.Tracer.render -> code:int -> n:int -> string -> unit
+(** {!log_event} for a line that [render] formats from [code] and [n]
+    only when it is read (or debug-logged). *)
 
 val protocol_event : t -> ?device:string -> ?value:string -> Flicker_verify.Event.t -> unit
 (** The one emission point of the protocol alphabet. Hardware, TPM, OS
     and session layers call it at each protocol-relevant state change
     (SKINIT begin/end, DEV range changes, suspend/resume, PCR extends,
-    NV traffic, DMA attempts, zeroization). It records the event as an
-    instant under the ["protocol"] category, named by
+    NV traffic, DMA attempts, zeroization). It records the event with
+    {!Flicker_verify.Event.record}, as an instant under the
+    ["protocol"] category that reads back named by
     {!Flicker_verify.Event.name} with {!Flicker_verify.Event.args}, and
     feeds it to the attached {!checker}, if any. Two annotations reach
     the trace record only: [device] (a DMA attempt's device name, the

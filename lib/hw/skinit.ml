@@ -28,6 +28,24 @@ let default_acm () =
   done;
   Buffer.contents buf
 
+(* The launch lines, formatted only when the trace is read. SVM: [code]
+   packs the SLB header's 16-bit length and entry offset, [n] is the
+   SLB's base. TXT: [code] packs the base and the 16-bit length, [n] is
+   the first 6 bytes of the ACM's digest. *)
+let skinit_line _ code slb_base _ =
+  ( Printf.sprintf "skinit: launched SLB at %#x (len=%d, entry=+%#x)" slb_base (code lsr 16)
+      (code land 0xffff),
+    [] )
+
+let senter_line _ code acm_prefix _ =
+  ( Printf.sprintf "senter: launched MLE at %#x (len=%d) under ACM %012x" (code lsr 16)
+      (code land 0xffff) acm_prefix,
+    [] )
+
+let prefix48 digest =
+  let rec go acc i = if i = 6 then acc else go ((acc lsl 8) lor Char.code digest.[i]) (i + 1) in
+  go 0 0
+
 let execute ?acm (m : Machine.t) ~slb_base =
   let insn = match acm with None -> "SKINIT" | Some _ -> "GETSEC[SENTER]" in
   let bsp = Cpu.bsp m.cpus in
@@ -88,14 +106,15 @@ let execute ?acm (m : Machine.t) ~slb_base =
   bsp.cs <- flat;
   bsp.ds <- flat;
   bsp.ss <- flat;
-  Machine.log_event m
-    (match acm_measurement with
-    | None ->
-        Printf.sprintf "skinit: launched SLB at %#x (len=%d, entry=+%#x)" slb_base slb_length
-          entry_offset
-    | Some digest ->
-        Printf.sprintf "senter: launched MLE at %#x (len=%d) under ACM %s" slb_base slb_length
-          (Flicker_crypto.Util.to_hex (String.sub digest 0 6)));
+  (match acm_measurement with
+  | None ->
+      Machine.log_record m ~render:skinit_line
+        ~code:((slb_length lsl 16) lor entry_offset)
+        ~n:slb_base "skinit: launched SLB"
+  | Some digest ->
+      Machine.log_record m ~render:senter_line
+        ~code:((slb_base lsl 16) lor slb_length)
+        ~n:(prefix48 digest) "senter: launched MLE");
   Machine.protocol_event m Event.Skinit_end;
   {
     slb_base;

@@ -66,16 +66,26 @@ let histogram_json (h : Metrics.histogram_summary) =
       ("dropped", Json.Int h.Metrics.dropped);
     ]
 
-let stats_json metrics =
+let stats_json ?tracer metrics =
   Json.Obj
-    [
-      ( "counters",
-        Json.Obj
-          (List.map (fun (name, v) -> (name, Json.Int v)) (Metrics.counters metrics)) );
-      ("histograms", Json.List (List.map histogram_json (Metrics.histograms metrics)));
-    ]
+    ([
+       ( "counters",
+         Json.Obj
+           (List.map (fun (name, v) -> (name, Json.Int v)) (Metrics.counters metrics)) );
+       ("histograms", Json.List (List.map histogram_json (Metrics.histograms metrics)));
+     ]
+    @
+    match tracer with
+    | None -> []
+    | Some t ->
+        [
+          ( "trace",
+            Json.Obj
+              [ ("events", Json.Int (Tracer.length t)); ("dropped", Json.Int (Tracer.dropped t)) ]
+          );
+        ])
 
-let stats_summary metrics =
+let stats_summary ?tracer metrics =
   let b = Buffer.create 512 in
   let counters = Metrics.counters metrics in
   let histograms = Metrics.histograms metrics in
@@ -99,4 +109,10 @@ let stats_summary metrics =
       histograms
   end;
   if counters = [] && histograms = [] then Buffer.add_string b "no metrics recorded\n";
+  Option.iter
+    (fun t ->
+      Buffer.add_string b "trace:\n";
+      Buffer.add_string b (Printf.sprintf "  %-36s %12d\n" "events retained" (Tracer.length t));
+      Buffer.add_string b (Printf.sprintf "  %-36s %12d\n" "events dropped" (Tracer.dropped t)))
+    tracer;
   Buffer.contents b

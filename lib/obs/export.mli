@@ -7,8 +7,11 @@
 
 val chrome_trace_string : ?process_name:string -> Tracer.t -> string
 
-val stats_json : Metrics.t -> Json.t
-(** [{"counters": {...}, "histograms": [...]}]. *)
+val stats_json : ?tracer:Tracer.t -> Metrics.t -> Json.t
+(** [{"counters": {...}, "histograms": [...]}], and with [tracer]
+    ["trace": {"events": n, "dropped": n}]: the events its ring holds
+    and the ones it evicted. *)
 
-val stats_summary : Metrics.t -> string
-(** Human-readable table of every counter and histogram. *)
+val stats_summary : ?tracer:Tracer.t -> Metrics.t -> string
+(** Human-readable table of every counter and histogram, and with
+    [tracer] the events its ring holds and the ones it evicted. *)

@@ -390,6 +390,7 @@ type summary = {
   tpm_faults : int;
   dma_storms : int;
   cache_served : int;  (* completions answered by the front-end cache *)
+  trace_dropped : int;  (* events evicted from the platforms' trace rings *)
   by_tier : tier_summary list;  (* in [Request.all_tiers] order *)
 }
 
@@ -506,6 +507,7 @@ let summary t =
     tpm_faults = machine_counter "fault.tpm.busy" + machine_counter "fault.tpm.slow";
     dma_storms = machine_counter "fault.dma_storms";
     cache_served = Metrics.counter m "fleet.cache_served";
+    trace_dropped = Array.fold_left (fun acc s -> acc + Shard.trace_dropped s) 0 t.shards;
     by_tier = List.map tier_summary Request.all_tiers;
   }
 
@@ -519,11 +521,12 @@ let pp_summary fmt s =
      latency ms: mean %.1f / p50 %.1f / p95 %.1f / max %.1f@,\
      faults: %d crashes, %d re-dispatches, %d breaker opens, %d TPM, %d \
      DMA storms@,\
+     trace events dropped: %d@,\
      per-platform completions: %s"
     s.submitted s.completed s.deadline_misses s.rejected s.expired s.failed
     s.makespan_ms s.throughput_rps s.sessions s.busy_retries s.latency_mean_ms
     s.latency_p50_ms s.latency_p95_ms s.latency_max_ms s.crashes s.redispatched
-    s.breaker_opens s.tpm_faults s.dma_storms
+    s.breaker_opens s.tpm_faults s.dma_storms s.trace_dropped
     (String.concat " "
        (Array.to_list (Array.map string_of_int s.per_platform)));
   if s.forwarded > 0 then

@@ -245,6 +245,9 @@ type summary = {
   cache_served : int;
       (** completions answered by the interceptor (result cache) without
           a platform session *)
+  trace_dropped : int;
+      (** trace events the platforms' bounded rings evicted, summed over
+          every platform: the same at any domain count *)
   by_tier : tier_summary list;  (** in {!Request.all_tiers} order *)
 }
 

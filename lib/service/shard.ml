@@ -4,6 +4,7 @@ module Clock = Flicker_hw.Clock
 module Machine = Flicker_hw.Machine
 module Injector = Flicker_fault.Injector
 module Metrics = Flicker_obs.Metrics
+module Tracer = Flicker_obs.Tracer
 
 type params = {
   queue_depth : int;
@@ -114,6 +115,14 @@ let machine_counter t name =
     (fun acc (m : pstate) ->
       acc + Metrics.counter m.platform.Platform.machine.Machine.metrics name)
     0 t.members
+
+let trace_dropped t =
+  Array.fold_left
+    (fun acc (m : pstate) -> acc + Tracer.dropped m.platform.Platform.machine.Machine.tracer)
+    0 t.members
+
+(* the arg of the fault instants that name a platform *)
+let platform_arg name _ g _ = (name, [ ("platform", Tracer.Count g) ])
 
 let queued_depth (m : pstate) =
   Array.fold_left (fun acc q -> acc + Queue.length q) 0 m.queues
@@ -258,9 +267,8 @@ let rec pump t g =
                   m.consecutive_failures <- 0;
                   m.breaker_until <- finished +. t.params.breaker_cooldown_ms;
                   Metrics.incr t.metrics "fleet.breaker_opens";
-                  Machine.fault_event m.platform.Platform.machine
-                    "fleet.breaker_open"
-                    ~args:[ ("platform", Flicker_obs.Tracer.Count g) ];
+                  Machine.fault_event m.platform.Platform.machine ~render:platform_arg
+                    ~n:g "fleet.breaker_open";
                   Event_queue.push t.events ~at_ms:m.breaker_until (Recover g);
                   shed_queue t g ~reason:"circuit breaker open"
                 end
@@ -310,8 +318,7 @@ and crash t g ~victims =
     | None -> Injector.disabled.Injector.reboot_ms
   in
   Metrics.incr t.metrics "fleet.crashes";
-  Machine.fault_event m.platform.Platform.machine "fleet.crash"
-    ~args:[ ("platform", Flicker_obs.Tracer.Count g) ];
+  Machine.fault_event m.platform.Platform.machine ~render:platform_arg ~n:g "fleet.crash";
   (* volatile state is gone; TPM NV/keys survive (Platform.power_cycle) *)
   Platform.power_cycle m.platform;
   (* crash observers run before victims re-enter [admit], so a result
@@ -443,8 +450,8 @@ let drain ?until_ms ~stop_before t =
                 if (not m.up) && m.down_until <= t.now then begin
                   m.up <- true;
                   m.consecutive_failures <- 0;
-                  Machine.fault_event m.platform.Platform.machine "fleet.recover"
-                    ~args:[ ("platform", Flicker_obs.Tracer.Count g) ]
+                  Machine.fault_event m.platform.Platform.machine ~render:platform_arg
+                    ~n:g "fleet.recover"
                 end;
                 (* breaker cooldowns also land here: pumping is harmless
                    when the member is still unavailable *)

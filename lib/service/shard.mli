@@ -101,6 +101,9 @@ val sessions : t -> int
 val machine_counter : t -> string -> int
 (** Sum of a per-machine counter over this shard's platforms. *)
 
+val trace_dropped : t -> int
+(** Trace events evicted from this shard's platforms' rings. *)
+
 val past_deadline : deadline_ms:float option -> at_ms:float -> bool
 (** The one deadline-boundary convention (exactly at the deadline is on
     time); re-exported by {!Fleet.past_deadline}. *)

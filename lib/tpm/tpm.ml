@@ -48,6 +48,9 @@ let counter_increment_op = op "counter_increment"
 let counter_read_op = op "counter_read"
 let get_capability_op = op "get_capability"
 
+(* the arg of a TPM fault's instant *)
+let op_arg name _ _ op = (name, [ ("op", Flicker_obs.Tracer.Str op) ])
+
 (* Every TPM command draws one fault decision from the machine's
    injector (if any) at the current virtual time, advances the simulated
    clock and records one count plus the charged latency under
@@ -65,8 +68,7 @@ let charge t op ms =
   let ms =
     match fault with
     | Flicker_fault.Injector.Slow factor ->
-        Machine.fault_event t.machine "fault.tpm.slow"
-          ~args:[ ("op", Flicker_obs.Tracer.Str op.name) ];
+        Machine.fault_event t.machine ~render:op_arg ~s:op.name "fault.tpm.slow";
         Flicker_obs.Metrics.incr t.machine.Machine.metrics "fault.tpm.slow";
         ms *. factor
     | _ -> ms
@@ -85,8 +87,7 @@ let charge_op t op ms = ignore (charge t op ms : Flicker_fault.Injector.tpm_faul
 let charged t op ms =
   match charge t op ms with
   | Flicker_fault.Injector.Busy ->
-      Machine.fault_event t.machine "fault.tpm.busy"
-        ~args:[ ("op", Flicker_obs.Tracer.Str op.name) ];
+      Machine.fault_event t.machine ~render:op_arg ~s:op.name "fault.tpm.busy";
       Flicker_obs.Metrics.incr t.machine.Machine.metrics "fault.tpm.busy";
       Error Tpm_types.Tpm_busy
   | _ -> Ok ()

@@ -120,3 +120,127 @@ let args ev =
   | Session_end | Os_suspend | Os_resume | Skinit_end | Dev_clear | Pcr_reset
   | Pcr_reboot ->
       []
+
+(* The trace codec. A ring slot keeps an event as three scalars
+   ([Tracer.record]): [n] is its first int field (an address, an index,
+   a handle or a counter), [s] its string field or the DMA device, and
+   [code] packs the constructor (bits 0-4), its bool, kind or option bits
+   (5-7), whether its trace-only annotation came with it (bit 8), and
+   above that its second int field (a length, a counter value) or the
+   extended value's 4-byte prefix. *)
+
+let kind_bits = function
+  | Measure -> 0
+  | Stub -> 1
+  | Input -> 2
+  | Output -> 3
+  | Nonce -> 4
+  | Cap -> 5
+  | Software -> 6
+
+let kind_of_bits = function
+  | 0 -> Measure
+  | 1 -> Stub
+  | 2 -> Input
+  | 3 -> Output
+  | 4 -> Nonce
+  | 5 -> Cap
+  | _ -> Software
+
+let annotated_bit = 1 lsl 8
+
+let pack tag bits y =
+  if (y lsl 10) asr 10 <> y then invalid_arg "Event.record: int field wider than 53 bits";
+  tag lor (bits lsl 5) lor (y lsl 9)
+
+let code = function
+  | Session_begin _ -> pack 0 0 0
+  | Session_end -> pack 1 0 0
+  | Os_suspend -> pack 2 0 0
+  | Os_resume -> pack 3 0 0
+  | Skinit_begin Svm -> pack 4 0 0
+  | Skinit_begin Txt -> pack 4 1 0
+  | Skinit_end -> pack 5 0 0
+  | Dev_protect { len; _ } -> pack 6 0 len
+  | Dev_unprotect { len; _ } -> pack 7 0 len
+  | Dev_clear -> pack 8 0 0
+  | Pcr_reset -> pack 9 0 0
+  | Pcr_reboot -> pack 10 0 0
+  | Pcr_extend { kind; _ } -> pack 11 (kind_bits kind) 0
+  | Nv_read _ -> pack 12 0 0
+  | Nv_write { counter = None; _ } -> pack 13 0 0
+  | Nv_write { counter = Some c; _ } -> pack 13 1 c
+  | Counter_increment { value; _ } -> pack 14 0 value
+  | Zeroize { len; _ } -> pack 15 0 len
+  | Dma_attempt { len; write; denied; _ } ->
+      pack 16 (Bool.to_int write lor (Bool.to_int denied lsl 1)) len
+  | Replay_record _ -> pack 17 0 0
+  | Replay_inject _ -> pack 18 0 0
+  | Os_inject _ -> pack 19 0 0
+
+let first_int = function
+  | Dev_protect { addr; _ } | Dev_unprotect { addr; _ } | Zeroize { addr; _ }
+  | Dma_attempt { addr; _ } ->
+      addr
+  | Pcr_extend { index; _ } | Nv_read { index } | Nv_write { index; _ } -> index
+  | Counter_increment { handle; _ } -> handle
+  | Replay_record { counter } | Replay_inject { counter } -> counter
+  | Session_begin _ | Session_end | Os_suspend | Os_resume | Skinit_begin _ | Skinit_end
+  | Dev_clear | Pcr_reset | Pcr_reboot | Os_inject _ ->
+      0
+
+let decode code n s =
+  let bits = (code lsr 5) land 7 and y = code asr 9 in
+  match code land 0x1f with
+  | 0 -> Session_begin s
+  | 1 -> Session_end
+  | 2 -> Os_suspend
+  | 3 -> Os_resume
+  | 4 -> Skinit_begin (if bits = 1 then Txt else Svm)
+  | 5 -> Skinit_end
+  | 6 -> Dev_protect { addr = n; len = y }
+  | 7 -> Dev_unprotect { addr = n; len = y }
+  | 8 -> Dev_clear
+  | 9 -> Pcr_reset
+  | 10 -> Pcr_reboot
+  | 11 -> Pcr_extend { index = n; kind = kind_of_bits bits }
+  | 12 -> Nv_read { index = n }
+  | 13 -> Nv_write { index = n; counter = (if bits = 1 then Some y else None) }
+  | 14 -> Counter_increment { handle = n; value = y }
+  | 15 -> Zeroize { addr = n; len = y }
+  | 16 -> Dma_attempt { addr = n; len = y; write = bits land 1 = 1; denied = bits land 2 = 2 }
+  | 17 -> Replay_record { counter = n }
+  | 18 -> Replay_inject { counter = n }
+  | _ -> Os_inject { what = s }
+
+(* the event's own args, with the device first or the value's 4-byte
+   prefix last, as 8 lowercase hex digits *)
+let render _ code n s =
+  let ev = decode code n s in
+  let args = args ev in
+  let args =
+    if code land annotated_bit = 0 then args
+    else
+      match ev with
+      | Dma_attempt _ -> ("device", Tracer.Str s) :: args
+      | _ -> args @ [ ("value", Tracer.Str (Printf.sprintf "%08x" (code asr 9))) ]
+  in
+  (name ev, args)
+
+let prefix32 v =
+  (Char.code v.[0] lsl 24) lor (Char.code v.[1] lsl 16) lor (Char.code v.[2] lsl 8)
+  lor Char.code v.[3]
+
+let trace_cat = "protocol"
+
+let store tracer ev code s =
+  Tracer.record tracer ~cat:trace_cat ~render ~code ~n:(first_int ev) ~s (name ev)
+
+let record tracer ?device ?value ev =
+  match (ev, device, value) with
+  | (Session_begin s | Os_inject { what = s }), None, None -> store tracer ev (code ev) s
+  | _, None, None -> store tracer ev (code ev) ""
+  | Dma_attempt _, Some d, None -> store tracer ev (code ev lor annotated_bit) d
+  | Pcr_extend _, None, Some v ->
+      store tracer ev (code ev lor annotated_bit lor (prefix32 v lsl 9)) ""
+  | _ -> invalid_arg "Event.record: a device annotates only dma.attempt, a value only pcr.extend"

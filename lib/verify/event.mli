@@ -4,8 +4,9 @@
     DEV updates, PCR extends, NV traffic, OS suspend/resume, DMA
     attempts, memory zeroization — is one of these events. The emitters
     construct it and hand it to {!Flicker_hw.Machine.protocol_event},
-    which records it as an instant under the ["protocol"] trace category
-    (named by {!name}, with {!args}) and feeds it to the machine's
+    which records it with {!record} as an instant under the ["protocol"]
+    trace category (read back named by {!name}, with {!args}) and feeds
+    it to the machine's
     {!Checker} when one is attached. The model checker generates the
     same alphabet directly from the abstract session model, so both
     verification layers check exactly what the simulator emits. *)
@@ -68,3 +69,14 @@ val name : t -> string
 val args : t -> (string * Flicker_obs.Tracer.arg) list
 (** The trace record's arguments, one per field, in declaration order;
     a PCR kind is recorded by {!pcr_kind_to_string}. *)
+
+val record : Flicker_obs.Tracer.t -> ?device:string -> ?value:string -> t -> unit
+(** Record the event as an instant under the ["protocol"] category, as
+    scalars: its constructor and int fields packed into the slot's code
+    word and int, its string field (PAL, [what]) or [device] kept as is,
+    and [value]'s first 4 bytes as an int. Nothing else is stored; on
+    read the slot renders back as {!name}, and {!args} with [device]
+    first and [value] last as 8 lowercase hex digits. [device] annotates
+    only a [Dma_attempt] and [value] (at least 4 bytes) only a
+    [Pcr_extend]; a second int field (a length, a counter value) must fit
+    in 53 bits. [Invalid_argument] otherwise. *)

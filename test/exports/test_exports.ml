@@ -140,9 +140,13 @@ let allowlist =
         "Flicker_verify.Automata.suspend_before_launch"; "Flicker_verify.Checker.check";
         "Flicker_verify.Model.broken_variants";
       ] );
-    ( "the model's good session as events, which the verify suite compares each real \
-       session's against; the model checker runs its blocks directly",
-      [ "Flicker_verify.Model.session_events" ] );
+    ( "the model's good session as events, and an event's trace name and args, which the \
+       verify suite compares each real session's records against; the model checker runs \
+       its blocks directly, and the trace renders its records through Event.record",
+      [
+        "Flicker_verify.Model.session_events"; "Flicker_verify.Event.name";
+        "Flicker_verify.Event.args";
+      ] );
   ]
 
 (* the nearest directory above holding lib/: the build copy the dune

@@ -252,6 +252,36 @@ let test_skinit_preconditions () =
   | _ -> Alcotest.fail "should fail out of range"
   | exception Skinit.Skinit_error _ -> ()
 
+(* the launch line reads back as the line the launch made, rendered on
+   read from the header's ints (and under TXT the ACM digest's prefix),
+   at their widest too *)
+let test_launch_line () =
+  let launch_lines ?acm ~len ~entry () =
+    let m, _, _ = machine_with_tpm () in
+    write_slb m ~addr:0x10000 ~len ~entry;
+    park m;
+    ignore (Skinit.execute ?acm m ~slb_base:0x10000);
+    List.filter_map
+      (fun e ->
+        let launched prefix = String.starts_with ~prefix e.Tracer.name in
+        if launched "skinit: launched" || launched "senter: launched" then
+          Some (e.Tracer.name, e.Tracer.args)
+        else None)
+      (Tracer.events m.Machine.tracer)
+  in
+  let check label expected got =
+    Alcotest.(check bool) label true (got = [ (expected, []) ])
+  in
+  check "svm" "skinit: launched SLB at 0x10000 (len=1000, entry=+0x4)"
+    (launch_lines ~len:1000 ~entry:4 ());
+  check "svm, widest header" "skinit: launched SLB at 0x10000 (len=65535, entry=+0xfffe)"
+    (launch_lines ~len:0xffff ~entry:0xfffe ());
+  (* the stub TPM's digest is the string "measurement" *)
+  check "txt" "senter: launched MLE at 0x10000 (len=1000) under ACM 6d6561737572"
+    (launch_lines ~acm:"sinit" ~len:1000 ~entry:4 ());
+  check "txt, widest header" "senter: launched MLE at 0x10000 (len=65535) under ACM 6d6561737572"
+    (launch_lines ~acm:"sinit" ~len:0xffff ~entry:0xfffe ())
+
 let test_machine_events () =
   let m = make_machine () in
   Machine.log_event m "first";
@@ -564,6 +594,7 @@ let () =
           Alcotest.test_case "happy path" `Quick test_skinit_happy_path;
           Alcotest.test_case "charges time" `Quick test_skinit_charges_time;
           Alcotest.test_case "preconditions" `Quick test_skinit_preconditions;
+          Alcotest.test_case "launch line" `Quick test_launch_line;
           Alcotest.test_case "event log" `Quick test_machine_events;
         ] );
       ( "properties",

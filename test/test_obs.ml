@@ -64,7 +64,8 @@ let test_ring_bounding () =
   let tracer, advance = make_tracer ~capacity:8 () in
   for i = 1 to 20 do
     advance 1.0;
-    Tracer.instant tracer (Printf.sprintf "e%d" i)
+    Tracer.record tracer ~cat:"event" ~render:Tracer.plain ~code:0 ~n:0 ~s:""
+      (Printf.sprintf "e%d" i)
   done;
   Alcotest.(check int) "capacity" 8 (Tracer.capacity tracer);
   Alcotest.(check int) "length bounded" 8 (Tracer.length tracer);
@@ -196,7 +197,9 @@ let test_json_control_chars () =
 
 let test_chrome_trace_wellformed () =
   let tracer, advance = make_tracer () in
-  Tracer.instant tracer ~args:[ ("k", Tracer.Str "v") ] "boot";
+  Tracer.record tracer ~cat:"event"
+    ~render:(fun name _ _ v -> (name, [ ("k", Tracer.Str v) ]))
+    ~code:0 ~n:0 ~s:"v" "boot";
   let h = Tracer.begin_span tracer ~cat:"phase" "work" in
   advance 2.5;
   Tracer.end_span tracer h;
@@ -230,7 +233,12 @@ let test_stats_json () =
   let m = Metrics.create () in
   Metrics.incr m "runs";
   Metrics.observe m "lat" 4.0;
-  match Json.of_string (Json.to_string (Export.stats_json m)) with
+  (* a ring of 2 that saw 3 events: 2 retained, 1 dropped *)
+  let tracer, _ = make_tracer ~capacity:2 () in
+  for _ = 1 to 3 do
+    Tracer.record tracer ~cat:"event" ~render:Tracer.plain ~code:0 ~n:0 ~s:"" "e"
+  done;
+  match Json.of_string (Json.to_string (Export.stats_json ~tracer m)) with
   | Error e -> Alcotest.failf "stats JSON unparsable: %s" e
   | Ok json ->
       (match Json.member "counters" json with
@@ -240,7 +248,17 @@ let test_stats_json () =
       | Some (Json.List [ h ]) ->
           Alcotest.(check bool) "histogram named" true
             (Json.member "name" h = Some (Json.String "lat"))
-      | _ -> Alcotest.fail "histograms wrong")
+      | _ -> Alcotest.fail "histograms wrong");
+      (match Json.member "trace" json with
+      | Some (Json.Obj [ ("events", Json.Int 2); ("dropped", Json.Int 1) ]) -> ()
+      | _ -> Alcotest.fail "trace counts wrong");
+      Alcotest.(check bool) "summary shows the drops" true
+        (let summary = Export.stats_summary ~tracer m in
+         List.exists
+           (fun line ->
+             List.filter (( <> ) "") (String.split_on_char ' ' line)
+             = [ "events"; "dropped"; "1" ])
+           (String.split_on_char '\n' summary))
 
 (* --- bench diff --- *)
 

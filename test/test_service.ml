@@ -153,6 +153,40 @@ let test_determinism () =
   let c = run_echo_fleet ~seed:"det2" in
   Alcotest.(check bool) "seed changes the schedule" true (schedule a <> schedule c)
 
+(* 300 one-request sessions on two platforms wrap both machines'
+   4,096-slot trace rings; the summary sums what they evicted, and
+   reads the same when the two platforms run on two shards in two
+   domains *)
+let test_trace_drops_summed () =
+  let run ~domains =
+    let config =
+      {
+        (echo_config ~platforms:2 ~queue_depth:400 ~batch_size:1
+           ~policy:Dispatch.Round_robin ~seed:"drops")
+        with
+        Fleet.shards = 2;
+        domains;
+      }
+    in
+    let fleet = Fleet.create ~config (Workload.echo ~work_ms:1.0 ()) in
+    Fleet.submit_open_loop fleet ~clients:3 ~per_client:100 ~mean_gap_ms:5.0
+      ~payload:(fun ~client ~seq -> Printf.sprintf "d-%d-%d" client seq)
+      ();
+    Fleet.run fleet;
+    fleet
+  in
+  let fleet = run ~domains:1 in
+  let s = Fleet.summary fleet in
+  Alcotest.(check int) "all completed" 300 s.Fleet.completed;
+  let dropped =
+    List.init 2 (fun g ->
+        Flicker_obs.Tracer.dropped (Fleet.platform fleet g).Platform.machine.Machine.tracer)
+  in
+  Alcotest.(check bool) "both rings wrapped" true (List.for_all (fun d -> d > 0) dropped);
+  Alcotest.(check int) "summed" (List.fold_left ( + ) 0 dropped) s.Fleet.trace_dropped;
+  Alcotest.(check int) "same on two domains" s.Fleet.trace_dropped
+    (Fleet.summary (run ~domains:2)).Fleet.trace_dropped
+
 let test_admission_control () =
   let config =
     echo_config ~platforms:1 ~queue_depth:2 ~batch_size:1
@@ -603,6 +637,7 @@ let () =
       ( "fleet",
         [
           Alcotest.test_case "deterministic schedule" `Quick test_determinism;
+          Alcotest.test_case "trace drops summed" `Quick test_trace_drops_summed;
           Alcotest.test_case "admission control" `Quick test_admission_control;
           Alcotest.test_case "deadlines" `Quick test_deadlines;
           Alcotest.test_case "deadline boundary" `Quick test_deadline_boundary;

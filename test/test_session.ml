@@ -321,7 +321,11 @@ let test_host_sha1_bytes_per_session () =
    utilities and crypto, and so would a 4 KB page copied on write.
    Words counted are [Gc.counters]' major minus promoted, each read
    after a minor collection. With promoted words included, a session
-   stays below one 64 KB window (8,192 words). *)
+   stays below one 64 KB window (8,192 words). Promoted words alone stay
+   at 16 or fewer: the machine's trace ring lives in the major heap, so
+   anything young it kept (an args list, a hex value, a formatted log
+   line) would be promoted, about 159 words a session. It keeps only
+   scalars and strings that already outlive the session. *)
 let tpm_crypto_pal =
   Pal.define ~name:"session-tpm-crypto"
     ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities; Pal.Crypto ]
@@ -337,15 +341,18 @@ let test_major_words_per_session pal () =
   let counters () =
     Gc.minor ();
     let _, promoted, major = Gc.counters () in
-    (major, major -. promoted)
+    (major, major -. promoted, promoted)
   in
-  let major0, direct0 = counters () in
+  let major0, direct0, promoted0 = counters () in
   for _ = 1 to sessions do
     session ()
   done;
-  let major1, direct1 = counters () in
+  let major1, direct1, promoted1 = counters () in
   let per_session v0 v1 = (v1 -. v0) /. float_of_int sessions in
   let direct = per_session direct0 direct1 and major = per_session major0 major1 in
+  let promoted = per_session promoted0 promoted1 in
+  if promoted > 16.0 then
+    Alcotest.failf "%.0f words promoted per warm Optimized session (limit 16)" promoted;
   if direct > 64.0 then
     Alcotest.failf "%.0f direct major-heap words per Optimized session (limit 64)" direct;
   if major >= 8192.0 then

@@ -755,6 +755,127 @@ let test_event_encoding () =
             flag "write" false; flag "denied" true ])
   | [] -> Alcotest.fail "nothing recorded"
 
+(* --- the trace ring's round trip --- *)
+
+(* the reference record, built eagerly from the event: its name and
+   args, the device first and the value's 4-byte prefix last in hex *)
+let eager_record ?device ?value ev =
+  let args = E.args ev in
+  let args =
+    match value with
+    | Some v ->
+        args @ [ ("value", Tracer.Str (Flicker_crypto.Util.to_hex (String.sub v 0 4))) ]
+    | None -> args
+  in
+  let args = match device with Some d -> ("device", Tracer.Str d) :: args | None -> args in
+  (E.name ev, args)
+
+(* every constructor, every bool, kind and option, and the int fields'
+   widest values: a first field of any width, a second one of 53 bits *)
+let every_event =
+  let widest = (1 lsl 52) - 1 in
+  [
+    E.Session_begin "pal-x"; E.Session_begin ""; E.Session_end; E.Os_suspend; E.Os_resume;
+    E.Skinit_begin E.Svm; E.Skinit_begin E.Txt; E.Skinit_end;
+    E.Dev_protect { addr = 0x200000; len = 0x10000 };
+    E.Dev_unprotect { addr = max_int; len = widest };
+    E.Dev_clear; E.Pcr_reset; E.Pcr_reboot; E.Nv_read { index = 0x1500 };
+    E.Nv_write { index = 9; counter = None }; E.Nv_write { index = 9; counter = Some 7 };
+    E.Nv_write { index = min_int; counter = Some (-widest - 1) };
+    E.Counter_increment { handle = 2; value = 3 };
+    E.Counter_increment { handle = -1; value = -widest };
+    E.Zeroize { addr = 0; len = 0 }; E.Replay_record { counter = 8 };
+    E.Replay_inject { counter = -8 }; E.Os_inject { what = "swap-msg" };
+  ]
+  @ List.map
+      (fun kind -> E.Pcr_extend { index = 17; kind })
+      [ E.Measure; E.Stub; E.Input; E.Output; E.Nonce; E.Cap; E.Software ]
+  @ List.concat_map
+      (fun write ->
+        List.map
+          (fun denied -> E.Dma_attempt { addr = 0x201000; len = 64; write; denied })
+          [ true; false ])
+      [ true; false ]
+
+(* each event bare, and each DMA attempt with a device and each extend
+   with a value whose prefix sets the top bit *)
+let annotated_cases =
+  let value = "\xfe\x01\xab\x10" ^ String.make 16 '\x00' in
+  List.concat_map
+    (fun ev ->
+      (None, None, ev)
+      ::
+      (match ev with
+      | E.Dma_attempt _ -> [ (Some "nic", None, ev); (Some "", None, ev) ]
+      | E.Pcr_extend _ -> [ (None, Some value, ev); (None, Some (String.make 20 '\xff'), ev) ]
+      | _ -> []))
+    every_event
+
+let test_ring_round_trip () =
+  let m = Machine.create ~memory_size:(1024 * 1024) ~trace_capacity:3 Flicker_hw.Timing.default in
+  let tracer = m.Machine.tracer in
+  let show (name, args) = show_records [ (name, args) ] in
+  let run_all label =
+    List.iteri
+      (fun i (device, value, ev) ->
+        Machine.protocol_event m ?device ?value ev;
+        let expected = eager_record ?device ?value ev in
+        match List.rev (Tracer.events tracer) with
+        | last :: _ ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s #%d %s" label i (E.to_string ev))
+              (show expected)
+              (show (last.Tracer.name, last.Tracer.args));
+            Alcotest.(check bool) "same record" true
+              ((last.Tracer.name, last.Tracer.args) = expected);
+            Alcotest.(check string) "category" "protocol" last.Tracer.cat;
+            Alcotest.(check bool) "instant" true (last.Tracer.kind = Tracer.Instant)
+        | [] -> Alcotest.fail "nothing recorded")
+      annotated_cases;
+    (* the ring wrapped: it holds the last three, oldest first *)
+    let n = List.length annotated_cases in
+    Alcotest.(check int) (label ^ " retained") 3 (Tracer.length tracer);
+    Alcotest.(check int) (label ^ " dropped") (n - 3) (Tracer.dropped tracer);
+    let last3 =
+      List.filteri (fun i _ -> i >= n - 3) annotated_cases
+      |> List.map (fun (device, value, ev) -> show (eager_record ?device ?value ev))
+    in
+    Alcotest.(check (list string))
+      (label ^ " eviction order") last3
+      (List.map (fun e -> show (e.Tracer.name, e.Tracer.args)) (Tracer.events tracer))
+  in
+  run_all "fresh";
+  Tracer.clear tracer;
+  Alcotest.(check int) "cleared" 0 (Tracer.length tracer);
+  run_all "after clear";
+  (* annotations only where the record has room for them, and int
+     fields only as wide as the code word holds; a rejected event leaves
+     the ring as it was *)
+  let before = Tracer.events tracer and dropped = Tracer.dropped tracer in
+  List.iter
+    (fun (what, record) ->
+      match record () with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ( "device on session.begin",
+        fun () -> Machine.protocol_event m ~device:"nic" (E.Session_begin "p") );
+      ("value on dma.attempt", fun () ->
+          Machine.protocol_event m ~value:(String.make 20 'v')
+            (E.Dma_attempt { addr = 0; len = 1; write = true; denied = true }));
+      ("device on pcr.extend", fun () ->
+          Machine.protocol_event m ~device:"nic" (E.Pcr_extend { index = 17; kind = E.Cap }));
+      ("short value", fun () ->
+          Machine.protocol_event m ~value:"abc" (E.Pcr_extend { index = 17; kind = E.Cap }));
+      ("54-bit length", fun () ->
+          Machine.protocol_event m (E.Zeroize { addr = 0; len = 1 lsl 53 }));
+      (* shifted into the code word, this one would wrap to 0 *)
+      ("55-bit length", fun () ->
+          Machine.protocol_event m (E.Zeroize { addr = 0; len = 1 lsl 54 }));
+    ];
+  Alcotest.(check bool) "rejections record nothing" true
+    (Tracer.events tracer = before && Tracer.dropped tracer = dropped)
+
 (* --- property: no false positives on arbitrary clean workloads --- *)
 
 (* every launch a session can make: technology, flavor, nonce or not *)
@@ -880,6 +1001,7 @@ let () =
           Alcotest.test_case "restarts after violation" `Quick
             test_checker_restarts_after_violation;
           Alcotest.test_case "event encoding" `Quick test_event_encoding;
+          Alcotest.test_case "ring round trip" `Quick test_ring_round_trip;
         ] );
       ( "conformance",
         [
