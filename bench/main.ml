@@ -16,10 +16,9 @@
    chaos cells run on; their simulated fields do not depend on it, so
    `diff` of the artifacts from two domain counts is clean.
 
-   `diff OLD.json NEW.json [--threshold PCT]` compares two such
-   artifacts record-by-record and exits nonzero on regression: simulated
-   metrics must be identical, wall-clock fields warn (or fail, with
-   --threshold) beyond a relative tolerance band. *)
+   `diff OLD.json NEW.json` compares two such artifacts record-by-record
+   and exits nonzero on regression: simulated metrics must be identical,
+   and wall-clock fields only warn beyond a 25% relative band. *)
 
 open Cmdliner
 module Timing = Flicker_hw.Timing

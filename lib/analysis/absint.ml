@@ -489,10 +489,10 @@ module Concrete = struct
     | Extract.Lt -> if a < b then 1 else 0
     | Extract.Le -> if a <= b then 1 else 0
 
-  let run ?(max_steps = 200_000) ?(args = []) g ~entry =
+  let run g ~entry =
     let accesses = ref [] in
     let max_stack = ref 0 in
-    let fuel = ref max_steps in
+    let fuel = ref 200_000 in
     let tick () =
       decr fuel;
       if !fuel <= 0 then raise Out_of_fuel
@@ -596,7 +596,7 @@ module Concrete = struct
     in
     let out_of_fuel =
       try
-        ignore (call 0 entry args);
+        ignore (call 0 entry []);
         false
       with Out_of_fuel -> true
     in

@@ -95,7 +95,7 @@ module Concrete : sig
                              up to that point are still valid) *)
   }
 
-  val run : ?max_steps:int -> ?args:int list -> Callgraph.t -> entry:string -> obs
-  (** Execute [entry] (parameters bound to [args], default all 0) with
-      a step budget (default 200_000). *)
+  val run : Callgraph.t -> entry:string -> obs
+  (** Execute [entry] with every parameter 0 and a step budget of
+      200_000. *)
 end

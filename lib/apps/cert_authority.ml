@@ -191,21 +191,6 @@ let behavior env =
                 let results = List.map sign_one (pair items) in
                 seal_state tpm ~priv ~issuer ~count:!count
                 |> Result.map (fun sdata' -> Util.encode_fields ("ok" :: sdata' :: results)))
-    | Ok [ "sign"; sdata; policy_blob; subject; subject_key_raw ] ->
-        with_tpm (fun tpm ->
-            match open_state tpm sdata policy_blob with
-            | Error m -> Error m
-            | Ok ((priv, issuer, count), policy) -> (
-                if not (policy_allows policy ~issued:count ~subject) then
-                  Error ("policy denies subject " ^ subject)
-                else
-                  match Rsa.public_of_string subject_key_raw with
-                  | exception Invalid_argument m -> Error ("subject key: " ^ m)
-                  | subject_key ->
-                      let cert = certify priv ~issuer ~serial:(count + 1) ~subject subject_key in
-                      seal_state tpm ~priv ~issuer ~count:cert.serial
-                      |> Result.map (fun sdata' ->
-                             Util.encode_fields [ "ok"; encode_certificate cert; sdata' ])))
     | Ok _ | Error _ -> Error "unknown mode"
   in
   match result with
@@ -266,33 +251,6 @@ let init_ca server =
                   Ok pub
               | exception Invalid_argument m -> Error m)
           | Ok _ | Error _ -> Error "malformed keygen output"))
-
-let sign_csr server csr =
-  match server.sdata with
-  | None -> Error "CA not initialized (run init_ca)"
-  | Some sdata -> (
-      let inputs =
-        Util.encode_fields
-          [
-            "sign";
-            sdata;
-            encode_policy server.policy;
-            csr.subject;
-            Rsa.public_to_string csr.subject_key;
-          ]
-      in
-      match run_pal server inputs with
-      | Error e -> Error e
-      | Ok out -> (
-          match Util.decode_fields out with
-          | Ok [ "ok"; cert_raw; sdata' ] -> (
-              match decode_certificate cert_raw with
-              | Error m -> Error m
-              | Ok cert ->
-                  server.sdata <- Some sdata';
-                  server.log <- (cert.serial, cert.cert_subject) :: server.log;
-                  Ok cert)
-          | Ok _ | Error _ -> Error "malformed sign output"))
 
 (* Batch signing. The 4 KB input and output pages bound how many CSRs one
    session can carry, so the batch is split greedily into page-sized
@@ -378,6 +336,8 @@ let sign_chunk server csrs =
 
 let sign_batch server csrs =
   List.concat_map (sign_chunk server) (batch_chunks server csrs)
+
+let sign_csr server csr = List.hd (sign_batch server [ csr ])
 
 let issued_count server = List.length server.log
 let audit_log server = List.rev server.log

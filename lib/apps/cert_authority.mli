@@ -45,8 +45,9 @@ val init_ca : server -> (Flicker_crypto.Rsa.public, string) result
 val public_key : server -> Flicker_crypto.Rsa.public option
 
 val sign_csr : server -> csr -> (certificate, string) result
-(** One signing session (the paper's 906.2 ms operation). Policy
-    violations are reported as errors, without consuming a serial. *)
+(** {!sign_batch} of one CSR: one signing session (the paper's 906.2 ms
+    operation). A policy denial is reported as an error, without
+    consuming a serial. *)
 
 val sign_batch : server -> csr list -> (certificate, string) result list
 (** Sign many CSRs, amortizing the per-session TPM overhead (SKINIT, the

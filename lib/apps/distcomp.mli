@@ -8,7 +8,15 @@
     untrusted OS stored, works for a bounded slice (so the OS can
     multitask), MACs the new state, and yields. The final session extends
     the results into PCR 17 so the attested quote proves they came from
-    the genuine PAL — replacing the usual redundant re-execution. *)
+    the genuine PAL — replacing the usual redundant re-execution.
+
+    The state is deliberately unversioned. An OS that hands the PAL an
+    older (state, MAC) pair only makes it redo the slices since then,
+    which the OS could equally withhold by never running the PAL. The
+    MAC stops forged state, and the final PCR 17 extend covers the
+    result the server accepts. So no session pays for a counter
+    ({!Flicker_slb.Mod_tpm_utils.seal_versioned}), and Table 4 and
+    Figure 8 keep their numbers. *)
 
 type work_unit = {
   unit_id : int;

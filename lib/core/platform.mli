@@ -50,7 +50,8 @@ val power_cycle : t -> unit
     state, the suspended-scheduler flag, and all sysfs entries are lost;
     the TPM reboots (PCRs 17–23 go to the 0xff reboot digest) but keeps
     its NV storage, monotonic counters, and key hierarchy — so sealed
-    blobs and replay counters survive, and the recovery paths in
-    {!Flicker_core.Replay} can be exercised against a genuine reboot.
+    blobs and replay counters survive, and the recovery paths of
+    {!Flicker_slb.Mod_tpm_utils.unseal_versioned} can be exercised
+    against a genuine reboot.
     The TPM reboots first, so its [pcr.reboot] event precedes the
     machine's [dev.clear] and the scheduler's [os.resume]. *)

@@ -38,7 +38,7 @@ let miller_rabin_round n d s a =
     square_up x 0
   end
 
-let is_probably_prime ?(rounds = 20) rng n =
+let is_probably_prime rng n =
   let open Bignum in
   if compare n two < 0 then false
   else if equal n two then true
@@ -58,7 +58,7 @@ let is_probably_prime ?(rounds = 20) rng n =
       end
     in
     (* n >= 5 here, so the witness range [2, n-2] is non-empty *)
-    rounds_left rounds
+    rounds_left 20
   end
 
 let generate_prime rng ~bits =

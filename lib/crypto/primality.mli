@@ -1,8 +1,8 @@
 (** Primality testing and random prime generation for RSA key generation. *)
 
-val is_probably_prime : ?rounds:int -> Prng.t -> Bignum.t -> bool
-(** Miller–Rabin with trial division by small primes first. [rounds]
-    defaults to 20 (error probability below 4^-20). *)
+val is_probably_prime : Prng.t -> Bignum.t -> bool
+(** Miller–Rabin with trial division by small primes first: 20 rounds
+    (error probability below 4^-20). *)
 
 val generate_prime : Prng.t -> bits:int -> Bignum.t
 (** A random probable prime of exactly [bits] bits (top bit set, odd).

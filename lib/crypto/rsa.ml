@@ -10,10 +10,10 @@ type private_key = {
   qinv : Bignum.t;
 }
 
-let generate ?(e = 65537) rng ~bits =
+let generate rng ~bits =
   if bits < 16 then invalid_arg "Rsa.generate: modulus too small";
   let open Bignum in
-  let e_big = of_int e in
+  let e_big = of_int 65537 in
   let p_bits = (bits + 1) / 2 in
   let q_bits = bits - p_bits in
   let rec attempt () =

@@ -16,9 +16,9 @@ type private_key = {
   qinv : Bignum.t; (* q^-1 mod p *)
 }
 
-val generate : ?e:int -> Prng.t -> bits:int -> private_key
-(** Generate a keypair with modulus of exactly [bits] bits. [e] defaults
-    to 65537. @raise Invalid_argument if [bits < 16]. *)
+val generate : Prng.t -> bits:int -> private_key
+(** Generate a keypair with modulus of exactly [bits] bits and public
+    exponent 65537. @raise Invalid_argument if [bits < 16]. *)
 
 val key_bytes : public -> int
 (** Modulus length in bytes. *)

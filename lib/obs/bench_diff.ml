@@ -6,8 +6,8 @@
    emits). Everything the simulator computes is deterministic, so every
    field is required to be *identical* between a committed baseline and a
    regenerated run — except fields that measure host wall-clock time
-   (named with "wall"), which are inherently noisy and only get a
-   relative tolerance band. *)
+   (named with "wall"), which are inherently noisy: drift beyond a
+   relative band only warns. *)
 
 type value = Json.t
 
@@ -47,10 +47,8 @@ type report = {
   wall_drift : field_diff list;  (* wall-clock fields beyond it *)
 }
 
-let clean ?(strict_wall = false) r =
-  r.missing = [] && r.extra = [] && r.new_artifacts = []
-  && r.regressions = []
-  && ((not strict_wall) || r.wall_drift = [])
+let clean r =
+  r.missing = [] && r.extra = [] && r.new_artifacts = [] && r.regressions = []
 
 let str_field fields name =
   match List.assoc_opt name fields with
@@ -104,9 +102,11 @@ let drift_pct old_v new_v =
       Some (Float.abs (n -. o) /. base *. 100.0)
   | _ -> None
 
-(* [wall_tolerance_pct] is the allowed relative drift for wall-clock
-   fields; simulated metrics always require exact equality. *)
-let compare ?(wall_tolerance_pct = 25.0) ~baseline ~current () =
+(* the relative drift a wall-clock field may show before it warns;
+   simulated metrics always require exact equality *)
+let wall_tolerance_pct = 25.0
+
+let compare ~baseline ~current =
   match (rows_of_json baseline, rows_of_json current) with
   | Error e, _ -> Error ("baseline: " ^ e)
   | _, Error e -> Error ("current: " ^ e)
@@ -236,7 +236,7 @@ let compare ?(wall_tolerance_pct = 25.0) ~baseline ~current () =
 
 let pp_value v = Json.to_string v
 
-let render ?(strict_wall = false) r =
+let render r =
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "%d record(s) compared: %d simulated field(s) identical, %d wall-clock field(s) in band\n"
@@ -258,10 +258,9 @@ let render ?(strict_wall = false) r =
     r.regressions;
   List.iter
     (fun d ->
-      add "%s: wall-clock drift %s %s: %s -> %s (%.1f%%)\n"
-        (if strict_wall then "REGRESSION" else "warning")
-        d.record d.field (pp_value d.old_value) (pp_value d.new_value)
+      add "warning: wall-clock drift %s %s: %s -> %s (%.1f%%)\n" d.record d.field
+        (pp_value d.old_value) (pp_value d.new_value)
         (Option.value d.drift_pct ~default:0.0))
     r.wall_drift;
-  add "bench diff: %s\n" (if clean ~strict_wall r then "OK" else "REGRESSION");
+  add "bench diff: %s\n" (if clean r then "OK" else "REGRESSION");
   Buffer.contents b

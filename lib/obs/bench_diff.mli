@@ -6,8 +6,8 @@
     metric fields. The simulator is deterministic, so every metric field
     must be byte-identical between a committed [BENCH_*.json] baseline
     and a regenerated run; only host wall-clock fields (any field whose
-    name contains ["wall"]) are inherently noisy and get a relative
-    tolerance band instead. *)
+    name contains ["wall"]) are inherently noisy: drift beyond a 25%
+    relative band warns and never fails. *)
 
 type value = Json.t
 
@@ -36,22 +36,16 @@ type report = {
   wall_drift : field_diff list;  (** wall-clock fields beyond it *)
 }
 
-val compare :
-  ?wall_tolerance_pct:float ->
-  baseline:Json.t ->
-  current:Json.t ->
-  unit ->
-  (report, string) result
+val compare : baseline:Json.t -> current:Json.t -> (report, string) result
 (** Pair records by (artifact, label, occurrence) and compare key by
-    key. [wall_tolerance_pct] (default 25.0) is the allowed relative
-    drift for wall-clock fields; every other field requires exact
+    key. A wall-clock field may drift 25% relative to the baseline
+    before it lands in [wall_drift]; every other field requires exact
     equality. [Error] only on malformed input documents. *)
 
-val clean : ?strict_wall:bool -> report -> bool
-(** No missing/extra records and no simulated-metric change. With
-    [strict_wall], out-of-band wall-clock drift also fails — the CLI
-    maps [--threshold] onto this. *)
+val clean : report -> bool
+(** No missing/extra records and no simulated-metric change. Wall-clock
+    drift never fails. *)
 
-val render : ?strict_wall:bool -> report -> string
+val render : report -> string
 (** Human-readable report: one line per difference, warnings for
     wall-clock drift, and a final OK/REGRESSION verdict. *)

@@ -24,8 +24,11 @@ let md5sum t ~file =
 
 exception Io_timeout of string
 
+(* a typical SCSI command timeout *)
+let timeout_ms = 30_000.0
+
 let transfer machine ~scheduler ~src ~dst ~file ?(chunk_kb = 64)
-    ?(between_chunks = fun () -> ()) ?(driver = Legacy) ?(timeout_ms = 30_000.0) () =
+    ?(between_chunks = fun () -> ()) ?(driver = Legacy) () =
   match fetch src ~file with
   | None -> Error (Printf.sprintf "%s: no such file on %s" file src.device_name)
   | Some data ->

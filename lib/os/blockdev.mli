@@ -30,7 +30,6 @@ val transfer :
   ?chunk_kb:int ->
   ?between_chunks:(unit -> unit) ->
   ?driver:driver ->
-  ?timeout_ms:float ->
   unit ->
   (float, string) result
 (** Copy [file] from [src] to [dst], advancing the clock at the slower
@@ -39,12 +38,12 @@ val transfer :
     milliseconds the copy took.
 
     With a [Legacy] driver (the default), a chunk left in flight while
-    the OS is unresponsive for more than [timeout_ms] (default 30 000, a
-    typical SCSI command timeout) aborts the copy with an I/O error —
-    the risk Section 7.5 identifies for very long sessions. A
-    [Flicker_aware] driver quiesces the device first and never times
-    out. The paper's 8.3 s sessions are safely below the default
-    timeout either way, matching its observation of zero errors.
+    the OS is unresponsive for more than 30 000 ms (a typical SCSI
+    command timeout) aborts the copy with an I/O error — the risk
+    Section 7.5 identifies for very long sessions. A [Flicker_aware]
+    driver quiesces the device first and never times out. The paper's
+    8.3 s sessions are safely below that timeout either way, matching
+    its observation of zero errors.
 
     Issuing a chunk while the OS is suspended fails the copy with an I/O
     error: the driver cannot run mid-session, and the device must never

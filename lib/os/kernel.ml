@@ -9,13 +9,13 @@ type t = {
   mutable compromised : bool;
 }
 
-let create rng ?(text_size = 64 * 1024) ?(module_count = 4) ~version () =
+let create rng ?(text_size = 64 * 1024) ~version () =
   let text_segment = Prng.bytes rng text_size in
   let syscall_table =
     Array.init 326 (fun i -> (i, 0xC0100000 + Prng.int_below rng 0x400000))
   in
   let loaded_modules =
-    List.init module_count (fun i ->
+    List.init 4 (fun i ->
         (Printf.sprintf "module_%d.ko" i, Prng.bytes rng (8 * 1024)))
   in
   {

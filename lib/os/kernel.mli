@@ -11,12 +11,12 @@ type t
 val create :
   Flicker_crypto.Prng.t ->
   ?text_size:int ->
-  ?module_count:int ->
   version:string ->
   unit ->
   t
-(** Deterministically generated kernel image. [text_size] defaults to
-    64 KB (benchmarks use a realistic multi-megabyte image). *)
+(** Deterministically generated kernel image with four loaded modules.
+    [text_size] defaults to 64 KB (benchmarks use a realistic
+    multi-megabyte image). *)
 
 val version : t -> string
 val text_segment : t -> string

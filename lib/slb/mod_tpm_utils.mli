@@ -1,16 +1,18 @@
 (** TPM Utilities PAL module (Figure 6: 889 LOC, 9.4 KB).
 
     The client side of the TPM protocol: GetCapability, PCR Read/Extend,
-    GetRandom, and Seal/Unseal together with the OIAP/OSAP session
-    handshakes that authorize them. These are the calls a PAL makes
-    through the driver during a session; each one is marshaled through
-    the byte-level command transport ({!Flicker_tpm.Tpm_wire}), exactly
-    as a real PAL's driver moves buffers to the memory-mapped device. *)
+    GetRandom, Seal/Unseal together with the OIAP/OSAP session
+    handshakes that authorize them, and the versioned sealed state
+    Section 4.3.2 builds from counter and NV reads and writes. These are
+    the calls a PAL makes through the driver during a session; each one
+    is marshaled through the byte-level command transport
+    ({!Flicker_tpm.Tpm_wire}), exactly as a real PAL's driver moves
+    buffers to the memory-mapped device. Only the owner-authorized
+    Define Space and Create Counter use the command interface directly. *)
 
 module Tpm = Flicker_tpm.Tpm
 module Tpm_types = Flicker_tpm.Tpm_types
 
-val pcr_read : Tpm.t -> int -> (Tpm_types.digest, Tpm_types.error) result
 val pcr_extend : Tpm.t -> int -> Tpm_types.digest -> (Tpm_types.digest, Tpm_types.error) result
 val get_random : Tpm.t -> int -> string
 
@@ -64,3 +66,59 @@ val create_counter :
   owner_auth:string ->
   label:string ->
   (int, Tpm_types.error) result
+
+(** {1 Versioned sealed state (Section 4.3.2, Figure 4)}
+
+    TPM_Unseal guarantees that only the intended PAL reads the
+    plaintext, not that the ciphertext is the latest version. The
+    untrusted OS stores the blobs, so it can hand a PAL yesterday's
+    state. Each {!seal_versioned} advances a version kept in the TPM and
+    seals it beside the data; {!unseal_versioned} accepts a blob only
+    when its version equals the live one. Both take the claimed device,
+    so a PAL opens and reseals its state under one driver claim. *)
+
+type version_store =
+  | Counter of int  (** a monotonic counter's handle, from {!create_counter} *)
+  | Nv_space of int  (** a PCR-17-gated NV space's index, from {!create_nv_version} *)
+
+val create_nv_version :
+  Tpm.t ->
+  rng:Flicker_crypto.Prng.t ->
+  owner_auth:string ->
+  index:int ->
+  (unit, Tpm_types.error) result
+(** Define a 4-byte NV space at [index] whose reads and writes both
+    require PCR 17's current value (owner-authorized Define Space), and
+    zero it. Run inside a session of the PAL that will use it: only that
+    PAL, inside a genuine Flicker session, can then read or advance the
+    version. *)
+
+val seal_versioned :
+  Tpm.t ->
+  rng:Flicker_crypto.Prng.t ->
+  version_store ->
+  string ->
+  (string, Tpm_types.error) result
+(** Figure 4 Seal: advance the version to [j] (IncrementCounter, or an
+    NV read and a write of the next value) and seal [j || data] to the
+    current PCR 17. *)
+
+type unseal_error =
+  | Replay_detected of { sealed_version : int; counter : int }
+  | Counter_out_of_sync of { sealed_version : int; counter : int }
+      (** the version is exactly one ahead of the blob: the signature of
+          a crash between the increment and the ciphertext reaching disk,
+          which Section 4.3.2 says needs explicit detection. Recoverable
+          by policy, and distinct from a plain replay. *)
+  | Tpm_error of Tpm_types.error
+      (** the TPM refused the unseal or the version read, or the
+          plaintext is too short to carry a version *)
+
+val unseal_versioned :
+  Tpm.t ->
+  rng:Flicker_crypto.Prng.t ->
+  version_store ->
+  string ->
+  (string, unseal_error) result
+(** Figure 4 Unseal: [d || j' <- TPM_Unseal(c)]; return [d] only when
+    [j'] equals the live version. *)

@@ -9,14 +9,12 @@ type t = {
 
 let well_known_auth = String.make Tpm_types.owner_auth_size '\000'
 
-let generate ?(srk_auth = well_known_auth) rng ~key_bits =
-  if String.length srk_auth <> Tpm_types.owner_auth_size then
-    invalid_arg "Keys.generate: SRK auth must be 20 bytes";
+let generate rng ~key_bits =
   {
     ek = Rsa.generate rng ~bits:key_bits;
     srk = Rsa.generate rng ~bits:key_bits;
     aik = Rsa.generate rng ~bits:key_bits;
-    srk_auth;
+    srk_auth = well_known_auth;
   }
 
 let aik_public t = t.aik.Rsa.pub

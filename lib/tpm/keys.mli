@@ -9,14 +9,13 @@ type t = {
   ek : Flicker_crypto.Rsa.private_key;
   srk : Flicker_crypto.Rsa.private_key;
   aik : Flicker_crypto.Rsa.private_key;
-  srk_auth : string;  (** 20-byte usage secret; default is well-known zeros *)
+  srk_auth : string;  (** 20-byte usage secret: the well-known zeros *)
 }
 
 val well_known_auth : string
 (** 20 zero bytes. *)
 
-val generate :
-  ?srk_auth:string -> Flicker_crypto.Prng.t -> key_bits:int -> t
+val generate : Flicker_crypto.Prng.t -> key_bits:int -> t
 (** Generate the hierarchy. [key_bits] sizes all three keys (the paper's
     TPM uses 2048-bit keys; tests use smaller ones for speed). *)
 

@@ -100,13 +100,13 @@ let derive_seal_keys srk =
   let mac = Sha256.digest ("tpm-seal-mac" ^ secret) in
   (Aes.expand_key enc, mac)
 
-let create ?owner_auth ?srk_auth machine rng ~key_bits =
+let create ?owner_auth machine rng ~key_bits =
   let owner_auth =
     match owner_auth with Some a -> a | None -> Keys.well_known_auth
   in
   if String.length owner_auth <> Tpm_types.owner_auth_size then
     invalid_arg "Tpm.create: owner auth must be 20 bytes";
-  let keys = Keys.generate ?srk_auth rng ~key_bits in
+  let keys = Keys.generate rng ~key_bits in
   let seal_enc_key, seal_mac_key = derive_seal_keys keys.Keys.srk in
   let pcrs = Pcr.create () in
   (* every PCR mutation is a protocol event, so the temporal verifier can

@@ -29,14 +29,14 @@ val quote_payload : Tpm_types.pcr_composite -> nonce:string -> string
 
 val create :
   ?owner_auth:string ->
-  ?srk_auth:string ->
   Flicker_hw.Machine.t ->
   Flicker_crypto.Prng.t ->
   key_bits:int ->
   t
 (** Manufacture a TPM attached to [machine] (for its clock and timing
-    profile). Generates the EK/SRK/AIK hierarchy. [owner_auth] defaults to
-    the well-known secret. *)
+    profile). Generates the EK/SRK/AIK hierarchy, whose SRK usage secret
+    is the well-known secret. [owner_auth] defaults to the well-known
+    secret. *)
 
 val skinit_hooks : t -> Flicker_hw.Machine.tpm_hooks
 (** The chipset-facing interface SKINIT drives; pass to

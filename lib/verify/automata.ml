@@ -260,8 +260,8 @@ let nv_monotonic =
    read the index first in that same launch: without a fresh read there
    is nothing to compare a sealed blob's counter against, so the PAL
    cannot have performed the §4.4 freshness check. First-time writes
-   (provisioning, [Replay.Nv.init]) are exempt; so are writes outside a
-   launch, which are the OS's business. *)
+   (provisioning, [Mod_tpm_utils.create_nv_version]) are exempt; so are
+   writes outside a launch, which are the OS's business. *)
 
 type fresh_state = {
   f_in_launch : bool;

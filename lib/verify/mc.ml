@@ -130,9 +130,9 @@ let ample ~por trans monitors =
       [ session ]
   | _ -> trans
 
-let run ?(automata = Automata.all) ?(max_states = 50_000) ?(max_depth = 96)
-    ?adversary ?sessions ?(por = true) variant =
-  let automata = Array.of_list automata in
+let run ?(max_states = 50_000) ?(max_depth = 96) ?adversary ?sessions ?(por = true)
+    variant =
+  let automata = Array.of_list Automata.all in
   let visited = Visited.create 1024 in
   let queue = Queue.create () in
   let enqueue key rev_path node_depth =

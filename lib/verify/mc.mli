@@ -48,7 +48,6 @@ type outcome = Verified | Violation of counterexample
 type result = { outcome : outcome; stats : stats }
 
 val run :
-  ?automata:Automata.t list ->
   ?max_states:int ->
   ?max_depth:int ->
   ?adversary:Adversary.config ->
@@ -56,9 +55,9 @@ val run :
   ?por:bool ->
   Model.variant ->
   result
-(** Check one session variant. [adversary] and [sessions] are
-    forwarded to {!Model.initial}; [por] (default true) enables the
-    partial-order reduction. Defaults: all automata, 50 000 states,
+(** Check one session variant against every automaton. [adversary]
+    and [sessions] are forwarded to {!Model.initial}; [por] (default
+    true) enables the partial-order reduction. Defaults: 50 000 states,
     depth 96. [Verified] with [stats.truncated = false] means the full
     (reduced) product space was explored with no automaton rejecting. *)
 

@@ -198,6 +198,52 @@ let test_malformed_slice_refused () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "clean resume: %s" e)
 
+(* The OS rolls the state back (Section 6.2): after two resumes it hands
+   the PAL the first step's sealed key, state and MAC again. The state is
+   unversioned, so the PAL accepts them; it only redoes the second slice,
+   and the unit still ends as it does without the rollback. *)
+let test_rollback_redoes_work () =
+  let p = make ~seed:"rollback" in
+  let unit_ = { Distcomp.unit_id = 9; number = 15015; lo = 2; hi = 130 } in
+  let slice_ms = 0.2 in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let client = Distcomp.create_client p in
+  let step1 = ok (Distcomp.start client unit_ ~slice_ms) in
+  let step2 = ok (Distcomp.resume client step1.Distcomp.state ~slice_ms) in
+  let step3 = ok (Distcomp.resume client step2.Distcomp.state ~slice_ms) in
+  Alcotest.(check bool) "unfinished after three sessions" false
+    step3.Distcomp.state.Distcomp.finished;
+  let pal = Distcomp.pal () in
+  (* one resume session on what the OS hands in; the PAL's reply is what
+     the OS stores next *)
+  let resume (sealed_key, state_blob, mac) =
+    let inputs =
+      Flicker_crypto.Util.encode_fields
+        [ "resume"; sealed_key; state_blob; mac; Printf.sprintf "%f" slice_ms ]
+    in
+    match Session.execute p ~pal ~inputs () with
+    | Error e -> Alcotest.failf "session: %a" Session.pp_error e
+    | Ok outcome -> (
+        match Flicker_crypto.Util.decode_fields outcome.Session.outputs with
+        | Ok [ "ok"; sealed_key; state_blob; mac; _ ] ->
+            ((sealed_key, state_blob, mac), ok (Distcomp.decode_state state_blob))
+        | _ -> Alcotest.failf "rolled-back state refused: %s" outcome.Session.outputs)
+  in
+  let first =
+    match Flicker_crypto.Util.decode_fields step1.Distcomp.outcome.Session.outputs with
+    | Ok [ "ok"; sealed_key; state_blob; mac; _ ] -> (sealed_key, state_blob, mac)
+    | _ -> Alcotest.fail "malformed first step"
+  in
+  let stored, state = resume first in
+  Alcotest.(check string) "the second slice, redone"
+    (Distcomp.encode_state step2.Distcomp.state) (Distcomp.encode_state state);
+  let rec finish (stored, state) =
+    if state.Distcomp.finished then state else finish (resume stored)
+  in
+  let final, _ = ok (Distcomp.run_to_completion (Distcomp.create_client p) unit_ ~slice_ms) in
+  Alcotest.(check string) "same final state" (Distcomp.encode_state final)
+    (Distcomp.encode_state (finish (stored, state)))
+
 let () =
   Alcotest.run "apps-distcomp"
     [
@@ -218,6 +264,7 @@ let () =
         [
           Alcotest.test_case "MAC tamper detected" `Quick test_mac_tamper_detected;
           Alcotest.test_case "malformed slice refused" `Quick test_malformed_slice_refused;
+          Alcotest.test_case "rollback only redoes work" `Quick test_rollback_redoes_work;
         ] );
       ( "efficiency",
         [

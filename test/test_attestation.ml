@@ -315,84 +315,87 @@ let test_secure_channel_rejects_substituted_key () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "substituted key accepted")
 
-(* --- replay protection --- *)
+(* --- versioned sealed state (Section 4.3.2, Figure 4) --- *)
 
-let replay_blobs : (string, string) Hashtbl.t = Hashtbl.create 4
+module U = Flicker_slb.Mod_tpm_utils
+module Tpm_types = Flicker_tpm.Tpm_types
 
-let replay_pal =
-  Pal.define ~name:"attest-replay" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
-    (fun env ->
-      match Util.decode_fields env.Pal_env.inputs with
-      | Ok [ "init" ] -> (
-          match
-            Replay.init env ~owner_auth:(String.make 20 '\000') ~label:"replay-test"
-          with
-          | Ok guard ->
-              Hashtbl.replace replay_blobs "guard" (string_of_int guard.Replay.counter_handle);
-              Pal_env.set_output env "ok"
-          | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
-      | Ok [ "seal"; handle; data ] -> (
-          let guard = { Replay.counter_handle = int_of_string handle } in
-          match Replay.seal_for_self env guard data with
-          | Ok blob -> Pal_env.set_output env (Util.encode_fields [ "blob"; blob ])
-          | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
-      | Ok [ "unseal"; handle; blob ] -> (
-          let guard = { Replay.counter_handle = int_of_string handle } in
-          match Replay.unseal env guard blob with
-          | Ok data -> Pal_env.set_output env (Util.encode_fields [ "data"; data ])
-          | Error e -> Pal_env.set_output env (Format.asprintf "ERROR: %a" Replay.pp_unseal_error e))
-      | Ok _ | Error _ -> Pal_env.set_output env "ERROR: bad mode")
-
-let run_replay p fields =
-  match Session.execute p ~pal:replay_pal ~inputs:(Util.encode_fields fields) () with
+(* one session of a PAL whose body runs [step] on the TPM under one
+   driver claim; every session's PAL has the same name and so the same
+   measurement, as a real PAL's successive sessions do *)
+let in_session p step =
+  let result = ref (Error "PAL did not run") in
+  let pal =
+    Pal.define ~name:"versioned-state" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
+      (fun env ->
+        result :=
+          Flicker_slb.Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
+              Ok (step tpm ~rng:env.Pal_env.rng)))
+  in
+  match Session.execute p ~pal () with
   | Error e -> Alcotest.failf "session: %a" Session.pp_error e
-  | Ok outcome -> outcome.Session.outputs
+  | Ok _ -> ( match !result with Ok v -> v | Error e -> Alcotest.fail e)
 
-let test_replay_protection () =
-  let p = make_platform ~seed:"replay" in
-  Alcotest.(check string) "init" "ok" (run_replay p [ "init" ]);
-  let handle = Hashtbl.find replay_blobs "guard" in
-  (* version 1 *)
-  let out1 = run_replay p [ "seal"; handle; "password-db-v1" ] in
-  let blob1 =
-    match Util.decode_fields out1 with
-    | Ok [ "blob"; b ] -> b
-    | _ -> Alcotest.fail ("seal v1: " ^ out1)
-  in
-  (* current version unseals fine *)
-  (match Util.decode_fields (run_replay p [ "unseal"; handle; blob1 ]) with
-  | Ok [ "data"; d ] -> Alcotest.(check string) "v1 current" "password-db-v1" d
-  | _ -> Alcotest.fail "v1 unseal failed");
-  (* version 2 supersedes it *)
-  let out2 = run_replay p [ "seal"; handle; "password-db-v2" ] in
-  let blob2 =
-    match Util.decode_fields out2 with
-    | Ok [ "blob"; b ] -> b
-    | _ -> Alcotest.fail ("seal v2: " ^ out2)
-  in
-  (match Util.decode_fields (run_replay p [ "unseal"; handle; blob2 ]) with
-  | Ok [ "data"; d ] -> Alcotest.(check string) "v2 current" "password-db-v2" d
-  | _ -> Alcotest.fail "v2 unseal failed");
-  (* blob1 is now one version behind: indistinguishable from a crash
-     between increment and persist, so it is flagged as out-of-sync *)
-  let stale_out = run_replay p [ "unseal"; handle; blob1 ] in
-  Alcotest.(check bool) "one-behind flagged" true
-    (String.length stale_out >= 6 && String.sub stale_out 0 6 = "ERROR:");
-  (* after a third version exists, blob1 is unambiguously a replay *)
-  let out3 = run_replay p [ "seal"; handle; "password-db-v3" ] in
-  (match Util.decode_fields out3 with
-  | Ok [ "blob"; _ ] -> ()
-  | _ -> Alcotest.fail ("seal v3: " ^ out3));
-  let replay_out = run_replay p [ "unseal"; handle; blob1 ] in
-  Alcotest.(check bool) "replay detected" true
-    (String.length replay_out >= 6
-    && String.sub replay_out 0 6 = "ERROR:"
-    &&
-    let lower = String.lowercase_ascii replay_out in
-    let rec scan i =
-      i + 6 <= String.length lower && (String.sub lower i 6 = "replay" || scan (i + 1))
-    in
-    scan 0)
+let get_ok what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Tpm_types.error_to_string e)
+
+let show_opened = function
+  | Ok data -> "current " ^ data
+  | Error (U.Counter_out_of_sync { sealed_version; counter }) ->
+      Printf.sprintf "out of sync: blob %d, counter %d" sealed_version counter
+  | Error (U.Replay_detected { sealed_version; counter }) ->
+      Printf.sprintf "replay: blob %d, counter %d" sealed_version counter
+  | Error (U.Tpm_error e) -> "TPM error: " ^ Tpm_types.error_to_string e
+
+let test_versioned_state () =
+  let owner_auth = String.make 20 '\000' in
+  List.iter
+    (fun (name, provision) ->
+      let p = make_platform ~seed:("versioned-" ^ name) in
+      let store = get_ok "provision" (in_session p provision) in
+      let seal data =
+        get_ok "seal" (in_session p (fun tpm ~rng -> U.seal_versioned tpm ~rng store data))
+      in
+      let opens blob expected =
+        let opened = in_session p (fun tpm ~rng -> U.unseal_versioned tpm ~rng store blob) in
+        Alcotest.(check string) (name ^ ": " ^ expected) expected (show_opened opened)
+      in
+      let blob1 = seal "password-db-v1" in
+      opens blob1 "current password-db-v1";
+      (* the CA's session: open the state and reseal its successor, under
+         one claim of the driver *)
+      let old, blob2 =
+        in_session p (fun tpm ~rng ->
+            let old = U.unseal_versioned tpm ~rng store blob1 in
+            (show_opened old, U.seal_versioned tpm ~rng store "password-db-v2"))
+      in
+      let blob2 = get_ok "reseal" blob2 in
+      Alcotest.(check string) (name ^ ": rotate opened") "current password-db-v1" old;
+      opens blob2 "current password-db-v2";
+      (* one version behind: indistinguishable from a crash between the
+         increment and the blob reaching disk *)
+      opens blob1 "out of sync: blob 1, counter 2";
+      (* two behind: unambiguously a replay *)
+      let blob3 = seal "password-db-v3" in
+      opens blob1 "replay: blob 1, counter 3";
+      (* the crash itself: the version advances, its blob is lost *)
+      ignore (seal "lost in the crash");
+      opens blob3 "out of sync: blob 3, counter 4";
+      (* a plaintext too short to carry a version *)
+      let short = in_session p (fun tpm ~rng -> U.seal_for_self tpm ~rng "ab") in
+      let short = get_ok "seal" short in
+      opens short "TPM error: TPM_BAD_PARAMETER: versioned blob lacks its version")
+    [
+      ( "counter",
+        fun tpm ~rng ->
+          U.create_counter tpm ~rng ~owner_auth ~label:"versioned-state"
+          |> Result.map (fun handle -> U.Counter handle) );
+      ( "nv",
+        fun tpm ~rng ->
+          U.create_nv_version tpm ~rng ~owner_auth ~index:42
+          |> Result.map (fun () -> U.Nv_space 42) );
+    ]
 
 let () =
   Alcotest.run "attestation"
@@ -424,5 +427,6 @@ let () =
           Alcotest.test_case "mitm key rejected" `Quick
             test_secure_channel_rejects_substituted_key;
         ] );
-      ("replay", [ Alcotest.test_case "figure 4 protocol" `Quick test_replay_protection ]);
+      ( "replay",
+        [ Alcotest.test_case "versioned state over both stores" `Quick test_versioned_state ] );
     ]

@@ -154,98 +154,25 @@ let test_boinc_unit_management () =
 
 (* --- NV-based replay protection (Section 4.3.2) --- *)
 
-let nv_state : (string, string) Hashtbl.t = Hashtbl.create 4
-
-let nv_pal =
-  Pal.define ~name:"ext-nv-replay" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
-    (fun env ->
-      match Util.decode_fields env.Pal_env.inputs with
-      | Ok [ "init"; index ] -> (
-          match
-            Replay.Nv.init env ~owner_auth:(String.make 20 '\000')
-              ~nv_index:(int_of_string index)
-          with
-          | Ok _ -> Pal_env.set_output env "ok"
-          | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
-      | Ok [ "seal"; index; data ] -> (
-          let guard = { Replay.Nv.nv_index = int_of_string index } in
-          match Replay.Nv.seal env guard data with
-          | Ok blob -> Pal_env.set_output env (Util.encode_fields [ "blob"; blob ])
-          | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
-      | Ok [ "bump"; index ] -> (
-          (* simulate the crash: increment without persisting a blob *)
-          let guard = { Replay.Nv.nv_index = int_of_string index } in
-          match Replay.Nv.seal env guard "lost in the crash" with
-          | Ok _ -> Pal_env.set_output env "ok" (* blob intentionally dropped *)
-          | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
-      | Ok [ "unseal"; index; blob ] -> (
-          let guard = { Replay.Nv.nv_index = int_of_string index } in
-          match Replay.Nv.unseal env guard blob with
-          | Ok data -> Pal_env.set_output env (Util.encode_fields [ "data"; data ])
-          | Error e ->
-              Pal_env.set_output env (Format.asprintf "ERROR: %a" Replay.pp_unseal_error e))
-      | Ok _ | Error _ -> Pal_env.set_output env "ERROR: mode")
-
-let run_nv p fields =
-  match Session.execute p ~pal:nv_pal ~inputs:(Util.encode_fields fields) () with
-  | Error e -> Alcotest.failf "session: %a" Session.pp_error e
-  | Ok outcome -> outcome.Session.outputs
-
-let contains ~needle hay =
-  let h = String.lowercase_ascii hay and n = String.lowercase_ascii needle in
-  let rec scan i =
-    i + String.length n <= String.length h
-    && (String.sub h i (String.length n) = n || scan (i + 1))
-  in
-  scan 0
-
-let test_nv_replay_protocol () =
-  ignore nv_state;
-  let p = make_platform ~seed:"nv-replay" in
-  Alcotest.(check string) "init" "ok" (run_nv p [ "init"; "42" ]);
-  let blob1 =
-    match Util.decode_fields (run_nv p [ "seal"; "42"; "v1" ]) with
-    | Ok [ "blob"; b ] -> b
-    | _ -> Alcotest.fail "seal v1"
-  in
-  (match Util.decode_fields (run_nv p [ "unseal"; "42"; blob1 ]) with
-  | Ok [ "data"; d ] -> Alcotest.(check string) "current v1" "v1" d
-  | _ -> Alcotest.fail "unseal v1");
-  let blob2 =
-    match Util.decode_fields (run_nv p [ "seal"; "42"; "v2" ]) with
-    | Ok [ "blob"; b ] -> b
-    | _ -> Alcotest.fail "seal v2"
-  in
-  ignore blob2;
-  (* blob1 is one behind -> crash-or-replay, not silently accepted *)
-  Alcotest.(check bool) "stale flagged" true
-    (contains ~needle:"error" (run_nv p [ "unseal"; "42"; blob1 ]));
-  (* another version: blob1 is now an unambiguous replay *)
-  (match Util.decode_fields (run_nv p [ "seal"; "42"; "v3" ]) with
-  | Ok [ "blob"; _ ] -> ()
-  | _ -> Alcotest.fail "seal v3");
-  Alcotest.(check bool) "replay detected" true
-    (contains ~needle:"replay" (run_nv p [ "unseal"; "42"; blob1 ]))
-
-let test_nv_crash_detection () =
-  let p = make_platform ~seed:"nv-crash" in
-  Alcotest.(check string) "init" "ok" (run_nv p [ "init"; "43" ]);
-  let blob =
-    match Util.decode_fields (run_nv p [ "seal"; "43"; "before crash" ]) with
-    | Ok [ "blob"; b ] -> b
-    | _ -> Alcotest.fail "seal"
-  in
-  (* crash: the counter advances but the new ciphertext is lost *)
-  Alcotest.(check string) "bump" "ok" (run_nv p [ "bump"; "43" ]);
-  let out = run_nv p [ "unseal"; "43"; blob ] in
-  Alcotest.(check bool) "crash signature reported" true
-    (contains ~needle:"out of sync" out || contains ~needle:"crash" out)
-
 let test_nv_counter_gated_from_os () =
-  (* the NV space is PCR-gated: with PCR 17 capped, the OS cannot read or
-     advance the counter *)
+  (* the versioned-state NV space is PCR-gated: with PCR 17 capped, the
+     OS cannot read or advance the counter *)
   let p = make_platform ~seed:"nv-gate" in
-  Alcotest.(check string) "init" "ok" (run_nv p [ "init"; "44" ]);
+  let define =
+    Pal.define ~name:"ext-nv-define" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
+      (fun env ->
+        match
+          Flicker_slb.Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
+              Flicker_slb.Mod_tpm_utils.create_nv_version tpm ~rng:env.Pal_env.rng
+                ~owner_auth:(String.make 20 '\000') ~index:44
+              |> Result.map_error Flicker_tpm.Tpm_types.error_to_string)
+        with
+        | Ok () -> Pal_env.set_output env "ok"
+        | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
+  in
+  (match Session.execute p ~pal:define () with
+  | Ok o -> Alcotest.(check string) "define" "ok" o.Session.outputs
+  | Error e -> Alcotest.failf "session: %a" Session.pp_error e);
   (match Tpm.nv_read p.Platform.tpm ~index:44 with
   | Error Flicker_tpm.Tpm_types.Wrong_pcr_value -> ()
   | Error e -> Alcotest.fail (Flicker_tpm.Tpm_types.error_to_string e)
@@ -255,6 +182,14 @@ let test_nv_counter_gated_from_os () =
   | _ -> Alcotest.fail "OS advanced the gated counter"
 
 (* --- the SLB Core watchdog (Section 5.1.2) --- *)
+
+let contains ~needle hay =
+  let h = String.lowercase_ascii hay and n = String.lowercase_ascii needle in
+  let rec scan i =
+    i + String.length n <= String.length h
+    && (String.sub h i (String.length n) = n || scan (i + 1))
+  in
+  scan 0
 
 let test_watchdog_aborts_runaway_pal () =
   let runaway =
@@ -510,8 +445,6 @@ let () =
         ] );
       ( "nv replay",
         [
-          Alcotest.test_case "protocol" `Quick test_nv_replay_protocol;
-          Alcotest.test_case "crash detection" `Quick test_nv_crash_detection;
           Alcotest.test_case "counter gated from OS" `Quick test_nv_counter_gated_from_os;
         ] );
       ( "watchdog",

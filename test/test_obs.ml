@@ -271,10 +271,15 @@ let doc records =
            (("artifact", Json.String "t") :: ("label", Json.String label) :: fields))
        records)
 
-let diff ?wall_tolerance_pct baseline current =
-  match Bench_diff.compare ?wall_tolerance_pct ~baseline ~current () with
+let diff baseline current =
+  match Bench_diff.compare ~baseline ~current with
   | Ok r -> r
   | Error e -> Alcotest.failf "compare failed: %s" e
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let test_bench_diff_clean () =
   let d =
@@ -288,8 +293,7 @@ let test_bench_diff_clean () =
   Alcotest.(check int) "records" 2 r.Bench_diff.records_compared;
   (* identity fields (artifact, label) are compared like any other *)
   Alcotest.(check int) "fields" 7 r.Bench_diff.fields_identical;
-  Alcotest.(check bool) "clean" true (Bench_diff.clean r);
-  Alcotest.(check bool) "clean strict" true (Bench_diff.clean ~strict_wall:true r)
+  Alcotest.(check bool) "clean" true (Bench_diff.clean r)
 
 let test_bench_diff_metric_change () =
   let base = doc [ ("a", [ ("ops", Json.Int 9) ]) ] in
@@ -308,15 +312,15 @@ let test_bench_diff_wall_band () =
   let far = doc [ ("a", [ ("wall_ms", Json.Float 20.0) ]) ] in
   let r = diff base near in
   Alcotest.(check int) "in band" 1 r.Bench_diff.wall_within;
-  Alcotest.(check bool) "near clean" true (Bench_diff.clean ~strict_wall:true r);
+  Alcotest.(check bool) "near clean" true (Bench_diff.clean r);
   let r = diff base far in
   Alcotest.(check int) "drifted" 1 (List.length r.Bench_diff.wall_drift);
-  (* wall drift warns by default and only fails under --threshold *)
-  Alcotest.(check bool) "default clean" true (Bench_diff.clean r);
-  Alcotest.(check bool) "strict fails" false (Bench_diff.clean ~strict_wall:true r);
-  let r = diff ~wall_tolerance_pct:150.0 base far in
-  Alcotest.(check bool) "wide band absorbs" true
-    (Bench_diff.clean ~strict_wall:true r)
+  (* wall drift beyond the 25% band warns and never fails *)
+  Alcotest.(check bool) "drift still clean" true (Bench_diff.clean r);
+  let rendered = Bench_diff.render r in
+  Alcotest.(check bool) "render warns" true
+    (contains rendered "warning: wall-clock drift t/a wall_ms");
+  Alcotest.(check bool) "render passes" true (contains rendered "bench diff: OK")
 
 let test_bench_diff_schema () =
   let base = doc [ ("a", [ ("ops", Json.Int 1) ]); ("gone", []) ] in
@@ -363,11 +367,6 @@ let test_bench_diff_new_artifact () =
   Alcotest.(check int) "no field regressions" 0
     (List.length r.Bench_diff.regressions);
   Alcotest.(check bool) "still fails the gate" false (Bench_diff.clean r);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   let rendered = Bench_diff.render r in
   Alcotest.(check bool) "render names the missing baseline" true
     (contains rendered "BENCH_serve.json");
@@ -387,10 +386,10 @@ let test_bench_diff_malformed () =
   let bad = Json.Obj [] in
   let ok = doc [] in
   Alcotest.(check bool) "non-array rejected" true
-    (Result.is_error (Bench_diff.compare ~baseline:bad ~current:ok ()));
+    (Result.is_error (Bench_diff.compare ~baseline:bad ~current:ok));
   let untagged = Json.List [ Json.Obj [ ("x", Json.Int 1) ] ] in
   Alcotest.(check bool) "untagged record rejected" true
-    (Result.is_error (Bench_diff.compare ~baseline:ok ~current:untagged ()))
+    (Result.is_error (Bench_diff.compare ~baseline:ok ~current:untagged))
 
 (* --- regression: TPM driver released on PAL exception --- *)
 

@@ -9,6 +9,8 @@ module V = Flicker_verify
 module E = V.Event
 module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
+module Mod_tpm_driver = Flicker_slb.Mod_tpm_driver
+module Mod_tpm_utils = Flicker_slb.Mod_tpm_utils
 module Machine = Flicker_hw.Machine
 module Dma = Flicker_hw.Dma
 module Tracer = Flicker_obs.Tracer
@@ -312,20 +314,26 @@ let test_session_gate_raises () =
     [ 0; 5000 ]
 
 let test_replay_guard_conforms () =
-  (* the NV-based replay guard defines a counter space then seals (which
-     increments); the nv-monotonic automaton must accept its real traffic *)
+  (* versioned state in an NV space: define and zero the space, then seal
+     (which advances it); the nv-monotonic automaton must accept its real
+     traffic *)
   let p, checker = checked_platform ~seed:"verify-replay" in
   let pal =
     Pal.define ~name:"vr-nv" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
       (fun env ->
+        let rng = env.Pal_env.rng and index = 0x1500 in
         match
-          Replay.Nv.init env ~owner_auth:(String.make 20 '\000') ~nv_index:0x1500
+          Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
+              Result.map_error Flicker_tpm.Tpm_types.error_to_string
+                (Result.bind
+                   (Mod_tpm_utils.create_nv_version tpm ~rng
+                      ~owner_auth:(String.make 20 '\000') ~index)
+                   (fun () ->
+                     Mod_tpm_utils.seal_versioned tpm ~rng (Mod_tpm_utils.Nv_space index)
+                       "counter-bound secret")))
         with
-        | Error e -> Pal_env.set_output env ("ERROR: " ^ e)
-        | Ok guard -> (
-            match Replay.Nv.seal env guard "counter-bound secret" with
-            | Ok _ -> Pal_env.set_output env "nv"
-            | Error e -> Pal_env.set_output env ("ERROR: " ^ e)))
+        | Ok _ -> Pal_env.set_output env "nv"
+        | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
   in
   Tracer.clear p.Platform.machine.Machine.tracer;
   (match Session.execute p ~pal () with
