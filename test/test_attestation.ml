@@ -315,87 +315,16 @@ let test_secure_channel_rejects_substituted_key () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "substituted key accepted")
 
-(* --- versioned sealed state (Section 4.3.2, Figure 4) --- *)
+(* --- versioned sealed state over a monotonic counter (Section 4.3.2,
+   Figure 4); test_extensions runs the same steps over an NV space --- *)
 
-module U = Flicker_slb.Mod_tpm_utils
-module Tpm_types = Flicker_tpm.Tpm_types
+let test_replay_protection () =
+  let p = make_platform ~seed:"replay" in
+  Versioned_state.protocol p (Versioned_state.counter p)
 
-(* one session of a PAL whose body runs [step] on the TPM under one
-   driver claim; every session's PAL has the same name and so the same
-   measurement, as a real PAL's successive sessions do *)
-let in_session p step =
-  let result = ref (Error "PAL did not run") in
-  let pal =
-    Pal.define ~name:"versioned-state" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
-      (fun env ->
-        result :=
-          Flicker_slb.Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
-              Ok (step tpm ~rng:env.Pal_env.rng)))
-  in
-  match Session.execute p ~pal () with
-  | Error e -> Alcotest.failf "session: %a" Session.pp_error e
-  | Ok _ -> ( match !result with Ok v -> v | Error e -> Alcotest.fail e)
-
-let get_ok what = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %s" what (Tpm_types.error_to_string e)
-
-let show_opened = function
-  | Ok data -> "current " ^ data
-  | Error (U.Counter_out_of_sync { sealed_version; counter }) ->
-      Printf.sprintf "out of sync: blob %d, counter %d" sealed_version counter
-  | Error (U.Replay_detected { sealed_version; counter }) ->
-      Printf.sprintf "replay: blob %d, counter %d" sealed_version counter
-  | Error (U.Tpm_error e) -> "TPM error: " ^ Tpm_types.error_to_string e
-
-let test_versioned_state () =
-  let owner_auth = String.make 20 '\000' in
-  List.iter
-    (fun (name, provision) ->
-      let p = make_platform ~seed:("versioned-" ^ name) in
-      let store = get_ok "provision" (in_session p provision) in
-      let seal data =
-        get_ok "seal" (in_session p (fun tpm ~rng -> U.seal_versioned tpm ~rng store data))
-      in
-      let opens blob expected =
-        let opened = in_session p (fun tpm ~rng -> U.unseal_versioned tpm ~rng store blob) in
-        Alcotest.(check string) (name ^ ": " ^ expected) expected (show_opened opened)
-      in
-      let blob1 = seal "password-db-v1" in
-      opens blob1 "current password-db-v1";
-      (* the CA's session: open the state and reseal its successor, under
-         one claim of the driver *)
-      let old, blob2 =
-        in_session p (fun tpm ~rng ->
-            let old = U.unseal_versioned tpm ~rng store blob1 in
-            (show_opened old, U.seal_versioned tpm ~rng store "password-db-v2"))
-      in
-      let blob2 = get_ok "reseal" blob2 in
-      Alcotest.(check string) (name ^ ": rotate opened") "current password-db-v1" old;
-      opens blob2 "current password-db-v2";
-      (* one version behind: indistinguishable from a crash between the
-         increment and the blob reaching disk *)
-      opens blob1 "out of sync: blob 1, counter 2";
-      (* two behind: unambiguously a replay *)
-      let blob3 = seal "password-db-v3" in
-      opens blob1 "replay: blob 1, counter 3";
-      (* the crash itself: the version advances, its blob is lost *)
-      ignore (seal "lost in the crash");
-      opens blob3 "out of sync: blob 3, counter 4";
-      (* a plaintext too short to carry a version *)
-      let short = in_session p (fun tpm ~rng -> U.seal_for_self tpm ~rng "ab") in
-      let short = get_ok "seal" short in
-      opens short "TPM error: TPM_BAD_PARAMETER: versioned blob lacks its version")
-    [
-      ( "counter",
-        fun tpm ~rng ->
-          U.create_counter tpm ~rng ~owner_auth ~label:"versioned-state"
-          |> Result.map (fun handle -> U.Counter handle) );
-      ( "nv",
-        fun tpm ~rng ->
-          U.create_nv_version tpm ~rng ~owner_auth ~index:42
-          |> Result.map (fun () -> U.Nv_space 42) );
-    ]
+let test_replay_crash_detection () =
+  let p = make_platform ~seed:"replay-crash" in
+  Versioned_state.crash p (Versioned_state.counter p)
 
 let () =
   Alcotest.run "attestation"
@@ -428,5 +357,8 @@ let () =
             test_secure_channel_rejects_substituted_key;
         ] );
       ( "replay",
-        [ Alcotest.test_case "versioned state over both stores" `Quick test_versioned_state ] );
+        [
+          Alcotest.test_case "figure 4 protocol" `Quick test_replay_protection;
+          Alcotest.test_case "crash detection" `Quick test_replay_crash_detection;
+        ] );
     ]

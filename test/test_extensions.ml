@@ -152,27 +152,22 @@ let test_boinc_unit_management () =
     [ (2, 26); (27, 51); (52, 76); (77, 101) ]
     (List.sort compare ranges)
 
-(* --- NV-based replay protection (Section 4.3.2) --- *)
+(* --- NV-based replay protection (Section 4.3.2): test_attestation's
+   versioned-state steps over a PCR-17-gated NV space --- *)
+
+let test_nv_replay_protocol () =
+  let p = make_platform ~seed:"nv-replay" in
+  Versioned_state.protocol p (Versioned_state.nv_space p ~index:42)
+
+let test_nv_crash_detection () =
+  let p = make_platform ~seed:"nv-crash" in
+  Versioned_state.crash p (Versioned_state.nv_space p ~index:43)
 
 let test_nv_counter_gated_from_os () =
   (* the versioned-state NV space is PCR-gated: with PCR 17 capped, the
      OS cannot read or advance the counter *)
   let p = make_platform ~seed:"nv-gate" in
-  let define =
-    Pal.define ~name:"ext-nv-define" ~modules:[ Pal.Tpm_driver; Pal.Tpm_utilities ]
-      (fun env ->
-        match
-          Flicker_slb.Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver (fun tpm ->
-              Flicker_slb.Mod_tpm_utils.create_nv_version tpm ~rng:env.Pal_env.rng
-                ~owner_auth:(String.make 20 '\000') ~index:44
-              |> Result.map_error Flicker_tpm.Tpm_types.error_to_string)
-        with
-        | Ok () -> Pal_env.set_output env "ok"
-        | Error e -> Pal_env.set_output env ("ERROR: " ^ e))
-  in
-  (match Session.execute p ~pal:define () with
-  | Ok o -> Alcotest.(check string) "define" "ok" o.Session.outputs
-  | Error e -> Alcotest.failf "session: %a" Session.pp_error e);
+  ignore (Versioned_state.nv_space p ~index:44);
   (match Tpm.nv_read p.Platform.tpm ~index:44 with
   | Error Flicker_tpm.Tpm_types.Wrong_pcr_value -> ()
   | Error e -> Alcotest.fail (Flicker_tpm.Tpm_types.error_to_string e)
@@ -445,6 +440,8 @@ let () =
         ] );
       ( "nv replay",
         [
+          Alcotest.test_case "protocol" `Quick test_nv_replay_protocol;
+          Alcotest.test_case "crash detection" `Quick test_nv_crash_detection;
           Alcotest.test_case "counter gated from OS" `Quick test_nv_counter_gated_from_os;
         ] );
       ( "watchdog",
