@@ -326,7 +326,7 @@ let figure9 ?(timing = Timing.default) () =
   let setup =
     match Ssh_auth.server_setup server ~nonce with Ok s -> s | Error e -> failwith e
   in
-  let so = setup.Ssh_auth.setup_outcome in
+  let so = setup.Secure_channel.outcome in
   Printf.printf "(a) PAL 1 (setup)\n";
   row3 "Operation" "Paper (ms)" "Measured (ms)";
   let setup_row = paper_row ~artifact:"figure9" in
@@ -342,7 +342,7 @@ let figure9 ?(timing = Timing.default) () =
     Ssh_auth.Client.create ~rng:(Prng.create ~seed:"fig9-client") ~ca_key
       ~server_slb_base:p.Platform.slb_base ~key_bits:1024 ()
   in
-  (match Ssh_auth.Client.accept_server_key client ~nonce setup.Ssh_auth.evidence with
+  (match Ssh_auth.Client.accept_server_key client ~nonce setup.Secure_channel.evidence with
   | Ok () -> ()
   | Error e -> failwith e);
   let login_nonce = Platform.fresh_nonce p in
@@ -441,9 +441,9 @@ let impact () =
       let between_chunks () =
         if !sessions < 2 then begin
           incr sessions;
-          match Session.execute p ~pal:long_pal () with
+          match Session.call p ~pal:long_pal () with
           | Ok _ -> ()
-          | Error e -> Format.kasprintf failwith "%a" Session.pp_error e
+          | Error e -> failwith e
         end
       in
       match

@@ -159,9 +159,8 @@ let run () =
       (fun env -> Flicker_slb.Pal_env.set_output env "ok")
   in
   let nonce = Platform.fresh_nonce p in
-  match timed (fun () -> Session.execute p ~pal ~nonce ()) with
-  | Error e, _ ->
-      Format.printf "conformance session failed: %a@." Session.pp_error e
+  match timed (fun () -> Session.call p ~pal ~nonce ()) with
+  | Error e, _ -> print_endline ("conformance session failed: " ^ e)
   | Ok _, wall_ms ->
       let report = V.Checker.report checker in
       let violations = List.length report.V.Checker.violations in

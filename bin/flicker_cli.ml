@@ -91,8 +91,8 @@ let hello seed tpm verbose =
   setup_logging verbose;
   let p, ca_key = make_platform ~seed ~tpm () in
   let nonce = Platform.fresh_nonce p in
-  match Session.execute p ~pal:hello_pal ~nonce () with
-  | Error e -> Format.printf "session failed: %a@." Session.pp_error e; 1
+  match Session.call p ~pal:hello_pal ~nonce () with
+  | Error e -> print_endline ("session failed: " ^ e); 1
   | Ok outcome ->
       Printf.printf "output: %s\n" outcome.Session.outputs;
       List.iter
@@ -344,10 +344,7 @@ let workload_arg =
   Arg.(value & pos 0 (enum workload_table) `Hello & info [] ~docv:"WORKLOAD" ~doc)
 
 let run_workload p ca_key ~seed = function
-  | `Hello -> (
-      match Session.execute p ~pal:hello_pal () with
-      | Ok o -> Ok (Some o)
-      | Error e -> Error (Format.asprintf "%a" Session.pp_error e))
+  | `Hello -> Session.call p ~pal:hello_pal () |> Result.map Option.some
   | `Rootkit -> (
       let d = Flicker_apps.Rootkit_detector.deploy_on p in
       match Flicker_apps.Rootkit_detector.scan d ~nonce:(Platform.fresh_nonce p) with

@@ -87,8 +87,8 @@ let () =
     Pal.define ~name:"vault-key-derivation-buggy" ~modules
       (fun env -> ignore (Pal_env.read_phys env ~addr:0x0 ~len:64))
   in
-  match Session.execute platform ~pal:buggy () with
-  | Error e -> Format.printf "session failed: %a@." Session.pp_error e
+  match Session.call platform ~pal:buggy () with
+  | Error e -> print_endline ("session failed: " ^ e)
   | Ok outcome ->
       Printf.printf "\nbuggy revision: fault = %s (OS unharmed, session cleaned up)\n"
         (Option.value outcome.Session.pal_fault ~default:"none")

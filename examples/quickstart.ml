@@ -31,8 +31,8 @@ let () =
 
   (* One Flicker session: suspend OS -> SKINIT -> SLB Core -> PAL ->
      cleanup -> PCR extends -> resume OS. *)
-  (match Session.execute platform ~pal:hello ~nonce () with
-  | Error e -> Format.printf "session failed: %a@." Session.pp_error e
+  (match Session.call platform ~pal:hello ~nonce () with
+  | Error e -> print_endline ("session failed: " ^ e)
   | Ok outcome ->
       Printf.printf "PAL output (via sysfs 'outputs'): %S\n"
         (Flicker_os.Sysfs.read_exn platform.Platform.sysfs ~path:"outputs");

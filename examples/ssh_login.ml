@@ -74,7 +74,7 @@ let () =
           { Flicker_slb.Mod_secure_channel.public_key = mitm.Flicker_crypto.Rsa.pub;
             sealed_private = "bogus" }
       in
-      let forged = Attestation.tamper_outputs setup.Ssh_auth.evidence forged_output in
+      let forged = Attestation.tamper_outputs setup.Secure_channel.evidence forged_output in
       match Ssh_auth.Client.accept_server_key fresh_client ~nonce forged with
       | Error reason -> Printf.printf "MITM key substitution: REJECTED (%s)\n" reason
       | Ok () -> print_endline "MITM key substitution: accepted (BUG!)")

@@ -124,8 +124,8 @@ let decode_ca_state s =
 
 let tpm_error = Flicker_tpm.Tpm_types.error_to_string
 
-(* Each mode answers with the output page's contents, or with an error
-   the PAL reports as "ERROR: ...". *)
+(* Each mode answers with the output page's contents, or reports its
+   error through [Pal_env.fail]. *)
 let behavior env =
   let rng = env.Pal_env.rng in
   let with_tpm = Mod_tpm_driver.with_tpm env.Pal_env.tpm_driver in
@@ -170,13 +170,13 @@ let behavior env =
         with_tpm (fun tpm ->
             match open_state tpm sdata policy_blob with
             | Error m -> Error m
-            | Ok ((priv, issuer, count), policy) ->
+            | Ok ((priv, issuer, issued), policy) ->
                 let rec pair = function
                   | [] -> []
                   | subject :: key :: rest -> (subject, key) :: pair rest
                   | [ _ ] -> assert false
                 in
-                let count = ref count in
+                let count = ref issued in
                 let sign_one (subject, subject_key_raw) =
                   if not (policy_allows policy ~issued:!count ~subject) then
                     "E" ^ "policy denies subject " ^ subject
@@ -189,13 +189,16 @@ let behavior env =
                         "C" ^ encode_certificate cert
                 in
                 let results = List.map sign_one (pair items) in
-                seal_state tpm ~priv ~issuer ~count:!count
+                (* a batch that signed nothing answers with the blob it
+                   opened: the sealed state did not change *)
+                (if !count = issued then Ok sdata
+                 else seal_state tpm ~priv ~issuer ~count:!count)
                 |> Result.map (fun sdata' -> Util.encode_fields ("ok" :: sdata' :: results)))
     | Ok _ | Error _ -> Error "unknown mode"
   in
   match result with
   | Ok output -> Pal_env.set_output env output
-  | Error msg -> Pal_env.set_output env ("ERROR: " ^ msg)
+  | Error msg -> Pal_env.fail env msg
 
 let ca_pal ~key_bits =
   Pal.define
@@ -222,15 +225,8 @@ let create platform ?(key_bits = 1024) ?(issuer = "Flicker Simulated CA") policy
 let public_key server = server.pub
 
 let run_pal server inputs =
-  match
-    Session.retry_busy server.platform (fun () ->
-        Session.execute server.platform ~pal:server.pal ~inputs ())
-  with
-  | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
-  | Ok outcome ->
-      let out = outcome.Session.outputs in
-      if String.length out >= 6 && String.sub out 0 6 = "ERROR:" then Error out
-      else Ok out
+  Session.call server.platform ~pal:server.pal ~inputs ()
+  |> Result.map (fun outcome -> outcome.Session.outputs)
 
 let init_ca server =
   match server.pub with

@@ -144,7 +144,7 @@ let behavior env =
   in
   match result with
   | Ok output -> Pal_env.set_output env output
-  | Error msg -> Pal_env.set_output env ("ERROR: " ^ msg)
+  | Error msg -> Pal_env.fail env msg
 
 let pal () =
   Pal.define ~name:"boinc-factoring" ~app_code_size:2048
@@ -182,38 +182,31 @@ let parse_step client outcome =
               [ Session.Load_slb; Session.Suspend_os; Session.Skinit; Session.Slb_init ]
           in
           Ok { outcome; state; session_overhead_ms = pre_pal +. pre_work_ms })
-  | Ok _ | Error _ ->
-      if String.length outcome.Session.outputs >= 6
-         && String.sub outcome.Session.outputs 0 6 = "ERROR:"
-      then Error outcome.Session.outputs
-      else Error "PAL returned malformed output"
+  | Ok _ | Error _ -> Error "PAL returned malformed output"
 
 let run ?nonce client inputs =
-  match Session.execute client.platform ~pal:client.pal ~inputs ?nonce () with
-  | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
-  | Ok outcome -> (
-      match parse_step client outcome with
-      | Ok step -> Ok (step, inputs)
-      | Error e -> Error e)
+  match Session.call client.platform ~pal:client.pal ~inputs ?nonce () with
+  | Error e -> Error e
+  | Ok outcome -> Result.map (fun step -> (step, inputs)) (parse_step client outcome)
 
-let start ?nonce client unit_ ~slice_ms =
+let start client unit_ ~slice_ms =
   let st =
     { unit_; next_candidate = unit_.lo; divisors_found = []; finished = false }
   in
   Result.map fst
-    (run ?nonce client
+    (run client
        (Util.encode_fields [ "start"; encode_state st; Printf.sprintf "%f" slice_ms ]))
 
-let resume_raw ?nonce client ~state_blob ~slice_ms =
+let resume_raw client ~state_blob ~slice_ms =
   Result.map fst
-    (run ?nonce client
+    (run client
        (Util.encode_fields
           [ "resume"; client.sealed_key; state_blob; client.mac;
             Printf.sprintf "%f" slice_ms ]))
 
-let resume ?nonce client st ~slice_ms =
+let resume client st ~slice_ms =
   if st.finished then invalid_arg "Distcomp.resume: work unit already finished";
-  resume_raw ?nonce client ~state_blob:(encode_state st) ~slice_ms
+  resume_raw client ~state_blob:(encode_state st) ~slice_ms
 
 (* like [resume] but also returning the exact PAL inputs, which the
    attestation covers and the server needs to re-derive the quote chain *)

@@ -50,15 +50,14 @@ type step = {
   session_overhead_ms : float;  (** SKINIT + unseal + MAC check: everything before useful work *)
 }
 
-val start : ?nonce:string -> client -> work_unit -> slice_ms:float -> (step, string) result
+val start : client -> work_unit -> slice_ms:float -> (step, string) result
 (** First session: key generation + seal, then the first work slice. *)
 
-val resume : ?nonce:string -> client -> state -> slice_ms:float -> (step, string) result
+val resume : client -> state -> slice_ms:float -> (step, string) result
 (** One more session over the stored state.
     @raise Invalid_argument if the state is already finished. *)
 
-val resume_raw :
-  ?nonce:string -> client -> state_blob:string -> slice_ms:float -> (step, string) result
+val resume_raw : client -> state_blob:string -> slice_ms:float -> (step, string) result
 (** Like {!resume} but feeding raw encoded state — what the untrusted OS
     actually hands the PAL. Used to demonstrate that tampered state is
     rejected by the MAC check. *)

@@ -21,7 +21,7 @@ let kernel_base = 0x400000
    result, and write it to the output page. *)
 let detector_behavior env =
   match Util.decode_fields env.Pal_env.inputs with
-  | Error _ -> Pal_env.set_output env "ERROR: bad region descriptor"
+  | Error _ -> Pal_env.fail env "bad region descriptor"
   | Ok fields ->
       let regions =
         let rec pair = function
@@ -140,11 +140,8 @@ type scan_result = {
 
 let scan d ~nonce =
   let inputs = region_descriptor d in
-  match
-    Session.execute d.platform ~pal:d.pal ~flavor:Builder.Optimized
-      ~inputs ~nonce ()
-  with
-  | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
+  match Session.call d.platform ~pal:d.pal ~inputs ~nonce () with
+  | Error e -> Error e
   | Ok outcome ->
       let evidence =
         Attestation.generate d.platform ~nonce ~inputs ~outputs:outcome.Session.outputs

@@ -7,7 +7,6 @@ module Mod_tpm_utils = Flicker_slb.Mod_tpm_utils
 module Mod_tpm_driver = Flicker_slb.Mod_tpm_driver
 module Platform = Flicker_core.Platform
 module Session = Flicker_core.Session
-module Attestation = Flicker_core.Attestation
 module Secure_channel = Flicker_core.Secure_channel
 module Network = Flicker_core.Network
 
@@ -16,7 +15,7 @@ module Network = Flicker_core.Network
 let bottom = Sha1.digest "SSH-PAL: bottom"
 
 let behavior env =
-  let fail msg = Pal_env.set_output env ("ERROR: " ^ msg) in
+  let fail = Pal_env.fail env in
   match Util.decode_fields env.Pal_env.inputs with
   | Ok [ "setup"; key_bits ] -> (
       match int_of_string_opt key_bits with
@@ -79,26 +78,13 @@ let passwd_entry server ~user =
     (fun (u, salt, crypted) -> if u = user then Some (salt, crypted) else None)
     server.passwd
 
-type setup_result = {
-  evidence : Attestation.evidence;
-  setup_outcome : Session.outcome;
-}
-
 let server_setup server ~nonce =
   let inputs = Util.encode_fields [ "setup"; string_of_int server.key_bits ] in
-  match Session.execute server.platform ~pal:server.pal ~inputs ~nonce () with
-  | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
-  | Ok outcome -> (
-      match Mod_secure_channel.decode_setup_output outcome.Session.outputs with
-      | Error msg -> Error ("setup output: " ^ msg)
-      | Ok out ->
-          server.sdata <- Some out.Mod_secure_channel.sealed_private;
-          server.public_key <- Some out.Mod_secure_channel.public_key;
-          let evidence =
-            Attestation.generate server.platform ~nonce ~inputs
-              ~outputs:outcome.Session.outputs
-          in
-          Ok { evidence; setup_outcome = outcome })
+  Secure_channel.establish server.platform ~pal:server.pal ~inputs ~nonce ()
+  |> Result.map (fun (established : Secure_channel.established) ->
+         server.sdata <- Some established.sealed_private;
+         server.public_key <- Some established.public_key;
+         established)
 
 type login_result = { granted : bool; login_outcome : Session.outcome }
 
@@ -106,23 +92,18 @@ let server_login server ~user ~ciphertext ~nonce =
   match (server.sdata, passwd_entry server ~user) with
   | None, _ -> Error "server has no channel key yet (run setup)"
   | _, None -> Error ("unknown user " ^ user)
-  | Some sdata, Some (salt, crypted) -> (
+  | Some sdata, Some (salt, crypted) ->
       let inputs = Util.encode_fields [ "login"; sdata; ciphertext; salt; nonce ] in
-      match Session.execute server.platform ~pal:server.pal ~inputs () with
-      | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
-      | Ok outcome ->
-          let out = outcome.Session.outputs in
-          if String.length out >= 6 && String.sub out 0 6 = "ERROR:" then Error out
-          else begin
-            (* compare hash output against /etc/passwd, as sshd would *)
-            let expected = "$1$" ^ salt ^ "$" in
-            let produced = out in
-            let granted =
-              String.length produced > String.length expected
-              && Util.constant_time_equal produced crypted
-            in
-            Ok { granted; login_outcome = outcome }
-          end)
+      Session.call server.platform ~pal:server.pal ~inputs ()
+      |> Result.map (fun outcome ->
+             (* compare hash output against /etc/passwd, as sshd would *)
+             let expected = "$1$" ^ salt ^ "$" in
+             let produced = outcome.Session.outputs in
+             let granted =
+               String.length produced > String.length expected
+               && Util.constant_time_equal produced crypted
+             in
+             { granted; login_outcome = outcome })
 
 module Client = struct
   type t = {
@@ -166,14 +147,14 @@ module Flicker_client = struct
     match Util.decode_fields env.Pal_env.inputs with
     | Ok [ pub_raw; nonce; password ] -> (
         match Rsa.public_of_string pub_raw with
-        | exception Invalid_argument m -> Pal_env.set_output env ("ERROR: " ^ m)
+        | exception Invalid_argument m -> Pal_env.fail env m
         | pub ->
             let ct =
               Mod_crypto.rsa_encrypt env.Pal_env.machine env.Pal_env.rng pub
                 (Util.encode_fields [ password; nonce ])
             in
             Pal_env.set_output env ct)
-    | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed inputs"
+    | Ok _ | Error _ -> Pal_env.fail env "malformed inputs"
 
   let encryption_pal () =
     Pal.define ~name:"ssh-client-encrypt" ~app_code_size:512 ~modules:[ Pal.Crypto ]
@@ -195,12 +176,8 @@ module Flicker_client = struct
         let inputs =
           Util.encode_fields [ Rsa.public_to_string pub; nonce; password ]
         in
-        match Session.execute t.platform ~pal:t.pal ~inputs () with
-        | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
-        | Ok outcome ->
-            let out = outcome.Session.outputs in
-            if String.length out >= 6 && String.sub out 0 6 = "ERROR:" then Error out
-            else Ok out)
+        Session.call t.platform ~pal:t.pal ~inputs ()
+        |> Result.map (fun outcome -> outcome.Session.outputs))
 end
 
 let authenticate server client ~user ~password =

@@ -30,14 +30,12 @@ val ssh_pal : key_bits:int -> Flicker_slb.Pal.t
 val passwd_entry : server -> user:string -> (string * string) option
 (** [(salt, crypted)] for a user. *)
 
-type setup_result = {
-  evidence : Flicker_core.Attestation.evidence;
-  setup_outcome : Flicker_core.Session.outcome;
-}
-
-val server_setup : server -> nonce:string -> (setup_result, string) result
+val server_setup :
+  server -> nonce:string -> (Flicker_core.Secure_channel.established, string) result
 (** First Flicker session: create the channel keypair (key generation
-    dominates: Figure 9a). Stores the sealed private key server-side. *)
+    dominates: Figure 9a) through the generic Section 4.4.2 setup,
+    {!Flicker_core.Secure_channel.establish}, in the SSH PAL's setup
+    mode. Stores the sealed private key server-side. *)
 
 type login_result = {
   granted : bool;

@@ -24,9 +24,9 @@ type t = {
 let default_slb_base = 0x200000 (* 2 MB: inside the kernel's direct mapping *)
 
 let create ?(seed = "flicker-platform") ?(timing = Timing.default) ?(key_bits = 512)
-    ?(kernel_text_size = 64 * 1024) ?(cores = 2) ?ca () =
+    ?(kernel_text_size = 64 * 1024) ?ca () =
   let rng = Prng.create ~seed in
-  let machine = Machine.create ~cores timing in
+  let machine = Machine.create timing in
   let tpm = Tpm.create machine (Prng.fork rng ~label:"tpm") ~key_bits in
   Machine.set_tpm_hooks machine (Tpm.skinit_hooks tpm);
   let ca =

@@ -30,7 +30,6 @@ val create :
   ?timing:Flicker_hw.Timing.t ->
   ?key_bits:int ->
   ?kernel_text_size:int ->
-  ?cores:int ->
   ?ca:Privacy_ca.t ->
   unit ->
   t

@@ -8,7 +8,7 @@ type established = {
   public_key : Rsa.public;
   sealed_private : string;
   evidence : Attestation.evidence;
-  channel_nonce : string;
+  outcome : Session.outcome;
 }
 
 let setup_pal ~key_bits =
@@ -19,26 +19,22 @@ let setup_pal ~key_bits =
     (fun env ->
       match Mod_secure_channel.setup env ~key_bits with
       | Ok out -> Pal_env.set_output env (Mod_secure_channel.encode_setup_output out)
-      | Error msg -> Pal_env.set_output env ("ERROR: " ^ msg))
+      | Error msg -> Pal_env.fail env msg)
 
-let establish platform ?(key_bits = 1024) ~nonce () =
-  let pal = setup_pal ~key_bits in
-  match Session.execute platform ~pal ~nonce () with
-  | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
+let establish platform ~pal ?(inputs = "") ~nonce () =
+  match Session.call platform ~pal ~inputs ~nonce () with
+  | Error e -> Error e
   | Ok outcome -> (
-      match Mod_secure_channel.decode_setup_output outcome.Session.outputs with
+      let outputs = outcome.Session.outputs in
+      match Mod_secure_channel.decode_setup_output outputs with
       | Error msg -> Error ("setup PAL produced malformed output: " ^ msg)
       | Ok out ->
-          let evidence =
-            Attestation.generate platform ~nonce ~inputs:""
-              ~outputs:outcome.Session.outputs
-          in
           Ok
             {
               public_key = out.Mod_secure_channel.public_key;
               sealed_private = out.Mod_secure_channel.sealed_private;
-              evidence;
-              channel_nonce = nonce;
+              evidence = Attestation.generate platform ~nonce ~inputs ~outputs;
+              outcome;
             })
 
 let client_accept ~ca_key ~pal ~slb_base ~nonce evidence =
@@ -51,5 +47,3 @@ let client_accept ~ca_key ~pal ~slb_base ~nonce evidence =
       match Mod_secure_channel.decode_setup_output evidence.Attestation.claimed_outputs with
       | Error msg -> Error ("attested output malformed: " ^ msg)
       | Ok out -> Ok out.Mod_secure_channel.public_key)
-
-let encrypt_to_pal rng pub secret = Pkcs1.encrypt rng pub secret

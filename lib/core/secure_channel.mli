@@ -12,17 +12,26 @@ type established = {
   public_key : Flicker_crypto.Rsa.public;
   sealed_private : string;  (** kept by the untrusted OS for session two *)
   evidence : Attestation.evidence;
-  channel_nonce : string;
+  outcome : Session.outcome;  (** the setup session's *)
 }
 
 val setup_pal : key_bits:int -> Flicker_slb.Pal.t
-(** The setup PAL {!establish} runs: it outputs
+(** A PAL that does nothing but the setup: it outputs
     {!Flicker_slb.Mod_secure_channel.encode_setup_output}. *)
 
 val establish :
-  Platform.t -> ?key_bits:int -> nonce:string -> unit -> (established, string) result
-(** Server side: run the setup session and gather the attestation.
-    [key_bits] defaults to 1024 (the paper's channel keys). *)
+  Platform.t ->
+  pal:Flicker_slb.Pal.t ->
+  ?inputs:string ->
+  nonce:string ->
+  unit ->
+  (established, string) result
+(** Server side: run [pal] on [inputs] (default none) through
+    {!Session.call}, read the public key and the sealed private key from
+    its output, and gather the attestation under [nonce]. [pal] runs
+    {!Flicker_slb.Mod_secure_channel.setup} on those inputs: {!setup_pal},
+    or an application PAL's setup mode. Fails with the session's error,
+    the PAL's failure report, or a malformed setup output. *)
 
 val client_accept :
   ca_key:Flicker_crypto.Rsa.public ->
@@ -36,8 +45,3 @@ val client_accept :
     evidence's output, then read the public key from that attested
     output. Fails on any verification error — including a server that
     ran a different PAL or tampered with the output. *)
-
-val encrypt_to_pal :
-  Flicker_crypto.Prng.t -> Flicker_crypto.Rsa.public -> string -> string
-(** PKCS#1 v1.5 (chosen-ciphertext-secure, non-malleable — the paper's
-    choice) encryption of a secret for the PAL. *)

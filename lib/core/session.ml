@@ -283,8 +283,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
               (* chaos hook: a rogue device picks the worst moment — the
                  PAL is running, so the DEV window is armed and must deny
                  every write aimed at it *)
-              Dma.fire_storm machine
-                ~focus:(slb_base, Layout.total_footprint) ();
+              Dma.fire_storm machine ~focus:(slb_base, Layout.total_footprint);
               if not measured_pal then ("", None, None)
               else
                 let protection =
@@ -395,7 +394,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
         end
   end
 
-let execute_from_sysfs (platform : Platform.t) ~pal ?nonce ?time_limit_ms () =
+let execute_from_sysfs (platform : Platform.t) ~pal =
   (* check for a running session before inspecting sysfs: mid-session the
      slb entry may well be absent, and the caller needs to distinguish
      "retry later" from "you never wrote an SLB" *)
@@ -421,25 +420,26 @@ let execute_from_sysfs (platform : Platform.t) ~pal ?nonce ?time_limit_ms () =
             let inputs =
               Option.value (Sysfs.read platform.Platform.sysfs ~path:"inputs") ~default:""
             in
-            execute platform ~pal ~flavor ~inputs ?nonce ?time_limit_ms ()
+            execute platform ~pal ~flavor ~inputs ()
       end
 
 let corrupt_slb_in_memory (platform : Platform.t) =
   platform.Platform.corrupt_next_slb <- true
 
-let retry_busy (platform : Platform.t) ?(attempts = 3) ?(backoff_ms = 10.0) f =
-  if attempts < 1 then invalid_arg "Session.retry_busy: attempts must be >= 1";
-  if backoff_ms < 0.0 then invalid_arg "Session.retry_busy: negative backoff";
+let call (platform : Platform.t) ~pal ?nonce ?inputs () =
   let machine = platform.Platform.machine in
-  let rec go attempt backoff =
-    match f () with
-    | Error e when busy_is_transient e && attempt < attempts ->
+  let attempts = 3 in
+  let rec attempt n backoff =
+    match execute platform ~pal ?inputs ?nonce () with
+    | Error e when busy_is_transient e && n < attempts ->
         Metrics.incr machine.Machine.metrics "session.busy_retries";
         Machine.log_event machine
           (Printf.sprintf "session: OS busy, retrying in %.1f ms (attempt %d/%d)"
-             backoff attempt attempts);
+             backoff n attempts);
         Clock.advance machine.Machine.clock backoff;
-        go (attempt + 1) (backoff *. 2.0)
-    | result -> result
+        attempt (n + 1) (backoff *. 2.0)
+    | Error e -> Error (Format.asprintf "%a" pp_error e)
+    | Ok o when Pal_env.failed o.outputs -> Error o.outputs
+    | Ok o -> Ok o
   in
-  go 1 backoff_ms
+  attempt 1 10.0

@@ -121,17 +121,11 @@ val execute :
     A PAL during which the platform was power-cycled
     ({!Platform.power_cycle}) ends the session with a transient
     [Os_busy]: the machine has rebooted, so the session wipes nothing,
-    extends nothing and resumes nothing, and {!retry_busy} relaunches.
+    extends nothing and resumes nothing, and {!call} relaunches.
     @raise Invalid_argument if [inputs] exceeds the 4 KB input page, the
     nonce is not 20 bytes, or the time limit is not positive. *)
 
-val execute_from_sysfs :
-  Platform.t ->
-  pal:Flicker_slb.Pal.t ->
-  ?nonce:string ->
-  ?time_limit_ms:float ->
-  unit ->
-  (outcome, error) result
+val execute_from_sysfs : Platform.t -> pal:Flicker_slb.Pal.t -> (outcome, error) result
 (** The application-facing path of Section 4.2: the application has
     already written the uninitialized SLB image of [pal] to the [slb]
     sysfs entry and its inputs to [inputs]; writing [control] triggers
@@ -147,18 +141,19 @@ val corrupt_slb_in_memory : Platform.t -> unit
     sysfs write and SKINIT: flips one byte of the loaded window the next
     time a session loads it. *)
 
-val retry_busy :
+val call :
   Platform.t ->
-  ?attempts:int ->
-  ?backoff_ms:float ->
-  (unit -> (outcome, error) result) ->
-  (outcome, error) result
-(** Run [f], retrying with exponential backoff while it fails with a
-    {e transient} [Os_busy] (see {!busy_is_transient}). Between attempts
-    the platform clock advances by the backoff (starting at [backoff_ms],
-    default 10 ms, doubling each retry) and the machine's
-    [session.busy_retries] counter is bumped — the fleet dispatcher uses
-    this to ride out a machine that is momentarily mid-session. At most
-    [attempts] (default 3) calls of [f] in total; the final error is
-    returned verbatim. Non-transient errors are never retried.
-    @raise Invalid_argument if [attempts < 1] or [backoff_ms < 0]. *)
+  pal:Flicker_slb.Pal.t ->
+  ?nonce:string ->
+  ?inputs:string ->
+  unit ->
+  (outcome, string) result
+(** The host side's one way to run a PAL and read its result: {!execute}
+    with the default flavor and launch technology. A {e transient}
+    [Os_busy] (see {!busy_is_transient}) is retried: at most 3 attempts,
+    and before each retry the platform clock advances by the backoff
+    (10 ms, doubling) and the machine's [session.busy_retries] counter is
+    bumped. The last session error comes back rendered by {!pp_error}. A
+    PAL that reported failure with {!Flicker_slb.Pal_env.fail} comes back
+    as [Error] holding its report whole.
+    @raise Invalid_argument as {!execute} does. *)

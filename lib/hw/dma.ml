@@ -65,7 +65,7 @@ let writes_arg name _ writes _ = (name, [ ("writes", Flicker_obs.Tracer.Count wr
    physical addresses. Every attempt goes through the normal [write]
    path, so it is logged, traced, and checked against the DEV exactly
    like a real device's traffic. *)
-let fire_storm machine ?focus () =
+let fire_storm machine ~focus =
   match Machine.injector machine with
   | None -> ()
   | Some inj -> (
@@ -85,11 +85,11 @@ let fire_storm machine ?focus () =
                 ~now_ms:now
             in
             let addr =
-              match focus with
-              | Some (base, span) when i mod 2 = 0 ->
-                  (* aim inside the window under DEV protection *)
-                  base + int_of_float (u *. float_of_int (max 1 (span - len)))
-              | _ -> int_of_float (u *. float_of_int (max 1 (mem - len)))
+              if i mod 2 = 0 then
+                (* aim inside the window under DEV protection *)
+                let base, span = focus in
+                base + int_of_float (u *. float_of_int (max 1 (span - len)))
+              else int_of_float (u *. float_of_int (max 1 (mem - len)))
             in
             let addr = max 0 (min (mem - len) addr) in
             ignore (write dev ~addr ~data:(String.make len '\xff'))

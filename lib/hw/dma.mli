@@ -26,7 +26,7 @@ val write : t -> addr:int -> data:string -> (unit, string) result
 val attempts : t -> attempt list
 (** All accesses this device issued, oldest first. *)
 
-val fire_storm : Machine.t -> ?focus:int * int -> unit -> unit
+val fire_storm : Machine.t -> focus:int * int -> unit
 (** Consult the machine's fault injector and, if a storm fires, issue a
     burst of adversarial DMA writes from a ["chaos-dma"] device through
     the normal checked path (each attempt is logged and traced; the DEV

@@ -32,15 +32,14 @@ let protocol_event t ?device ?value ev =
   Event.record t.tracer ?device ?value ev;
   match t.checker with Some c -> Checker.feed c ev | None -> ()
 
-let create ?(memory_size = 16 * 1024 * 1024) ?(cores = 2) ?(trace_capacity = 4096)
-    timing =
+let create ?(memory_size = 16 * 1024 * 1024) ?(trace_capacity = 4096) timing =
   let memory = Memory.create ~size:memory_size in
   let clock = Clock.create () in
   let t =
     {
       memory;
       dev = Dev.create ~pages:(memory_size / Memory.page_size);
-      cpus = Cpu.create ~cores;
+      cpus = Cpu.create ~cores:2;
       clock;
       timing;
       tracer = Tracer.create ~capacity:trace_capacity ~now:(fun () -> Clock.now clock) ();

@@ -45,8 +45,8 @@ type t = {
           default) checks nothing *)
 }
 
-val create : ?memory_size:int -> ?cores:int -> ?trace_capacity:int -> Timing.t -> t
-(** Defaults: 16 MB of memory, 2 cores (the dual-core dc5750), and a
+val create : ?memory_size:int -> ?trace_capacity:int -> Timing.t -> t
+(** Two cores (the dual-core dc5750). Defaults: 16 MB of memory and a
     4096-event trace ring buffer. *)
 
 val set_tpm_hooks : t -> tpm_hooks -> unit

@@ -1,10 +1,8 @@
 module Platform = Flicker_core.Platform
-module Session = Flicker_core.Session
 module Attestation = Flicker_core.Attestation
 module Verifier = Flicker_core.Verifier
 module Measurement = Flicker_core.Measurement
 module Builder = Flicker_slb.Builder
-module Layout = Flicker_slb.Layout
 module Tpm = Flicker_tpm.Tpm
 module Util = Flicker_crypto.Util
 module Sha1 = Flicker_crypto.Sha1
@@ -76,55 +74,39 @@ let cache_key t payload = key_of_payload ~code_id:!(t.code_id) payload
 (* --- attested execution ---------------------------------------------- *)
 
 (* run one page-sized chunk of the fleet's echo PAL (1 ms of work per
-   payload) in a single attested session: execute under a fresh verifier
-   nonce, quote PCR 17 once for the whole chunk, and mint one verifiable
-   bundle per payload, all sharing that quote *)
+   payload) in a single session under a fresh verifier nonce, drawn only
+   for a chunk that fits its page; quote PCR 17 once for the whole chunk,
+   and mint one verifiable bundle per payload, all sharing that quote *)
 let run_chunk ~boots ~nvs platform index payloads :
     ((string * bundle) list, string) result =
-  let inputs = Workload.echo_inputs ~work_ms:1.0 payloads in
-  if String.length inputs > Layout.io_page_size then
-    Error "payload exceeds the 4 KB input page"
-  else begin
-    let nonce = Platform.fresh_nonce platform in
-    match
-      Session.retry_busy platform (fun () ->
-          Session.execute platform ~pal:Workload.echo_pal ~inputs ~nonce ())
-    with
-    | Error e -> Error (Format.asprintf "%a" Session.pp_error e)
-    | Ok outcome -> (
-        let outputs = outcome.Session.outputs in
-        match Util.decode_fields outputs with
-        | Ok outs when List.length outs = List.length payloads ->
-            let evidence =
-              Attestation.generate platform ~nonce ~inputs ~outputs
-            in
-            let pcr17 =
-              match
-                List.assoc_opt 17
-                  evidence.Attestation.quote.Tpm.quoted_composite
-              with
-              | Some d -> d
-              | None -> ""
-            in
-            let quoted_at_ms = Platform.now_ms platform in
-            Ok
-              (List.map2
-                 (fun payload output ->
-                   ( output,
-                     {
-                       output;
-                       payload;
-                       nonce;
-                       evidence;
-                       pcr17;
-                       platform = index;
-                       boots = boots.(index);
-                       nv = nvs.(index);
-                       quoted_at_ms;
-                     } ))
-                 payloads outs)
-        | Ok _ | Error _ -> Error "malformed serve output")
-  end
+  let nonce = lazy (Platform.fresh_nonce platform) in
+  match Workload.echo_session platform ~nonce ~work_ms:1.0 payloads with
+  | Error e -> Error e
+  | Ok (inputs, outputs, outs) ->
+      let nonce = Lazy.force nonce in
+      let evidence = Attestation.generate platform ~nonce ~inputs ~outputs in
+      let pcr17 =
+        match List.assoc_opt 17 evidence.Attestation.quote.Tpm.quoted_composite with
+        | Some d -> d
+        | None -> ""
+      in
+      let quoted_at_ms = Platform.now_ms platform in
+      Ok
+        (List.map2
+           (fun payload output ->
+             ( output,
+               {
+                 output;
+                 payload;
+                 nonce;
+                 evidence;
+                 pcr17;
+                 platform = index;
+                 boots = boots.(index);
+                 nv = nvs.(index);
+                 quoted_at_ms;
+               } ))
+           payloads outs)
 
 (* --- creation --------------------------------------------------------- *)
 

@@ -44,15 +44,13 @@ let affinity_target ~client ~total =
   if total < 1 then invalid_arg "Dispatch.affinity_target: empty fleet";
   fnv1a client mod total
 
-let select ?(gstart = 0) ?gtotal policy ~cursor ~request loads =
+let select ~gstart ~gtotal policy ~cursor ~request loads =
   let n = Array.length loads in
   if n = 0 then invalid_arg "Dispatch.select: empty fleet";
-  (* [loads] may be one shard's window [gstart, gstart + n) into a
-     larger fleet of [gtotal] platforms. Placement that must be stable
-     fleet-wide (homes, the affinity hash) is computed over global
-     indices and translated; the defaults make a whole-fleet call behave
-     exactly as before. The returned index is always local to [loads]. *)
-  let gtotal = match gtotal with Some g -> g | None -> gstart + n in
+  (* [loads] is one shard's window [gstart, gstart + n) into a fleet of
+     [gtotal] platforms. Placement that must be stable fleet-wide
+     (homes, the affinity hash) is computed over global indices and
+     translated. The returned index is always local to [loads]. *)
   match request.Request.home with
   | Some h ->
       if h < 0 || h >= gtotal then

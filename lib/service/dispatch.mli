@@ -35,8 +35,8 @@ val affinity_target : client:string -> total:int -> int
     @raise Invalid_argument when [total < 1]. *)
 
 val select :
-  ?gstart:int ->
-  ?gtotal:int ->
+  gstart:int ->
+  gtotal:int ->
   policy ->
   cursor:int ref ->
   request:Request.t ->
@@ -49,14 +49,12 @@ val select :
     nowhere else). [cursor] is the round-robin rotation state, advanced
     only when that policy actually picks a platform.
 
-    [loads] may be a shard's contiguous window into a larger fleet:
-    [gstart] (default 0) is the global index of [loads.(0)] and [gtotal]
-    (default [gstart + length loads]) the fleet-wide platform count.
-    Homes and the affinity hash are interpreted as global indices — a
-    home or affinity target outside the window behaves as unavailable
-    (the shard forwards or falls back) — while the returned index, the
-    round-robin rotation, and least-loaded comparisons are local to
-    [loads]. With the defaults the behavior over a whole-fleet array is
-    unchanged.
+    [loads] is a shard's contiguous window into the fleet: [gstart] is
+    the global index of [loads.(0)] and [gtotal] the fleet-wide platform
+    count. Homes and the affinity hash are interpreted as global
+    indices — a home or affinity target outside the window behaves as
+    unavailable (the shard forwards or falls back) — while the returned
+    index, the round-robin rotation, and least-loaded comparisons are
+    local to [loads].
     @raise Invalid_argument on an empty [loads] or a [home] outside
     [gtotal]. *)

@@ -25,7 +25,7 @@ let echo_pal =
               Pal_env.compute env ~ms:(ms *. float_of_int (List.length items))
           | _ -> ());
           Pal_env.set_output env (Util.encode_fields (List.map (fun s -> "echo:" ^ s) items))
-      | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed echo batch")
+      | Ok _ | Error _ -> Pal_env.fail env "malformed echo batch")
 
 (* split [items] greedily so each chunk's encoded inputs and outputs
    fit their 4 KB pages *)
@@ -48,29 +48,27 @@ let echo_chunks ~payload items =
   in
   split items
 
-let echo_inputs ~work_ms payloads =
-  Util.encode_fields (Printf.sprintf "%.3f" work_ms :: payloads)
+let echo_session platform ?nonce ~work_ms payloads =
+  let inputs = Util.encode_fields (Printf.sprintf "%.3f" work_ms :: payloads) in
+  if String.length inputs > Layout.io_page_size then
+    Error "payload exceeds the 4 KB input page"
+  else
+    let nonce = Option.map Lazy.force nonce in
+    match Session.call platform ~pal:echo_pal ~inputs ?nonce () with
+    | Error e -> Error e
+    | Ok outcome -> (
+        let outputs = outcome.Session.outputs in
+        match Util.decode_fields outputs with
+        | Ok echoes when List.length echoes = List.length payloads ->
+            Ok (inputs, outputs, echoes)
+        | Ok _ | Error _ -> Error "malformed echo output")
 
 let echo ?(work_ms = 1.0) () =
   let run_chunk platform requests =
-    let inputs =
-      echo_inputs ~work_ms (List.map (fun r -> r.Request.payload) requests)
-    in
-    if String.length inputs > Layout.io_page_size then
-      List.map (fun _ -> Error "payload exceeds the 4 KB input page") requests
-    else
-      match
-        Session.retry_busy platform (fun () ->
-            Session.execute platform ~pal:echo_pal ~inputs ())
-      with
-      | Error e ->
-          let msg = Format.asprintf "%a" Session.pp_error e in
-          List.map (fun _ -> Error msg) requests
-      | Ok outcome -> (
-          match Util.decode_fields outcome.Session.outputs with
-          | Ok outs when List.length outs = List.length requests ->
-              List.map (fun o -> Ok o) outs
-          | Ok _ | Error _ -> List.map (fun _ -> Error "malformed echo output") requests)
+    let payloads = List.map (fun r -> r.Request.payload) requests in
+    match echo_session platform ~work_ms payloads with
+    | Ok (_, _, echoes) -> List.map (fun o -> Ok o) echoes
+    | Error e -> List.map (fun _ -> Error e) requests
   in
   {
     name = "echo";

@@ -6,8 +6,9 @@
     when the fleet is built; [run_batch] turns a batch of requests into
     positional per-request results, paying the per-session overhead
     (SKINIT, TPM commands, OS suspension) as few times as it can manage.
-    Implementations are expected to ride out transient [Os_busy] with
-    {!Flicker_core.Session.retry_busy}. *)
+    Implementations run their sessions through
+    {!Flicker_core.Session.call}, which rides out a transient
+    [Os_busy]. *)
 
 type t = {
   name : string;
@@ -29,16 +30,26 @@ val echo : ?work_ms:float -> unit -> t
     be predicted exactly. *)
 
 val echo_pal : Flicker_slb.Pal.t
-(** The PAL behind {!echo}. Its inputs are {!echo_inputs}; its output
-    encodes ["echo:" ^ payload] for each payload, in order. *)
+(** The PAL behind {!echo}. Its inputs are the input page of
+    {!echo_session}; its output encodes ["echo:" ^ payload] for each
+    payload, in order. *)
 
-val echo_inputs : work_ms:float -> string list -> string
-(** [echo_inputs ~work_ms payloads] is the input page of one
-    {!echo_pal} session that echoes [payloads] at [work_ms] each. *)
+val echo_session :
+  Flicker_core.Platform.t ->
+  ?nonce:string Lazy.t ->
+  work_ms:float ->
+  string list ->
+  (string * string * string list, string) result
+(** [echo_session platform ?nonce ~work_ms payloads] runs one {!echo_pal}
+    session through {!Flicker_core.Session.call} that echoes [payloads]
+    at [work_ms] each. It returns the session's input page, its output
+    page and one echo per payload, in order. An input page over 4 KB
+    fails before any session, and [nonce] is forced only once the page
+    fits. *)
 
 val echo_chunks : payload:('a -> string) -> 'a list -> 'a list list
-(** Split [items], in order, into chunks whose {!echo_inputs} and
-    outputs each fit a 4 KB I/O page; [payload] reads an item's
+(** Split [items], in order, into chunks whose {!echo_session} input
+    and output pages each fit 4 KB; [payload] reads an item's
     payload. *)
 
 val ca :

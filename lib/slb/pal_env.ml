@@ -50,6 +50,10 @@ let set_output t data =
 
 let output t = t.outputs
 
+let failure_prefix = "ERROR: "
+let fail t msg = set_output t (failure_prefix ^ msg)
+let failed outputs = String.starts_with ~prefix:failure_prefix outputs
+
 let compute t ~ms =
   if ms < 0.0 then invalid_arg "Pal_env.compute: negative time";
   Machine.charge t.machine ms

@@ -47,5 +47,13 @@ val set_output : t -> string -> unit
 
 val output : t -> string
 
+val fail : t -> string -> unit
+(** [fail env msg] writes the PAL's failure report, ["ERROR: " ^ msg],
+    to the output page. The report is attested like any other output;
+    {!failed} tells it apart on the host side. *)
+
+val failed : string -> bool
+(** [true] exactly for an output page that holds a {!fail} report. *)
+
 val compute : t -> ms:float -> unit
 (** Application-specific CPU work (charges the simulated clock). *)

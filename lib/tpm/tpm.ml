@@ -100,12 +100,7 @@ let derive_seal_keys srk =
   let mac = Sha256.digest ("tpm-seal-mac" ^ secret) in
   (Aes.expand_key enc, mac)
 
-let create ?owner_auth machine rng ~key_bits =
-  let owner_auth =
-    match owner_auth with Some a -> a | None -> Keys.well_known_auth
-  in
-  if String.length owner_auth <> Tpm_types.owner_auth_size then
-    invalid_arg "Tpm.create: owner auth must be 20 bytes";
+let create machine rng ~key_bits =
   let keys = Keys.generate rng ~key_bits in
   let seal_enc_key, seal_mac_key = derive_seal_keys keys.Keys.srk in
   let pcrs = Pcr.create () in
@@ -120,7 +115,7 @@ let create ?owner_auth machine rng ~key_bits =
     nvram = Nvram.create ();
     counters = Counter.create ();
     auth_sessions = Auth.create (Prng.fork rng ~label:"tpm-auth");
-    owner_auth;
+    owner_auth = Keys.well_known_auth;
     seal_enc_key;
     seal_mac_key;
     last_measured = None;

@@ -27,16 +27,10 @@ val quote_payload : Tpm_types.pcr_composite -> nonce:string -> string
     composite's hash and the nonce, for the TPM that signs them and
     every verifier that checks them. *)
 
-val create :
-  ?owner_auth:string ->
-  Flicker_hw.Machine.t ->
-  Flicker_crypto.Prng.t ->
-  key_bits:int ->
-  t
+val create : Flicker_hw.Machine.t -> Flicker_crypto.Prng.t -> key_bits:int -> t
 (** Manufacture a TPM attached to [machine] (for its clock and timing
     profile). Generates the EK/SRK/AIK hierarchy, whose SRK usage secret
-    is the well-known secret. [owner_auth] defaults to the well-known
-    secret. *)
+    is the well-known secret, as is the owner secret. *)
 
 val skinit_hooks : t -> Flicker_hw.Machine.tpm_hooks
 (** The chipset-facing interface SKINIT drives; pass to

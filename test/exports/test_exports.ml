@@ -16,7 +16,14 @@
    Every export must be referenced from outside its unit. One that only
    tests reference (anything under test/, and perf/test_perf.ml) must
    appear in the allowlist below with the reason it stays; an entry
-   naming a module covers every test-only export inside it. *)
+   naming a module covers every test-only export inside it.
+
+   Every optional parameter of an export ([?x] in its [val] type) must be
+   passed, as [~x] or [?x], by some application of the export outside
+   its unit and outside the tests: an option no caller sets is a
+   constant. Partial applications count, and so do calls under [|>] and
+   [@@]. One that stays must appear in [unpassed_options] with the reason
+   it stays. *)
 
 open Parsetree
 
@@ -33,9 +40,9 @@ let allowlist =
     ( "Section 6.2 BOINC server that accepts distcomp results by their quotes: no workload \
        runs a server yet",
       [ "Flicker_apps.Boinc" ] );
-    ( "Section 4.4.2 generic secure channel's server side: the SSH PAL links \
-       Mod_secure_channel directly, and its clients share only client_accept",
-      [ "Flicker_core.Secure_channel" ] );
+    ( "Section 4.4.2 setup PAL that does nothing but the setup: the SSH PAL sets up its \
+       channel in its own setup mode, so only the attestation suite runs this one",
+      [ "Flicker_core.Secure_channel.setup_pal" ] );
     ( "crypto primitives the crypto suites check against known answers, round trips and \
        reference implementations; PALs use only what they link",
       [
@@ -153,6 +160,34 @@ let allowlist =
       ] );
   ]
 
+(* (reason, ["export ?option"] entries) *)
+let unpassed_options =
+  [
+    ( "a raw session's flavor and nonce: Session.call forwards the nonce and \
+       execute_from_sysfs the flavor its image links to, and the session suites run raw \
+       sessions of either flavor under a nonce",
+      [ "Flicker_core.Session.execute ?flavor"; "Flicker_core.Session.execute ?nonce" ] );
+    ( "Intel TXT launches (Section 2.4): only the TXT suite launches with an SINIT ACM and \
+       appraises one",
+      [ "Flicker_core.Verifier.expect ?acm"; "Flicker_core.Measurement.after_launch ?acm" ] );
+    ( "bounds the suites shrink to reach a truncation or eviction path: the trace ring, the \
+       model checker's search, a fleet run stopped early",
+      [
+        "Flicker_hw.Machine.create ?trace_capacity"; "Flicker_verify.Mc.run ?max_states";
+        "Flicker_verify.Mc.run ?max_depth"; "Flicker_service.Fleet.run ?until_ms";
+      ] );
+    ( "Section 7.5's Flicker-aware block driver, which only the extensions suite compares \
+       against the legacy one",
+      [ "Flicker_os.Blockdev.transfer ?driver" ] );
+    ( "C text of a sample function, which only the extract suite's samples carry",
+      [ "Flicker_extract.Extract.fn ?body" ] );
+    ( "a request's tier and deadline: submit_open_loop forwards both, and the service suite \
+       submits requests with a deadline one by one",
+      [ "Flicker_service.Fleet.submit ?tier"; "Flicker_service.Fleet.submit ?deadline_ms" ] );
+    ( "the Flicker-protected SSH client only the SSH suite runs, against its 512-bit servers",
+      [ "Flicker_apps.Ssh_auth.Flicker_client.create ?key_bits" ] );
+  ]
+
 (* the nearest directory above holding lib/: the build copy the dune
    deps fill under [dune runtest], the source tree under [dune exec] *)
 let root =
@@ -208,7 +243,18 @@ let show = String.concat "."
 
 (* --- exports --- *)
 
-type export = { path : string list; unit_ : string list; where : string }
+type export = {
+  path : string list;
+  unit_ : string list;
+  where : string;
+  optionals : string list;  (** the [?x] labels of its type *)
+}
+
+let rec optionals ty =
+  match ty.ptyp_desc with
+  | Ptyp_arrow (Optional l, _, rest) -> l :: optionals rest
+  | Ptyp_arrow (_, _, rest) -> optionals rest
+  | _ -> []
 
 (* the [module type NAME] among [items], if it declares one *)
 let declared_module_type name items =
@@ -257,7 +303,14 @@ let rec signature ~file ~intf ?at path items =
       | Psig_value vd ->
           let loc = Option.value at ~default:vd.pval_loc in
           let where = Printf.sprintf "%s:%d" file loc.loc_start.pos_lnum in
-          [ { path = path @ [ vd.pval_name.txt ]; unit_ = unit_path file; where } ]
+          [
+            {
+              path = path @ [ vd.pval_name.txt ];
+              unit_ = unit_path file;
+              where;
+              optionals = optionals vd.pval_type;
+            };
+          ]
       | Psig_module { pmd_name = { txt = Some name; _ }; pmd_type; pmd_loc; _ } -> (
           match module_type ~file intf pmd_type with
           | Some (sg, intf') ->
@@ -303,9 +356,10 @@ let rec covers_path m path =
 
 type binding = Alias of string * string list | Open of string list
 
-(* the export paths [file] references from outside their own unit, and
-   the functors its top level includes an application of; [ast] is
-   [file]'s parsed text *)
+(* the export paths [file] references from outside their own unit, the
+   functors its top level includes an application of, and each
+   application of an export from outside its unit with the labels it
+   passes; [ast] is [file]'s parsed text *)
 let references file ast =
   let here = unit_path file in
   let siblings = List.map unit_name (files [ ".ml"; ".mli" ] (Filename.dirname file)) in
@@ -354,16 +408,24 @@ let references file ast =
     f ();
     scope := saved
   in
-  let found = ref [] and included = ref [] in
+  let found = ref [] and included = ref [] and applied = ref [] in
   let outside e = e.unit_ <> here in
+  let resolve txt =
+    match value_path txt with
+    | Some p when Hashtbl.mem export_table p && outside (Hashtbl.find export_table p) -> Some p
+    | _ -> None
+  in
   let super = Ast_iterator.default_iterator in
   let expr it e =
     match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> (
-        match value_path txt with
-        | Some p when Hashtbl.mem export_table p && outside (Hashtbl.find export_table p) ->
-            found := p :: !found
-        | _ -> ())
+    | Pexp_ident { txt; _ } -> Option.iter (fun p -> found := p :: !found) (resolve txt)
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+        Option.iter
+          (fun p ->
+            let label = function Asttypes.Labelled l | Optional l -> Some l | Nolabel -> None in
+            applied := (p, List.filter_map (fun (l, _) -> label l) args) :: !applied)
+          (resolve txt);
+        super.expr it e
     | Pexp_open (od, body) ->
         it.Ast_iterator.module_expr it od.popen_expr;
         scoped (fun () ->
@@ -409,36 +471,54 @@ let references file ast =
   in
   let it = { super with expr; module_expr; structure } in
   it.structure it ast;
-  (!found, !included)
+  (!found, !included, !applied)
+
+let refs =
+  List.map
+    (fun file -> (file, references file (Parse.implementation (lexbuf file))))
+    (List.concat_map (files [ ".ml" ]) [ "lib"; "bin"; "bench"; "examples"; "perf"; "test" ])
+
+(* unit path -> the functors it includes an application of *)
+let includes =
+  let t = Hashtbl.create 16 in
+  List.iter (fun (file, (_, fs, _)) -> Hashtbl.replace t (unit_path file) fs) refs;
+  t
+
+(* [p], and [F.v] too when [p] is [U.v] and [U] includes [F (...)] *)
+let with_functors p =
+  match List.rev p with
+  | v :: rev_unit ->
+      p
+      :: List.filter_map
+           (fun f -> if Hashtbl.mem export_table (f @ [ v ]) then Some (f @ [ v ]) else None)
+           (Option.value (Hashtbl.find_opt includes (List.rev rev_unit)) ~default:[])
+  | [] -> [ p ]
 
 (* export path -> (referenced outside tests, referenced by tests) *)
 let uses =
   let t = Hashtbl.create 1024 in
-  let refs =
-    List.map
-      (fun file -> (file, references file (Parse.implementation (lexbuf file))))
-      (List.concat_map (files [ ".ml" ]) [ "lib"; "bin"; "bench"; "examples"; "perf"; "test" ])
-  in
-  (* unit path -> the functors it includes an application of *)
-  let includes = Hashtbl.create 16 in
-  List.iter (fun (file, (_, fs)) -> Hashtbl.replace includes (unit_path file) fs) refs;
   let mark file p =
     let code, tests = Option.value (Hashtbl.find_opt t p) ~default:(false, false) in
     Hashtbl.replace t p (code || not (is_test file), tests || is_test file)
   in
   List.iter
-    (fun (file, (found, _)) ->
-      List.iter
-        (fun p ->
-          mark file p;
-          (* [U.v], where [U] includes [F (...)], is also [F.v] *)
-          match List.rev p with
-          | v :: rev_unit ->
-              List.iter
-                (fun f -> if Hashtbl.mem export_table (f @ [ v ]) then mark file (f @ [ v ]))
-                (Option.value (Hashtbl.find_opt includes (List.rev rev_unit)) ~default:[])
-          | [] -> ())
-        found)
+    (fun (file, (found, _, _)) ->
+      List.iter (fun p -> List.iter (mark file) (with_functors p)) found)
+    refs;
+  t
+
+(* (export path, label): some application outside the tests passes it *)
+let passed =
+  let t = Hashtbl.create 256 in
+  List.iter
+    (fun (file, (_, _, applied)) ->
+      if not (is_test file) then
+        List.iter
+          (fun (p, labels) ->
+            List.iter
+              (fun p -> List.iter (fun l -> Hashtbl.replace t (p, l) ()) labels)
+              (with_functors p))
+          applied)
     refs;
   t
 
@@ -470,6 +550,39 @@ let test_no_stale_entries () =
   Alcotest.(check (list string)) "allowlist entries without a reason" []
     (List.filter_map (fun (p, reason) -> if String.trim reason = "" then Some p else None) entries)
 
+(* ["export ?x"] for each optional parameter no application outside the
+   tests passes, with the export *)
+let unpassed =
+  List.concat_map
+    (fun e ->
+      List.filter_map
+        (fun l ->
+          if Hashtbl.mem passed (e.path, l) then None
+          else Some (e, Printf.sprintf "%s ?%s" (show e.path) l))
+        e.optionals)
+    exports
+
+let option_entries =
+  List.concat_map (fun (reason, names) -> List.map (fun n -> (n, reason)) names) unpassed_options
+
+let test_options_passed () =
+  Alcotest.(check (list string)) "optional parameters no caller passes, missing from the allowlist"
+    []
+    (List.filter_map
+       (fun (e, name) ->
+         if List.mem_assoc name option_entries then None else Some (e.where ^ ": " ^ name))
+       unpassed)
+
+let test_no_stale_option_entries () =
+  Alcotest.(check (list string)) "option entries naming no unpassed optional parameter" []
+    (List.filter_map
+       (fun (n, _) -> if List.exists (fun (_, name) -> name = n) unpassed then None else Some n)
+       option_entries);
+  Alcotest.(check (list string)) "option entries without a reason" []
+    (List.filter_map
+       (fun (n, reason) -> if String.trim reason = "" then Some n else None)
+       option_entries)
+
 (* The scan itself, on inline text: a functor's result, a module type
    declared beside its use and [S with ...] over a standard-library
    module type are read; [M.v] for [M] bound to [F (...)] is [F.v], and
@@ -489,7 +602,7 @@ let test_functors () =
               module Make (K : S) : sig val find : int end\n\
               module Key : Hashtbl.HashedType with type t = int\n\
               module Named : S\n")));
-  let found, _ =
+  let found, _, _ =
     references "bench/example.ml"
       (Parse.implementation
          (Lexing.from_string
@@ -503,14 +616,38 @@ let test_functors () =
     ]
     (List.sort compare (List.map show found))
 
+(* Labels passed, read from inline text: a full application, a partial
+   one, one under [|>] and one under [@@]; an application inside the
+   export's own unit is not read. *)
+let test_labels () =
+  let applied file text =
+    let _, _, applied = references file (Parse.implementation (Lexing.from_string text)) in
+    List.sort compare (List.map (fun (p, labels) -> show p ^ " " ^ String.concat "," labels) applied)
+  in
+  Alcotest.(check (list string)) "labels read"
+    [
+      "Flicker_core.Session.call pal,nonce"; "Flicker_core.Session.execute flavor";
+      "Flicker_service.Fleet.run until_ms"; "Flicker_service.Workload.echo work_ms";
+    ]
+    (applied "bench/example.ml"
+       "let f p pal ?nonce () = Flicker_core.Session.call p ~pal ?nonce ()\n\
+        let g = Flicker_service.Workload.echo ~work_ms:1.0\n\
+        let h p pal = pal |> Flicker_core.Session.execute p ~flavor:Optimized\n\
+        let i t = Flicker_service.Fleet.run ~until_ms:1.0 @@ t\n");
+  Alcotest.(check (list string)) "own unit not read" []
+    (applied "lib/service/fleet.ml" "let i t = run ~until_ms:1.0 t\nlet j t = Fleet.run ~until_ms:1.0 t\n")
+
 let () =
   Alcotest.run "exports"
     [
       ( "lib",
         [
           Alcotest.test_case "functor results and arguments" `Quick test_functors;
+          Alcotest.test_case "labels at applications" `Quick test_labels;
           Alcotest.test_case "every export referenced" `Quick test_all_referenced;
           Alcotest.test_case "test-only exports listed" `Quick test_test_only_listed;
           Alcotest.test_case "no stale allowlist entries" `Quick test_no_stale_entries;
+          Alcotest.test_case "optional parameters passed" `Quick test_options_passed;
+          Alcotest.test_case "no stale option entries" `Quick test_no_stale_option_entries;
         ] );
     ]

@@ -95,6 +95,37 @@ let test_quota_enforced () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "quota exceeded"
 
+(* A batch that signs nothing leaves the sealed state as it was: no TPM
+   seal, and the server keeps the very blob it had. The sysfs entries of
+   each session show the blob the server handed in and the one the PAL
+   answered with. *)
+let test_denied_batch_keeps_blob () =
+  let p, ca = make ~seed:"denied-batch" in
+  ignore (Result.get_ok (CA.init_ca ca));
+  ignore (Result.get_ok (CA.sign_csr ca (fresh_csr "first.example.com")));
+  let seals () =
+    Flicker_obs.Metrics.counter p.Platform.machine.Flicker_hw.Machine.metrics "tpm.seal.count"
+  in
+  (* the sealed state is the second field of the session's inputs and
+     of its outputs *)
+  let blob path =
+    match Util.decode_fields (Flicker_os.Sysfs.read_exn p.Platform.sysfs ~path) with
+    | Ok (_ :: blob :: _) -> blob
+    | Ok _ | Error _ -> Alcotest.failf "no sealed state in the %s entry" path
+  in
+  let sealed = seals () in
+  let results = CA.sign_batch ca [ fresh_csr "www.evil.net"; fresh_csr "blocked.example.com" ] in
+  Alcotest.(check (list bool)) "every CSR denied" [ true; true ]
+    (List.map Result.is_error results);
+  Alcotest.(check int) "no seal" sealed (seals ());
+  let kept = blob "inputs" in
+  Alcotest.(check string) "the PAL answers with the blob it opened" kept (blob "outputs");
+  (match CA.sign_csr ca (fresh_csr "next.example.com") with
+  | Ok cert -> Alcotest.(check int) "next serial" 2 cert.CA.serial
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "the server kept its blob" kept (blob "inputs");
+  Alcotest.(check int) "a signing batch seals" (sealed + 1) (seals ())
+
 let test_signature_binds_fields () =
   let _, ca = make ~seed:"binding" in
   let pub = Result.get_ok (CA.init_ca ca) in
@@ -235,6 +266,7 @@ let () =
           Alcotest.test_case "allows" `Quick test_policy_allows;
           Alcotest.test_case "enforced in pal" `Quick test_policy_enforced_in_pal;
           Alcotest.test_case "quota" `Quick test_quota_enforced;
+          Alcotest.test_case "denied batch keeps its blob" `Quick test_denied_batch_keeps_blob;
         ] );
       ( "signing",
         [

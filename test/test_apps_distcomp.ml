@@ -244,6 +244,25 @@ let test_rollback_redoes_work () =
   Alcotest.(check string) "same final state" (Distcomp.encode_state final)
     (Distcomp.encode_state (finish (stored, state)))
 
+(* A client session that finds its platform busy rides it out like a
+   fleet session: three attempts, two retries, then the busy error. *)
+let test_busy_platform_retried () =
+  let p = make ~seed:"busy" in
+  let client = Distcomp.create_client p in
+  let unit_ = { Distcomp.unit_id = 10; number = 91; lo = 2; hi = 20 } in
+  Flicker_os.Scheduler.suspend p.Platform.scheduler;
+  (match Distcomp.start client unit_ ~slice_ms:0.2 with
+  | Error e ->
+      Alcotest.(check string) "busy error"
+        (Format.asprintf "%a" Session.pp_error
+           (Session.os_busy_transient "mid-session: another Flicker session owns the machine"))
+        e
+  | Ok _ -> Alcotest.fail "ran on a busy platform");
+  Alcotest.(check int) "retried" 2
+    (Flicker_obs.Metrics.counter p.Platform.machine.Flicker_hw.Machine.metrics
+       "session.busy_retries");
+  Flicker_os.Scheduler.resume p.Platform.scheduler
+
 let () =
   Alcotest.run "apps-distcomp"
     [
@@ -259,6 +278,7 @@ let () =
           Alcotest.test_case "honest resume" `Quick test_honest_resume_continues;
           Alcotest.test_case "resume finished" `Quick test_resume_finished_raises;
           Alcotest.test_case "results extended" `Quick test_results_extended_into_pcr;
+          Alcotest.test_case "busy platform retried" `Quick test_busy_platform_retried;
         ] );
       ( "integrity",
         [

@@ -159,7 +159,7 @@ let test_figure9_breakdown () =
   match Ssh_auth.server_setup server ~nonce with
   | Error e -> Alcotest.fail e
   | Ok setup -> (
-      let o = setup.Ssh_auth.setup_outcome in
+      let o = setup.Secure_channel.outcome in
       let skinit = Session.phase_ms o Session.Skinit in
       Alcotest.(check bool) "setup skinit ~14" true (skinit > 10.0 && skinit < 20.0);
       (* 512-bit keygen is cheap; the PAL phase must still include seal +
@@ -170,7 +170,7 @@ let test_figure9_breakdown () =
         Ssh_auth.Client.create ~rng:(Prng.create ~seed:"fig9c") ~ca_key
           ~server_slb_base:p.Platform.slb_base ~key_bits:512 ()
       in
-      (match Ssh_auth.Client.accept_server_key client ~nonce setup.Ssh_auth.evidence with
+      (match Ssh_auth.Client.accept_server_key client ~nonce setup.Secure_channel.evidence with
       | Error e -> Alcotest.fail e
       | Ok () -> ());
       let login_nonce = Platform.fresh_nonce p in
@@ -199,7 +199,9 @@ let test_flicker_client_end_to_end () =
   in
   let nonce = Platform.fresh_nonce server_p in
   let setup = Result.get_ok (Ssh_auth.server_setup server ~nonce) in
-  (match Ssh_auth.Flicker_client.accept_server_key fclient ~nonce setup.Ssh_auth.evidence with
+  (match
+     Ssh_auth.Flicker_client.accept_server_key fclient ~nonce setup.Secure_channel.evidence
+   with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let login_nonce = Platform.fresh_nonce server_p in

@@ -270,7 +270,7 @@ let test_cross_pal_handoff () =
 let test_secure_channel_end_to_end () =
   let p = make_platform ~seed:"channel" in
   let nonce = Platform.fresh_nonce p in
-  match Secure_channel.establish p ~key_bits:512 ~nonce () with
+  match Secure_channel.establish p ~pal:(Secure_channel.setup_pal ~key_bits:512) ~nonce () with
   | Error e -> Alcotest.fail e
   | Ok established -> (
       match
@@ -282,7 +282,7 @@ let test_secure_channel_end_to_end () =
           Alcotest.(check bool) "key matches" true
             (Bignum.equal pub.Rsa.n established.Secure_channel.public_key.Rsa.n);
           let rng = Prng.create ~seed:"remote-party" in
-          let ct = Secure_channel.encrypt_to_pal rng pub "shh" in
+          let ct = Pkcs1.encrypt rng pub "shh" in
           Alcotest.(check bool) "ciphertext produced" true (String.length ct > 0))
 
 let test_secure_channel_rejects_substituted_key () =
@@ -290,7 +290,7 @@ let test_secure_channel_rejects_substituted_key () =
      no longer matches *)
   let p = make_platform ~seed:"channel-mitm" in
   let nonce = Platform.fresh_nonce p in
-  match Secure_channel.establish p ~key_bits:512 ~nonce () with
+  match Secure_channel.establish p ~pal:(Secure_channel.setup_pal ~key_bits:512) ~nonce () with
   | Error e -> Alcotest.fail e
   | Ok established ->
       let mitm_key = Rsa.generate (Prng.create ~seed:"mitm") ~bits:512 in

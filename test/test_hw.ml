@@ -2,7 +2,7 @@ open Flicker_hw
 module Tracer = Flicker_obs.Tracer
 
 let timing = Timing.default
-let make_machine () = Machine.create ~memory_size:(1024 * 1024) ~cores:2 timing
+let make_machine () = Machine.create ~memory_size:(1024 * 1024) timing
 
 let test_clock () =
   let c = Clock.create () in

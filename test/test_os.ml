@@ -6,7 +6,7 @@ module Cpu = Flicker_hw.Cpu
 module Apic = Flicker_hw.Apic
 module Timing = Flicker_hw.Timing
 
-let make_machine () = Machine.create ~memory_size:(1024 * 1024) ~cores:2 Timing.default
+let make_machine () = Machine.create ~memory_size:(1024 * 1024) Timing.default
 let make_kernel () = Kernel.create (Prng.create ~seed:"k") ~text_size:8192 ~version:"2.6.20" ()
 
 (* --- kernel --- *)

@@ -218,7 +218,7 @@ let test_crossed_pair () =
 let test_truncated_header_rejected () =
   let t, _ = warm_chunk [ "w" ] in
   let platform = Fleet.platform (Serve.fleet t) 0 in
-  let inputs = Workload.echo_inputs ~work_ms:1.0 [ "p" ] ^ "\000\000" in
+  let inputs = Flicker_crypto.Util.encode_fields [ "1.000"; "p" ] ^ "\000\000" in
   let nonce = Platform.fresh_nonce platform in
   let outputs =
     match Session.execute platform ~pal:Workload.echo_pal ~inputs ~nonce () with

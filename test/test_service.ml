@@ -527,7 +527,7 @@ let hello_pal =
 let test_os_busy_distinction () =
   let p = Platform.create ~seed:"busy" ~key_bits:512 () in
   (* nothing written: permanent *)
-  (match Session.execute_from_sysfs p ~pal:(Lazy.force hello_pal) () with
+  (match Session.execute_from_sysfs p ~pal:(Lazy.force hello_pal) with
   | Error (Session.Os_busy { msg; _ } as e) ->
       Alcotest.(check bool) "names the missing SLB" true
         (String.length msg >= 6 && String.sub msg 0 6 = "no SLB");
@@ -535,7 +535,7 @@ let test_os_busy_distinction () =
   | _ -> Alcotest.fail "expected Os_busy");
   (* mid-session: transient, and reported as such even with no SLB entry *)
   Scheduler.suspend p.Platform.scheduler;
-  (match Session.execute_from_sysfs p ~pal:(Lazy.force hello_pal) () with
+  (match Session.execute_from_sysfs p ~pal:(Lazy.force hello_pal) with
   | Error (Session.Os_busy { msg; transient } as e) ->
       Alcotest.(check bool) "names the running session" true
         (String.length msg >= 11 && String.sub msg 0 11 = "mid-session");
@@ -548,60 +548,74 @@ let test_os_busy_distinction () =
   | _ -> Alcotest.fail "expected Os_busy from execute");
   Scheduler.resume p.Platform.scheduler
 
+(* a transient Os_busy is relaunched: a PAL that power-cycles its own
+   platform on its first run ends that session busy, and the retry runs
+   it again *)
 let test_retry_busy () =
   let p = Platform.create ~seed:"retry" ~key_bits:512 () in
-  let calls = ref 0 in
-  let t0 = Platform.now_ms p in
-  let result =
-    Session.retry_busy p ~attempts:4 ~backoff_ms:10.0 (fun () ->
-        incr calls;
-        if !calls < 3 then Error (Session.os_busy_transient "mid-session: induced for test")
-        else Session.execute p ~pal:(Lazy.force hello_pal) ())
+  let runs = ref 0 in
+  let pal =
+    Pal.define ~name:"service-test-crash-once" (fun env ->
+        incr runs;
+        if !runs = 1 then Platform.power_cycle p;
+        Pal_env.set_output env "hi")
   in
-  (match result with
+  let t0 = Platform.now_ms p in
+  (match Session.call p ~pal () with
   | Ok o -> Alcotest.(check string) "eventually ran" "hi" o.Session.outputs
-  | Error e ->
-      Alcotest.fail
-        (Format.asprintf "retry failed: %a" Session.pp_error e));
-  Alcotest.(check int) "two retries" 3 !calls;
-  Alcotest.(check int) "retries counted" 2
+  | Error e -> Alcotest.fail ("retry failed: " ^ e));
+  Alcotest.(check int) "one relaunch" 2 !runs;
+  Alcotest.(check int) "retries counted" 1
     (Metrics.counter p.Platform.machine.Machine.metrics "session.busy_retries");
-  (* 10 + 20 ms of backoff charged to the clock, on top of the session *)
-  Alcotest.(check bool) "backoff charged" true (Platform.now_ms p -. t0 >= 30.0);
-  (* permanent busyness is not retried *)
-  let calls = ref 0 in
-  (match
-     Session.retry_busy p ~attempts:5 (fun () ->
-         incr calls;
-         Error (Session.os_busy_permanent "no SLB written to the sysfs slb entry"))
-   with
-  | Error (Session.Os_busy _) -> ()
-  | _ -> Alcotest.fail "expected the permanent error back");
-  Alcotest.(check int) "single attempt" 1 !calls
+  (* 10 ms of backoff charged to the clock, on top of the sessions *)
+  Alcotest.(check bool) "backoff charged" true (Platform.now_ms p -. t0 >= 10.0);
+  (* permanent busyness is not retried: a PAL too large for the
+     optimized SLB has no window to launch *)
+  let big =
+    Pal.define ~name:"service-test-big" ~app_code_size:58_000 (fun env ->
+        Pal_env.set_output env "ran")
+  in
+  (match Session.call p ~pal:big () with
+  | Error e ->
+      Alcotest.(check string) "permanent error rendered once"
+        (Format.asprintf "%a" Session.pp_error
+           (Session.os_busy_permanent "Builder.build: PAL too large for the optimized SLB"))
+        e
+  | Ok _ -> Alcotest.fail "launched a PAL the optimized SLB cannot hold");
+  Alcotest.(check int) "single attempt" 1
+    (Metrics.counter p.Platform.machine.Machine.metrics "session.busy_retries")
 
+(* a platform whose scheduler stays suspended is busy on every attempt:
+   three attempts, two backoffs (10 then 20 ms, doubling) and none after
+   the last, whose error comes back as pp_error renders it *)
 let test_retry_busy_exhaustion () =
   let p = Platform.create ~seed:"exhaust" ~key_bits:512 () in
-  let calls = ref 0 in
+  Scheduler.suspend p.Platform.scheduler;
   let t0 = Platform.now_ms p in
-  (match
-     Session.retry_busy p ~attempts:3 ~backoff_ms:10.0 (fun () ->
-         incr calls;
-         Error
+  (match Session.call p ~pal:(Lazy.force hello_pal) () with
+  | Error e ->
+      Alcotest.(check string) "last error surfaces"
+        (Format.asprintf "%a" Session.pp_error
            (Session.os_busy_transient
-              (Printf.sprintf "mid-session: attempt %d" !calls)))
-   with
-  | Error (Session.Os_busy { transient = true; msg }) ->
-      (* the last attempt's error comes back, not the first's *)
-      Alcotest.(check string) "last error surfaces" "mid-session: attempt 3" msg
-  | Ok _ -> Alcotest.fail "an always-busy OS cannot succeed"
-  | Error e -> Alcotest.failf "wrong error: %a" Session.pp_error e);
-  Alcotest.(check int) "every attempt consumed" 3 !calls;
-  (* two backoffs were charged (10 then 20 ms, doubling) and none after
-     the final attempt *)
+              "mid-session: another Flicker session owns the machine"))
+        e
+  | Ok _ -> Alcotest.fail "an always-busy OS cannot succeed");
+  (* the first two attempts each log their retry; the third is the last *)
+  Alcotest.(check (list string)) "every attempt consumed"
+    [
+      "session: OS busy, retrying in 10.0 ms (attempt 1/3)";
+      "session: OS busy, retrying in 20.0 ms (attempt 2/3)";
+    ]
+    (List.filter_map
+       (fun e ->
+         let name = e.Flicker_obs.Tracer.name in
+         if String.starts_with ~prefix:"session: OS busy" name then Some name else None)
+       (Flicker_obs.Tracer.events p.Platform.machine.Machine.tracer));
   Alcotest.(check (float 1e-6)) "exact backoff charged" 30.0
     (Platform.now_ms p -. t0);
   Alcotest.(check int) "retries counted" 2
-    (Metrics.counter p.Platform.machine.Machine.metrics "session.busy_retries")
+    (Metrics.counter p.Platform.machine.Machine.metrics "session.busy_retries");
+  Scheduler.resume p.Platform.scheduler
 
 (* --- percentile estimator ------------------------------------------- *)
 

@@ -393,14 +393,14 @@ let test_execute_from_sysfs () =
   let p = make_platform () in
   let fs = p.Platform.sysfs in
   (* nothing written yet *)
-  (match Session.execute_from_sysfs p ~pal:hello () with
+  (match Session.execute_from_sysfs p ~pal:hello with
   | Error (Session.Os_busy _) -> ()
   | _ -> Alcotest.fail "missing slb accepted");
   let image = Builder.build ~flavor:Builder.Optimized hello in
   Flicker_os.Sysfs.write fs ~path:"slb" image.Builder.bytes;
   Flicker_os.Sysfs.write fs ~path:"inputs" "sysfs-world";
   Flicker_os.Sysfs.write fs ~path:"control" "1";
-  (match Session.execute_from_sysfs p ~pal:hello () with
+  (match Session.execute_from_sysfs p ~pal:hello with
   | Error e -> Alcotest.failf "sysfs session: %a" Session.pp_error e
   | Ok outcome ->
       Alcotest.(check string) "outputs" "Hello, sysfs-world" outcome.Session.outputs;
@@ -409,7 +409,7 @@ let test_execute_from_sysfs () =
   (* the image the application wrote names its flavor *)
   let std = Builder.build ~flavor:Builder.Standard hello in
   Flicker_os.Sysfs.write fs ~path:"slb" std.Builder.bytes;
-  (match Session.execute_from_sysfs p ~pal:hello () with
+  (match Session.execute_from_sysfs p ~pal:hello with
   | Error e -> Alcotest.failf "std sysfs session: %a" Session.pp_error e
   | Ok outcome ->
       Alcotest.(check string) "std measured length matches"
@@ -417,7 +417,7 @@ let test_execute_from_sysfs () =
         outcome.Session.pcr17_during);
   (* a corrupt blob is rejected before any launch *)
   Flicker_os.Sysfs.write fs ~path:"slb" (String.make Flicker_slb.Layout.slb_size '\xff');
-  match Session.execute_from_sysfs p ~pal:hello () with
+  match Session.execute_from_sysfs p ~pal:hello with
   | Error (Session.Os_busy _) | Error Session.Unknown_pal -> ()
   | _ -> Alcotest.fail "corrupt sysfs blob accepted"
 
@@ -427,7 +427,7 @@ let test_sysfs_image_of_other_pal () =
   let p = make_platform () in
   let other = Pal.define ~name:"session-other" (fun env -> Pal_env.set_output env "other") in
   Flicker_os.Sysfs.write p.Platform.sysfs ~path:"slb" (Builder.build other).Builder.bytes;
-  (match Session.execute_from_sysfs p ~pal:hello () with
+  (match Session.execute_from_sysfs p ~pal:hello with
   | Error Session.Unknown_pal -> ()
   | Error e -> Alcotest.failf "unexpected error: %a" Session.pp_error e
   | Ok _ -> Alcotest.fail "ran the handed PAL on another PAL's image");
@@ -459,7 +459,7 @@ let test_pal_too_large_for_optimized () =
     (Flicker_obs.Tracer.length machine.Machine.tracer);
   let std = Builder.build ~flavor:Builder.Standard big in
   Flicker_os.Sysfs.write p.Platform.sysfs ~path:"slb" std.Builder.bytes;
-  match Session.execute_from_sysfs p ~pal:big () with
+  match Session.execute_from_sysfs p ~pal:big with
   | Ok o -> Alcotest.(check string) "standard image ran" "ran" o.Session.outputs
   | Error e -> Alcotest.failf "sysfs session: %a" Session.pp_error e
 
@@ -483,6 +483,34 @@ let test_sessions_increment () =
   ignore (run p hello);
   ignore (run p hello);
   Alcotest.(check int) "two sessions" 2 p.Platform.sessions_run
+
+(* [Session.call] returns a PAL's failure report whole as its error. The
+   report is still the session's output: the session ran, and the sysfs
+   outputs entry holds it. *)
+let test_call_pal_failure () =
+  let p = make_platform () in
+  let pal = Pal.define ~name:"session-fails" (fun env -> Pal_env.fail env "no can do") in
+  (match Session.call p ~pal () with
+  | Error report -> Alcotest.(check string) "report, whole" "ERROR: no can do" report
+  | Ok _ -> Alcotest.fail "a failure report read as a result");
+  Alcotest.(check int) "the session ran" 1 p.Platform.sessions_run;
+  Alcotest.(check (option string)) "on the output page" (Some "ERROR: no can do")
+    (Flicker_os.Sysfs.read p.Platform.sysfs ~path:"outputs");
+  match Session.call p ~pal:hello ~inputs:"world" () with
+  | Ok o -> Alcotest.(check string) "a result reads as one" "Hello, world" o.Session.outputs
+  | Error e -> Alcotest.fail e
+
+(* a session error comes back from [Session.call] exactly as [pp_error]
+   renders it *)
+let test_call_session_error () =
+  let p = make_platform () in
+  Session.corrupt_slb_in_memory p;
+  match Session.call p ~pal:hello () with
+  | Error e ->
+      Alcotest.(check string) "rendered by pp_error"
+        (Format.asprintf "%a" Session.pp_error Session.Unknown_pal)
+        e
+  | Ok _ -> Alcotest.fail "ran a corrupted SLB"
 
 let test_measurement_module () =
   let image = Builder.build ~flavor:Builder.Standard hello in
@@ -520,6 +548,8 @@ let () =
           Alcotest.test_case "skinit by flavor" `Quick test_skinit_time_by_flavor;
           Alcotest.test_case "inputs via memory" `Quick test_inputs_visible_to_pal;
           Alcotest.test_case "session count" `Quick test_sessions_increment;
+          Alcotest.test_case "call: PAL failure report" `Quick test_call_pal_failure;
+          Alcotest.test_case "call: session error" `Quick test_call_session_error;
           Alcotest.test_case "sysfs entry point" `Quick test_execute_from_sysfs;
           Alcotest.test_case "sysfs image of other pal" `Quick test_sysfs_image_of_other_pal;
           Alcotest.test_case "standard size edges" `Quick test_standard_size_edges;
